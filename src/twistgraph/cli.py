@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, smooth, metrics, unit-circle.
-Exit codes: 0 success, 2 configuration error, 3 solver did not converge,
-4 underconstrained problem.
+Exit codes: 0 success, 2 configuration error, 3 solver did not converge
+(including an initial estimate on a singular chart), 4 underconstrained
+problem.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from . import formats, simkit, tracking
 from .fgraph import UnderconstrainedGraphError, optimize, total_cost
 from .formats import ConfigError, RunConfig
+from .manifold import NearSingularError
 from .simkit import TwistSegment
 from .tracking import ModePolicy, NeedsPriorError
 
@@ -187,6 +189,11 @@ def main(argv=None) -> int:
     except (UnderconstrainedGraphError, NeedsPriorError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNDERCONSTRAINED
+    except NearSingularError as err:
+        # LM damps away from singular charts, but the initial estimate
+        # itself can sit on one
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

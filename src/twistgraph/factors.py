@@ -28,15 +28,6 @@ _SKEW_E0 = skew(np.array([1.0, 0.0, 0.0]))
 _E2 = np.array([0.0, 0.0, 1.0])
 
 
-def default_ct_base_covariance(kind: ManifoldKind) -> np.ndarray:
-    """Per-second twist covariance: 0.05 m on translation, 0.02 rad on rotation."""
-    if kind.tag == "SE3":
-        return np.diag([0.05 ** 2] * 3 + [0.02 ** 2] * 3)
-    if kind.tag == "SO3":
-        return np.diag([0.02 ** 2] * 3)
-    return np.diag([0.05 ** 2] * kind.dim)
-
-
 @dataclass(frozen=True)
 class ConstantTwistSpec:
     """Timing and covariance of one constant-twist factor.
@@ -66,15 +57,6 @@ class RollPitchSpec:
     covariance: np.ndarray = field(
         default_factory=lambda: np.diag([0.05 ** 2, 0.05 ** 2]))
     selection: np.ndarray = field(default_factory=lambda: _S_RP.copy())
-
-
-@dataclass(frozen=True)
-class MeasurementNoise:
-    usbl: np.ndarray = field(default_factory=lambda: np.eye(3) * 1.5 ** 2)
-    optical: np.ndarray = field(
-        default_factory=lambda: np.diag([0.05 ** 2] * 3 + [0.01 ** 2] * 3))
-    odom: np.ndarray = field(
-        default_factory=lambda: np.diag([0.005 ** 2] * 3 + [0.002 ** 2] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -158,73 +140,11 @@ def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
         return ct_jacobians(values.get(k_prev), values.get(k_curr),
                             values.get(k_next), dt1, dt2, kind)
 
-    if kind.tag == "RN":
-        eye = np.eye(kind.dim)
-        J_rn = (alpha * eye, -(1.0 + alpha) * eye, eye)
-
-        def combined(values: Values):
-            return residual(values), J_rn
-    elif kind.tag == "SE3":
-
-        def combined(values: Values):
-            # Shares the group elements between the residual and Jacobians,
-            # using Jl^-1(x) = Jr^-1(x) Ad^-1_Exp(x) so each of delta1,
-            # delta2 and eps needs only one coupling-block evaluation.
-            E1 = manifold.compose(manifold.inverse(values.get(k_prev)),
-                                  values.get(k_curr))
-            try:
-                delta1 = manifold.log_se3(E1)
-            except NearSingularError as err:
-                raise NearSingularError(
-                    f"relative increment step: {err}") from err
-            delta2 = alpha * delta1
-            E2 = manifold.exp_se3(delta2)
-            predicted = manifold.compose(values.get(k_curr), E2)
-            E_eps = manifold.compose(manifold.inverse(predicted),
-                                     values.get(k_next))
-            try:
-                eps = manifold.log_se3(E_eps)
-            except NearSingularError as err:
-                raise NearSingularError(f"residual step: {err}") from err
-
-            J_next = manifold.jr_inv_se3(eps)
-            neg_jl_inv_eps = -(J_next @ manifold.adjoint_inv_se3(E_eps))
-            adj_inv_2 = manifold.adjoint_inv_se3(E2)
-            common = alpha * (neg_jl_inv_eps
-                              @ (adj_inv_2 @ manifold.jl_se3(delta2)))
-            jr_inv_1 = manifold.jr_inv_se3(delta1)
-            J_prev = common @ (-(jr_inv_1 @ manifold.adjoint_inv_se3(E1)))
-            J_curr = common @ jr_inv_1 + neg_jl_inv_eps @ adj_inv_2
-            return eps, (J_prev, J_curr, J_next)
-    else:
-
-        def combined(values: Values):
-            # shares delta1/delta2/eps between the residual and its Jacobians
-            try:
-                delta1 = manifold.ominus(kind, values.get(k_curr),
-                                         values.get(k_prev))
-            except NearSingularError as err:
-                raise NearSingularError(
-                    f"relative increment step: {err}") from err
-            delta2 = alpha * delta1
-            predicted = manifold.oplus(kind, values.get(k_curr), delta2)
-            try:
-                eps = manifold.ominus(kind, values.get(k_next), predicted)
-            except NearSingularError as err:
-                raise NearSingularError(f"residual step: {err}") from err
-            neg_jl_inv_eps = -manifold.jl_inv(kind, eps)
-            common = alpha * (neg_jl_inv_eps @ manifold.jr(kind, delta2))
-            J_prev = common @ (-manifold.jl_inv(kind, delta1))
-            J_curr = common @ manifold.jr_inv(kind, delta1) \
-                + neg_jl_inv_eps @ manifold.adjoint_inv_of_exp(kind, delta2)
-            J_next = manifold.jr_inv(kind, eps)
-            return eps, (J_prev, J_curr, J_next)
-
     return Factor(keys=(k_prev, k_curr, k_next), residual_fn=residual,
                   jacobian_fn=jacobian,
                   noise=NoiseModel(spec.effective_covariance()),
                   name=f"ct[{k_prev.id},{k_curr.id},{k_next.id}]",
-                  combined_fn=combined)
+                  family=_CT_FAMILIES.get(kind.tag), family_params=(alpha,))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +161,15 @@ def prior_factor(key: VariableKey, mean, covariance: np.ndarray) -> Factor:
         eps = manifold.ominus(kind, values.get(key), mean)
         return (manifold.jr_inv(kind, eps),)
 
+    family, params = None, ()
+    if kind.tag == "SE3":
+        family, params = _prior_se3_batch, (mean.rotation.matrix,
+                                            mean.translation)
+    elif kind.tag == "RN":
+        family, params = _prior_rn_batch, (mean.coords,)
     return Factor(keys=(key,), residual_fn=residual, jacobian_fn=jacobian,
-                  noise=NoiseModel(covariance), name=f"prior[{key.id}]")
+                  noise=NoiseModel(covariance), name=f"prior[{key.id}]",
+                  family=family, family_params=params)
 
 
 def relative_pose_factor(key_a: VariableKey, key_b: VariableKey, z: Pose3,
@@ -264,15 +191,11 @@ def relative_pose_factor(key_a: VariableKey, key_b: VariableKey, z: Pose3,
         Jri = manifold.jr_inv_se3(eps)
         return -Jri @ manifold.adjoint_inv_se3(M), Jri
 
-    def combined(values: Values):
-        M = _rel(values)
-        eps = manifold.log_se3(manifold.compose(z_inv, M))
-        Jri = manifold.jr_inv_se3(eps)
-        return eps, (-Jri @ manifold.adjoint_inv_se3(M), Jri)
-
     return Factor(keys=(key_a, key_b), residual_fn=residual,
                   jacobian_fn=jacobian, noise=NoiseModel(covariance),
-                  name=f"relpose[{key_a.id},{key_b.id}]", combined_fn=combined)
+                  name=f"relpose[{key_a.id},{key_b.id}]",
+                  family=_relative_pose_batch,
+                  family_params=(z.rotation.matrix, z.translation))
 
 
 def usbl_factor(chaser_key: VariableKey, target_key: VariableKey,
@@ -306,22 +229,11 @@ def usbl_factor(chaser_key: VariableKey, target_key: VariableKey,
             J_target = chaser.rotation.matrix.T
         return J_chaser, J_target
 
-    def combined(values: Values):
-        chaser: Pose3 = values.get(chaser_key)
-        h = _predict(values)
-        J_chaser = np.hstack([-np.eye(3), skew(h)])
-        if se3_target:
-            tgt: Pose3 = values.get(target_key)
-            J_target = np.hstack([
-                chaser.rotation.matrix.T @ tgt.rotation.matrix, np.zeros((3, 3))])
-        else:
-            J_target = chaser.rotation.matrix.T
-        return h - z, (J_chaser, J_target)
-
     return Factor(keys=(chaser_key, target_key), residual_fn=residual,
                   jacobian_fn=jacobian, noise=NoiseModel(covariance),
                   name=f"usbl[{chaser_key.id},{target_key.id}]",
-                  combined_fn=combined)
+                  family=_usbl_se3_batch if se3_target else _usbl_rn_batch,
+                  family_params=(z,))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +285,8 @@ def roll_pitch_factor(target_key: VariableKey,
 
     return Factor(keys=(target_key,), residual_fn=residual,
                   jacobian_fn=jacobian, noise=NoiseModel(spec.covariance),
-                  name=f"rollpitch[{target_key.id}]")
+                  name=f"rollpitch[{target_key.id}]",
+                  family=_roll_pitch_batch, family_params=(S,))
 
 
 # ---------------------------------------------------------------------------
@@ -405,4 +318,132 @@ def boundary_factors(se3_key: VariableKey, r3_key: VariableKey,
 
     return [Factor(keys=(se3_key, r3_key), residual_fn=residual,
                    jacobian_fn=jacobian, noise=NoiseModel(covariance),
-                   name=f"boundary-{direction}[{se3_key.id},{r3_key.id}]")]
+                   name=f"boundary-{direction}[{se3_key.id},{r3_key.id}]",
+                   family=_boundary_batch)]
+
+
+# ---------------------------------------------------------------------------
+# Batched family evaluators.  Each one evaluates a stack of N factors of one
+# family at once, step for step as its constructor's residual_fn and
+# jacobian_fn do, with the manifold *_batch kernels:
+#
+#     family(params, states) -> (r (N, d), per-key Jacobians (N, d, dk))
+#
+# params are the factors' family_params stacked row by row; states hold one
+# entry per key: an (R, t) stack for SE(3) keys, (N, n) coordinates for R^n.
+# Inverses are taken here, where the closures take them, so that every
+# product rounds as it does in the closures.
+
+
+def _ct_se3_batch(params, states):
+    (alpha,) = params
+    (Rp, tp), (Rc, tc), (Rn, tn) = states
+    delta1 = manifold.log_se3_batch(
+        *manifold.compose_batch(*manifold.inverse_batch(Rp, tp), Rc, tc))
+    delta2 = alpha[:, None] * delta1
+    E2 = manifold.exp_se3_batch(delta2)
+    predicted = manifold.compose_batch(Rc, tc, *E2)
+    eps = manifold.log_se3_batch(
+        *manifold.compose_batch(*manifold.inverse_batch(*predicted), Rn, tn))
+
+    neg_jl_inv_eps = -manifold.jl_inv_se3_batch(eps)
+    common = alpha[:, None, None] * (neg_jl_inv_eps
+                                     @ manifold.jr_se3_batch(delta2))
+    J_prev = common @ (-manifold.jl_inv_se3_batch(delta1))
+    J_curr = common @ manifold.jr_inv_se3_batch(delta1) \
+        + neg_jl_inv_eps @ manifold.adjoint_inv_se3_batch(*E2)
+    J_next = manifold.jr_inv_se3_batch(eps)
+    return eps, (J_prev, J_curr, J_next)
+
+
+def _ct_rn_batch(params, states):
+    (alpha,) = params
+    prev, curr, nxt = states
+    eps = nxt - (curr + alpha[:, None] * (curr - prev))
+    a = alpha[:, None, None]
+    eye = np.eye(prev.shape[1])
+    return eps, (a * eye, -(1.0 + a) * eye, np.broadcast_to(eye, a.shape[:1]
+                                                            + eye.shape))
+
+
+_CT_FAMILIES = {"SE3": _ct_se3_batch, "RN": _ct_rn_batch}
+
+
+def _prior_se3_batch(params, states):
+    ((R, t),) = states
+    eps = manifold.log_se3_batch(
+        *manifold.compose_batch(*manifold.inverse_batch(*params), R, t))
+    return eps, (manifold.jr_inv_se3_batch(eps),)
+
+
+def _prior_rn_batch(params, states):
+    (mean,) = params
+    (x,) = states
+    return x - mean, (np.broadcast_to(np.eye(x.shape[1]),
+                                      (x.shape[0],) + (x.shape[1],) * 2),)
+
+
+def _relative_pose_batch(params, states):
+    (Ra, ta), (Rb, tb) = states
+    rel = manifold.compose_batch(*manifold.inverse_batch(Ra, ta), Rb, tb)
+    eps = manifold.log_se3_batch(
+        *manifold.compose_batch(*manifold.inverse_batch(*params), *rel))
+    Jri = manifold.jr_inv_se3_batch(eps)
+    return eps, (-Jri @ manifold.adjoint_inv_se3_batch(*rel), Jri)
+
+
+def _usbl_chaser_terms(chaser, p):
+    """R_c^T, the predicted offset h and its chaser Jacobian [-I, [h]x]."""
+    Rc, tc = chaser
+    RcT = Rc.transpose(0, 2, 1)
+    h = (RcT @ (p - tc)[:, :, None])[:, :, 0]
+    J_chaser = np.concatenate(
+        [np.broadcast_to(-np.eye(3), Rc.shape), manifold.skew_batch(h)], axis=2)
+    return RcT, h, J_chaser
+
+
+def _usbl_se3_batch(params, states):
+    (z,) = params
+    chaser, (Rt, tt) = states
+    RcT, h, J_chaser = _usbl_chaser_terms(chaser, tt)
+    return h - z, (J_chaser,
+                   np.concatenate([RcT @ Rt, np.zeros_like(Rt)], axis=2))
+
+
+def _usbl_rn_batch(params, states):
+    (z,) = params
+    chaser, p = states
+    RcT, h, J_chaser = _usbl_chaser_terms(chaser, p)
+    return h - z, (J_chaser, RcT)
+
+
+def _roll_pitch_batch(params, states):
+    (S,) = params
+    ((R, _),) = states
+    pitch = -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0))
+    locked = np.abs(pitch) > np.pi / 2 - _GIMBAL_TOL
+    if locked.any():
+        raise NearSingularError(f"pitch {pitch[np.argmax(locked)]} too close "
+                                f"to +-pi/2 for yaw extraction")
+    psi = np.arctan2(R[:, 1, 0], R[:, 0, 0])
+    c, s = np.cos(psi), np.sin(psi)
+    Rz = np.zeros_like(R)
+    Rz[:, 0, 0], Rz[:, 0, 1], Rz[:, 1, 0], Rz[:, 1, 1] = c, -s, s, c
+    Rz[:, 2, 2] = 1.0
+    E = manifold.log_so3_batch(R.transpose(0, 2, 1) @ Rz)
+
+    r00, r10 = R[:, 0, 0, None], R[:, 1, 0, None]
+    d_r00 = -(R[:, 0, :] @ _SKEW_E0)
+    d_r10 = -(R[:, 1, :] @ _SKEW_E0)
+    e2_d_psi = np.zeros_like(R)  # np.outer(_E2, d_psi) per row
+    e2_d_psi[:, 2, :] = (r00 * d_r10 - r10 * d_r00) / (r00 * r00 + r10 * r10)
+    J_theta = S @ (-manifold.jl_inv_so3_batch(E)
+                   + manifold.jr_inv_so3_batch(E) @ e2_d_psi)
+    J = np.concatenate([np.zeros(J_theta.shape), J_theta], axis=2)
+    return (S @ E[:, :, None])[:, :, 0], (J,)
+
+
+def _boundary_batch(params, states):
+    (R, t), p = states
+    J_T = np.concatenate([-R, np.zeros_like(R)], axis=2)
+    return p - t, (J_T, np.broadcast_to(np.eye(3), R.shape))

@@ -103,6 +103,10 @@ class Factor:
 
     residual_fn(values) -> r (dim,)
     jacobian_fn(values) -> tuple of per-key matrices (dim x key.kind.dim)
+
+    A factor with a `family` is linearized in a batch with the other factors
+    of its family (see Linearizer); family_params are its own parameters,
+    which the batch stacks row by row.
     """
 
     keys: tuple[VariableKey, ...]
@@ -112,6 +116,10 @@ class Factor:
     name: str = "factor"
     # optional fused path returning (residual, jacobians) in one evaluation
     combined_fn: Callable[[Values], tuple] | None = None
+    # optional batched path: family(params, states) -> (r (N, dim),
+    # per-key Jacobians (N, dim, key.kind.dim)) for N factors at once
+    family: Callable | None = None
+    family_params: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -170,11 +178,48 @@ def variable_offsets(graph: FactorGraph) -> tuple[dict[VariableKey, int], int]:
     return offsets, pos
 
 
+def _describe(f: Factor) -> str:
+    where = ", ".join(f"id={k.id}@t={k.timestamp:g}" for k in f.keys)
+    return f"{f.name} (variables {where})"
+
+
+def _stack_states(kind: ManifoldKind, elements: list):
+    """SE(3) elements as an (R, t) stack, SO(3) elements as (N, 3, 3)
+    matrices, R^n elements as (N, n) coordinates."""
+    if kind.tag == "SE3":
+        return (np.array([e.rotation.matrix for e in elements]),
+                np.array([e.translation for e in elements]))
+    if kind.tag == "SO3":
+        return np.array([e.matrix for e in elements])
+    return np.array([e.coords for e in elements])
+
+
+def _take(states, rows: np.ndarray):
+    if isinstance(states, tuple):
+        return tuple(s[rows] for s in states)
+    return states[rows]
+
+
+@dataclass
+class _Batch:
+    """The factors of one family over one tuple of key kinds."""
+
+    family: Callable
+    params: tuple  # family_params stacked over the factors
+    sqrt_info: np.ndarray  # (N, d, d)
+    slots: list  # per key: (kind, row of each factor's variable in its table)
+    rows: np.ndarray  # residual rows, (N * d,)
+    cells: np.ndarray  # COO data positions of the Jacobian blocks, flat
+
+
 class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
     The block structure never changes between iterations, so row/column
     indices are built once and only the numeric entries are refreshed.
+    Factors that carry a family are evaluated in one batch per (family, key
+    kinds, dim) group and scattered into their rows and COO data positions;
+    the others are evaluated one by one.
     """
 
     def __init__(self, graph: FactorGraph,
@@ -186,31 +231,89 @@ class Linearizer:
         self.total_cols = sum(k.kind.dim for k in offsets)
         self.total_rows = sum(f.dim for f in graph.factors)
 
-        rows, cols = [], []
-        self._slices = []  # (factor, res row slice, per-key data slices)
+        blocks = []  # (data position, first row, rows, first column, columns)
+        self._entries = []  # (factor, res row slice, per-key data slices)
+        grouped: dict[tuple, list] = {}
         pos = 0
         row0 = 0
         for f in graph.factors:
             d = f.dim
-            rr = np.arange(row0, row0 + d)
             spans = []
             for key in f.keys:
                 dk = key.kind.dim
-                c0 = offsets[key]
-                rows.append(np.repeat(rr, dk))
-                cols.append(np.tile(np.arange(c0, c0 + dk), d))
+                blocks.append((pos, row0, d, offsets[key], dk))
                 spans.append(slice(pos, pos + d * dk))
                 pos += d * dk
-            self._slices.append((f, slice(row0, row0 + d), spans))
+            entry = (f, slice(row0, row0 + d), spans)
+            self._entries.append(entry)
+            if f.family is not None:
+                group = (f.family, tuple(k.kind for k in f.keys), d)
+                grouped.setdefault(group, []).append(entry)
             row0 += d
-        self._rows = np.concatenate(rows) if rows else np.empty(0, dtype=int)
-        self._cols = np.concatenate(cols) if cols else np.empty(0, dtype=int)
+        # Each block is row-major: entry j of a d x dk block sits at row
+        # row0 + j // dk and column c0 + j % dk.
+        self._rows = np.empty(pos, dtype=int)
+        self._cols = np.empty(pos, dtype=int)
+        blocks = np.array(blocks, dtype=int).reshape(-1, 5)
+        for d, dk in {(b[2], b[4]) for b in blocks.tolist()}:
+            same = blocks[(blocks[:, 2] == d) & (blocks[:, 4] == dk)]
+            j = np.arange(d * dk)
+            at = same[:, :1] + j
+            self._rows[at] = same[:, 1:2] + j // dk
+            self._cols[at] = same[:, 3:4] + j % dk
         self._data = np.empty(pos)
         self._res = np.empty(row0)
 
+        self._loose = [e for e in self._entries if e[0].family is None]
+        tables: dict[ManifoldKind, dict[VariableKey, int]] = {}
+        self._batches = []
+        for (family, kinds, d), entries in grouped.items():
+            fs = [f for f, _, _ in entries]
+            slots = []
+            for i, kind in enumerate(kinds):
+                table = tables.setdefault(kind, {})
+                slots.append((kind, np.array(
+                    [table.setdefault(f.keys[i], len(table)) for f in fs])))
+            # each factor's blocks sit back to back in the COO data
+            starts = np.array([spans[0].start for _, _, spans in entries])
+            width = d * sum(k.dim for k in kinds)
+            self._batches.append(_Batch(
+                family=family,
+                params=tuple(np.array(p) for p in zip(
+                    *(f.family_params for f in fs))),
+                sqrt_info=np.array([f.noise.sqrt_info for f in fs]),
+                slots=slots,
+                rows=(np.array([r.start for _, r, _ in entries])[:, None]
+                      + np.arange(d)).ravel(),
+                cells=(starts[:, None] + np.arange(width)).ravel()))
+        self._tables = {kind: list(table) for kind, table in tables.items()}
+
     def __call__(self, values: Values):
+        try:
+            self._batched(values)
+            self._per_factor(self._loose, values)
+        except manifold.NearSingularError:
+            # Redo it factor by factor in graph order, so the error names
+            # the first offending factor, as the per-factor path alone would.
+            self._per_factor(self._entries, values)
+        J = sp.coo_matrix((self._data, (self._rows, self._cols)),
+                          shape=(self._res.shape[0], self.total_cols)).tocsr()
+        return J, self._res.copy()
+
+    def _batched(self, values: Values) -> None:
+        tables = {kind: _stack_states(kind, [values.get(k) for k in keys])
+                  for kind, keys in self._tables.items()}
+        for b in self._batches:
+            r, Js = b.family(b.params,
+                             [_take(tables[kind], i) for kind, i in b.slots])
+            W = b.sqrt_info
+            self._res[b.rows] = (W @ r[:, :, None]).ravel()
+            self._data[b.cells] = np.concatenate(
+                [(W @ J).reshape(len(W), -1) for J in Js], axis=1).ravel()
+
+    def _per_factor(self, entries, values: Values) -> None:
         data, res = self._data, self._res
-        for f, rspan, spans in self._slices:
+        for f, rspan, spans in entries:
             try:
                 if f.combined_fn is not None:
                     r, Js = f.combined_fn(values)
@@ -219,15 +322,12 @@ class Linearizer:
                     Js = f.jacobian_fn(values)
             except manifold.NearSingularError as err:
                 raise manifold.NearSingularError(
-                    f"linearization failed in {f.name}: {err}"
+                    f"linearization failed in {_describe(f)}: {err}"
                 ) from err
             W = f.noise.sqrt_info
             res[rspan] = W @ r
             for span, J in zip(spans, Js):
                 data[span] = (W @ J).ravel()
-        J = sp.coo_matrix((data, (self._rows, self._cols)),
-                          shape=(self._res.shape[0], self.total_cols)).tocsr()
-        return J, res.copy()
 
 
 def linearize(graph: FactorGraph, values: Values,
@@ -243,10 +343,24 @@ def linearize(graph: FactorGraph, values: Values,
 
 def _retract_all(values: Values, offsets: dict[VariableKey, int],
                  delta: np.ndarray) -> Values:
+    """X (+) d for every variable, one batched pass per manifold kind."""
+    by_kind: dict[ManifoldKind, list[VariableKey]] = {}
+    for key in offsets:
+        by_kind.setdefault(key.kind, []).append(key)
     out = values.copy()
-    for key, c0 in offsets.items():
-        step = delta[c0:c0 + key.kind.dim]
-        out.set(key, manifold.oplus(key.kind, values.get(key), step))
+    for kind, keys in by_kind.items():
+        cols = np.array([offsets[k] for k in keys])[:, None] + np.arange(kind.dim)
+        steps = delta[cols]
+        X = _stack_states(kind, [values.get(k) for k in keys])
+        if kind.tag == "SE3":
+            R, t = manifold.compose_batch(*X, *manifold.exp_se3_batch(steps))
+            moved = map(manifold.Pose3, map(manifold.Rotation3, R), t)
+        elif kind.tag == "SO3":
+            moved = map(manifold.Rotation3, X @ manifold.exp_so3_batch(steps))
+        else:
+            moved = map(manifold.EuclidPoint, X + steps)
+        for key, element in zip(keys, moved):
+            out.set(key, element)
     return out
 
 

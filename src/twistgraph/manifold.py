@@ -427,3 +427,224 @@ def kind_of(element) -> ManifoldKind:
     if isinstance(element, EuclidPoint):
         return rn(element.coords.shape[0])
     raise ManifoldMismatchError(f"not a manifold element: {element!r}")
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels: the formulas and branches of the scalar kernels above,
+# over stacks of N elements -- rotations (N, 3, 3), translations and rotation
+# vectors (N, 3), SE(3) tangents (N, 6).  A stack of poses is the pair
+# (R, t).  The factor graph linearizes and retracts with these; the scalar
+# kernels remain the reference they are tested against.  Matrix and inner
+# products go through np.matmul and arccos through math.acos, so that they
+# round as in the scalar kernels and both take the same branches on the same
+# input.
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _check_finite_rows(v: np.ndarray) -> None:
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite tangent vector: {v[np.argmax(bad)]!r}")
+
+
+def _reject_near_pi(angle: np.ndarray, kernel: str) -> None:
+    bad = angle > np.pi - NEAR_PI_MARGIN
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NearSingularError(f"{kernel}: rotation angle {angle[i]} "
+                                f"within tolerance of pi (row {i})")
+
+
+def _series_or_closed(small: np.ndarray, series, closed) -> np.ndarray:
+    """Per row, the small-angle series or the closed form; `closed` is only
+    evaluated where the angle is not small."""
+    out = np.asarray(series, dtype=float)
+    big = ~small
+    if big.any():
+        out[big] = closed(big)
+    return out
+
+
+def skew_batch(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out[..., 0, 1] = -z
+    out[..., 0, 2] = y
+    out[..., 1, 0] = z
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = -y
+    out[..., 2, 1] = x
+    return out
+
+
+def _skew_sq_batch(theta: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """[th]x^2 = th th^T - |th|^2 I."""
+    K2 = theta[:, :, None] * theta[:, None, :]
+    K2[:, (0, 1, 2), (0, 1, 2)] -= a2[:, None]
+    return K2
+
+
+def _poly(K: np.ndarray, K2: np.ndarray, b: np.ndarray,
+          c: np.ndarray) -> np.ndarray:
+    """I + b K + c K2 with per-row coefficients."""
+    return _I3 + b[:, None, None] * K + c[:, None, None] * K2
+
+
+def exp_so3_batch(theta: np.ndarray) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    _check_finite_rows(theta)
+    a2 = _sq_norms(theta)
+    angle = np.sqrt(a2)
+    s2 = angle * angle
+    small = angle < SMALL_ANGLE
+    a = _series_or_closed(small, 1.0 - s2 / 6.0 + s2 * s2 / 120.0,
+                          lambda m: np.sin(angle[m]) / angle[m])
+    b = _series_or_closed(small, 0.5 - s2 / 24.0 + s2 * s2 / 720.0,
+                          lambda m: (1.0 - np.cos(angle[m])) / s2[m])
+    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2), a, b)
+
+
+def log_so3_batch(R: np.ndarray) -> np.ndarray:
+    cos_angle = np.clip((R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2] - 1.0) / 2.0,
+                        -1.0, 1.0)
+    angle = np.array([math.acos(c) for c in cos_angle.tolist()])
+    _reject_near_pi(angle, "log")
+    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                  R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    a2 = angle * angle
+    small = angle < SMALL_ANGLE
+    coef = _series_or_closed(
+        small, 0.5 * (1.0 + a2 / 6.0 + 7.0 * a2 * a2 / 360.0),
+        lambda m: 0.5 * angle[m] / np.sin(angle[m]))
+    out = w * coef[:, None]
+    big = angle > 2.8
+    if big.any():
+        # symmetric-part axis recovery, as in log_so3
+        c = cos_angle[big, None]
+        diag = R[big][:, (0, 1, 2), (0, 1, 2)]
+        v = np.copysign(np.sqrt(np.maximum((diag - c) / (1.0 - c), 0.0)),
+                        w[big])
+        out[big] = v * (angle[big] / np.sqrt(_sq_norms(v)))[:, None]
+    return out
+
+
+def jl_so3_batch(theta: np.ndarray) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    a2 = _sq_norms(theta)
+    angle = np.sqrt(a2)
+    small = angle < SMALL_ANGLE
+    b = _series_or_closed(small, 0.5 - a2 / 24.0 + a2 * a2 / 720.0,
+                          lambda m: (1.0 - np.cos(angle[m])) / a2[m])
+    c = _series_or_closed(
+        small, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0,
+        lambda m: (angle[m] - np.sin(angle[m])) / (a2[m] * angle[m]))
+    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2), b, c)
+
+
+def jl_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    a2 = _sq_norms(theta)
+    angle = np.sqrt(a2)
+    _reject_near_pi(angle, "J_l^-1")
+    small = angle < SMALL_ANGLE
+    e = _series_or_closed(
+        small, 1.0 / 12.0 + a2 / 720.0 + a2 * a2 / 30240.0,
+        lambda m: 1.0 / a2[m] - (1.0 + np.cos(angle[m])) / (
+            2.0 * angle[m] * np.sin(angle[m])))
+    return _I3 - 0.5 * skew_batch(theta) \
+        + e[:, None, None] * _skew_sq_batch(theta, a2)
+
+
+def jr_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
+    return jl_inv_so3_batch(-np.asarray(theta, dtype=float))
+
+
+def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    P = skew_batch(rho)
+    K = skew_batch(theta)
+    angle = np.sqrt(_sq_norms(theta))
+    a2 = angle * angle
+    small = angle < SMALL_ANGLE
+    c1 = _series_or_closed(
+        small, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0,
+        lambda m: (angle[m] - np.sin(angle[m])) / (angle[m] * a2[m]))
+    c2 = _series_or_closed(
+        small, -1.0 / 24.0 + a2 / 720.0 - a2 * a2 / 40320.0,
+        lambda m: (1.0 - a2[m] / 2.0 - np.cos(angle[m])) / (a2[m] * a2[m]))
+    c3 = _series_or_closed(
+        small, -1.0 / 120.0 + a2 / 5040.0 - a2 * a2 / 362880.0,
+        lambda m: (angle[m] - np.sin(angle[m]) - angle[m] * a2[m] / 6.0)
+        / (a2[m] * a2[m] * angle[m]))
+    c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]
+    KP = K @ P
+    PK = P @ K
+    KPK = KP @ K
+    return (0.5 * P
+            + c1 * (KP + PK + KPK)
+            - c2 * (K @ KP + PK @ K - 3.0 * KPK)
+            - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK))
+
+
+def exp_se3_batch(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xi = np.asarray(xi, dtype=float)
+    _check_finite_rows(xi)
+    rho, theta = xi[:, :3], xi[:, 3:]
+    return exp_so3_batch(theta), (jl_so3_batch(theta) @ rho[:, :, None])[:, :, 0]
+
+
+def log_se3_batch(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    theta = log_so3_batch(R)
+    out = np.empty((R.shape[0], 6))
+    out[:, :3] = (jl_inv_so3_batch(theta) @ t[:, :, None])[:, :, 0]
+    out[:, 3:] = theta
+    return out
+
+
+def compose_batch(Ra: np.ndarray, ta: np.ndarray, Rb: np.ndarray,
+                  tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return Ra @ Rb, (Ra @ tb[:, :, None])[:, :, 0] + ta
+
+
+def inverse_batch(R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    Rt = R.transpose(0, 2, 1)
+    return Rt, -(Rt @ t[:, :, None])[:, :, 0]
+
+
+def adjoint_inv_se3_batch(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    Rt = R.transpose(0, 2, 1)
+    Ad = np.zeros((R.shape[0], 6, 6))
+    Ad[:, :3, :3] = Rt
+    Ad[:, :3, 3:] = -(Rt @ skew_batch(t))
+    Ad[:, 3:, 3:] = Rt
+    return Ad
+
+
+def jl_se3_batch(delta: np.ndarray) -> np.ndarray:
+    rho, theta = delta[:, :3], delta[:, 3:]
+    Jl = jl_so3_batch(theta)
+    J = np.zeros((delta.shape[0], 6, 6))
+    J[:, :3, :3] = Jl
+    J[:, :3, 3:] = q_block_batch(rho, theta)
+    J[:, 3:, 3:] = Jl
+    return J
+
+
+def jl_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
+    rho, theta = delta[:, :3], delta[:, 3:]
+    Jli = jl_inv_so3_batch(theta)
+    J = np.zeros((delta.shape[0], 6, 6))
+    J[:, :3, :3] = Jli
+    J[:, :3, 3:] = -(Jli @ q_block_batch(rho, theta) @ Jli)
+    J[:, 3:, 3:] = Jli
+    return J
+
+
+def jr_se3_batch(delta: np.ndarray) -> np.ndarray:
+    return jl_se3_batch(-np.asarray(delta, dtype=float))
+
+
+def jr_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
+    return jl_inv_se3_batch(-np.asarray(delta, dtype=float))

@@ -27,7 +27,6 @@ from .factors import (
     RollPitchSpec,
     boundary_factors,
     ct_factor,
-    default_ct_base_covariance,
     prior_factor,
     relative_pose_factor,
     usbl_factor,

@@ -5,13 +5,14 @@ import pytest
 
 from twistgraph.cli import (
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_UNDERCONSTRAINED,
     main,
 )
 from twistgraph.formats import read_estimate, read_measurements, write_measurements
 from twistgraph.tracking import MeasurementRecord
-from twistgraph.manifold import Pose3
+from twistgraph.manifold import Pose3, exp_so3
 
 
 @pytest.fixture
@@ -94,6 +95,28 @@ class TestErrorExits:
         rc = main(["smooth", "--meas", str(meas),
                    "--out", str(tmp_path / "est.csv")])
         assert rc == EXIT_UNDERCONSTRAINED
+
+    def test_singular_initial_estimate_exits_3(self, tmp_path, capsys):
+        # Optical fixes put the target at 90 deg pitch, where the Mode A
+        # roll-pitch factor cannot extract yaw.
+        pitched = Pose3(exp_so3(np.array([0.0, np.pi / 2, 0.0])),
+                        np.array([5.0, 0.0, 0.0]))
+        records = []
+        for k in range(1, 31):
+            records.append(MeasurementRecord(timestamp=0.1 * k, kind="ODOM",
+                                             payload=Pose3.identity()))
+            if k % 10 == 0:
+                records.append(MeasurementRecord(
+                    timestamp=0.1 * k, kind="OPTICAL", payload=pitched))
+        meas = tmp_path / "pitched.csv"
+        write_measurements(meas, records)
+        rc = main(["smooth", "--meas", str(meas), "--mode", "A",
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: linearization failed in rollpitch[")
+        assert "id=1@t=1" in err[0] and "pitch" in err[0]
 
 
 class TestUnitCircle:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twistgraph import manifold as M
 from twistgraph.fgraph import (
@@ -19,7 +20,16 @@ from twistgraph.fgraph import (
     total_cost,
     variable_offsets,
 )
-from twistgraph.factors import ConstantTwistSpec, ct_factor, prior_factor
+from twistgraph.factors import (
+    ConstantTwistSpec,
+    RollPitchSpec,
+    boundary_factors,
+    ct_factor,
+    prior_factor,
+    relative_pose_factor,
+    roll_pitch_factor,
+    usbl_factor,
+)
 
 from conftest import random_pose
 
@@ -253,3 +263,191 @@ class TestMarginals:
             ref = full_cov[c0:c0 + 3, c0:c0 + 3]
             np.testing.assert_allclose(
                 marginal_covariance(graph, solution, k), ref, atol=1e-9)
+
+
+def per_factor_linearization(graph, offsets, values):
+    """Reference: each factor through residual_fn/jacobian_fn in graph order,
+    every block entry kept, assembled the way the solver lays them out."""
+    rows, cols, data, res = [], [], [], []
+    row0 = 0
+    for f in graph.factors:
+        W = f.noise.sqrt_info
+        res.append(W @ f.residual_fn(values))
+        for key, J in zip(f.keys, f.jacobian_fn(values)):
+            r, c = np.meshgrid(np.arange(row0, row0 + f.dim),
+                               np.arange(offsets[key],
+                                         offsets[key] + key.kind.dim),
+                               indexing="ij")
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            data.append((W @ J).ravel())
+        row0 += f.dim
+    n_cols = sum(k.kind.dim for k in offsets)
+    J = sp.coo_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(row0, n_cols)).tocsr()
+    return J, np.concatenate(res)
+
+
+def assert_same_linearization(J, r, J_ref, r_ref, tol=1e-12):
+    np.testing.assert_array_equal(J.indptr, J_ref.indptr)
+    np.testing.assert_array_equal(J.indices, J_ref.indices)
+    assert np.max(np.abs(J.data - J_ref.data)) <= tol * np.max(np.abs(J_ref.data))
+    assert np.max(np.abs(r - r_ref)) <= tol * max(1.0, np.max(np.abs(r_ref)))
+
+
+def mixed_graph(rng):
+    """Every built-in factor family, an SO(3) ct factor and a custom linear
+    factor, interleaved in a shuffled order."""
+    chaser = [VariableKey(i, M.SE3, float(i)) for i in range(4)]
+    target = [VariableKey(10 + i, M.SE3, float(i)) for i in range(4)]
+    point = [r3_key(20 + i, t=float(i)) for i in range(4)]
+    so3 = [VariableKey(30 + i, M.SO3, float(i)) for i in range(3)]
+    cov6 = np.diag([0.05 ** 2] * 3 + [0.01 ** 2] * 3)
+    factors = [
+        prior_factor(chaser[0], random_pose(rng, 1.0), np.eye(6) * 1e-4),
+        prior_factor(point[0], M.EuclidPoint(rng.normal(size=3)), np.eye(3)),
+        relative_pose_factor(chaser[0], target[0], random_pose(rng, 1.0), cov6),
+        roll_pitch_factor(target[1], RollPitchSpec()),
+        ct_factor(tuple(so3), ConstantTwistSpec(0.5, 1.5, np.eye(3) * 0.01)),
+        linear_factor([point[1], point[2]], [rng.normal(size=(3, 3)),
+                                             np.eye(3)],
+                      rng.normal(size=3), np.eye(3) * 0.5),
+    ]
+    factors += boundary_factors(target[3], point[3], "DOWN", np.eye(3) * 1e-4)
+    for a, b in zip(chaser, chaser[1:]):
+        factors.append(relative_pose_factor(a, b, random_pose(rng, 0.5),
+                                            np.eye(6) * 1e-3))
+    for c, t, p in zip(chaser, target, point):
+        factors.append(usbl_factor(c, t, rng.normal(size=3), np.eye(3) * 2.0))
+        factors.append(usbl_factor(c, p, rng.normal(size=3), np.eye(3) * 2.0))
+    for trio, dt2 in ((target[:3], 0.5), (target[1:], 2.0)):
+        factors.append(ct_factor(tuple(trio), ConstantTwistSpec(
+            1.0, dt2, np.diag([0.05 ** 2] * 3 + [0.005 ** 2] * 3))))
+    factors.append(ct_factor(tuple(point[:3]),
+                             ConstantTwistSpec(1.0, 3.0, np.eye(3) * 0.01)))
+    order = rng.permutation(len(factors))
+    graph = FactorGraph()
+    for i in order:
+        graph.add(factors[i])
+
+    values = Values()
+    for k in chaser + target:
+        values.set(k, random_pose(rng, 2.0))
+    for k in point:
+        values.set(k, M.EuclidPoint(rng.normal(0.0, 3.0, 3)))
+    for k in so3:
+        values.set(k, M.exp_so3(rng.normal(0.0, 0.5, 3)))
+    return graph, values
+
+
+class TestBatchedLinearizer:
+    def test_matches_per_factor_reference(self, rng):
+        for _ in range(5):
+            graph, values = mixed_graph(rng)
+            lin = Linearizer(graph)
+            assert any(f.family is None for f in graph.factors)
+            for step in range(2):
+                J, r = lin(values)
+                J_ref, r_ref = per_factor_linearization(graph, lin.offsets,
+                                                        values)
+                assert_same_linearization(J, r, J_ref, r_ref)
+                values = Values({k: M.oplus(k.kind, values.get(k),
+                                            rng.normal(0.0, 0.1, k.kind.dim))
+                                 for k in values.keys()})
+
+    def test_near_singular_names_first_offending_factor(self, rng):
+        a, b, c, d = (VariableKey(i, M.SE3, 2.0 * i) for i in range(4))
+        T = random_pose(rng, 1.0)
+        flipped = M.compose(T, M.exp_se3(np.array([0, 0, 0, 0, 0, np.pi])))
+        # The relative-pose batch comes first and fails on its second
+        # factor, but the ct factor before that one in the graph fails too.
+        graph = FactorGraph()
+        graph.add(relative_pose_factor(c, d, M.Pose3.identity(), np.eye(6)))
+        graph.add(ct_factor((a, b, c), ConstantTwistSpec(
+            1.0, 1.0, np.eye(6) * 0.01)))
+        graph.add(relative_pose_factor(a, b, M.Pose3.identity(), np.eye(6)))
+        values = Values({a: T, b: flipped, c: T, d: T})
+        with pytest.raises(M.NearSingularError) as exc:
+            Linearizer(graph)(values)
+        message = str(exc.value)
+        assert message.startswith(
+            "linearization failed in ct[0,1,2] (variables id=0@t=0, "
+            "id=1@t=2, id=2@t=4): ")
+        with pytest.raises(M.NearSingularError) as ref:
+            graph.factors[1].residual_fn(values)
+        assert message.endswith(str(ref.value))
+
+    def test_loose_factor_error_also_keeps_graph_order(self, rng):
+        keys = tuple(VariableKey(i, M.SO3, float(i)) for i in range(3))
+        p = VariableKey(5, M.SE3, 9.0)
+        graph = FactorGraph()
+        graph.add(ct_factor(keys, ConstantTwistSpec(1.0, 1.0,
+                                                    np.eye(3) * 0.01)))
+        graph.add(prior_factor(p, M.Pose3.identity(), np.eye(6)))
+        flip = M.exp_so3(np.array([0.0, 0.0, np.pi]))
+        values = Values({keys[0]: M.Rotation3.identity(), keys[1]: flip,
+                         keys[2]: flip,
+                         p: M.Pose3(flip, np.zeros(3))})
+        with pytest.raises(M.NearSingularError,
+                           match=r"in ct\[0,1,2\] \(variables id=0@t=0"):
+            Linearizer(graph)(values)
+
+
+def criterion_9_graph():
+    """Acceptance criterion 9's two-chain graph, seed 7."""
+    rng = np.random.default_rng(7)
+    n, dt = 1000, 1.0
+    xi_c = np.array([0.3, 0, 0, 0, 0, 0.01])
+    xi_t = np.array([0.25, 0, 0, 0, 0, 0.02])
+    C = M.Pose3.identity()
+    T = M.Pose3(M.Rotation3.identity(), np.array([8.0, 3.0, -1.0]))
+    chaser, target = [], []
+    for _ in range(n):
+        chaser.append(C)
+        target.append(T)
+        C = M.oplus(M.SE3, C, xi_c * dt)
+        T = M.oplus(M.SE3, T, xi_t * dt)
+    ck = [VariableKey(2 * k, M.SE3, k * dt) for k in range(n)]
+    tk = [VariableKey(2 * k + 1, M.SE3, k * dt) for k in range(n)]
+    graph = FactorGraph()
+    graph.add(prior_factor(ck[0], chaser[0], np.eye(6) * 1e-8))
+    graph.add(prior_factor(tk[0], target[0], np.diag([1.0] * 3 + [0.25] * 3)))
+    odom_cov = np.diag([0.002 ** 2] * 3 + [0.0005 ** 2] * 3)
+    opt_cov = np.diag([0.05 ** 2] * 3 + [0.01 ** 2] * 3)
+    ct_cov = np.diag([0.05 ** 2] * 3 + [0.005 ** 2] * 3)
+    for k in range(1, n):
+        graph.add(relative_pose_factor(
+            ck[k - 1], ck[k], M.compose(M.inverse(chaser[k - 1]), chaser[k]),
+            odom_cov))
+    for k in range(n):
+        z = (chaser[k].rotation.matrix.T
+             @ (target[k].translation - chaser[k].translation)
+             + rng.normal(0.0, 1.5, 3))
+        graph.add(usbl_factor(ck[k], tk[k], z, np.eye(3) * 1.5 ** 2))
+        if k % 20 == 0:
+            graph.add(relative_pose_factor(
+                ck[k], tk[k], M.compose(M.inverse(chaser[k]), target[k]),
+                opt_cov))
+    for a, b, c in zip(tk, tk[1:], tk[2:]):
+        graph.add(ct_factor((a, b, c), ConstantTwistSpec(dt, dt, ct_cov)))
+    values = Values()
+    for k in range(n):
+        values.set(ck[k], M.oplus(M.SE3, chaser[k], rng.normal(0.0, 0.01, 6)))
+        values.set(tk[k], M.oplus(M.SE3, target[k], rng.normal(0.0, 0.02, 6)))
+    return graph, values
+
+
+def test_criterion_9_solve_matches_per_factor_solver():
+    graph, values = criterion_9_graph()
+    J, r = Linearizer(graph)(values)
+    J_ref, r_ref = per_factor_linearization(graph, variable_offsets(graph)[0],
+                                            values)
+    assert_same_linearization(J, r, J_ref, r_ref)
+    _, report = optimize(graph, values, SolverSettings())
+    # iterations and cost trace of the per-factor solver this replaced
+    reference = [2754124.950121723, 3174.106473756564, 2869.9129839774023,
+                 2869.901336439705, 2869.9013064492615, 2869.901305615146]
+    assert report.converged
+    assert report.iterations == 5
+    np.testing.assert_allclose(report.cost_trace, reference, rtol=1e-9)
