@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, smooth, metrics, unit-circle.
-Exit codes: 0 success, 2 configuration error, 3 solver did not converge
+Exit codes: 0 success, 2 configuration error (including a malformed or
+out-of-order measurement stream), 3 solver did not converge
 (including an initial estimate on a singular chart), 4 underconstrained
 problem.
 """
@@ -18,7 +19,7 @@ from .fgraph import UnderconstrainedGraphError, optimize, total_cost
 from .formats import ConfigError, RunConfig
 from .manifold import NearSingularError
 from .simkit import TwistSegment
-from .tracking import ModePolicy, NeedsPriorError
+from .tracking import ModePolicy, NeedsPriorError, StreamOrderError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, FileNotFoundError, StreamOrderError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnderconstrainedGraphError, NeedsPriorError) as err:

@@ -8,6 +8,7 @@ matching reader.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields, field
 
 import numpy as np
@@ -23,21 +24,74 @@ class ConfigError(ValueError):
     """Bad key, value, or syntax in a run configuration."""
 
 
+def poses_to_fields(poses: list[Pose3]) -> list[list[str]]:
+    """`tx,ty,tz,qw,qx,qy,qz` fields of each pose, converting all rotations
+    in one call."""
+    if len(poses) == 0:
+        return []
+    quats = ScipyRotation.from_matrix(
+        np.stack([T.rotation.matrix for T in poses])).as_quat()  # x, y, z, w
+    return [[f"{v:.12g}" for v in (*T.translation, q[3], q[0], q[1], q[2])]
+            for T, q in zip(poses, quats)]
+
+
+def poses_from_fields(rows) -> list[Pose3]:
+    """Poses from rows of seven numbers or numeric strings, converting all
+    rotations in one call; each quaternion is normalized."""
+    if len(rows) == 0:
+        return []
+    translations, quats = [], []
+    for fs in rows:
+        tx, ty, tz, qw, qx, qy, qz = (float(v) for v in fs[:7])
+        translations.append(np.array([tx, ty, tz]))
+        q = np.array([qx, qy, qz, qw])
+        # one norm per row: a norm over the stacked rows rounds differently
+        quats.append(q / np.linalg.norm(q))
+    mats = ScipyRotation.from_quat(np.stack(quats)).as_matrix()
+    return [Pose3(Rotation3(R), t) for R, t in zip(mats, translations)]
+
+
 def pose_to_fields(T: Pose3) -> list[str]:
-    q = ScipyRotation.from_matrix(T.rotation.matrix).as_quat()  # x, y, z, w
-    vals = list(T.translation) + [q[3], q[0], q[1], q[2]]
-    return [f"{v:.12g}" for v in vals]
+    return poses_to_fields([T])[0]
 
 
 def pose_from_fields(fs: list[str]) -> Pose3:
-    t = np.array([float(v) for v in fs[:3]])
-    qw, qx, qy, qz = (float(v) for v in fs[3:7])
-    q = np.array([qx, qy, qz, qw])
-    q = q / np.linalg.norm(q)
-    return Pose3(Rotation3(ScipyRotation.from_quat(q).as_matrix()), t)
+    return poses_from_fields([fs])[0]
 
 
 POSE_COLS = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"]
+
+
+def _rows(path):
+    """Data rows of a record file, each with its `path:line` location."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(r, None)  # header
+        for row in r:
+            yield row, f"{path}:{r.line_num}"
+
+
+def _require(row: list[str], n: int, where: str) -> None:
+    if len(row) < n:
+        raise ConfigError(
+            f"{where}: expected at least {n} fields, got {len(row)}")
+
+
+def _floats(row: list[str], lo: int, hi: int, where: str) -> list[float]:
+    _require(row, hi, where)
+    try:
+        return [float(v) for v in row[lo:hi]]
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _timestamp(row: list[str], where: str) -> float:
+    """Leading timestamp of a record row, which carries a label after it."""
+    _require(row, 2, where)
+    (t,) = _floats(row, 0, 1, where)
+    if not math.isfinite(t):
+        raise ConfigError(f"{where}: timestamp must be finite, got {row[0]!r}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -49,26 +103,25 @@ def write_truth(path, truth: GroundTruth) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "agent"] + POSE_COLS)
-        for t, C, T in zip(truth.times, truth.chaser, truth.target):
-            w.writerow([f"{t:.9g}", "chaser"] + pose_to_fields(C))
-            w.writerow([f"{t:.9g}", "target"] + pose_to_fields(T))
+        for t, C, T in zip(truth.times, poses_to_fields(truth.chaser),
+                           poses_to_fields(truth.target)):
+            w.writerow([f"{t:.9g}", "chaser"] + C)
+            w.writerow([f"{t:.9g}", "target"] + T)
             n += 2
     return n
 
 
 def read_truth(path) -> GroundTruth:
-    times, chaser, target = [], [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            t = float(row[0])
-            pose = pose_from_fields(row[2:9])
-            if row[1] == "chaser":
-                times.append(t)
-                chaser.append(pose)
-            else:
-                target.append(pose)
+    times, agents, fields_ = [], [], []
+    for row, where in _rows(path):
+        t = _timestamp(row, where)
+        fields_.append(_floats(row, 2, 9, where))
+        agents.append(row[1])
+        if row[1] == "chaser":
+            times.append(t)
+    poses = poses_from_fields(fields_)
+    chaser = [T for T, a in zip(poses, agents) if a == "chaser"]
+    target = [T for T, a in zip(poses, agents) if a != "chaser"]
     if len(chaser) != len(target):
         raise ConfigError(f"unpaired trajectory rows in {path}")
     return GroundTruth(times=np.asarray(times), chaser=chaser, target=target)
@@ -79,6 +132,8 @@ def read_truth(path) -> GroundTruth:
 
 
 def write_measurements(path, records: list[MeasurementRecord]) -> int:
+    poses = iter(poses_to_fields(
+        [rec.payload for rec in records if rec.kind != "USBL"]))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "kind"] + POSE_COLS)
@@ -86,26 +141,27 @@ def write_measurements(path, records: list[MeasurementRecord]) -> int:
             if rec.kind == "USBL":
                 payload = [f"{v:.12g}" for v in rec.payload] + [""] * 4
             else:
-                payload = pose_to_fields(rec.payload)
+                payload = next(poses)
             w.writerow([f"{rec.timestamp:.9g}", rec.kind] + payload)
     return len(records)
 
 
 def read_measurements(path) -> list[MeasurementRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            t, kind = float(row[0]), row[1]
-            if kind == "USBL":
-                payload = np.array([float(v) for v in row[2:5]])
-            elif kind in ("ODOM", "OPTICAL"):
-                payload = pose_from_fields(row[2:9])
-            else:
-                raise ConfigError(f"unknown measurement kind {kind!r} in {path}")
-            records.append(MeasurementRecord(timestamp=t, kind=kind, payload=payload))
-    return records
+    """Measurement records; a malformed row is a ConfigError naming its line."""
+    rows, pose_fields = [], []
+    for row, where in _rows(path):
+        t, kind = _timestamp(row, where), row[1]
+        if kind == "USBL":
+            rows.append((t, kind, np.array(_floats(row, 2, 5, where))))
+        elif kind in ("ODOM", "OPTICAL"):
+            rows.append((t, kind, None))  # pose filled in from the batch
+            pose_fields.append(_floats(row, 2, 9, where))
+        else:
+            raise ConfigError(f"{where}: unknown measurement kind {kind!r}")
+    poses = iter(poses_from_fields(pose_fields))
+    return [MeasurementRecord(timestamp=t, kind=kind,
+                              payload=next(poses) if z is None else z)
+            for t, kind, z in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +169,9 @@ def read_measurements(path) -> list[MeasurementRecord]:
 
 
 def write_estimate(path, estimate: TrajectoryEstimate) -> int:
+    chaser = poses_to_fields(estimate.chaser_poses)
+    target = iter(poses_to_fields(
+        [S for S in estimate.target_states if isinstance(S, Pose3)]))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "trigger", "group"]
@@ -122,13 +181,13 @@ def write_estimate(path, estimate: TrajectoryEstimate) -> int:
         for i, kf in enumerate(estimate.keyframes):
             S = estimate.target_states[i]
             if isinstance(S, Pose3):
-                tgt = pose_to_fields(S)
+                tgt = next(target)
             else:  # R^3 state: orientation columns stay empty
                 tgt = [f"{v:.12g}" for v in S.coords] + [""] * 4
             ang = estimate.rel_angles[i]
             w.writerow(
                 [f"{kf.timestamp:.9g}", kf.trigger, kf.group]
-                + pose_to_fields(estimate.chaser_poses[i]) + tgt
+                + chaser[i] + tgt
                 + [f"{v:.12g}" for v in estimate.rel_positions[i]]
                 + [f"{ang:.12g}" if np.isfinite(ang) else ""])
     return len(estimate.keyframes)
@@ -147,20 +206,26 @@ class EstimateRow:
 
 
 def read_estimate(path) -> list[EstimateRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            has_tgt_rot = row[13] != ""
-            rows.append(EstimateRow(
-                timestamp=float(row[0]), trigger=row[1], group=row[2],
-                chaser=pose_from_fields(row[3:10]),
-                target_position=np.array([float(v) for v in row[10:13]]),
-                target_pose=pose_from_fields(row[10:17]) if has_tgt_rot else None,
-                rel_position=np.array([float(v) for v in row[17:20]]),
-                rel_angle=float(row[20]) if row[20] != "" else float("nan")))
-    return rows
+    """Estimate rows; a malformed row is a ConfigError naming its line."""
+    parsed, chaser_fields, target_fields = [], [], []
+    for row, where in _rows(path):
+        _require(row, 21, where)
+        has_tgt_rot = row[13] != ""
+        chaser_fields.append(_floats(row, 3, 10, where))
+        if has_tgt_rot:
+            target_fields.append(_floats(row, 10, 17, where))
+        parsed.append((
+            _timestamp(row, where), row[1], row[2], has_tgt_rot,
+            np.array(_floats(row, 10, 13, where)),
+            np.array(_floats(row, 17, 20, where)),
+            _floats(row, 20, 21, where)[0] if row[20] != "" else float("nan")))
+    targets = iter(poses_from_fields(target_fields))
+    return [EstimateRow(timestamp=t, trigger=trigger, group=group, chaser=C,
+                        target_position=p,
+                        target_pose=next(targets) if has_tgt_rot else None,
+                        rel_position=rel, rel_angle=ang)
+            for (t, trigger, group, has_tgt_rot, p, rel, ang), C
+            in zip(parsed, poses_from_fields(chaser_fields))]
 
 
 # ---------------------------------------------------------------------------

@@ -122,18 +122,11 @@ class EuclidPoint:
 
 def skew(v: np.ndarray) -> np.ndarray:
     x, y, z = v
-    out = np.zeros((3, 3))
-    out[0, 1] = -z
-    out[0, 2] = y
-    out[1, 0] = z
-    out[1, 2] = -x
-    out[2, 0] = -y
-    out[2, 1] = x
-    return out
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def _check_finite(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"non-finite tangent vector: {v!r}")
 
 
@@ -145,16 +138,23 @@ def _sin_cos_coeffs(angle: float) -> tuple[float, float]:
     return math.sin(angle) / angle, (1.0 - math.cos(angle)) / (angle * angle)
 
 
+def _so3_terms(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """|th|^2, [th]x and [th]x^2 of a rotation vector."""
+    a2 = float(theta @ theta)
+    # [th]x^2 = th th^T - |th|^2 I, cheaper than a matmul
+    return a2, skew(theta), theta[:, None] * theta - a2 * _I3
+
+
+def _exp_so3(a2: float, K: np.ndarray, K2: np.ndarray) -> np.ndarray:
+    a, b = _sin_cos_coeffs(math.sqrt(a2))
+    return _I3 + a * K + b * K2
+
+
 def exp_so3(theta: np.ndarray) -> Rotation3:
     """Rodrigues formula; series expansion below the small-angle threshold."""
     theta = np.asarray(theta, dtype=float)
     _check_finite(theta)
-    a2 = float(theta @ theta)
-    a, b = _sin_cos_coeffs(math.sqrt(a2))
-    K = skew(theta)
-    # [th]x^2 = th th^T - |th|^2 I, cheaper than a matmul
-    K2 = theta[:, None] * theta - a2 * _I3
-    return Rotation3(_I3 + a * K + b * K2)
+    return Rotation3(_exp_so3(*_so3_terms(theta)))
 
 
 def log_so3(R: Rotation3) -> np.ndarray:
@@ -185,10 +185,7 @@ def log_so3(R: Rotation3) -> np.ndarray:
     return w * (0.5 * angle / math.sin(angle))
 
 
-def jl_so3(theta: np.ndarray) -> np.ndarray:
-    """SO(3) left Jacobian: I + b [th]x + c [th]x^2."""
-    theta = np.asarray(theta, dtype=float)
-    a2 = float(theta @ theta)
+def _jl_so3(a2: float, K: np.ndarray, K2: np.ndarray) -> np.ndarray:
     angle = math.sqrt(a2)
     if angle < SMALL_ANGLE:
         b = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
@@ -196,9 +193,12 @@ def jl_so3(theta: np.ndarray) -> np.ndarray:
     else:
         b = (1.0 - math.cos(angle)) / a2
         c = (angle - math.sin(angle)) / (a2 * angle)
-    K = skew(theta)
-    K2 = theta[:, None] * theta - a2 * _I3
     return _I3 + b * K + c * K2
+
+
+def jl_so3(theta: np.ndarray) -> np.ndarray:
+    """SO(3) left Jacobian: I + b [th]x + c [th]x^2."""
+    return _jl_so3(*_so3_terms(np.asarray(theta, dtype=float)))
 
 
 def jl_inv_so3(theta: np.ndarray) -> np.ndarray:
@@ -224,7 +224,8 @@ def exp_se3(xi: np.ndarray) -> Pose3:
     xi = np.asarray(xi, dtype=float)
     _check_finite(xi)
     rho, theta = xi[:3], xi[3:]
-    return Pose3(exp_so3(theta), jl_so3(theta) @ rho)
+    terms = _so3_terms(theta)
+    return Pose3(Rotation3(_exp_so3(*terms)), _jl_so3(*terms) @ rho)
 
 
 def log_se3(T: Pose3) -> np.ndarray:

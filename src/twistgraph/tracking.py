@@ -8,7 +8,9 @@ smooths it, and computes error metrics against ground truth.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -202,12 +204,22 @@ class _OdometrySpline:
             else:
                 self.segments.append(
                     (recs[i - 1].timestamp, rec.timestamp, rec.payload))
+        # Running max of segment ends and running min (from the back) of
+        # segment starts: both are sorted even if the timestamps are not, so
+        # bisecting them bounds the segments that can overlap an interval.
+        self._reach = list(accumulate((b for _, b, _ in self.segments), max))
+        self._floor = list(accumulate(
+            (a for a, _, _ in reversed(self.segments)), min))[::-1]
 
     def relative(self, ta: float, tb: float) -> tuple[Pose3, float]:
         """Relative pose over (ta, tb] and the effective record count."""
         out = Pose3.identity()
         n_eff = 0.0
-        for a, b, rel in self.segments:
+        # segments before `first` end at or before ta, and segments from
+        # `stop` on start at or after tb: neither can overlap (ta, tb]
+        first = bisect_right(self._reach, ta)
+        stop = bisect_left(self._floor, tb)
+        for a, b, rel in self.segments[first:stop]:
             lo, hi = max(a, ta), min(b, tb)
             if hi - lo <= 1e-12:
                 continue
@@ -219,17 +231,33 @@ class _OdometrySpline:
         return out, n_eff
 
 
+def _compose_intervals(keyframes: list[Keyframe],
+                       measurements: list[MeasurementRecord]
+                       ) -> list[tuple[Pose3, float]]:
+    """Composed odometry and effective record count per keyframe interval."""
+    odo = _OdometrySpline(measurements)
+    return [odo.relative(prev.timestamp, kf.timestamp)
+            for prev, kf in zip(keyframes, keyframes[1:])]
+
+
 # ---------------------------------------------------------------------------
 # Initialization.
 
 
 def initialize_values(keyframes: list[Keyframe],
                       measurements: list[MeasurementRecord],
-                      config: TrackingConfig) -> Values:
-    """Dead-reckoned chaser chain plus measurement/extrapolation target seeds."""
+                      config: TrackingConfig, *,
+                      odometry: list[tuple[Pose3, float]] | None = None
+                      ) -> Values:
+    """Dead-reckoned chaser chain plus measurement/extrapolation target seeds.
+
+    `odometry` is the composed odometry of each consecutive keyframe
+    interval, as `build_graph` computes it; it is composed here when absent.
+    """
     if not keyframes:
         raise NeedsPriorError("no keyframes to initialize")
-    odo = _OdometrySpline(measurements)
+    if odometry is None:
+        odometry = _compose_intervals(keyframes, measurements)
     by_time: dict[float, list[MeasurementRecord]] = {}
     for rec in measurements:
         if rec.kind in ("USBL", "OPTICAL"):
@@ -240,8 +268,7 @@ def initialize_values(keyframes: list[Keyframe],
     prev_states: list[tuple[float, object]] = []  # (t, target element)
     for i, kf in enumerate(keyframes):
         if i > 0:
-            rel, _ = odo.relative(keyframes[i - 1].timestamp, kf.timestamp)
-            chaser = manifold.compose(chaser, rel)
+            chaser = manifold.compose(chaser, odometry[i - 1][0])
         values.set(kf.chaser_key, chaser)
 
         recs = by_time.get(_tkey(kf.timestamp), [])
@@ -378,9 +405,10 @@ def build_graph(keyframes: list[Keyframe],
     """Assembles the joint chaser/target smoothing graph and its initial values."""
     if not keyframes:
         raise NeedsPriorError("no keyframes")
-    values = initialize_values(keyframes, measurements, config)
+    odometry = _compose_intervals(keyframes, measurements)
+    values = initialize_values(keyframes, measurements, config,
+                               odometry=odometry)
     graph = FactorGraph()
-    odo = _OdometrySpline(measurements)
 
     # Chaser chain: anchor prior plus composed odometry.
     cp_cov = np.diag([config.chaser_prior_sigma_pos ** 2] * 3
@@ -388,8 +416,7 @@ def build_graph(keyframes: list[Keyframe],
     graph.add(prior_factor(keyframes[0].chaser_key, config.chaser_start, cp_cov))
     odom_cov_unit = np.diag([config.odom_sigma_pos ** 2] * 3
                             + [config.odom_sigma_rot ** 2] * 3)
-    for prev, kf in zip(keyframes, keyframes[1:]):
-        rel, n_eff = odo.relative(prev.timestamp, kf.timestamp)
+    for prev, kf, (rel, n_eff) in zip(keyframes, keyframes[1:], odometry):
         cov = odom_cov_unit * max(n_eff, 0.25)
         graph.add(relative_pose_factor(prev.chaser_key, kf.chaser_key, rel, cov))
 

@@ -86,6 +86,32 @@ class TestErrorExits:
                    "--out", str(tmp_path / "est.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_out_of_order_stream_exits_2(self, tmp_path, capsys):
+        meas = tmp_path / "backwards.csv"
+        write_measurements(meas, [
+            MeasurementRecord(timestamp=t, kind="USBL",
+                              payload=np.array([5.0, 0.0, 0.0]))
+            for t in (1.0, 2.0, 1.5)])
+        rc = main(["smooth", "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: measurement at t=1.5 arrived after t=2.0"]
+
+    @pytest.mark.parametrize("row", [
+        "0.2,ODOM,0,0,x,1,0,0,0",  # non-numeric field
+        "0.2,ODOM,0,0,0,1,0,0",  # short ODOM row
+    ])
+    def test_malformed_stream_row_exits_2(self, tmp_path, capsys, row):
+        meas = tmp_path / "bad.csv"
+        meas.write_text("timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n"
+                        "0.1,USBL,5,0,0,,,,\n" + row + "\n")
+        rc = main(["smooth", "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {meas}:3: ")
+
     def test_no_relative_measurements_exits_4(self, tmp_path):
         meas = tmp_path / "odom_only.csv"
         records = [MeasurementRecord(timestamp=0.1 * k, kind="ODOM",

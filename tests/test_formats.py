@@ -1,7 +1,12 @@
 """File formats: pose serialization, record files, and run configuration."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 from twistgraph import manifold as M
 from twistgraph.fgraph import SolveReport, SolverSettings
@@ -12,6 +17,8 @@ from twistgraph.formats import (
     parse_config,
     pose_from_fields,
     pose_to_fields,
+    poses_from_fields,
+    poses_to_fields,
     read_estimate,
     read_measurements,
     read_truth,
@@ -27,8 +34,10 @@ from twistgraph.simkit import (
     synthesize_measurements,
 )
 from twistgraph.tracking import (
+    MeasurementRecord,
     ModePolicy,
     TrackingConfig,
+    TrajectoryEstimate,
     build_graph,
     measurement_baselines,
     metrics,
@@ -66,6 +75,234 @@ class TestPoseSerialization:
         np.testing.assert_allclose(T.rotation.matrix, np.eye(3), atol=1e-12)
 
 
+def smoothed_estimate(mode):
+    cfg = small_scenario()
+    truth = generate_ground_truth(cfg)
+    records = synthesize_measurements(truth, cfg)
+    tcfg = TrackingConfig(target_start=cfg.target_start)
+    policy = ModePolicy(mode=mode)
+    kfs = schedule_keyframes(records, gate=tcfg.gate, policy=policy)
+    graph, values = build_graph(kfs, records, policy, tcfg)
+    return smooth(graph, values, SolverSettings(), kfs), truth, records
+
+
+def scalar_pose_to_fields(T: M.Pose3) -> list[str]:
+    """Reference writer: one rotation conversion per pose."""
+    q = ScipyRotation.from_matrix(T.rotation.matrix).as_quat()  # x, y, z, w
+    vals = list(T.translation) + [q[3], q[0], q[1], q[2]]
+    return [f"{v:.12g}" for v in vals]
+
+
+def scalar_pose_from_fields(fs) -> M.Pose3:
+    """Reference reader: one rotation conversion per row."""
+    t = np.array([float(v) for v in fs[:3]])
+    qw, qx, qy, qz = (float(v) for v in fs[3:7])
+    q = np.array([qx, qy, qz, qw])
+    q = q / np.linalg.norm(q)
+    return M.Pose3(M.Rotation3(ScipyRotation.from_quat(q).as_matrix()), t)
+
+
+def assert_same_pose(a: M.Pose3, b: M.Pose3):
+    assert np.array_equal(a.rotation.matrix, b.rotation.matrix)
+    assert np.array_equal(a.translation, b.translation)
+
+
+def special_poses() -> list[M.Pose3]:
+    """Identity, rotations at and just below pi, and ones whose quaternion
+    comes out with a negative w."""
+    out = [M.Pose3.identity()]
+    for axis in (np.array([1.0, 0, 0]), np.array([0, 0, 1.0]),
+                 np.array([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5])):
+        for angle in (np.pi, np.pi - 1e-9, np.pi - 1e-4, -2.5, 1e-12):
+            out.append(M.Pose3(M.exp_so3(axis * angle),
+                               np.array([1e3, -0.5, 1e-7]) * angle))
+    out.append(M.Pose3(M.Rotation3(np.diag([1.0, -1.0, -1.0])), np.zeros(3)))
+    return out
+
+
+quat_rows = st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 1e-3),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),  # non-unit scale
+).map(lambda r: [f"{v:.17g}" for v in r[0] + [c * r[2] for c in r[1]]])
+
+
+class TestBatchedConversion:
+    """Batched conversions equal the per-row scalar reference, bit for bit."""
+
+    def test_to_fields_matches_scalar(self, rng):
+        poses = special_poses() + [random_pose(rng, max_angle=np.pi, scale=50.0)
+                                   for _ in range(200)]
+        assert poses_to_fields(poses) == [scalar_pose_to_fields(T)
+                                          for T in poses]
+        assert pose_to_fields(poses[3]) == scalar_pose_to_fields(poses[3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(quat_rows, min_size=1, max_size=30))
+    def test_from_fields_matches_scalar(self, rows):
+        rows.append(["0", "0", "0", "-1", "0", "0", "0"])  # negative qw
+        rows.append(["1", "2", "3", "-0.5", "0.5", "-3", "7"])  # non-unit
+        for got, fs in zip(poses_from_fields(rows), rows):
+            assert_same_pose(got, scalar_pose_from_fields(fs))
+        assert_same_pose(pose_from_fields(rows[0]),
+                         scalar_pose_from_fields(rows[0]))
+
+    def test_round_trip_of_special_rotations(self):
+        poses = special_poses()
+        rows = poses_to_fields(poses)
+        for got, fs in zip(poses_from_fields(rows), rows):
+            assert_same_pose(got, scalar_pose_from_fields(fs))
+
+    def test_empty_batches(self):
+        assert poses_to_fields([]) == []
+        assert poses_from_fields([]) == []
+
+
+def scalar_measurement_rows(records) -> list[list[str]]:
+    return [[f"{r.timestamp:.9g}", r.kind]
+            + ([f"{v:.12g}" for v in r.payload] + [""] * 4
+               if r.kind == "USBL" else scalar_pose_to_fields(r.payload))
+            for r in records]
+
+
+def csv_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+class TestBatchedRecordFiles:
+    """Batched readers and writers against per-row scalar references."""
+
+    def test_truth_writer_and_reader_match_scalar(self, tmp_path):
+        truth = generate_ground_truth(small_scenario(
+            chaser_segments=[TwistSegment(np.array([0.3, 0, 0, 0, 0, 3.0]), 4.0)],
+            target_segments=[TwistSegment(np.array([0.2, 0, 0, -2.0, 0, 0]), 4.0)]))
+        path = tmp_path / "truth.csv"
+        write_truth(path, truth)
+        expected = []
+        for t, C, T in zip(truth.times, truth.chaser, truth.target):
+            expected.append([f"{t:.9g}", "chaser"] + scalar_pose_to_fields(C))
+            expected.append([f"{t:.9g}", "target"] + scalar_pose_to_fields(T))
+        rows = csv_rows(path)
+        assert rows == expected
+        back = read_truth(path)
+        poses = [scalar_pose_from_fields(r[2:9]) for r in rows]
+        for got, ref in zip(back.chaser + back.target, poses[0::2] + poses[1::2]):
+            assert_same_pose(got, ref)
+
+    def test_measurement_writer_and_reader_match_scalar(self, tmp_path):
+        cfg = small_scenario()
+        records = synthesize_measurements(generate_ground_truth(cfg), cfg)
+        path = tmp_path / "meas.csv"
+        write_measurements(path, records)
+        rows = csv_rows(path)
+        assert rows == scalar_measurement_rows(records)
+        for rec, row in zip(read_measurements(path), rows):
+            if rec.kind == "USBL":
+                assert np.array_equal(
+                    rec.payload, np.array([float(v) for v in row[2:5]]))
+            else:
+                assert_same_pose(rec.payload, scalar_pose_from_fields(row[2:9]))
+
+    def test_special_rotations_in_a_measurement_file(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text(
+            "timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n"
+            "0.1,ODOM,0,0,0,1,0,0,0\n"
+            "0.2,ODOM,1,2,3,-0.9,0.1,0.2,-0.3\n"  # negative qw
+            "0.3,OPTICAL,1,2,3,1e-9,1,0,0\n"  # near pi
+            "0.4,ODOM,1,2,3,3,0,4,0\n"  # norm 5
+            "0.4,USBL,4,5,6,,,,\n")
+        rows = csv_rows(path)
+        for rec, row in zip(read_measurements(path), rows):
+            if rec.kind != "USBL":
+                assert_same_pose(rec.payload, scalar_pose_from_fields(row[2:9]))
+
+    def test_header_only_files(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n")
+        assert read_measurements(path) == []
+        assert read_estimate(path) == []
+        truth = read_truth(path)
+        assert truth.times.size == 0 and truth.chaser == [] == truth.target
+
+    def test_usbl_only_stream(self, tmp_path):
+        records = [MeasurementRecord(timestamp=0.5 * k, kind="USBL",
+                                     payload=np.array([5.0, 0.1 * k, -1.0]))
+                   for k in range(4)]
+        path = tmp_path / "usbl.csv"
+        assert write_measurements(path, records) == 4
+        assert csv_rows(path) == scalar_measurement_rows(records)
+        back = read_measurements(path)
+        assert [r.kind for r in back] == ["USBL"] * 4
+        for rec, row in zip(back, csv_rows(path)):
+            assert np.array_equal(rec.payload,
+                                  np.array([float(v) for v in row[2:5]]))
+
+    def test_estimate_with_only_r3_targets(self, tmp_path):
+        est, _, _ = smoothed_estimate("B")
+        keep = [i for i, S in enumerate(est.target_states)
+                if not isinstance(S, M.Pose3)]
+        r3 = TrajectoryEstimate(
+            keyframes=[est.keyframes[i] for i in keep],
+            chaser_poses=[est.chaser_poses[i] for i in keep],
+            target_states=[est.target_states[i] for i in keep],
+            rel_positions=est.rel_positions[keep],
+            rel_angles=est.rel_angles[keep], report=est.report)
+        path = tmp_path / "est.csv"
+        assert write_estimate(path, r3) == len(keep) > 0
+        rows = csv_rows(path)
+        for row, C in zip(rows, r3.chaser_poses):
+            assert row[3:10] == scalar_pose_to_fields(C)
+            assert row[13:17] == [""] * 4
+        for got, row in zip(read_estimate(path), rows):
+            assert got.target_pose is None and np.isnan(got.rel_angle)
+            assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_estimate_writer_and_reader_match_scalar(self, tmp_path, mode):
+        est, _, _ = smoothed_estimate(mode)
+        path = tmp_path / "est.csv"
+        write_estimate(path, est)
+        rows = csv_rows(path)
+        for row, C, S in zip(rows, est.chaser_poses, est.target_states):
+            assert row[3:10] == scalar_pose_to_fields(C)
+            if isinstance(S, M.Pose3):
+                assert row[10:17] == scalar_pose_to_fields(S)
+        for got, row in zip(read_estimate(path), rows):
+            assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
+            if row[13] != "":
+                assert_same_pose(got.target_pose,
+                                 scalar_pose_from_fields(row[10:17]))
+
+
+class TestMalformedRows:
+    HEADER = "timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("0.1,ODOM,0,0,0,1,0,0\n", "expected at least 9 fields"),
+        ("0.1,ODOM,0,zero,0,1,0,0,0\n", "could not convert"),
+        ("0.1,USBL,1,2\n", "expected at least 5 fields"),
+        ("abc,USBL,1,2,3,,,,\n", "could not convert"),
+        ("nan,USBL,1,2,3,,,,\n", "timestamp must be finite"),
+        ("0.1\n", "expected at least 2 fields"),
+    ])
+    def test_measurement_row_errors_name_file_and_line(self, tmp_path, line,
+                                                       message):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "0.0,USBL,1,2,3,,,,\n" + line)
+        with pytest.raises(ConfigError, match=message) as err:
+            read_measurements(path)
+        assert f"{path}:3" in str(err.value)
+
+    def test_short_estimate_row(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_text("header\n0.0,MEASUREMENT,USBL,0,0,0,1,0,0,0\n")
+        with pytest.raises(ConfigError, match=f"{path}:2"):
+            read_estimate(path)
+
+
 class TestRecordFiles:
     def test_truth_round_trip(self, tmp_path):
         truth = generate_ground_truth(small_scenario())
@@ -101,15 +338,7 @@ class TestRecordFiles:
         with pytest.raises(ConfigError):
             read_measurements(path)
 
-    def _estimate(self, mode):
-        cfg = small_scenario()
-        truth = generate_ground_truth(cfg)
-        records = synthesize_measurements(truth, cfg)
-        tcfg = TrackingConfig(target_start=cfg.target_start)
-        policy = ModePolicy(mode=mode)
-        kfs = schedule_keyframes(records, gate=tcfg.gate, policy=policy)
-        graph, values = build_graph(kfs, records, policy, tcfg)
-        return smooth(graph, values, SolverSettings(), kfs), truth, records
+    _estimate = staticmethod(smoothed_estimate)
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_estimate_round_trip(self, tmp_path, mode):

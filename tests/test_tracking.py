@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistgraph import manifold as M
+from twistgraph import tracking
 from twistgraph.fgraph import SolverSettings, Values
 from twistgraph.simkit import (
     ScenarioConfig,
@@ -161,6 +164,100 @@ class TestOdometrySpline:
         assert n_eff == 0.0
 
 
+def scan_relative(segments, ta, tb):
+    """Reference composition: visit every segment in order."""
+    out, n_eff = M.Pose3.identity(), 0.0
+    for a, b, rel in segments:
+        lo, hi = max(a, ta), min(b, tb)
+        if hi - lo <= 1e-12:
+            continue
+        frac = (hi - lo) / (b - a)
+        n_eff += frac
+        piece = rel if frac > 1.0 - 1e-12 else M.exp_se3(frac * M.log_se3(rel))
+        out = M.compose(out, piece)
+    return out, n_eff
+
+
+# Record spacings: regular, jittered, zero (duplicate timestamps), and small
+# steps back that the scheduler's 1e-9 order tolerance lets through.
+spacings = st.lists(
+    st.one_of(st.just(0.0), st.just(0.1), st.floats(1e-3, 2.0),
+              st.sampled_from([-5e-10, -9e-10])),
+    min_size=1, max_size=25)
+# Offsets that put an interval end on a segment edge, within (or just
+# beyond) the 1e-12 overlap tolerance of one, or inside a step back.
+edge_offsets = st.sampled_from(
+    [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12,
+     2e-10, -2e-10, -4e-10])
+
+
+@st.composite
+def odometry_queries(draw):
+    t0 = draw(st.sampled_from([0.0, 0.05, 3.0]))
+    times = list(np.cumsum([t0] + draw(spacings)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    recs = [odom(float(t), M.exp_se3(rng.normal(0.0, 0.3, 6))) for t in times]
+    edges = [0.0] + times
+
+    def instant():
+        return draw(st.one_of(
+            st.floats(-1.0, times[-1] + 1.0),  # inside, before or after
+            st.sampled_from(edges).flatmap(
+                lambda e: edge_offsets.map(lambda d: e + d))))
+
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        ta, tb = sorted((instant(), instant()))
+        queries.append((ta, tb))
+    return recs, queries
+
+
+class TestOdometryBisection:
+    """The bisected composition equals a scan over every segment, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(odometry_queries())
+    def test_matches_linear_scan(self, case):
+        recs, queries = case
+        spline = _OdometrySpline(recs)
+        for ta, tb in queries:
+            rel, n_eff = spline.relative(ta, tb)
+            ref, ref_n = scan_relative(spline.segments, ta, tb)
+            assert np.array_equal(rel.rotation.matrix, ref.rotation.matrix)
+            assert np.array_equal(rel.translation, ref.translation)
+            assert n_eff == ref_n
+
+    def test_interval_inside_one_segment_and_on_edges(self):
+        xi = np.array([0.3, 0.0, 0.1, 0.0, 0.0, 0.2])
+        recs = [odom(t, M.exp_se3(xi)) for t in (1.0, 2.0, 2.0, 3.0)]
+        spline = _OdometrySpline(recs)
+        for ta, tb in [(1.2, 1.7), (1.0, 2.0), (2.0 - 1e-13, 3.0 + 1e-13),
+                       (2.0 + 5e-13, 3.0), (-1.0, 0.5), (2.5, 9.0),
+                       (3.0 - 1e-13, 4.0), (2.0, 2.0)]:
+            rel, n_eff = spline.relative(ta, tb)
+            ref, ref_n = scan_relative(spline.segments, ta, tb)
+            assert np.array_equal(rel.matrix(), ref.matrix())
+            assert n_eff == ref_n
+
+    @pytest.mark.parametrize("times, ta, tb", [
+        # steps back by less than the scheduler's 1e-9 tolerance leave the
+        # segment starts (first case) or ends (second case) unsorted
+        ((0.5, 0.4999999991, 0.4999999986, 1.4999999986, 2.4999999986,
+          2.9999999986, 3.4999999986, 3.9999999986),
+         0.4999999984, 0.4999999987),
+        ((0.5, 1.5, 1.5 - 9e-10, 1.5 - 1.8e-9), 1.5 - 2e-10, 1.5),
+    ])
+    def test_out_of_order_records_match_scan(self, times, ta, tb):
+        recs = [odom(t, M.exp_se3(np.full(6, 0.05 * k)))
+                for k, t in enumerate(times, start=1)]
+        spline = _OdometrySpline(recs)
+        rel, n_eff = spline.relative(ta, tb)
+        ref, ref_n = scan_relative(spline.segments, ta, tb)
+        assert ref_n > 0.0
+        assert np.array_equal(rel.matrix(), ref.matrix())
+        assert n_eff == ref_n
+
+
 class TestInitialization:
     def test_optical_seed_matches_measurement(self):
         z = M.exp_se3(np.array([2.0, 1.0, 0.0, 0.0, 0.0, 0.3]))
@@ -228,6 +325,45 @@ class TestBuildGraph:
         assert names["ct"] == n - 2
         assert names["rollpitch"] == n
         assert names["prior"] == 2  # chaser anchor + target start
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_composes_each_interval_once(self, mode, monkeypatch):
+        calls = []
+        relative = _OdometrySpline.relative
+
+        def counting(self, ta, tb):
+            calls.append((ta, tb))
+            return relative(self, ta, tb)
+
+        monkeypatch.setattr(_OdometrySpline, "relative", counting)
+        _, _, kfs, _, _, _ = self._pipeline(mode)
+        assert calls == [(a.timestamp, b.timestamp)
+                         for a, b in zip(kfs, kfs[1:])]
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_initial_values_match_standalone_initialization(self, mode):
+        _, recs, kfs, _, values, tcfg = self._pipeline(mode)
+        alone = initialize_values(kfs, recs, tcfg)
+        for kf in kfs:
+            for key in (kf.chaser_key, kf.target_key):
+                a, b = values.get(key), alone.get(key)
+                if isinstance(b, M.Pose3):
+                    assert np.array_equal(a.rotation.matrix, b.rotation.matrix)
+                    assert np.array_equal(a.translation, b.translation)
+                else:
+                    assert np.array_equal(a.coords, b.coords)
+
+    def test_build_graph_initializes_through_module_attribute(self, monkeypatch):
+        seen = []
+        init = tracking.initialize_values
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("odometry"))
+            return init(*args, **kwargs)
+
+        monkeypatch.setattr(tracking, "initialize_values", spy)
+        _, _, kfs, _, _, _ = self._pipeline("B")
+        assert len(seen) == 1 and len(seen[0]) == len(kfs) - 1
 
     def test_mode_b_has_boundaries_and_mixed_kinds(self):
         truth, recs, kfs, graph, values, _ = self._pipeline("B")
