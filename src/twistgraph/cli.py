@@ -2,7 +2,8 @@
 
 Subcommands: simulate, smooth, metrics, unit-circle.
 Exit codes: 0 success, 2 configuration error (including a malformed or
-out-of-order measurement stream), 3 solver did not converge
+out-of-order measurement stream, and a negative, non-finite or, for
+smooth, zero sigma), 3 solver did not converge
 (including an initial estimate on a singular chart), 4 underconstrained
 problem.
 """
@@ -69,11 +70,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_smooth(args) -> int:
     cfg = _load(args, mode=args.mode, gate=args.gate)
+    tracking_cfg = cfg.tracking_config()
     records = formats.read_measurements(args.meas)
     policy = ModePolicy(mode=cfg.mode, down_after=cfg.down_after)
     keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=policy)
     graph, initial = tracking.build_graph(
-        keyframes, records, policy, cfg.tracking_config())
+        keyframes, records, policy, tracking_cfg)
     estimate = tracking.smooth(graph, initial, cfg.solver_settings(), keyframes)
     formats.write_estimate(args.out, estimate)
     rpt = estimate.report

@@ -8,10 +8,12 @@ on each variable's tangent space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import splu
 
 from . import manifold
@@ -66,19 +68,36 @@ class Values:
         return len(self._data)
 
 
+@lru_cache(maxsize=256)
+def _sqrt_info(shape: tuple, data: bytes) -> np.ndarray:
+    """Read-only L^-1 for the covariance L L^T with these shape and bytes.
+
+    Graphs hand the same few covariances to thousands of factors, so each is
+    checked and factored once. Errors are not cached: a bad covariance
+    raises on every call.
+    """
+    covariance = np.frombuffer(data).reshape(shape)
+    if not np.isfinite(covariance).all():
+        raise ValueError("covariance must be finite")
+    if not np.allclose(covariance, covariance.T, atol=1e-12):
+        raise ValueError("covariance must be symmetric")
+    L = np.linalg.cholesky(covariance)  # raises on non-SPD
+    # whiten(e) = L^-1 e, so |whiten(e)|^2 = e^T Sigma^-1 e
+    W = np.linalg.inv(L)
+    W.flags.writeable = False
+    return W
+
+
 class NoiseModel:
-    """Gaussian noise with cached square-root information factor."""
+    """Gaussian noise with a square-root information factor shared by every
+    noise model of an equal covariance (read-only)."""
 
     __slots__ = ("covariance", "sqrt_info")
 
     def __init__(self, covariance: np.ndarray):
         covariance = np.asarray(covariance, dtype=float)
-        if not np.allclose(covariance, covariance.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        L = np.linalg.cholesky(covariance)  # raises on non-SPD
+        self.sqrt_info = _sqrt_info(covariance.shape, covariance.tobytes())
         self.covariance = covariance
-        # whiten(e) = L^-1 e, so |whiten(e)|^2 = e^T Sigma^-1 e
-        self.sqrt_info = np.linalg.inv(L)
 
     @staticmethod
     def from_sigmas(sigmas) -> "NoiseModel":
@@ -220,6 +239,9 @@ class Linearizer:
     Factors that carry a family are evaluated in one batch per (family, key
     kinds, dim) group and scattered into their rows and COO data positions;
     the others are evaluated one by one.
+
+    The same pattern fixes J^T J's structure: `bandwidth` is its lower
+    bandwidth and `normal_nnz` its number of structural nonzeros.
     """
 
     def __init__(self, graph: FactorGraph,
@@ -231,17 +253,18 @@ class Linearizer:
         self.total_cols = sum(k.kind.dim for k in offsets)
         self.total_rows = sum(f.dim for f in graph.factors)
 
-        blocks = []  # (data position, first row, rows, first column, columns)
+        # (data position, first row, rows, first column, columns, factor)
+        blocks = []
         self._entries = []  # (factor, res row slice, per-key data slices)
         grouped: dict[tuple, list] = {}
         pos = 0
         row0 = 0
-        for f in graph.factors:
+        for i, f in enumerate(graph.factors):
             d = f.dim
             spans = []
             for key in f.keys:
                 dk = key.kind.dim
-                blocks.append((pos, row0, d, offsets[key], dk))
+                blocks.append((pos, row0, d, offsets[key], dk, i))
                 spans.append(slice(pos, pos + d * dk))
                 pos += d * dk
             entry = (f, slice(row0, row0 + d), spans)
@@ -254,13 +277,15 @@ class Linearizer:
         # row0 + j // dk and column c0 + j % dk.
         self._rows = np.empty(pos, dtype=int)
         self._cols = np.empty(pos, dtype=int)
-        blocks = np.array(blocks, dtype=int).reshape(-1, 5)
+        blocks = np.array(blocks, dtype=int).reshape(-1, 6)
         for d, dk in {(b[2], b[4]) for b in blocks.tolist()}:
             same = blocks[(blocks[:, 2] == d) & (blocks[:, 4] == dk)]
             j = np.arange(d * dk)
             at = same[:, :1] + j
             self._rows[at] = same[:, 1:2] + j // dk
             self._cols[at] = same[:, 3:4] + j % dk
+        self.bandwidth, self.normal_nnz = self._normal_pattern(
+            blocks, len(graph.factors))
         self._data = np.empty(pos)
         self._res = np.empty(row0)
 
@@ -287,6 +312,22 @@ class Linearizer:
                       + np.arange(d)).ravel(),
                 cells=(starts[:, None] + np.arange(width)).ravel()))
         self._tables = {kind: list(table) for kind, table in tables.items()}
+
+    def _normal_pattern(self, blocks: np.ndarray, n_factors: int):
+        """Bandwidth and structural nonzero count of J^T J.
+
+        Two variables' column blocks are coupled exactly when some factor
+        binds both; the variable at column offset c spans dim[c] columns.
+        """
+        dim = np.zeros(self.total_cols, dtype=int)
+        dim[blocks[:, 3]] = blocks[:, 4]
+        incidence = sp.csr_matrix(
+            (np.ones(len(blocks)), (blocks[:, 5], blocks[:, 3])),
+            shape=(n_factors, self.total_cols))
+        pairs = (incidence.T @ incidence).tocoo()
+        a, b = pairs.row, pairs.col
+        bandwidth = int(np.max(b + dim[b] - 1 - a, initial=0))
+        return bandwidth, int(dim[a] @ dim[b])
 
     def __call__(self, values: Values):
         try:
@@ -399,10 +440,45 @@ def _check_gauge(JtJ: sp.csc_matrix, offsets: dict[VariableKey, int],
     )
 
 
+def _damped_solver(JtJ: sp.spmatrix, bandwidth: int | None):
+    """solve(lam, b) = (J^T J + lam I)^-1 b.
+
+    With a bandwidth, J^T J's lower band is gathered once and each call
+    runs a banded Cholesky; without one, each call runs a sparse LU. Either
+    raises np.linalg.LinAlgError when the damped system does not factor.
+    """
+    n = JtJ.shape[0]
+    if bandwidth is None:
+        def solve(lam: float, b: np.ndarray) -> np.ndarray:
+            H = (JtJ + lam * sp.identity(n, format="csc")).tocsc()
+            try:
+                return splu(H).solve(b)
+            except RuntimeError as err:  # exactly singular
+                raise np.linalg.LinAlgError(str(err)) from err
+        return solve
+
+    coo = JtJ.tocoo()
+    lower = coo.row >= coo.col
+    band = np.zeros((bandwidth + 1, n))  # band[i - j, j] = JtJ[i, j]
+    band[coo.row[lower] - coo.col[lower], coo.col[lower]] = coo.data[lower]
+
+    def solve(lam: float, b: np.ndarray) -> np.ndarray:
+        ab = band.copy()
+        ab[0] += lam
+        return solveh_banded(ab, b, overwrite_ab=True, lower=True,
+                             check_finite=False)
+    return solve
+
+
 def optimize(graph: FactorGraph, initial: Values,
              settings: SolverSettings | None = None) -> tuple[Values, SolveReport]:
     """Levenberg-Marquardt with multiplicative damping on the tangent space."""
     settings = settings or SolverSettings()
+    if not settings.init_lambda > 0:
+        # damping grows by multiplication, so it could never leave 0 or
+        # turn positive, and a failed try would be retried forever
+        raise ValueError(
+            f"init_lambda must be positive, got {settings.init_lambda!r}")
     report = SolveReport()
     values = initial.copy()
     if not graph.factors:
@@ -414,12 +490,16 @@ def optimize(graph: FactorGraph, initial: Values,
         raise KeyError(f"initial values missing for variables: {missing}")
 
     offsets, ncols = variable_offsets(graph)
-    eye = sp.identity(ncols, format="csc")
     lam = settings.init_lambda
 
     # One linearization per cost evaluation: the whitened residual norm is the
     # cost, and an accepted candidate's Jacobian seeds the next iteration.
     lin = Linearizer(graph, offsets)
+    # Timestamp order keeps J^T J of a smoothing graph narrowly banded; a
+    # variable bound across all times (a static one linked to every
+    # keyframe) widens the band to the whole graph, where sparse LU wins.
+    bandwidth = (lin.bandwidth if (lin.bandwidth + 1) * ncols
+                 <= 2 * lin.normal_nnz else None)
     J, r = lin(values)
     cost = float(r @ r)
     report.cost_trace.append(cost)
@@ -431,12 +511,12 @@ def optimize(graph: FactorGraph, initial: Values,
             _check_gauge(JtJ, offsets)
             checked_gauge = True
 
+        solve = _damped_solver(JtJ, bandwidth)
         accepted = False
         while lam <= settings.max_lambda:
-            H = (JtJ + lam * eye).tocsc()
             try:
-                delta = splu(H).solve(-g)
-            except RuntimeError:
+                delta = solve(lam, -g)
+            except np.linalg.LinAlgError:
                 lam *= settings.lambda_up
                 continue
             candidate = _retract_all(values, offsets, delta)

@@ -318,6 +318,12 @@ class RunConfig:
             optical_sigma_rot=self.optical_sigma_rot, seed=self.seed)
 
     def tracking_config(self) -> TrackingConfig:
+        """Smoothing settings. Every sigma weights a factor that smoothing
+        can build, so a zero one (allowed for simulation) is refused."""
+        for name in _SIGMAS:
+            if getattr(self, name) == 0:
+                raise ConfigError(
+                    f"{name} must be positive to smooth, got 0")
         return TrackingConfig(
             chaser_start=self.chaser_start, target_start=self.target_start,
             gate=self.gate,
@@ -338,6 +344,9 @@ class RunConfig:
             max_iterations=self.max_iterations,
             rel_cost_tol=self.rel_cost_tol, dx_tol=self.dx_tol,
             init_lambda=self.init_lambda)
+
+
+_SIGMAS = tuple(f.name for f in fields(RunConfig) if "sigma" in f.name)
 
 
 def _parse_pose(text: str) -> Pose3:
@@ -431,13 +440,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"mode must be A or B, got {cfg.mode!r}")
     if cfg.gate <= 0:
         raise ConfigError("gate must be positive")
-    for name in ("usbl_sigma", "optical_sigma_pos", "optical_sigma_rot",
-                 "odom_sigma_pos", "odom_sigma_rot"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be non-negative")
+    for name in _SIGMAS:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(
+                f"{name} must be finite and non-negative, got {value!r}")
     for name in ("ct_sigma_pos", "ct_sigma_rot", "rp_sigma", "boundary_sigma",
-                 "dt", "odom_rate_hz"):
-        if getattr(cfg, name) <= 0:
+                 "dt", "odom_rate_hz", "init_lambda"):
+        if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be positive")
 
 

@@ -127,13 +127,15 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
     gap longer than the gate (and out to `until`, when given).
     """
     policy = policy or ModePolicy()
-    last_t = -math.inf
+    # The tolerance is measured from the latest time seen, so that small
+    # steps back cannot add up.
+    latest = -math.inf
     events: dict[float, set[str]] = {}
     for rec in measurements:
-        if rec.timestamp < last_t - 1e-9:
+        if rec.timestamp < latest - 1e-9:
             raise StreamOrderError(
-                f"measurement at t={rec.timestamp} arrived after t={last_t}")
-        last_t = rec.timestamp
+                f"measurement at t={rec.timestamp} arrived after t={latest}")
+        latest = max(latest, rec.timestamp)
         if rec.kind in ("USBL", "OPTICAL"):
             events.setdefault(_tkey(rec.timestamp), set()).add(rec.kind)
 

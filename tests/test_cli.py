@@ -98,6 +98,44 @@ class TestErrorExits:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: measurement at t=1.5 arrived after t=2.0"]
 
+    def test_accumulated_steps_back_exit_2(self, tmp_path, capsys):
+        meas = tmp_path / "creeping.csv"
+        meas.write_text("timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n" + "".join(
+            f"{1.0 - 9e-10 * k!r},USBL,5,0,0,,,,\n" for k in range(2000)))
+        rc = main(["smooth", "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("arrived after t=1.0")
+
+    @pytest.mark.parametrize("line", [
+        "usbl_sigma = 0",
+        "chaser_prior_sigma_pos = 0",
+        "usbl_sigma = nan",
+        "odom_sigma_rot = inf",
+        "target_prior_sigma_rot = -1",
+        "init_lambda = -1",
+    ])
+    def test_degenerate_setting_exits_2(self, tmp_path, short_cfg, capsys,
+                                        line):
+        _, meas = simulate(tmp_path, short_cfg)
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(short_cfg.read_text() + line + "\n")
+        capsys.readouterr()
+        rc = main(["smooth", "--config", str(cfg), "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {line.split()[0]} must be ")
+
+    def test_simulate_accepts_zero_measurement_noise(self, tmp_path,
+                                                     short_cfg):
+        cfg = tmp_path / "noiseless.cfg"
+        cfg.write_text(short_cfg.read_text() + "usbl_sigma = 0\n"
+                       "odom_sigma_pos = 0\noptical_sigma_rot = 0\n")
+        simulate(tmp_path, cfg)
+
     @pytest.mark.parametrize("row", [
         "0.2,ODOM,0,0,x,1,0,0,0",  # non-numeric field
         "0.2,ODOM,0,0,0,1,0,0",  # short ODOM row

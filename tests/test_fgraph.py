@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from twistgraph import fgraph
 from twistgraph import manifold as M
 from twistgraph.fgraph import (
     Factor,
@@ -76,6 +77,39 @@ class TestNoiseModel:
             NoiseModel(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):
             NoiseModel(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    def test_bad_covariances_raise_on_every_call(self):
+        # the factor cache must not remember a failure as a success
+        for _ in range(3):
+            with pytest.raises(np.linalg.LinAlgError):
+                NoiseModel(np.diag([2.0, -2.0]))
+            with pytest.raises(ValueError, match="symmetric"):
+                NoiseModel(np.array([[2.0, 0.5], [0.2, 2.0]]))
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel(np.diag([2.0, np.nan]))
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel(np.diag([np.inf, 2.0]))
+
+    def test_equal_covariances_share_a_read_only_factor(self, rng):
+        A = rng.normal(size=(6, 6))
+        cov = A @ A.T + np.eye(6)
+        a, b = NoiseModel(cov), NoiseModel(cov.copy())
+        assert a.sqrt_info is b.sqrt_info
+        assert a.covariance is cov
+        assert not a.sqrt_info.flags.writeable
+        with pytest.raises(ValueError):
+            a.sqrt_info[0, 0] = 1.0
+        np.testing.assert_allclose(a.sqrt_info.T @ a.sqrt_info,
+                                   np.linalg.inv(cov), rtol=1e-9)
+        assert NoiseModel(cov[:3, :3]).sqrt_info.shape == (3, 3)
+
+    def test_changed_caller_array_gives_a_new_factor(self):
+        cov = np.eye(3)
+        before = NoiseModel(cov)
+        cov *= 4.0
+        after = NoiseModel(cov)
+        np.testing.assert_array_equal(before.sqrt_info, np.eye(3))
+        np.testing.assert_array_equal(after.sqrt_info, np.eye(3) / 2.0)
 
 
 class TestLinearize:
@@ -206,6 +240,12 @@ class TestOptimize:
         graph.add(linear_factor([k], [np.eye(3)], np.zeros(3), np.eye(3)))
         with pytest.raises(KeyError):
             optimize(graph, Values())
+
+    @pytest.mark.parametrize("init_lambda", [-1.0, 0.0, np.nan])
+    def test_non_positive_damping_rejected(self, rng, init_lambda):
+        graph, values, _, _ = linear_chain(rng, static=False, n=3)
+        with pytest.raises(ValueError, match="init_lambda"):
+            optimize(graph, values, SolverSettings(init_lambda=init_lambda))
 
     def test_empty_graph_converges_trivially(self):
         values, report = optimize(FactorGraph(), Values())
@@ -451,3 +491,132 @@ def test_criterion_9_solve_matches_per_factor_solver():
     assert report.converged
     assert report.iterations == 5
     np.testing.assert_allclose(report.cost_trace, reference, rtol=1e-9)
+
+
+def random_band_system(rng, n, bandwidth):
+    """J^T J of a random J whose rows each span bandwidth + 1
+    consecutive columns, so J^T J has exactly that lower bandwidth."""
+    rows = np.repeat(np.arange(2 * n), bandwidth + 1)
+    first = np.minimum(np.arange(2 * n) // 2, n - 1 - bandwidth)
+    cols = (first[:, None] + np.arange(bandwidth + 1)).ravel()
+    J = sp.csr_matrix((rng.normal(size=rows.size), (rows, cols)),
+                      shape=(2 * n, n))
+    return (J.T @ J).tocsc()
+
+
+def linear_chain(rng, static, n=30):
+    """R^3 keyframes at t = 1..n: a prior on each, a link between
+    neighbours and, when `static`, a link from one static variable at the
+    default timestamp 0 to every keyframe. Returns the graph, zero initial
+    values, the keys and the dense least-squares optimum."""
+    frames = [VariableKey(i, M.R3, float(i)) for i in range(1, n + 1)]
+    keys = frames + ([VariableKey(n + 1, M.R3)] if static else [])
+    col = {k: 3 * i for i, k in enumerate(keys)}
+    graph = FactorGraph()
+    rows, rhs = [], []
+
+    def add(ks, blocks, sigma):
+        b = rng.normal(size=3)
+        graph.add(linear_factor(ks, blocks, b, np.eye(3) * sigma ** 2))
+        row = np.zeros((3, 3 * len(keys)))
+        for k, A in zip(ks, blocks):
+            row[:, col[k]:col[k] + 3] = A / sigma
+        rows.append(row)
+        rhs.append(b / sigma)
+
+    for k in frames:
+        add([k], [np.eye(3)], 2.0)
+    for a, b in zip(frames, frames[1:]):
+        add([a, b], [-np.eye(3), rng.normal(size=(3, 3)) + 2.0 * np.eye(3)],
+            0.1)
+    if static:
+        for k in frames:
+            add([keys[-1], k], [np.eye(3), -np.eye(3)], 0.5)
+    x_ref, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
+                                rcond=None)
+    values = Values()
+    for k in keys:
+        values.set(k, M.EuclidPoint(np.zeros(3)))
+    return graph, values, keys, x_ref
+
+
+class TestDampedSolve:
+    @pytest.mark.parametrize("bandwidth", [0, 1, 5, 17])
+    def test_band_matches_splu(self, rng, bandwidth):
+        for _ in range(5):
+            n = int(rng.integers(bandwidth + 2, 80))
+            JtJ = random_band_system(rng, n, bandwidth)
+            coo = JtJ.tocoo()
+            assert np.max(coo.row - coo.col) == bandwidth
+            b = rng.normal(size=n)
+            band = fgraph._damped_solver(JtJ, bandwidth)
+            lu = fgraph._damped_solver(JtJ, None)
+            for lam in (1e-9, 1e-4, 1.0, 1e3):
+                x, x_ref = band(lam, b), lu(lam, b)
+                assert (np.linalg.norm(x - x_ref)
+                        <= 1e-9 * np.linalg.norm(x_ref))
+
+    def test_indefinite_band_raises_linalg_error(self):
+        JtJ = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            fgraph._damped_solver(JtJ, 1)(0.5, np.ones(2))
+
+    def test_pattern_bandwidth_and_nnz(self, rng):
+        graph, values = mixed_graph(rng)
+        lin = Linearizer(graph)
+        J, _ = lin(values)
+        P = J.copy()
+        P.data[:] = 1.0  # structural pattern; products of ones never cancel
+        pattern = (P.T @ P).tocoo()
+        assert lin.normal_nnz == pattern.nnz
+        assert lin.bandwidth == np.max(pattern.row - pattern.col)
+
+    def test_non_positive_definite_try_is_damped(self, rng, monkeypatch):
+        diagonals = []
+        solveh_banded = fgraph.solveh_banded
+
+        def first_try_fails(ab, b, **kwargs):
+            diagonals.append(ab[0].copy())
+            if len(diagonals) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return solveh_banded(ab, b, **kwargs)
+
+        monkeypatch.setattr(fgraph, "solveh_banded", first_try_fails)
+        graph, values, keys, x_ref = linear_chain(rng, static=False)
+        settings = SolverSettings()
+        solution, report = optimize(graph, values, settings)
+        assert report.converged
+        np.testing.assert_allclose(diagonals[1] - diagonals[0],
+                                   (settings.lambda_up - 1.0)
+                                   * settings.init_lambda, rtol=1e-9)
+        x = np.concatenate([solution.get(k).coords for k in keys])
+        np.testing.assert_allclose(x, x_ref, atol=1e-8)
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_path_follows_pattern(self, rng, monkeypatch, static):
+        """A static variable (timestamp 0) tied to every keyframe makes the
+        band as wide as the graph; such a graph takes sparse LU."""
+        calls = {"band": 0, "lu": 0}
+        solveh_banded, splu = fgraph.solveh_banded, fgraph.splu
+
+        def band(*args, **kwargs):
+            calls["band"] += 1
+            return solveh_banded(*args, **kwargs)
+
+        def lu(A, *args, **kwargs):
+            if "permc_spec" not in kwargs:  # not the gauge check
+                calls["lu"] += 1
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(fgraph, "solveh_banded", band)
+        monkeypatch.setattr(fgraph, "splu", lu)
+        graph, values, keys, x_ref = linear_chain(rng, static)
+        solution, report = optimize(graph, values)
+        assert report.converged
+        x = np.concatenate([solution.get(k).coords for k in keys])
+        np.testing.assert_allclose(x, x_ref, atol=1e-8)
+        if static:
+            assert calls["lu"] > 0 and calls["band"] == 0
+        else:
+            assert calls["band"] > 0 and calls["lu"] == 0
+

@@ -100,6 +100,14 @@ class TestScheduling:
         with pytest.raises(StreamOrderError):
             schedule_keyframes([usbl(2.0), usbl(1.0)])
 
+    def test_steps_back_within_tolerance_do_not_accumulate(self):
+        # each record steps back 9e-10 (< 1e-9) but the stream falls 1.8e-6
+        with pytest.raises(StreamOrderError):
+            schedule_keyframes([usbl(1.0 - 9e-10 * k) for k in range(2000)])
+        # a single step back within the tolerance is still accepted
+        kfs = schedule_keyframes([usbl(1.0), usbl(1.0 - 9e-10), usbl(2.0)])
+        assert len(kfs) == 3
+
     def test_no_relative_measurements_rejected(self):
         with pytest.raises(NeedsPriorError):
             schedule_keyframes([odom(0.1), odom(0.2)])
