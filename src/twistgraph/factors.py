@@ -23,6 +23,34 @@ from .manifold import (
 )
 from .fgraph import Factor, NoiseModel, Values, VariableKey
 
+
+@dataclass(kw_only=True)
+class MeasurementSigmas:
+    """Default measurement noise, as standard deviations in m and rad: the
+    one definition that the simulation, tracking and run configurations
+    take theirs from."""
+
+    odom_sigma_pos: float = 0.002  # per odometry record
+    odom_sigma_rot: float = 0.0005
+    usbl_sigma: float = 1.5
+    optical_sigma_pos: float = 0.05
+    optical_sigma_rot: float = 0.01
+
+
+@dataclass(kw_only=True)
+class NoiseSigmas(MeasurementSigmas):
+    """MeasurementSigmas plus the smoother's process and prior sigmas."""
+
+    ct_sigma_pos: float = 0.05  # per sqrt-second
+    ct_sigma_rot: float = 0.005
+    rp_sigma: float = 0.05
+    boundary_sigma: float = 0.01
+    chaser_prior_sigma_pos: float = 1e-4
+    chaser_prior_sigma_rot: float = 1e-4
+    target_prior_sigma_pos: float = 10.0
+    target_prior_sigma_rot: float = 0.5
+
+
 _S_RP = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 _SKEW_E0 = skew(np.array([1.0, 0.0, 0.0]))
 _E2 = np.array([0.0, 0.0, 1.0])

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import cholesky_banded, solveh_banded
 from scipy.sparse.linalg import splu
 
 from . import manifold
@@ -219,6 +219,43 @@ def _take(states, rows: np.ndarray):
     return states[rows]
 
 
+class _StateLayout:
+    """Every variable in one `_stack_states` stack per manifold kind.
+
+    The keys of a kind sit in column order: `row[key]` is a key's row in
+    its kind's stack and `columns[kind]` holds each row's tangent columns.
+    """
+
+    def __init__(self, offsets: dict[VariableKey, int]):
+        self.keys: dict[ManifoldKind, list[VariableKey]] = {}
+        for key in sorted(offsets, key=offsets.__getitem__):
+            self.keys.setdefault(key.kind, []).append(key)
+        self.row = {key: i for keys in self.keys.values()
+                    for i, key in enumerate(keys)}
+        self.columns = {
+            kind: np.array([offsets[k] for k in keys])[:, None]
+            + np.arange(kind.dim) for kind, keys in self.keys.items()}
+
+    def stack(self, values: Values) -> dict:
+        return {kind: _stack_states(kind, [values.get(k) for k in keys])
+                for kind, keys in self.keys.items()}
+
+    def values(self, states: dict, base: Values | None = None) -> Values:
+        """`base` (default empty) with every variable set from `states`."""
+        out = Values() if base is None else base.copy()
+        for kind, keys in self.keys.items():
+            X = states[kind]
+            if kind.tag == "SE3":
+                elements = map(manifold.Pose3, map(manifold.Rotation3, X[0]),
+                               X[1])
+            elif kind.tag == "SO3":
+                elements = map(manifold.Rotation3, X)
+            else:
+                elements = map(manifold.EuclidPoint, X)
+            out._data.update(zip(keys, elements))
+        return out
+
+
 @dataclass
 class _Batch:
     """The factors of one family over one tuple of key kinds."""
@@ -226,7 +263,7 @@ class _Batch:
     family: Callable
     params: tuple  # family_params stacked over the factors
     sqrt_info: np.ndarray  # (N, d, d)
-    slots: list  # per key: (kind, row of each factor's variable in its table)
+    slots: list  # per key: (kind, row of each factor's variable in its stack)
     rows: np.ndarray  # residual rows, (N * d,)
     cells: np.ndarray  # COO data positions of the Jacobian blocks, flat
 
@@ -234,14 +271,17 @@ class _Batch:
 class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
-    The block structure never changes between iterations, so row/column
-    indices are built once and only the numeric entries are refreshed.
-    Factors that carry a family are evaluated in one batch per (family, key
-    kinds, dim) group and scattered into their rows and COO data positions;
-    the others are evaluated one by one.
+    The block structure never changes between iterations, so the CSR
+    layout (the COO -> CSR permutation, `indices` and `indptr`) is built
+    once and only the numeric entries are refreshed. Factors that carry a
+    family are evaluated in one batch per (family, key kinds, dim) group
+    and scattered into their rows and COO data positions; the others are
+    evaluated one by one.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
-    bandwidth and `normal_nnz` its number of structural nonzeros.
+    bandwidth and `normal_nnz` its number of structural nonzeros. When the
+    band is narrow (`banded`), `normal_band` builds it from the whitened
+    blocks.
     """
 
     def __init__(self, graph: FactorGraph,
@@ -250,6 +290,7 @@ class Linearizer:
             offsets, _ = variable_offsets(graph)
         self.graph = graph
         self.offsets = offsets
+        self.layout = _StateLayout(offsets)
         self.total_cols = sum(k.kind.dim for k in offsets)
         self.total_rows = sum(f.dim for f in graph.factors)
 
@@ -275,30 +316,35 @@ class Linearizer:
             row0 += d
         # Each block is row-major: entry j of a d x dk block sits at row
         # row0 + j // dk and column c0 + j % dk.
-        self._rows = np.empty(pos, dtype=int)
-        self._cols = np.empty(pos, dtype=int)
+        rows = np.empty(pos, dtype=int)
+        cols = np.empty(pos, dtype=int)
         blocks = np.array(blocks, dtype=int).reshape(-1, 6)
         for d, dk in {(b[2], b[4]) for b in blocks.tolist()}:
             same = blocks[(blocks[:, 2] == d) & (blocks[:, 4] == dk)]
             j = np.arange(d * dk)
             at = same[:, :1] + j
-            self._rows[at] = same[:, 1:2] + j // dk
-            self._cols[at] = same[:, 3:4] + j % dk
+            rows[at] = same[:, 1:2] + j // dk
+            cols[at] = same[:, 3:4] + j % dk
+        self._csr_layout(rows, cols)
         self.bandwidth, self.normal_nnz = self._normal_pattern(
             blocks, len(graph.factors))
+        # Timestamp order keeps J^T J of a smoothing graph narrowly banded;
+        # a variable bound across all times (a static one linked to every
+        # keyframe) widens the band to the whole graph, where sparse LU wins.
+        self.banded = (0 < (self.bandwidth + 1) * self.total_cols
+                       <= 2 * self.normal_nnz)
+        if self.banded:
+            _, first = np.unique(blocks[:, 5], return_index=True)
+            self._band_layout(blocks[first, 1], blocks[first, 2])
         self._data = np.empty(pos)
         self._res = np.empty(row0)
 
         self._loose = [e for e in self._entries if e[0].family is None]
-        tables: dict[ManifoldKind, dict[VariableKey, int]] = {}
         self._batches = []
         for (family, kinds, d), entries in grouped.items():
             fs = [f for f, _, _ in entries]
-            slots = []
-            for i, kind in enumerate(kinds):
-                table = tables.setdefault(kind, {})
-                slots.append((kind, np.array(
-                    [table.setdefault(f.keys[i], len(table)) for f in fs])))
+            slots = [(kind, np.array([self.layout.row[f.keys[i]] for f in fs]))
+                     for i, kind in enumerate(kinds)]
             # each factor's blocks sit back to back in the COO data
             starts = np.array([spans[0].start for _, _, spans in entries])
             width = d * sum(k.dim for k in kinds)
@@ -311,7 +357,61 @@ class Linearizer:
                 rows=(np.array([r.start for _, r, _ in entries])[:, None]
                       + np.arange(d)).ravel(),
                 cells=(starts[:, None] + np.arange(width)).ravel()))
-        self._tables = {kind: list(table) for kind, table in tables.items()}
+
+    def _csr_layout(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """The COO -> CSR permutation of the Jacobian's entries.
+
+        `_order` picks each distinct (row, column) cell's first COO entry in
+        CSR order; a factor binding one key twice has further entries on
+        the same cells, which `_dup_src` adds onto CSR positions `_dup_dst`.
+        Every residual row belongs to one factor, so a factor's CSR entries
+        form one contiguous d x w block with its columns in ascending order.
+        """
+        order = np.argsort(rows * self.total_cols + cols, kind="stable")
+        r, c = rows[order], cols[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self._order = order[first]
+        self._dup_src = order[~first]
+        self._dup_dst = (np.cumsum(first) - 1)[~first]
+        index = np.int32 if max(len(order), self.total_cols) < 2 ** 31 \
+            else np.int64  # what scipy would choose, so it copies nothing
+        self._indices = c[first].astype(index)
+        self._indptr = np.zeros(self.total_rows + 1, dtype=index)
+        np.cumsum(np.bincount(r[first], minlength=self.total_rows),
+                  out=self._indptr[1:])
+
+    def _band_layout(self, first_rows: np.ndarray, dims: np.ndarray) -> None:
+        """Gather cells and band targets of every factor's X^T X.
+
+        Factors are grouped by (rows d, CSR width w): `cells` gathers each
+        factor's d x w block X from the CSR data and `cells_t` its
+        transpose. Entry (p, q) of X^T X adds into band[i - j, j] for
+        i = col_p >= j = col_q, kept at flat index j * (bw + 1) + i - j of
+        the (n, bw + 1) array whose transpose is the band; the entries with
+        col_p < col_q go to one extra bin past the end.
+        """
+        indptr, indices = self._indptr, self._indices
+        n, m = self.total_cols, self.bandwidth + 1
+        widths = indptr[first_rows + 1] - indptr[first_rows]
+        self._band_groups = []
+        targets = []
+        for d, w in sorted(set(zip(dims.tolist(), widths.tolist()))):
+            starts = indptr[first_rows[(dims == d) & (widths == w)]]
+            cells = starts[:, None, None] + np.arange(d * w).reshape(d, w)
+            cols = indices[cells[:, 0]].astype(int)
+            ci, cj = cols[:, :, None], cols[:, None, :]
+            target = ci + cj * (m - 1)
+            target[ci < cj] = n * m
+            targets.append(target.ravel())
+            self._band_groups.append(
+                (cells.ravel(), cells.transpose(0, 2, 1).ravel(), d, w))
+        self._band_targets = np.concatenate(targets)
+        # Reused buffers: fresh arrays of this size cost more in page faults
+        # than the products themselves.
+        self._band_products = np.empty(len(self._band_targets))
+        self._band_scratch = np.empty(
+            (2, max(len(cells) for cells, *_ in self._band_groups)))
 
     def _normal_pattern(self, blocks: np.ndarray, n_factors: int):
         """Bandwidth and structural nonzero count of J^T J.
@@ -329,24 +429,55 @@ class Linearizer:
         bandwidth = int(np.max(b + dim[b] - 1 - a, initial=0))
         return bandwidth, int(dim[a] @ dim[b])
 
-    def __call__(self, values: Values):
+    def __call__(self, values):
+        """(J, r) at `values`: a Values, or the stacks of `layout.stack`."""
+        if isinstance(values, Values):
+            states = self.layout.stack(values)
+        else:
+            states, values = values, None
         try:
-            self._batched(values)
-            self._per_factor(self._loose, values)
+            self._batched(states)
+            if self._loose:
+                self._per_factor(self._loose, values if values is not None
+                                 else self.layout.values(states))
         except manifold.NearSingularError:
             # Redo it factor by factor in graph order, so the error names
             # the first offending factor, as the per-factor path alone would.
-            self._per_factor(self._entries, values)
-        J = sp.coo_matrix((self._data, (self._rows, self._cols)),
-                          shape=(self._res.shape[0], self.total_cols)).tocsr()
+            self._per_factor(self._entries, values if values is not None
+                             else self.layout.values(states))
+        data = self._data[self._order]
+        if self._dup_src.size:
+            np.add.at(data, self._dup_dst, self._data[self._dup_src])
+        # the layout arrays are copied: a caller may edit J's in place
+        J = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
+                          shape=(self.total_rows, self.total_cols))
         return J, self._res.copy()
 
-    def _batched(self, values: Values) -> None:
-        tables = {kind: _stack_states(kind, [values.get(k) for k in keys])
-                  for kind, keys in self._tables.items()}
+    def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
+        """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
+        blocks (`banded` graphs only). It is Fortran-ordered, the layout
+        LAPACK's banded routines take without a copy."""
+        X_t, X = self._band_scratch
+        at = 0
+        for cells, cells_t, d, w in self._band_groups:
+            size = len(cells)
+            N = size // (d * w)
+            np.matmul(
+                np.take(J.data, cells_t, out=X_t[:size],
+                        mode="clip").reshape(N, w, d),
+                np.take(J.data, cells, out=X[:size],
+                        mode="clip").reshape(N, d, w),
+                out=self._band_products[at:at + N * w * w].reshape(N, w, w))
+            at += N * w * w
+        n, m = self.total_cols, self.bandwidth + 1
+        band = np.bincount(self._band_targets, weights=self._band_products,
+                           minlength=n * m + 1)
+        return band[:n * m].reshape(n, m).T
+
+    def _batched(self, states: dict) -> None:
         for b in self._batches:
             r, Js = b.family(b.params,
-                             [_take(tables[kind], i) for kind, i in b.slots])
+                             [_take(states[kind], i) for kind, i in b.slots])
             W = b.sqrt_info
             self._res[b.rows] = (W @ r[:, :, None]).ravel()
             self._data[b.cells] = np.concatenate(
@@ -382,26 +513,22 @@ def linearize(graph: FactorGraph, values: Values,
     return J, r, lin.offsets
 
 
-def _retract_all(values: Values, offsets: dict[VariableKey, int],
-                 delta: np.ndarray) -> Values:
-    """X (+) d for every variable, one batched pass per manifold kind."""
-    by_kind: dict[ManifoldKind, list[VariableKey]] = {}
-    for key in offsets:
-        by_kind.setdefault(key.kind, []).append(key)
-    out = values.copy()
-    for kind, keys in by_kind.items():
-        cols = np.array([offsets[k] for k in keys])[:, None] + np.arange(kind.dim)
-        steps = delta[cols]
-        X = _stack_states(kind, [values.get(k) for k in keys])
+def _retract_all(states: dict, columns: dict, delta: np.ndarray) -> dict:
+    """X (+) d for every variable, one batched pass per manifold kind.
+
+    `states` and the result are `_StateLayout` stacks; `columns[kind]`
+    holds the tangent columns of each row of that kind's stack.
+    """
+    out = {}
+    for kind, X in states.items():
+        steps = delta[columns[kind]]
         if kind.tag == "SE3":
-            R, t = manifold.compose_batch(*X, *manifold.exp_se3_batch(steps))
-            moved = map(manifold.Pose3, map(manifold.Rotation3, R), t)
+            out[kind] = manifold.compose_batch(*X,
+                                               *manifold.exp_se3_batch(steps))
         elif kind.tag == "SO3":
-            moved = map(manifold.Rotation3, X @ manifold.exp_so3_batch(steps))
+            out[kind] = X @ manifold.exp_so3_batch(steps)
         else:
-            moved = map(manifold.EuclidPoint, X + steps)
-        for key, element in zip(keys, moved):
-            out.set(key, element)
+            out[kind] = X + steps
     return out
 
 
@@ -440,30 +567,51 @@ def _check_gauge(JtJ: sp.csc_matrix, offsets: dict[VariableKey, int],
     )
 
 
-def _damped_solver(JtJ: sp.spmatrix, bandwidth: int | None):
+def _band_is_regular(band: np.ndarray, rel_tol: float = 1e-12) -> bool:
+    """True when the undamped system passes `_check_gauge`'s test.
+
+    The band is equilibrated and shifted as `_check_gauge` does, then
+    factored by a banded Cholesky, whose squared pivots are (in exact
+    arithmetic) the pivots of `_check_gauge`'s unpivoted LU. False when the
+    factorization fails or a pivot is small: only `_check_gauge` decides
+    such a graph, and names its suspect variables.
+    """
+    diag = band[0]
+    s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    n = band.shape[1]
+    scaled = band * s
+    for k in range(len(band)):  # band[k, j] couples columns j + k and j
+        scaled[k, :n - k] *= s[k:]
+    scaled[0] += rel_tol
+    try:
+        L = cholesky_banded(scaled, overwrite_ab=True, lower=True,
+                            check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(L[0] * L[0] > 1e3 * rel_tol))
+
+
+def _damped_solver(system):
     """solve(lam, b) = (J^T J + lam I)^-1 b.
 
-    With a bandwidth, J^T J's lower band is gathered once and each call
-    runs a banded Cholesky; without one, each call runs a sparse LU. Either
-    raises np.linalg.LinAlgError when the damped system does not factor.
+    `system` is J^T J's lower band (band[i - j, j] = (J^T J)[i, j]), which
+    each call factors by a banded Cholesky, or J^T J as a sparse matrix,
+    which each call factors by a sparse LU. Either raises
+    np.linalg.LinAlgError when the damped system does not factor.
     """
-    n = JtJ.shape[0]
-    if bandwidth is None:
+    if sp.issparse(system):
+        n = system.shape[0]
+
         def solve(lam: float, b: np.ndarray) -> np.ndarray:
-            H = (JtJ + lam * sp.identity(n, format="csc")).tocsc()
+            H = (system + lam * sp.identity(n, format="csc")).tocsc()
             try:
                 return splu(H).solve(b)
             except RuntimeError as err:  # exactly singular
                 raise np.linalg.LinAlgError(str(err)) from err
         return solve
 
-    coo = JtJ.tocoo()
-    lower = coo.row >= coo.col
-    band = np.zeros((bandwidth + 1, n))  # band[i - j, j] = JtJ[i, j]
-    band[coo.row[lower] - coo.col[lower], coo.col[lower]] = coo.data[lower]
-
     def solve(lam: float, b: np.ndarray) -> np.ndarray:
-        ab = band.copy()
+        ab = system.copy(order="K")
         ab[0] += lam
         return solveh_banded(ab, b, overwrite_ab=True, lower=True,
                              check_finite=False)
@@ -480,38 +628,36 @@ def optimize(graph: FactorGraph, initial: Values,
         raise ValueError(
             f"init_lambda must be positive, got {settings.init_lambda!r}")
     report = SolveReport()
-    values = initial.copy()
     if not graph.factors:
         report.converged = True
-        return values, report
+        return initial.copy(), report
 
-    missing = [k for k in graph.variables if k not in values]
+    missing = [k for k in graph.variables if k not in initial]
     if missing:
         raise KeyError(f"initial values missing for variables: {missing}")
 
-    offsets, ncols = variable_offsets(graph)
     lam = settings.init_lambda
 
     # One linearization per cost evaluation: the whitened residual norm is the
     # cost, and an accepted candidate's Jacobian seeds the next iteration.
-    lin = Linearizer(graph, offsets)
-    # Timestamp order keeps J^T J of a smoothing graph narrowly banded; a
-    # variable bound across all times (a static one linked to every
-    # keyframe) widens the band to the whole graph, where sparse LU wins.
-    bandwidth = (lin.bandwidth if (lin.bandwidth + 1) * ncols
-                 <= 2 * lin.normal_nnz else None)
-    J, r = lin(values)
+    # The iterate stays in the Linearizer's stacks until the solve returns.
+    lin = Linearizer(graph)
+    layout = lin.layout
+    states = layout.stack(initial)
+    J, r = lin(states)
     cost = float(r @ r)
     report.cost_trace.append(cost)
-    checked_gauge = False
     for it in range(settings.max_iterations):
-        JtJ = (J.T @ J).tocsc()
         g = J.T @ r
-        if not checked_gauge:
-            _check_gauge(JtJ, offsets)
-            checked_gauge = True
+        system = lin.normal_band(J) if lin.banded else (J.T @ J).tocsc()
+        if it == 0:
+            if not lin.banded:
+                _check_gauge(system, lin.offsets)
+            elif not _band_is_regular(system):
+                # the LU gives the verdict and names the suspect variables
+                _check_gauge((J.T @ J).tocsc(), lin.offsets)
 
-        solve = _damped_solver(JtJ, bandwidth)
+        solve = _damped_solver(system)
         accepted = False
         while lam <= settings.max_lambda:
             try:
@@ -519,7 +665,7 @@ def optimize(graph: FactorGraph, initial: Values,
             except np.linalg.LinAlgError:
                 lam *= settings.lambda_up
                 continue
-            candidate = _retract_all(values, offsets, delta)
+            candidate = _retract_all(states, layout.columns, delta)
             try:
                 J_cand, r_cand = lin(candidate)
             except manifold.NearSingularError:
@@ -528,7 +674,7 @@ def optimize(graph: FactorGraph, initial: Values,
                 continue
             new_cost = float(r_cand @ r_cand)
             if np.isfinite(new_cost) and new_cost <= cost:
-                values, J, r = candidate, J_cand, r_cand
+                states, J, r = candidate, J_cand, r_cand
                 prev_cost = cost
                 cost = new_cost
                 lam = max(lam / settings.lambda_down, 1e-15)
@@ -553,7 +699,7 @@ def optimize(graph: FactorGraph, initial: Values,
                 report.cost_trace[-2], 1e-300)
             report.converged = rel < settings.rel_cost_tol
     report.final_cost = cost
-    return values, report
+    return layout.values(states, base=initial), report
 
 
 def marginal_covariance(graph: FactorGraph, values: Values,

@@ -17,6 +17,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
 from .tracking import MeasurementRecord, TrackingConfig, TrajectoryEstimate
+from .factors import MeasurementSigmas, NoiseSigmas
 from .fgraph import SolverSettings
 
 
@@ -264,7 +265,7 @@ def metrics_table(groups: dict, baselines: dict) -> str:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(NoiseSigmas):
     mode: str = "A"
     gate: float = 1.0
     seed: int = 0
@@ -280,22 +281,8 @@ class RunConfig:
     target_start: Pose3 = field(default_factory=Pose3.identity)
     chaser_segments: list = field(default_factory=list)  # [TwistSegment, ...]
     target_segments: list = field(default_factory=list)
-    # noise
-    odom_sigma_pos: float = 0.002
-    odom_sigma_rot: float = 0.0005
-    usbl_sigma: float = 1.5
-    optical_sigma_pos: float = 0.05
-    optical_sigma_rot: float = 0.01
-    # estimation
-    ct_sigma_pos: float = 0.05
-    ct_sigma_rot: float = 0.005
-    rp_sigma: float = 0.05
-    boundary_sigma: float = 0.01
+    # estimation (the noise sigmas come from NoiseSigmas)
     down_after: int = 1
-    chaser_prior_sigma_pos: float = 1e-4
-    chaser_prior_sigma_rot: float = 1e-4
-    target_prior_sigma_pos: float = 10.0
-    target_prior_sigma_rot: float = 0.5
     # solver
     max_iterations: int = 100
     rel_cost_tol: float = 1e-9
@@ -311,11 +298,7 @@ class RunConfig:
             usbl_rate_hz=self.usbl_rate_hz,
             optical_rate_hz=self.optical_rate_hz,
             optical_windows=self.optical_windows, gaps=self.gaps,
-            odom_sigma_pos=self.odom_sigma_pos,
-            odom_sigma_rot=self.odom_sigma_rot,
-            usbl_sigma=self.usbl_sigma,
-            optical_sigma_pos=self.optical_sigma_pos,
-            optical_sigma_rot=self.optical_sigma_rot, seed=self.seed)
+            seed=self.seed, **_sigmas(self, MeasurementSigmas))
 
     def tracking_config(self) -> TrackingConfig:
         """Smoothing settings. Every sigma weights a factor that smoothing
@@ -326,18 +309,7 @@ class RunConfig:
                     f"{name} must be positive to smooth, got 0")
         return TrackingConfig(
             chaser_start=self.chaser_start, target_start=self.target_start,
-            gate=self.gate,
-            chaser_prior_sigma_pos=self.chaser_prior_sigma_pos,
-            chaser_prior_sigma_rot=self.chaser_prior_sigma_rot,
-            target_prior_sigma_pos=self.target_prior_sigma_pos,
-            target_prior_sigma_rot=self.target_prior_sigma_rot,
-            ct_sigma_pos=self.ct_sigma_pos, ct_sigma_rot=self.ct_sigma_rot,
-            rp_sigma=self.rp_sigma, usbl_sigma=self.usbl_sigma,
-            optical_sigma_pos=self.optical_sigma_pos,
-            optical_sigma_rot=self.optical_sigma_rot,
-            odom_sigma_pos=self.odom_sigma_pos,
-            odom_sigma_rot=self.odom_sigma_rot,
-            boundary_sigma=self.boundary_sigma)
+            gate=self.gate, **_sigmas(self, NoiseSigmas))
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(
@@ -346,7 +318,12 @@ class RunConfig:
             init_lambda=self.init_lambda)
 
 
-_SIGMAS = tuple(f.name for f in fields(RunConfig) if "sigma" in f.name)
+_SIGMAS = tuple(f.name for f in fields(NoiseSigmas))
+
+
+def _sigmas(cfg: RunConfig, table: type) -> dict:
+    """The sigmas of `table` (MeasurementSigmas or NoiseSigmas) in `cfg`."""
+    return {f.name: getattr(cfg, f.name) for f in fields(table)}
 
 
 def _parse_pose(text: str) -> Pose3:

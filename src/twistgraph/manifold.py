@@ -20,6 +20,17 @@ import numpy as np
 SMALL_ANGLE = 1e-6
 # log / J_l^-1 are rejected closer to pi than this.
 NEAR_PI_MARGIN = 1e-6
+# q_block's closed-form coefficients cancel catastrophically at small angles
+# (c3's numerator is O(angle^5), so at 1e-3 rad it keeps 3 digits). Below
+# this angle q_block takes their Taylor series in angle^2, whose five terms
+# are exact to 1e-16 relative there; above it the closed forms lose at most
+# about 4e-12 relative, which moves Q by rounding only.
+Q_SERIES_ANGLE = 0.2
+# c1, c2, c3: (angle - sin) / angle^3, (1 - angle^2/2 - cos) / angle^4 and
+# (angle - sin - angle^3/6) / angle^5 as sums of (-1)^k angle^2k / (2k + n)!
+_Q_SERIES = tuple(
+    tuple(sign * (-1.0) ** k / math.factorial(2 * k + n) for k in range(5))
+    for sign, n in ((1.0, 3), (-1.0, 4), (-1.0, 5)))
 
 _I3 = np.eye(3)
 
@@ -185,14 +196,28 @@ def log_so3(R: Rotation3) -> np.ndarray:
     return w * (0.5 * angle / math.sin(angle))
 
 
-def _jl_so3(a2: float, K: np.ndarray, K2: np.ndarray) -> np.ndarray:
+def _jl_coeffs(a2: float) -> tuple[float, float]:
+    """b, c of the left Jacobian I + b [th]x + c [th]x^2, from |th|^2."""
     angle = math.sqrt(a2)
     if angle < SMALL_ANGLE:
-        b = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
-        c = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-    else:
-        b = (1.0 - math.cos(angle)) / a2
-        c = (angle - math.sin(angle)) / (a2 * angle)
+        return (0.5 - a2 / 24.0 + a2 * a2 / 720.0,
+                1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0)
+    return ((1.0 - math.cos(angle)) / a2,
+            (angle - math.sin(angle)) / (a2 * angle))
+
+
+def _jl_inv_coeff(a2: float) -> float:
+    """e of the left Jacobian inverse I - [th]x/2 + e [th]x^2, from |th|^2."""
+    angle = math.sqrt(a2)
+    if angle > np.pi - NEAR_PI_MARGIN:
+        raise NearSingularError(f"J_l^-1 undefined near pi (angle {angle})")
+    if angle < SMALL_ANGLE:
+        return 1.0 / 12.0 + a2 / 720.0 + a2 * a2 / 30240.0
+    return 1.0 / a2 - (1.0 + math.cos(angle)) / (2.0 * angle * math.sin(angle))
+
+
+def _jl_so3(a2: float, K: np.ndarray, K2: np.ndarray) -> np.ndarray:
+    b, c = _jl_coeffs(a2)
     return _I3 + b * K + c * K2
 
 
@@ -205,33 +230,53 @@ def jl_inv_so3(theta: np.ndarray) -> np.ndarray:
     """SO(3) left Jacobian inverse: I - [th]x/2 + e [th]x^2."""
     theta = np.asarray(theta, dtype=float)
     a2 = float(theta @ theta)
-    angle = math.sqrt(a2)
-    if angle > np.pi - NEAR_PI_MARGIN:
-        raise NearSingularError(f"J_l^-1 undefined near pi (angle {angle})")
-    if angle < SMALL_ANGLE:
-        e = 1.0 / 12.0 + a2 / 720.0 + a2 * a2 / 30240.0
-    else:
-        e = 1.0 / a2 - (1.0 + math.cos(angle)) / (
-            2.0 * angle * math.sin(angle)
-        )
+    e = _jl_inv_coeff(a2)
     K = skew(theta)
     K2 = theta[:, None] * theta - a2 * _I3
     return _I3 - 0.5 * K + e * K2
+
+
+def _poly_apply(u: float, c: float, theta, v) -> np.ndarray:
+    """(I + u [th]x + c [th]x^2) v for 3-sequences of Python floats, as
+    (1 - c |th|^2) v + u (th x v) + c (th . v) th.
+
+    exp_se3 and log_se3 sit under every scalar oplus / ominus; on 3-vectors
+    numpy's per-call overhead costs more than the arithmetic.
+    """
+    x, y, z = theta
+    v0, v1, v2 = v
+    d = c * (x * v0 + y * v1 + z * v2)
+    e = 1.0 - c * (x * x + y * y + z * z)
+    return np.array([e * v0 + u * (y * v2 - z * v1) + d * x,
+                     e * v1 + u * (z * v0 - x * v2) + d * y,
+                     e * v2 + u * (x * v1 - y * v0) + d * z])
 
 
 def exp_se3(xi: np.ndarray) -> Pose3:
     """Exponential at identity; translation through the SO(3) left Jacobian."""
     xi = np.asarray(xi, dtype=float)
     _check_finite(xi)
-    rho, theta = xi[:3], xi[3:]
-    terms = _so3_terms(theta)
-    return Pose3(Rotation3(_exp_so3(*terms)), _jl_so3(*terms) @ rho)
+    a2 = float(xi[3:] @ xi[3:])
+    r0, r1, r2, x, y, z = xi.tolist()
+    # I + a [th]x + b [th]x^2 entry by entry, in the operation order of
+    # exp_so3_batch: the two agree bit for bit, and log near pi amplifies
+    # any rounding difference between them.
+    a, b = _sin_cos_coeffs(math.sqrt(a2))
+    R = np.array([
+        [1.0 + b * (x * x - a2), b * (x * y) - a * z, b * (x * z) + a * y],
+        [b * (y * x) + a * z, 1.0 + b * (y * y - a2), b * (y * z) - a * x],
+        [b * (z * x) - a * y, b * (z * y) + a * x, 1.0 + b * (z * z - a2)],
+    ])
+    bj, cj = _jl_coeffs(a2)
+    return Pose3(Rotation3(R), _poly_apply(bj, cj, (x, y, z), (r0, r1, r2)))
 
 
 def log_se3(T: Pose3) -> np.ndarray:
     theta = log_so3(T.rotation)
+    th = theta.tolist()
+    e = _jl_inv_coeff(th[0] * th[0] + th[1] * th[1] + th[2] * th[2])
     out = np.empty(6)
-    out[:3] = jl_inv_so3(theta) @ T.translation
+    out[:3] = _poly_apply(-0.5, e, th, T.translation.tolist())
     out[3:] = theta
     return out
 
@@ -266,6 +311,18 @@ def adjoint_inv_se3(T: Pose3) -> np.ndarray:
     return Ad
 
 
+def _q_series(a2):
+    """q_block's c1, c2, c3 from their series, by Horner in a2 = angle^2
+    (a float or an array of them)."""
+    out = []
+    for coefs in _Q_SERIES:
+        c = coefs[-1]
+        for a in coefs[-2::-1]:
+            c = c * a2 + a
+        out.append(c)
+    return out
+
+
 def q_block(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Translation-rotation coupling block of the SE(3) left Jacobian."""
     rho = np.asarray(rho, dtype=float)
@@ -273,11 +330,8 @@ def q_block(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     P = skew(rho)
     K = skew(theta)
     angle = math.sqrt(float(theta @ theta))
-    if angle < SMALL_ANGLE:
-        a2 = angle * angle
-        c1 = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-        c2 = -1.0 / 24.0 + a2 / 720.0 - a2 * a2 / 40320.0
-        c3 = -1.0 / 120.0 + a2 / 5040.0 - a2 * a2 / 362880.0
+    if angle < Q_SERIES_ANGLE:
+        c1, c2, c3 = _q_series(angle * angle)
     else:
         a2 = angle * angle
         sin_a, cos_a = math.sin(angle), math.cos(angle)
@@ -381,7 +435,10 @@ def oplus(kind: ManifoldKind, X, delta: np.ndarray):
 
 def ominus(kind: ManifoldKind, Y, X) -> np.ndarray:
     if kind.tag == "SE3":
-        return log_se3(compose(inverse(X), Y))
+        # compose(inverse(X), Y) without the intermediate inverse
+        Rt = X.rotation.matrix.T
+        return log_se3(Pose3(Rotation3(Rt @ Y.rotation.matrix),
+                             Rt @ Y.translation - Rt @ X.translation))
     if kind.tag == "SO3":
         return log_so3(Rotation3(X.matrix.T @ Y.matrix))
     return Y.coords - X.coords
@@ -568,15 +625,16 @@ def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     K = skew_batch(theta)
     angle = np.sqrt(_sq_norms(theta))
     a2 = angle * angle
-    small = angle < SMALL_ANGLE
+    small = angle < Q_SERIES_ANGLE
+    s1, s2, s3 = _q_series(a2)
     c1 = _series_or_closed(
-        small, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0,
+        small, s1,
         lambda m: (angle[m] - np.sin(angle[m])) / (angle[m] * a2[m]))
     c2 = _series_or_closed(
-        small, -1.0 / 24.0 + a2 / 720.0 - a2 * a2 / 40320.0,
+        small, s2,
         lambda m: (1.0 - a2[m] / 2.0 - np.cos(angle[m])) / (a2[m] * a2[m]))
     c3 = _series_or_closed(
-        small, -1.0 / 120.0 + a2 / 5040.0 - a2 * a2 / 362880.0,
+        small, s3,
         lambda m: (angle[m] - np.sin(angle[m]) - angle[m] * a2[m] / 6.0)
         / (a2[m] * a2[m] * angle[m]))
     c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]

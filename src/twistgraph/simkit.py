@@ -14,7 +14,12 @@ import numpy as np
 from . import manifold
 from .manifold import Pose3, Rotation3
 from .fgraph import FactorGraph, NoiseModel, Values, VariableKey
-from .factors import ConstantTwistSpec, ct_factor, prior_factor
+from .factors import (
+    ConstantTwistSpec,
+    MeasurementSigmas,
+    ct_factor,
+    prior_factor,
+)
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,7 @@ class TwistSegment:
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(MeasurementSigmas):
     chaser_start: Pose3
     target_start: Pose3
     chaser_segments: list[TwistSegment]
@@ -42,11 +47,6 @@ class ScenarioConfig:
     optical_rate_hz: float = 2.0
     optical_windows: list[tuple[float, float]] = field(default_factory=list)
     gaps: list[tuple[float, float]] = field(default_factory=list)
-    odom_sigma_pos: float = 0.002
-    odom_sigma_rot: float = 0.0005
-    usbl_sigma: float = 1.5
-    optical_sigma_pos: float = 0.05
-    optical_sigma_rot: float = 0.01
     seed: int = 0
 
 

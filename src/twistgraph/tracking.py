@@ -26,6 +26,7 @@ from .fgraph import (
 )
 from .factors import (
     ConstantTwistSpec,
+    NoiseSigmas,
     RollPitchSpec,
     boundary_factors,
     ct_factor,
@@ -79,23 +80,10 @@ class ModePolicy:
 
 
 @dataclass
-class TrackingConfig:
+class TrackingConfig(NoiseSigmas):
     chaser_start: Pose3 = field(default_factory=Pose3.identity)
     target_start: Pose3 | None = None
     gate: float = 1.0
-    chaser_prior_sigma_pos: float = 1e-4
-    chaser_prior_sigma_rot: float = 1e-4
-    target_prior_sigma_pos: float = 10.0
-    target_prior_sigma_rot: float = 0.5
-    ct_sigma_pos: float = 0.05  # per sqrt-second
-    ct_sigma_rot: float = 0.005
-    rp_sigma: float = 0.05
-    usbl_sigma: float = 1.5
-    optical_sigma_pos: float = 0.05
-    optical_sigma_rot: float = 0.01
-    odom_sigma_pos: float = 0.002  # per odometry record
-    odom_sigma_rot: float = 0.0005
-    boundary_sigma: float = 0.01
 
     def ct_base_cov(self, kind) -> np.ndarray:
         if kind.tag == "SE3":

@@ -27,6 +27,7 @@ from twistgraph.factors import (
 from twistgraph.fgraph import (
     Values,
     VariableKey,
+    _StateLayout,
     _retract_all,
     _stack_states as stack,
 )
@@ -380,6 +381,13 @@ def mixed_values(rng, angles_se3):
     return values, offsets, delta
 
 
+def retract(values, offsets, delta):
+    """_retract_all on the stacks of `values`, returned as Values."""
+    layout = _StateLayout(offsets)
+    return layout.values(_retract_all(layout.stack(values), layout.columns,
+                                      delta))
+
+
 class TestRetraction:
     @SETTINGS
     @given(st.lists(st.one_of(angles, st.floats(3.0, 10.0)),
@@ -387,7 +395,7 @@ class TestRetraction:
     def test_matches_per_key_oplus(self, angles_se3, seed):
         values, offsets, delta = mixed_values(np.random.default_rng(seed),
                                               angles_se3)
-        out = _retract_all(values, offsets, delta)
+        out = retract(values, offsets, delta)
         assert set(out.keys()) == set(values.keys())
         for key, c0 in offsets.items():
             ref = M.oplus(key.kind, values.get(key), delta[c0:c0 + key.kind.dim])
@@ -411,11 +419,11 @@ class TestRetraction:
             M.oplus(key.kind, values.get(key),
                     delta[offsets[key]:offsets[key] + key.kind.dim])
         with pytest.raises(ValueError):
-            _retract_all(values, offsets, delta)
+            retract(values, offsets, delta)
 
     def test_non_finite_rn_step_propagates_like_oplus(self):
         values, offsets, delta = mixed_values(np.random.default_rng(4), [0.5])
         key = next(k for k in offsets if k.kind.tag == "RN")
         delta[offsets[key]] = np.nan
-        out = _retract_all(values, offsets, delta)
+        out = retract(values, offsets, delta)
         assert np.isnan(out.get(key).coords[0])

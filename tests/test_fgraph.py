@@ -305,9 +305,10 @@ class TestMarginals:
                 marginal_covariance(graph, solution, k), ref, atol=1e-9)
 
 
-def per_factor_linearization(graph, offsets, values):
+def coo_entries(graph, offsets, values):
     """Reference: each factor through residual_fn/jacobian_fn in graph order,
-    every block entry kept, assembled the way the solver lays them out."""
+    every block entry kept in the solver's COO order (factor by factor, key
+    by key, row-major). Returns rows, columns, data and the residual."""
     rows, cols, data, res = [], [], [], []
     row0 = 0
     for f in graph.factors:
@@ -322,11 +323,16 @@ def per_factor_linearization(graph, offsets, values):
             cols.append(c.ravel())
             data.append((W @ J).ravel())
         row0 += f.dim
+    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(data),
+            np.concatenate(res))
+
+
+def per_factor_linearization(graph, offsets, values):
+    """Reference: `coo_entries` assembled the way the solver lays them out."""
+    rows, cols, data, res = coo_entries(graph, offsets, values)
     n_cols = sum(k.kind.dim for k in offsets)
-    J = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(row0, n_cols)).tocsr()
-    return J, np.concatenate(res)
+    J = sp.coo_matrix((data, (rows, cols)), shape=(len(res), n_cols)).tocsr()
+    return J, res
 
 
 def assert_same_linearization(J, r, J_ref, r_ref, tol=1e-12):
@@ -337,8 +343,9 @@ def assert_same_linearization(J, r, J_ref, r_ref, tol=1e-12):
 
 
 def mixed_graph(rng):
-    """Every built-in factor family, an SO(3) ct factor and a custom linear
-    factor, interleaved in a shuffled order."""
+    """Every built-in factor family, an SO(3) ct factor, a custom linear
+    factor and a custom factor binding one key twice, interleaved in a
+    shuffled order."""
     chaser = [VariableKey(i, M.SE3, float(i)) for i in range(4)]
     target = [VariableKey(10 + i, M.SE3, float(i)) for i in range(4)]
     point = [r3_key(20 + i, t=float(i)) for i in range(4)]
@@ -353,6 +360,9 @@ def mixed_graph(rng):
         linear_factor([point[1], point[2]], [rng.normal(size=(3, 3)),
                                              np.eye(3)],
                       rng.normal(size=3), np.eye(3) * 0.5),
+        linear_factor([point[2], point[2]], [rng.normal(size=(3, 3)),
+                                             np.eye(3)],
+                      rng.normal(size=3), np.eye(3) * 2.0),
     ]
     factors += boundary_factors(target[3], point[3], "DOWN", np.eye(3) * 1e-4)
     for a, b in zip(chaser, chaser[1:]):
@@ -381,6 +391,22 @@ def mixed_graph(rng):
     return graph, values
 
 
+def near_singular_graph(rng):
+    """A graph whose second factor (ct[0,1,2]) is the first to fail on a
+    rotation of pi. The relative-pose batch comes first and fails on its
+    second factor, but the ct factor before that one in the graph fails
+    too."""
+    a, b, c, d = (VariableKey(i, M.SE3, 2.0 * i) for i in range(4))
+    T = random_pose(rng, 1.0)
+    flipped = M.compose(T, M.exp_se3(np.array([0, 0, 0, 0, 0, np.pi])))
+    graph = FactorGraph()
+    graph.add(relative_pose_factor(c, d, M.Pose3.identity(), np.eye(6)))
+    graph.add(ct_factor((a, b, c), ConstantTwistSpec(
+        1.0, 1.0, np.eye(6) * 0.01)))
+    graph.add(relative_pose_factor(a, b, M.Pose3.identity(), np.eye(6)))
+    return graph, Values({a: T, b: flipped, c: T, d: T})
+
+
 class TestBatchedLinearizer:
     def test_matches_per_factor_reference(self, rng):
         for _ in range(5):
@@ -397,17 +423,7 @@ class TestBatchedLinearizer:
                                  for k in values.keys()})
 
     def test_near_singular_names_first_offending_factor(self, rng):
-        a, b, c, d = (VariableKey(i, M.SE3, 2.0 * i) for i in range(4))
-        T = random_pose(rng, 1.0)
-        flipped = M.compose(T, M.exp_se3(np.array([0, 0, 0, 0, 0, np.pi])))
-        # The relative-pose batch comes first and fails on its second
-        # factor, but the ct factor before that one in the graph fails too.
-        graph = FactorGraph()
-        graph.add(relative_pose_factor(c, d, M.Pose3.identity(), np.eye(6)))
-        graph.add(ct_factor((a, b, c), ConstantTwistSpec(
-            1.0, 1.0, np.eye(6) * 0.01)))
-        graph.add(relative_pose_factor(a, b, M.Pose3.identity(), np.eye(6)))
-        values = Values({a: T, b: flipped, c: T, d: T})
+        graph, values = near_singular_graph(rng)
         with pytest.raises(M.NearSingularError) as exc:
             Linearizer(graph)(values)
         message = str(exc.value)
@@ -504,6 +520,15 @@ def random_band_system(rng, n, bandwidth):
     return (J.T @ J).tocsc()
 
 
+def lower_band(JtJ, bandwidth):
+    """band[i - j, j] = JtJ[i, j] for the lower band of a sparse JtJ."""
+    coo = JtJ.tocoo()
+    lower = coo.row >= coo.col
+    band = np.zeros((bandwidth + 1, JtJ.shape[0]))
+    band[coo.row[lower] - coo.col[lower], coo.col[lower]] = coo.data[lower]
+    return band
+
+
 def linear_chain(rng, static, n=30):
     """R^3 keyframes at t = 1..n: a prior on each, a link between
     neighbours and, when `static`, a link from one static variable at the
@@ -549,8 +574,8 @@ class TestDampedSolve:
             coo = JtJ.tocoo()
             assert np.max(coo.row - coo.col) == bandwidth
             b = rng.normal(size=n)
-            band = fgraph._damped_solver(JtJ, bandwidth)
-            lu = fgraph._damped_solver(JtJ, None)
+            band = fgraph._damped_solver(lower_band(JtJ, bandwidth))
+            lu = fgraph._damped_solver(JtJ)
             for lam in (1e-9, 1e-4, 1.0, 1e3):
                 x, x_ref = band(lam, b), lu(lam, b)
                 assert (np.linalg.norm(x - x_ref)
@@ -559,7 +584,7 @@ class TestDampedSolve:
     def test_indefinite_band_raises_linalg_error(self):
         JtJ = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
-            fgraph._damped_solver(JtJ, 1)(0.5, np.ones(2))
+            fgraph._damped_solver(lower_band(JtJ, 1))(0.5, np.ones(2))
 
     def test_pattern_bandwidth_and_nnz(self, rng):
         graph, values = mixed_graph(rng)
@@ -620,3 +645,176 @@ class TestDampedSolve:
         else:
             assert calls["band"] > 0 and calls["lu"] == 0
 
+
+def anchored_mixed_graph(rng):
+    """`mixed_graph` with a prior on each SO(3) key, so it is well posed."""
+    graph, values = mixed_graph(rng)
+    for key in sorted(graph.variables, key=lambda k: k.id):
+        if key.kind == M.SO3:
+            graph.add(prior_factor(key, M.exp_so3(rng.normal(0.0, 0.3, 3)),
+                                   np.eye(3) * 0.1))
+    return graph, values
+
+
+def unanchored_chain(rng, n=3, sigma=1.0):
+    """n R^3 keys, each linked to the next through a random invertible
+    block with noise sigma, and nothing anchoring them."""
+    keys = [r3_key(i) for i in range(n)]
+    graph = FactorGraph()
+    for a, b in zip(keys, keys[1:]):
+        A = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        graph.add(linear_factor([a, b], [-A, A], rng.normal(size=3),
+                                np.eye(3) * sigma ** 2))
+    return graph, Values({k: M.EuclidPoint(rng.normal(size=3)) for k in keys})
+
+
+def criterion_9_free_rotation():
+    """Criterion 9's graph without the ct factors on target keyframe 501:
+    its USBL factor leaves that keyframe's rotation free."""
+    graph, values = criterion_9_graph()
+    free = VariableKey(2 * 501 + 1, M.SE3, 501.0)
+    loose = FactorGraph()
+    loose.extend(f for f in graph.factors
+                 if not (f.name.startswith("ct") and free in f.keys))
+    return loose, values
+
+
+def assert_verdict_is_check_gauges(graph, values):
+    """The band does not pass the graph, and optimize raises the verdict
+    and suspect list of `_check_gauge` on the sparse J^T J."""
+    lin = Linearizer(graph)
+    J, _ = lin(values)
+    assert lin.banded
+    assert not fgraph._band_is_regular(lin.normal_band(J))
+    with pytest.raises(UnderconstrainedGraphError) as ref:
+        fgraph._check_gauge((J.T @ J).tocsc(), lin.offsets)
+    with pytest.raises(UnderconstrainedGraphError) as got:
+        optimize(graph, values)
+    assert got.value.suspect_keys == ref.value.suspect_keys
+    assert str(got.value) == str(ref.value)
+    assert ref.value.suspect_keys
+
+
+class TestBandNativeSolve:
+    def test_band_from_blocks_matches_normal_equations(self, rng):
+        graphs = [mixed_graph(rng) for _ in range(4)] + [criterion_9_graph()]
+        for graph, values in graphs:
+            lin = Linearizer(graph)
+            assert lin.banded
+            J, _ = lin(values)
+            band = lin.normal_band(J)
+            ref = lower_band((J.T @ J).tocsc(), lin.bandwidth)
+            assert band.shape == ref.shape
+            assert (np.max(np.abs(band - ref))
+                    <= 1e-12 * np.max(np.abs(ref)))
+        graph = graphs[0][0]
+        assert any(f.family is None for f in graph.factors)
+        assert any(len(set(f.keys)) < len(f.keys) for f in graph.factors)
+        assert {k.kind.tag for k in graph.variables} == {"SE3", "SO3", "RN"}
+
+    def test_csr_layout_equals_coo_to_csr(self, rng):
+        for _ in range(3):
+            graph, values = mixed_graph(rng)
+            lin = Linearizer(graph)
+            J, _ = lin(values)
+            rows, cols, _, _ = coo_entries(graph, lin.offsets, values)
+            ref = sp.coo_matrix((lin._data, (rows, cols)),
+                                shape=J.shape).tocsr()
+            np.testing.assert_array_equal(J.indptr, ref.indptr)
+            np.testing.assert_array_equal(J.indices, ref.indices)
+            np.testing.assert_array_equal(J.data, ref.data)
+            # a caller editing J in place leaves the next call's layout alone
+            J.indices[:] = 0
+            J2, _ = lin(values)
+            np.testing.assert_array_equal(J2.indices, ref.indices)
+
+    def test_band_gauge_passes_well_posed_graphs(self, rng, monkeypatch):
+        calls = []
+        check_gauge = fgraph._check_gauge
+        monkeypatch.setattr(fgraph, "_check_gauge",
+                            lambda *a, **k: calls.append(1) or check_gauge(
+                                *a, **k))
+        graphs = [anchored_mixed_graph(rng) for _ in range(3)]
+        graphs += [linear_chain(rng, static=False)[:2], criterion_9_graph()]
+        for graph, values in graphs:
+            lin = Linearizer(graph)
+            J, _ = lin(values)
+            assert lin.banded
+            assert fgraph._band_is_regular(lin.normal_band(J))
+            check_gauge((J.T @ J).tocsc(), lin.offsets)  # agrees: no raise
+            optimize(graph, values, SolverSettings(max_iterations=1))
+        assert calls == []
+
+    @pytest.mark.parametrize("fixture", [
+        mixed_graph, unanchored_chain,
+        lambda rng: criterion_9_free_rotation()],
+        ids=["mixed-graph", "chain", "criterion-9-free-rotation"])
+    def test_underconstrained_verdict_is_check_gauges(self, rng, fixture):
+        assert_verdict_is_check_gauges(*fixture(rng))
+
+    def test_stiff_unanchored_chains_are_underconstrained(self, rng):
+        """Weights of 1e6-1e10 leave an unequilibrated null direction a
+        pivot far above the shift; the equilibrated band flags it."""
+        for sigma in (1e-3, 1e-4, 1e-5):
+            for _ in range(3):
+                assert_verdict_is_check_gauges(
+                    *unanchored_chain(rng, n=20, sigma=sigma))
+
+    def test_custom_and_family_factors_reach_lstsq_optimum(self, rng):
+        """Custom (family-less) links run on Values built from the stacked
+        iterate; the family priors run on the stacks themselves."""
+        keys = [r3_key(i) for i in range(6)]
+        graph = FactorGraph()
+        rows, rhs = [], []
+        for i, k in enumerate(keys):
+            mean, sigma = rng.normal(size=3), 2.0
+            graph.add(prior_factor(k, M.EuclidPoint(mean),
+                                   np.eye(3) * sigma ** 2))
+            row = np.zeros((3, 18))
+            row[:, 3 * i:3 * i + 3] = np.eye(3) / sigma
+            rows.append(row)
+            rhs.append(mean / sigma)
+        for i, (a, b) in enumerate(zip(keys, keys[1:])):
+            A, d, sigma = rng.normal(size=(3, 3)) + 2.0 * np.eye(3), \
+                rng.normal(size=3), 0.1
+            graph.add(linear_factor([a, b], [-np.eye(3), A], d,
+                                    np.eye(3) * sigma ** 2))
+            row = np.zeros((3, 18))
+            row[:, 3 * i:3 * i + 3] = -np.eye(3) / sigma
+            row[:, 3 * i + 3:3 * i + 6] = A / sigma
+            rows.append(row)
+            rhs.append(d / sigma)
+        assert {f.family is None for f in graph.factors} == {True, False}
+        x_ref, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
+                                    rcond=None)
+        values = Values({k: M.EuclidPoint(np.zeros(3)) for k in keys})
+        solution, report = optimize(graph, values)
+        assert report.converged
+        x = np.concatenate([solution.get(k).coords for k in keys])
+        np.testing.assert_allclose(x, x_ref, atol=1e-8)
+
+    def test_result_keeps_initial_extra_keys(self, rng):
+        graph, values, keys, x_ref = linear_chain(rng, static=False, n=5)
+        extra = {VariableKey(99, M.SE3, 2.5): random_pose(rng, 1.0),
+                 r3_key(98): M.EuclidPoint(rng.normal(size=3))}
+        initial = values.copy()
+        for key, element in extra.items():
+            initial.set(key, element)
+        solution, report = optimize(graph, initial)
+        assert report.converged
+        assert set(solution.keys()) == set(initial.keys())
+        for key, element in extra.items():
+            assert solution.get(key) is element
+        x = np.concatenate([solution.get(k).coords for k in keys])
+        np.testing.assert_allclose(x, x_ref, atol=1e-8)
+        assert all(initial.get(k).coords.tolist() == [0.0] * 3 for k in keys)
+
+    def test_singular_chart_from_stacks_names_first_offending_factor(
+            self, rng):
+        graph, values = near_singular_graph(rng)
+        lin = Linearizer(graph)
+        with pytest.raises(M.NearSingularError) as exc:
+            lin(lin.layout.stack(values))
+        assert str(exc.value).startswith(
+            "linearization failed in ct[0,1,2] (variables id=0@t=0, "
+            "id=1@t=2, id=2@t=4): ")

@@ -1,6 +1,7 @@
 """File formats: pose serialization, record files, and run configuration."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from twistgraph import manifold as M
+from twistgraph.factors import MeasurementSigmas, NoiseSigmas
 from twistgraph.fgraph import SolveReport, SolverSettings
 from twistgraph.formats import (
     ConfigError,
+    RunConfig,
     load_config,
     metrics_table,
     parse_config,
@@ -379,6 +382,26 @@ class TestRecordFiles:
 
 
 class TestRunConfig:
+    def test_sigma_defaults_come_from_one_table(self):
+        table = {f.name: f.default for f in fields(NoiseSigmas)}
+        assert table == {
+            "odom_sigma_pos": 0.002, "odom_sigma_rot": 0.0005,
+            "usbl_sigma": 1.5, "optical_sigma_pos": 0.05,
+            "optical_sigma_rot": 0.01, "ct_sigma_pos": 0.05,
+            "ct_sigma_rot": 0.005, "rp_sigma": 0.05, "boundary_sigma": 0.01,
+            "chaser_prior_sigma_pos": 1e-4, "chaser_prior_sigma_rot": 1e-4,
+            "target_prior_sigma_pos": 10.0, "target_prior_sigma_rot": 0.5}
+        measurement = [f.name for f in fields(MeasurementSigmas)]
+        for cls, names in ((ScenarioConfig, measurement),
+                           (TrackingConfig, table), (RunConfig, table)):
+            defaults = {f.name: f.default for f in fields(cls)
+                        if "sigma" in f.name}
+            assert defaults == {name: table[name] for name in names}
+        cfg = RunConfig(usbl_sigma=0.7, ct_sigma_rot=0.03)
+        assert cfg.scenario_config().usbl_sigma == 0.7
+        tc = cfg.tracking_config()
+        assert (tc.usbl_sigma, tc.ct_sigma_rot) == (0.7, 0.03)
+
     def test_defaults_and_adapters(self):
         cfg = parse_config([])
         assert cfg.mode == "A" and cfg.gate == 1.0

@@ -139,6 +139,28 @@ class TestJacobians:
             Q = M.q_block(rho, axis * s)
             np.testing.assert_allclose(Q, 0.5 * M.skew(rho), atol=1e-6)
 
+    def test_q_block_matches_ad_series_left_jacobian(self, rng):
+        """Q against the top-right block of J_l = sum_k ad^k / (k + 1)!
+        (30 terms), from tiny angles across the series switch."""
+        angles = np.concatenate([np.geomspace(1e-7, 0.5, 60),
+                                 M.Q_SERIES_ANGLE * np.array([1 - 1e-9,
+                                                              1 + 1e-9])])
+        rho = rng.normal(0.0, 2.0, (len(angles), 3))
+        axis = rng.normal(size=(len(angles), 3))
+        theta = axis / np.linalg.norm(axis, axis=1)[:, None] * angles[:, None]
+        batch = M.q_block_batch(rho, theta)
+        for n in range(len(angles)):
+            ad = np.zeros((6, 6))
+            ad[:3, :3] = ad[3:, 3:] = M.skew(theta[n])
+            ad[:3, 3:] = M.skew(rho[n])
+            term, J = np.eye(6), np.eye(6)
+            for k in range(1, 30):
+                term = term @ ad / (k + 1)
+                J += term
+            for Q in (M.q_block(rho[n], theta[n]), batch[n]):
+                assert (np.max(np.abs(Q - J[:3, 3:]))
+                        <= 1e-13 * np.max(np.abs(Q))), angles[n]
+
 
 class TestAdjoint:
     def test_homomorphism(self, rng):
