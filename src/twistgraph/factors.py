@@ -83,7 +83,7 @@ class ConstantTwistSpec:
 @dataclass(frozen=True)
 class RollPitchSpec:
     covariance: np.ndarray = field(
-        default_factory=lambda: np.diag([0.05 ** 2, 0.05 ** 2]))
+        default_factory=lambda: np.eye(2) * NoiseSigmas().rp_sigma ** 2)
     selection: np.ndarray = field(default_factory=lambda: _S_RP.copy())
 
 

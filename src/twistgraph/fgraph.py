@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded, solveh_banded
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import splu
 
 from . import manifold
@@ -279,15 +280,14 @@ class Linearizer:
     evaluated one by one.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
-    bandwidth and `normal_nnz` its number of structural nonzeros. When the
-    band is narrow (`banded`), `normal_band` builds it from the whitened
-    blocks.
+    bandwidth, and `normal_band` builds that band from the whitened blocks.
+    Timestamp order keeps the band of a smoothing graph narrow; a variable
+    bound across all times (a static one linked to every keyframe) widens
+    it to the whole graph, (bandwidth + 1) * columns entries.
     """
 
-    def __init__(self, graph: FactorGraph,
-                 offsets: dict[VariableKey, int] | None = None):
-        if offsets is None:
-            offsets, _ = variable_offsets(graph)
+    def __init__(self, graph: FactorGraph):
+        offsets, _ = variable_offsets(graph)
         self.graph = graph
         self.offsets = offsets
         self.layout = _StateLayout(offsets)
@@ -326,16 +326,12 @@ class Linearizer:
             rows[at] = same[:, 1:2] + j // dk
             cols[at] = same[:, 3:4] + j % dk
         self._csr_layout(rows, cols)
-        self.bandwidth, self.normal_nnz = self._normal_pattern(
-            blocks, len(graph.factors))
-        # Timestamp order keeps J^T J of a smoothing graph narrowly banded;
-        # a variable bound across all times (a static one linked to every
-        # keyframe) widens the band to the whole graph, where sparse LU wins.
-        self.banded = (0 < (self.bandwidth + 1) * self.total_cols
-                       <= 2 * self.normal_nnz)
-        if self.banded:
-            _, first = np.unique(blocks[:, 5], return_index=True)
-            self._band_layout(blocks[first, 1], blocks[first, 2])
+        # a row's columns ascend, so its span is its last minus its first
+        self.bandwidth = int(np.max(
+            self._indices[self._indptr[1:] - 1]
+            - self._indices[self._indptr[:-1]], initial=0))
+        _, first = np.unique(blocks[:, 5], return_index=True)
+        self._band_layout(blocks[first, 1], blocks[first, 2])
         self._data = np.empty(pos)
         self._res = np.empty(row0)
 
@@ -406,28 +402,13 @@ class Linearizer:
             targets.append(target.ravel())
             self._band_groups.append(
                 (cells.ravel(), cells.transpose(0, 2, 1).ravel(), d, w))
-        self._band_targets = np.concatenate(targets)
+        self._band_targets = np.concatenate([np.empty(0, int), *targets])
         # Reused buffers: fresh arrays of this size cost more in page faults
         # than the products themselves.
         self._band_products = np.empty(len(self._band_targets))
         self._band_scratch = np.empty(
-            (2, max(len(cells) for cells, *_ in self._band_groups)))
-
-    def _normal_pattern(self, blocks: np.ndarray, n_factors: int):
-        """Bandwidth and structural nonzero count of J^T J.
-
-        Two variables' column blocks are coupled exactly when some factor
-        binds both; the variable at column offset c spans dim[c] columns.
-        """
-        dim = np.zeros(self.total_cols, dtype=int)
-        dim[blocks[:, 3]] = blocks[:, 4]
-        incidence = sp.csr_matrix(
-            (np.ones(len(blocks)), (blocks[:, 5], blocks[:, 3])),
-            shape=(n_factors, self.total_cols))
-        pairs = (incidence.T @ incidence).tocoo()
-        a, b = pairs.row, pairs.col
-        bandwidth = int(np.max(b + dim[b] - 1 - a, initial=0))
-        return bandwidth, int(dim[a] @ dim[b])
+            (2, max((len(cells) for cells, *_ in self._band_groups),
+                    default=0)))
 
     def __call__(self, values):
         """(J, r) at `values`: a Values, or the stacks of `layout.stack`."""
@@ -455,8 +436,8 @@ class Linearizer:
 
     def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
         """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
-        blocks (`banded` graphs only). It is Fortran-ordered, the layout
-        LAPACK's banded routines take without a copy."""
+        blocks. It is Fortran-ordered, the layout LAPACK's banded routines
+        take without a copy."""
         X_t, X = self._band_scratch
         at = 0
         for cells, cells_t, d, w in self._band_groups:
@@ -502,13 +483,12 @@ class Linearizer:
                 data[span] = (W @ J).ravel()
 
 
-def linearize(graph: FactorGraph, values: Values,
-              offsets: dict[VariableKey, int] | None = None):
+def linearize(graph: FactorGraph, values: Values):
     """Whitened block-sparse Jacobian and residual at the current estimate.
 
     Returns (J, r, offsets) with J (total_res_dim x total_tan_dim) in CSR form.
     """
-    lin = Linearizer(graph, offsets)
+    lin = Linearizer(graph)
     J, r = lin(values)
     return J, r, lin.offsets
 
@@ -532,33 +512,34 @@ def _retract_all(states: dict, columns: dict, delta: np.ndarray) -> dict:
     return out
 
 
-def _check_gauge(JtJ: sp.csc_matrix, offsets: dict[VariableKey, int],
-                 rel_tol: float = 1e-12) -> None:
-    """Raise UnderconstrainedGraphError if the undamped system is singular."""
-    n = JtJ.shape[0]
-    if n == 0:
-        return
-    suspects: list[VariableKey] = []
-    # Jacobi-equilibrate first so wildly different factor strengths (tight
-    # anchors vs soft smoothing terms) share one pivot scale, then factor a
-    # tiny-shifted copy: the shift keeps exactly singular systems
-    # factorizable while null directions show up as shift-sized pivots.
-    diag = JtJ.diagonal()
-    d = np.where(diag > 0.0, diag, 1.0)
-    D = sp.diags(1.0 / np.sqrt(d), format="csc")
-    scaled = (D @ JtJ @ D).tocsc()
-    shift = rel_tol
-    lu = splu((scaled + shift * sp.identity(n, format="csc")).tocsc(),
-              permc_spec="NATURAL", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    dU = np.abs(lu.U.diagonal())
-    bad = dU <= 1e3 * shift
+def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:
+    """Raise UnderconstrainedGraphError if the undamped system is singular.
+
+    `band` is J^T J's lower band. It is Jacobi-equilibrated first, so wildly
+    different factor strengths (tight anchors vs soft smoothing terms) share
+    one pivot scale, and a tiny-shifted copy is factored by a banded
+    Cholesky: the shift keeps exactly singular systems factorizable while
+    null directions show up as shift-sized squared pivots (in exact
+    arithmetic, the pivots of an unpivoted LU). A factorization that stops
+    at a column names that column too.
+    """
+    diag = band[0]
+    s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    n = band.shape[1]
+    scaled = band * s
+    for k in range(len(band)):  # band[k, j] couples columns j + k and j
+        scaled[k, :n - k] *= s[k:]
+    shift = 1e-12
+    scaled[0] += shift
+    L, info = dpbtrf(scaled, lower=1, overwrite_ab=1)
+    bad = L[0] * L[0] <= 1e3 * shift
+    if info > 0:  # stopped at column info - 1; no pivot past it is computed
+        bad[info:] = False
+        bad[info - 1] = True
     if not bad.any():
         return
-    bad_cols = np.nonzero(bad)[0]
-    for key, c0 in offsets.items():
-        if any(c0 <= c < c0 + key.kind.dim for c in bad_cols):
-            suspects.append(key)
+    suspects = [key for key, c0 in offsets.items()
+                if bad[c0:c0 + key.kind.dim].any()]
     names = ", ".join(f"id={k.id}@t={k.timestamp:g}" for k in sorted(
         suspects, key=lambda k: (k.timestamp, k.id)))
     raise UnderconstrainedGraphError(
@@ -567,51 +548,15 @@ def _check_gauge(JtJ: sp.csc_matrix, offsets: dict[VariableKey, int],
     )
 
 
-def _band_is_regular(band: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    """True when the undamped system passes `_check_gauge`'s test.
-
-    The band is equilibrated and shifted as `_check_gauge` does, then
-    factored by a banded Cholesky, whose squared pivots are (in exact
-    arithmetic) the pivots of `_check_gauge`'s unpivoted LU. False when the
-    factorization fails or a pivot is small: only `_check_gauge` decides
-    such a graph, and names its suspect variables.
-    """
-    diag = band[0]
-    s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    n = band.shape[1]
-    scaled = band * s
-    for k in range(len(band)):  # band[k, j] couples columns j + k and j
-        scaled[k, :n - k] *= s[k:]
-    scaled[0] += rel_tol
-    try:
-        L = cholesky_banded(scaled, overwrite_ab=True, lower=True,
-                            check_finite=False)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(L[0] * L[0] > 1e3 * rel_tol))
-
-
-def _damped_solver(system):
+def _damped_solver(band: np.ndarray):
     """solve(lam, b) = (J^T J + lam I)^-1 b.
 
-    `system` is J^T J's lower band (band[i - j, j] = (J^T J)[i, j]), which
-    each call factors by a banded Cholesky, or J^T J as a sparse matrix,
-    which each call factors by a sparse LU. Either raises
+    `band` is J^T J's lower band (band[i - j, j] = (J^T J)[i, j]), which
+    each call factors by a banded Cholesky; it raises
     np.linalg.LinAlgError when the damped system does not factor.
     """
-    if sp.issparse(system):
-        n = system.shape[0]
-
-        def solve(lam: float, b: np.ndarray) -> np.ndarray:
-            H = (system + lam * sp.identity(n, format="csc")).tocsc()
-            try:
-                return splu(H).solve(b)
-            except RuntimeError as err:  # exactly singular
-                raise np.linalg.LinAlgError(str(err)) from err
-        return solve
-
     def solve(lam: float, b: np.ndarray) -> np.ndarray:
-        ab = system.copy(order="K")
+        ab = band.copy(order="K")
         ab[0] += lam
         return solveh_banded(ab, b, overwrite_ab=True, lower=True,
                              check_finite=False)
@@ -649,15 +594,11 @@ def optimize(graph: FactorGraph, initial: Values,
     report.cost_trace.append(cost)
     for it in range(settings.max_iterations):
         g = J.T @ r
-        system = lin.normal_band(J) if lin.banded else (J.T @ J).tocsc()
+        band = lin.normal_band(J)
         if it == 0:
-            if not lin.banded:
-                _check_gauge(system, lin.offsets)
-            elif not _band_is_regular(system):
-                # the LU gives the verdict and names the suspect variables
-                _check_gauge((J.T @ J).tocsc(), lin.offsets)
+            _check_gauge(band, lin.offsets)
 
-        solve = _damped_solver(system)
+        solve = _damped_solver(band)
         accepted = False
         while lam <= settings.max_lambda:
             try:
@@ -705,11 +646,12 @@ def optimize(graph: FactorGraph, initial: Values,
 def marginal_covariance(graph: FactorGraph, values: Values,
                         key: VariableKey) -> np.ndarray:
     """Block of (J^T J)^-1 for one variable at the current estimate."""
-    J, _, offsets = linearize(graph, values)
+    lin = Linearizer(graph)
+    J, _ = lin(values)
+    _check_gauge(lin.normal_band(J), lin.offsets)
     JtJ = (J.T @ J).tocsc()
-    _check_gauge(JtJ, offsets)
     lu = splu(JtJ)
-    c0 = offsets[key]
+    c0 = lin.offsets[key]
     d = key.kind.dim
     cov = np.empty((d, d))
     for i in range(d):

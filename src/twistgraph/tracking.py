@@ -32,6 +32,7 @@ from .factors import (
     ct_factor,
     prior_factor,
     relative_pose_factor,
+    roll_pitch_factor,
     usbl_factor,
 )
 
@@ -271,8 +272,12 @@ def initialize_values(keyframes: list[Keyframe],
     return values
 
 
-def _refine_rotation_seeds(keyframes: list[Keyframe], values: Values,
-                           max_rate_baseline: float = 10.0) -> None:
+# s: the longest span of optical fixes whose rotation rate seeds the target
+# rotations before the first fix and after the last one
+_MAX_RATE_BASELINE = 10.0
+
+
+def _refine_rotation_seeds(keyframes: list[Keyframe], values: Values) -> None:
     """Re-seed unanchored target rotations by constant-twist interpolation
     between optical fixes.
 
@@ -290,13 +295,13 @@ def _refine_rotation_seeds(keyframes: list[Keyframe], values: Values,
         (ta, Ra), (tb, Rb) = a, b
         return manifold.log_so3(Rotation3(Ra.matrix.T @ Rb.matrix)) / (tb - ta)
 
-    def pair_near(idx_t, reverse):
-        # widest anchor pair within max_rate_baseline of the span end
+    def pair_near(reverse):
+        # widest anchor pair within _MAX_RATE_BASELINE of the span end
         seq = anchors if not reverse else anchors[::-1]
         first = seq[0]
         last = first
         for a in seq[1:]:
-            if abs(a[0] - first[0]) > max_rate_baseline:
+            if abs(a[0] - first[0]) > _MAX_RATE_BASELINE:
                 break
             last = a
         return (first, last) if not reverse else (last, first)
@@ -309,10 +314,10 @@ def _refine_rotation_seeds(keyframes: list[Keyframe], values: Values,
         t = kf.timestamp
         if t <= times[0]:
             ta, Ra = anchors[0]
-            w = rate(*pair_near(0, reverse=False))
+            w = rate(*pair_near(reverse=False))
         elif t >= times[-1]:
             ta, Ra = anchors[-1]
-            w = rate(*pair_near(-1, reverse=True))
+            w = rate(*pair_near(reverse=True))
         else:
             i = int(np.searchsorted(times, t)) - 1
             ta, Ra = anchors[i]
@@ -438,7 +443,6 @@ def build_graph(keyframes: list[Keyframe],
     if policy.mode == "A":
         _add_ct_chain(graph, [kf.target_key for kf in keyframes], config)
         rp_spec = RollPitchSpec(covariance=np.eye(2) * config.rp_sigma ** 2)
-        from .factors import roll_pitch_factor
         for kf in keyframes:
             graph.add(roll_pitch_factor(kf.target_key, rp_spec))
     else:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from twistgraph import fgraph
 from twistgraph import manifold as M
@@ -152,6 +153,10 @@ class TestLinearize:
         np.testing.assert_allclose(J2.toarray(), J_ref.toarray())
         np.testing.assert_allclose(r2, r_ref)
         assert not np.allclose(r1, r2)
+
+    def test_empty_graph_gives_empty_jacobian(self):
+        J, r = Linearizer(FactorGraph())(Values())
+        assert J.shape == (0, 0) and r.shape == (0,)
 
     def test_offsets_follow_timestamps(self):
         k_late = r3_key(0, t=9.0)
@@ -575,9 +580,10 @@ class TestDampedSolve:
             assert np.max(coo.row - coo.col) == bandwidth
             b = rng.normal(size=n)
             band = fgraph._damped_solver(lower_band(JtJ, bandwidth))
-            lu = fgraph._damped_solver(JtJ)
             for lam in (1e-9, 1e-4, 1.0, 1e3):
-                x, x_ref = band(lam, b), lu(lam, b)
+                x = band(lam, b)
+                x_ref = splu((JtJ + lam * sp.identity(n, format="csc"))
+                             .tocsc()).solve(b)
                 assert (np.linalg.norm(x - x_ref)
                         <= 1e-9 * np.linalg.norm(x_ref))
 
@@ -586,15 +592,18 @@ class TestDampedSolve:
         with pytest.raises(np.linalg.LinAlgError):
             fgraph._damped_solver(lower_band(JtJ, 1))(0.5, np.ones(2))
 
-    def test_pattern_bandwidth_and_nnz(self, rng):
-        graph, values = mixed_graph(rng)
-        lin = Linearizer(graph)
-        J, _ = lin(values)
-        P = J.copy()
-        P.data[:] = 1.0  # structural pattern; products of ones never cancel
-        pattern = (P.T @ P).tocoo()
-        assert lin.normal_nnz == pattern.nnz
-        assert lin.bandwidth == np.max(pattern.row - pattern.col)
+    def test_pattern_bandwidth(self, rng):
+        graphs = [mixed_graph(rng) for _ in range(3)]
+        graphs += [linear_chain(rng, static)[:2] for static in (False, True)]
+        for graph, values in graphs:
+            lin = Linearizer(graph)
+            J, _ = lin(values)
+            P = J.copy()
+            P.data[:] = 1.0  # structural pattern; products of ones never cancel
+            pattern = (P.T @ P).tocoo()
+            assert lin.bandwidth == np.max(pattern.row - pattern.col)
+        # the static variable is coupled to every keyframe: a dense band
+        assert lin.bandwidth == lin.total_cols - 1 == 92
 
     def test_non_positive_definite_try_is_damped(self, rng, monkeypatch):
         diagonals = []
@@ -620,7 +629,7 @@ class TestDampedSolve:
     @pytest.mark.parametrize("static", [False, True])
     def test_path_follows_pattern(self, rng, monkeypatch, static):
         """A static variable (timestamp 0) tied to every keyframe makes the
-        band as wide as the graph; such a graph takes sparse LU."""
+        band as wide as the graph; such a graph takes the band path too."""
         calls = {"band": 0, "lu": 0}
         solveh_banded, splu = fgraph.solveh_banded, fgraph.splu
 
@@ -629,8 +638,7 @@ class TestDampedSolve:
             return solveh_banded(*args, **kwargs)
 
         def lu(A, *args, **kwargs):
-            if "permc_spec" not in kwargs:  # not the gauge check
-                calls["lu"] += 1
+            calls["lu"] += 1
             return splu(A, *args, **kwargs)
 
         monkeypatch.setattr(fgraph, "solveh_banded", band)
@@ -640,10 +648,7 @@ class TestDampedSolve:
         assert report.converged
         x = np.concatenate([solution.get(k).coords for k in keys])
         np.testing.assert_allclose(x, x_ref, atol=1e-8)
-        if static:
-            assert calls["lu"] > 0 and calls["band"] == 0
-        else:
-            assert calls["band"] > 0 and calls["lu"] == 0
+        assert calls["band"] > 0 and calls["lu"] == 0
 
 
 def anchored_mixed_graph(rng):
@@ -679,28 +684,51 @@ def criterion_9_free_rotation():
     return loose, values
 
 
+def lu_check_gauge(JtJ, offsets):
+    """Reference gauge check on a sparse J^T J: the pivots of an unpivoted
+    sparse LU of the equilibrated, shifted system, with the same threshold
+    and message as `fgraph._check_gauge`."""
+    n, shift = JtJ.shape[0], 1e-12
+    diag = JtJ.diagonal()
+    D = sp.diags(1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), format="csc")
+    lu = splu((D @ JtJ @ D + shift * sp.identity(n, format="csc")).tocsc(),
+              permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    bad_cols = np.nonzero(np.abs(lu.U.diagonal()) <= 1e3 * shift)[0]
+    if not bad_cols.size:
+        return
+    suspects = [key for key, c0 in offsets.items()
+                if any(c0 <= c < c0 + key.kind.dim for c in bad_cols)]
+    names = ", ".join(f"id={k.id}@t={k.timestamp:g}" for k in sorted(
+        suspects, key=lambda k: (k.timestamp, k.id)))
+    raise UnderconstrainedGraphError(
+        f"underconstrained graph: null space touches variables [{names}]",
+        suspects)
+
+
 def assert_verdict_is_check_gauges(graph, values):
-    """The band does not pass the graph, and optimize raises the verdict
-    and suspect list of `_check_gauge` on the sparse J^T J."""
+    """The band check and optimize raise the verdict and suspect list of
+    the LU reference check on the sparse J^T J."""
     lin = Linearizer(graph)
     J, _ = lin(values)
-    assert lin.banded
-    assert not fgraph._band_is_regular(lin.normal_band(J))
     with pytest.raises(UnderconstrainedGraphError) as ref:
-        fgraph._check_gauge((J.T @ J).tocsc(), lin.offsets)
+        lu_check_gauge((J.T @ J).tocsc(), lin.offsets)
+    with pytest.raises(UnderconstrainedGraphError) as band:
+        fgraph._check_gauge(lin.normal_band(J), lin.offsets)
     with pytest.raises(UnderconstrainedGraphError) as got:
         optimize(graph, values)
-    assert got.value.suspect_keys == ref.value.suspect_keys
-    assert str(got.value) == str(ref.value)
     assert ref.value.suspect_keys
+    for err in (band, got):
+        assert err.value.suspect_keys == ref.value.suspect_keys
+        assert str(err.value) == str(ref.value)
 
 
 class TestBandNativeSolve:
     def test_band_from_blocks_matches_normal_equations(self, rng):
         graphs = [mixed_graph(rng) for _ in range(4)] + [criterion_9_graph()]
+        graphs.append(linear_chain(rng, static=True)[:2])  # a dense band
         for graph, values in graphs:
             lin = Linearizer(graph)
-            assert lin.banded
             J, _ = lin(values)
             band = lin.normal_band(J)
             ref = lower_band((J.T @ J).tocsc(), lin.bandwidth)
@@ -735,15 +763,33 @@ class TestBandNativeSolve:
                             lambda *a, **k: calls.append(1) or check_gauge(
                                 *a, **k))
         graphs = [anchored_mixed_graph(rng) for _ in range(3)]
-        graphs += [linear_chain(rng, static=False)[:2], criterion_9_graph()]
+        graphs += [linear_chain(rng, static)[:2] for static in (False, True)]
+        graphs.append(criterion_9_graph())
         for graph, values in graphs:
             lin = Linearizer(graph)
             J, _ = lin(values)
-            assert lin.banded
-            assert fgraph._band_is_regular(lin.normal_band(J))
-            check_gauge((J.T @ J).tocsc(), lin.offsets)  # agrees: no raise
-            optimize(graph, values, SolverSettings(max_iterations=1))
-        assert calls == []
+            check_gauge(lin.normal_band(J), lin.offsets)  # no raise
+            lu_check_gauge((J.T @ J).tocsc(), lin.offsets)  # agrees
+            _, report = optimize(graph, values,
+                                 SolverSettings(max_iterations=2))
+            assert report.iterations == 2
+        # optimize checks once per solve, at its first iteration
+        assert calls == [1] * len(graphs)
+
+    def test_band_that_does_not_factor_names_its_column(self):
+        """The equilibrated [[1, 2], [2, 1]] is indefinite: the banded
+        Cholesky stops at column 1, whose variable is the suspect. Past
+        that column LAPACK leaves partial updates, not pivots, so a third,
+        zero column is not read."""
+        a, b, c = (VariableKey(i, M.rn(1), float(i)) for i in range(3))
+        for band, keys in (([[1.0, 1.0], [2.0, 0.0]], (a, b)),
+                           ([[1.0, 1.0, 0.0], [2.0, 0.0, 0.0]], (a, b, c))):
+            with pytest.raises(UnderconstrainedGraphError) as exc:
+                fgraph._check_gauge(np.asfortranarray(band),
+                                    {k: i for i, k in enumerate(keys)})
+            assert exc.value.suspect_keys == [b]
+            assert str(exc.value) == ("underconstrained graph: null space "
+                                      "touches variables [id=1@t=1]")
 
     @pytest.mark.parametrize("fixture", [
         mixed_graph, unanchored_chain,

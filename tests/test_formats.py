@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from twistgraph import manifold as M
-from twistgraph.factors import MeasurementSigmas, NoiseSigmas
+from twistgraph.factors import MeasurementSigmas, NoiseSigmas, RollPitchSpec
 from twistgraph.fgraph import SolveReport, SolverSettings
 from twistgraph.formats import (
     ConfigError,
@@ -397,6 +397,8 @@ class TestRunConfig:
             defaults = {f.name: f.default for f in fields(cls)
                         if "sigma" in f.name}
             assert defaults == {name: table[name] for name in names}
+        np.testing.assert_array_equal(RollPitchSpec().covariance,
+                                      np.eye(2) * table["rp_sigma"] ** 2)
         cfg = RunConfig(usbl_sigma=0.7, ct_sigma_rot=0.03)
         assert cfg.scenario_config().usbl_sigma == 0.7
         tc = cfg.tracking_config()
