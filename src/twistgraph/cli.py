@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import formats, simkit, tracking
-from .fgraph import UnderconstrainedGraphError, optimize, total_cost
+from .fgraph import UnderconstrainedGraphError, optimize
 from .formats import ConfigError, RunConfig
 from .manifold import NearSingularError
 from .simkit import TwistSegment
@@ -74,8 +74,7 @@ def cmd_smooth(args) -> int:
     records = formats.read_measurements(args.meas)
     policy = ModePolicy(mode=cfg.mode, down_after=cfg.down_after)
     keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=policy)
-    graph, initial = tracking.build_graph(
-        keyframes, records, policy, tracking_cfg)
+    graph, initial = tracking.build_graph(keyframes, policy, tracking_cfg)
     estimate = tracking.smooth(graph, initial, cfg.solver_settings(), keyframes)
     formats.write_estimate(args.out, estimate)
     rpt = estimate.report
@@ -137,7 +136,7 @@ def cmd_unit_circle(args) -> int:
     worst = 0.0
     for key in keys:
         worst = max(worst, simkit.arc_distance(solution.get(key).translation))
-    print(f"unit-circle {args.variant}: cost {total_cost(graph, initial):.4g} "
+    print(f"unit-circle {args.variant}: cost {report.cost_trace[0]:.4g} "
           f"-> {report.final_cost:.4g} in {report.iterations} iterations, "
           f"max arc distance {worst:.3g}")
     if not report.converged:

@@ -160,15 +160,19 @@ class FactorGraph:
             self.add(f)
 
 
+# LM damping: a rejected try multiplies lambda by LAMBDA_UP, an accepted one
+# divides it by LAMBDA_DOWN, and an iteration gives up past MAX_LAMBDA
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 10.0
+MAX_LAMBDA = 1e12
+
+
 @dataclass
 class SolverSettings:
     max_iterations: int = 100
     rel_cost_tol: float = 1e-9
     dx_tol: float = 1e-10
     init_lambda: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-    max_lambda: float = 1e12
 
 
 @dataclass
@@ -600,28 +604,28 @@ def optimize(graph: FactorGraph, initial: Values,
 
         solve = _damped_solver(band)
         accepted = False
-        while lam <= settings.max_lambda:
+        while lam <= MAX_LAMBDA:
             try:
                 delta = solve(lam, -g)
             except np.linalg.LinAlgError:
-                lam *= settings.lambda_up
+                lam *= LAMBDA_UP
                 continue
             candidate = _retract_all(states, layout.columns, delta)
             try:
                 J_cand, r_cand = lin(candidate)
             except manifold.NearSingularError:
                 # candidate stepped onto a singular chart; damp harder
-                lam *= settings.lambda_up
+                lam *= LAMBDA_UP
                 continue
             new_cost = float(r_cand @ r_cand)
             if np.isfinite(new_cost) and new_cost <= cost:
                 states, J, r = candidate, J_cand, r_cand
                 prev_cost = cost
                 cost = new_cost
-                lam = max(lam / settings.lambda_down, 1e-15)
+                lam = max(lam / LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
-            lam *= settings.lambda_up
+            lam *= LAMBDA_UP
         report.iterations = it + 1
         if not accepted:
             break

@@ -60,6 +60,11 @@ class Keyframe:
     target_key: VariableKey
     trigger: str  # MEASUREMENT | TIME_GATE
     meas_kinds: tuple[str, ...] = ()
+    # USBL/OPTICAL records at this keyframe, in stream order
+    records: tuple[MeasurementRecord, ...] = ()
+    # composed odometry and effective record count since the previous
+    # keyframe; None on the first
+    odometry: tuple[Pose3, float] | None = None
 
     @property
     def group(self) -> str:
@@ -103,56 +108,61 @@ class TrajectoryEstimate:
     report: SolveReport
 
 
-def _tkey(t: float) -> float:
-    return round(t, 9)
-
-
 def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
                        policy: ModePolicy | None = None,
                        until: float | None = None) -> list[Keyframe]:
     """One keyframe per relative measurement plus time-gated fillers.
 
     A gated keyframe is inserted every `gate` seconds inside any measurement
-    gap longer than the gate (and out to `until`, when given).
+    gap longer than the gate (and out to `until`, when given). Each keyframe
+    carries its relative-measurement records and the odometry composed since
+    the previous keyframe; this is the only pass over the stream.
     """
     policy = policy or ModePolicy()
+
+    def _tkey(t: float) -> float:
+        return round(t, 9)
+
     # The tolerance is measured from the latest time seen, so that small
     # steps back cannot add up.
     latest = -math.inf
-    events: dict[float, set[str]] = {}
+    events: dict[float, list[MeasurementRecord]] = {}
     for rec in measurements:
         if rec.timestamp < latest - 1e-9:
             raise StreamOrderError(
                 f"measurement at t={rec.timestamp} arrived after t={latest}")
         latest = max(latest, rec.timestamp)
         if rec.kind in ("USBL", "OPTICAL"):
-            events.setdefault(_tkey(rec.timestamp), set()).add(rec.kind)
+            events.setdefault(_tkey(rec.timestamp), []).append(rec)
 
     times = sorted(events)
     if not times:
         raise NeedsPriorError("stream contains no relative measurements")
 
-    # (time, kinds, trigger) with gate fillers interleaved
-    slots: list[tuple[float, tuple[str, ...], str]] = []
+    # (time, records, trigger) with gate fillers interleaved
+    slots: list[tuple[float, list[MeasurementRecord], str]] = []
     horizon = times + ([until] if until is not None and until > times[-1] else [])
     prev = None
     for t in horizon:
         if prev is not None:
             g = prev + gate
             while t - g > 1e-9:
-                slots.append((g, (), "TIME_GATE"))
+                slots.append((g, [], "TIME_GATE"))
                 g += gate
-        if _tkey(t) in events:
-            slots.append((t, tuple(sorted(events[_tkey(t)])), "MEASUREMENT"))
+        recs = events.get(_tkey(t))
+        if recs is not None:
+            slots.append((t, recs, "MEASUREMENT"))
         elif not slots or abs(slots[-1][0] - t) > 1e-9:
-            slots.append((t, (), "TIME_GATE"))  # terminal gate at `until`
+            slots.append((t, [], "TIME_GATE"))  # terminal gate at `until`
         prev = t
 
+    odo = _OdometrySpline(measurements)
     keyframes: list[Keyframe] = []
     next_id = 0
     repr_tag = "R3" if policy.mode == "B" else "SE3"
     non_optical = 0
-    for t, kinds, trigger in slots:
+    for t, recs, trigger in slots:
+        kinds = tuple(sorted({r.kind for r in recs}))
         if policy.mode == "B":
             if "OPTICAL" in kinds:
                 repr_tag, non_optical = "SE3", 0
@@ -164,8 +174,10 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
         ck = VariableKey(id=next_id, kind=SE3, timestamp=t)
         tk = VariableKey(id=next_id + 1, kind=target_kind, timestamp=t)
         next_id += 2
+        odometry = odo.relative(keyframes[-1].timestamp, t) if keyframes else None
         keyframes.append(Keyframe(timestamp=t, chaser_key=ck, target_key=tk,
-                                  trigger=trigger, meas_kinds=kinds))
+                                  trigger=trigger, meas_kinds=kinds,
+                                  records=tuple(recs), odometry=odometry))
     return keyframes
 
 
@@ -222,49 +234,25 @@ class _OdometrySpline:
         return out, n_eff
 
 
-def _compose_intervals(keyframes: list[Keyframe],
-                       measurements: list[MeasurementRecord]
-                       ) -> list[tuple[Pose3, float]]:
-    """Composed odometry and effective record count per keyframe interval."""
-    odo = _OdometrySpline(measurements)
-    return [odo.relative(prev.timestamp, kf.timestamp)
-            for prev, kf in zip(keyframes, keyframes[1:])]
-
-
 # ---------------------------------------------------------------------------
 # Initialization.
 
 
 def initialize_values(keyframes: list[Keyframe],
-                      measurements: list[MeasurementRecord],
-                      config: TrackingConfig, *,
-                      odometry: list[tuple[Pose3, float]] | None = None
-                      ) -> Values:
-    """Dead-reckoned chaser chain plus measurement/extrapolation target seeds.
-
-    `odometry` is the composed odometry of each consecutive keyframe
-    interval, as `build_graph` computes it; it is composed here when absent.
-    """
+                      config: TrackingConfig) -> Values:
+    """Dead-reckoned chaser chain plus measurement/extrapolation target seeds."""
     if not keyframes:
         raise NeedsPriorError("no keyframes to initialize")
-    if odometry is None:
-        odometry = _compose_intervals(keyframes, measurements)
-    by_time: dict[float, list[MeasurementRecord]] = {}
-    for rec in measurements:
-        if rec.kind in ("USBL", "OPTICAL"):
-            by_time.setdefault(_tkey(rec.timestamp), []).append(rec)
-
     values = Values()
     chaser = config.chaser_start
     prev_states: list[tuple[float, object]] = []  # (t, target element)
-    for i, kf in enumerate(keyframes):
-        if i > 0:
-            chaser = manifold.compose(chaser, odometry[i - 1][0])
+    for kf in keyframes:
+        if kf.odometry is not None:
+            chaser = manifold.compose(chaser, kf.odometry[0])
         values.set(kf.chaser_key, chaser)
 
-        recs = by_time.get(_tkey(kf.timestamp), [])
-        opt = next((r for r in recs if r.kind == "OPTICAL"), None)
-        usbl = next((r for r in recs if r.kind == "USBL"), None)
+        opt = next((r for r in kf.records if r.kind == "OPTICAL"), None)
+        usbl = next((r for r in kf.records if r.kind == "USBL"), None)
         target = _seed_target(kf, chaser, opt, usbl, prev_states, config)
         values.set(kf.target_key, target)
         prev_states.append((kf.timestamp, target))
@@ -393,16 +381,13 @@ def extrapolate(prev, curr, dt1: float, horizon: float, kind=None):
 # Graph building.
 
 
-def build_graph(keyframes: list[Keyframe],
-                measurements: list[MeasurementRecord],
-                policy: ModePolicy,
+def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
                 config: TrackingConfig) -> tuple[FactorGraph, Values]:
-    """Assembles the joint chaser/target smoothing graph and its initial values."""
+    """Assembles the joint chaser/target smoothing graph and its initial values
+    from the records and odometry that `schedule_keyframes` attached."""
     if not keyframes:
         raise NeedsPriorError("no keyframes")
-    odometry = _compose_intervals(keyframes, measurements)
-    values = initialize_values(keyframes, measurements, config,
-                               odometry=odometry)
+    values = initialize_values(keyframes, config)
     graph = FactorGraph()
 
     # Chaser chain: anchor prior plus composed odometry.
@@ -411,24 +396,17 @@ def build_graph(keyframes: list[Keyframe],
     graph.add(prior_factor(keyframes[0].chaser_key, config.chaser_start, cp_cov))
     odom_cov_unit = np.diag([config.odom_sigma_pos ** 2] * 3
                             + [config.odom_sigma_rot ** 2] * 3)
-    for prev, kf, (rel, n_eff) in zip(keyframes, keyframes[1:], odometry):
+    for prev, kf in zip(keyframes, keyframes[1:]):
+        rel, n_eff = kf.odometry
         cov = odom_cov_unit * max(n_eff, 0.25)
         graph.add(relative_pose_factor(prev.chaser_key, kf.chaser_key, rel, cov))
 
     # Measurement factors.
-    by_time: dict[float, list[MeasurementRecord]] = {}
-    for rec in measurements:
-        if rec.kind in ("USBL", "OPTICAL"):
-            by_time.setdefault(_tkey(rec.timestamp), []).append(rec)
-    kf_by_time = {_tkey(kf.timestamp): kf for kf in keyframes}
     usbl_cov = np.eye(3) * config.usbl_sigma ** 2
     opt_cov = np.diag([config.optical_sigma_pos ** 2] * 3
                       + [config.optical_sigma_rot ** 2] * 3)
-    for t, recs in by_time.items():
-        kf = kf_by_time.get(t)
-        if kf is None:
-            continue
-        for rec in recs:
+    for kf in keyframes:
+        for rec in kf.records:
             if rec.kind == "USBL":
                 graph.add(usbl_factor(
                     kf.chaser_key, kf.target_key, rec.payload,
@@ -438,15 +416,13 @@ def build_graph(keyframes: list[Keyframe],
                     kf.chaser_key, kf.target_key, rec.payload,
                     rec.covariance if rec.covariance is not None else opt_cov))
 
-    # Target chain: initial prior, constant-twist links, mode extras.
+    # Target chain: initial prior, constant-twist links, Mode A's roll-pitch.
     _add_target_prior(graph, keyframes[0], config)
+    _add_target_chain(graph, values, keyframes, config)
     if policy.mode == "A":
-        _add_ct_chain(graph, [kf.target_key for kf in keyframes], config)
         rp_spec = RollPitchSpec(covariance=np.eye(2) * config.rp_sigma ** 2)
         for kf in keyframes:
             graph.add(roll_pitch_factor(kf.target_key, rp_spec))
-    else:
-        _add_mode_b_chain(graph, values, keyframes, config)
     return graph, values
 
 
@@ -473,13 +449,14 @@ def _add_ct_chain(graph, keys: list[VariableKey], config: TrackingConfig):
         graph.add(ct_factor((ka, kb, kc), spec))
 
 
-def _add_mode_b_chain(graph, values: Values, keyframes: list[Keyframe],
+def _add_target_chain(graph, values: Values, keyframes: list[Keyframe],
                       config: TrackingConfig):
     """Per-representation ct runs with twin-variable boundary transitions.
 
     At each R^3 <-> SE(3) switch, the outgoing chain is extended by a twin
     variable at the switch instant and tied to the new state by a
-    translation-equality boundary factor.
+    translation-equality boundary factor. Mode A is the single-run case: one
+    SE(3) ct chain over every target key and no transitions.
     """
     runs: list[list[Keyframe]] = []
     for kf in keyframes:
@@ -566,6 +543,20 @@ def _group_stats(pos: np.ndarray, ang: np.ndarray) -> GroupStats:
         ang_count=int(ang_ok.size))
 
 
+def _true_relative(truth, t: float, tol: float):
+    """The true chaser-frame target offset and relative rotation at the truth
+    sample nearest `t`, or None when no sample lies within `tol`."""
+    try:
+        j = truth.index_at(t)
+    except ValueError:
+        return None
+    if abs(truth.times[j] - t) > tol:
+        return None
+    C_t, T_t = truth.chaser[j], truth.target[j]
+    R_c = C_t.rotation.matrix.T
+    return R_c @ (T_t.translation - C_t.translation), R_c @ T_t.rotation.matrix
+
+
 def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorReport:
     """Relative position/angle errors against ground truth, grouped by
     keyframe type (USBL / OPTICAL / GATE / ALL)."""
@@ -574,21 +565,16 @@ def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorRepo
     ang_err = np.full(n, np.nan)
     matched = np.zeros(n, dtype=bool)
     for i, kf in enumerate(estimate.keyframes):
-        try:
-            j = truth.index_at(kf.timestamp)
-        except ValueError:
-            continue
-        if abs(truth.times[j] - kf.timestamp) > tol:
+        true = _true_relative(truth, kf.timestamp, tol)
+        if true is None:
             continue
         matched[i] = True
-        C_t, T_t = truth.chaser[j], truth.target[j]
-        rel_t = C_t.rotation.matrix.T @ (T_t.translation - C_t.translation)
+        rel_t, R_rel_t = true
         pos_err[i] = np.linalg.norm(estimate.rel_positions[i] - rel_t)
         S = estimate.target_states[i]
         if isinstance(S, Pose3):
             C_e = estimate.chaser_poses[i]
             R_rel_e = C_e.rotation.matrix.T @ S.rotation.matrix
-            R_rel_t = C_t.rotation.matrix.T @ T_t.rotation.matrix
             ang_err[i] = np.linalg.norm(manifold.log_so3(
                 manifold.Rotation3(R_rel_e.T @ R_rel_t)))
     if not matched.any():
@@ -610,21 +596,16 @@ def measurement_baselines(measurements: list[MeasurementRecord], truth,
     for rec in measurements:
         if rec.kind not in rows:
             continue
-        try:
-            j = truth.index_at(rec.timestamp)
-        except ValueError:
+        true = _true_relative(truth, rec.timestamp, tol)
+        if true is None:
             continue
-        if abs(truth.times[j] - rec.timestamp) > tol:
-            continue
-        C_t, T_t = truth.chaser[j], truth.target[j]
-        rel_t = C_t.rotation.matrix.T @ (T_t.translation - C_t.translation)
+        rel_t, R_rel_t = true
         if rec.kind == "USBL":
             rows["USBL"][0].append(np.linalg.norm(rec.payload - rel_t))
             rows["USBL"][1].append(np.nan)
         else:
             z: Pose3 = rec.payload
             rows["OPTICAL"][0].append(np.linalg.norm(z.translation - rel_t))
-            R_rel_t = C_t.rotation.matrix.T @ T_t.rotation.matrix
             rows["OPTICAL"][1].append(np.linalg.norm(manifold.log_so3(
                 manifold.Rotation3(z.rotation.matrix.T @ R_rel_t))))
     return {k: _group_stats(np.asarray(p), np.asarray(a))

@@ -78,7 +78,7 @@ def run_pipeline(cfg, mode, gate=2.0, records=None, truth=None, until=None):
     tcfg = TrackingConfig(target_start=cfg.target_start, gate=gate)
     policy = ModePolicy(mode=mode)
     kfs = schedule_keyframes(records, gate=gate, policy=policy, until=until)
-    graph, values = build_graph(kfs, records, policy, tcfg)
+    graph, values = build_graph(kfs, policy, tcfg)
     est = smooth(graph, values, SolverSettings(), kfs)
     return truth, records, kfs, est
 

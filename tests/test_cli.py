@@ -1,5 +1,7 @@
 """End-to-end command-line interface checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,14 @@ class TestUnitCircle:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert variant in out and "arc distance" in out
+
+    @pytest.mark.parametrize("variant", ["EXTRAPOLATE", "INTERPOLATE", "CHAIN"])
+    def test_printed_cost_does_not_rise_at_zero_sigma(self, variant, capsys):
+        """Both printed costs come from the solver's own residual, so a solve
+        that accepts no worse step never prints an increase."""
+        rc = main(["unit-circle", "--variant", variant, "--sigma", "0"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        m = re.search(r"cost (\S+) -> (\S+) in", out)
+        assert m is not None, out
+        assert float(m.group(2)) <= float(m.group(1))

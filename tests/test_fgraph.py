@@ -621,7 +621,7 @@ class TestDampedSolve:
         solution, report = optimize(graph, values, settings)
         assert report.converged
         np.testing.assert_allclose(diagonals[1] - diagonals[0],
-                                   (settings.lambda_up - 1.0)
+                                   (fgraph.LAMBDA_UP - 1.0)
                                    * settings.init_lambda, rtol=1e-9)
         x = np.concatenate([solution.get(k).coords for k in keys])
         np.testing.assert_allclose(x, x_ref, atol=1e-8)

@@ -85,7 +85,7 @@ def smoothed_estimate(mode):
     tcfg = TrackingConfig(target_start=cfg.target_start)
     policy = ModePolicy(mode=mode)
     kfs = schedule_keyframes(records, gate=tcfg.gate, policy=policy)
-    graph, values = build_graph(kfs, records, policy, tcfg)
+    graph, values = build_graph(kfs, policy, tcfg)
     return smooth(graph, values, SolverSettings(), kfs), truth, records
 
 

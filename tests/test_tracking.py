@@ -271,14 +271,14 @@ class TestInitialization:
         z = M.exp_se3(np.array([2.0, 1.0, 0.0, 0.0, 0.0, 0.3]))
         recs = [optical(0.0, z), usbl(1.0)]
         kfs = schedule_keyframes(recs, gate=1.0)
-        values = initialize_values(kfs, recs, TrackingConfig())
+        values = initialize_values(kfs, TrackingConfig())
         seeded = values.get(kfs[0].target_key)
         np.testing.assert_allclose(seeded.matrix(), z.matrix(), atol=1e-12)
 
     def test_usbl_seed_places_target_in_world(self):
         recs = [usbl(0.0, (5.0, 1.0, -2.0)), usbl(1.0, (5.0, 1.0, -2.0))]
         kfs = schedule_keyframes(recs, gate=1.0, policy=ModePolicy(mode="B"))
-        values = initialize_values(kfs, recs, TrackingConfig())
+        values = initialize_values(kfs, TrackingConfig())
         seeded = values.get(kfs[0].target_key)
         np.testing.assert_allclose(seeded.coords, [5.0, 1.0, -2.0], atol=1e-12)
 
@@ -286,7 +286,7 @@ class TestInitialization:
         recs = [usbl(0.0, (1.0, 0.0, 0.0)), usbl(1.0, (2.0, 0.0, 0.0)),
                 usbl(4.0, (0.0, 0.0, 0.0))]
         kfs = schedule_keyframes(recs, gate=1.0, policy=ModePolicy(mode="B"))
-        values = initialize_values(kfs, recs, TrackingConfig())
+        values = initialize_values(kfs, TrackingConfig())
         gate_kfs = [kf for kf in kfs if kf.trigger == "TIME_GATE"]
         # seeds at t=2, 3 continue the (1,0,0) -> (2,0,0) drift
         np.testing.assert_allclose(values.get(gate_kfs[0].target_key).coords,
@@ -299,7 +299,7 @@ class TestInitialization:
         recs = [odom(1.0, step), usbl(0.0), odom(2.0, step), usbl(2.0)]
         recs.sort(key=lambda r: r.timestamp)
         kfs = schedule_keyframes(recs, gate=5.0)
-        values = initialize_values(kfs, recs, TrackingConfig())
+        values = initialize_values(kfs, TrackingConfig())
         c0 = values.get(kfs[0].chaser_key)
         c1 = values.get(kfs[1].chaser_key)
         np.testing.assert_allclose(c0.matrix(), np.eye(4), atol=1e-12)
@@ -315,7 +315,7 @@ class TestBuildGraph:
         tcfg = TrackingConfig(target_start=cfg.target_start)
         policy = ModePolicy(mode=mode)
         kfs = schedule_keyframes(recs, gate=tcfg.gate, policy=policy)
-        graph, values = build_graph(kfs, recs, policy, tcfg)
+        graph, values = build_graph(kfs, policy, tcfg)
         return truth, recs, kfs, graph, values, tcfg
 
     def test_mode_a_factor_census(self):
@@ -351,7 +351,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_initial_values_match_standalone_initialization(self, mode):
         _, recs, kfs, _, values, tcfg = self._pipeline(mode)
-        alone = initialize_values(kfs, recs, tcfg)
+        alone = initialize_values(kfs, tcfg)
         for kf in kfs:
             for key in (kf.chaser_key, kf.target_key):
                 a, b = values.get(key), alone.get(key)
@@ -362,16 +362,57 @@ class TestBuildGraph:
                     assert np.array_equal(a.coords, b.coords)
 
     def test_build_graph_initializes_through_module_attribute(self, monkeypatch):
+        """Profilers time initialization by wrapping the module attribute."""
         seen = []
         init = tracking.initialize_values
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("odometry"))
+            seen.append(args)
             return init(*args, **kwargs)
 
         monkeypatch.setattr(tracking, "initialize_values", spy)
-        _, _, kfs, _, _, _ = self._pipeline("B")
-        assert len(seen) == 1 and len(seen[0]) == len(kfs) - 1
+        _, _, kfs, _, values, _ = self._pipeline("B")
+        assert len(seen) == 1 and seen[0][0] is kfs
+        assert all(k in values for kf in kfs
+                   for k in (kf.chaser_key, kf.target_key))
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_every_record_sits_in_one_keyframe(self, mode):
+        _, recs, kfs, _, _, _ = self._pipeline(mode)
+        relative = [r for r in recs if r.kind in ("USBL", "OPTICAL")]
+        carried = [r for kf in kfs for r in kf.records]
+        assert len(carried) == len(relative)
+        assert all(a is b for a, b in zip(carried, relative))
+        for kf in kfs:
+            assert all(abs(r.timestamp - kf.timestamp) <= 1e-9
+                       for r in kf.records)
+            assert kf.meas_kinds == tuple(sorted({r.kind for r in kf.records}))
+            assert (kf.trigger == "MEASUREMENT") == bool(kf.records)
+        assert kfs[0].odometry is None
+        assert all(kf.odometry is not None for kf in kfs[1:])
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_one_measurement_factor_per_record(self, mode):
+        _, _, kfs, graph, _, _ = self._pipeline(mode)
+        chaser = {kf.chaser_key for kf in kfs}
+        measured = [f for f in graph.factors if len(f.keys) == 2
+                    and f.keys[0] in chaser and f.keys[1] not in chaser
+                    and f.name.split("[")[0] in ("usbl", "relpose")]
+        expected = [("usbl" if r.kind == "USBL" else "relpose",
+                     (kf.chaser_key, kf.target_key))
+                    for kf in kfs for r in kf.records]
+        assert [(f.name.split("[")[0], f.keys) for f in measured] == expected
+
+    def test_mode_a_target_chain_is_one_run(self):
+        _, _, kfs, graph, _, _ = self._pipeline("A")
+        targets = [kf.target_key for kf in kfs]
+        target_set = set(targets)
+        tail = [(f.name.split("[")[0], f.keys) for f in graph.factors
+                if set(f.keys) <= target_set
+                and not f.name.startswith("prior")]
+        assert tail == ([("ct", tuple(targets[i:i + 3]))
+                         for i in range(len(targets) - 2)]
+                        + [("rollpitch", (k,)) for k in targets])
 
     def test_mode_b_has_boundaries_and_mixed_kinds(self):
         truth, recs, kfs, graph, values, _ = self._pipeline("B")
@@ -418,7 +459,7 @@ class TestMetrics:
         policy = ModePolicy(mode="A")
         tcfg = TrackingConfig(target_start=cfg.target_start)
         kfs = schedule_keyframes(recs, gate=tcfg.gate, policy=policy)
-        graph, values = build_graph(kfs, recs, policy, tcfg)
+        graph, values = build_graph(kfs, policy, tcfg)
         est = smooth(graph, values, SolverSettings(), kfs)
         rep = metrics(est, truth)
         total = sum(rep.groups[g].count for g in ("USBL", "OPTICAL", "GATE"))
@@ -430,7 +471,7 @@ class TestMetrics:
         truth = generate_ground_truth(cfg)
         recs = [usbl(1000.0), usbl(1001.0)]
         kfs = schedule_keyframes(recs, gate=5.0)
-        values = initialize_values(kfs, recs, TrackingConfig())
+        values = initialize_values(kfs, TrackingConfig())
         from twistgraph.tracking import TrajectoryEstimate
         from twistgraph.fgraph import SolveReport
         est = TrajectoryEstimate(
