@@ -20,7 +20,7 @@ from .fgraph import UnderconstrainedGraphError, optimize
 from .formats import ConfigError, RunConfig
 from .manifold import NearSingularError
 from .simkit import TwistSegment
-from .tracking import ModePolicy, NeedsPriorError, StreamOrderError
+from .tracking import NeedsPriorError, StreamOrderError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,7 +72,7 @@ def cmd_smooth(args) -> int:
     cfg = _load(args, mode=args.mode, gate=args.gate)
     tracking_cfg = cfg.tracking_config()
     records = formats.read_measurements(args.meas)
-    policy = ModePolicy(mode=cfg.mode, down_after=cfg.down_after)
+    policy = cfg.mode_policy()
     keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=policy)
     graph, initial = tracking.build_graph(keyframes, policy, tracking_cfg)
     estimate = tracking.smooth(graph, initial, cfg.solver_settings(), keyframes)

@@ -84,7 +84,6 @@ class ConstantTwistSpec:
 class RollPitchSpec:
     covariance: np.ndarray = field(
         default_factory=lambda: np.eye(2) * NoiseSigmas().rp_sigma ** 2)
-    selection: np.ndarray = field(default_factory=lambda: _S_RP.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,6 @@ def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
         raise ValueError("constant-twist keys must have strictly increasing timestamps")
 
     dt1, dt2 = spec.dt1, spec.dt2
-    alpha = dt2 / dt1
 
     def residual(values: Values) -> np.ndarray:
         return ct_residual(values.get(k_prev), values.get(k_curr),
@@ -172,7 +170,8 @@ def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
                   jacobian_fn=jacobian,
                   noise=NoiseModel(spec.effective_covariance()),
                   name=f"ct[{k_prev.id},{k_curr.id},{k_next.id}]",
-                  family=_CT_FAMILIES.get(kind.tag), family_params=(alpha,))
+                  family=_CT_FAMILIES.get(kind.tag),
+                  family_params=(spec.alpha,))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +288,13 @@ def roll_pitch_factor(target_key: VariableKey,
     if target_key.kind.tag != "SE3":
         raise ManifoldMismatchError("roll-pitch factor needs an SE(3) key")
     spec = spec or RollPitchSpec()
-    S = spec.selection
 
     def _log_upright(R: np.ndarray) -> np.ndarray:
         return manifold.log_so3(manifold.Rotation3(R.T @ _rz(yaw_of(R))))
 
     def residual(values: Values) -> np.ndarray:
         R = values.get(target_key).rotation.matrix
-        return S @ _log_upright(R)
+        return _S_RP @ _log_upright(R)
 
     def jacobian(values: Values):
         R = values.get(target_key).rotation.matrix
@@ -307,14 +305,14 @@ def roll_pitch_factor(target_key: VariableKey,
         d_r00 = -(R[0, :] @ _SKEW_E0)
         d_r10 = -(R[1, :] @ _SKEW_E0)
         d_psi = (r00 * d_r10 - r10 * d_r00) / denom
-        J_theta = S @ (-manifold.jl_inv_so3(E)
-                       + manifold.jr_inv_so3(E) @ np.outer(_E2, d_psi))
+        J_theta = _S_RP @ (-manifold.jl_inv_so3(E)
+                           + manifold.jr_inv_so3(E) @ np.outer(_E2, d_psi))
         return (np.hstack([np.zeros((2, 3)), J_theta]),)
 
     return Factor(keys=(target_key,), residual_fn=residual,
                   jacobian_fn=jacobian, noise=NoiseModel(spec.covariance),
                   name=f"rollpitch[{target_key.id}]",
-                  family=_roll_pitch_batch, family_params=(S,))
+                  family=_roll_pitch_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +444,6 @@ def _usbl_rn_batch(params, states):
 
 
 def _roll_pitch_batch(params, states):
-    (S,) = params
     ((R, _),) = states
     pitch = -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0))
     locked = np.abs(pitch) > np.pi / 2 - _GIMBAL_TOL
@@ -465,10 +462,10 @@ def _roll_pitch_batch(params, states):
     d_r10 = -(R[:, 1, :] @ _SKEW_E0)
     e2_d_psi = np.zeros_like(R)  # np.outer(_E2, d_psi) per row
     e2_d_psi[:, 2, :] = (r00 * d_r10 - r10 * d_r00) / (r00 * r00 + r10 * r10)
-    J_theta = S @ (-manifold.jl_inv_so3_batch(E)
-                   + manifold.jr_inv_so3_batch(E) @ e2_d_psi)
+    J_theta = _S_RP @ (-manifold.jl_inv_so3_batch(E)
+                       + manifold.jr_inv_so3_batch(E) @ e2_d_psi)
     J = np.concatenate([np.zeros(J_theta.shape), J_theta], axis=2)
-    return (S @ E[:, :, None])[:, :, 0], (J,)
+    return (_S_RP @ E[:, :, None])[:, :, 0], (J,)
 
 
 def _boundary_batch(params, states):

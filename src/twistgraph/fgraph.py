@@ -634,15 +634,12 @@ def optimize(graph: FactorGraph, initial: Values,
         if rel_drop < settings.rel_cost_tol or np.max(np.abs(delta)) < settings.dx_tol:
             report.converged = True
             break
-    else:
-        report.converged = False
 
-    if not report.converged and report.cost_trace:
+    if not report.converged and len(report.cost_trace) >= 2:
         # A rejected final step with an already-tiny gradient still counts.
-        if len(report.cost_trace) >= 2:
-            rel = (report.cost_trace[-2] - report.cost_trace[-1]) / max(
-                report.cost_trace[-2], 1e-300)
-            report.converged = rel < settings.rel_cost_tol
+        rel = (report.cost_trace[-2] - report.cost_trace[-1]) / max(
+            report.cost_trace[-2], 1e-300)
+        report.converged = rel < settings.rel_cost_tol
     report.final_cost = cost
     return layout.values(states, base=initial), report
 

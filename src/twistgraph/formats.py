@@ -16,8 +16,9 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
-from .tracking import MeasurementRecord, TrackingConfig, TrajectoryEstimate
-from .factors import MeasurementSigmas, NoiseSigmas
+from .tracking import (
+    MeasurementRecord, ModePolicy, TrackingConfig, TrajectoryEstimate)
+from .factors import NoiseSigmas
 from .fgraph import SolverSettings
 
 
@@ -238,14 +239,11 @@ def write_metrics(path, groups: dict, baselines: dict) -> None:
         w = csv.writer(fh)
         w.writerow(["row", "group", "mean_pos", "std_pos", "count",
                     "mean_ang", "std_ang", "ang_count"])
-        for g, s in groups.items():
-            w.writerow(["estimate", g, f"{s.mean_pos:.6g}", f"{s.std_pos:.6g}",
-                        s.count, f"{s.mean_ang:.6g}", f"{s.std_ang:.6g}",
-                        s.ang_count])
-        for g, s in baselines.items():
-            w.writerow(["baseline", g, f"{s.mean_pos:.6g}", f"{s.std_pos:.6g}",
-                        s.count, f"{s.mean_ang:.6g}", f"{s.std_ang:.6g}",
-                        s.ang_count])
+        for label, d in (("estimate", groups), ("baseline", baselines)):
+            for g, s in d.items():
+                w.writerow([label, g, f"{s.mean_pos:.6g}", f"{s.std_pos:.6g}",
+                            s.count, f"{s.mean_ang:.6g}", f"{s.std_ang:.6g}",
+                            s.ang_count])
 
 
 def metrics_table(groups: dict, baselines: dict) -> str:
@@ -264,41 +262,26 @@ def metrics_table(groups: dict, baselines: dict) -> str:
 # Run configuration: flat key=value text plus command-line overrides.
 
 
-@dataclass
-class RunConfig(NoiseSigmas):
-    mode: str = "A"
-    gate: float = 1.0
-    seed: int = 0
-    # scenario
+@dataclass(kw_only=True)
+class RunConfig(TrackingConfig, ScenarioConfig, SolverSettings, ModePolicy):
+    """Every setting of a run, one config key each.
+
+    The defaults are the library configs': TrackingConfig precedes
+    ScenarioConfig so that its chaser_start default fills ScenarioConfig's
+    required field. RunConfig declares only what no library config holds.
+    """
+
     duration: float = 320.0
-    dt: float = 0.05
-    odom_rate_hz: float = 10.0
-    usbl_rate_hz: float = 0.5
-    optical_rate_hz: float = 2.0
-    optical_windows: list = field(default_factory=list)  # [(a, b), ...]
-    gaps: list = field(default_factory=list)
-    chaser_start: Pose3 = field(default_factory=Pose3.identity)
+    gate: float = 1.0  # schedule_keyframes' gate
+    # The CLI anchors the target at the scenario start; TrackingConfig's
+    # None means no target prior.
     target_start: Pose3 = field(default_factory=Pose3.identity)
+    # empty lists: the CLI fills in its default rendezvous
     chaser_segments: list = field(default_factory=list)  # [TwistSegment, ...]
     target_segments: list = field(default_factory=list)
-    # estimation (the noise sigmas come from NoiseSigmas)
-    down_after: int = 1
-    # solver
-    max_iterations: int = 100
-    rel_cost_tol: float = 1e-9
-    dx_tol: float = 1e-10
-    init_lambda: float = 1e-4
 
     def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            chaser_start=self.chaser_start, target_start=self.target_start,
-            chaser_segments=self.chaser_segments,
-            target_segments=self.target_segments,
-            dt=self.dt, odom_rate_hz=self.odom_rate_hz,
-            usbl_rate_hz=self.usbl_rate_hz,
-            optical_rate_hz=self.optical_rate_hz,
-            optical_windows=self.optical_windows, gaps=self.gaps,
-            seed=self.seed, **_sigmas(self, MeasurementSigmas))
+        return _project(self, ScenarioConfig)
 
     def tracking_config(self) -> TrackingConfig:
         """Smoothing settings. Every sigma weights a factor that smoothing
@@ -307,23 +290,21 @@ class RunConfig(NoiseSigmas):
             if getattr(self, name) == 0:
                 raise ConfigError(
                     f"{name} must be positive to smooth, got 0")
-        return TrackingConfig(
-            chaser_start=self.chaser_start, target_start=self.target_start,
-            gate=self.gate, **_sigmas(self, NoiseSigmas))
+        return _project(self, TrackingConfig)
 
     def solver_settings(self) -> SolverSettings:
-        return SolverSettings(
-            max_iterations=self.max_iterations,
-            rel_cost_tol=self.rel_cost_tol, dx_tol=self.dx_tol,
-            init_lambda=self.init_lambda)
+        return _project(self, SolverSettings)
+
+    def mode_policy(self) -> ModePolicy:
+        return _project(self, ModePolicy)
 
 
 _SIGMAS = tuple(f.name for f in fields(NoiseSigmas))
 
 
-def _sigmas(cfg: RunConfig, table: type) -> dict:
-    """The sigmas of `table` (MeasurementSigmas or NoiseSigmas) in `cfg`."""
-    return {f.name: getattr(cfg, f.name) for f in fields(table)}
+def _project(cfg: RunConfig, cls: type):
+    """A `cls` library config holding `cfg`'s values of its fields."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 def _parse_pose(text: str) -> Pose3:

@@ -402,24 +402,6 @@ def identity_element(kind: ManifoldKind):
     return EuclidPoint(np.zeros(kind.dim))
 
 
-def exp(kind: ManifoldKind, delta: np.ndarray):
-    if kind.tag == "SE3":
-        return exp_se3(delta)
-    if kind.tag == "SO3":
-        return exp_so3(delta)
-    delta = np.asarray(delta, dtype=float)
-    _check_finite(delta)
-    return EuclidPoint(delta)
-
-
-def log(kind: ManifoldKind, X) -> np.ndarray:
-    if kind.tag == "SE3":
-        return log_se3(X)
-    if kind.tag == "SO3":
-        return log_so3(X)
-    return np.array(X.coords, dtype=float)
-
-
 def oplus(kind: ManifoldKind, X, delta: np.ndarray):
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (kind.dim,):

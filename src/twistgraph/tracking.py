@@ -50,7 +50,6 @@ class MeasurementRecord:
     timestamp: float
     kind: str  # ODOM | USBL | OPTICAL
     payload: object  # Pose3 for ODOM/OPTICAL, 3-vector for USBL
-    covariance: np.ndarray | None = None
 
 
 @dataclass
@@ -89,7 +88,6 @@ class ModePolicy:
 class TrackingConfig(NoiseSigmas):
     chaser_start: Pose3 = field(default_factory=Pose3.identity)
     target_start: Pose3 | None = None
-    gate: float = 1.0
 
     def ct_base_cov(self, kind) -> np.ndarray:
         if kind.tag == "SE3":
@@ -409,12 +407,10 @@ def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
         for rec in kf.records:
             if rec.kind == "USBL":
                 graph.add(usbl_factor(
-                    kf.chaser_key, kf.target_key, rec.payload,
-                    rec.covariance if rec.covariance is not None else usbl_cov))
+                    kf.chaser_key, kf.target_key, rec.payload, usbl_cov))
             else:
                 graph.add(relative_pose_factor(
-                    kf.chaser_key, kf.target_key, rec.payload,
-                    rec.covariance if rec.covariance is not None else opt_cov))
+                    kf.chaser_key, kf.target_key, rec.payload, opt_cov))
 
     # Target chain: initial prior, constant-twist links, Mode A's roll-pitch.
     _add_target_prior(graph, keyframes[0], config)

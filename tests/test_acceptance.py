@@ -75,7 +75,7 @@ def run_pipeline(cfg, mode, gate=2.0, records=None, truth=None, until=None):
     truth = truth if truth is not None else generate_ground_truth(cfg)
     records = records if records is not None else synthesize_measurements(
         truth, cfg)
-    tcfg = TrackingConfig(target_start=cfg.target_start, gate=gate)
+    tcfg = TrackingConfig(target_start=cfg.target_start)
     policy = ModePolicy(mode=mode)
     kfs = schedule_keyframes(records, gate=gate, policy=policy, until=until)
     graph, values = build_graph(kfs, policy, tcfg)

@@ -791,6 +791,21 @@ class TestBandNativeSolve:
             assert str(exc.value) == ("underconstrained graph: null space "
                                       "touches variables [id=1@t=1]")
 
+    def test_pivot_threshold_is_a_thousand_shifts(self):
+        """The equilibrated [[1, c], [c, 1]] has squared second pivot
+        1 - c^2 plus about twice the 1e-12 shift, against a threshold of
+        1e3 shifts: 5e-10 flags column 1 and 5e-9 passes, so a factor of
+        1e2 or 1e4 would turn one verdict."""
+        a, b = (VariableKey(i, M.rn(1), float(i)) for i in range(2))
+
+        def band(gap):  # gap = 1 - c^2
+            return np.asfortranarray([[1.0, 1.0], [np.sqrt(1.0 - gap), 0.0]])
+
+        with pytest.raises(UnderconstrainedGraphError) as exc:
+            fgraph._check_gauge(band(5e-10), {a: 0, b: 1})
+        assert exc.value.suspect_keys == [b]
+        fgraph._check_gauge(band(5e-9), {a: 0, b: 1})
+
     @pytest.mark.parametrize("fixture", [
         mixed_graph, unanchored_chain,
         lambda rng: criterion_9_free_rotation()],

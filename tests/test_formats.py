@@ -1,7 +1,7 @@
 """File formats: pose serialization, record files, and run configuration."""
 
 import csv
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -84,7 +84,7 @@ def smoothed_estimate(mode):
     records = synthesize_measurements(truth, cfg)
     tcfg = TrackingConfig(target_start=cfg.target_start)
     policy = ModePolicy(mode=mode)
-    kfs = schedule_keyframes(records, gate=tcfg.gate, policy=policy)
+    kfs = schedule_keyframes(records, gate=1.0, policy=policy)
     graph, values = build_graph(kfs, policy, tcfg)
     return smooth(graph, values, SolverSettings(), kfs), truth, records
 
@@ -403,6 +403,61 @@ class TestRunConfig:
         assert cfg.scenario_config().usbl_sigma == 0.7
         tc = cfg.tracking_config()
         assert (tc.usbl_sigma, tc.ct_sigma_rot) == (0.7, 0.03)
+
+    # every setting besides the sigmas and the two poses, with its default
+    RUN_DEFAULTS = {
+        "mode": "A", "down_after": 1, "gate": 1.0, "seed": 0,
+        "duration": 320.0, "dt": 0.05, "odom_rate_hz": 10.0,
+        "usbl_rate_hz": 0.5, "optical_rate_hz": 2.0, "optical_windows": [],
+        "gaps": [], "chaser_segments": [], "target_segments": [],
+        "max_iterations": 100, "rel_cost_tol": 1e-9, "dx_tol": 1e-10,
+        "init_lambda": 1e-4}
+
+    def test_config_keys_and_defaults(self):
+        """parse_config takes exactly these 32 keys; writing each default
+        back as text parses to the same value and type."""
+        cfg = parse_config([])
+        sigmas = {f.name for f in fields(NoiseSigmas)}
+        keys = {f.name for f in fields(cfg)}
+        assert keys == (set(self.RUN_DEFAULTS) | sigmas
+                        | {"chaser_start", "target_start"})
+        assert len(keys) == 32
+        for name, value in self.RUN_DEFAULTS.items():
+            got = getattr(cfg, name)
+            assert (got, type(got)) == (value, type(value)), name
+        for name in ("chaser_start", "target_start"):
+            np.testing.assert_array_equal(getattr(cfg, name).matrix(),
+                                          np.eye(4))
+        for name in sorted(keys):
+            value = getattr(cfg, name)
+            text = (" ".join(pose_to_fields(value))
+                    if isinstance(value, M.Pose3)
+                    else "" if isinstance(value, list) else str(value))
+            got = getattr(parse_config([f"{name} = {text}\n"]), name)
+            if isinstance(value, M.Pose3):
+                np.testing.assert_array_equal(got.matrix(), value.matrix())
+            else:
+                assert (got, type(got)) == (value, type(value)), name
+
+    def test_each_default_is_declared_once(self):
+        """RunConfig inherits every default from the library configs and
+        declares only the settings none of them gives it."""
+        declared = {}
+        for cls in (MeasurementSigmas, NoiseSigmas, ScenarioConfig,
+                    TrackingConfig, SolverSettings, ModePolicy):
+            for name in vars(cls).get("__annotations__", {}):
+                f = cls.__dataclass_fields__[name]
+                if f.default is MISSING and f.default_factory is MISSING:
+                    continue
+                declared.setdefault(name, []).append(cls.__name__)
+        assert [n for n, owners in declared.items() if len(owners) > 1] == []
+        own = set(vars(RunConfig)["__annotations__"])
+        assert own == {"duration", "gate", "target_start", "chaser_segments",
+                       "target_segments"}
+        # ScenarioConfig requires the segment lists and the start poses;
+        # TrackingConfig's target_start default (None) means no target prior
+        assert own & set(declared) == {"target_start"}
+        assert TrackingConfig().target_start is None
 
     def test_defaults_and_adapters(self):
         cfg = parse_config([])

@@ -314,7 +314,7 @@ class TestBuildGraph:
         recs = synthesize_measurements(truth, cfg)
         tcfg = TrackingConfig(target_start=cfg.target_start)
         policy = ModePolicy(mode=mode)
-        kfs = schedule_keyframes(recs, gate=tcfg.gate, policy=policy)
+        kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
         graph, values = build_graph(kfs, policy, tcfg)
         return truth, recs, kfs, graph, values, tcfg
 
@@ -458,7 +458,7 @@ class TestMetrics:
         recs = synthesize_measurements(truth, cfg)
         policy = ModePolicy(mode="A")
         tcfg = TrackingConfig(target_start=cfg.target_start)
-        kfs = schedule_keyframes(recs, gate=tcfg.gate, policy=policy)
+        kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
         graph, values = build_graph(kfs, policy, tcfg)
         est = smooth(graph, values, SolverSettings(), kfs)
         rep = metrics(est, truth)
