@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +36,19 @@ class VariableKey:
     id: int
     kind: ManifoldKind
     timestamp: float = 0.0
+
+    def __post_init__(self):
+        # Hashed once: the solver indexes dicts and sets by key thousands of
+        # times, and the generated hash would hash the kind dataclass anew.
+        object.__setattr__(self, "_hash",
+                           hash((self.id, self.kind, self.timestamp)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the hash is the unpickling process's
+        return VariableKey, (self.id, self.kind, self.timestamp)
 
 
 class Values:
@@ -193,13 +208,11 @@ def total_cost(graph: FactorGraph, values: Values) -> float:
 
 def variable_offsets(graph: FactorGraph) -> tuple[dict[VariableKey, int], int]:
     """Tangent-space column offsets in timestamp order."""
-    ordered = sorted(graph.variables, key=lambda k: (k.timestamp, k.id))
-    offsets = {}
-    pos = 0
-    for key in ordered:
-        offsets[key] = pos
-        pos += key.kind.dim
-    return offsets, pos
+    # by timestamp, then id: two stable sorts compare numbers, not tuples
+    ordered = sorted(sorted(graph.variables, key=attrgetter("id")),
+                     key=attrgetter("timestamp"))
+    starts = [0, *accumulate(key.kind.dim for key in ordered)]
+    return dict(zip(ordered, starts)), starts[-1]
 
 
 def _describe(f: Factor) -> str:
@@ -227,19 +240,32 @@ def _take(states, rows: np.ndarray):
 class _StateLayout:
     """Every variable in one `_stack_states` stack per manifold kind.
 
-    The keys of a kind sit in column order: `row[key]` is a key's row in
-    its kind's stack and `columns[kind]` holds each row's tangent columns.
+    `offsets` lists the variables in column order, as `variable_offsets`
+    returns them, and numbers them in that order; the keys of a kind keep
+    it. Variable v is row `row[v]` of the stack of the kind numbered
+    `kind[v]` (in the order of `keys`), and `columns[kind]` holds each
+    row's tangent columns.
     """
 
     def __init__(self, offsets: dict[VariableKey, int]):
+        keys = list(offsets)
+        kinds = list(map(attrgetter("kind"), keys))
+        # A graph holds a few kind objects: they are numbered by identity,
+        # so that only one object of each is hashed, and equal ones merge.
+        number: dict[ManifoldKind, int] = {}
+        code = {i: number.setdefault(kind, len(number))
+                for i, kind in dict(zip(map(id, kinds), kinds)).items()}
+        self.kind = np.fromiter(map(code.__getitem__, map(id, kinds)),
+                                np.intp, len(keys))
+        cols = np.fromiter(offsets.values(), np.intp, len(offsets))
+        self.row = np.empty(len(offsets), dtype=np.intp)
         self.keys: dict[ManifoldKind, list[VariableKey]] = {}
-        for key in sorted(offsets, key=offsets.__getitem__):
-            self.keys.setdefault(key.kind, []).append(key)
-        self.row = {key: i for keys in self.keys.values()
-                    for i, key in enumerate(keys)}
-        self.columns = {
-            kind: np.array([offsets[k] for k in keys])[:, None]
-            + np.arange(kind.dim) for kind, keys in self.keys.items()}
+        self.columns = {}
+        for c, kind in enumerate(number):
+            at = np.flatnonzero(self.kind == c)
+            self.keys[kind] = [keys[v] for v in at.tolist()]
+            self.row[at] = np.arange(len(at))
+            self.columns[kind] = cols[at][:, None] + np.arange(kind.dim)
 
     def stack(self, values: Values) -> dict:
         return {kind: _stack_states(kind, [values.get(k) for k in keys])
@@ -273,15 +299,25 @@ class _Batch:
     cells: np.ndarray  # COO data positions of the Jacobian blocks, flat
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run of a concatenation of runs of these lengths starts,
+    with the total appended."""
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
-    The block structure never changes between iterations, so the CSR
-    layout (the COO -> CSR permutation, `indices` and `indptr`) is built
-    once and only the numeric entries are refreshed. Factors that carry a
-    family are evaluated in one batch per (family, key kinds, dim) group
-    and scattered into their rows and COO data positions; the others are
-    evaluated one by one.
+    The block structure never changes between iterations, so it is built
+    once: each factor's square-root information (its rows), family and
+    keys are read once, and every layout array is computed from those with
+    numpy. The CSR layout (the COO -> CSR permutation, `indices` and
+    `indptr`) is fixed, and only the numeric entries are refreshed.
+    Factors that carry a family are evaluated in one batch per (family, key
+    kinds, dim) group and scattered into their rows and COO data
+    positions; the others are evaluated one by one.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
     bandwidth, and `normal_band` builds that band from the whitened blocks.
@@ -291,128 +327,178 @@ class Linearizer:
     """
 
     def __init__(self, graph: FactorGraph):
-        offsets, _ = variable_offsets(graph)
+        offsets, self.total_cols = variable_offsets(graph)
         self.graph = graph
         self.offsets = offsets
-        self.layout = _StateLayout(offsets)
-        self.total_cols = sum(k.kind.dim for k in offsets)
-        self.total_rows = sum(f.dim for f in graph.factors)
+        self.layout = layout = _StateLayout(offsets)
+        factors = graph.factors
+        sqrt_infos = [f.noise.sqrt_info for f in factors]
+        families = [f.family for f in factors]
+        keys = [f.keys for f in factors]
+        col = np.fromiter(map(offsets.__getitem__, chain.from_iterable(keys)),
+                          np.intp)  # each key slot's first column
+        n_keys = np.fromiter(map(len, keys), np.intp, len(keys))
+        d = np.fromiter(map(len, sqrt_infos), np.intp, len(keys))
 
-        # (data position, first row, rows, first column, columns, factor)
-        blocks = []
-        self._entries = []  # (factor, res row slice, per-key data slices)
-        grouped: dict[tuple, list] = {}
-        pos = 0
-        row0 = 0
-        for i, f in enumerate(graph.factors):
-            d = f.dim
-            spans = []
-            for key in f.keys:
-                dk = key.kind.dim
-                blocks.append((pos, row0, d, offsets[key], dk, i))
-                spans.append(slice(pos, pos + d * dk))
-                pos += d * dk
-            entry = (f, slice(row0, row0 + d), spans)
-            self._entries.append(entry)
-            if f.family is not None:
-                group = (f.family, tuple(k.kind for k in f.keys), d)
-                grouped.setdefault(group, []).append(entry)
-            row0 += d
-        # Each block is row-major: entry j of a d x dk block sits at row
-        # row0 + j // dk and column c0 + j % dk.
-        rows = np.empty(pos, dtype=int)
-        cols = np.empty(pos, dtype=int)
-        blocks = np.array(blocks, dtype=int).reshape(-1, 6)
-        for d, dk in {(b[2], b[4]) for b in blocks.tolist()}:
-            same = blocks[(blocks[:, 2] == d) & (blocks[:, 4] == dk)]
-            j = np.arange(d * dk)
-            at = same[:, :1] + j
-            rows[at] = same[:, 1:2] + j // dk
-            cols[at] = same[:, 3:4] + j % dk
-        self._csr_layout(rows, cols)
-        # a row's columns ascend, so its span is its last minus its first
-        self.bandwidth = int(np.max(
-            self._indices[self._indptr[1:] - 1]
-            - self._indices[self._indptr[:-1]], initial=0))
-        _, first = np.unique(blocks[:, 5], return_index=True)
-        self._band_layout(blocks[first, 1], blocks[first, 2])
-        self._data = np.empty(pos)
-        self._res = np.empty(row0)
+        fac = np.repeat(np.arange(len(factors)), n_keys)  # each slot's factor
+        key0 = _starts(n_keys)  # first slot of each factor
+        row0 = _starts(d)  # first residual row of each factor
+        self.total_rows = int(row0[-1])
+        # each slot's variable, numbered in column order, and its dim
+        var_col = np.fromiter(offsets.values(), np.intp, len(offsets))
+        var = np.searchsorted(var_col, col)
+        dk = np.diff(var_col, append=self.total_cols)[var]
+        # each slot's d x dk block, row-major, back to back in the COO data
+        block0 = _starts(d[fac] * dk)
+        self._block_layout(fac, col, dk, block0, d, row0)
+        self._data = np.empty(block0[-1])
+        self._res = np.empty(self.total_rows)
+        self._spans = row0, key0, block0
 
-        self._loose = [e for e in self._entries if e[0].family is None]
+        # Batches: the factors of one family, dim and tuple of key kinds,
+        # which a factor's signature column lists (-1 past its last key).
+        code = {f: i for i, f in enumerate(dict.fromkeys(families))}
+        family = np.fromiter(map(code.__getitem__, families), np.intp,
+                             len(families))
+        signature = np.full((2 + n_keys.max(initial=0), len(factors)), -1)
+        signature[0] = family
+        signature[1] = d
+        signature[2 + np.arange(len(fac)) - key0[fac], fac] = layout.kind[var]
+        by_signature = np.lexsort(signature[::-1])
+        ordered = signature[:, by_signature]
+        new = np.ones(len(factors), dtype=bool)
+        new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        group = np.empty(len(factors), dtype=np.intp)
+        group[by_signature] = np.cumsum(new) - 1
+        self._loose = self._entries(
+            np.flatnonzero(family == code.get(None, -1)).tolist())
+        # factors share a few read-only sqrt_info arrays: stack each once
+        sqrt_id = np.fromiter(map(id, sqrt_infos), np.intp, len(factors))
         self._batches = []
-        for (family, kinds, d), entries in grouped.items():
-            fs = [f for f, _, _ in entries]
-            slots = [(kind, np.array([self.layout.row[f.keys[i]] for f in fs]))
-                     for i, kind in enumerate(kinds)]
-            # each factor's blocks sit back to back in the COO data
-            starts = np.array([spans[0].start for _, _, spans in entries])
-            width = d * sum(k.dim for k in kinds)
+        # the sort is stable, so a group's first member is its first factor
+        for i0 in np.sort(by_signature[new]).tolist():
+            if families[i0] is None:
+                continue
+            at = np.flatnonzero(group == group[i0])
+            _, one, which = np.unique(sqrt_id[at], return_index=True,
+                                      return_inverse=True)
+            slot0 = key0[at]
+            width = block0[key0[i0 + 1]] - block0[key0[i0]]
             self._batches.append(_Batch(
-                family=family,
+                family=families[i0],
                 params=tuple(np.array(p) for p in zip(
-                    *(f.family_params for f in fs))),
-                sqrt_info=np.array([f.noise.sqrt_info for f in fs]),
-                slots=slots,
-                rows=(np.array([r.start for _, r, _ in entries])[:, None]
-                      + np.arange(d)).ravel(),
-                cells=(starts[:, None] + np.arange(width)).ravel()))
+                    *(factors[i].family_params for i in at.tolist()))),
+                sqrt_info=np.array([sqrt_infos[i] for i in at[one]])[which],
+                slots=[(key.kind, layout.row[var[slot0 + i]])
+                       for i, key in enumerate(factors[i0].keys)],
+                rows=(row0[at][:, None] + np.arange(d[i0])).ravel(),
+                cells=(block0[slot0][:, None] + np.arange(width)).ravel()))
 
-    def _csr_layout(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """The COO -> CSR permutation of the Jacobian's entries.
+    def _block_layout(self, fac, col, dk, block0, d, row0) -> None:
+        """The CSR layout of J and the layout of J^T J's band, from each key
+        slot's factor, first column, dim and COO block start and each
+        factor's rows d and first row.
 
-        `_order` picks each distinct (row, column) cell's first COO entry in
-        CSR order; a factor binding one key twice has further entries on
-        the same cells, which `_dup_src` adds onto CSR positions `_dup_dst`.
         Every residual row belongs to one factor, so a factor's CSR entries
-        form one contiguous d x w block with its columns in ascending order.
+        form one contiguous d x w block X, each row holding the columns of
+        the factor's distinct keys in ascending order. `_order` picks each
+        CSR cell's COO entry; a factor binding one key twice has further
+        entries on the same cells, which `_dup_src` adds onto CSR positions
+        `_dup_dst`, in the order of a stable sort by cell.
+
+        Factors are grouped by (d, w): `cells` gathers each factor's X from
+        the CSR data, and `lower` picks the entries (p, q) of X^T X with
+        p >= q, that is col_p >= col_q, in row-major order. Each adds into
+        band[i - j, j] for i = col_p and j = col_q, kept at flat index
+        j * (bw + 1) + i - j of the (n, bw + 1) array whose transpose is the
+        band.
         """
-        order = np.argsort(rows * self.total_cols + cols, kind="stable")
-        r, c = rows[order], cols[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self._order = order[first]
-        self._dup_src = order[~first]
-        self._dup_dst = (np.cumsum(first) - 1)[~first]
-        index = np.int32 if max(len(order), self.total_cols) < 2 ** 31 \
+        n = self.total_cols
+        # each factor's slots by column; a key bound again follows its first
+        slot_cell = fac * n + col
+        by_col = np.argsort(slot_cell, kind="stable")
+        again = np.zeros(len(by_col), dtype=bool)
+        again[1:] = slot_cell[by_col[1:]] == slot_cell[by_col[:-1]]
+        distinct = by_col[~again]
+        # units: the columns of the distinct slots, factor by factor; unit u
+        # is COO entry unit_cell[u] + j * unit_dk[u] in its factor's row j
+        udk = dk[distinct]
+        unit0 = _starts(udk)
+        c = np.arange(unit0[-1]) - np.repeat(unit0[:-1], udk)
+        unit_col = np.repeat(col[distinct], udk) + c
+        unit_cell = np.repeat(block0[distinct], udk) + c
+        unit_dk = np.repeat(udk, udk)
+        fac_unit0 = unit0[_starts(np.bincount(fac[distinct],
+                                              minlength=len(d)))]
+        w = np.diff(fac_unit0)
+        row_w = np.repeat(w, d)
+        indptr = _starts(row_w)
+        # entry e of CSR row r is unit e + shift[r], COO entry
+        # unit_cell[u] + (r - first row of its factor) * unit_dk[u]
+        shift = np.repeat(fac_unit0[:-1], d) - indptr[:-1]
+        unit = np.arange(indptr[-1])
+        unit += np.repeat(shift, row_w)
+        order = np.repeat(np.arange(len(row_w)) - np.repeat(row0[:-1], d),
+                          row_w)
+        order *= unit_dk[unit]
+        order += unit_cell[unit]
+        self._order = order
+        index = np.int32 if max(block0[-1], n) < 2 ** 31 \
             else np.int64  # what scipy would choose, so it copies nothing
-        self._indices = c[first].astype(index)
-        self._indptr = np.zeros(self.total_rows + 1, dtype=index)
-        np.cumsum(np.bincount(r[first], minlength=self.total_rows),
-                  out=self._indptr[1:])
+        self._indices = unit_col[unit].astype(index)
+        self._indptr = indptr.astype(index)
 
-    def _band_layout(self, first_rows: np.ndarray, dims: np.ndarray) -> None:
-        """Gather cells and band targets of every factor's X^T X.
-
-        Factors are grouped by (rows d, CSR width w): `cells` gathers each
-        factor's d x w block X from the CSR data and `cells_t` its
-        transpose. Entry (p, q) of X^T X adds into band[i - j, j] for
-        i = col_p >= j = col_q, kept at flat index j * (bw + 1) + i - j of
-        the (n, bw + 1) array whose transpose is the band; the entries with
-        col_p < col_q go to one extra bin past the end.
-        """
-        indptr, indices = self._indptr, self._indices
-        n, m = self.total_cols, self.bandwidth + 1
-        widths = indptr[first_rows + 1] - indptr[first_rows]
+        bound = w > 0
+        # a factor's columns ascend, so its span is its last minus its first
+        self.bandwidth = int(np.max(unit_col[fac_unit0[1:][bound] - 1]
+                                    - unit_col[fac_unit0[:-1][bound]],
+                                    initial=0))
+        m = self.bandwidth + 1
+        self._band_targets = np.empty(int(w @ (w + 1)) // 2, dtype=np.intp)
         self._band_groups = []
-        targets = []
-        for d, w in sorted(set(zip(dims.tolist(), widths.tolist()))):
-            starts = indptr[first_rows[(dims == d) & (widths == w)]]
-            cells = starts[:, None, None] + np.arange(d * w).reshape(d, w)
-            cols = indices[cells[:, 0]].astype(int)
-            ci, cj = cols[:, :, None], cols[:, None, :]
-            target = ci + cj * (m - 1)
-            target[ci < cj] = n * m
-            targets.append(target.ravel())
-            self._band_groups.append(
-                (cells.ravel(), cells.transpose(0, 2, 1).ravel(), d, w))
-        self._band_targets = np.concatenate([np.empty(0, int), *targets])
+        at = 0
+        for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
+            fs = np.flatnonzero((d == dd) & (w == ww))
+            cells = indptr[row0[fs], None] + np.arange(dd * ww)
+            cols = unit_col[fac_unit0[fs, None] + np.arange(ww)]
+            p, q = np.tril_indices(ww)
+            target = self._band_targets[at:at + len(fs) * len(p)]
+            np.add(cols.take(p, axis=1), (cols * (m - 1)).take(q, axis=1),
+                   out=target.reshape(len(fs), -1))
+            at += target.size
+            self._band_groups.append((cells.ravel(), p * ww + q, dd, ww))
+        # the cells of a slot binding its key again: rows j, columns c
+        src, dst = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for s, u in zip(by_col[again].tolist(),
+                        (np.cumsum(~again) - 1)[again].tolist()):
+            f = fac[s]
+            j, c = np.arange(d[f])[:, None], np.arange(dk[s])
+            src.append((block0[s] + j * dk[s] + c).ravel())
+            dst.append((indptr[row0[f] + j] + unit0[u] - fac_unit0[f]
+                        + c).ravel())
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        by_cell = np.lexsort((src, dst))
+        self._dup_src, self._dup_dst = src[by_cell], dst[by_cell]
         # Reused buffers: fresh arrays of this size cost more in page faults
         # than the products themselves.
         self._band_products = np.empty(len(self._band_targets))
         self._band_scratch = np.empty(
             (2, max((len(cells) for cells, *_ in self._band_groups),
                     default=0)))
+        self._band_full = np.empty(max(
+            (len(cells) // d * w for cells, _, d, w in self._band_groups),
+            default=0))
+        self._band = np.empty(n * m)
+
+    def _entries(self, which) -> list:
+        """(factor, residual row slice, per-key COO data slices) of the
+        factors numbered `which`."""
+        row0, key0, block0 = self._spans
+        factors = self.graph.factors
+        return [(factors[i], slice(int(row0[i]), int(row0[i + 1])),
+                 [slice(int(block0[s]), int(block0[s + 1]))
+                  for s in range(key0[i], key0[i + 1])])
+                for i in which]
 
     def __call__(self, values):
         """(J, r) at `values`: a Values, or the stacks of `layout.stack`."""
@@ -428,7 +514,8 @@ class Linearizer:
         except manifold.NearSingularError:
             # Redo it factor by factor in graph order, so the error names
             # the first offending factor, as the per-factor path alone would.
-            self._per_factor(self._entries, values if values is not None
+            self._per_factor(self._entries(range(len(self.graph.factors))),
+                             values if values is not None
                              else self.layout.values(states))
         data = self._data[self._order]
         if self._dup_src.size:
@@ -441,23 +528,28 @@ class Linearizer:
     def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
         """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
         blocks. It is Fortran-ordered, the layout LAPACK's banded routines
-        take without a copy."""
+        take without a copy, and it is a view of a buffer the Linearizer
+        owns: valid until the next call, which refills it."""
         X_t, X = self._band_scratch
         at = 0
-        for cells, cells_t, d, w in self._band_groups:
+        for cells, lower, d, w in self._band_groups:
             size = len(cells)
             N = size // (d * w)
-            np.matmul(
-                np.take(J.data, cells_t, out=X_t[:size],
-                        mode="clip").reshape(N, w, d),
-                np.take(J.data, cells, out=X[:size],
-                        mode="clip").reshape(N, d, w),
-                out=self._band_products[at:at + N * w * w].reshape(N, w, w))
-            at += N * w * w
+            block = np.take(J.data, cells, out=X[:size],
+                            mode="clip").reshape(N, d, w)
+            block_t = X_t[:size].reshape(N, w, d)
+            np.copyto(block_t, block.transpose(0, 2, 1))
+            XtX = self._band_full[:N * w * w].reshape(N, w, w)
+            np.matmul(block_t, block, out=XtX)
+            np.take(XtX.reshape(N, w * w), lower, axis=1, mode="clip",
+                    out=self._band_products[at:at + N * len(lower)]
+                    .reshape(N, -1))
+            at += N * len(lower)
         n, m = self.total_cols, self.bandwidth + 1
-        band = np.bincount(self._band_targets, weights=self._band_products,
-                           minlength=n * m + 1)
-        return band[:n * m].reshape(n, m).T
+        band = self._band
+        band.fill(0.0)  # then summed in product order
+        np.add.at(band, self._band_targets, self._band_products)
+        return band.reshape(n, m).T
 
     def _batched(self, states: dict) -> None:
         for b in self._batches:
@@ -556,11 +648,14 @@ def _damped_solver(band: np.ndarray):
     """solve(lam, b) = (J^T J + lam I)^-1 b.
 
     `band` is J^T J's lower band (band[i - j, j] = (J^T J)[i, j]), which
-    each call factors by a banded Cholesky; it raises
-    np.linalg.LinAlgError when the damped system does not factor.
+    each call reads afresh (so a refilled band is seen) and factors by a
+    banded Cholesky in one reused copy; it raises np.linalg.LinAlgError
+    when the damped system does not factor.
     """
+    ab = np.empty_like(band)
+
     def solve(lam: float, b: np.ndarray) -> np.ndarray:
-        ab = band.copy(order="K")
+        np.copyto(ab, band)
         ab[0] += lam
         return solveh_banded(ab, b, overwrite_ab=True, lower=True,
                              check_finite=False)
@@ -598,11 +693,10 @@ def optimize(graph: FactorGraph, initial: Values,
     report.cost_trace.append(cost)
     for it in range(settings.max_iterations):
         g = J.T @ r
-        band = lin.normal_band(J)
+        band = lin.normal_band(J)  # refills the band `solve` reads
         if it == 0:
             _check_gauge(band, lin.offsets)
-
-        solve = _damped_solver(band)
+            solve = _damped_solver(band)
         accepted = False
         while lam <= MAX_LAMBDA:
             try:

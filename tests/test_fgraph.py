@@ -1,5 +1,12 @@
 """Solver-layer checks against dense linear-algebra oracles."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -54,6 +61,51 @@ def linear_factor(keys, A_blocks, b, cov):
 
     return Factor(keys=tuple(keys), residual_fn=residual,
                   jacobian_fn=jacobian, noise=NoiseModel(cov))
+
+
+class TestVariableKey:
+    def test_equality_and_hash(self):
+        key = VariableKey(7, M.SE3, 2.5)
+        same = VariableKey(7, M.SE3, 2.5)
+        assert key == same and hash(key) == hash(same)
+        assert {key: 1}[same] == 1
+        # equal kinds built apart give equal keys
+        assert VariableKey(7, M.rn(3), 2.5) == VariableKey(7, M.R3, 2.5)
+        # keys differing only in kind, even of one dim, are distinct
+        assert VariableKey(7, M.SO3, 2.5) != VariableKey(7, M.R3, 2.5)
+        assert VariableKey(7, M.SE3, 2.5) != VariableKey(7, M.R3, 2.5)
+        assert len({VariableKey(7, M.SO3, 2.5),
+                    VariableKey(7, M.R3, 2.5)}) == 2
+
+    def test_copies_keep_equality_and_hash(self):
+        key = VariableKey(7, M.SE3, 2.5)
+        for twin in (copy.copy(key), copy.deepcopy(key),
+                     pickle.loads(pickle.dumps(key))):
+            assert twin == key and hash(twin) == hash(key)
+            assert {twin: 1}[key] == 1
+
+    def test_unpickled_key_hashes_in_its_process(self):
+        """A kind's hash hashes its tag string, which varies with the
+        process's hash seed; an unpickled key still finds an equal one."""
+        data = pickle.dumps(VariableKey(7, M.SE3, 2.5))
+        code = ("import pickle, sys\n"
+                "from twistgraph import manifold as M\n"
+                "from twistgraph.fgraph import VariableKey\n"
+                "key = pickle.loads(sys.stdin.buffer.read())\n"
+                "assert {VariableKey(7, M.SE3, 2.5): 1}.get(key) == 1\n")
+        src = os.path.dirname(os.path.dirname(fgraph.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        for seed in ("1", "2"):
+            subprocess.run([sys.executable, "-c", code], input=data,
+                           check=True, env={**os.environ, "PYTHONPATH": path,
+                                            "PYTHONHASHSEED": seed})
+
+    def test_fields_are_frozen(self):
+        key = VariableKey(7, M.SE3, 2.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.id = 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.kind = M.SO3
 
 
 class TestNoiseModel:
@@ -721,6 +773,224 @@ def assert_verdict_is_check_gauges(graph, values):
     for err in (band, got):
         assert err.value.suspect_keys == ref.value.suspect_keys
         assert str(err.value) == str(ref.value)
+
+
+class ReferenceLinearizer(Linearizer):
+    """Reference: the per-factor structure build the Linearizer had before
+    it built its layout from arrays. A Python loop over every factor's key
+    blocks, a stable COO -> CSR argsort, per-key row lookups and one
+    `_stack_states` layout sorted by column; its layout arrays feed the
+    inherited `__call__`. `normal_band` is the one it had too: every entry
+    of each factor's X^T X binned by `np.bincount`, the upper triangles
+    into one discarded bin."""
+
+    def __init__(self, graph):
+        offsets, _ = variable_offsets(graph)
+        self.graph = graph
+        self.offsets = offsets
+        self.layout = fgraph._StateLayout(offsets)
+        self.total_cols = sum(k.kind.dim for k in offsets)
+        self.total_rows = sum(f.dim for f in graph.factors)
+        self.kind_keys = {}
+        for key in sorted(offsets, key=offsets.__getitem__):
+            self.kind_keys.setdefault(key.kind, []).append(key)
+        self.row = {key: i for keys in self.kind_keys.values()
+                    for i, key in enumerate(keys)}
+        self.columns = {
+            kind: np.array([offsets[k] for k in keys])[:, None]
+            + np.arange(kind.dim) for kind, keys in self.kind_keys.items()}
+
+        # (data position, first row, rows, first column, columns, factor)
+        blocks = []
+        self.all_entries = []  # (factor, res row slice, per-key data slices)
+        grouped = {}
+        pos = 0
+        row0 = 0
+        for i, f in enumerate(graph.factors):
+            d = f.dim
+            spans = []
+            for key in f.keys:
+                dk = key.kind.dim
+                blocks.append((pos, row0, d, offsets[key], dk, i))
+                spans.append(slice(pos, pos + d * dk))
+                pos += d * dk
+            entry = (f, slice(row0, row0 + d), spans)
+            self.all_entries.append(entry)
+            if f.family is not None:
+                group = (f.family, tuple(k.kind for k in f.keys), d)
+                grouped.setdefault(group, []).append(entry)
+            row0 += d
+        # Each block is row-major: entry j of a d x dk block sits at row
+        # row0 + j // dk and column c0 + j % dk.
+        rows = np.empty(pos, dtype=int)
+        cols = np.empty(pos, dtype=int)
+        blocks = np.array(blocks, dtype=int).reshape(-1, 6)
+        for d, dk in {(b[2], b[4]) for b in blocks.tolist()}:
+            same = blocks[(blocks[:, 2] == d) & (blocks[:, 4] == dk)]
+            j = np.arange(d * dk)
+            at = same[:, :1] + j
+            rows[at] = same[:, 1:2] + j // dk
+            cols[at] = same[:, 3:4] + j % dk
+        self._reference_csr_layout(rows, cols)
+        self.bandwidth = int(np.max(
+            self._indices[self._indptr[1:] - 1]
+            - self._indices[self._indptr[:-1]], initial=0))
+        _, first = np.unique(blocks[:, 5], return_index=True)
+        self._reference_band_layout(blocks[first, 1], blocks[first, 2])
+        self._data = np.empty(pos)
+        self._res = np.empty(row0)
+
+        self._loose = [e for e in self.all_entries if e[0].family is None]
+        self._batches = []
+        for (family, kinds, d), entries in grouped.items():
+            fs = [f for f, _, _ in entries]
+            slots = [(kind, np.array([self.row[f.keys[i]] for f in fs]))
+                     for i, kind in enumerate(kinds)]
+            # each factor's blocks sit back to back in the COO data
+            starts = np.array([spans[0].start for _, _, spans in entries])
+            width = d * sum(k.dim for k in kinds)
+            self._batches.append(fgraph._Batch(
+                family=family,
+                params=tuple(np.array(p) for p in zip(
+                    *(f.family_params for f in fs))),
+                sqrt_info=np.array([f.noise.sqrt_info for f in fs]),
+                slots=slots,
+                rows=(np.array([r.start for _, r, _ in entries])[:, None]
+                      + np.arange(d)).ravel(),
+                cells=(starts[:, None] + np.arange(width)).ravel()))
+
+    def _entries(self, which):
+        return [self.all_entries[i] for i in which]
+
+    def _reference_csr_layout(self, rows, cols):
+        order = np.argsort(rows * self.total_cols + cols, kind="stable")
+        r, c = rows[order], cols[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self._order = order[first]
+        self._dup_src = order[~first]
+        self._dup_dst = (np.cumsum(first) - 1)[~first]
+        index = np.int32 if max(len(order), self.total_cols) < 2 ** 31 \
+            else np.int64
+        self._indices = c[first].astype(index)
+        self._indptr = np.zeros(self.total_rows + 1, dtype=index)
+        np.cumsum(np.bincount(r[first], minlength=self.total_rows),
+                  out=self._indptr[1:])
+
+    def _reference_band_layout(self, first_rows, dims):
+        indptr, indices = self._indptr, self._indices
+        n, m = self.total_cols, self.bandwidth + 1
+        widths = indptr[first_rows + 1] - indptr[first_rows]
+        self._band_groups = []
+        targets = []
+        for d, w in sorted(set(zip(dims.tolist(), widths.tolist()))):
+            starts = indptr[first_rows[(dims == d) & (widths == w)]]
+            cells = starts[:, None, None] + np.arange(d * w).reshape(d, w)
+            cols = indices[cells[:, 0]].astype(int)
+            ci, cj = cols[:, :, None], cols[:, None, :]
+            target = ci + cj * (m - 1)
+            target[ci < cj] = n * m
+            targets.append(target.ravel())
+            self._band_groups.append(
+                (cells.ravel(), cells.transpose(0, 2, 1).ravel(), d, w))
+        self._band_targets = np.concatenate([np.empty(0, int), *targets])
+        self._band_products = np.empty(len(self._band_targets))
+        self._band_scratch = np.empty(
+            (2, max((len(cells) for cells, *_ in self._band_groups),
+                    default=0)))
+
+    def normal_band(self, J):
+        X_t, X = self._band_scratch
+        at = 0
+        for cells, cells_t, d, w in self._band_groups:
+            size = len(cells)
+            N = size // (d * w)
+            np.matmul(
+                np.take(J.data, cells_t, out=X_t[:size],
+                        mode="clip").reshape(N, w, d),
+                np.take(J.data, cells, out=X[:size],
+                        mode="clip").reshape(N, d, w),
+                out=self._band_products[at:at + N * w * w].reshape(N, w, w))
+            at += N * w * w
+        n, m = self.total_cols, self.bandwidth + 1
+        band = np.bincount(self._band_targets, weights=self._band_products,
+                           minlength=n * m + 1)
+        return band[:n * m].reshape(n, m).T
+
+
+def assert_identical(a, b):
+    """Same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def structure_graphs(rng):
+    """The mixed graphs (one has a custom factor binding a key twice), the
+    wide static chain, criterion 9's graph, a one-factor graph and the
+    empty graph."""
+    graphs = [mixed_graph(rng) for _ in range(3)]
+    graphs.append(linear_chain(rng, static=True)[:2])
+    graphs.append(criterion_9_graph())
+    key = VariableKey(3, M.SE3, 1.5)
+    one = FactorGraph()
+    one.add(prior_factor(key, random_pose(rng, 1.0), np.eye(6) * 0.01))
+    graphs.append((one, Values({key: random_pose(rng, 1.0)})))
+    graphs.append((FactorGraph(), Values()))
+    return graphs
+
+
+class TestStructureBuild:
+    def test_layout_equals_per_factor_build(self, rng):
+        graphs = structure_graphs(rng)
+        assert any(len(set(f.keys)) < len(f.keys)
+                   for f in graphs[0][0].factors)
+        for graph, values in graphs:
+            lin, ref = Linearizer(graph), ReferenceLinearizer(graph)
+            assert (lin.total_rows, lin.total_cols, lin.bandwidth) == (
+                ref.total_rows, ref.total_cols, ref.bandwidth)
+            for name in ("_order", "_dup_src", "_dup_dst", "_indices",
+                         "_indptr"):
+                assert_identical(getattr(lin, name), getattr(ref, name))
+            # the reference's targets past its discarded bin, in order
+            n_bins = ref.total_cols * (ref.bandwidth + 1)
+            assert_identical(lin._band_targets,
+                             ref._band_targets[ref._band_targets < n_bins])
+            assert len(lin._band_groups) == len(ref._band_groups)
+            for got, want in zip(lin._band_groups, ref._band_groups):
+                assert got[2:] == want[2:]
+                assert_identical(got[0], want[0])
+            assert list(lin.layout.keys) == list(ref.kind_keys)
+            for kind, keys in ref.kind_keys.items():
+                assert lin.layout.keys[kind] == keys
+                assert_identical(lin.layout.columns[kind], ref.columns[kind])
+            for v, key in enumerate(lin.offsets):
+                assert lin.layout.row[v] == ref.row[key]
+            assert lin._entries(range(len(graph.factors))) == ref.all_entries
+            assert lin._loose == ref._loose
+            assert len(lin._batches) == len(ref._batches)
+            for got, want in zip(lin._batches, ref._batches):
+                assert got.family is want.family
+                assert len(got.params) == len(want.params)
+                for p, q in zip(got.params, want.params):
+                    assert_identical(p, q)
+                assert_identical(got.sqrt_info, want.sqrt_info)
+                assert [k for k, _ in got.slots] == [k for k, _ in want.slots]
+                for (_, rows), (_, rows_ref) in zip(got.slots, want.slots):
+                    assert_identical(rows, rows_ref)
+                assert_identical(got.rows, want.rows)
+                assert_identical(got.cells, want.cells)
+
+            J, r = lin(values)
+            J_ref, r_ref = ref(values)
+            for name in ("data", "indices", "indptr"):
+                assert_identical(getattr(J, name), getattr(J_ref, name))
+            assert_identical(r, r_ref)
+            band, band_ref = lin.normal_band(J), ref.normal_band(J_ref)
+            if graph.factors:
+                assert_identical(band, band_ref)
+            else:  # np.bincount of no weights gives an int array
+                assert (band.shape, band.dtype) == (band_ref.shape, float)
 
 
 class TestBandNativeSolve:
