@@ -296,7 +296,7 @@ class _Batch:
     sqrt_info: np.ndarray  # (N, d, d)
     slots: list  # per key: (kind, row of each factor's variable in its stack)
     rows: np.ndarray  # residual rows, (N * d,)
-    cells: np.ndarray  # COO data positions of the Jacobian blocks, flat
+    cells: np.ndarray  # J's data positions of the factors' blocks, flat
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -313,11 +313,12 @@ class Linearizer:
     The block structure never changes between iterations, so it is built
     once: each factor's square-root information (its rows), family and
     keys are read once, and every layout array is computed from those with
-    numpy. The CSR layout (the COO -> CSR permutation, `indices` and
-    `indptr`) is fixed, and only the numeric entries are refreshed.
-    Factors that carry a family are evaluated in one batch per (family, key
-    kinds, dim) group and scattered into their rows and COO data
-    positions; the others are evaluated one by one.
+    numpy. Each factor's whitened Jacobian is one row-major block, its
+    keys' columns side by side in key order, and J's CSR data is the
+    blocks back to back: `indices` and `indptr` are fixed, and only the
+    data is refreshed. Factors that carry a family are evaluated in one
+    batch per (family, key kinds, dim) group and scattered into their rows
+    and blocks; the others are evaluated one by one.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
     bandwidth, and `normal_band` builds that band from the whitened blocks.
@@ -348,12 +349,8 @@ class Linearizer:
         var_col = np.fromiter(offsets.values(), np.intp, len(offsets))
         var = np.searchsorted(var_col, col)
         dk = np.diff(var_col, append=self.total_cols)[var]
-        # each slot's d x dk block, row-major, back to back in the COO data
-        block0 = _starts(d[fac] * dk)
-        self._block_layout(fac, col, dk, block0, d, row0)
-        self._data = np.empty(block0[-1])
-        self._res = np.empty(self.total_rows)
-        self._spans = row0, key0, block0
+        block0 = self._block_layout(col, dk, key0, d, row0)
+        self._spans = row0, block0
 
         # Batches: the factors of one family, dim and tuple of key kinds,
         # which a factor's signature column lists (-1 past its last key).
@@ -383,7 +380,7 @@ class Linearizer:
             _, one, which = np.unique(sqrt_id[at], return_index=True,
                                       return_inverse=True)
             slot0 = key0[at]
-            width = block0[key0[i0 + 1]] - block0[key0[i0]]
+            width = block0[i0 + 1] - block0[i0]
             self._batches.append(_Batch(
                 family=families[i0],
                 params=tuple(np.array(p) for p in zip(
@@ -392,93 +389,69 @@ class Linearizer:
                 slots=[(key.kind, layout.row[var[slot0 + i]])
                        for i, key in enumerate(factors[i0].keys)],
                 rows=(row0[at][:, None] + np.arange(d[i0])).ravel(),
-                cells=(block0[slot0][:, None] + np.arange(width)).ravel()))
+                cells=(block0[at][:, None] + np.arange(width)).ravel()))
 
-    def _block_layout(self, fac, col, dk, block0, d, row0) -> None:
+    def _block_layout(self, col, dk, key0, d, row0) -> np.ndarray:
         """The CSR layout of J and the layout of J^T J's band, from each key
-        slot's factor, first column, dim and COO block start and each
-        factor's rows d and first row.
+        slot's first column and dim and each factor's first slot, rows d
+        and first row. Returns where each factor's block starts in J's
+        data, with the total appended.
 
-        Every residual row belongs to one factor, so a factor's CSR entries
-        form one contiguous d x w block X, each row holding the columns of
-        the factor's distinct keys in ascending order. `_order` picks each
-        CSR cell's COO entry; a factor binding one key twice has further
-        entries on the same cells, which `_dup_src` adds onto CSR positions
-        `_dup_dst`, in the order of a stable sort by cell.
+        Every residual row belongs to one factor, so a factor's entries form
+        one row-major d x w block X, each row listing the columns of the
+        factor's keys in key order. The columns need not ascend, and a key
+        bound twice lists its columns twice: scipy sums repeated entries
+        wherever it reads them (products, `toarray`, `sum_duplicates`).
 
         Factors are grouped by (d, w): `cells` gathers each factor's X from
-        the CSR data, and `lower` picks the entries (p, q) of X^T X with
-        p >= q, that is col_p >= col_q, in row-major order. Each adds into
-        band[i - j, j] for i = col_p and j = col_q, kept at flat index
-        j * (bw + 1) + i - j of the (n, bw + 1) array whose transpose is the
-        band.
+        J's data, and `pick` selects, in row-major order, the entries (p, q)
+        of X^T X with col_p >= col_q (a repeated column's cross terms
+        included): as one pattern that every factor of the group shares
+        (`rows` = N), which keeps the layout small, or, when their key
+        orders differ, as one list over the whole group (`rows` = 1). Each
+        adds into band[i - j, j] for i = col_p and j = col_q, kept at flat
+        index j * (bw + 1) + i - j of the (n, bw + 1) array whose transpose
+        is the band.
         """
         n = self.total_cols
-        # each factor's slots by column; a key bound again follows its first
-        slot_cell = fac * n + col
-        by_col = np.argsort(slot_cell, kind="stable")
-        again = np.zeros(len(by_col), dtype=bool)
-        again[1:] = slot_cell[by_col[1:]] == slot_cell[by_col[:-1]]
-        distinct = by_col[~again]
-        # units: the columns of the distinct slots, factor by factor; unit u
-        # is COO entry unit_cell[u] + j * unit_dk[u] in its factor's row j
-        udk = dk[distinct]
-        unit0 = _starts(udk)
-        c = np.arange(unit0[-1]) - np.repeat(unit0[:-1], udk)
-        unit_col = np.repeat(col[distinct], udk) + c
-        unit_cell = np.repeat(block0[distinct], udk) + c
-        unit_dk = np.repeat(udk, udk)
-        fac_unit0 = unit0[_starts(np.bincount(fac[distinct],
-                                              minlength=len(d)))]
-        w = np.diff(fac_unit0)
+        # every factor's columns in key order, factor after factor
+        slot0 = _starts(dk)
+        key_col = np.arange(slot0[-1]) + np.repeat(col - slot0[:-1], dk)
+        col0 = slot0[key0]  # each factor's first entry in key_col
+        w = np.diff(col0)
         row_w = np.repeat(w, d)
         indptr = _starts(row_w)
-        # entry e of CSR row r is unit e + shift[r], COO entry
-        # unit_cell[u] + (r - first row of its factor) * unit_dk[u]
-        shift = np.repeat(fac_unit0[:-1], d) - indptr[:-1]
-        unit = np.arange(indptr[-1])
-        unit += np.repeat(shift, row_w)
-        order = np.repeat(np.arange(len(row_w)) - np.repeat(row0[:-1], d),
-                          row_w)
-        order *= unit_dk[unit]
-        order += unit_cell[unit]
-        self._order = order
-        index = np.int32 if max(block0[-1], n) < 2 ** 31 \
+        # entry e of row r holds key_col[col0[f] + e - indptr[r]], f its factor
+        entry = np.arange(indptr[-1])
+        entry += np.repeat(np.repeat(col0[:-1], d) - indptr[:-1], row_w)
+        index = np.int32 if max(indptr[-1], n) < 2 ** 31 \
             else np.int64  # what scipy would choose, so it copies nothing
-        self._indices = unit_col[unit].astype(index)
+        self._indices = key_col[entry].astype(index)
         self._indptr = indptr.astype(index)
+        block0 = indptr[row0]
 
         bound = w > 0
-        # a factor's columns ascend, so its span is its last minus its first
-        self.bandwidth = int(np.max(unit_col[fac_unit0[1:][bound] - 1]
-                                    - unit_col[fac_unit0[:-1][bound]],
+        first = col0[:-1][bound]
+        self.bandwidth = int(np.max(np.maximum.reduceat(key_col, first)
+                                    - np.minimum.reduceat(key_col, first),
                                     initial=0))
         m = self.bandwidth + 1
-        self._band_targets = np.empty(int(w @ (w + 1)) // 2, dtype=np.intp)
+        targets = [np.empty(0, np.intp)]
         self._band_groups = []
-        at = 0
         for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
             fs = np.flatnonzero((d == dd) & (w == ww))
-            cells = indptr[row0[fs], None] + np.arange(dd * ww)
-            cols = unit_col[fac_unit0[fs, None] + np.arange(ww)]
-            p, q = np.tril_indices(ww)
-            target = self._band_targets[at:at + len(fs) * len(p)]
-            np.add(cols.take(p, axis=1), (cols * (m - 1)).take(q, axis=1),
-                   out=target.reshape(len(fs), -1))
-            at += target.size
-            self._band_groups.append((cells.ravel(), p * ww + q, dd, ww))
-        # the cells of a slot binding its key again: rows j, columns c
-        src, dst = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for s, u in zip(by_col[again].tolist(),
-                        (np.cumsum(~again) - 1)[again].tolist()):
-            f = fac[s]
-            j, c = np.arange(d[f])[:, None], np.arange(dk[s])
-            src.append((block0[s] + j * dk[s] + c).ravel())
-            dst.append((indptr[row0[f] + j] + unit0[u] - fac_unit0[f]
-                        + c).ravel())
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        by_cell = np.lexsort((src, dst))
-        self._dup_src, self._dup_dst = src[by_cell], dst[by_cell]
+            cells = block0[fs, None] + np.arange(dd * ww)
+            cols = key_col[col0[fs, None] + np.arange(ww)]
+            col_p, col_q = cols[:, :, None], cols[:, None, :]
+            lower = (col_p >= col_q).reshape(len(fs), -1)
+            if (lower == lower[0]).all():
+                pick, rows = np.flatnonzero(lower[0]), len(fs)
+            else:
+                pick, rows = np.flatnonzero(lower), 1
+            targets.append((col_p + col_q * (m - 1)).reshape(rows, -1)
+                           .take(pick, axis=1).ravel())
+            self._band_groups.append((cells.ravel(), pick, rows, dd, ww))
+        self._band_targets = np.concatenate(targets)
         # Reused buffers: fresh arrays of this size cost more in page faults
         # than the products themselves.
         self._band_products = np.empty(len(self._band_targets))
@@ -486,44 +459,48 @@ class Linearizer:
             (2, max((len(cells) for cells, *_ in self._band_groups),
                     default=0)))
         self._band_full = np.empty(max(
-            (len(cells) // d * w for cells, _, d, w in self._band_groups),
+            (len(cells) // d * w for cells, *_, d, w in self._band_groups),
             default=0))
         self._band = np.empty(n * m)
+        return block0
 
     def _entries(self, which) -> list:
-        """(factor, residual row slice, per-key COO data slices) of the
+        """(factor, residual row slice, data slice of its block) of the
         factors numbered `which`."""
-        row0, key0, block0 = self._spans
+        row0, block0 = self._spans
         factors = self.graph.factors
         return [(factors[i], slice(int(row0[i]), int(row0[i + 1])),
-                 [slice(int(block0[s]), int(block0[s + 1]))
-                  for s in range(key0[i], key0[i + 1])])
-                for i in which]
+                 slice(int(block0[i]), int(block0[i + 1]))) for i in which]
 
     def __call__(self, values):
-        """(J, r) at `values`: a Values, or the stacks of `layout.stack`."""
+        """(J, r) at `values`: a Values, or the stacks of `layout.stack`.
+
+        J is in CSR form, with each row's column indices in its factor's
+        key order: unsorted, and repeated where a factor binds a key twice
+        (`J.sum_duplicates()` gives the canonical form).
+        """
         if isinstance(values, Values):
             states = self.layout.stack(values)
         else:
             states, values = values, None
+        # fresh arrays, which J and r own
+        data = np.empty(int(self._indptr[-1]))
+        res = np.empty(self.total_rows)
         try:
-            self._batched(states)
+            self._batched(states, data, res)
             if self._loose:
                 self._per_factor(self._loose, values if values is not None
-                                 else self.layout.values(states))
+                                 else self.layout.values(states), data, res)
         except manifold.NearSingularError:
             # Redo it factor by factor in graph order, so the error names
             # the first offending factor, as the per-factor path alone would.
             self._per_factor(self._entries(range(len(self.graph.factors))),
                              values if values is not None
-                             else self.layout.values(states))
-        data = self._data[self._order]
-        if self._dup_src.size:
-            np.add.at(data, self._dup_dst, self._data[self._dup_src])
+                             else self.layout.values(states), data, res)
         # the layout arrays are copied: a caller may edit J's in place
         J = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
                           shape=(self.total_rows, self.total_cols))
-        return J, self._res.copy()
+        return J, res
 
     def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
         """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
@@ -532,7 +509,7 @@ class Linearizer:
         owns: valid until the next call, which refills it."""
         X_t, X = self._band_scratch
         at = 0
-        for cells, lower, d, w in self._band_groups:
+        for cells, pick, rows, d, w in self._band_groups:
             size = len(cells)
             N = size // (d * w)
             block = np.take(J.data, cells, out=X[:size],
@@ -541,28 +518,29 @@ class Linearizer:
             np.copyto(block_t, block.transpose(0, 2, 1))
             XtX = self._band_full[:N * w * w].reshape(N, w, w)
             np.matmul(block_t, block, out=XtX)
-            np.take(XtX.reshape(N, w * w), lower, axis=1, mode="clip",
-                    out=self._band_products[at:at + N * len(lower)]
-                    .reshape(N, -1))
-            at += N * len(lower)
+            np.take(XtX.reshape(rows, -1), pick, axis=1, mode="clip",
+                    out=self._band_products[at:at + rows * len(pick)]
+                    .reshape(rows, -1))
+            at += rows * len(pick)
         n, m = self.total_cols, self.bandwidth + 1
         band = self._band
         band.fill(0.0)  # then summed in product order
         np.add.at(band, self._band_targets, self._band_products)
         return band.reshape(n, m).T
 
-    def _batched(self, states: dict) -> None:
+    def _batched(self, states: dict, data: np.ndarray,
+                 res: np.ndarray) -> None:
         for b in self._batches:
             r, Js = b.family(b.params,
                              [_take(states[kind], i) for kind, i in b.slots])
             W = b.sqrt_info
-            self._res[b.rows] = (W @ r[:, :, None]).ravel()
-            self._data[b.cells] = np.concatenate(
-                [(W @ J).reshape(len(W), -1) for J in Js], axis=1).ravel()
+            res[b.rows] = (W @ r[:, :, None]).ravel()
+            data[b.cells] = np.concatenate([W @ J for J in Js],
+                                           axis=2).ravel()
 
-    def _per_factor(self, entries, values: Values) -> None:
-        data, res = self._data, self._res
-        for f, rspan, spans in entries:
+    def _per_factor(self, entries, values: Values, data: np.ndarray,
+                    res: np.ndarray) -> None:
+        for f, rows, block in entries:
             try:
                 if f.combined_fn is not None:
                     r, Js = f.combined_fn(values)
@@ -574,15 +552,16 @@ class Linearizer:
                     f"linearization failed in {_describe(f)}: {err}"
                 ) from err
             W = f.noise.sqrt_info
-            res[rspan] = W @ r
-            for span, J in zip(spans, Js):
-                data[span] = (W @ J).ravel()
+            res[rows] = W @ r
+            data[block] = np.concatenate([W @ J for J in Js], axis=1).ravel()
 
 
 def linearize(graph: FactorGraph, values: Values):
     """Whitened block-sparse Jacobian and residual at the current estimate.
 
-    Returns (J, r, offsets) with J (total_res_dim x total_tan_dim) in CSR form.
+    Returns (J, r, offsets) with J (total_res_dim x total_tan_dim) in CSR
+    form, its column indices in each factor's key order: unsorted, and
+    repeated where a factor binds a key twice.
     """
     lin = Linearizer(graph)
     J, r = lin(values)
@@ -745,12 +724,8 @@ def marginal_covariance(graph: FactorGraph, values: Values,
     J, _ = lin(values)
     _check_gauge(lin.normal_band(J), lin.offsets)
     JtJ = (J.T @ J).tocsc()
-    lu = splu(JtJ)
-    c0 = lin.offsets[key]
-    d = key.kind.dim
-    cov = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(JtJ.shape[0])
-        e[c0 + i] = 1.0
-        cov[:, i] = lu.solve(e)[c0:c0 + d]
+    c0, d = lin.offsets[key], key.kind.dim
+    unit = np.zeros((JtJ.shape[0], d))  # the key's unit columns
+    unit[c0:c0 + d] = np.eye(d)
+    cov = splu(JtJ).solve(unit)[c0:c0 + d]
     return 0.5 * (cov + cov.T)

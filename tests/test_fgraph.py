@@ -366,7 +366,8 @@ def coo_entries(graph, offsets, values):
     """Reference: each factor through residual_fn/jacobian_fn in graph order,
     every block entry kept in the solver's COO order (factor by factor, key
     by key, row-major). Returns rows, columns, data and the residual."""
-    rows, cols, data, res = [], [], [], []
+    rows, cols = [np.empty(0, int)], [np.empty(0, int)]
+    data, res = [np.empty(0)], [np.empty(0)]
     row0 = 0
     for f in graph.factors:
         W = f.noise.sqrt_info
@@ -393,6 +394,8 @@ def per_factor_linearization(graph, offsets, values):
 
 
 def assert_same_linearization(J, r, J_ref, r_ref, tol=1e-12):
+    J = J.copy()
+    J.sum_duplicates()  # J lists each factor's columns in key order
     np.testing.assert_array_equal(J.indptr, J_ref.indptr)
     np.testing.assert_array_equal(J.indices, J_ref.indices)
     assert np.max(np.abs(J.data - J_ref.data)) <= tol * np.max(np.abs(J_ref.data))
@@ -776,146 +779,45 @@ def assert_verdict_is_check_gauges(graph, values):
 
 
 class ReferenceLinearizer(Linearizer):
-    """Reference: the per-factor structure build the Linearizer had before
-    it built its layout from arrays. A Python loop over every factor's key
-    blocks, a stable COO -> CSR argsort, per-key row lookups and one
-    `_stack_states` layout sorted by column; its layout arrays feed the
-    inherited `__call__`. `normal_band` is the one it had too: every entry
-    of each factor's X^T X binned by `np.bincount`, the upper triangles
-    into one discarded bin."""
+    """Reference band: every entry of each factor's X^T X, read off J's
+    rows by a loop over the factors and binned by `np.bincount`, the
+    entries with col_p < col_q into one discarded bin. Factors are grouped
+    by (d, w) as the Linearizer groups them, so each bin sums in the same
+    order."""
 
-    def __init__(self, graph):
-        offsets, _ = variable_offsets(graph)
-        self.graph = graph
-        self.offsets = offsets
-        self.layout = fgraph._StateLayout(offsets)
-        self.total_cols = sum(k.kind.dim for k in offsets)
-        self.total_rows = sum(f.dim for f in graph.factors)
-        self.kind_keys = {}
-        for key in sorted(offsets, key=offsets.__getitem__):
-            self.kind_keys.setdefault(key.kind, []).append(key)
-        self.row = {key: i for keys in self.kind_keys.values()
-                    for i, key in enumerate(keys)}
-        self.columns = {
-            kind: np.array([offsets[k] for k in keys])[:, None]
-            + np.arange(kind.dim) for kind, keys in self.kind_keys.items()}
-
-        # (data position, first row, rows, first column, columns, factor)
-        blocks = []
-        self.all_entries = []  # (factor, res row slice, per-key data slices)
-        grouped = {}
-        pos = 0
-        row0 = 0
-        for i, f in enumerate(graph.factors):
-            d = f.dim
-            spans = []
-            for key in f.keys:
-                dk = key.kind.dim
-                blocks.append((pos, row0, d, offsets[key], dk, i))
-                spans.append(slice(pos, pos + d * dk))
-                pos += d * dk
-            entry = (f, slice(row0, row0 + d), spans)
-            self.all_entries.append(entry)
-            if f.family is not None:
-                group = (f.family, tuple(k.kind for k in f.keys), d)
-                grouped.setdefault(group, []).append(entry)
-            row0 += d
-        # Each block is row-major: entry j of a d x dk block sits at row
-        # row0 + j // dk and column c0 + j % dk.
-        rows = np.empty(pos, dtype=int)
-        cols = np.empty(pos, dtype=int)
-        blocks = np.array(blocks, dtype=int).reshape(-1, 6)
-        for d, dk in {(b[2], b[4]) for b in blocks.tolist()}:
-            same = blocks[(blocks[:, 2] == d) & (blocks[:, 4] == dk)]
-            j = np.arange(d * dk)
-            at = same[:, :1] + j
-            rows[at] = same[:, 1:2] + j // dk
-            cols[at] = same[:, 3:4] + j % dk
-        self._reference_csr_layout(rows, cols)
-        self.bandwidth = int(np.max(
-            self._indices[self._indptr[1:] - 1]
-            - self._indices[self._indptr[:-1]], initial=0))
-        _, first = np.unique(blocks[:, 5], return_index=True)
-        self._reference_band_layout(blocks[first, 1], blocks[first, 2])
-        self._data = np.empty(pos)
-        self._res = np.empty(row0)
-
-        self._loose = [e for e in self.all_entries if e[0].family is None]
-        self._batches = []
-        for (family, kinds, d), entries in grouped.items():
-            fs = [f for f, _, _ in entries]
-            slots = [(kind, np.array([self.row[f.keys[i]] for f in fs]))
-                     for i, kind in enumerate(kinds)]
-            # each factor's blocks sit back to back in the COO data
-            starts = np.array([spans[0].start for _, _, spans in entries])
-            width = d * sum(k.dim for k in kinds)
-            self._batches.append(fgraph._Batch(
-                family=family,
-                params=tuple(np.array(p) for p in zip(
-                    *(f.family_params for f in fs))),
-                sqrt_info=np.array([f.noise.sqrt_info for f in fs]),
-                slots=slots,
-                rows=(np.array([r.start for _, r, _ in entries])[:, None]
-                      + np.arange(d)).ravel(),
-                cells=(starts[:, None] + np.arange(width)).ravel()))
-
-    def _entries(self, which):
-        return [self.all_entries[i] for i in which]
-
-    def _reference_csr_layout(self, rows, cols):
-        order = np.argsort(rows * self.total_cols + cols, kind="stable")
-        r, c = rows[order], cols[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self._order = order[first]
-        self._dup_src = order[~first]
-        self._dup_dst = (np.cumsum(first) - 1)[~first]
-        index = np.int32 if max(len(order), self.total_cols) < 2 ** 31 \
-            else np.int64
-        self._indices = c[first].astype(index)
-        self._indptr = np.zeros(self.total_rows + 1, dtype=index)
-        np.cumsum(np.bincount(r[first], minlength=self.total_rows),
-                  out=self._indptr[1:])
-
-    def _reference_band_layout(self, first_rows, dims):
-        indptr, indices = self._indptr, self._indices
+    def normal_band(self, J):
         n, m = self.total_cols, self.bandwidth + 1
-        widths = indptr[first_rows + 1] - indptr[first_rows]
-        self._band_groups = []
-        targets = []
-        for d, w in sorted(set(zip(dims.tolist(), widths.tolist()))):
-            starts = indptr[first_rows[(dims == d) & (widths == w)]]
-            cells = starts[:, None, None] + np.arange(d * w).reshape(d, w)
-            cols = indices[cells[:, 0]].astype(int)
+        groups = {}
+        row0 = 0
+        for f in self.graph.factors:
+            start, stop = J.indptr[row0:row0 + 2].tolist()
+            if stop > start:
+                groups.setdefault((f.dim, stop - start), []).append(start)
+            row0 += f.dim
+        targets, products = [np.empty(0, int)], [np.empty(0)]
+        for (d, w), starts in sorted(groups.items()):
+            cells = (np.array(starts)[:, None, None]
+                     + np.arange(d * w).reshape(d, w))
+            cols = J.indices[cells[:, 0]].astype(int)
             ci, cj = cols[:, :, None], cols[:, None, :]
             target = ci + cj * (m - 1)
             target[ci < cj] = n * m
             targets.append(target.ravel())
-            self._band_groups.append(
-                (cells.ravel(), cells.transpose(0, 2, 1).ravel(), d, w))
-        self._band_targets = np.concatenate([np.empty(0, int), *targets])
-        self._band_products = np.empty(len(self._band_targets))
-        self._band_scratch = np.empty(
-            (2, max((len(cells) for cells, *_ in self._band_groups),
-                    default=0)))
-
-    def normal_band(self, J):
-        X_t, X = self._band_scratch
-        at = 0
-        for cells, cells_t, d, w in self._band_groups:
-            size = len(cells)
-            N = size // (d * w)
-            np.matmul(
-                np.take(J.data, cells_t, out=X_t[:size],
-                        mode="clip").reshape(N, w, d),
-                np.take(J.data, cells, out=X[:size],
-                        mode="clip").reshape(N, d, w),
-                out=self._band_products[at:at + N * w * w].reshape(N, w, w))
-            at += N * w * w
-        n, m = self.total_cols, self.bandwidth + 1
-        band = np.bincount(self._band_targets, weights=self._band_products,
+            products.append(np.matmul(J.data[cells.transpose(0, 2, 1)],
+                                      J.data[cells]).ravel())
+        band = np.bincount(np.concatenate(targets),
+                           weights=np.concatenate(products),
                            minlength=n * m + 1)
-        return band[:n * m].reshape(n, m).T
+        # no weights at all give an int array
+        return band[:n * m].astype(float).reshape(n, m).T
+
+
+def scalar_graph(graph):
+    """`graph` with every family dropped, so each factor is evaluated by
+    its residual_fn/jacobian_fn, as `coo_entries` evaluates it."""
+    plain = FactorGraph()
+    plain.extend(dataclasses.replace(f, family=None) for f in graph.factors)
+    return plain
 
 
 def assert_identical(a, b):
@@ -941,56 +843,64 @@ def structure_graphs(rng):
 
 
 class TestStructureBuild:
-    def test_layout_equals_per_factor_build(self, rng):
+    def test_linearization_equals_coo_reference(self, rng):
+        """Evaluated factor by factor, J sums to the COO -> CSR assembly of
+        `coo_entries` bit for bit and r equals its residual; with batches
+        or without, the band equals the reference's bincount band of J."""
         graphs = structure_graphs(rng)
         assert any(len(set(f.keys)) < len(f.keys)
                    for f in graphs[0][0].factors)
         for graph, values in graphs:
-            lin, ref = Linearizer(graph), ReferenceLinearizer(graph)
-            assert (lin.total_rows, lin.total_cols, lin.bandwidth) == (
-                ref.total_rows, ref.total_cols, ref.bandwidth)
-            for name in ("_order", "_dup_src", "_dup_dst", "_indices",
-                         "_indptr"):
-                assert_identical(getattr(lin, name), getattr(ref, name))
-            # the reference's targets past its discarded bin, in order
-            n_bins = ref.total_cols * (ref.bandwidth + 1)
-            assert_identical(lin._band_targets,
-                             ref._band_targets[ref._band_targets < n_bins])
-            assert len(lin._band_groups) == len(ref._band_groups)
-            for got, want in zip(lin._band_groups, ref._band_groups):
-                assert got[2:] == want[2:]
-                assert_identical(got[0], want[0])
-            assert list(lin.layout.keys) == list(ref.kind_keys)
-            for kind, keys in ref.kind_keys.items():
-                assert lin.layout.keys[kind] == keys
-                assert_identical(lin.layout.columns[kind], ref.columns[kind])
-            for v, key in enumerate(lin.offsets):
-                assert lin.layout.row[v] == ref.row[key]
-            assert lin._entries(range(len(graph.factors))) == ref.all_entries
-            assert lin._loose == ref._loose
-            assert len(lin._batches) == len(ref._batches)
-            for got, want in zip(lin._batches, ref._batches):
-                assert got.family is want.family
-                assert len(got.params) == len(want.params)
-                for p, q in zip(got.params, want.params):
-                    assert_identical(p, q)
-                assert_identical(got.sqrt_info, want.sqrt_info)
-                assert [k for k, _ in got.slots] == [k for k, _ in want.slots]
-                for (_, rows), (_, rows_ref) in zip(got.slots, want.slots):
-                    assert_identical(rows, rows_ref)
-                assert_identical(got.rows, want.rows)
-                assert_identical(got.cells, want.cells)
-
-            J, r = lin(values)
-            J_ref, r_ref = ref(values)
+            for g in (graph, scalar_graph(graph)):
+                lin = Linearizer(g)
+                J, r = lin(values)
+                assert_identical(lin.normal_band(J),
+                                 ReferenceLinearizer(g).normal_band(J))
+            J_ref, r_ref = per_factor_linearization(graph, lin.offsets, values)
+            J.sum_duplicates()
             for name in ("data", "indices", "indptr"):
                 assert_identical(getattr(J, name), getattr(J_ref, name))
             assert_identical(r, r_ref)
-            band, band_ref = lin.normal_band(J), ref.normal_band(J_ref)
-            if graph.factors:
-                assert_identical(band, band_ref)
-            else:  # np.bincount of no weights gives an int array
-                assert (band.shape, band.dtype) == (band_ref.shape, float)
+
+
+def key_order_graphs(rng):
+    """A Mode B DOWN boundary factor, whose keys run against column order:
+    the SE(3) twin comes first, but at the shared timestamp its id is the
+    larger, so the R^3 state's columns come first. Alone, and next to a
+    custom factor that binds the late key twice around the early one."""
+    point, twin = r3_key(4, t=2.0), VariableKey(5, M.SE3, 2.0)
+    early, late = r3_key(6, t=3.0), r3_key(7, t=3.0)
+    values = Values({twin: random_pose(rng, 1.0),
+                     point: M.EuclidPoint(rng.normal(size=3)),
+                     early: M.EuclidPoint(rng.normal(size=3)),
+                     late: M.EuclidPoint(rng.normal(size=3))})
+    alone = FactorGraph()
+    alone.extend(boundary_factors(twin, point, "DOWN", np.eye(3) * 1e-2))
+    mixed = FactorGraph()
+    mixed.extend(alone.factors)
+    mixed.add(linear_factor([late, early, late],
+                            [rng.normal(size=(3, 3)) for _ in range(3)],
+                            rng.normal(size=3), np.eye(3) * 0.5))
+    return [(alone, values), (mixed, values)]
+
+
+class TestKeyOrder:
+    def test_factor_keys_against_column_order(self, rng):
+        for graph, values in key_order_graphs(rng):
+            lin = Linearizer(graph)
+            J, r = lin(values)
+            # the boundary factor's rows list the twin's columns first
+            assert J.indices[:9].tolist() == [3, 4, 5, 6, 7, 8, 0, 1, 2]
+            J_ref, r_ref = per_factor_linearization(graph, lin.offsets, values)
+            assert_same_linearization(J, r, J_ref, r_ref)
+            band = lin.normal_band(J)
+            assert_identical(band, ReferenceLinearizer(graph).normal_band(J))
+            ref = lower_band((J_ref.T @ J_ref).tocsc(), lin.bandwidth)
+            assert np.max(np.abs(band - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # J^T J summed over J's repeated entries is the same matrix
+            np.testing.assert_allclose((J.T @ J).toarray(),
+                                       (J_ref.T @ J_ref).toarray(),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestBandNativeSolve:
@@ -1010,21 +920,17 @@ class TestBandNativeSolve:
         assert any(len(set(f.keys)) < len(f.keys) for f in graph.factors)
         assert {k.kind.tag for k in graph.variables} == {"SE3", "SO3", "RN"}
 
-    def test_csr_layout_equals_coo_to_csr(self, rng):
-        for _ in range(3):
-            graph, values = mixed_graph(rng)
+    def test_edits_to_J_leave_the_next_call_alone(self, rng):
+        for graph, values in structure_graphs(rng):
             lin = Linearizer(graph)
-            J, _ = lin(values)
-            rows, cols, _, _ = coo_entries(graph, lin.offsets, values)
-            ref = sp.coo_matrix((lin._data, (rows, cols)),
-                                shape=J.shape).tocsr()
-            np.testing.assert_array_equal(J.indptr, ref.indptr)
-            np.testing.assert_array_equal(J.indices, ref.indices)
-            np.testing.assert_array_equal(J.data, ref.data)
-            # a caller editing J in place leaves the next call's layout alone
-            J.indices[:] = 0
-            J2, _ = lin(values)
-            np.testing.assert_array_equal(J2.indices, ref.indices)
+            J, r = lin(values)
+            want, want_r = J.copy(), r.copy()
+            for array in (J.data, J.indices, J.indptr, r):
+                array[:] = 0
+            J2, r2 = lin(values)
+            for name in ("data", "indices", "indptr"):
+                assert_identical(getattr(J2, name), getattr(want, name))
+            assert_identical(r2, want_r)
 
     def test_band_gauge_passes_well_posed_graphs(self, rng, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twistgraph import manifold as M
 from twistgraph import tracking
-from twistgraph.fgraph import SolverSettings, Values
+from twistgraph.fgraph import SolverSettings, Values, optimize
 from twistgraph.simkit import (
     ScenarioConfig,
     TwistSegment,
@@ -420,6 +420,29 @@ class TestBuildGraph:
         assert tags == {"RN", "SE3"}
         assert any(f.name.startswith("boundary") for f in graph.factors)
         assert all(k in values for k in graph.variables)
+
+    def test_mode_b_run_of_one_keyframe(self):
+        """A lone optical keyframe between USBL ones, with down_after = 1,
+        is an SE(3) run of length 1: the run has no twist to carry into a
+        DOWN twin, so none is added. The graph still passes the gauge
+        check and converges."""
+        cfg = small_scenario()
+        recs = synthesize_measurements(generate_ground_truth(cfg), cfg)
+        lone = next(r for r in recs if r.kind == "OPTICAL")
+        recs = [r for r in recs if r.kind != "OPTICAL" or r is lone]
+        policy = ModePolicy(mode="B", down_after=1)
+        kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
+        tags = [kf.target_key.kind.tag for kf in kfs]
+        i = tags.index("SE3")
+        assert tags.count("SE3") == 1 and 2 <= i < len(tags) - 1
+        assert "OPTICAL" in kfs[i].meas_kinds
+        graph, values = build_graph(
+            kfs, policy, TrackingConfig(target_start=cfg.target_start))
+        names = [f.name.split("[")[0] for f in graph.factors]
+        assert names.count("boundary-UP") == 1
+        assert "boundary-DOWN" not in names
+        _, report = optimize(graph, values, SolverSettings())
+        assert report.converged
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_smoothing_beats_raw_usbl(self, mode):
