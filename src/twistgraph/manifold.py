@@ -571,9 +571,8 @@ def log_so3_batch(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def jl_so3_batch(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    a2 = _sq_norms(theta)
+def _jl_coeffs_batch(a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_jl_coeffs per row."""
     angle = np.sqrt(a2)
     small = angle < SMALL_ANGLE
     b = _series_or_closed(small, 0.5 - a2 / 24.0 + a2 * a2 / 720.0,
@@ -581,19 +580,43 @@ def jl_so3_batch(theta: np.ndarray) -> np.ndarray:
     c = _series_or_closed(
         small, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0,
         lambda m: (angle[m] - np.sin(angle[m])) / (a2[m] * angle[m]))
-    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2), b, c)
+    return b, c
+
+
+def _jl_inv_coeff_batch(a2: np.ndarray) -> np.ndarray:
+    """_jl_inv_coeff per row."""
+    angle = np.sqrt(a2)
+    _reject_near_pi(angle, "J_l^-1")
+    small = angle < SMALL_ANGLE
+    return _series_or_closed(
+        small, 1.0 / 12.0 + a2 / 720.0 + a2 * a2 / 30240.0,
+        lambda m: 1.0 / a2[m] - (1.0 + np.cos(angle[m])) / (
+            2.0 * angle[m] * np.sin(angle[m])))
+
+
+def _poly_apply_batch(u, c: np.ndarray, theta: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """_poly_apply per row, in its operation order."""
+    x, y, z = theta.T
+    v0, v1, v2 = v.T
+    d = c * (x * v0 + y * v1 + z * v2)
+    e = 1.0 - c * (x * x + y * y + z * z)
+    return np.stack([e * v0 + u * (y * v2 - z * v1) + d * x,
+                     e * v1 + u * (z * v0 - x * v2) + d * y,
+                     e * v2 + u * (x * v1 - y * v0) + d * z], axis=1)
+
+
+def jl_so3_batch(theta: np.ndarray) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    a2 = _sq_norms(theta)
+    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2),
+                 *_jl_coeffs_batch(a2))
 
 
 def jl_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     a2 = _sq_norms(theta)
-    angle = np.sqrt(a2)
-    _reject_near_pi(angle, "J_l^-1")
-    small = angle < SMALL_ANGLE
-    e = _series_or_closed(
-        small, 1.0 / 12.0 + a2 / 720.0 + a2 * a2 / 30240.0,
-        lambda m: 1.0 / a2[m] - (1.0 + np.cos(angle[m])) / (
-            2.0 * angle[m] * np.sin(angle[m])))
+    e = _jl_inv_coeff_batch(a2)
     return _I3 - 0.5 * skew_batch(theta) \
         + e[:, None, None] * _skew_sq_batch(theta, a2)
 
@@ -629,17 +652,25 @@ def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
             - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK))
 
 
+# exp_se3_batch and log_se3_batch apply J_l and J_l^-1 to the translation
+# as exp_se3 and log_se3 do, as vectors: a matrix product rounds otherwise,
+# and near pi the constant-twist factor amplifies that difference to 1e-9.
+
+
 def exp_se3_batch(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xi = np.asarray(xi, dtype=float)
     _check_finite_rows(xi)
     rho, theta = xi[:, :3], xi[:, 3:]
-    return exp_so3_batch(theta), (jl_so3_batch(theta) @ rho[:, :, None])[:, :, 0]
+    return exp_so3_batch(theta), _poly_apply_batch(
+        *_jl_coeffs_batch(_sq_norms(theta)), theta, rho)
 
 
 def log_se3_batch(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     theta = log_so3_batch(R)
+    x, y, z = theta.T
+    e = _jl_inv_coeff_batch(x * x + y * y + z * z)  # as log_se3 sums it
     out = np.empty((R.shape[0], 6))
-    out[:, :3] = (jl_inv_so3_batch(theta) @ t[:, :, None])[:, :, 0]
+    out[:, :3] = _poly_apply_batch(-0.5, e, theta, t)
     out[:, 3:] = theta
     return out
 

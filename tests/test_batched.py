@@ -9,7 +9,7 @@ NearSingularError for exactly the inputs where the scalar path raises.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistgraph import manifold as M
@@ -229,6 +229,10 @@ class TestFamilies:
     @SETTINGS
     @given(st.one_of(angles, beyond_edge), st.one_of(angles, beyond_edge),
            ratios, seeds)
+    # a draw that once left J_prev and J_curr 1e-9 apart: the batch applied
+    # J_l to rho as a matrix, the scalar kernels as a vector
+    @example(a1=3.1412738857760423, a_eps=0.0, ratio=999.999999999999,
+             seed=100)
     def test_ct_se3_near_pi(self, a1, a_eps, ratio, seed):
         values = Values()
         factors = [ct_se3_case(values, 0, 0.3, 0.1, 1.0, seed + 1),
