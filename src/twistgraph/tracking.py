@@ -243,7 +243,10 @@ def initialize_values(keyframes: list[Keyframe],
         raise NeedsPriorError("no keyframes to initialize")
     values = Values()
     chaser = config.chaser_start
-    prev_states: list[tuple[float, object]] = []  # (t, target element)
+    # (t, target element) of the measured keyframes only: extrapolating from
+    # a gated seed compounds its error, and when the gate does not divide
+    # the measurement period the seeds diverge geometrically
+    prev_states: list[tuple[float, object]] = []
     for kf in keyframes:
         if kf.odometry is not None:
             chaser = manifold.compose(chaser, kf.odometry[0])
@@ -253,7 +256,8 @@ def initialize_values(keyframes: list[Keyframe],
         usbl = next((r for r in kf.records if r.kind == "USBL"), None)
         target = _seed_target(kf, chaser, opt, usbl, prev_states, config)
         values.set(kf.target_key, target)
-        prev_states.append((kf.timestamp, target))
+        if opt is not None or usbl is not None:
+            prev_states.append((kf.timestamp, target))
     _refine_rotation_seeds(keyframes, values)
     return values
 

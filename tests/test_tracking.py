@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistgraph import cli, formats
 from twistgraph import manifold as M
 from twistgraph import tracking
-from twistgraph.fgraph import SolverSettings, Values, optimize
+from twistgraph.fgraph import SolverSettings, Values, optimize, total_cost
 from twistgraph.simkit import (
     ScenarioConfig,
     TwistSegment,
@@ -293,6 +294,22 @@ class TestInitialization:
                                    [3.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(values.get(gate_kfs[1].target_key).coords,
                                    [4.0, 0.0, 0.0], atol=1e-12)
+
+    # The gate does not divide the 2 s USBL period in either stream, so
+    # gated keyframes fall between measurements at varying offsets.
+    @pytest.mark.parametrize("setting", [{"gate": 1.5}, {"usbl_rate_hz": 0.6}])
+    def test_gated_seeds_keep_initial_cost_bounded(self, setting):
+        cfg = formats.parse_config([], overrides=dict(setting, seed=3,
+                                                      mode="B"))
+        cli._default_segments(cfg)
+        truth = generate_ground_truth(cfg.scenario_config())
+        recs = synthesize_measurements(truth, cfg.scenario_config())
+        policy = cfg.mode_policy()
+        kfs = schedule_keyframes(recs, gate=cfg.gate, policy=policy)
+        graph, values = build_graph(kfs, policy, cfg.tracking_config())
+        # about 3e7-6e7 when only measured states seed the extrapolation;
+        # chaining gated seeds gave 1e30-1e55
+        assert total_cost(graph, values) <= 1e9
 
     def test_dead_reckoned_chaser_chain(self):
         step = M.exp_se3(np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.1]))
