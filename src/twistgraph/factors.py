@@ -8,6 +8,7 @@ roll-pitch, and representation-boundary factors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,15 +100,20 @@ def ct_residual(T_prev, T_curr, T_next, dt1: float, dt2: float,
     """
     if dt1 <= 0 or dt2 <= 0:
         raise ValueError("dt1 and dt2 must be positive")
-    kind = kind or manifold.kind_of(T_curr)
+    return _ct_steps(T_prev, T_curr, T_next, dt2 / dt1,
+                     kind or manifold.kind_of(T_curr))[2]
+
+
+def _ct_steps(T_prev, T_curr, T_next, alpha: float, kind: ManifoldKind):
+    """The relative increment, the scaled increment and the residual."""
     try:
         delta1 = manifold.ominus(kind, T_curr, T_prev)
     except NearSingularError as err:
         raise NearSingularError(f"relative increment step: {err}") from err
-    delta2 = (dt2 / dt1) * delta1
+    delta2 = alpha * delta1
     predicted = manifold.oplus(kind, T_curr, delta2)
     try:
-        return manifold.ominus(kind, T_next, predicted)
+        return delta1, delta2, manifold.ominus(kind, T_next, predicted)
     except NearSingularError as err:
         raise NearSingularError(f"residual step: {err}") from err
 
@@ -121,21 +127,7 @@ def ct_jacobians(T_prev, T_curr, T_next, dt1: float, dt2: float,
     """
     kind = kind or manifold.kind_of(T_curr)
     alpha = dt2 / dt1
-    if kind.tag == "RN":
-        eye = np.eye(kind.dim)
-        return alpha * eye, -(1.0 + alpha) * eye, eye.copy()
-
-    try:
-        delta1 = manifold.ominus(kind, T_curr, T_prev)
-    except NearSingularError as err:
-        raise NearSingularError(f"relative increment step: {err}") from err
-    delta2 = alpha * delta1
-    predicted = manifold.oplus(kind, T_curr, delta2)
-    try:
-        eps = manifold.ominus(kind, T_next, predicted)
-    except NearSingularError as err:
-        raise NearSingularError(f"residual step: {err}") from err
-
+    delta1, delta2, eps = _ct_steps(T_prev, T_curr, T_next, alpha, kind)
     neg_jl_inv_eps = -manifold.jl_inv(kind, eps)
     common = alpha * (neg_jl_inv_eps @ manifold.jr(kind, delta2))
     J_prev = common @ (-manifold.jl_inv(kind, delta1))
@@ -170,7 +162,7 @@ def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
                   jacobian_fn=jacobian,
                   noise=NoiseModel(spec.effective_covariance()),
                   name=f"ct[{k_prev.id},{k_curr.id},{k_next.id}]",
-                  family=_CT_FAMILIES.get(kind.tag),
+                  family=_family(_ct_batch, kind.group),
                   family_params=(spec.alpha,))
 
 
@@ -188,15 +180,10 @@ def prior_factor(key: VariableKey, mean, covariance: np.ndarray) -> Factor:
         eps = manifold.ominus(kind, values.get(key), mean)
         return (manifold.jr_inv(kind, eps),)
 
-    family, params = None, ()
-    if kind.tag == "SE3":
-        family, params = _prior_se3_batch, (mean.rotation.matrix,
-                                            mean.translation)
-    elif kind.tag == "RN":
-        family, params = _prior_rn_batch, (mean.coords,)
     return Factor(keys=(key,), residual_fn=residual, jacobian_fn=jacobian,
                   noise=NoiseModel(covariance), name=f"prior[{key.id}]",
-                  family=family, family_params=params)
+                  family=_family(_prior_batch, kind.group),
+                  family_params=kind.group.parts(mean))
 
 
 def relative_pose_factor(key_a: VariableKey, key_b: VariableKey, z: Pose3,
@@ -306,7 +293,8 @@ def roll_pitch_factor(target_key: VariableKey,
         d_r10 = -(R[1, :] @ _SKEW_E0)
         d_psi = (r00 * d_r10 - r10 * d_r00) / denom
         J_theta = _S_RP @ (-manifold.jl_inv_so3(E)
-                           + manifold.jr_inv_so3(E) @ np.outer(_E2, d_psi))
+                           + manifold.jr_inv(manifold.SO3, E)
+                           @ np.outer(_E2, d_psi))
         return (np.hstack([np.zeros((2, 3)), J_theta]),)
 
     return Factor(keys=(target_key,), residual_fn=residual,
@@ -356,66 +344,49 @@ def boundary_factors(se3_key: VariableKey, r3_key: VariableKey,
 #     family(params, states) -> (r (N, d), per-key Jacobians (N, d, dk))
 #
 # params are the factors' family_params stacked row by row; states hold one
-# entry per key: an (R, t) stack for SE(3) keys, (N, n) coordinates for R^n.
-# Inverses are taken here, where the closures take them, so that every
-# product rounds as it does in the closures.
+# manifold.Group stack per key. _family binds the constant-twist and prior
+# families to a group. Inverses are taken where the closures take them, so
+# that every product rounds as it does in the closures.
 
 
-def _ct_se3_batch(params, states):
+@functools.cache
+def _family(batch, group: manifold.Group):
+    """`batch` bound to `group`, one object per pair: the Linearizer
+    batches the factors that share a family object."""
+    return functools.partial(batch, group)
+
+
+def _ct_batch(group, params, states):
     (alpha,) = params
-    (Rp, tp), (Rc, tc), (Rn, tn) = states
-    delta1 = manifold.log_se3_batch(
-        *manifold.compose_batch(*manifold.inverse_batch(Rp, tp), Rc, tc))
+    prev, curr, nxt = states
+    ops = group.batch
+    delta1 = ops.ominus(curr, prev)
     delta2 = alpha[:, None] * delta1
-    E2 = manifold.exp_se3_batch(delta2)
-    predicted = manifold.compose_batch(Rc, tc, *E2)
-    eps = manifold.log_se3_batch(
-        *manifold.compose_batch(*manifold.inverse_batch(*predicted), Rn, tn))
+    E2 = ops.exp(delta2)
+    eps = ops.ominus(nxt, ops.compose(curr, E2))
 
-    neg_jl_inv_eps = -manifold.jl_inv_se3_batch(eps)
-    common = alpha[:, None, None] * (neg_jl_inv_eps
-                                     @ manifold.jr_se3_batch(delta2))
-    J_prev = common @ (-manifold.jl_inv_se3_batch(delta1))
-    J_curr = common @ manifold.jr_inv_se3_batch(delta1) \
-        + neg_jl_inv_eps @ manifold.adjoint_inv_se3_batch(*E2)
-    J_next = manifold.jr_inv_se3_batch(eps)
+    neg_jl_inv_eps = -ops.jl_inv(eps)
+    common = alpha[:, None, None] * (neg_jl_inv_eps @ ops.jr(delta2))
+    J_prev = common @ (-ops.jl_inv(delta1))
+    J_curr = common @ ops.jr_inv(delta1) \
+        + neg_jl_inv_eps @ ops.adjoint_inv(E2)
+    J_next = ops.jr_inv(eps)
     return eps, (J_prev, J_curr, J_next)
 
 
-def _ct_rn_batch(params, states):
-    (alpha,) = params
-    prev, curr, nxt = states
-    eps = nxt - (curr + alpha[:, None] * (curr - prev))
-    a = alpha[:, None, None]
-    eye = np.eye(prev.shape[1])
-    return eps, (a * eye, -(1.0 + a) * eye, np.broadcast_to(eye, a.shape[:1]
-                                                            + eye.shape))
-
-
-_CT_FAMILIES = {"SE3": _ct_se3_batch, "RN": _ct_rn_batch}
-
-
-def _prior_se3_batch(params, states):
-    ((R, t),) = states
-    eps = manifold.log_se3_batch(
-        *manifold.compose_batch(*manifold.inverse_batch(*params), R, t))
-    return eps, (manifold.jr_inv_se3_batch(eps),)
-
-
-def _prior_rn_batch(params, states):
-    (mean,) = params
+def _prior_batch(group, params, states):
     (x,) = states
-    return x - mean, (np.broadcast_to(np.eye(x.shape[1]),
-                                      (x.shape[0],) + (x.shape[1],) * 2),)
+    eps = group.batch.ominus(x, params)
+    return eps, (group.batch.jr_inv(eps),)
 
 
 def _relative_pose_batch(params, states):
     (Ra, ta), (Rb, tb) = states
+    ops = manifold.SE3.group.batch
     rel = manifold.compose_batch(*manifold.inverse_batch(Ra, ta), Rb, tb)
-    eps = manifold.log_se3_batch(
-        *manifold.compose_batch(*manifold.inverse_batch(*params), *rel))
-    Jri = manifold.jr_inv_se3_batch(eps)
-    return eps, (-Jri @ manifold.adjoint_inv_se3_batch(*rel), Jri)
+    eps = ops.ominus(rel, params)
+    Jri = ops.jr_inv(eps)
+    return eps, (-Jri @ ops.adjoint_inv(rel), Jri)
 
 
 def _usbl_chaser_terms(chaser, p):
@@ -438,7 +409,7 @@ def _usbl_se3_batch(params, states):
 
 def _usbl_rn_batch(params, states):
     (z,) = params
-    chaser, p = states
+    chaser, (p,) = states
     RcT, h, J_chaser = _usbl_chaser_terms(chaser, p)
     return h - z, (J_chaser, RcT)
 
@@ -463,12 +434,12 @@ def _roll_pitch_batch(params, states):
     e2_d_psi = np.zeros_like(R)  # np.outer(_E2, d_psi) per row
     e2_d_psi[:, 2, :] = (r00 * d_r10 - r10 * d_r00) / (r00 * r00 + r10 * r10)
     J_theta = _S_RP @ (-manifold.jl_inv_so3_batch(E)
-                       + manifold.jr_inv_so3_batch(E) @ e2_d_psi)
+                       + manifold.SO3.group.batch.jr_inv(E) @ e2_d_psi)
     J = np.concatenate([np.zeros(J_theta.shape), J_theta], axis=2)
     return (_S_RP @ E[:, :, None])[:, :, 0], (J,)
 
 
 def _boundary_batch(params, states):
-    (R, t), p = states
+    (R, t), (p,) = states
     J_T = np.concatenate([-R, np.zeros_like(R)], axis=2)
     return p - t, (J_T, np.broadcast_to(np.eye(3), R.shape))

@@ -220,25 +220,8 @@ def _describe(f: Factor) -> str:
     return f"{f.name} (variables {where})"
 
 
-def _stack_states(kind: ManifoldKind, elements: list):
-    """SE(3) elements as an (R, t) stack, SO(3) elements as (N, 3, 3)
-    matrices, R^n elements as (N, n) coordinates."""
-    if kind.tag == "SE3":
-        return (np.array([e.rotation.matrix for e in elements]),
-                np.array([e.translation for e in elements]))
-    if kind.tag == "SO3":
-        return np.array([e.matrix for e in elements])
-    return np.array([e.coords for e in elements])
-
-
-def _take(states, rows: np.ndarray):
-    if isinstance(states, tuple):
-        return tuple(s[rows] for s in states)
-    return states[rows]
-
-
 class _StateLayout:
-    """Every variable in one `_stack_states` stack per manifold kind.
+    """Every variable in one `manifold.Group` stack per manifold kind.
 
     `offsets` lists the variables in column order, as `variable_offsets`
     returns them, and numbers them in that order; the keys of a kind keep
@@ -268,22 +251,14 @@ class _StateLayout:
             self.columns[kind] = cols[at][:, None] + np.arange(kind.dim)
 
     def stack(self, values: Values) -> dict:
-        return {kind: _stack_states(kind, [values.get(k) for k in keys])
+        return {kind: kind.group.stack([values.get(k) for k in keys])
                 for kind, keys in self.keys.items()}
 
     def values(self, states: dict, base: Values | None = None) -> Values:
         """`base` (default empty) with every variable set from `states`."""
         out = Values() if base is None else base.copy()
         for kind, keys in self.keys.items():
-            X = states[kind]
-            if kind.tag == "SE3":
-                elements = map(manifold.Pose3, map(manifold.Rotation3, X[0]),
-                               X[1])
-            elif kind.tag == "SO3":
-                elements = map(manifold.Rotation3, X)
-            else:
-                elements = map(manifold.EuclidPoint, X)
-            out._data.update(zip(keys, elements))
+            out._data.update(zip(keys, kind.group.unstack(states[kind])))
         return out
 
 
@@ -531,8 +506,8 @@ class Linearizer:
     def _batched(self, states: dict, data: np.ndarray,
                  res: np.ndarray) -> None:
         for b in self._batches:
-            r, Js = b.family(b.params,
-                             [_take(states[kind], i) for kind, i in b.slots])
+            r, Js = b.family(b.params, [tuple(s[i] for s in states[kind])
+                                        for kind, i in b.slots])
             W = b.sqrt_info
             res[b.rows] = (W @ r[:, :, None]).ravel()
             data[b.cells] = np.concatenate([W @ J for J in Js],
@@ -574,17 +549,8 @@ def _retract_all(states: dict, columns: dict, delta: np.ndarray) -> dict:
     `states` and the result are `_StateLayout` stacks; `columns[kind]`
     holds the tangent columns of each row of that kind's stack.
     """
-    out = {}
-    for kind, X in states.items():
-        steps = delta[columns[kind]]
-        if kind.tag == "SE3":
-            out[kind] = manifold.compose_batch(*X,
-                                               *manifold.exp_se3_batch(steps))
-        elif kind.tag == "SO3":
-            out[kind] = X @ manifold.exp_so3_batch(steps)
-        else:
-            out[kind] = X + steps
-    return out
+    return {kind: kind.group.batch.oplus(X, delta[columns[kind]])
+            for kind, X in states.items()}
 
 
 def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,11 +48,16 @@ class ManifoldMismatchError(TypeError):
 class ManifoldKind:
     """Dispatch tag for the group-agnostic operations.
 
-    tag is one of "SO3", "SE3", "RN"; dim is the tangent dimension.
+    tag is one of "SO3", "SE3", "RN"; dim is the tangent dimension. A kind
+    is pickled, so it finds its group's table by tag and holds no functions.
     """
 
     tag: str
     dim: int
+
+    @property
+    def group(self) -> "Group":
+        return _GROUPS[self.tag]
 
 
 SO3 = ManifoldKind("SO3", 3)
@@ -372,34 +378,17 @@ def jl_inv_se3(delta: np.ndarray) -> np.ndarray:
     return J
 
 
-def jr_se3(delta: np.ndarray) -> np.ndarray:
-    # Right Jacobian by reflection of the left one; single code path.
-    return jl_se3(-np.asarray(delta, dtype=float))
-
-
 def jr_inv_se3(delta: np.ndarray) -> np.ndarray:
     return jl_inv_se3(-np.asarray(delta, dtype=float))
 
 
-def jr_so3(theta: np.ndarray) -> np.ndarray:
-    return jl_so3(-np.asarray(theta, dtype=float))
-
-
-def jr_inv_so3(theta: np.ndarray) -> np.ndarray:
-    return jl_inv_so3(-np.asarray(theta, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Kind-dispatched generic operations (the group-agnostic surface used by the
-# constant-twist factor).
+# constant-twist factor), derived from the kind's group table.
 
 
 def identity_element(kind: ManifoldKind):
-    if kind.tag == "SE3":
-        return Pose3.identity()
-    if kind.tag == "SO3":
-        return Rotation3.identity()
-    return EuclidPoint(np.zeros(kind.dim))
+    return kind.group.exp(np.zeros(kind.dim))
 
 
 def oplus(kind: ManifoldKind, X, delta: np.ndarray):
@@ -408,55 +397,28 @@ def oplus(kind: ManifoldKind, X, delta: np.ndarray):
         raise ManifoldMismatchError(
             f"tangent dim {delta.shape} does not match {kind}"
         )
-    if kind.tag == "SE3":
-        return compose(X, exp_se3(delta))
-    if kind.tag == "SO3":
-        return Rotation3(X.matrix @ exp_so3(delta).matrix)
-    return EuclidPoint(X.coords + delta)
+    return kind.group.oplus(X, delta)
 
 
 def ominus(kind: ManifoldKind, Y, X) -> np.ndarray:
-    if kind.tag == "SE3":
-        # compose(inverse(X), Y) without the intermediate inverse
-        Rt = X.rotation.matrix.T
-        return log_se3(Pose3(Rotation3(Rt @ Y.rotation.matrix),
-                             Rt @ Y.translation - Rt @ X.translation))
-    if kind.tag == "SO3":
-        return log_so3(Rotation3(X.matrix.T @ Y.matrix))
-    return Y.coords - X.coords
+    return kind.group.ominus(Y, X)
 
 
 def jr(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    if kind.tag == "SE3":
-        return jr_se3(delta)
-    if kind.tag == "SO3":
-        return jr_so3(delta)
-    return np.eye(kind.dim)
+    return kind.group.jr(delta)
 
 
 def jr_inv(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    if kind.tag == "SE3":
-        return jr_inv_se3(delta)
-    if kind.tag == "SO3":
-        return jr_inv_so3(delta)
-    return np.eye(kind.dim)
+    return kind.group.jr_inv(delta)
 
 
 def jl_inv(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    if kind.tag == "SE3":
-        return jl_inv_se3(delta)
-    if kind.tag == "SO3":
-        return jl_inv_so3(delta)
-    return np.eye(kind.dim)
+    return kind.group.jl_inv(delta)
 
 
 def adjoint_inv_of_exp(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
     """Ad^-1 of Exp(delta); identity on R^n."""
-    if kind.tag == "SE3":
-        return adjoint_inv_se3(exp_se3(delta))
-    if kind.tag == "SO3":
-        return exp_so3(delta).matrix.T
-    return np.eye(kind.dim)
+    return kind.group.adjoint_inv(kind.group.exp(delta))
 
 
 def kind_of(element) -> ManifoldKind:
@@ -621,10 +583,6 @@ def jl_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
         + e[:, None, None] * _skew_sq_batch(theta, a2)
 
 
-def jr_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
-    return jl_inv_so3_batch(-np.asarray(theta, dtype=float))
-
-
 def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     P = skew_batch(rho)
     K = skew_batch(theta)
@@ -714,9 +672,113 @@ def jl_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
     return J
 
 
-def jr_se3_batch(delta: np.ndarray) -> np.ndarray:
-    return jl_se3_batch(-np.asarray(delta, dtype=float))
+# ---------------------------------------------------------------------------
+# Group tables. The generic operations, the factor families and the solver
+# are written against them, so a new group needs a table and nothing else.
 
 
-def jr_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
-    return jl_inv_se3_batch(-np.asarray(delta, dtype=float))
+@dataclass(frozen=True, eq=False, repr=False)
+class GroupOps:
+    """A Lie group's primitives, on elements or on stacks of them, and the
+    operations derived from them. Each entry names the module's kernels in
+    its body, so that a kernel replaced on the module (as perfbench's tracer
+    replaces them) is the one it calls.
+    """
+
+    exp: Callable  # delta -> Exp(delta)
+    compose: Callable  # (X, Y) -> X Y
+    ominus: Callable  # (Y, X) -> Log(X^-1 Y)
+    jl: Callable  # delta -> J_l(delta)
+    jl_inv: Callable  # delta -> J_l(delta)^-1
+    adjoint_inv: Callable  # X -> Ad(X)^-1
+
+    def oplus(self, X, delta):
+        return self.compose(X, self.exp(delta))
+
+    def jr(self, delta):
+        return self.jl(-np.asarray(delta, dtype=float))
+
+    def jr_inv(self, delta):
+        return self.jl_inv(-np.asarray(delta, dtype=float))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Group(GroupOps):
+    """The operations on elements; `batch` holds them on stacks.
+
+    A stack holds N elements as the tuple of their parts, each stacked row
+    by row: (R, t) of (N, 3, 3) and (N, 3) arrays on SE(3), (R,) on SO(3),
+    (x,) of (N, n) coordinates on R^n.
+    """
+
+    batch: GroupOps
+    parts: Callable  # element -> tuple of its arrays
+    unstack: Callable  # stack -> iterator of elements
+
+    def stack(self, elements):
+        return tuple(map(np.array, zip(*map(self.parts, elements))))
+
+
+def _ominus_se3(Y: Pose3, X: Pose3) -> np.ndarray:
+    # compose(inverse(X), Y) without the intermediate inverse
+    Rt = X.rotation.matrix.T
+    return log_se3(Pose3(Rotation3(Rt @ Y.rotation.matrix),
+                         Rt @ Y.translation - Rt @ X.translation))
+
+
+def _eyes(v: np.ndarray) -> np.ndarray:
+    """A read-only identity matrix per row of the (N, n) array v."""
+    return np.broadcast_to(np.eye(v.shape[1]), v.shape[:1] + (v.shape[1],) * 2)
+
+
+_GROUPS = {
+    "SE3": Group(
+        exp=lambda delta: exp_se3(delta),
+        compose=lambda X, Y: compose(X, Y),
+        ominus=_ominus_se3,
+        jl=lambda delta: jl_se3(delta),
+        jl_inv=lambda delta: jl_inv_se3(delta),
+        adjoint_inv=lambda X: adjoint_inv_se3(X),
+        batch=GroupOps(
+            exp=lambda delta: exp_se3_batch(delta),
+            compose=lambda X, Y: compose_batch(*X, *Y),
+            ominus=lambda Y, X: log_se3_batch(
+                *compose_batch(*inverse_batch(*X), *Y)),
+            jl=lambda delta: jl_se3_batch(delta),
+            jl_inv=lambda delta: jl_inv_se3_batch(delta),
+            adjoint_inv=lambda X: adjoint_inv_se3_batch(*X)),
+        parts=lambda X: (X.rotation.matrix, X.translation),
+        unstack=lambda X: map(Pose3, map(Rotation3, X[0]), X[1])),
+    "SO3": Group(
+        exp=lambda delta: exp_so3(delta),
+        compose=lambda X, Y: Rotation3(X.matrix @ Y.matrix),
+        ominus=lambda Y, X: log_so3(Rotation3(X.matrix.T @ Y.matrix)),
+        jl=lambda delta: jl_so3(delta),
+        jl_inv=lambda delta: jl_inv_so3(delta),
+        adjoint_inv=lambda X: X.matrix.T,
+        batch=GroupOps(
+            exp=lambda delta: (exp_so3_batch(delta),),
+            compose=lambda X, Y: (X[0] @ Y[0],),
+            ominus=lambda Y, X: log_so3_batch(X[0].transpose(0, 2, 1) @ Y[0]),
+            jl=lambda delta: jl_so3_batch(delta),
+            jl_inv=lambda delta: jl_inv_so3_batch(delta),
+            adjoint_inv=lambda X: X[0].transpose(0, 2, 1)),
+        parts=lambda X: (X.matrix,),
+        unstack=lambda X: map(Rotation3, *X)),
+    "RN": Group(
+        exp=EuclidPoint,
+        compose=lambda X, Y: EuclidPoint(X.coords + Y.coords),
+        ominus=lambda Y, X: Y.coords - X.coords,
+        jl=lambda delta: np.eye(len(delta)),
+        jl_inv=lambda delta: np.eye(len(delta)),
+        adjoint_inv=lambda X: np.eye(len(X.coords)),
+        batch=GroupOps(
+            exp=lambda delta: (delta,),
+            compose=lambda X, Y: (X[0] + Y[0],),
+            ominus=lambda Y, X: Y[0] - X[0],
+            jl=_eyes,
+            jl_inv=_eyes,
+            adjoint_inv=lambda X: _eyes(X[0])),
+        parts=lambda X: (X.coords,),
+        unstack=lambda X: map(EuclidPoint, *X)),
+}

@@ -29,7 +29,6 @@ from twistgraph.fgraph import (
     VariableKey,
     _StateLayout,
     _retract_all,
-    _stack_states as stack,
 )
 from twistgraph.manifold import EuclidPoint, NearSingularError, Pose3, Rotation3
 
@@ -82,6 +81,10 @@ def rn_key(i, dim=3):
     return VariableKey(id=i, kind=M.rn(dim), timestamp=float(i))
 
 
+def stack(kind, elements):
+    return kind.group.stack(elements)
+
+
 def assert_family_matches_scalar(factors, values):
     """Evaluate `factors` (one family, one batch) and check every row."""
     family = factors[0].family
@@ -124,7 +127,7 @@ class TestKernels:
             assert_close(w[n], M.log_so3(Rotation3(R[n])))
         for batched, scalar in [(M.jl_so3_batch, M.jl_so3),
                                 (M.jl_inv_so3_batch, M.jl_inv_so3),
-                                (M.jr_inv_so3_batch, M.jr_inv_so3)]:
+                                (M.SO3.group.batch.jr_inv, M.SO3.group.jr_inv)]:
             out = batched(theta)
             for n, th in enumerate(theta):
                 assert_close(out[n], scalar(th))
@@ -145,9 +148,9 @@ class TestKernels:
         for n, x in enumerate(xi):
             assert_close(Q[n], M.q_block(x[:3], x[3:]))
         for batched, scalar in [(M.jl_se3_batch, M.jl_se3),
-                                (M.jr_se3_batch, M.jr_se3),
                                 (M.jl_inv_se3_batch, M.jl_inv_se3),
-                                (M.jr_inv_se3_batch, M.jr_inv_se3)]:
+                                (M.SE3.group.batch.jr, M.SE3.group.jr),
+                                (M.SE3.group.batch.jr_inv, M.jr_inv_se3)]:
             out = batched(xi)
             for n, x in enumerate(xi):
                 assert_close(out[n], scalar(x))
@@ -200,21 +203,25 @@ class TestKernels:
 # Factor families.
 
 
-def ct_se3_case(values, i, a1, a_eps, ratio, seed):
-    """A ct triple whose increment turns by a1 and whose residual by a_eps."""
+def ct_case(values, i, a1, a_eps, ratio, seed, kind=M.SE3):
+    """A ct triple whose increment turns by a1 and whose residual by a_eps;
+    on SO(3), the rotations of the SE(3) case."""
     rng = np.random.default_rng(seed)
-    keys = tuple(se3_key(3 * i + j) for j in range(3))
+    keys = tuple(VariableKey(3 * i + j, kind, float(3 * i + j))
+                 for j in range(3))
     dt1 = rng.uniform(0.1, 2.0)
-    T0 = random_pose(rng)
-    xi1 = twist(rng, a1)
-    T1 = M.oplus(M.SE3, T0, xi1)
+    T0, xi1, xi_eps = random_pose(rng), twist(rng, a1), twist(rng, a_eps, 0.1)
+    if kind == M.SO3:
+        T0, xi1, xi_eps = T0.rotation, xi1[3:], xi_eps[3:]
+    T1 = M.oplus(kind, T0, xi1)
     # Log(T0^-1 T1) = xi1 below pi, so this is the factor's prediction
-    predicted = M.oplus(M.SE3, T1, ratio * xi1)
-    T2 = M.oplus(M.SE3, predicted, twist(rng, a_eps, 0.1))
+    predicted = M.oplus(kind, T1, ratio * xi1)
+    T2 = M.oplus(kind, predicted, xi_eps)
     for key, T in zip(keys, (T0, T1, T2)):
         values.set(key, T)
-    return ct_factor(keys, ConstantTwistSpec(
-        dt1, ratio * dt1, np.diag([0.05 ** 2] * 3 + [0.005 ** 2] * 3)))
+    sigmas = np.array([0.05] * 3 + [0.005] * 3)[-kind.dim:]
+    return ct_factor(keys, ConstantTwistSpec(dt1, ratio * dt1,
+                                             np.diag(sigmas ** 2)))
 
 
 class TestFamilies:
@@ -223,7 +230,7 @@ class TestFamilies:
                     min_size=1, max_size=4))
     def test_ct_se3(self, cases):
         values = Values()
-        factors = [ct_se3_case(values, i, *case) for i, case in enumerate(cases)]
+        factors = [ct_case(values, i, *case) for i, case in enumerate(cases)]
         assert_family_matches_scalar(factors, values)
 
     @SETTINGS
@@ -235,8 +242,18 @@ class TestFamilies:
              seed=100)
     def test_ct_se3_near_pi(self, a1, a_eps, ratio, seed):
         values = Values()
-        factors = [ct_se3_case(values, 0, 0.3, 0.1, 1.0, seed + 1),
-                   ct_se3_case(values, 1, a1, a_eps, ratio, seed)]
+        factors = [ct_case(values, 0, 0.3, 0.1, 1.0, seed + 1),
+                   ct_case(values, 1, a1, a_eps, ratio, seed)]
+        assert_family_matches_scalar(factors, values)
+
+    @SETTINGS
+    @given(st.lists(st.tuples(st.one_of(angles, beyond_edge),
+                              st.one_of(angles, beyond_edge), ratios, seeds),
+                    min_size=1, max_size=4))
+    def test_ct_so3(self, cases):
+        values = Values()
+        factors = [ct_case(values, i, *case, kind=M.SO3)
+                   for i, case in enumerate(cases)]
         assert_family_matches_scalar(factors, values)
 
     @SETTINGS
@@ -305,6 +322,20 @@ class TestFamilies:
         assert_family_matches_scalar(factors, values)
 
     @SETTINGS
+    @given(st.lists(st.tuples(st.one_of(angles, beyond_edge), seeds),
+                    min_size=1, max_size=4))
+    def test_prior_so3(self, cases):
+        values = Values()
+        factors = []
+        for i, (angle, seed) in enumerate(cases):
+            rng = np.random.default_rng(seed)
+            mean = random_pose(rng).rotation
+            key = VariableKey(i, M.SO3, float(i))
+            values.set(key, M.oplus(M.SO3, mean, unit_axis(rng) * angle))
+            factors.append(prior_factor(key, mean, np.eye(3) * 0.01))
+        assert_family_matches_scalar(factors, values)
+
+    @SETTINGS
     @given(st.lists(seeds, min_size=1, max_size=4))
     def test_prior_rn(self, seed_list):
         values = Values()
@@ -351,10 +382,20 @@ class TestFamilies:
             factors += boundary_factors(kT, kp, direction, np.eye(3) * 1e-4)
         assert_family_matches_scalar(factors, values)
 
-    def test_so3_ct_has_no_family(self):
-        keys = tuple(VariableKey(i, M.SO3, float(i)) for i in range(3))
-        f = ct_factor(keys, ConstantTwistSpec(1.0, 1.0, np.eye(3) * 0.01))
-        assert f.family is None
+    def test_ct_rn_batch_is_exact(self):
+        """Criterion 2 on the batch: (alpha I, -(1 + alpha) I, I) exactly."""
+        rng = np.random.default_rng(7)
+        keys = tuple(rn_key(j) for j in range(3))
+        values = Values({k: EuclidPoint(rng.normal(size=3)) for k in keys})
+        factors = [ct_factor(keys, ConstantTwistSpec(dt1, dt2, np.eye(3)))
+                   for dt1, dt2 in rng.uniform(0.1, 5.0, (100, 2))]
+        params = (np.array([f.family_params[0] for f in factors]),)
+        states = [stack(k.kind, [values.get(k)] * len(factors)) for k in keys]
+        _, (J_prev, J_curr, J_next) = factors[0].family(params, states)
+        for n, (alpha,) in enumerate(f.family_params for f in factors):
+            np.testing.assert_array_equal(J_prev[n], alpha * np.eye(3))
+            np.testing.assert_array_equal(J_curr[n], -(1.0 + alpha) * np.eye(3))
+            np.testing.assert_array_equal(J_next[n], np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -495,18 +495,22 @@ class TestBatchedLinearizer:
         assert message.endswith(str(ref.value))
 
     def test_loose_factor_error_also_keeps_graph_order(self, rng):
-        keys = tuple(VariableKey(i, M.SO3, float(i)) for i in range(3))
+        keys = tuple(VariableKey(i, M.SO3, float(i)) for i in range(2))
         p = VariableKey(5, M.SE3, 9.0)
         graph = FactorGraph()
-        graph.add(ct_factor(keys, ConstantTwistSpec(1.0, 1.0,
-                                                    np.eye(3) * 0.01)))
+        # a custom factor, which has no family
+        graph.add(Factor(keys=keys, residual_fn=lambda values: M.ominus(
+                             M.SO3, values.get(keys[1]), values.get(keys[0])),
+                         jacobian_fn=lambda values: (-np.eye(3), np.eye(3)),
+                         noise=NoiseModel(np.eye(3) * 0.01),
+                         name="custom[0,1]"))
         graph.add(prior_factor(p, M.Pose3.identity(), np.eye(6)))
         flip = M.exp_so3(np.array([0.0, 0.0, np.pi]))
         values = Values({keys[0]: M.Rotation3.identity(), keys[1]: flip,
-                         keys[2]: flip,
                          p: M.Pose3(flip, np.zeros(3))})
+        assert graph.factors[0].family is None
         with pytest.raises(M.NearSingularError,
-                           match=r"in ct\[0,1,2\] \(variables id=0@t=0"):
+                           match=r"in custom\[0,1\] \(variables id=0@t=0"):
             Linearizer(graph)(values)
 
 

@@ -98,7 +98,7 @@ class TestJacobians:
     def test_right_jacobian_is_reflected_left(self, rng):
         for _ in range(100):
             xi = rng.normal(0.0, 0.8, 6)
-            np.testing.assert_allclose(M.jr_se3(xi), M.jl_se3(-xi), atol=1e-15)
+            np.testing.assert_allclose(M.jr(M.SE3, xi), M.jl_se3(-xi), atol=1e-15)
             np.testing.assert_allclose(
                 M.jr_inv_se3(xi), M.jl_inv_se3(-xi), atol=1e-15)
 
@@ -113,7 +113,7 @@ class TestJacobians:
                 e[i] = h
                 d = M.ominus(M.SE3, M.exp_se3(xi + e), M.exp_se3(xi - e))
                 J_fd[:, i] = d / (2.0 * h)
-            np.testing.assert_allclose(M.jr_se3(xi), J_fd, atol=1e-6)
+            np.testing.assert_allclose(M.jr(M.SE3, xi), J_fd, atol=1e-6)
 
     def test_left_jacobian_translation_identity(self, rng):
         # exp_se3 translation equals J_l(theta) rho by construction; cross-check
