@@ -88,53 +88,55 @@ class RollPitchSpec:
 
 
 # ---------------------------------------------------------------------------
-# Constant-twist residual and Jacobians (any manifold kind).
+# Constant-twist residual and Jacobians, written once against a group table:
+# `ops` is a manifold.Group on elements, with a float alpha, or its `batch`
+# on stacks, with alpha an (N, 1) column.
 
 
-def ct_residual(T_prev, T_curr, T_next, dt1: float, dt2: float,
-                kind: ManifoldKind | None = None) -> np.ndarray:
-    """Deviation of T_next from replaying the twist seen over (T_prev, T_curr).
-
-    Five steps: relative increment, twist estimate, scaled increment,
-    prediction, and tangent-space deviation at the prediction.
-    """
-    if dt1 <= 0 or dt2 <= 0:
-        raise ValueError("dt1 and dt2 must be positive")
-    return _ct_steps(T_prev, T_curr, T_next, dt2 / dt1,
-                     kind or manifold.kind_of(T_curr))[2]
-
-
-def _ct_steps(T_prev, T_curr, T_next, alpha: float, kind: ManifoldKind):
-    """The relative increment, the scaled increment and the residual."""
+def _ct_steps(ops, alpha, prev, curr, nxt):
+    """The relative increment, the scaled increment, its Exp and the
+    residual: the deviation of `nxt` from replaying the twist seen over
+    (`prev`, `curr`) for alpha times as long."""
     try:
-        delta1 = manifold.ominus(kind, T_curr, T_prev)
+        delta1 = ops.ominus(curr, prev)
     except NearSingularError as err:
         raise NearSingularError(f"relative increment step: {err}") from err
     delta2 = alpha * delta1
-    predicted = manifold.oplus(kind, T_curr, delta2)
+    E2 = ops.exp(delta2)
     try:
-        return delta1, delta2, manifold.ominus(kind, T_next, predicted)
+        return delta1, delta2, E2, ops.ominus(nxt, ops.compose(curr, E2))
     except NearSingularError as err:
         raise NearSingularError(f"residual step: {err}") from err
 
 
-def ct_jacobians(T_prev, T_curr, T_next, dt1: float, dt2: float,
-                 kind: ManifoldKind | None = None):
-    """Closed-form derivative blocks of ct_residual w.r.t. the three states.
+def _ct(ops, alpha, prev, curr, nxt):
+    """The residual and its closed-form blocks w.r.t. the three states.
 
     Right-tangent perturbation convention; on R^n the blocks reduce exactly
-    to (alpha I, -(1 + alpha) I, I) with alpha = dt2/dt1.
+    to (alpha I, -(1 + alpha) I, I).
     """
-    kind = kind or manifold.kind_of(T_curr)
-    alpha = dt2 / dt1
-    delta1, delta2, eps = _ct_steps(T_prev, T_curr, T_next, alpha, kind)
-    neg_jl_inv_eps = -manifold.jl_inv(kind, eps)
-    common = alpha * (neg_jl_inv_eps @ manifold.jr(kind, delta2))
-    J_prev = common @ (-manifold.jl_inv(kind, delta1))
-    J_curr = common @ manifold.jr_inv(kind, delta1) \
-        + neg_jl_inv_eps @ manifold.adjoint_inv_of_exp(kind, delta2)
-    J_next = manifold.jr_inv(kind, eps)
-    return J_prev, J_curr, J_next
+    delta1, delta2, E2, eps = _ct_steps(ops, alpha, prev, curr, nxt)
+    neg_jl_inv_eps = -ops.jl_inv(eps)
+    common = np.expand_dims(alpha, -1) * (neg_jl_inv_eps @ ops.jr(delta2))
+    J_prev = common @ (-ops.jl_inv(delta1))
+    J_curr = common @ ops.jr_inv(delta1) \
+        + neg_jl_inv_eps @ ops.adjoint_inv(E2)
+    J_next = ops.jr_inv(eps)
+    return eps, (J_prev, J_curr, J_next)
+
+
+def ct_residual(T_prev, T_curr, T_next, dt1: float, dt2: float) -> np.ndarray:
+    """Deviation of T_next from replaying the twist seen over (T_prev, T_curr)."""
+    if dt1 <= 0 or dt2 <= 0:
+        raise ValueError("dt1 and dt2 must be positive")
+    return _ct_steps(manifold.kind_of(T_curr).group, dt2 / dt1,
+                     T_prev, T_curr, T_next)[3]
+
+
+def ct_jacobians(T_prev, T_curr, T_next, dt1: float, dt2: float):
+    """Closed-form derivative blocks of ct_residual w.r.t. the three states."""
+    return _ct(manifold.kind_of(T_curr).group, dt2 / dt1,
+               T_prev, T_curr, T_next)[1]
 
 
 def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
@@ -148,42 +150,47 @@ def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
     if not (k_prev.timestamp < k_curr.timestamp < k_next.timestamp):
         raise ValueError("constant-twist keys must have strictly increasing timestamps")
 
-    dt1, dt2 = spec.dt1, spec.dt2
+    ops, alpha = kind.group, spec.alpha
 
     def residual(values: Values) -> np.ndarray:
-        return ct_residual(values.get(k_prev), values.get(k_curr),
-                           values.get(k_next), dt1, dt2, kind)
+        return _ct_steps(ops, alpha, values.get(k_prev), values.get(k_curr),
+                         values.get(k_next))[3]
 
     def jacobian(values: Values):
-        return ct_jacobians(values.get(k_prev), values.get(k_curr),
-                            values.get(k_next), dt1, dt2, kind)
+        return _ct(ops, alpha, values.get(k_prev), values.get(k_curr),
+                   values.get(k_next))[1]
 
     return Factor(keys=(k_prev, k_curr, k_next), residual_fn=residual,
                   jacobian_fn=jacobian,
                   noise=NoiseModel(spec.effective_covariance()),
                   name=f"ct[{k_prev.id},{k_curr.id},{k_next.id}]",
                   family=_family(_ct_batch, kind.group),
-                  family_params=(spec.alpha,))
+                  family_params=(alpha,))
 
 
 # ---------------------------------------------------------------------------
 # Priors and measurement factors.
 
 
+def _prior(ops, mean, x):
+    """The residual x (-) mean and its block, on elements or on stacks."""
+    eps = ops.ominus(x, mean)
+    return eps, (ops.jr_inv(eps),)
+
+
 def prior_factor(key: VariableKey, mean, covariance: np.ndarray) -> Factor:
-    kind = key.kind
+    group = key.kind.group
 
     def residual(values: Values) -> np.ndarray:
-        return manifold.ominus(kind, values.get(key), mean)
+        return group.ominus(values.get(key), mean)
 
     def jacobian(values: Values):
-        eps = manifold.ominus(kind, values.get(key), mean)
-        return (manifold.jr_inv(kind, eps),)
+        return _prior(group, mean, values.get(key))[1]
 
     return Factor(keys=(key,), residual_fn=residual, jacobian_fn=jacobian,
                   noise=NoiseModel(covariance), name=f"prior[{key.id}]",
-                  family=_family(_prior_batch, kind.group),
-                  family_params=kind.group.parts(mean))
+                  family=_family(_prior_batch, group),
+                  family_params=group.parts(mean))
 
 
 def relative_pose_factor(key_a: VariableKey, key_b: VariableKey, z: Pose3,
@@ -293,7 +300,7 @@ def roll_pitch_factor(target_key: VariableKey,
         d_r10 = -(R[1, :] @ _SKEW_E0)
         d_psi = (r00 * d_r10 - r10 * d_r00) / denom
         J_theta = _S_RP @ (-manifold.jl_inv_so3(E)
-                           + manifold.jr_inv(manifold.SO3, E)
+                           + manifold.SO3.group.jr_inv(E)
                            @ np.outer(_E2, d_psi))
         return (np.hstack([np.zeros((2, 3)), J_theta]),)
 
@@ -344,9 +351,10 @@ def boundary_factors(se3_key: VariableKey, r3_key: VariableKey,
 #     family(params, states) -> (r (N, d), per-key Jacobians (N, d, dk))
 #
 # params are the factors' family_params stacked row by row; states hold one
-# manifold.Group stack per key. _family binds the constant-twist and prior
-# families to a group. Inverses are taken where the closures take them, so
-# that every product rounds as it does in the closures.
+# manifold.Group stack per key. The constant-twist and prior families run
+# the closures' own _ct and _prior on the group's batch table; _family binds
+# them to a group. The others repeat their closure with inverses taken where
+# the closure takes them, so that every product rounds as it does there.
 
 
 @functools.cache
@@ -358,26 +366,11 @@ def _family(batch, group: manifold.Group):
 
 def _ct_batch(group, params, states):
     (alpha,) = params
-    prev, curr, nxt = states
-    ops = group.batch
-    delta1 = ops.ominus(curr, prev)
-    delta2 = alpha[:, None] * delta1
-    E2 = ops.exp(delta2)
-    eps = ops.ominus(nxt, ops.compose(curr, E2))
-
-    neg_jl_inv_eps = -ops.jl_inv(eps)
-    common = alpha[:, None, None] * (neg_jl_inv_eps @ ops.jr(delta2))
-    J_prev = common @ (-ops.jl_inv(delta1))
-    J_curr = common @ ops.jr_inv(delta1) \
-        + neg_jl_inv_eps @ ops.adjoint_inv(E2)
-    J_next = ops.jr_inv(eps)
-    return eps, (J_prev, J_curr, J_next)
+    return _ct(group.batch, alpha[:, None], *states)
 
 
 def _prior_batch(group, params, states):
-    (x,) = states
-    eps = group.batch.ominus(x, params)
-    return eps, (group.batch.jr_inv(eps),)
+    return _prior(group.batch, params, *states)
 
 
 def _relative_pose_batch(params, states):

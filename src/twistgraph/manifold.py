@@ -383,12 +383,7 @@ def jr_inv_se3(delta: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kind-dispatched generic operations (the group-agnostic surface used by the
-# constant-twist factor), derived from the kind's group table.
-
-
-def identity_element(kind: ManifoldKind):
-    return kind.group.exp(np.zeros(kind.dim))
+# The retraction pair on a kind's elements, through the kind's group table.
 
 
 def oplus(kind: ManifoldKind, X, delta: np.ndarray):
@@ -402,23 +397,6 @@ def oplus(kind: ManifoldKind, X, delta: np.ndarray):
 
 def ominus(kind: ManifoldKind, Y, X) -> np.ndarray:
     return kind.group.ominus(Y, X)
-
-
-def jr(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    return kind.group.jr(delta)
-
-
-def jr_inv(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    return kind.group.jr_inv(delta)
-
-
-def jl_inv(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    return kind.group.jl_inv(delta)
-
-
-def adjoint_inv_of_exp(kind: ManifoldKind, delta: np.ndarray) -> np.ndarray:
-    """Ad^-1 of Exp(delta); identity on R^n."""
-    return kind.group.adjoint_inv(kind.group.exp(delta))
 
 
 def kind_of(element) -> ManifoldKind:
@@ -673,8 +651,8 @@ def jl_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Group tables. The generic operations, the factor families and the solver
-# are written against them, so a new group needs a table and nothing else.
+# Group tables. oplus/ominus, the factors and the solver are written
+# against them, so a new group needs a table and nothing else.
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -370,11 +370,11 @@ def _extrapolate_position_aware(Sa, Sb, dt1, horizon, want_se3, config):
     return EuclidPoint(p)
 
 
-def extrapolate(prev, curr, dt1: float, horizon: float, kind=None):
+def extrapolate(prev, curr, dt1: float, horizon: float):
     """Constant-twist forward prediction from the last two states."""
     if dt1 <= 0:
         raise ValueError("dt1 must be positive")
-    kind = kind or manifold.kind_of(curr)
+    kind = manifold.kind_of(curr)
     xi = manifold.ominus(kind, curr, prev) / dt1
     return manifold.oplus(kind, curr, xi * horizon)
 
