@@ -114,43 +114,45 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
     A gated keyframe is inserted every `gate` seconds inside any measurement
     gap longer than the gate (and out to `until`, when given). Each keyframe
     carries its relative-measurement records and the odometry composed since
-    the previous keyframe; this is the only pass over the stream.
+    the previous keyframe; this is the only pass over the stream. Relative
+    records within 1e-9 s of a keyframe's first record share that keyframe.
     """
     policy = policy or ModePolicy()
 
-    def _tkey(t: float) -> float:
-        return round(t, 9)
-
     # The tolerance is measured from the latest time seen, so that small
-    # steps back cannot add up.
+    # steps back cannot add up. A relative record within the tolerance of
+    # the current event's first record joins that event; each later event
+    # starts past it, so the events come out in time order.
     latest = -math.inf
-    events: dict[float, list[MeasurementRecord]] = {}
+    events: list[tuple[float, list[MeasurementRecord] | None]] = []
     for rec in measurements:
         if rec.timestamp < latest - 1e-9:
             raise StreamOrderError(
                 f"measurement at t={rec.timestamp} arrived after t={latest}")
         latest = max(latest, rec.timestamp)
         if rec.kind in ("USBL", "OPTICAL"):
-            events.setdefault(_tkey(rec.timestamp), []).append(rec)
+            if events and abs(rec.timestamp - events[-1][0]) <= 1e-9:
+                events[-1][1].append(rec)
+            else:
+                events.append((rec.timestamp, [rec]))
 
-    times = sorted(events)
-    if not times:
+    if not events:
         raise NeedsPriorError("stream contains no relative measurements")
+    if until is not None and until > events[-1][0]:
+        events.append((until, None))
 
     # (time, records, trigger) with gate fillers interleaved
     slots: list[tuple[float, list[MeasurementRecord], str]] = []
-    horizon = times + ([until] if until is not None and until > times[-1] else [])
     prev = None
-    for t in horizon:
+    for t, recs in events:
         if prev is not None:
             g = prev + gate
             while t - g > 1e-9:
                 slots.append((g, [], "TIME_GATE"))
                 g += gate
-        recs = events.get(_tkey(t))
         if recs is not None:
             slots.append((t, recs, "MEASUREMENT"))
-        elif not slots or abs(slots[-1][0] - t) > 1e-9:
+        elif abs(slots[-1][0] - t) > 1e-9:
             slots.append((t, [], "TIME_GATE"))  # terminal gate at `until`
         prev = t
 

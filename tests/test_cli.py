@@ -73,6 +73,25 @@ class TestPipeline:
         assert m1.read_text() != m3.read_text()
 
 
+    def test_records_straddling_rounding_grid_share_a_keyframe(
+            self, tmp_path, short_cfg, capsys):
+        # one USBL record split in two, 2e-10 s apart, on either side of a
+        # 1e-9 s rounding step
+        _, meas = simulate(tmp_path, short_cfg, seed=1)
+        rows = meas.read_text().splitlines(keepends=True)
+        i = next(i for i, row in enumerate(rows) if row.startswith("20,USBL,"))
+        rest = rows[i][len("20"):]
+        rows[i:i + 1] = ["20.0000000004999" + rest, "20.0000000005001" + rest]
+        meas.write_text("".join(rows))
+        for mode in ("A", "B"):
+            est = tmp_path / f"est_{mode}.csv"
+            rc = main(["smooth", "--config", str(short_cfg), "--mode", mode,
+                       "--meas", str(meas), "--out", str(est)])
+            assert rc == EXIT_OK, capsys.readouterr().err
+            times = [r.timestamp for r in read_estimate(est)]
+            assert sum(19.9 < t < 20.1 for t in times) == 1
+
+
 class TestErrorExits:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

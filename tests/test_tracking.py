@@ -105,9 +105,25 @@ class TestScheduling:
         # each record steps back 9e-10 (< 1e-9) but the stream falls 1.8e-6
         with pytest.raises(StreamOrderError):
             schedule_keyframes([usbl(1.0 - 9e-10 * k) for k in range(2000)])
-        # a single step back within the tolerance is still accepted
-        kfs = schedule_keyframes([usbl(1.0), usbl(1.0 - 9e-10), usbl(2.0)])
-        assert len(kfs) == 3
+        # a single step back within the tolerance is still accepted, and
+        # joins the keyframe it stepped back into
+        recs = [usbl(1.0), usbl(1.0 - 9e-10), usbl(2.0)]
+        kfs = schedule_keyframes(recs)
+        assert len(kfs) == 2
+        assert kfs[0].records == tuple(recs[:2])
+
+    def test_records_within_tolerance_merge_across_rounding_grid(self):
+        # 52 + 4.999e-10 and 52 + 5.001e-10 round to different 1e-9 steps
+        recs = [usbl(51.0), usbl(52.0 + 4.999e-10, (5.0, 1.0, 0.0)),
+                optical(52.0 + 5.001e-10), usbl(53.0)]
+        kfs = schedule_keyframes(recs, gate=1.0)
+        assert [kf.timestamp for kf in kfs] == [51.0, 52.0 + 4.999e-10, 53.0]
+        assert kfs[1].records == tuple(recs[1:3])
+        assert kfs[1].meas_kinds == ("OPTICAL", "USBL")
+        # the tolerance is measured from the event's first record
+        kfs = schedule_keyframes([usbl(1.0), usbl(1.0 + 8e-10),
+                                  usbl(1.0 + 1.6e-9)])
+        assert [len(kf.records) for kf in kfs] == [2, 1]
 
     def test_no_relative_measurements_rejected(self):
         with pytest.raises(NeedsPriorError):
