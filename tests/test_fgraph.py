@@ -361,6 +361,22 @@ class TestMarginals:
             np.testing.assert_allclose(
                 marginal_covariance(graph, solution, k), ref, atol=1e-9)
 
+    def test_matches_sparse_lu_on_criterion_9(self):
+        graph, values = criterion_9_graph()
+        solution, report = optimize(graph, values)
+        assert report.converged
+        J, _, offsets = linearize(graph, solution)
+        keys = [VariableKey(2 * k + side, M.SE3, float(k))
+                for k, side in ((0, 0), (500, 0), (0, 1), (501, 1), (999, 1))]
+        unit = np.zeros((J.shape[1], 6 * len(keys)))
+        for i, k in enumerate(keys):
+            unit[offsets[k]:offsets[k] + 6, 6 * i:6 * i + 6] = np.eye(6)
+        ref_cols = splu((J.T @ J).tocsc()).solve(unit)
+        for i, k in enumerate(keys):
+            ref = ref_cols[offsets[k]:offsets[k] + 6, 6 * i:6 * i + 6]
+            cov = marginal_covariance(graph, solution, k)
+            assert np.max(np.abs(cov - ref)) <= 1e-8 * np.max(np.abs(ref))
+
 
 def coo_entries(graph, offsets, values):
     """Reference: each factor through residual_fn/jacobian_fn in graph order,
