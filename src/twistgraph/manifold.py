@@ -203,13 +203,18 @@ def log_so3(R: Rotation3) -> np.ndarray:
 
 
 def _jl_coeffs(a2: float) -> tuple[float, float]:
-    """b, c of the left Jacobian I + b [th]x + c [th]x^2, from |th|^2."""
+    """b, c of the left Jacobian I + b [th]x + c [th]x^2, from |th|^2.
+
+    b = (1 - cos a) / a^2 is taken as 2 (sin(a/2) / a)^2: just above
+    SMALL_ANGLE, 1 - cos a keeps only 4 digits, and b [th]x carries that
+    error into exp_se3's translation.
+    """
     angle = math.sqrt(a2)
     if angle < SMALL_ANGLE:
         return (0.5 - a2 / 24.0 + a2 * a2 / 720.0,
                 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0)
-    return ((1.0 - math.cos(angle)) / a2,
-            (angle - math.sin(angle)) / (a2 * angle))
+    s = math.sin(0.5 * angle) / angle
+    return 2.0 * s * s, (angle - math.sin(angle)) / (a2 * angle)
 
 
 def _jl_inv_coeff(a2: float) -> float:
@@ -515,8 +520,9 @@ def _jl_coeffs_batch(a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_jl_coeffs per row."""
     angle = np.sqrt(a2)
     small = angle < SMALL_ANGLE
-    b = _series_or_closed(small, 0.5 - a2 / 24.0 + a2 * a2 / 720.0,
-                          lambda m: (1.0 - np.cos(angle[m])) / a2[m])
+    b = _series_or_closed(
+        small, 0.5 - a2 / 24.0 + a2 * a2 / 720.0,
+        lambda m: 2.0 * (np.sin(0.5 * angle[m]) / angle[m]) ** 2)
     c = _series_or_closed(
         small, 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0,
         lambda m: (angle[m] - np.sin(angle[m])) / (a2[m] * angle[m]))

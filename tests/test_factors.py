@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistgraph import manifold as M
 from twistgraph.factors import (
@@ -153,6 +155,43 @@ class TestConstantTwistJacobians:
             R = M.oplus(M.SO3, R, rng.normal(0.0, 0.3, 3))
         f = ct_factor(tuple(keys), ConstantTwistSpec(0.7, 1.3, np.eye(3)))
         check_factor_jacobians(f, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from([M.SE3, M.SO3, M.R3]),
+           log_ratio=st.floats(-3.0, 3.0),
+           angle=st.floats(0.0, np.pi - 0.3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # the scaled increment's rotation moved to ~1e-6 rad by the finite
+    # difference steps: exp_se3 once took b = (1 - cos a) / a^2 there, and
+    # its translation noise put the oracle 5e-5 off
+    @example(kind=M.SE3, log_ratio=0.0, angle=0.0, seed=0)
+    def test_certified_against_finite_differences(self, kind, log_ratio,
+                                                  angle, seed):
+        """Criterion 1's bound on every group, dt2/dt1 from 1e-3 to 1e3 and
+        the scaled increment alpha * delta1 turning by up to pi - 0.3."""
+        rng = np.random.default_rng(seed)
+        alpha = 10.0 ** log_ratio
+        dt1 = rng.uniform(0.1, 2.0)
+        axis = rng.normal(size=3)
+        scaled = axis * (angle / np.linalg.norm(axis))  # alpha * delta1
+        eps = rng.normal(0.0, 0.2, kind.dim)
+        if kind == M.SE3:
+            scaled = np.concatenate([rng.normal(0.0, 1.0, 3), scaled])
+            X0 = random_pose(rng)
+        elif kind == M.SO3:
+            X0 = random_rotation(rng)
+        else:
+            X0 = EuclidPoint(rng.normal(0.0, 3.0, 3))
+        X1 = M.oplus(kind, X0, scaled / alpha)
+        X2 = M.oplus(kind, M.oplus(kind, X1, scaled), eps)
+        keys = tuple(VariableKey(i, kind, float(i)) for i in range(3))
+        values = Values(dict(zip(keys, (X0, X1, X2))))
+        f = ct_factor(keys, ConstantTwistSpec(dt1, alpha * dt1,
+                                              np.eye(kind.dim)))
+        for key, J in zip(keys, f.jacobian_fn(values)):
+            J_fd = finite_difference_jacobian(f.residual_fn, values, key)
+            err = np.abs(J - J_fd).max() / max(1.0, np.abs(J_fd).max())
+            assert err <= 1e-5, (key.id, err)
 
     def test_interpolation_minimizer_is_geodesic_midpoint(self, rng):
         # anchors at T0 and T2, free middle: zero residual at the
