@@ -117,15 +117,6 @@ class NoiseModel:
         self.sqrt_info = _sqrt_info(covariance.shape, covariance.tobytes())
         self.covariance = covariance
 
-    @staticmethod
-    def from_sigmas(sigmas) -> "NoiseModel":
-        sigmas = np.asarray(sigmas, dtype=float)
-        return NoiseModel(np.diag(sigmas ** 2))
-
-    @staticmethod
-    def isotropic(dim: int, sigma: float) -> "NoiseModel":
-        return NoiseModel(np.eye(dim) * sigma ** 2)
-
     @property
     def dim(self) -> int:
         return self.covariance.shape[0]

@@ -53,14 +53,6 @@ def poses_from_fields(rows) -> list[Pose3]:
     return [Pose3(Rotation3(R), t) for R, t in zip(mats, translations)]
 
 
-def pose_to_fields(T: Pose3) -> list[str]:
-    return poses_to_fields([T])[0]
-
-
-def pose_from_fields(fs: list[str]) -> Pose3:
-    return poses_from_fields([fs])[0]
-
-
 POSE_COLS = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 
 
@@ -311,7 +303,7 @@ def _parse_pose(text: str) -> Pose3:
     vals = text.replace(",", " ").split()
     if len(vals) != 7:
         raise ConfigError(f"pose needs 7 numbers (tx ty tz qw qx qy qz): {text!r}")
-    return pose_from_fields(vals)
+    return poses_from_fields([vals])[0]
 
 
 def _parse_segments(text: str) -> list[TwistSegment]:

@@ -118,13 +118,6 @@ class TestNoiseModel:
             w = nm.whiten(e)
             assert np.isclose(w @ w, e @ np.linalg.solve(cov, e))
 
-    def test_from_sigmas_and_isotropic(self):
-        nm = NoiseModel.from_sigmas([1.0, 2.0, 4.0])
-        np.testing.assert_allclose(np.diag(nm.covariance), [1.0, 4.0, 16.0])
-        nm2 = NoiseModel.isotropic(6, 0.5)
-        np.testing.assert_allclose(nm2.covariance, np.eye(6) * 0.25)
-        assert nm2.dim == 6
-
     def test_rejects_non_spd(self):
         with pytest.raises(np.linalg.LinAlgError):
             NoiseModel(np.diag([1.0, -1.0]))

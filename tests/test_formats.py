@@ -18,8 +18,6 @@ from twistgraph.formats import (
     load_config,
     metrics_table,
     parse_config,
-    pose_from_fields,
-    pose_to_fields,
     poses_from_fields,
     poses_to_fields,
     read_estimate,
@@ -68,12 +66,12 @@ class TestPoseSerialization:
     def test_round_trip(self, rng):
         for _ in range(200):
             T = random_pose(rng, max_angle=3.0, scale=100.0)
-            back = pose_from_fields(pose_to_fields(T))
+            back = poses_from_fields(poses_to_fields([T]))[0]
             np.testing.assert_allclose(back.matrix(), T.matrix(), atol=1e-9)
 
     def test_reader_normalizes_quaternion(self):
         fs = ["1", "2", "3", "2", "0", "0", "0"]  # qw = 2: not unit
-        T = pose_from_fields(fs)
+        (T,) = poses_from_fields([fs])
         assert T.rotation.is_valid()
         np.testing.assert_allclose(T.rotation.matrix, np.eye(3), atol=1e-12)
 
@@ -139,7 +137,7 @@ class TestBatchedConversion:
                                    for _ in range(200)]
         assert poses_to_fields(poses) == [scalar_pose_to_fields(T)
                                           for T in poses]
-        assert pose_to_fields(poses[3]) == scalar_pose_to_fields(poses[3])
+        assert poses_to_fields(poses[3:4]) == [scalar_pose_to_fields(poses[3])]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(quat_rows, min_size=1, max_size=30))
@@ -148,7 +146,7 @@ class TestBatchedConversion:
         rows.append(["1", "2", "3", "-0.5", "0.5", "-3", "7"])  # non-unit
         for got, fs in zip(poses_from_fields(rows), rows):
             assert_same_pose(got, scalar_pose_from_fields(fs))
-        assert_same_pose(pose_from_fields(rows[0]),
+        assert_same_pose(poses_from_fields(rows[:1])[0],
                          scalar_pose_from_fields(rows[0]))
 
     def test_round_trip_of_special_rotations(self):
@@ -430,7 +428,7 @@ class TestRunConfig:
                                           np.eye(4))
         for name in sorted(keys):
             value = getattr(cfg, name)
-            text = (" ".join(pose_to_fields(value))
+            text = (" ".join(poses_to_fields([value])[0])
                     if isinstance(value, M.Pose3)
                     else "" if isinstance(value, list) else str(value))
             got = getattr(parse_config([f"{name} = {text}\n"]), name)
