@@ -16,7 +16,6 @@ import numpy as np
 from . import manifold
 from .manifold import (
     EuclidPoint,
-    ManifoldKind,
     ManifoldMismatchError,
     NearSingularError,
     Pose3,

@@ -19,7 +19,7 @@ from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dpbtrf
 # Nothing here factors with splu; it stays a module attribute because the
 # traced benchmark run (perfbench/instrument.py) patches `fgraph.splu`.
-from scipy.sparse.linalg import splu  # noqa: F401
+from scipy.sparse.linalg import splu
 
 from . import manifold
 from .manifold import ManifoldKind
