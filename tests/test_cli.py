@@ -72,7 +72,6 @@ class TestPipeline:
         _, m3 = simulate(tmp_path / "c", short_cfg, seed=6)
         assert m1.read_text() != m3.read_text()
 
-
     def test_records_straddling_rounding_grid_share_a_keyframe(
             self, tmp_path, short_cfg, capsys):
         # one USBL record split in two, 2e-10 s apart, on either side of a
