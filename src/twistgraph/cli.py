@@ -59,8 +59,8 @@ def _load(args, **overrides) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args, seed=args.seed)
-    truth = simkit.generate_ground_truth(cfg.scenario_config())
-    records = simkit.synthesize_measurements(truth, cfg.scenario_config())
+    truth = simkit.generate_ground_truth(cfg)
+    records = simkit.synthesize_measurements(truth, cfg)
     formats.write_truth(args.out_truth, truth)
     formats.write_measurements(args.out_meas, records)
     print(f"simulate: {len(truth.times)} truth samples, "
@@ -70,12 +70,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_smooth(args) -> int:
     cfg = _load(args, mode=args.mode, gate=args.gate)
-    tracking_cfg = cfg.tracking_config()
+    cfg.check_smoothable()
     records = formats.read_measurements(args.meas)
-    policy = cfg.mode_policy()
-    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=policy)
-    graph, initial = tracking.build_graph(keyframes, policy, tracking_cfg)
-    estimate = tracking.smooth(graph, initial, cfg.solver_settings(), keyframes)
+    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg)
+    graph, initial = tracking.build_graph(keyframes, cfg, cfg)
+    estimate = tracking.smooth(graph, initial, cfg, keyframes)
     formats.write_estimate(args.out, estimate)
     rpt = estimate.report
     print(f"smooth: mode {cfg.mode}, {len(keyframes)} keyframes, "

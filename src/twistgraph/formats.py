@@ -272,31 +272,16 @@ class RunConfig(TrackingConfig, ScenarioConfig, SolverSettings, ModePolicy):
     chaser_segments: list = field(default_factory=list)  # [TwistSegment, ...]
     target_segments: list = field(default_factory=list)
 
-    def scenario_config(self) -> ScenarioConfig:
-        return _project(self, ScenarioConfig)
-
-    def tracking_config(self) -> TrackingConfig:
-        """Smoothing settings. Every sigma weights a factor that smoothing
-        can build, so a zero one (allowed for simulation) is refused."""
+    def check_smoothable(self) -> None:
+        """Every sigma weights a factor that smoothing can build, so a zero
+        one (allowed for simulation) is refused."""
         for name in _SIGMAS:
             if getattr(self, name) == 0:
                 raise ConfigError(
                     f"{name} must be positive to smooth, got 0")
-        return _project(self, TrackingConfig)
-
-    def solver_settings(self) -> SolverSettings:
-        return _project(self, SolverSettings)
-
-    def mode_policy(self) -> ModePolicy:
-        return _project(self, ModePolicy)
 
 
 _SIGMAS = tuple(f.name for f in fields(NoiseSigmas))
-
-
-def _project(cfg: RunConfig, cls: type):
-    """A `cls` library config holding `cfg`'s values of its fields."""
-    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 def _parse_pose(text: str) -> Pose3:

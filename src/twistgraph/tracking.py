@@ -248,18 +248,20 @@ def initialize_values(keyframes: list[Keyframe],
     # (t, target element) of the measured keyframes only: extrapolating from
     # a gated seed compounds its error, and when the gate does not divide
     # the measurement period the seeds diverge geometrically
-    prev_states: list[tuple[float, object]] = []
+    measured: list[tuple[float, object]] = []
+    # the rotation of the latest measured SE(3) seed
+    rotation = (config.target_start.rotation if config.target_start is not None
+                else Rotation3.identity())
     for kf in keyframes:
         if kf.odometry is not None:
             chaser = manifold.compose(chaser, kf.odometry[0])
         values.set(kf.chaser_key, chaser)
-
-        opt = next((r for r in kf.records if r.kind == "OPTICAL"), None)
-        usbl = next((r for r in kf.records if r.kind == "USBL"), None)
-        target = _seed_target(kf, chaser, opt, usbl, prev_states, config)
+        target = _seed_target(kf, chaser, measured, rotation)
         values.set(kf.target_key, target)
-        if opt is not None or usbl is not None:
-            prev_states.append((kf.timestamp, target))
+        if kf.records:
+            measured.append((kf.timestamp, target))
+            if isinstance(target, Pose3):
+                rotation = target.rotation
     _refine_rotation_seeds(keyframes, values)
     return values
 
@@ -322,54 +324,33 @@ def _translation_of(state) -> np.ndarray:
     return state.translation if isinstance(state, Pose3) else state.coords
 
 
-def _seed_target(kf: Keyframe, chaser: Pose3, opt, usbl, prev_states,
-                 config: TrackingConfig):
+def _seed_target(kf: Keyframe, chaser: Pose3, measured, rotation):
+    """The target seed at `kf` from its own record or from the measured seeds
+    before it; `rotation` is the latest measured SE(3) seed's rotation.
+
+    Scheduling makes every optical keyframe SE(3), and in Mode B an SE(3)
+    keyframe without an optical record follows an SE(3) measured keyframe, so
+    the measured seed a gated SE(3) seed takes its rotation from is a pose.
+    """
     want_se3 = kf.target_key.kind.tag == "SE3"
-    if opt is not None:
-        pose = manifold.compose(chaser, opt.payload)
-        return pose if want_se3 else EuclidPoint(pose.translation)
-    if usbl is not None:
-        p = chaser.translation + chaser.rotation.matrix @ np.asarray(usbl.payload)
-        if not want_se3:
-            return EuclidPoint(p)
-        R = _previous_rotation(prev_states, config)
-        return Pose3(R, p)
-    # time gate: constant-twist extrapolation of the previous two states
-    if not prev_states:
-        raise NeedsPriorError(
-            f"no measurement before first target keyframe at t={kf.timestamp}")
-    if len(prev_states) >= 2:
-        (ta, Sa), (tb, Sb) = prev_states[-2], prev_states[-1]
-        p = _extrapolate_position_aware(Sa, Sb, tb - ta, kf.timestamp - tb,
-                                        want_se3, config)
-        return p
-    t, S = prev_states[-1]
-    if want_se3:
-        return S if isinstance(S, Pose3) else Pose3(
-            _previous_rotation(prev_states[:-1], config), S.coords)
-    return EuclidPoint(_translation_of(S))
-
-
-def _previous_rotation(prev_states, config: TrackingConfig):
-    for _, S in reversed(prev_states):
-        if isinstance(S, Pose3):
-            return S.rotation
-    if config.target_start is not None:
-        return config.target_start.rotation
-    return manifold.Rotation3.identity()
-
-
-def _extrapolate_position_aware(Sa, Sb, dt1, horizon, want_se3, config):
+    for rec in kf.records:
+        if rec.kind == "OPTICAL":
+            return manifold.compose(chaser, rec.payload)
+    if kf.records:  # USBL
+        p = chaser.translation + chaser.rotation.matrix @ np.asarray(
+            kf.records[0].payload)
+        return Pose3(rotation, p) if want_se3 else EuclidPoint(p)
+    # time gate: constant-twist extrapolation of the last two measured seeds
+    tb, Sb = measured[-1]
+    if len(measured) == 1:
+        return Sb if want_se3 else EuclidPoint(_translation_of(Sb))
+    ta, Sa = measured[-2]
     if isinstance(Sa, Pose3) and isinstance(Sb, Pose3):
-        pred = extrapolate(Sa, Sb, dt1, horizon)
+        pred = extrapolate(Sa, Sb, tb - ta, kf.timestamp - tb)
         return pred if want_se3 else EuclidPoint(pred.translation)
     pa, pb = _translation_of(Sa), _translation_of(Sb)
-    p = pb + (pb - pa) * (horizon / dt1)
-    if want_se3:
-        rot = Sb.rotation if isinstance(Sb, Pose3) else _previous_rotation(
-            [(0.0, Sa), (0.0, Sb)], config)
-        return Pose3(rot, p)
-    return EuclidPoint(p)
+    p = pb + (pb - pa) * ((kf.timestamp - tb) / (tb - ta))
+    return Pose3(Sb.rotation, p) if want_se3 else EuclidPoint(p)
 
 
 def extrapolate(prev, curr, dt1: float, horizon: float):

@@ -398,9 +398,8 @@ class TestRunConfig:
         np.testing.assert_array_equal(RollPitchSpec().covariance,
                                       np.eye(2) * table["rp_sigma"] ** 2)
         cfg = RunConfig(usbl_sigma=0.7, ct_sigma_rot=0.03)
-        assert cfg.scenario_config().usbl_sigma == 0.7
-        tc = cfg.tracking_config()
-        assert (tc.usbl_sigma, tc.ct_sigma_rot) == (0.7, 0.03)
+        assert isinstance(cfg, (ScenarioConfig, TrackingConfig))
+        assert (cfg.usbl_sigma, cfg.ct_sigma_rot) == (0.7, 0.03)
 
     # every setting besides the sigmas and the two poses, with its default
     RUN_DEFAULTS = {
@@ -460,12 +459,13 @@ class TestRunConfig:
     def test_defaults_and_adapters(self):
         cfg = parse_config([])
         assert cfg.mode == "A" and cfg.gate == 1.0
-        sc = cfg.scenario_config()
-        assert sc.usbl_sigma == cfg.usbl_sigma
-        tc = cfg.tracking_config()
-        assert tc.ct_sigma_rot == cfg.ct_sigma_rot
-        ss = cfg.solver_settings()
-        assert ss.max_iterations == cfg.max_iterations
+        # the CLI passes the RunConfig itself as each library config
+        for cls in (ScenarioConfig, TrackingConfig, SolverSettings,
+                    ModePolicy):
+            assert isinstance(cfg, cls)
+        assert cfg.usbl_sigma == ScenarioConfig.usbl_sigma
+        assert cfg.ct_sigma_rot == TrackingConfig.ct_sigma_rot
+        assert cfg.max_iterations == SolverSettings.max_iterations
 
     def test_full_file_parse(self, tmp_path):
         path = tmp_path / "run.cfg"

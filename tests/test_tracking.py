@@ -318,11 +318,10 @@ class TestInitialization:
         cfg = formats.parse_config([], overrides=dict(setting, seed=3,
                                                       mode="B"))
         cli._default_segments(cfg)
-        truth = generate_ground_truth(cfg.scenario_config())
-        recs = synthesize_measurements(truth, cfg.scenario_config())
-        policy = cfg.mode_policy()
-        kfs = schedule_keyframes(recs, gate=cfg.gate, policy=policy)
-        graph, values = build_graph(kfs, policy, cfg.tracking_config())
+        truth = generate_ground_truth(cfg)
+        recs = synthesize_measurements(truth, cfg)
+        kfs = schedule_keyframes(recs, gate=cfg.gate, policy=cfg)
+        graph, values = build_graph(kfs, cfg, cfg)
         # about 3e7-6e7 when only measured states seed the extrapolation;
         # chaining gated seeds gave 1e30-1e55
         assert total_cost(graph, values) <= 1e9
