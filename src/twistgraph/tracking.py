@@ -62,7 +62,7 @@ class Keyframe:
     # USBL/OPTICAL records at this keyframe, in stream order
     records: tuple[MeasurementRecord, ...] = ()
     # composed odometry and effective record count since the previous
-    # keyframe; None on the first
+    # keyframe; on the first, since t = 0, or None when no record covers that
     odometry: tuple[Pose3, float] | None = None
 
     @property
@@ -174,7 +174,13 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
         ck = VariableKey(id=next_id, kind=SE3, timestamp=t)
         tk = VariableKey(id=next_id + 1, kind=target_kind, timestamp=t)
         next_id += 2
-        odometry = odo.relative(keyframes[-1].timestamp, t) if keyframes else None
+        odometry = None
+        if keyframes:
+            odometry = odo.relative(keyframes[-1].timestamp, t)
+        elif t > 0:  # a gap at the start: odometry from the pose at t = 0
+            rel, n_eff = odo.relative(0.0, t)
+            if n_eff > 0:
+                odometry = (rel, n_eff)
         keyframes.append(Keyframe(timestamp=t, chaser_key=ck, target_key=tk,
                                   trigger=trigger, meas_kinds=kinds,
                                   records=tuple(recs), odometry=odometry))
@@ -378,9 +384,14 @@ def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
     # Chaser chain: anchor prior plus composed odometry.
     cp_cov = np.diag([config.chaser_prior_sigma_pos ** 2] * 3
                      + [config.chaser_prior_sigma_rot ** 2] * 3)
-    graph.add(prior_factor(keyframes[0].chaser_key, config.chaser_start, cp_cov))
     odom_cov_unit = np.diag([config.odom_sigma_pos ** 2] * 3
                             + [config.odom_sigma_rot ** 2] * 3)
+    # The prior sits at the first keyframe's seed: the start pose, composed
+    # with the odometry since t = 0 after a measurement gap at the start.
+    kf0 = keyframes[0]
+    if kf0.odometry is not None:
+        cp_cov = cp_cov + kf0.odometry[1] * odom_cov_unit
+    graph.add(prior_factor(kf0.chaser_key, values.get(kf0.chaser_key), cp_cov))
     for prev, kf in zip(keyframes, keyframes[1:]):
         rel, n_eff = kf.odometry
         cov = odom_cov_unit * max(n_eff, 0.25)
@@ -400,7 +411,10 @@ def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
                     kf.chaser_key, kf.target_key, rec.payload, opt_cov))
 
     # Target chain: initial prior, constant-twist links, Mode A's roll-pitch.
-    _add_target_prior(graph, keyframes[0], config)
+    # Nothing carries the target's t = 0 pose forward to a later first
+    # keyframe, so the prior goes only on a keyframe without odometry.
+    if kf0.odometry is None:
+        _add_target_prior(graph, kf0, config)
     _add_target_chain(graph, values, keyframes, config)
     if policy.mode == "A":
         rp_spec = RollPitchSpec(covariance=np.eye(2) * config.rp_sigma ** 2)

@@ -12,7 +12,12 @@ from twistgraph.cli import (
     EXIT_UNDERCONSTRAINED,
     main,
 )
-from twistgraph.formats import read_estimate, read_measurements, write_measurements
+from twistgraph.formats import (
+    read_estimate,
+    read_measurements,
+    read_truth,
+    write_measurements,
+)
 from twistgraph.tracking import MeasurementRecord
 from twistgraph.manifold import Pose3, exp_so3
 
@@ -89,6 +94,25 @@ class TestPipeline:
             assert rc == EXIT_OK, capsys.readouterr().err
             times = [r.timestamp for r in read_estimate(est)]
             assert sum(19.9 < t < 20.1 for t in times) == 1
+
+
+    def test_gap_at_start_carries_the_chaser_prior(self, tmp_path, capsys):
+        """With no relative record before t = 32 s, the first keyframe's
+        chaser prior is the start pose carried there on odometry."""
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("gaps = 0:30; 150:170\n")
+        truth_path, meas = simulate(tmp_path, cfg, seed=1)
+        truth = read_truth(truth_path)
+        for mode in ("A", "B"):
+            est = tmp_path / f"est_{mode}.csv"
+            rc = main(["smooth", "--config", str(cfg), "--mode", mode,
+                       "--meas", str(meas), "--out", str(est)])
+            assert rc == EXIT_OK, capsys.readouterr().err
+            first = read_estimate(est)[0]
+            assert first.timestamp == pytest.approx(32.0)
+            true = truth.chaser[truth.index_at(first.timestamp)]
+            assert np.linalg.norm(
+                first.chaser.translation - true.translation) < 0.5
 
 
 class TestErrorExits:

@@ -283,6 +283,31 @@ class TestOdometryBisection:
         assert n_eff == ref_n
 
 
+@st.composite
+def seeding_cases(draw):
+    """Relative record streams at irregular spacings, with gates, modes and
+    down_after values that put USBL and gated keyframes in both kinds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["USBL", "OPTICAL", "BOTH"]),
+                          min_size=1, max_size=30))
+    steps = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.7, 3.2]),
+                          min_size=len(kinds), max_size=len(kinds)))
+    recs, t = [], draw(st.sampled_from([0.0, 2.5]))
+    for kind, dt in zip(kinds, steps):
+        if kind != "OPTICAL":
+            recs.append(usbl(t, rng.normal(0.0, 5.0, 3)))
+        if kind != "USBL":
+            # rotations under 0.7 rad: no relative rotation nears pi
+            recs.append(optical(t, M.exp_se3(rng.uniform(-0.4, 0.4, 6))))
+        t += dt
+    gate = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    policy = ModePolicy(mode=draw(st.sampled_from(["A", "B"])),
+                        down_after=draw(st.integers(1, 3)))
+    target_start = draw(st.sampled_from(
+        [None, M.exp_se3(np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.4]))]))
+    return recs, gate, policy, TrackingConfig(target_start=target_start)
+
+
 class TestInitialization:
     def test_optical_seed_matches_measurement(self):
         z = M.exp_se3(np.array([2.0, 1.0, 0.0, 0.0, 0.0, 0.3]))
@@ -312,8 +337,11 @@ class TestInitialization:
                                    [4.0, 0.0, 0.0], atol=1e-12)
 
     # The gate does not divide the 2 s USBL period in either stream, so
-    # gated keyframes fall between measurements at varying offsets.
-    @pytest.mark.parametrize("setting", [{"gate": 1.5}, {"usbl_rate_hz": 0.6}])
+    # gated keyframes fall between measurements at varying offsets. With
+    # down_after = 2, Mode B also seeds SE(3) keyframes from USBL and gates.
+    @pytest.mark.parametrize("setting", [
+        {"gate": 1.5}, {"usbl_rate_hz": 0.6},
+        {"gate": 1.5, "down_after": 2}, {"usbl_rate_hz": 0.6, "down_after": 2}])
     def test_gated_seeds_keep_initial_cost_bounded(self, setting):
         cfg = formats.parse_config([], overrides=dict(setting, seed=3,
                                                       mode="B"))
@@ -322,6 +350,9 @@ class TestInitialization:
         recs = synthesize_measurements(truth, cfg)
         kfs = schedule_keyframes(recs, gate=cfg.gate, policy=cfg)
         graph, values = build_graph(kfs, cfg, cfg)
+        if cfg.down_after > 1:
+            assert any(kf.target_key.kind == M.SE3
+                       and "OPTICAL" not in kf.meas_kinds for kf in kfs)
         # about 3e7-6e7 when only measured states seed the extrapolation;
         # chaining gated seeds gave 1e30-1e55
         assert total_cost(graph, values) <= 1e9
@@ -337,6 +368,66 @@ class TestInitialization:
         np.testing.assert_allclose(c0.matrix(), np.eye(4), atol=1e-12)
         np.testing.assert_allclose(
             c1.matrix(), M.compose(step, step).matrix(), atol=1e-12)
+
+    def test_gap_at_start_moves_the_chaser_prior_to_the_first_keyframe(self):
+        """Odometry before the first relative record carries the start pose
+        to the first keyframe; the target's start pose has nothing to carry
+        it there, so it gets no prior."""
+        step = M.exp_se3(np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.1]))
+        recs = [odom(0.5 * k, step) for k in range(1, 9)]
+        recs += [usbl(3.0), usbl(4.0)]
+        recs.sort(key=lambda r: r.timestamp)
+        start = M.exp_se3(np.array([1.0, -2.0, 0.5, 0.1, 0.0, 0.3]))
+        cfg = TrackingConfig(chaser_start=start, target_start=start)
+        kfs = schedule_keyframes(recs, gate=5.0)
+        rel, n_eff = kfs[0].odometry
+        assert kfs[0].timestamp == 3.0 and n_eff == pytest.approx(6.0)
+        expected = start
+        for _ in range(6):
+            expected = M.compose(expected, step)
+        graph, values = build_graph(kfs, ModePolicy(), cfg)
+        np.testing.assert_allclose(values.get(kfs[0].chaser_key).matrix(),
+                                   expected.matrix(), atol=1e-12)
+        priors = [f for f in graph.factors if f.name.startswith("prior")]
+        assert [f.keys for f in priors] == [(kfs[0].chaser_key,)]
+        mean_at = Values()
+        mean_at.set(kfs[0].chaser_key, expected)
+        np.testing.assert_allclose(priors[0].residual_fn(mean_at), 0.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            np.diag(priors[0].noise.covariance),
+            [cfg.chaser_prior_sigma_pos ** 2 + 6 * cfg.odom_sigma_pos ** 2] * 3
+            + [cfg.chaser_prior_sigma_rot ** 2
+               + 6 * cfg.odom_sigma_rot ** 2] * 3)
+        # no odometry before the first record: both priors at the start poses
+        kfs = schedule_keyframes([usbl(3.0), usbl(4.0)], gate=5.0)
+        assert kfs[0].odometry is None
+        graph, _ = build_graph(kfs, ModePolicy(), cfg)
+        assert [f.keys for f in graph.factors if f.name.startswith("prior")] \
+            == [(kfs[0].chaser_key,), (kfs[0].target_key,)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeding_cases())
+    def test_seeds_match_the_scheduled_kinds(self, case):
+        """The invariant target seeding relies on: optical keyframes are
+        SE(3), Mode A is SE(3) throughout, and in Mode B an SE(3) keyframe
+        without an optical record follows an SE(3) measured keyframe; every
+        key is seeded with an element of its kind."""
+        recs, gate, policy, cfg = case
+        kfs = schedule_keyframes(recs, gate=gate, policy=policy)
+        values = initialize_values(kfs, cfg)
+        last_measured = None
+        for kf in kfs:
+            se3 = kf.target_key.kind == M.SE3
+            if "OPTICAL" in kf.meas_kinds or policy.mode == "A":
+                assert se3
+            elif se3:
+                assert last_measured is not None
+                assert last_measured.target_key.kind == M.SE3
+            for key in (kf.chaser_key, kf.target_key):
+                assert M.kind_of(values.get(key)) == key.kind
+            if kf.records:
+                last_measured = kf
 
 
 class TestBuildGraph:
