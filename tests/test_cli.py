@@ -95,7 +95,6 @@ class TestPipeline:
             times = [r.timestamp for r in read_estimate(est)]
             assert sum(19.9 < t < 20.1 for t in times) == 1
 
-
     def test_gap_at_start_carries_the_chaser_prior(self, tmp_path, capsys):
         """With no relative record before t = 32 s, the first keyframe's
         chaser prior is the start pose carried there on odometry."""
