@@ -9,6 +9,7 @@ roll-pitch, and representation-boundary factors.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import manifold
 from .manifold import (
     EuclidPoint,
     ManifoldMismatchError,
+    NEAR_PI_MARGIN,
     NearSingularError,
     Pose3,
     skew,
@@ -49,11 +51,6 @@ class NoiseSigmas(MeasurementSigmas):
     chaser_prior_sigma_rot: float = 1e-4
     target_prior_sigma_pos: float = 10.0
     target_prior_sigma_rot: float = 0.5
-
-
-_S_RP = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-_SKEW_E0 = skew(np.array([1.0, 0.0, 0.0]))
-_E2 = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -257,51 +254,54 @@ def usbl_factor(chaser_key: VariableKey, target_key: VariableKey,
 
 
 # ---------------------------------------------------------------------------
-# Roll-pitch prior.
+# Roll-pitch prior: the tilt of the body up axis g = R^T e_z, written once on
+# one rotation matrix or a stack of them. With h = (e_z x g)_xy = (-g_y, g_x)
+# the residual 2 h / (1 + g_z) has length 2 tan(tilt / 2): zero at any yaw,
+# (-roll, -pitch) to first order, and defined at every tilt but an inverted
+# target.
 
-_GIMBAL_TOL = 1e-3
-
-
-def yaw_of(R: np.ndarray) -> float:
-    """ZYX yaw; guarded against gimbal lock."""
-    pitch = -np.arcsin(np.clip(R[2, 0], -1.0, 1.0))
-    if abs(pitch) > np.pi / 2 - _GIMBAL_TOL:
-        raise NearSingularError(f"pitch {pitch} too close to +-pi/2 for yaw extraction")
-    return float(np.arctan2(R[1, 0], R[0, 0]))
+_TILT_FLIP = np.array([-1.0, 1.0])
+# 1 + g_z at a tilt of pi - NEAR_PI_MARGIN
+_INVERTED = 2.0 * math.sin(0.5 * NEAR_PI_MARGIN) ** 2
 
 
-def _rz(psi: float) -> np.ndarray:
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _tilt_steps(R):
+    """g, 1 + g_z (kept as an axis of length 1), h and the residual."""
+    g = R[..., 2, :]
+    c = 1.0 + g[..., 2:]
+    if (c < _INVERTED).any():
+        raise NearSingularError(f"tilt {np.arccos(max(-1.0, c.min() - 1.0))} "
+                                f"within tolerance of pi")
+    h = g[..., 1::-1] * _TILT_FLIP
+    return g, c, h, 2.0 * h / c
+
+
+def _tilt(R):
+    """The residual and its block [0, J_theta]. A right perturbation
+    R Exp(d) moves g by [g]x d_theta, so that
+    J_theta = 2 / (1 + g_z) (A - h (h, 0)^T / (1 + g_z))
+    with A = [[-g_z, 0, g_x], [0, -g_z, g_y]]."""
+    g, c, h, r = _tilt_steps(R)
+    J = np.zeros(g.shape[:-1] + (2, 6))
+    J[..., 0, 3] = J[..., 1, 4] = -g[..., 2]
+    J[..., 5] = g[..., :2]
+    J[..., 3:5] -= h[..., :, None] * (h / c)[..., None, :]
+    return r, (2.0 / c)[..., None] * J
 
 
 def roll_pitch_factor(target_key: VariableKey,
                       spec: RollPitchSpec | None = None) -> Factor:
-    """Penalizes roll and pitch of an SE(3) target, invariant to yaw."""
+    """Penalizes the tilt (roll and pitch) of an SE(3) target, invariant to
+    yaw."""
     if target_key.kind.tag != "SE3":
         raise ManifoldMismatchError("roll-pitch factor needs an SE(3) key")
     spec = spec or RollPitchSpec()
 
-    def _log_upright(R: np.ndarray) -> np.ndarray:
-        return manifold.log_so3(manifold.Rotation3(R.T @ _rz(yaw_of(R))))
-
     def residual(values: Values) -> np.ndarray:
-        R = values.get(target_key).rotation.matrix
-        return _S_RP @ _log_upright(R)
+        return _tilt_steps(values.get(target_key).rotation.matrix)[3]
 
     def jacobian(values: Values):
-        R = values.get(target_key).rotation.matrix
-        E = _log_upright(R)
-        # d(yaw)/d(theta) for a right perturbation R Exp([theta]x)
-        r00, r10 = R[0, 0], R[1, 0]
-        denom = r00 * r00 + r10 * r10
-        d_r00 = -(R[0, :] @ _SKEW_E0)
-        d_r10 = -(R[1, :] @ _SKEW_E0)
-        d_psi = (r00 * d_r10 - r10 * d_r00) / denom
-        J_theta = _S_RP @ (-manifold.jl_inv_so3(E)
-                           + manifold.SO3.group.jr_inv(E)
-                           @ np.outer(_E2, d_psi))
-        return (np.hstack([np.zeros((2, 3)), J_theta]),)
+        return (_tilt(values.get(target_key).rotation.matrix)[1],)
 
     return Factor(keys=(target_key,), residual_fn=residual,
                   jacobian_fn=jacobian, noise=NoiseModel(spec.covariance),
@@ -408,27 +408,8 @@ def _usbl_rn_batch(params, states):
 
 def _roll_pitch_batch(params, states):
     ((R, _),) = states
-    pitch = -np.arcsin(np.clip(R[:, 2, 0], -1.0, 1.0))
-    locked = np.abs(pitch) > np.pi / 2 - _GIMBAL_TOL
-    if locked.any():
-        raise NearSingularError(f"pitch {pitch[np.argmax(locked)]} too close "
-                                f"to +-pi/2 for yaw extraction")
-    psi = np.arctan2(R[:, 1, 0], R[:, 0, 0])
-    c, s = np.cos(psi), np.sin(psi)
-    Rz = np.zeros_like(R)
-    Rz[:, 0, 0], Rz[:, 0, 1], Rz[:, 1, 0], Rz[:, 1, 1] = c, -s, s, c
-    Rz[:, 2, 2] = 1.0
-    E = manifold.log_so3_batch(R.transpose(0, 2, 1) @ Rz)
-
-    r00, r10 = R[:, 0, 0, None], R[:, 1, 0, None]
-    d_r00 = -(R[:, 0, :] @ _SKEW_E0)
-    d_r10 = -(R[:, 1, :] @ _SKEW_E0)
-    e2_d_psi = np.zeros_like(R)  # np.outer(_E2, d_psi) per row
-    e2_d_psi[:, 2, :] = (r00 * d_r10 - r10 * d_r00) / (r00 * r00 + r10 * r10)
-    J_theta = _S_RP @ (-manifold.jl_inv_so3_batch(E)
-                       + manifold.SO3.group.batch.jr_inv(E) @ e2_d_psi)
-    J = np.concatenate([np.zeros(J_theta.shape), J_theta], axis=2)
-    return (_S_RP @ E[:, :, None])[:, :, 0], (J,)
+    r, J = _tilt(R)
+    return r, (J,)
 
 
 def _boundary_batch(params, states):

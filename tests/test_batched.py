@@ -16,7 +16,6 @@ from twistgraph import manifold as M
 from twistgraph.factors import (
     ConstantTwistSpec,
     RollPitchSpec,
-    _GIMBAL_TOL,
     boundary_factors,
     ct_factor,
     prior_factor,
@@ -348,21 +347,23 @@ class TestFamilies:
                                         np.eye(3) * 4.0))
         assert_family_matches_scalar(factors, values)
 
-    # pitch offsets from the gimbal guard, on both sides of it
+    # tilts around 90 degrees, and on both sides of the inversion guard
     @SETTINGS
-    @given(st.lists(st.tuples(st.floats(-1e-2, 1e-2), st.booleans(), seeds),
+    @given(st.lists(st.tuples(st.one_of(st.floats(np.pi / 2 - 1e-2,
+                                                  np.pi / 2 + 1e-2),
+                                        st.floats(PI_EDGE - 1e-7,
+                                                  PI_EDGE + 1e-7)),
+                              seeds),
                     min_size=1, max_size=4))
-    def test_roll_pitch_near_gimbal_guard(self, cases):
+    def test_roll_pitch_near_vertical_and_inverted(self, cases):
         values = Values()
         factors = []
-        for i, (offset, up, seed) in enumerate(cases):
+        for i, (tilt, seed) in enumerate(cases):
             rng = np.random.default_rng(seed)
-            pitch = (np.pi / 2 - _GIMBAL_TOL + offset) * (1.0 if up else -1.0)
+            heading = rng.uniform(-np.pi, np.pi)
+            axis = np.array([np.cos(heading), np.sin(heading), 0.0])
             R = (M.exp_so3(np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)]))
-                 .matrix
-                 @ M.exp_so3(np.array([0.0, pitch, 0.0])).matrix
-                 @ M.exp_so3(np.array([rng.uniform(-1.0, 1.0), 0.0, 0.0]))
-                 .matrix)
+                 .matrix @ M.exp_so3(tilt * axis).matrix)
             key = se3_key(i)
             values.set(key, Pose3(Rotation3(R), rng.normal(size=3)))
             factors.append(roll_pitch_factor(key, RollPitchSpec()))

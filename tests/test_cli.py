@@ -204,19 +204,9 @@ class TestErrorExits:
         assert rc == EXIT_UNDERCONSTRAINED
 
     def test_singular_initial_estimate_exits_3(self, tmp_path, capsys):
-        # Optical fixes put the target at 90 deg pitch, where the Mode A
-        # roll-pitch factor cannot extract yaw.
-        pitched = Pose3(exp_so3(np.array([0.0, np.pi / 2, 0.0])),
-                        np.array([5.0, 0.0, 0.0]))
-        records = []
-        for k in range(1, 31):
-            records.append(MeasurementRecord(timestamp=0.1 * k, kind="ODOM",
-                                             payload=Pose3.identity()))
-            if k % 10 == 0:
-                records.append(MeasurementRecord(
-                    timestamp=0.1 * k, kind="OPTICAL", payload=pitched))
-        meas = tmp_path / "pitched.csv"
-        write_measurements(meas, records)
+        # Optical fixes put the target upside down, where the Mode A
+        # roll-pitch factor has no tilt direction.
+        meas = optical_stream(tmp_path, exp_so3(np.array([np.pi, 0.0, 0.0])))
         rc = main(["smooth", "--meas", str(meas), "--mode", "A",
                    "--out", str(tmp_path / "est.csv")])
         assert rc == EXIT_NO_CONVERGENCE
@@ -224,6 +214,29 @@ class TestErrorExits:
         assert len(err) == 1
         assert err[0].startswith("error: linearization failed in rollpitch[")
         assert "id=1@t=1" in err[0] and "pitch" in err[0]
+
+    def test_vertical_pitch_converges_in_mode_a(self, tmp_path, capsys):
+        meas = optical_stream(tmp_path,
+                              exp_so3(np.array([0.0, np.pi / 2, 0.0])))
+        rc = main(["smooth", "--meas", str(meas), "--mode", "A",
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_OK, capsys.readouterr().err
+
+
+def optical_stream(tmp_path, rotation):
+    """Three optical fixes of a target at (5, 0, 0) with `rotation`, 1 s
+    apart, on 10 Hz identity odometry."""
+    fix = Pose3(rotation, np.array([5.0, 0.0, 0.0]))
+    records = []
+    for k in range(1, 31):
+        records.append(MeasurementRecord(timestamp=0.1 * k, kind="ODOM",
+                                         payload=Pose3.identity()))
+        if k % 10 == 0:
+            records.append(MeasurementRecord(
+                timestamp=0.1 * k, kind="OPTICAL", payload=fix))
+    meas = tmp_path / "optical.csv"
+    write_measurements(meas, records)
+    return meas
 
 
 class TestUnitCircle:

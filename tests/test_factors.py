@@ -17,7 +17,6 @@ from twistgraph.factors import (
     relative_pose_factor,
     roll_pitch_factor,
     usbl_factor,
-    yaw_of,
 )
 from twistgraph.fgraph import FactorGraph, Values, VariableKey, optimize
 from twistgraph.manifold import (
@@ -335,7 +334,7 @@ class TestRollPitchFactor:
         values = Values()
         values.set(k, T)
         r = f.residual_fn(values)
-        assert np.linalg.norm(r) == pytest.approx(0.1, abs=1e-9)
+        assert np.linalg.norm(r) == pytest.approx(2.0 * np.tan(0.05), abs=1e-9)
 
     def test_jacobian_fd(self, rng):
         k = se3_key(0)
@@ -348,10 +347,59 @@ class TestRollPitchFactor:
             values.set(k, Pose3(R, rng.normal(size=3)))
             check_factor_jacobians(f, values)
 
-    def test_yaw_of_gimbal_guard(self):
-        R = M.exp_so3(np.array([0.0, -np.pi / 2, 0.0])).matrix
-        with pytest.raises(NearSingularError):
-            yaw_of(R)
+    def test_first_order_is_minus_roll_and_pitch(self, rng):
+        """To first order the residual is (-roll, -pitch): the roll-pitch
+        part of Log(R^T Rz(yaw)), the rotation with its yaw taken out."""
+        k = se3_key(0)
+        f = roll_pitch_factor(k)
+        for eps in (1e-2, 1e-3, 1e-4):
+            for _ in range(10):
+                roll, pitch = rng.uniform(-eps, eps, 2)
+                Rz = M.exp_so3(np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)]))
+                R = (Rz.matrix @ M.exp_so3(np.array([0.0, pitch, 0.0])).matrix
+                     @ M.exp_so3(np.array([roll, 0.0, 0.0])).matrix)
+                values = Values()
+                values.set(k, Pose3(Rotation3(R), np.zeros(3)))
+                upright = M.log_so3(Rotation3(R.T @ Rz.matrix))[:2]
+                r = f.residual_fn(values)
+                assert np.max(np.abs(r - upright)) <= eps * eps
+                assert np.max(np.abs(r + [roll, pitch])) <= eps * eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(2.8, np.pi - 1e-3), st.floats(-np.pi, np.pi),
+           st.sampled_from([0.0, 0.3, -0.3]))
+    def test_certified_near_inversion(self, roll, yaw, pitch):
+        """Criterion 1's measure up to a tilt of pi - 1e-3."""
+        self._assert_certified(yaw, pitch, roll)
+
+    @pytest.mark.parametrize("pitch", [np.pi / 2, -np.pi / 2])
+    @pytest.mark.parametrize("roll", [0.0, 0.4, -2.0])
+    def test_certified_at_vertical_pitch(self, pitch, roll):
+        for yaw in (0.0, 0.7, -2.5):
+            self._assert_certified(yaw, pitch, roll)
+
+    @staticmethod
+    def _assert_certified(yaw, pitch, roll):
+        k = se3_key(0)
+        f = roll_pitch_factor(k)
+        R = (M.exp_so3(np.array([0.0, 0.0, yaw])).matrix
+             @ M.exp_so3(np.array([0.0, pitch, 0.0])).matrix
+             @ M.exp_so3(np.array([roll, 0.0, 0.0])).matrix)
+        values = Values()
+        values.set(k, Pose3(Rotation3(R), np.array([1.0, -2.0, 0.5])))
+        (J,) = f.jacobian_fn(values)
+        J_fd = finite_difference_jacobian(f.residual_fn, values, k)
+        assert np.abs(J - J_fd).max() / max(1.0, np.abs(J_fd).max()) <= 1e-5
+
+    def test_inverted_target_is_rejected(self):
+        k = se3_key(0)
+        f = roll_pitch_factor(k)
+        for tilt in (np.pi, np.pi - 0.5 * M.NEAR_PI_MARGIN):
+            values = Values()
+            values.set(k, Pose3(M.exp_so3(np.array([tilt, 0.0, 0.0])),
+                                np.zeros(3)))
+            with pytest.raises(NearSingularError, match="tilt"):
+                f.residual_fn(values)
 
     def test_needs_se3(self):
         with pytest.raises(ManifoldMismatchError):
