@@ -190,15 +190,14 @@ def log_so3(R: Rotation3) -> np.ndarray:
         a2 = angle * angle
         return w * (0.5 * (1.0 + a2 / 6.0 + 7.0 * a2 * a2 / 360.0))
     if angle > 2.8:
-        # The skew part shrinks like sin(angle); recover the axis from the
-        # well-conditioned symmetric part instead, signs from the skew part.
-        v = np.sqrt(np.maximum(
-            (np.array([M[0, 0], M[1, 1], M[2, 2]]) - cos_angle)
-            / (1.0 - cos_angle), 0.0))
-        v[0] = math.copysign(v[0], w[0])
-        v[1] = math.copysign(v[1], w[1])
-        v[2] = math.copysign(v[2], w[2])
-        return v * (angle / math.sqrt(float(v @ v)))
+        # The skew part shrinks like sin(angle); recover the axis a from the
+        # symmetric part M + M^T = 2 cos I + 2 (1 - cos) a a^T instead. Its
+        # column k of the largest diagonal entry, with that entry taken as
+        # 2 (M_kk - cos), is 2 (1 - cos) a_k a; w_k has the sign of a_k.
+        k = int(np.argmax(M.diagonal()))
+        v = M[:, k] + M[k, :]
+        v[k] = 2.0 * (M[k, k] - cos_angle)
+        return v * math.copysign(angle / math.sqrt(float(v @ v)), w[k])
     return w * (0.5 * angle / math.sin(angle))
 
 
@@ -508,11 +507,13 @@ def log_so3_batch(R: np.ndarray) -> np.ndarray:
     big = angle > 2.8
     if big.any():
         # symmetric-part axis recovery, as in log_so3
-        c = cos_angle[big, None]
-        diag = R[big][:, (0, 1, 2), (0, 1, 2)]
-        v = np.copysign(np.sqrt(np.maximum((diag - c) / (1.0 - c), 0.0)),
-                        w[big])
-        out[big] = v * (angle[big] / np.sqrt(_sq_norms(v)))[:, None]
+        Rb = R[big]
+        n = np.arange(Rb.shape[0])
+        k = np.argmax(Rb[:, (0, 1, 2), (0, 1, 2)], axis=1)
+        v = Rb[n, :, k] + Rb[n, k, :]
+        v[n, k] = 2.0 * (Rb[n, k, k] - cos_angle[big])
+        out[big] = v * np.copysign(angle[big] / np.sqrt(_sq_norms(v)),
+                                   w[big][n, k])[:, None]
     return out
 
 

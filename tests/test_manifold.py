@@ -70,6 +70,24 @@ class TestExpLog:
         np.testing.assert_allclose(
             M.log_so3(M.exp_so3(theta)), theta, atol=1e-15)
 
+    def test_log_near_pi_matches_scipy(self):
+        """Above 2.8 rad the axis comes from the symmetric part; it stays
+        accurate when an axis component is small."""
+        from scipy.spatial.transform import Rotation as ScipyRotation
+
+        rng = np.random.default_rng(5)
+        n = 20_000
+        axes = rng.normal(size=(n, 3))
+        for i in range(n // 2):
+            axes[i, rng.integers(3)] = (0.0, 1e-7, 1e-5, 1e-3)[i % 4]
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        rotvecs = axes * rng.uniform(2.8, np.pi - 1e-6, n)[:, None]
+        R = ScipyRotation.from_rotvec(rotvecs).as_matrix()
+        expected = ScipyRotation.from_matrix(R).as_rotvec()
+        scalar = np.array([M.log_so3(Rotation3(r)) for r in R])
+        assert np.abs(scalar - expected).max() <= 1e-10
+        assert np.abs(M.log_so3_batch(R) - expected).max() <= 1e-10
+
     def test_log_rejects_near_pi(self):
         axis = np.array([1.0, 0.0, 0.0])
         with pytest.raises(NearSingularError):
