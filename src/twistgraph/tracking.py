@@ -490,6 +490,14 @@ def _add_target_chain(graph, values: Values, keyframes: list[Keyframe],
 # Smoothing and metrics.
 
 
+def _angle(R: np.ndarray) -> float:
+    """The rotation angle of the matrix R, without its axis: defined up to
+    and at pi, where log_so3 refuses."""
+    return math.atan2(math.hypot(R[2, 1] - R[1, 2], R[0, 2] - R[2, 0],
+                                 R[1, 0] - R[0, 1]),
+                      R[0, 0] + R[1, 1] + R[2, 2] - 1.0)
+
+
 def smooth(graph: FactorGraph, initial: Values, settings: SolverSettings,
            keyframes: list[Keyframe]) -> TrajectoryEstimate:
     solution, report = optimize(graph, initial, settings)
@@ -503,9 +511,7 @@ def smooth(graph: FactorGraph, initial: Values, settings: SolverSettings,
         target_states.append(S)
         rel_pos[i] = C.rotation.matrix.T @ (_translation_of(S) - C.translation)
         if isinstance(S, Pose3):
-            R_rel = C.rotation.matrix.T @ S.rotation.matrix
-            rel_ang[i] = np.linalg.norm(
-                manifold.log_so3(manifold.Rotation3(R_rel)))
+            rel_ang[i] = _angle(C.rotation.matrix.T @ S.rotation.matrix)
     return TrajectoryEstimate(keyframes=keyframes, chaser_poses=chaser_poses,
                               target_states=target_states,
                               rel_positions=rel_pos, rel_angles=rel_ang,
@@ -572,8 +578,7 @@ def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorRepo
         if isinstance(S, Pose3):
             C_e = estimate.chaser_poses[i]
             R_rel_e = C_e.rotation.matrix.T @ S.rotation.matrix
-            ang_err[i] = np.linalg.norm(manifold.log_so3(
-                manifold.Rotation3(R_rel_e.T @ R_rel_t)))
+            ang_err[i] = _angle(R_rel_e.T @ R_rel_t)
     if not matched.any():
         raise ValueError("no keyframe timestamps overlap the ground truth")
 
@@ -603,7 +608,6 @@ def measurement_baselines(measurements: list[MeasurementRecord], truth,
         else:
             z: Pose3 = rec.payload
             rows["OPTICAL"][0].append(np.linalg.norm(z.translation - rel_t))
-            rows["OPTICAL"][1].append(np.linalg.norm(manifold.log_so3(
-                manifold.Rotation3(z.rotation.matrix.T @ R_rel_t))))
+            rows["OPTICAL"][1].append(_angle(z.rotation.matrix.T @ R_rel_t))
     return {k: _group_stats(np.asarray(p), np.asarray(a))
             for k, (p, a) in rows.items()}

@@ -222,6 +222,20 @@ class TestErrorExits:
                    "--out", str(tmp_path / "est.csv")])
         assert rc == EXIT_OK, capsys.readouterr().err
 
+    @pytest.mark.parametrize("angle", [np.pi, np.pi - 1e-7])
+    def test_upside_down_target_in_mode_b(self, tmp_path, capsys, angle):
+        # no roll-pitch factor in Mode B: the solve converges, and the
+        # relative angle is reported up to pi
+        meas = optical_stream(tmp_path, exp_so3(np.array([angle, 0.0, 0.0])))
+        est = tmp_path / "est.csv"
+        rc = main(["smooth", "--meas", str(meas), "--mode", "B",
+                   "--out", str(est)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        rows = read_estimate(est)
+        assert len(rows) == 3
+        for row in rows:
+            assert abs(row.rel_angle - angle) <= 1e-9
+
 
 def optical_stream(tmp_path, rotation):
     """Three optical fixes of a target at (5, 0, 0) with `rotation`, 1 s

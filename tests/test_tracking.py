@@ -629,3 +629,15 @@ class TestMetrics:
             report=SolveReport())
         with pytest.raises(ValueError):
             metrics(est, truth)
+
+    def test_angle_matches_log_norm(self, rng):
+        """The axis-free angle used by smooth, metrics and baselines equals
+        |log_so3| wherever log_so3 is defined, and reaches pi."""
+        for _ in range(2000):
+            R = M.exp_so3(rng.normal(size=3)
+                          * rng.uniform(0.0, np.pi - 1e-3)).matrix
+            ref = np.linalg.norm(M.log_so3(M.Rotation3(R)))
+            assert abs(tracking._angle(R) - ref) <= 1e-12
+        for axis in np.eye(3):
+            assert tracking._angle(M.exp_so3(np.pi * axis).matrix) \
+                == pytest.approx(np.pi, abs=1e-12)
