@@ -79,6 +79,24 @@ def _floats(row: list[str], lo: int, hi: int, where: str) -> list[float]:
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _check_rows(rows: list[list[float]], wheres: list[str],
+                quaternions: bool = False) -> None:
+    """Refuse a file whose numeric fields hold a non-finite value or, with
+    `quaternions`, whose pose rows hold a zero quaternion (fields 3:7). One
+    test of the stacked rows per file; the row is located only on failure."""
+    if not rows:
+        return
+    a = np.array(rows)
+    bad = ~np.isfinite(a).all(axis=1)
+    if quaternions:
+        bad |= ~a[:, 3:7].any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "a zero quaternion" if np.isfinite(a[i]).all() \
+            else "a non-finite value"
+        raise ConfigError(f"{wheres[i]}: {what} in {rows[i]}")
+
+
 def _timestamp(row: list[str], where: str) -> float:
     """Leading timestamp of a record row, which carries a label after it."""
     _require(row, 2, where)
@@ -106,13 +124,15 @@ def write_truth(path, truth: GroundTruth) -> int:
 
 
 def read_truth(path) -> GroundTruth:
-    times, agents, fields_ = [], [], []
+    times, agents, fields_, wheres = [], [], [], []
     for row, where in _rows(path):
         t = _timestamp(row, where)
         fields_.append(_floats(row, 2, 9, where))
+        wheres.append(where)
         agents.append(row[1])
         if row[1] == "chaser":
             times.append(t)
+    _check_rows(fields_, wheres, quaternions=True)
     poses = poses_from_fields(fields_)
     chaser = [T for T, a in zip(poses, agents) if a == "chaser"]
     target = [T for T, a in zip(poses, agents) if a != "chaser"]
@@ -142,20 +162,27 @@ def write_measurements(path, records: list[MeasurementRecord]) -> int:
 
 def read_measurements(path) -> list[MeasurementRecord]:
     """Measurement records; a malformed row is a ConfigError naming its line."""
-    rows, pose_fields = [], []
+    rows = []
+    usbl, usbl_wheres, pose_fields, pose_wheres = [], [], [], []
     for row, where in _rows(path):
         t, kind = _timestamp(row, where), row[1]
         if kind == "USBL":
-            rows.append((t, kind, np.array(_floats(row, 2, 5, where))))
+            usbl.append(_floats(row, 2, 5, where))
+            usbl_wheres.append(where)
         elif kind in ("ODOM", "OPTICAL"):
-            rows.append((t, kind, None))  # pose filled in from the batch
             pose_fields.append(_floats(row, 2, 9, where))
+            pose_wheres.append(where)
         else:
             raise ConfigError(f"{where}: unknown measurement kind {kind!r}")
-    poses = iter(poses_from_fields(pose_fields))
-    return [MeasurementRecord(timestamp=t, kind=kind,
-                              payload=next(poses) if z is None else z)
-            for t, kind, z in rows]
+        rows.append((t, kind))
+    _check_rows(usbl, usbl_wheres)
+    _check_rows(pose_fields, pose_wheres, quaternions=True)
+    poses, offsets = iter(poses_from_fields(pose_fields)), iter(usbl)
+    return [MeasurementRecord(
+                timestamp=t, kind=kind,
+                payload=np.array(next(offsets)) if kind == "USBL"
+                else next(poses))
+            for t, kind in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +229,24 @@ class EstimateRow:
 def read_estimate(path) -> list[EstimateRow]:
     """Estimate rows; a malformed row is a ConfigError naming its line."""
     parsed, chaser_fields, target_fields = [], [], []
+    wheres, target_wheres, vectors = [], [], []
     for row, where in _rows(path):
         _require(row, 21, where)
         has_tgt_rot = row[13] != ""
         chaser_fields.append(_floats(row, 3, 10, where))
         if has_tgt_rot:
             target_fields.append(_floats(row, 10, 17, where))
-        parsed.append((
-            _timestamp(row, where), row[1], row[2], has_tgt_rot,
-            np.array(_floats(row, 10, 13, where)),
-            np.array(_floats(row, 17, 20, where)),
-            _floats(row, 20, 21, where)[0] if row[20] != "" else float("nan")))
+            target_wheres.append(where)
+        p, rel = _floats(row, 10, 13, where), _floats(row, 17, 20, where)
+        ang = _floats(row, 20, 21, where) if row[20] != "" else []
+        vectors.append(p + rel + (ang or [0.0]))  # an empty angle is allowed
+        wheres.append(where)
+        parsed.append((_timestamp(row, where), row[1], row[2], has_tgt_rot,
+                       np.array(p), np.array(rel),
+                       ang[0] if ang else float("nan")))
+    _check_rows(chaser_fields, wheres, quaternions=True)
+    _check_rows(target_fields, target_wheres, quaternions=True)
+    _check_rows(vectors, wheres)
     targets = iter(poses_from_fields(target_fields))
     return [EstimateRow(timestamp=t, trigger=trigger, group=group, chaser=C,
                         target_position=p,
@@ -370,18 +404,24 @@ def _assign(cfg: RunConfig, key: str, value: str, where: str) -> None:
         raise ConfigError(f"{where}: bad value for {key!r}: {err}") from err
 
 
+# the keys that parse as floats
+_FLOATS = tuple(f.name for f in fields(RunConfig) if f.name not in _PARSERS)
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.mode not in ("A", "B"):
         raise ConfigError(f"mode must be A or B, got {cfg.mode!r}")
-    if cfg.gate <= 0:
-        raise ConfigError("gate must be positive")
+    for name in _FLOATS:
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     for name in _SIGMAS:
         value = getattr(cfg, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(
-                f"{name} must be finite and non-negative, got {value!r}")
-    for name in ("ct_sigma_pos", "ct_sigma_rot", "rp_sigma", "boundary_sigma",
-                 "dt", "odom_rate_hz", "init_lambda"):
+        if value < 0:
+            raise ConfigError(f"{name} must be non-negative, got {value!r}")
+    for name in ("gate", "duration", "ct_sigma_pos", "ct_sigma_rot",
+                 "rp_sigma", "boundary_sigma", "dt", "odom_rate_hz",
+                 "init_lambda"):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be positive")
 

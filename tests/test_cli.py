@@ -172,6 +172,55 @@ class TestErrorExits:
         assert len(err) == 1
         assert err[0].startswith(f"error: {line.split()[0]} must be ")
 
+    @pytest.mark.parametrize("line", [
+        "duration = nan",
+        "duration = inf",
+        "duration = 0",
+        "usbl_rate_hz = inf",
+        "odom_rate_hz = inf",
+        "gate = nan",
+        "gate = inf",
+    ])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out-truth", str(tmp_path / "t.csv"),
+                   "--out-meas", str(tmp_path / "m.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {line.split()[0]} must be ")
+
+    def test_non_finite_gate_option_exits_2(self, tmp_path, capsys):
+        rc = main(["smooth", "--gate", "nan", "--meas", str(tmp_path / "m.csv"),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: gate must be finite")
+
+    @pytest.mark.parametrize("kind, column, value", [
+        ("ODOM", 5, "0,0,0,0"),  # zero quaternion
+        ("USBL", 3, "nan"),
+        ("ODOM", 2, "inf"),
+        ("OPTICAL", 6, "nan"),  # quaternion
+    ])
+    def test_non_finite_stream_field_exits_2(self, tmp_path, short_cfg,
+                                             capsys, kind, column, value):
+        _, meas = simulate(tmp_path, short_cfg, seed=1)
+        lines = meas.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines)
+                 if i > 100 and f",{kind}," in line)
+        row = lines[i].rstrip("\r\n").split(",")
+        new = value.split(",")
+        row[column:column + len(new)] = new
+        lines[i] = ",".join(row) + "\n"
+        meas.write_text("".join(lines))
+        rc = main(["smooth", "--config", str(short_cfg), "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {meas}:{i + 1}: ")
+
     def test_simulate_accepts_zero_measurement_noise(self, tmp_path,
                                                      short_cfg):
         cfg = tmp_path / "noiseless.cfg"

@@ -297,6 +297,59 @@ class TestMalformedRows:
             read_measurements(path)
         assert f"{path}:3" in str(err.value)
 
+    @pytest.mark.parametrize("line, message", [
+        ("0.1,ODOM,0,0,0,0,0,0,0\n", "zero quaternion"),
+        ("0.1,USBL,1,nan,3,,,,\n", "non-finite value"),
+        ("0.1,ODOM,inf,0,0,1,0,0,0\n", "non-finite value"),
+        ("0.1,OPTICAL,1,2,3,nan,0,0,0\n", "non-finite value"),
+        ("0.1,OPTICAL,1,2,3,1,-inf,0,0\n", "non-finite value"),
+    ])
+    def test_non_finite_or_zero_quaternion_names_its_line(self, tmp_path,
+                                                          line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "0.0,ODOM,0,0,0,1,0,0,0\n" + line
+                        + "0.2,USBL,1,2,3,,,,\n0.3,OPTICAL,0,0,1,1,0,0,0\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            read_measurements(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("column, value, message", [
+        (3, "inf", "non-finite value"),  # chaser tx
+        (6, "0", "zero quaternion"),  # chaser qw..qz
+        (10, "nan", "non-finite value"),  # target tx
+        (13, "0", "zero quaternion"),  # target qw..qz
+        (17, "nan", "non-finite value"),  # rel_x
+        (20, "inf", "non-finite value"),  # rel_angle
+    ])
+    def test_estimate_rows_are_finite(self, tmp_path, column, value,
+                                      message):
+        path = tmp_path / "est.csv"
+        write_estimate(path, smoothed_estimate("A")[0])
+        lines = path.read_text().splitlines(keepends=True)
+        fields_ = lines[5].rstrip("\r\n").split(",")
+        # a zero quaternion zeroes all four of its fields
+        for c in range(column, column + (4 if value == "0" else 1)):
+            fields_[c] = value
+        lines[5] = ",".join(fields_) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=message) as err:
+            read_estimate(path)
+        assert str(err.value).startswith(f"{path}:6: ")
+
+    @pytest.mark.parametrize("fields_, message", [
+        ("1,2,nan,1,0,0,0", "non-finite value"),
+        ("1,2,3,0,0,0,0", "zero quaternion"),
+    ])
+    def test_truth_rows_are_finite(self, tmp_path, fields_, message):
+        path = tmp_path / "truth.csv"
+        write_truth(path, generate_ground_truth(small_scenario()))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[8] = ",".join(lines[8].split(",")[:2]) + "," + fields_ + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=message) as err:
+            read_truth(path)
+        assert str(err.value).startswith(f"{path}:9: ")
+
     def test_short_estimate_row(self, tmp_path):
         path = tmp_path / "est.csv"
         path.write_text("header\n0.0,MEASUREMENT,USBL,0,0,0,1,0,0,0\n")
