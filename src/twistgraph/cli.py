@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, smooth, metrics, unit-circle.
-Exit codes: 0 success, 2 configuration error (including a malformed or
-out-of-order measurement stream, and a negative, non-finite or, for
-smooth, zero sigma), 3 solver did not converge
+Exit codes: 0 success, 2 configuration error (including a malformed,
+non-finite or out-of-order record file, a non-finite setting, and a
+negative or, for smooth, zero sigma), 3 solver did not converge
 (including an initial estimate on a singular chart), 4 underconstrained
 problem.
 """
