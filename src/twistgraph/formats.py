@@ -228,32 +228,30 @@ class EstimateRow:
 
 def read_estimate(path) -> list[EstimateRow]:
     """Estimate rows; a malformed row is a ConfigError naming its line."""
-    parsed, chaser_fields, target_fields = [], [], []
-    wheres, target_wheres, vectors = [], [], []
+    parsed, numbers, wheres, target_fields, target_wheres = [], [], [], [], []
     for row, where in _rows(path):
         _require(row, 21, where)
-        has_tgt_rot = row[13] != ""
-        chaser_fields.append(_floats(row, 3, 10, where))
+        has_tgt_rot, has_ang = row[13] != "", row[20] != ""
         if has_tgt_rot:
             target_fields.append(_floats(row, 10, 17, where))
             target_wheres.append(where)
-        p, rel = _floats(row, 10, 13, where), _floats(row, 17, 20, where)
-        ang = _floats(row, 20, 21, where) if row[20] != "" else []
-        vectors.append(p + rel + (ang or [0.0]))  # an empty angle is allowed
+        # chaser pose, target position, relative position and angle (an
+        # empty angle is allowed)
+        numbers.append(_floats(row, 3, 13, where) + _floats(row, 17, 20, where)
+                       + (_floats(row, 20, 21, where) if has_ang else [0.0]))
         wheres.append(where)
         parsed.append((_timestamp(row, where), row[1], row[2], has_tgt_rot,
-                       np.array(p), np.array(rel),
-                       ang[0] if ang else float("nan")))
-    _check_rows(chaser_fields, wheres, quaternions=True)
+                       has_ang))
+    _check_rows(numbers, wheres, quaternions=True)
     _check_rows(target_fields, target_wheres, quaternions=True)
-    _check_rows(vectors, wheres)
     targets = iter(poses_from_fields(target_fields))
     return [EstimateRow(timestamp=t, trigger=trigger, group=group, chaser=C,
-                        target_position=p,
+                        target_position=np.array(v[7:10]),
                         target_pose=next(targets) if has_tgt_rot else None,
-                        rel_position=rel, rel_angle=ang)
-            for (t, trigger, group, has_tgt_rot, p, rel, ang), C
-            in zip(parsed, poses_from_fields(chaser_fields))]
+                        rel_position=np.array(v[10:13]),
+                        rel_angle=v[13] if has_ang else float("nan"))
+            for (t, trigger, group, has_tgt_rot, has_ang), v, C
+            in zip(parsed, numbers, poses_from_fields(numbers))]
 
 
 # ---------------------------------------------------------------------------
