@@ -2,8 +2,9 @@
 
 Subcommands: simulate, smooth, metrics, unit-circle.
 Exit codes: 0 success, 2 configuration error (including a malformed,
-non-finite or out-of-order record file, a non-finite setting, and a
-negative or, for smooth, zero sigma), 3 solver did not converge
+non-finite or out-of-order record file, a non-finite setting, a
+negative or, for smooth, zero sigma, and a step, rate or gate that asks
+for unbounded work), 3 solver did not converge
 (including an initial estimate on a singular chart), 4 underconstrained
 problem.
 """

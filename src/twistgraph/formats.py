@@ -8,8 +8,10 @@ matching reader.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, fields, field
+from typing import NoReturn
 
 import numpy as np
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -17,13 +19,10 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
 from .tracking import (
-    MeasurementRecord, ModePolicy, TrackingConfig, TrajectoryEstimate)
+    ConfigError, MeasurementRecord, ModePolicy, TrackingConfig,
+    TrajectoryEstimate)
 from .factors import NoiseSigmas
 from .fgraph import SolverSettings
-
-
-class ConfigError(ValueError):
-    """Bad key, value, or syntax in a run configuration."""
 
 
 def poses_to_fields(poses: list[Pose3]) -> list[list[str]]:
@@ -39,18 +38,16 @@ def poses_to_fields(poses: list[Pose3]) -> list[list[str]]:
 
 def poses_from_fields(rows) -> list[Pose3]:
     """Poses from rows of seven numbers or numeric strings, converting all
-    rotations in one call; each quaternion is normalized."""
+    rows in one call; each quaternion is normalized."""
     if len(rows) == 0:
         return []
-    translations, quats = [], []
-    for fs in rows:
-        tx, ty, tz, qw, qx, qy, qz = (float(v) for v in fs[:7])
-        translations.append(np.array([tx, ty, tz]))
-        q = np.array([qx, qy, qz, qw])
-        # one norm per row: a norm over the stacked rows rounds differently
-        quats.append(q / np.linalg.norm(q))
-    mats = ScipyRotation.from_quat(np.stack(quats)).as_matrix()
-    return [Pose3(Rotation3(R), t) for R, t in zip(mats, translations)]
+    a = np.array(rows, dtype=float)[:, :7]
+    # x, y, z, w; contiguous, so that each row's dot product runs through the
+    # same BLAS dot as np.linalg.norm and rounds as a per-row norm does
+    q = np.ascontiguousarray(a[:, [4, 5, 6, 3]])
+    q /= np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
+    mats = ScipyRotation.from_quat(q).as_matrix()
+    return [Pose3(Rotation3(R), t) for R, t in zip(mats, a[:, :3])]
 
 
 POSE_COLS = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"]
@@ -63,6 +60,29 @@ def _rows(path):
         next(r, None)  # header
         for row in r:
             yield row, f"{path}:{r.line_num}"
+
+
+def _data_rows(path) -> list[list[str]]:
+    """Data rows of a record file, in one csv pass."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _numbers(rows, lo: int, hi: int) -> np.ndarray:
+    """Fields lo:hi of every row as one (len(rows), hi - lo) array; a
+    ValueError if a row is short or a field is no number."""
+    a = np.array([row[lo:hi] for row in rows], dtype=float).reshape(-1, hi - lo)
+    if len(a) != len(rows):
+        raise ValueError("short row")
+    return a
+
+
+def _name_bad_row(path, check_row) -> NoReturn:
+    """Raise the ConfigError of the first row `check_row` refuses; the bulk
+    parse failed, so the file is read again to locate the row."""
+    for row, where in _rows(path):
+        check_row(row, where)
+    raise ConfigError(f"{path}: malformed record file")
 
 
 def _require(row: list[str], n: int, where: str) -> None:
@@ -79,14 +99,12 @@ def _floats(row: list[str], lo: int, hi: int, where: str) -> list[float]:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _check_rows(rows: list[list[float]], wheres: list[str],
+def _check_rows(a: np.ndarray, path, index=None,
                 quaternions: bool = False) -> None:
-    """Refuse a file whose numeric fields hold a non-finite value or, with
-    `quaternions`, whose pose rows hold a zero quaternion (fields 3:7). One
+    """Refuse a file whose numeric fields `a` hold a non-finite value or,
+    with `quaternions`, whose pose rows hold a zero quaternion (fields 3:7).
+    Row i of `a` is data row index[i] of the file (by default, row i). One
     test of the stacked rows per file; the row is located only on failure."""
-    if not rows:
-        return
-    a = np.array(rows)
     bad = ~np.isfinite(a).all(axis=1)
     if quaternions:
         bad |= ~a[:, 3:7].any(axis=1)
@@ -94,7 +112,9 @@ def _check_rows(rows: list[list[float]], wheres: list[str],
         i = int(np.argmax(bad))
         what = "a zero quaternion" if np.isfinite(a[i]).all() \
             else "a non-finite value"
-        raise ConfigError(f"{wheres[i]}: {what} in {rows[i]}")
+        k = i if index is None else int(index[i])
+        where = next(itertools.islice(_rows(path), k, None))[1]
+        raise ConfigError(f"{where}: {what} in {a[i].tolist()}")
 
 
 def _timestamp(row: list[str], where: str) -> float:
@@ -104,6 +124,15 @@ def _timestamp(row: list[str], where: str) -> float:
     if not math.isfinite(t):
         raise ConfigError(f"{where}: timestamp must be finite, got {row[0]!r}")
     return t
+
+
+def _timestamps(rows) -> np.ndarray:
+    """The leading timestamps of the rows; a ValueError if one is missing or
+    no finite number."""
+    times = _numbers(rows, 0, 1)[:, 0]
+    if not np.isfinite(times).all():
+        raise ValueError("non-finite timestamp")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +152,26 @@ def write_truth(path, truth: GroundTruth) -> int:
     return n
 
 
+def _truth_row(row: list[str], where: str) -> None:
+    _timestamp(row, where)
+    _floats(row, 2, 9, where)
+
+
 def read_truth(path) -> GroundTruth:
-    times, agents, fields_, wheres = [], [], [], []
-    for row, where in _rows(path):
-        t = _timestamp(row, where)
-        fields_.append(_floats(row, 2, 9, where))
-        wheres.append(where)
-        agents.append(row[1])
-        if row[1] == "chaser":
-            times.append(t)
-    _check_rows(fields_, wheres, quaternions=True)
+    rows = _data_rows(path)
+    try:
+        times = _timestamps(rows)
+        chaser_rows = np.array([row[1] == "chaser" for row in rows], dtype=bool)
+        fields_ = _numbers(rows, 2, 9)
+    except (IndexError, ValueError):
+        _name_bad_row(path, _truth_row)
+    _check_rows(fields_, path, quaternions=True)
     poses = poses_from_fields(fields_)
-    chaser = [T for T, a in zip(poses, agents) if a == "chaser"]
-    target = [T for T, a in zip(poses, agents) if a != "chaser"]
+    chaser = [T for T, c in zip(poses, chaser_rows) if c]
+    target = [T for T, c in zip(poses, chaser_rows) if not c]
     if len(chaser) != len(target):
         raise ConfigError(f"unpaired trajectory rows in {path}")
-    return GroundTruth(times=np.asarray(times), chaser=chaser, target=target)
+    return GroundTruth(times=times[chaser_rows], chaser=chaser, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +193,41 @@ def write_measurements(path, records: list[MeasurementRecord]) -> int:
     return len(records)
 
 
+_POSE_KINDS = ("ODOM", "OPTICAL")
+
+
+def _measurement_row(row: list[str], where: str) -> None:
+    _timestamp(row, where)
+    if row[1] == "USBL":
+        _floats(row, 2, 5, where)
+    elif row[1] in _POSE_KINDS:
+        _floats(row, 2, 9, where)
+    else:
+        raise ConfigError(f"{where}: unknown measurement kind {row[1]!r}")
+
+
 def read_measurements(path) -> list[MeasurementRecord]:
     """Measurement records; a malformed row is a ConfigError naming its line."""
-    rows = []
-    usbl, usbl_wheres, pose_fields, pose_wheres = [], [], [], []
-    for row, where in _rows(path):
-        t, kind = _timestamp(row, where), row[1]
-        if kind == "USBL":
-            usbl.append(_floats(row, 2, 5, where))
-            usbl_wheres.append(where)
-        elif kind in ("ODOM", "OPTICAL"):
-            pose_fields.append(_floats(row, 2, 9, where))
-            pose_wheres.append(where)
-        else:
-            raise ConfigError(f"{where}: unknown measurement kind {kind!r}")
-        rows.append((t, kind))
-    _check_rows(usbl, usbl_wheres)
-    _check_rows(pose_fields, pose_wheres, quaternions=True)
+    rows = _data_rows(path)
+    try:
+        times = _timestamps(rows)
+        kinds = [row[1] for row in rows]
+        if not set(kinds) <= {"USBL", *_POSE_KINDS}:
+            raise ValueError("unknown measurement kind")
+        usbl_rows = np.array([k == "USBL" for k in kinds], dtype=bool)
+        usbl = _numbers(list(itertools.compress(rows, usbl_rows)), 2, 5)
+        pose_fields = _numbers(
+            list(itertools.compress(rows, ~usbl_rows)), 2, 9)
+    except (IndexError, ValueError):
+        _name_bad_row(path, _measurement_row)
+    _check_rows(usbl, path, np.flatnonzero(usbl_rows))
+    _check_rows(pose_fields, path, np.flatnonzero(~usbl_rows),
+                quaternions=True)
     poses, offsets = iter(poses_from_fields(pose_fields)), iter(usbl)
     return [MeasurementRecord(
                 timestamp=t, kind=kind,
-                payload=np.array(next(offsets)) if kind == "USBL"
-                else next(poses))
-            for t, kind in rows]
+                payload=next(offsets) if kind == "USBL" else next(poses))
+            for t, kind in zip(times.tolist(), kinds)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +271,47 @@ class EstimateRow:
     rel_angle: float  # nan when undefined
 
 
+def _estimate_row(row: list[str], where: str) -> None:
+    _require(row, 21, where)
+    if row[13] != "":
+        _floats(row, 10, 17, where)
+    _floats(row, 3, 13, where)
+    _floats(row, 17, 20, where)
+    if row[20] != "":  # an empty angle is allowed
+        _floats(row, 20, 21, where)
+    _timestamp(row, where)
+
+
 def read_estimate(path) -> list[EstimateRow]:
     """Estimate rows; a malformed row is a ConfigError naming its line."""
-    parsed, numbers, wheres, target_fields, target_wheres = [], [], [], [], []
-    for row, where in _rows(path):
-        _require(row, 21, where)
-        has_tgt_rot, has_ang = row[13] != "", row[20] != ""
-        if has_tgt_rot:
-            target_fields.append(_floats(row, 10, 17, where))
-            target_wheres.append(where)
-        # chaser pose, target position, relative position and angle (an
-        # empty angle is allowed)
-        numbers.append(_floats(row, 3, 13, where) + _floats(row, 17, 20, where)
-                       + (_floats(row, 20, 21, where) if has_ang else [0.0]))
-        wheres.append(where)
-        parsed.append((_timestamp(row, where), row[1], row[2], has_tgt_rot,
-                       has_ang))
-    _check_rows(numbers, wheres, quaternions=True)
-    _check_rows(target_fields, target_wheres, quaternions=True)
+    rows = _data_rows(path)
+    try:
+        has_tgt_rot = np.array([row[13] != "" for row in rows], dtype=bool)
+        has_ang = np.array([row[20] != "" for row in rows], dtype=bool)
+        target_fields = _numbers(
+            list(itertools.compress(rows, has_tgt_rot)), 10, 17)
+        # chaser pose, target position, relative position and angle, with
+        # 0 standing in for an empty angle
+        numbers = np.zeros((len(rows), 14))
+        numbers[:, :10] = _numbers(rows, 3, 13)
+        numbers[:, 10:13] = _numbers(rows, 17, 20)
+        numbers[has_ang, 13:] = _numbers(
+            list(itertools.compress(rows, has_ang)), 20, 21)
+        times = _timestamps(rows)
+    except (IndexError, ValueError):
+        _name_bad_row(path, _estimate_row)
+    _check_rows(numbers, path, quaternions=True)
+    _check_rows(target_fields, path, np.flatnonzero(has_tgt_rot),
+                quaternions=True)
     targets = iter(poses_from_fields(target_fields))
-    return [EstimateRow(timestamp=t, trigger=trigger, group=group, chaser=C,
-                        target_position=np.array(v[7:10]),
-                        target_pose=next(targets) if has_tgt_rot else None,
-                        rel_position=np.array(v[10:13]),
-                        rel_angle=v[13] if has_ang else float("nan"))
-            for (t, trigger, group, has_tgt_rot, has_ang), v, C
-            in zip(parsed, numbers, poses_from_fields(numbers))]
+    angles = np.where(has_ang, numbers[:, 13], np.nan)
+    return [EstimateRow(timestamp=t, trigger=row[1], group=row[2], chaser=C,
+                        target_position=v[7:10],
+                        target_pose=next(targets) if rot else None,
+                        rel_position=v[10:13], rel_angle=ang)
+            for t, row, v, C, rot, ang
+            in zip(times.tolist(), rows, numbers, poses_from_fields(numbers),
+                   has_tgt_rot, angles.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ from .factors import (
     ct_factor,
     prior_factor,
 )
+from .tracking import ConfigError, MeasurementRecord
+
+# the most samples per trajectory, and records per measurement kind, that a
+# scenario may ask for; a smaller dt or a higher rate is refused
+_MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,10 @@ class GroundTruth:
 def generate_trajectory(start: Pose3, segments: list[TwistSegment],
                         dt: float) -> tuple[np.ndarray, list[Pose3]]:
     """Piecewise constant-twist rollout: T(t+dt) = T(t) * Exp(xi dt)."""
+    wanted = sum(seg.duration / dt for seg in segments)
+    if not wanted <= _MAX_SAMPLES:
+        raise ConfigError(f"dt = {dt!r} asks for {wanted:.3g} samples, "
+                          f"more than {_MAX_SAMPLES}")
     poses = [start]
     times = [0.0]
     T = start
@@ -106,10 +115,14 @@ def synthesize_measurements(truth: GroundTruth, cfg: ScenarioConfig):
     perturbation, so configured sigmas match the factors' whitening sigmas.
     Gaps suppress relative (USBL/optical) measurements only.
     """
-    from .tracking import MeasurementRecord  # local import avoids a cycle
-
     rng = np.random.default_rng(cfg.seed)
     t_end = float(truth.times[-1])
+    for name in ("odom_rate_hz", "usbl_rate_hz", "optical_rate_hz"):
+        rate = getattr(cfg, name)
+        if not t_end * rate <= _MAX_SAMPLES:
+            raise ConfigError(f"{name} = {rate!r} asks for {t_end * rate:.3g} "
+                              f"records over {t_end:g} s, more than "
+                              f"{_MAX_SAMPLES}")
     records: list[MeasurementRecord] = []
 
     def noisy_pose(T: Pose3, sig_pos: float, sig_rot: float) -> Pose3:

@@ -8,9 +8,7 @@ smooths it, and computes error metrics against ground truth.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +33,14 @@ from .factors import (
     roll_pitch_factor,
     usbl_factor,
 )
+
+
+# the most keyframes schedule_keyframes makes; a smaller gate is refused
+_MAX_KEYFRAMES = 1_000_000
+
+
+class ConfigError(ValueError):
+    """Bad key, value, or syntax in a run configuration."""
 
 
 class NeedsPriorError(RuntimeError):
@@ -123,13 +129,15 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
     # steps back cannot add up. A relative record within the tolerance of
     # the current event's first record joins that event; each later event
     # starts past it, so the events come out in time order.
-    latest = -math.inf
+    stamps = np.array([rec.timestamp for rec in measurements])
+    latest = np.maximum.accumulate(stamps)
+    back = np.flatnonzero(stamps[1:] < latest[:-1] - 1e-9)
+    if back.size:
+        i = int(back[0]) + 1
+        raise StreamOrderError(f"measurement at t={measurements[i].timestamp} "
+                               f"arrived after t={float(latest[i - 1])}")
     events: list[tuple[float, list[MeasurementRecord] | None]] = []
     for rec in measurements:
-        if rec.timestamp < latest - 1e-9:
-            raise StreamOrderError(
-                f"measurement at t={rec.timestamp} arrived after t={latest}")
-        latest = max(latest, rec.timestamp)
         if rec.kind in ("USBL", "OPTICAL"):
             if events and abs(rec.timestamp - events[-1][0]) <= 1e-9:
                 events[-1][1].append(rec)
@@ -140,6 +148,14 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
         raise NeedsPriorError("stream contains no relative measurements")
     if until is not None and until > events[-1][0]:
         events.append((until, None))
+
+    # each gap between events holds at most gap / gate fillers
+    event_times = np.array([t for t, _ in events])
+    wanted = (len(events) + np.floor(np.diff(event_times) / gate).sum()
+              if gate > 0 else math.inf)
+    if not wanted <= _MAX_KEYFRAMES:
+        raise ConfigError(f"gate = {gate!r} asks for {wanted:.3g} keyframes, "
+                          f"more than {_MAX_KEYFRAMES}")
 
     # (time, records, trigger) with gate fillers interleaved
     slots: list[tuple[float, list[MeasurementRecord], str]] = []
@@ -156,12 +172,16 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
             slots.append((t, [], "TIME_GATE"))  # terminal gate at `until`
         prev = t
 
-    odo = _OdometrySpline(measurements)
+    # the odometry of every interval at once: into the first keyframe from
+    # t = 0, then between consecutive keyframes
+    times = [t for t, _, _ in slots]
+    R, trans, n_eff = _OdometrySpline(measurements).intervals(
+        [0.0] + times[:-1], times)
     keyframes: list[Keyframe] = []
     next_id = 0
     repr_tag = "R3" if policy.mode == "B" else "SE3"
     non_optical = 0
-    for t, recs, trigger in slots:
+    for i, (t, recs, trigger) in enumerate(slots):
         kinds = tuple(sorted({r.kind for r in recs}))
         if policy.mode == "B":
             if "OPTICAL" in kinds:
@@ -174,13 +194,9 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
         ck = VariableKey(id=next_id, kind=SE3, timestamp=t)
         tk = VariableKey(id=next_id + 1, kind=target_kind, timestamp=t)
         next_id += 2
-        odometry = None
-        if keyframes:
-            odometry = odo.relative(keyframes[-1].timestamp, t)
-        elif t > 0:  # a gap at the start: odometry from the pose at t = 0
-            rel, n_eff = odo.relative(0.0, t)
-            if n_eff > 0:
-                odometry = (rel, n_eff)
+        odometry = (Pose3(Rotation3(R[i]), trans[i]), n_eff[i])
+        if i == 0 and not n_eff[0] > 0:
+            odometry = None  # no record covers a gap at the start
         keyframes.append(Keyframe(timestamp=t, chaser_key=ck, target_key=tk,
                                   trigger=trigger, meas_kinds=kinds,
                                   records=tuple(recs), odometry=odometry))
@@ -201,43 +217,73 @@ class _OdometrySpline:
 
     def __init__(self, measurements: list[MeasurementRecord]):
         recs = [r for r in measurements if r.kind == "ODOM"]
-        self.segments: list[tuple[float, float, Pose3]] = []
-        for i, rec in enumerate(recs):
-            if i == 0:
-                # backfill the first record's span from the observed cadence
-                dt = (recs[1].timestamp - rec.timestamp) if len(recs) > 1 \
-                    else max(rec.timestamp, 1e-3)
-                start = max(0.0, rec.timestamp - dt)
-                if rec.timestamp - start > 1e-12:
-                    self.segments.append((start, rec.timestamp, rec.payload))
+        ends = [r.timestamp for r in recs]
+        poses = [r.payload for r in recs]
+        starts = ends[:-1]
+        if recs:
+            # backfill the first record's span from the observed cadence
+            dt = ends[1] - ends[0] if len(ends) > 1 else max(ends[0], 1e-3)
+            start = max(0.0, ends[0] - dt)
+            if ends[0] - start > 1e-12:
+                starts.insert(0, start)
             else:
-                self.segments.append(
-                    (recs[i - 1].timestamp, rec.timestamp, rec.payload))
+                ends, poses = ends[1:], poses[1:]
+        # (start, end, relative pose) per record
+        self.segments = list(zip(starts, ends, poses))
+        self._starts, self._ends = np.array(starts), np.array(ends)
+        self._R = np.array([T.rotation.matrix for T in poses]).reshape(-1, 3, 3)
+        self._t = np.array([T.translation for T in poses]).reshape(-1, 3)
         # Running max of segment ends and running min (from the back) of
         # segment starts: both are sorted even if the timestamps are not, so
-        # bisecting them bounds the segments that can overlap an interval.
-        self._reach = list(accumulate((b for _, b, _ in self.segments), max))
-        self._floor = list(accumulate(
-            (a for a, _, _ in reversed(self.segments)), min))[::-1]
+        # searching them bounds the segments that can overlap an interval.
+        self._reach = np.maximum.accumulate(self._ends)
+        self._floor = np.minimum.accumulate(self._starts[::-1])[::-1]
+
+    def intervals(self, ta, tb) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        """Relative poses (R, t) over each interval (ta[i], tb[i]] and their
+        effective record counts, all intervals at once.
+
+        Step k composes the k-th piece of every interval that has one, so
+        each interval is composed left to right, as a scan over its segments
+        would: the results round as that scan's do.
+        """
+        ta, tb = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
+        n = len(ta)
+        # segments before `first` end at or before ta, and segments from
+        # `stop` on start at or after tb: neither can overlap (ta, tb]
+        first = np.searchsorted(self._reach, ta, side="right")
+        stop = np.searchsorted(self._floor, tb, side="left")
+        count = np.maximum(stop - first, 0)
+        owner = np.repeat(np.arange(n), count)
+        seg = (np.arange(len(owner)) + np.repeat(first - np.cumsum(count)
+                                                 + count, count))
+        lo = np.maximum(self._starts[seg], ta[owner])
+        hi = np.minimum(self._ends[seg], tb[owner])
+        keep = hi - lo > 1e-12
+        owner, seg = owner[keep], seg[keep]
+        frac = (hi[keep] - lo[keep]) / (self._ends[seg] - self._starts[seg])
+        R, t = self._R[seg], self._t[seg]
+        part = ~(frac > 1.0 - 1e-12)  # a fraction of the record's span
+        if part.any():
+            R[part], t[part] = manifold.exp_se3_batch(
+                frac[part, None] * manifold.log_se3_batch(R[part], t[part]))
+        # the position of each piece in its interval
+        pos = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        out_R = np.tile(np.eye(3), (n, 1, 1))
+        out_t = np.zeros((n, 3))
+        n_eff = np.zeros(n)
+        for k in range(pos.max(initial=-1) + 1):
+            at = pos == k
+            i = owner[at]
+            out_R[i], out_t[i] = manifold.compose_batch(
+                out_R[i], out_t[i], R[at], t[at])
+            n_eff[i] += frac[at]
+        return out_R, out_t, n_eff.tolist()
 
     def relative(self, ta: float, tb: float) -> tuple[Pose3, float]:
         """Relative pose over (ta, tb] and the effective record count."""
-        out = Pose3.identity()
-        n_eff = 0.0
-        # segments before `first` end at or before ta, and segments from
-        # `stop` on start at or after tb: neither can overlap (ta, tb]
-        first = bisect_right(self._reach, ta)
-        stop = bisect_left(self._floor, tb)
-        for a, b, rel in self.segments[first:stop]:
-            lo, hi = max(a, ta), min(b, tb)
-            if hi - lo <= 1e-12:
-                continue
-            frac = (hi - lo) / (b - a)
-            n_eff += frac
-            piece = rel if frac > 1.0 - 1e-12 else manifold.exp_se3(
-                frac * manifold.log_se3(rel))
-            out = manifold.compose(out, piece)
-        return out, n_eff
+        R, t, n_eff = self.intervals([ta], [tb])
+        return Pose3(Rotation3(R[0]), t[0]), n_eff[0]
 
 
 # ---------------------------------------------------------------------------

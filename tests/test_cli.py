@@ -221,6 +221,29 @@ class TestErrorExits:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {meas}:{i + 1}: ")
 
+    @pytest.mark.parametrize("line", ["dt = 1e-9", "odom_rate_hz = 1e9",
+                                      "usbl_rate_hz = 1e9",
+                                      "optical_rate_hz = 1e9"])
+    def test_unbounded_simulation_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("duration = 10\n" + line + "\n")
+        truth = tmp_path / "truth.csv"
+        rc = main(["simulate", "--config", str(cfg), "--out-truth", str(truth),
+                   "--out-meas", str(tmp_path / "meas.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        key = line.split(" = ")[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+        assert not truth.exists()
+
+    def test_unbounded_gate_exits_2(self, tmp_path, capsys):
+        meas = optical_stream(tmp_path, exp_so3(np.zeros(3)))
+        rc = main(["smooth", "--gate", "1e-9", "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gate = 1e-09 asks")
+
     def test_simulate_accepts_zero_measurement_noise(self, tmp_path,
                                                      short_cfg):
         cfg = tmp_path / "noiseless.cfg"

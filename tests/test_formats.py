@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
+from twistgraph import cli
 from twistgraph import manifold as M
 from twistgraph.factors import MeasurementSigmas, NoiseSigmas, RollPitchSpec
 from twistgraph.fgraph import SolveReport, SolverSettings
@@ -278,17 +279,50 @@ class TestBatchedRecordFiles:
                                  scalar_pose_from_fields(row[10:17]))
 
 
+# malformed measurement rows and the error each raises
+MALFORMED_ROWS = [
+    ("0.1,ODOM,0,0,0,1,0,0\n", "expected at least 9 fields"),
+    ("0.1,ODOM,0,zero,0,1,0,0,0\n", "could not convert"),
+    ("0.1,USBL,1,2\n", "expected at least 5 fields"),
+    ("abc,USBL,1,2,3,,,,\n", "could not convert"),
+    ("nan,USBL,1,2,3,,,,\n", "timestamp must be finite"),
+    ("0.1\n", "expected at least 2 fields"),
+]
+NON_FINITE_ROWS = [
+    ("0.1,ODOM,0,0,0,0,0,0,0\n", "zero quaternion"),
+    ("0.1,USBL,1,nan,3,,,,\n", "non-finite value"),
+    ("0.1,ODOM,inf,0,0,1,0,0,0\n", "non-finite value"),
+    ("0.1,OPTICAL,1,2,3,nan,0,0,0\n", "non-finite value"),
+    ("0.1,OPTICAL,1,2,3,1,-inf,0,0\n", "non-finite value"),
+]
+# (column, value, error) edits of an estimate row
+ESTIMATE_EDITS = [
+    (3, "inf", "non-finite value"),  # chaser tx
+    (6, "0", "zero quaternion"),  # chaser qw..qz
+    (10, "nan", "non-finite value"),  # target tx
+    (13, "0", "zero quaternion"),  # target qw..qz
+    (17, "nan", "non-finite value"),  # rel_x
+    (20, "inf", "non-finite value"),  # rel_angle
+]
+# pose fields of a truth row and the error each raises
+TRUTH_FIELDS = [
+    ("1,2,nan,1,0,0,0", "non-finite value"),
+    ("1,2,3,0,0,0,0", "zero quaternion"),
+]
+
+
+def edit_estimate_row(line: str, column: int, value: str) -> str:
+    fields_ = line.rstrip("\r\n").split(",")
+    # a zero quaternion zeroes all four of its fields
+    for c in range(column, column + (4 if value == "0" else 1)):
+        fields_[c] = value
+    return ",".join(fields_) + "\n"
+
+
 class TestMalformedRows:
     HEADER = "timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n"
 
-    @pytest.mark.parametrize("line, message", [
-        ("0.1,ODOM,0,0,0,1,0,0\n", "expected at least 9 fields"),
-        ("0.1,ODOM,0,zero,0,1,0,0,0\n", "could not convert"),
-        ("0.1,USBL,1,2\n", "expected at least 5 fields"),
-        ("abc,USBL,1,2,3,,,,\n", "could not convert"),
-        ("nan,USBL,1,2,3,,,,\n", "timestamp must be finite"),
-        ("0.1\n", "expected at least 2 fields"),
-    ])
+    @pytest.mark.parametrize("line, message", MALFORMED_ROWS)
     def test_measurement_row_errors_name_file_and_line(self, tmp_path, line,
                                                        message):
         path = tmp_path / "bad.csv"
@@ -297,13 +331,7 @@ class TestMalformedRows:
             read_measurements(path)
         assert f"{path}:3" in str(err.value)
 
-    @pytest.mark.parametrize("line, message", [
-        ("0.1,ODOM,0,0,0,0,0,0,0\n", "zero quaternion"),
-        ("0.1,USBL,1,nan,3,,,,\n", "non-finite value"),
-        ("0.1,ODOM,inf,0,0,1,0,0,0\n", "non-finite value"),
-        ("0.1,OPTICAL,1,2,3,nan,0,0,0\n", "non-finite value"),
-        ("0.1,OPTICAL,1,2,3,1,-inf,0,0\n", "non-finite value"),
-    ])
+    @pytest.mark.parametrize("line, message", NON_FINITE_ROWS)
     def test_non_finite_or_zero_quaternion_names_its_line(self, tmp_path,
                                                           line, message):
         path = tmp_path / "bad.csv"
@@ -313,33 +341,19 @@ class TestMalformedRows:
             read_measurements(path)
         assert str(err.value).startswith(f"{path}:3: ")
 
-    @pytest.mark.parametrize("column, value, message", [
-        (3, "inf", "non-finite value"),  # chaser tx
-        (6, "0", "zero quaternion"),  # chaser qw..qz
-        (10, "nan", "non-finite value"),  # target tx
-        (13, "0", "zero quaternion"),  # target qw..qz
-        (17, "nan", "non-finite value"),  # rel_x
-        (20, "inf", "non-finite value"),  # rel_angle
-    ])
+    @pytest.mark.parametrize("column, value, message", ESTIMATE_EDITS)
     def test_estimate_rows_are_finite(self, tmp_path, column, value,
                                       message):
         path = tmp_path / "est.csv"
         write_estimate(path, smoothed_estimate("A")[0])
         lines = path.read_text().splitlines(keepends=True)
-        fields_ = lines[5].rstrip("\r\n").split(",")
-        # a zero quaternion zeroes all four of its fields
-        for c in range(column, column + (4 if value == "0" else 1)):
-            fields_[c] = value
-        lines[5] = ",".join(fields_) + "\n"
+        lines[5] = edit_estimate_row(lines[5], column, value)
         path.write_text("".join(lines))
         with pytest.raises(ConfigError, match=message) as err:
             read_estimate(path)
         assert str(err.value).startswith(f"{path}:6: ")
 
-    @pytest.mark.parametrize("fields_, message", [
-        ("1,2,nan,1,0,0,0", "non-finite value"),
-        ("1,2,3,0,0,0,0", "zero quaternion"),
-    ])
+    @pytest.mark.parametrize("fields_, message", TRUTH_FIELDS)
     def test_truth_rows_are_finite(self, tmp_path, fields_, message):
         path = tmp_path / "truth.csv"
         write_truth(path, generate_ground_truth(small_scenario()))
@@ -355,6 +369,107 @@ class TestMalformedRows:
         path.write_text("header\n0.0,MEASUREMENT,USBL,0,0,0,1,0,0,0\n")
         with pytest.raises(ConfigError, match=f"{path}:2"):
             read_estimate(path)
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """The CLI's default seed-1 scenario (3461 stream rows, 12800 truth
+    rows) and its Mode B estimate (383 rows)."""
+    d = tmp_path_factory.mktemp("full")
+    paths = {k: d / f"{k}.csv" for k in ("truth", "meas", "est")}
+    assert cli.main(["simulate", "--seed", "1", "--out-truth",
+                     str(paths["truth"]), "--out-meas", str(paths["meas"])]) == 0
+    assert cli.main(["smooth", "--mode", "B", "--meas", str(paths["meas"]),
+                     "--out", str(paths["est"])]) == 0
+    return {k: p.read_text() for k, p in paths.items()}
+
+
+class TestBulkReader:
+    """The one-pass readers on whole files: the last row is named when it
+    is malformed, and every field reads as a per-row reader reads it."""
+
+    @pytest.mark.parametrize("line, message", MALFORMED_ROWS + NON_FINITE_ROWS)
+    def test_bad_last_stream_row_is_named(self, tmp_path, full_run, line,
+                                          message):
+        path = tmp_path / "meas.csv"
+        path.write_text(full_run["meas"] + line)
+        n = (full_run["meas"] + line).count("\n")
+        assert n > 3000
+        with pytest.raises(ConfigError, match=message) as err:
+            read_measurements(path)
+        assert str(err.value).startswith(f"{path}:{n}: ")
+
+    @pytest.mark.parametrize("fields_, message", TRUTH_FIELDS)
+    def test_bad_last_truth_row_is_named(self, tmp_path, full_run, fields_,
+                                         message):
+        lines = full_run["truth"].splitlines(keepends=True)
+        lines[-1] = ",".join(lines[-1].split(",")[:2]) + "," + fields_ + "\n"
+        path = tmp_path / "truth.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=message) as err:
+            read_truth(path)
+        assert str(err.value).startswith(f"{path}:{len(lines)}: ")
+
+    @pytest.mark.parametrize("column, value, message", ESTIMATE_EDITS)
+    def test_bad_last_estimate_row_is_named(self, tmp_path, full_run, column,
+                                            value, message):
+        lines = full_run["est"].splitlines(keepends=True)
+        lines[-1] = edit_estimate_row(lines[-1], column, value)
+        path = tmp_path / "est.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=message) as err:
+            read_estimate(path)
+        assert str(err.value).startswith(f"{path}:{len(lines)}: ")
+
+    def test_stream_matches_per_row_reader(self, tmp_path, full_run):
+        path = tmp_path / "meas.csv"
+        path.write_text(full_run["meas"])
+        rows = csv_rows(path)
+        records = read_measurements(path)
+        assert len(records) == len(rows) > 3000
+        for rec, row in zip(records, rows):
+            assert (rec.timestamp, rec.kind) == (float(row[0]), row[1])
+            if rec.kind == "USBL":
+                assert np.array_equal(
+                    rec.payload, np.array([float(v) for v in row[2:5]]))
+            else:
+                assert_same_pose(rec.payload, scalar_pose_from_fields(row[2:9]))
+
+    def test_truth_and_estimate_match_per_row_reader(self, tmp_path,
+                                                     full_run):
+        path = tmp_path / "truth.csv"
+        path.write_text(full_run["truth"])
+        rows = csv_rows(path)
+        truth = read_truth(path)
+        assert truth.times.tolist() == [float(r[0]) for r in rows[0::2]]
+        for got, row in zip(truth.chaser + truth.target,
+                            rows[0::2] + rows[1::2]):
+            assert_same_pose(got, scalar_pose_from_fields(row[2:9]))
+        path = tmp_path / "est.csv"
+        path.write_text(full_run["est"])
+        rows = csv_rows(path)
+        for got, row in zip(read_estimate(path), rows):
+            assert (got.timestamp, got.trigger, got.group) == (
+                float(row[0]), row[1], row[2])
+            assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
+            assert np.array_equal(got.target_position,
+                                  [float(v) for v in row[10:13]])
+            assert np.array_equal(got.rel_position,
+                                  [float(v) for v in row[17:20]])
+            if row[13] != "":
+                assert_same_pose(got.target_pose,
+                                 scalar_pose_from_fields(row[10:17]))
+                assert got.rel_angle == float(row[20])
+            else:
+                assert got.target_pose is None and np.isnan(got.rel_angle)
+
+    def test_empty_and_header_only_files(self, tmp_path):
+        for text in ("", "timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n"):
+            path = tmp_path / "empty.csv"
+            path.write_text(text)
+            assert read_measurements(path) == []
+            assert read_estimate(path) == []
+            assert read_truth(path).chaser == []
 
 
 class TestRecordFiles:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twistgraph import manifold as M
+from twistgraph import simkit, tracking
 from twistgraph.fgraph import Values, VariableKey, optimize
+from twistgraph.formats import ConfigError, RunConfig
 from twistgraph.simkit import (
     GroundTruth,
     ScenarioConfig,
@@ -71,6 +73,30 @@ class TestTrajectoryGeneration:
         truth = generate_ground_truth(cfg)
         assert truth.times[-1] == pytest.approx(12.0)
         assert len(truth.chaser) == len(truth.target) == len(truth.times)
+
+
+class TestWorkCeiling:
+    """A step or rate that asks for unbounded work is refused, naming its
+    key, before a sample is made."""
+
+    def test_tiny_dt_refused(self):
+        with pytest.raises(ConfigError, match=r"^dt = 1e-09 asks for 3\.2e\+11"):
+            generate_trajectory(M.Pose3.identity(),
+                                [TwistSegment(np.zeros(6), 320.0)], 1e-9)
+
+    @pytest.mark.parametrize("key", ["odom_rate_hz", "usbl_rate_hz",
+                                     "optical_rate_hz"])
+    def test_huge_rate_refused(self, key):
+        cfg = small_config(**{key: 1e9})
+        truth = generate_ground_truth(cfg)
+        with pytest.raises(ConfigError, match=f"^{key} = 1000000000.0 asks"):
+            synthesize_measurements(truth, cfg)
+
+    def test_defaults_stay_far_below(self):
+        cfg = RunConfig()
+        assert 100 * cfg.duration / cfg.dt < simkit._MAX_SAMPLES
+        assert 100 * cfg.duration * cfg.odom_rate_hz < simkit._MAX_SAMPLES
+        assert 100 * cfg.duration / cfg.gate < tracking._MAX_KEYFRAMES
 
 
 class TestMeasurementSynthesis:

@@ -16,6 +16,7 @@ from twistgraph.simkit import (
     synthesize_measurements,
 )
 from twistgraph.tracking import (
+    ConfigError,
     MeasurementRecord,
     ModePolicy,
     NeedsPriorError,
@@ -124,6 +125,11 @@ class TestScheduling:
         kfs = schedule_keyframes([usbl(1.0), usbl(1.0 + 8e-10),
                                   usbl(1.0 + 1.6e-9)])
         assert [len(kf.records) for kf in kfs] == [2, 1]
+
+    @pytest.mark.parametrize("gate", [1e-9, 0.0, -1.0, float("nan")])
+    def test_unbounded_gate_refused(self, gate):
+        with pytest.raises(ConfigError, match="^gate = .* asks for"):
+            schedule_keyframes([usbl(0.0), odom(2.5), usbl(5.0)], gate=gate)
 
     def test_no_relative_measurements_rejected(self):
         with pytest.raises(NeedsPriorError):
@@ -281,6 +287,55 @@ class TestOdometryBisection:
         assert ref_n > 0.0
         assert np.array_equal(rel.matrix(), ref.matrix())
         assert n_eff == ref_n
+
+
+@st.composite
+def odometry_streams(draw):
+    """Whole streams: odometry with duplicate timestamps and steps back
+    within the scheduler's 1e-9 tolerance, USBL fixes that may start after
+    a gap and leave gaps for gated keyframes, and a gate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(0.1), st.floats(1e-3, 1.5),
+                  st.sampled_from([-5e-10, -9e-10])),
+        min_size=1, max_size=40))
+    stream, t, latest = [], draw(st.sampled_from([0.0, 0.05, 0.1, 2.0])), 0.0
+    for step in steps:
+        # a step back is taken from the latest time, as the tolerance is
+        t = latest + step if step < 0 else t + step
+        latest = max(latest, t)
+        stream.append((latest, odom(t, M.exp_se3(rng.normal(0.0, 0.3, 6)))))
+    first = draw(st.sampled_from([0.0, 1.0, 4.0]))  # a gap at the start
+    fixes = draw(st.lists(st.floats(first, first + latest + 3.0),
+                          max_size=12))
+    for tr in [first] + fixes:
+        stream.append((tr, usbl(tr)))
+    stream.sort(key=lambda e: e[0])  # stable: steps back stay in order
+    gate = draw(st.sampled_from([0.3, 0.7, 1.0, 2.5]))
+    return [rec for _, rec in stream], gate
+
+
+class TestScheduledOdometry:
+    """schedule_keyframes' odometry equals the reference scan of each
+    keyframe interval, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(odometry_streams())
+    def test_matches_linear_scan_per_interval(self, case):
+        recs, gate = case
+        kfs = schedule_keyframes(recs, gate=gate)
+        segments = _OdometrySpline(recs).segments
+        prev = 0.0
+        for i, kf in enumerate(kfs):
+            ref, ref_n = scan_relative(segments, prev, kf.timestamp)
+            prev = kf.timestamp
+            if i == 0 and not ref_n > 0:
+                assert kf.odometry is None
+                continue
+            rel, n_eff = kf.odometry
+            assert np.array_equal(rel.rotation.matrix, ref.rotation.matrix)
+            assert np.array_equal(rel.translation, ref.translation)
+            assert n_eff == ref_n
 
 
 @st.composite
@@ -459,17 +514,19 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_composes_each_interval_once(self, mode, monkeypatch):
+        """One batched request covers exactly the keyframe intervals, in
+        order: the first from t = 0, then each consecutive pair."""
         calls = []
-        relative = _OdometrySpline.relative
+        intervals = _OdometrySpline.intervals
 
-        def counting(self, ta, tb):
-            calls.append((ta, tb))
-            return relative(self, ta, tb)
+        def recording(self, ta, tb):
+            calls.append((list(ta), list(tb)))
+            return intervals(self, ta, tb)
 
-        monkeypatch.setattr(_OdometrySpline, "relative", counting)
+        monkeypatch.setattr(_OdometrySpline, "intervals", recording)
         _, _, kfs, _, _, _ = self._pipeline(mode)
-        assert calls == [(a.timestamp, b.timestamp)
-                         for a, b in zip(kfs, kfs[1:])]
+        times = [kf.timestamp for kf in kfs]
+        assert calls == [([0.0] + times[:-1], times)]
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_initial_values_match_standalone_initialization(self, mode):
