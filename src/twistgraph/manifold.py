@@ -382,10 +382,6 @@ def jl_inv_se3(delta: np.ndarray) -> np.ndarray:
     return J
 
 
-def jr_inv_se3(delta: np.ndarray) -> np.ndarray:
-    return jl_inv_se3(-np.asarray(delta, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # The retraction pair on a kind's elements, through the kind's group table.
 
@@ -672,6 +668,7 @@ class GroupOps:
 
     exp: Callable  # delta -> Exp(delta)
     compose: Callable  # (X, Y) -> X Y
+    inverse: Callable  # X -> X^-1
     ominus: Callable  # (Y, X) -> Log(X^-1 Y)
     jl: Callable  # delta -> J_l(delta)
     jl_inv: Callable  # delta -> J_l(delta)^-1
@@ -720,6 +717,7 @@ _GROUPS = {
     "SE3": Group(
         exp=lambda delta: exp_se3(delta),
         compose=lambda X, Y: compose(X, Y),
+        inverse=lambda X: inverse(X),
         ominus=_ominus_se3,
         jl=lambda delta: jl_se3(delta),
         jl_inv=lambda delta: jl_inv_se3(delta),
@@ -727,6 +725,7 @@ _GROUPS = {
         batch=GroupOps(
             exp=lambda delta: exp_se3_batch(delta),
             compose=lambda X, Y: compose_batch(*X, *Y),
+            inverse=lambda X: inverse_batch(*X),
             ominus=lambda Y, X: log_se3_batch(
                 *compose_batch(*inverse_batch(*X), *Y)),
             jl=lambda delta: jl_se3_batch(delta),
@@ -737,6 +736,7 @@ _GROUPS = {
     "SO3": Group(
         exp=lambda delta: exp_so3(delta),
         compose=lambda X, Y: Rotation3(X.matrix @ Y.matrix),
+        inverse=lambda X: Rotation3(X.matrix.T),
         ominus=lambda Y, X: log_so3(Rotation3(X.matrix.T @ Y.matrix)),
         jl=lambda delta: jl_so3(delta),
         jl_inv=lambda delta: jl_inv_so3(delta),
@@ -744,6 +744,7 @@ _GROUPS = {
         batch=GroupOps(
             exp=lambda delta: (exp_so3_batch(delta),),
             compose=lambda X, Y: (X[0] @ Y[0],),
+            inverse=lambda X: (X[0].transpose(0, 2, 1),),
             ominus=lambda Y, X: log_so3_batch(X[0].transpose(0, 2, 1) @ Y[0]),
             jl=lambda delta: jl_so3_batch(delta),
             jl_inv=lambda delta: jl_inv_so3_batch(delta),
@@ -753,6 +754,7 @@ _GROUPS = {
     "RN": Group(
         exp=EuclidPoint,
         compose=lambda X, Y: EuclidPoint(X.coords + Y.coords),
+        inverse=lambda X: EuclidPoint(-X.coords),
         ominus=lambda Y, X: Y.coords - X.coords,
         jl=lambda delta: np.eye(len(delta)),
         jl_inv=lambda delta: np.eye(len(delta)),
@@ -760,6 +762,7 @@ _GROUPS = {
         batch=GroupOps(
             exp=lambda delta: (delta,),
             compose=lambda X, Y: (X[0] + Y[0],),
+            inverse=lambda X: (-X[0],),
             ominus=lambda Y, X: Y[0] - X[0],
             jl=_eyes,
             jl_inv=_eyes,

@@ -149,7 +149,7 @@ class TestKernels:
         for batched, scalar in [(M.jl_se3_batch, M.jl_se3),
                                 (M.jl_inv_se3_batch, M.jl_inv_se3),
                                 (M.SE3.group.batch.jr, M.SE3.group.jr),
-                                (M.SE3.group.batch.jr_inv, M.jr_inv_se3)]:
+                                (M.SE3.group.batch.jr_inv, M.SE3.group.jr_inv)]:
             out = batched(xi)
             for n, x in enumerate(xi):
                 assert_close(out[n], scalar(x))
@@ -173,6 +173,20 @@ class TestKernels:
             assert_close(ti[n], inv.translation)
             assert_close(Ad[n], M.adjoint_inv_se3(a))
         assert_close(M.skew_batch(ta)[0], M.skew(ta[0]))
+        for kind, elements in [
+                (M.SE3, poses),
+                (M.SO3, [T.rotation for T in poses]),
+                (M.rn(2), [EuclidPoint(T.translation[:2]) for T in poses])]:
+            group = kind.group
+            X = stack(kind, elements)
+            inverses = group.batch.inverse(X)
+            identity = group.parts(group.exp(np.zeros(kind.dim)))
+            for n, x in enumerate(elements):
+                for part, ref in zip(inverses, group.parts(group.inverse(x))):
+                    assert_close(part[n], ref)
+            for part, ref in zip(group.batch.compose(X, inverses), identity):
+                for row in part:
+                    assert_close(row, ref)
 
     @SETTINGS
     @given(angles, beyond_edge, seeds)

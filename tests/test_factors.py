@@ -313,6 +313,9 @@ class TestUsblFactor:
         with pytest.raises(ManifoldMismatchError):
             usbl_factor(se3_key(0), VariableKey(1, M.SO3, 0.0), np.zeros(3),
                         np.eye(3))
+        with pytest.raises(ManifoldMismatchError):
+            usbl_factor(se3_key(0), VariableKey(1, M.rn(2), 0.0), np.zeros(3),
+                        np.eye(3))
 
 
 class TestRollPitchFactor:
@@ -440,3 +443,6 @@ class TestBoundaryFactors:
             boundary_factors(se3_key(0), r3_key(1), "SIDEWAYS", np.eye(3))
         with pytest.raises(ManifoldMismatchError):
             boundary_factors(r3_key(0), r3_key(1), "DOWN", np.eye(3))
+        with pytest.raises(ManifoldMismatchError):
+            boundary_factors(se3_key(0), VariableKey(1, M.rn(2), 0.0), "DOWN",
+                             np.eye(3))

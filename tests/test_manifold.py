@@ -118,7 +118,7 @@ class TestJacobians:
             xi = rng.normal(0.0, 0.8, 6)
             np.testing.assert_allclose(M.SE3.group.jr(xi), M.jl_se3(-xi), atol=1e-15)
             np.testing.assert_allclose(
-                M.jr_inv_se3(xi), M.jl_inv_se3(-xi), atol=1e-15)
+                M.SE3.group.jr_inv(xi), M.jl_inv_se3(-xi), atol=1e-15)
 
     def test_right_jacobian_against_finite_differences(self, rng):
         # Exp(xi + d) ~ Exp(xi) * Exp(J_r(xi) d)

@@ -202,7 +202,7 @@ class TestFiniteDifferenceOracle:
             return M.log_se3(values.get(key))
 
         J = finite_difference_jacobian(residual, values, key)
-        np.testing.assert_allclose(J, M.jr_inv_se3(xi), atol=1e-6)
+        np.testing.assert_allclose(J, M.SE3.group.jr_inv(xi), atol=1e-6)
 
 
 class TestUnitCircleFixtures:
