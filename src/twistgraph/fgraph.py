@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, solveh_banded
 from scipy.linalg.lapack import dpbtrf
 # Nothing here factors with splu; it stays a module attribute because the
 # traced benchmark run (perfbench/instrument.py) patches `fgraph.splu`.
@@ -556,6 +556,15 @@ def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:
     null directions show up as shift-sized squared pivots (in exact
     arithmetic, the pivots of an unpivoted LU). A factorization that stops
     at a column names that column too.
+
+    A null direction spread over the whole graph (a free rigid-body motion
+    of every keyframe) can leave every pivot large, so two steps of inverse
+    iteration on the same factor follow, the first on 8 fixed-seed random
+    columns and the second on the one that grew most. A column y = A^-1 x
+    of a unit x bounds the smallest eigenvalue of the shifted system A
+    from above by 1 / |y|, which flags the graph only if that eigenvalue
+    is at most the pivot threshold. The variables holding the grown
+    column's large entries are the suspects.
     """
     diag = band[0]
     s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
@@ -571,11 +580,22 @@ def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:
         bad[info:] = False
         bad[info - 1] = True
     if not bad.any():
-        return
+        x = np.random.default_rng(0).random((n, 8)) - 0.5
+        for _ in range(2):  # x = A^-1 x, keeping the column that grew most
+            y = cho_solve_banded((L, True), x / np.linalg.norm(x, axis=0),
+                                 check_finite=False)
+            growth = np.linalg.norm(y, axis=0)
+            j = int(np.argmax(growth))
+            x = y[:, j:j + 1]
+        if 1.0 / growth[j] > 1e3 * shift:
+            return
+        bad = np.abs(x[:, 0]) >= 1e-3 * growth[j]
     suspects = [key for key, c0 in offsets.items()
                 if bad[c0:c0 + key.kind.dim].any()]
-    names = ", ".join(f"id={k.id}@t={k.timestamp:g}" for k in sorted(
-        suspects, key=lambda k: (k.timestamp, k.id)))
+    by_time = sorted(suspects, key=lambda k: (k.timestamp, k.id))
+    names = ", ".join(f"id={k.id}@t={k.timestamp:g}" for k in by_time[:8])
+    if len(by_time) > 8:
+        names += f", and {len(by_time) - 8} more"
     raise UnderconstrainedGraphError(
         f"underconstrained graph: null space touches variables [{names}]",
         suspects,

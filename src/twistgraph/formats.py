@@ -11,7 +11,6 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, fields, field
-from typing import NoReturn
 
 import numpy as np
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -53,58 +52,50 @@ def poses_from_fields(rows) -> list[Pose3]:
 POSE_COLS = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 
 
-def _rows(path):
-    """Data rows of a record file, each with its `path:line` location."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)  # header
-        for row in r:
-            yield row, f"{path}:{r.line_num}"
-
-
 def _data_rows(path) -> list[list[str]]:
     """Data rows of a record file, in one csv pass."""
     with open(path, newline="") as fh:
         return list(csv.reader(fh))[1:]
 
 
-def _numbers(rows, lo: int, hi: int) -> np.ndarray:
-    """Fields lo:hi of every row as one (len(rows), hi - lo) array; a
-    ValueError if a row is short or a field is no number."""
-    a = np.array([row[lo:hi] for row in rows], dtype=float).reshape(-1, hi - lo)
-    if len(a) != len(rows):
-        raise ValueError("short row")
-    return a
+def _where(path, i: int, mask=None) -> str:
+    """`path:line` of data row i, or of the i-th row that `mask` selects."""
+    k = i if mask is None else int(np.flatnonzero(mask)[i])
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(itertools.islice(r, k + 1, None))  # past the header and k rows
+        return f"{path}:{r.line_num}"
 
 
-def _name_bad_row(path, check_row) -> NoReturn:
-    """Raise the ConfigError of the first row `check_row` refuses; the bulk
-    parse failed, so the file is read again to locate the row."""
-    for row, where in _rows(path):
-        check_row(row, where)
-    raise ConfigError(f"{path}: malformed record file")
-
-
-def _require(row: list[str], n: int, where: str) -> None:
-    if len(row) < n:
-        raise ConfigError(
-            f"{where}: expected at least {n} fields, got {len(row)}")
-
-
-def _floats(row: list[str], lo: int, hi: int, where: str) -> list[float]:
-    _require(row, hi, where)
+def _numbers(rows, lo, hi, width, path, mask=None) -> np.ndarray:
+    """Fields lo:hi of every row (or of those `mask` selects) as one array,
+    in one conversion; only if that fails, a walk names the first row
+    shorter than `width` or with a field that is no number."""
+    if mask is not None:
+        rows = list(itertools.compress(rows, mask))
     try:
-        return [float(v) for v in row[lo:hi]]
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+        if rows and min(map(len, rows)) < width:
+            raise ValueError("short row")
+        return np.array([row[lo:hi] for row in rows],
+                        dtype=float).reshape(-1, hi - lo)
+    except ValueError:
+        for i, row in enumerate(rows):
+            try:
+                if len(row) < width:
+                    raise ValueError(
+                        f"expected at least {width} fields, got {len(row)}")
+                list(map(float, row[lo:hi]))
+            except ValueError as err:
+                raise ConfigError(f"{_where(path, i, mask)}: {err}") from None
+        raise
 
 
-def _check_rows(a: np.ndarray, path, index=None,
+def _check_rows(a: np.ndarray, path, mask=None,
                 quaternions: bool = False) -> None:
-    """Refuse a file whose numeric fields `a` hold a non-finite value or,
-    with `quaternions`, whose pose rows hold a zero quaternion (fields 3:7).
-    Row i of `a` is data row index[i] of the file (by default, row i). One
-    test of the stacked rows per file; the row is located only on failure."""
+    """Refuse a file whose numeric fields `a` (of every row, or of the rows
+    `mask` selects) hold a non-finite value or, with `quaternions`, whose
+    pose rows hold a zero quaternion (fields 3:7). One test of the stacked
+    rows per file; the row is located only on failure."""
     bad = ~np.isfinite(a).all(axis=1)
     if quaternions:
         bad |= ~a[:, 3:7].any(axis=1)
@@ -112,27 +103,27 @@ def _check_rows(a: np.ndarray, path, index=None,
         i = int(np.argmax(bad))
         what = "a zero quaternion" if np.isfinite(a[i]).all() \
             else "a non-finite value"
-        k = i if index is None else int(index[i])
-        where = next(itertools.islice(_rows(path), k, None))[1]
-        raise ConfigError(f"{where}: {what} in {a[i].tolist()}")
+        raise ConfigError(f"{_where(path, i, mask)}: {what} in {a[i].tolist()}")
 
 
-def _timestamp(row: list[str], where: str) -> float:
-    """Leading timestamp of a record row, which carries a label after it."""
-    _require(row, 2, where)
-    (t,) = _floats(row, 0, 1, where)
-    if not math.isfinite(t):
-        raise ConfigError(f"{where}: timestamp must be finite, got {row[0]!r}")
-    return t
-
-
-def _timestamps(rows) -> np.ndarray:
-    """The leading timestamps of the rows; a ValueError if one is missing or
-    no finite number."""
-    times = _numbers(rows, 0, 1)[:, 0]
-    if not np.isfinite(times).all():
-        raise ValueError("non-finite timestamp")
+def _timestamps(rows, path) -> np.ndarray:
+    """The leading timestamps, each finite, of rows with a label after it."""
+    times = _numbers(rows, 0, 1, 2, path)[:, 0]
+    bad = ~np.isfinite(times)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"{_where(path, i)}: timestamp must be finite, "
+                          f"got {rows[i][0]!r}")
     return times
+
+
+def _labels(rows, allowed, path, what: str) -> list[str]:
+    """Field 1 of every row; a label not in `allowed` is a ConfigError."""
+    labels = [row[1] for row in rows]
+    if not set(labels) <= set(allowed):
+        i = next(i for i, x in enumerate(labels) if x not in allowed)
+        raise ConfigError(f"{_where(path, i)}: unknown {what} {labels[i]!r}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +143,26 @@ def write_truth(path, truth: GroundTruth) -> int:
     return n
 
 
-def _truth_row(row: list[str], where: str) -> None:
-    _timestamp(row, where)
-    _floats(row, 2, 9, where)
-
-
 def read_truth(path) -> GroundTruth:
+    """Chaser and target trajectories; the i-th target row pairs with the
+    i-th chaser row at its time. A bad row is a ConfigError naming its line."""
     rows = _data_rows(path)
-    try:
-        times = _timestamps(rows)
-        chaser_rows = np.array([row[1] == "chaser" for row in rows], dtype=bool)
-        fields_ = _numbers(rows, 2, 9)
-    except (IndexError, ValueError):
-        _name_bad_row(path, _truth_row)
+    times = _timestamps(rows, path)
+    labels = _labels(rows, ("chaser", "target"), path, "agent label")
+    is_chaser = np.array([x == "chaser" for x in labels], dtype=bool)
+    fields_ = _numbers(rows, 2, 9, 9, path)
     _check_rows(fields_, path, quaternions=True)
+    ci, ti = np.flatnonzero(is_chaser), np.flatnonzero(~is_chaser)
+    n = min(len(ci), len(ti))
+    late = np.flatnonzero(times[ci[:n]] != times[ti[:n]])
+    if late.size or len(ci) != len(ti):  # name the first unpaired row
+        k = ti[late[0]] if late.size else max(ci, ti, key=len)[n]
+        raise ConfigError(f"{_where(path, k)}: unpaired trajectory rows: "
+                          f"{rows[k][1]} row at t = {rows[k][0]}")
     poses = poses_from_fields(fields_)
-    chaser = [T for T, c in zip(poses, chaser_rows) if c]
-    target = [T for T, c in zip(poses, chaser_rows) if not c]
-    if len(chaser) != len(target):
-        raise ConfigError(f"unpaired trajectory rows in {path}")
-    return GroundTruth(times=times[chaser_rows], chaser=chaser, target=target)
+    return GroundTruth(times=times[is_chaser],
+                       chaser=list(itertools.compress(poses, is_chaser)),
+                       target=list(itertools.compress(poses, ~is_chaser)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +184,17 @@ def write_measurements(path, records: list[MeasurementRecord]) -> int:
     return len(records)
 
 
-_POSE_KINDS = ("ODOM", "OPTICAL")
-
-
-def _measurement_row(row: list[str], where: str) -> None:
-    _timestamp(row, where)
-    if row[1] == "USBL":
-        _floats(row, 2, 5, where)
-    elif row[1] in _POSE_KINDS:
-        _floats(row, 2, 9, where)
-    else:
-        raise ConfigError(f"{where}: unknown measurement kind {row[1]!r}")
-
-
 def read_measurements(path) -> list[MeasurementRecord]:
     """Measurement records; a malformed row is a ConfigError naming its line."""
     rows = _data_rows(path)
-    try:
-        times = _timestamps(rows)
-        kinds = [row[1] for row in rows]
-        if not set(kinds) <= {"USBL", *_POSE_KINDS}:
-            raise ValueError("unknown measurement kind")
-        usbl_rows = np.array([k == "USBL" for k in kinds], dtype=bool)
-        usbl = _numbers(list(itertools.compress(rows, usbl_rows)), 2, 5)
-        pose_fields = _numbers(
-            list(itertools.compress(rows, ~usbl_rows)), 2, 9)
-    except (IndexError, ValueError):
-        _name_bad_row(path, _measurement_row)
-    _check_rows(usbl, path, np.flatnonzero(usbl_rows))
-    _check_rows(pose_fields, path, np.flatnonzero(~usbl_rows),
-                quaternions=True)
+    times = _timestamps(rows, path)
+    kinds = _labels(rows, ("USBL", "ODOM", "OPTICAL"), path,
+                    "measurement kind")
+    usbl_rows = np.array([k == "USBL" for k in kinds], dtype=bool)
+    usbl = _numbers(rows, 2, 5, 5, path, usbl_rows)
+    pose_fields = _numbers(rows, 2, 9, 9, path, ~usbl_rows)
+    _check_rows(usbl, path, usbl_rows)
+    _check_rows(pose_fields, path, ~usbl_rows, quaternions=True)
     poses, offsets = iter(poses_from_fields(pose_fields)), iter(usbl)
     return [MeasurementRecord(
                 timestamp=t, kind=kind,
@@ -271,38 +243,22 @@ class EstimateRow:
     rel_angle: float  # nan when undefined
 
 
-def _estimate_row(row: list[str], where: str) -> None:
-    _require(row, 21, where)
-    if row[13] != "":
-        _floats(row, 10, 17, where)
-    _floats(row, 3, 13, where)
-    _floats(row, 17, 20, where)
-    if row[20] != "":  # an empty angle is allowed
-        _floats(row, 20, 21, where)
-    _timestamp(row, where)
-
-
 def read_estimate(path) -> list[EstimateRow]:
     """Estimate rows; a malformed row is a ConfigError naming its line."""
     rows = _data_rows(path)
-    try:
-        has_tgt_rot = np.array([row[13] != "" for row in rows], dtype=bool)
-        has_ang = np.array([row[20] != "" for row in rows], dtype=bool)
-        target_fields = _numbers(
-            list(itertools.compress(rows, has_tgt_rot)), 10, 17)
-        # chaser pose, target position, relative position and angle, with
-        # 0 standing in for an empty angle
-        numbers = np.zeros((len(rows), 14))
-        numbers[:, :10] = _numbers(rows, 3, 13)
-        numbers[:, 10:13] = _numbers(rows, 17, 20)
-        numbers[has_ang, 13:] = _numbers(
-            list(itertools.compress(rows, has_ang)), 20, 21)
-        times = _timestamps(rows)
-    except (IndexError, ValueError):
-        _name_bad_row(path, _estimate_row)
+    # a short row counts as filled, so that the conversions below name it
+    has_tgt_rot = np.array([row[13:14] != [""] for row in rows], dtype=bool)
+    has_ang = np.array([row[20:21] != [""] for row in rows], dtype=bool)
+    target_fields = _numbers(rows, 10, 17, 21, path, has_tgt_rot)
+    # chaser pose, target position, relative position and angle, with
+    # 0 standing in for an empty angle
+    numbers = np.zeros((len(rows), 14))
+    numbers[:, :10] = _numbers(rows, 3, 13, 21, path)
+    numbers[:, 10:13] = _numbers(rows, 17, 20, 21, path)
+    numbers[has_ang, 13:] = _numbers(rows, 20, 21, 21, path, has_ang)
+    times = _timestamps(rows, path)
     _check_rows(numbers, path, quaternions=True)
-    _check_rows(target_fields, path, np.flatnonzero(has_tgt_rot),
-                quaternions=True)
+    _check_rows(target_fields, path, has_tgt_rot, quaternions=True)
     targets = iter(poses_from_fields(target_fields))
     angles = np.where(has_ang, numbers[:, 13], np.nan)
     return [EstimateRow(timestamp=t, trigger=row[1], group=row[2], chaser=C,

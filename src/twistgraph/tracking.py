@@ -90,6 +90,11 @@ class ModePolicy:
             raise ValueError(f"mode must be A or B, got {self.mode!r}")
 
 
+def _pose_cov(sigma_pos: float, sigma_rot: float) -> np.ndarray:
+    """Diagonal SE(3) tangent covariance, translation block first."""
+    return np.diag([sigma_pos ** 2] * 3 + [sigma_rot ** 2] * 3)
+
+
 @dataclass
 class TrackingConfig(NoiseSigmas):
     chaser_start: Pose3 = field(default_factory=Pose3.identity)
@@ -97,8 +102,7 @@ class TrackingConfig(NoiseSigmas):
 
     def ct_base_cov(self, kind) -> np.ndarray:
         if kind.tag == "SE3":
-            return np.diag([self.ct_sigma_pos ** 2] * 3
-                           + [self.ct_sigma_rot ** 2] * 3)
+            return _pose_cov(self.ct_sigma_pos, self.ct_sigma_rot)
         return np.eye(kind.dim) * self.ct_sigma_pos ** 2
 
 
@@ -428,10 +432,9 @@ def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
     graph = FactorGraph()
 
     # Chaser chain: anchor prior plus composed odometry.
-    cp_cov = np.diag([config.chaser_prior_sigma_pos ** 2] * 3
-                     + [config.chaser_prior_sigma_rot ** 2] * 3)
-    odom_cov_unit = np.diag([config.odom_sigma_pos ** 2] * 3
-                            + [config.odom_sigma_rot ** 2] * 3)
+    cp_cov = _pose_cov(config.chaser_prior_sigma_pos,
+                       config.chaser_prior_sigma_rot)
+    odom_cov_unit = _pose_cov(config.odom_sigma_pos, config.odom_sigma_rot)
     # The prior sits at the first keyframe's seed: the start pose, composed
     # with the odometry since t = 0 after a measurement gap at the start.
     kf0 = keyframes[0]
@@ -445,8 +448,7 @@ def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
 
     # Measurement factors.
     usbl_cov = np.eye(3) * config.usbl_sigma ** 2
-    opt_cov = np.diag([config.optical_sigma_pos ** 2] * 3
-                      + [config.optical_sigma_rot ** 2] * 3)
+    opt_cov = _pose_cov(config.optical_sigma_pos, config.optical_sigma_rot)
     for kf in keyframes:
         for rec in kf.records:
             if rec.kind == "USBL":
@@ -474,8 +476,8 @@ def _add_target_prior(graph, kf0: Keyframe, config: TrackingConfig):
         return
     key = kf0.target_key
     if key.kind.tag == "SE3":
-        cov = np.diag([config.target_prior_sigma_pos ** 2] * 3
-                      + [config.target_prior_sigma_rot ** 2] * 3)
+        cov = _pose_cov(config.target_prior_sigma_pos,
+                        config.target_prior_sigma_rot)
         graph.add(prior_factor(key, config.target_start, cov))
     else:
         cov = np.eye(3) * config.target_prior_sigma_pos ** 2

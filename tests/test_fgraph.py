@@ -752,6 +752,15 @@ def criterion_9_free_rotation():
     return loose, values
 
 
+def criterion_9_unanchored():
+    """Criterion 9's graph without its two priors: every keyframe can move
+    with the rest as one rigid body, yet no squared pivot nears the shift."""
+    graph, values = criterion_9_graph()
+    loose = FactorGraph()
+    loose.extend(f for f in graph.factors if not f.name.startswith("prior"))
+    return loose, values
+
+
 def lu_check_gauge(JtJ, offsets):
     """Reference gauge check on a sparse J^T J: the pivots of an unpivoted
     sparse LU of the equilibrated, shifted system, with the same threshold
@@ -1001,6 +1010,22 @@ class TestBandNativeSolve:
         ids=["mixed-graph", "chain", "criterion-9-free-rotation"])
     def test_underconstrained_verdict_is_check_gauges(self, rng, fixture):
         assert_verdict_is_check_gauges(*fixture(rng))
+
+    def test_rigid_motion_of_the_whole_graph_is_underconstrained(self):
+        """Inverse iteration on the gauge check's factor finds the null
+        direction that its pivots miss, and names it in one line."""
+        graph, values = criterion_9_unanchored()
+        with pytest.raises(UnderconstrainedGraphError) as exc:
+            optimize(graph, values)
+        message, suspects = str(exc.value), exc.value.suspect_keys
+        assert "\n" not in message and message.startswith(
+            "underconstrained graph: null space touches variables [id=")
+        assert message.endswith(f", and {len(suspects) - 8} more]")
+        times = [k.timestamp for k in suspects]
+        assert len(suspects) > 1000 and min(times) < 10 and max(times) > 990
+        with pytest.raises(UnderconstrainedGraphError):
+            marginal_covariance(graph, values, sorted(
+                graph.variables, key=lambda k: k.id)[0])
 
     def test_stiff_unanchored_chains_are_underconstrained(self, rng):
         """Weights of 1e6-1e10 leave an unequilibrated null direction a

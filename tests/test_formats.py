@@ -310,6 +310,10 @@ TRUTH_FIELDS = [
     ("1,2,3,0,0,0,0", "zero quaternion"),
 ]
 
+# the chaser and target rows of a truth file at t = 0
+CHASER_0 = "0,chaser,0,0,0,1,0,0,0\n"
+TARGET_0 = "0,target,1,0,0,1,0,0,0\n"
+
 
 def edit_estimate_row(line: str, column: int, value: str) -> str:
     fields_ = line.rstrip("\r\n").split(",")
@@ -363,6 +367,26 @@ class TestMalformedRows:
         with pytest.raises(ConfigError, match=message) as err:
             read_truth(path)
         assert str(err.value).startswith(f"{path}:9: ")
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ([CHASER_0, "0,tagret,1,0,0,1,0,0,0\n"], 3,
+         "unknown agent label 'tagret'"),
+        ([CHASER_0, TARGET_0, "0.05,chaser,0,0,0,1,0,0,0\n",
+          "0.1,target,1,0,0,1,0,0,0\n"], 5,
+         "unpaired trajectory rows: target row at t = 0.1"),
+        ([CHASER_0, TARGET_0, "0.05,chaser,0,0,0,1,0,0,0\n"], 4,
+         "unpaired trajectory rows: chaser row at t = 0.05"),
+        ([CHASER_0, TARGET_0, "0.05,target,1,0,0,1,0,0,0\n"], 4,
+         "unpaired trajectory rows: target row at t = 0.05"),
+    ])
+    def test_truth_rows_pair_by_label_and_time(self, tmp_path, rows, line,
+                                               message):
+        path = tmp_path / "truth.csv"
+        path.write_text("timestamp,agent,tx,ty,tz,qw,qx,qy,qz\n"
+                        + "".join(rows))
+        with pytest.raises(ConfigError, match=message) as err:
+            read_truth(path)
+        assert str(err.value).startswith(f"{path}:{line}: ")
 
     def test_short_estimate_row(self, tmp_path):
         path = tmp_path / "est.csv"
