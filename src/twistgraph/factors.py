@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .manifold import (
     Pose3,
     skew,  # noqa: F401 -- perfbench's tracer test reads `factors.skew`
 )
-from .fgraph import Factor, NoiseModel, Values, VariableKey
+from .fgraph import Factor, FactorTable, NoiseModel, VariableKey
 
 
 @dataclass(kw_only=True)
@@ -92,45 +93,144 @@ class RollPitchSpec:
 # prior and relative-pose families are written against a group table:
 # `table` is a manifold.Group on elements, or its `batch` on stacks. The
 # USBL, roll-pitch and boundary families take each key's parts instead, the
-# arrays of one element or of a stack (`...`-shaped). `params` is the
-# factor's family_params, stacked row by row on a batch; on elements the
-# prior and relative-pose families take the group element whose parts they
-# are. A factor's closures run fn and steps on its keys' elements, and its
-# batch runs fn on the stacks the Linearizer holds.
+# arrays of one element or of a stack (`...`-shaped). `params` are a
+# FactorTable's params, stacked row by row on a batch, and one row's on
+# elements; there the prior and relative-pose families take the group
+# element whose parts they are. The vectorized constructors (`*_tables`)
+# build the tables, and each per-factor constructor is one of them on one
+# row, returned as that row's view.
 
 
-@functools.cache
-def _family(fn, group):
-    """`fn` on stacks, after `group`'s batch table unless `group` is None:
-    one object per pair, since the Linearizer batches the factors that
-    share a family object."""
-    table = () if group is None else (group.batch,)
-    return lambda params, states: fn(*table, params, *states)
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """A built-in family: `fn` and `steps` on `group`'s elements, or as the
+    batch of a FactorTable on the group's stacks; without a group, on the
+    keys' parts. With `element`, a view's closures take the group element
+    whose parts a row's params are. A view's name is `label`, formatted
+    with the row's params, and its keys' ids."""
+
+    fn: Callable
+    steps: Callable
+    label: str
+    group: manifold.Group | None = None
+    element: bool = False
+
+    def __call__(self, params, states):
+        if self.group is None:
+            return self.fn(params, *states)
+        return self.fn(self.group.batch, params, *states)
+
+    def view(self, table: FactorTable, i: int) -> Factor:
+        row = tuple(p[i] for p in table.params)
+        bound = row
+        if self.element:
+            bound = next(self.group.unstack(
+                tuple(p[i:i + 1] for p in table.params)))
+        return self._factor(tuple(col[i] for col in table.keys), row, bound,
+                            table.noise[table.which[i]])
+
+    def _factor(self, keys, row, bound, noise) -> Factor:
+        """The view of the row over `keys` with params `row`, which its
+        closures take as `bound`."""
+        residual_fn, jacobian_fn = self._closures(keys, bound)
+        return Factor(keys=keys, residual_fn=residual_fn,
+                      jacobian_fn=jacobian_fn, noise=noise,
+                      name=f"{self.label.format(*row)}"
+                      f"[{','.join(str(k.id) for k in keys)}]",
+                      family=self, family_params=row)
+
+    def _closures(self, keys, params):
+        """A row's residual_fn and jacobian_fn: steps and fn on its keys'
+        elements, or without a group on their parts. Each key is read by a
+        call of its own, which costs less than a map and a star call."""
+        lead = () if self.group is None else (self.group,)
+        steps = functools.partial(self.steps, *lead, params)
+        fn = functools.partial(self.fn, *lead, params)
+        if self.group is None:
+            a, *b = keys
+            pa = a.kind.group.parts
+            if not b:
+                return (lambda values: steps(pa(values.get(a)))[-1],
+                        lambda values: fn(pa(values.get(a)))[1])
+            (b,) = b
+            pb = b.kind.group.parts
+            return (lambda values: steps(pa(values.get(a)),
+                                         pb(values.get(b)))[-1],
+                    lambda values: fn(pa(values.get(a)), pb(values.get(b)))[1])
+        if len(keys) == 1:
+            (a,) = keys
+            return (lambda values: steps(values.get(a))[-1],
+                    lambda values: fn(values.get(a))[1])
+        if len(keys) == 2:
+            a, b = keys
+            return (lambda values: steps(values.get(a), values.get(b))[-1],
+                    lambda values: fn(values.get(a), values.get(b))[1])
+        a, b, c = keys
+        return (lambda values: steps(values.get(a), values.get(b),
+                                     values.get(c))[-1],
+                lambda values: fn(values.get(a), values.get(b),
+                                  values.get(c))[1])
 
 
-def _factor(fn, steps, group, keys, covariance, name, params=(),
-            family_params=None) -> Factor:
-    """A factor of the family (fn, steps) over `keys`, whose closures take
-    `params` and whose batch takes `family_params` (by default the same).
-    With a `group`, its closures run on the group's table and the keys'
-    elements; without, on the elements' parts."""
-    if group is None:
-        table, parts = (), [key.kind.group.parts for key in keys]
+# one object per family: a graph holds one table per family, key kinds and dim
+_family = functools.cache(_Family)
 
-        def states(values: Values):
-            return map(lambda part, key: part(values.get(key)), parts, keys)
-    else:
-        table = (group,)
 
-        def states(values: Values):
-            return map(values.get, keys)
+def _one(resolve, keys, row, covariance, bound=None) -> Factor:
+    """The factor of the family `resolve(kinds)` over `keys`, with the
+    params `row` (`bound` in its closures, by default the same): the view
+    that a table of this one row gives, made without the table."""
+    family = resolve(tuple(key.kind for key in keys))
+    return family._factor(tuple(keys), row, row if bound is None else bound,
+                          NoiseModel(covariance))
 
-    return Factor(
-        keys=keys, noise=NoiseModel(covariance), name=name,
-        residual_fn=lambda values: steps(*table, params, *states(values))[-1],
-        jacobian_fn=lambda values: fn(*table, params, *states(values))[1],
-        family=_family(fn, group),
-        family_params=params if family_params is None else family_params)
+
+def _noise(covariance: np.ndarray, n: int) -> tuple[list, np.ndarray]:
+    """The distinct noise models of n rows' covariances, one (d, d) for
+    every row or an (n, d, d) stack, and each row's index into them."""
+    if covariance.ndim == 2:
+        return [NoiseModel(covariance)], np.zeros(n, np.intp)
+    flat = np.ascontiguousarray(covariance).reshape(n, -1)
+    _, first, which = np.unique(  # equal bytes, one model
+        flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))),
+        return_index=True, return_inverse=True)
+    return [NoiseModel(covariance[i]) for i in first], which.reshape(n)
+
+
+def _tables(family, keys, params, covariance, order=None) -> list[FactorTable]:
+    """The factors over the rows of `keys` (one key sequence per slot), in
+    one FactorTable per tuple of key kinds. `family(kinds)` is the family
+    of rows with those kinds and raises on kinds it does not take;
+    `params(kinds, rows)` stacks the params of those rows; `covariance` is
+    one (d, d) for every row, an (N, d, d) stack, or a function of the
+    kinds giving either. `order` ranks the rows among those added to a
+    graph with them (default: as listed)."""
+    cols = [list(col) for col in keys]
+    n = len(cols[0])
+    order = np.arange(n) if order is None else np.asarray(order, np.intp)
+    # kinds by identity: equal kinds split here meet again in the graph
+    code: dict[tuple, int] = {}
+    signature = np.array([code.setdefault(ids, len(code)) for ids in zip(
+        *[[id(key.kind) for key in col] for col in cols])], np.intp)
+    out = []
+    for c in range(len(code)):
+        rows = np.flatnonzero(signature == c) if len(code) > 1 \
+            else np.arange(n)
+        kinds = tuple(col[rows[0]].kind for col in cols)
+        cov = np.asarray(covariance(kinds) if callable(covariance)
+                         else covariance, dtype=float)
+        noise, which = _noise(cov[rows] if cov.ndim == 3 else cov, len(rows))
+        out.append(FactorTable(
+            family(kinds), kinds,
+            keys=tuple([col[i] for i in rows.tolist()] for col in cols),
+            params=params(kinds, rows), noise=noise, which=which,
+            order=order[rows]))
+    return out
+
+
+def _rows_of(*stacked):
+    """params(kinds, rows) taking the rows of these stacked arrays."""
+    return lambda kinds, rows: tuple(p[rows] for p in stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +247,7 @@ def _ct_steps(ops, params, prev, curr, nxt):
         delta1 = ops.ominus(curr, prev)
     except NearSingularError as err:
         raise NearSingularError(f"relative increment step: {err}") from err
-    delta2 = np.asarray(alpha)[..., None] * delta1
+    delta2 = ops.scale(alpha, delta1)
     E2 = ops.exp(delta2)
     try:
         return delta1, delta2, E2, ops.ominus(nxt, ops.compose(curr, E2))
@@ -163,8 +263,7 @@ def _ct(ops, params, prev, curr, nxt):
     """
     delta1, delta2, E2, eps = _ct_steps(ops, params, prev, curr, nxt)
     neg_jl_inv_eps = -ops.jl_inv(eps)
-    common = np.asarray(params[0])[..., None, None] \
-        * (neg_jl_inv_eps @ ops.jr(delta2))
+    common = ops.scale(params[0], neg_jl_inv_eps @ ops.jr(delta2))
     J_prev = common @ (-ops.jl_inv(delta1))
     J_curr = common @ ops.jr_inv(delta1) \
         + neg_jl_inv_eps @ ops.adjoint_inv(E2)
@@ -186,18 +285,39 @@ def ct_jacobians(T_prev, T_curr, T_next, dt1: float, dt2: float):
                T_prev, T_curr, T_next)[1]
 
 
+_INCREASING = "constant-twist keys must have strictly increasing timestamps"
+
+
+def _ct_family(kinds):
+    if not kinds[0] == kinds[1] == kinds[2]:
+        raise ManifoldMismatchError(
+            f"constant-twist triple must share one manifold kind, got "
+            f"{kinds[0]}, {kinds[1]}, {kinds[2]}")
+    return _family(_ct, _ct_steps, "ct", kinds[1].group)
+
+
+def ct_tables(prev, curr, nxt, base_covariance,
+              order=None) -> list[FactorTable]:
+    """Constant-twist factors over the key triples (prev[i], curr[i],
+    nxt[i]), timed by the keys' time steps dt1 and dt2. Each one's
+    covariance is dt2 times the matrix `base_covariance(kind)` gives for
+    the triple's kind."""
+    keys = [list(prev), list(curr), list(nxt)]
+    t = np.array([[k.timestamp for k in col] for col in keys]).reshape(3, -1)
+    if not ((t[0] < t[1]) & (t[1] < t[2])).all():
+        raise ValueError(_INCREASING)
+    dt1, dt2 = t[1] - t[0], t[2] - t[1]
+    return _tables(_ct_family, keys, _rows_of(dt2 / dt1),
+                   lambda kinds: dt2[:, None, None]
+                   * np.asarray(base_covariance(kinds[1]), dtype=float), order)
+
+
 def ct_factor(keys: tuple[VariableKey, VariableKey, VariableKey],
               spec: ConstantTwistSpec) -> Factor:
     k_prev, k_curr, k_next = keys
-    if not (k_prev.kind == k_curr.kind == k_next.kind):
-        raise ManifoldMismatchError(
-            f"constant-twist triple must share one manifold kind, got "
-            f"{k_prev.kind}, {k_curr.kind}, {k_next.kind}")
     if not (k_prev.timestamp < k_curr.timestamp < k_next.timestamp):
-        raise ValueError("constant-twist keys must have strictly increasing timestamps")
-    return _factor(_ct, _ct_steps, k_curr.kind.group, (k_prev, k_curr, k_next),
-                   spec.effective_covariance(),
-                   f"ct[{k_prev.id},{k_curr.id},{k_next.id}]", (spec.alpha,))
+        raise ValueError(_INCREASING)
+    return _one(_ct_family, keys, (spec.alpha,), spec.effective_covariance())
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +334,20 @@ def _prior(ops, mean, x):
     return eps, (ops.jr_inv(eps),)
 
 
+def _prior_family(kinds):
+    return _family(_prior, _prior_steps, "prior", kinds[0].group, True)
+
+
+def prior_tables(keys, means, covariance) -> list[FactorTable]:
+    """Priors pulling each key toward its mean, an element of its group."""
+    means = list(means)
+    return _tables(_prior_family, [keys], lambda kinds, rows: kinds[0].group
+                   .stack([means[i] for i in rows.tolist()]), covariance)
+
+
 def prior_factor(key: VariableKey, mean, covariance: np.ndarray) -> Factor:
-    group = key.kind.group
-    return _factor(_prior, _prior_steps, group, (key,), covariance,
-                   f"prior[{key.id}]", mean, group.parts(mean))
+    return _one(_prior_family, (key,), key.kind.group.parts(mean), covariance,
+                mean)
 
 
 def _relpose_steps(ops, z, a, b):
@@ -234,14 +364,25 @@ def _relpose(ops, z, a, b):
     return eps, (-Jri @ ops.adjoint_inv(rel), Jri)
 
 
+def _relpose_family(kinds):
+    if kinds[0].tag != "SE3" or kinds[1].tag != "SE3":
+        raise ManifoldMismatchError("relative-pose factor needs two SE(3) keys")
+    return _family(_relpose, _relpose_steps, "relpose", manifold.SE3.group,
+                   True)
+
+
+def relative_pose_tables(keys_a, keys_b, z, covariance,
+                         order=None) -> list[FactorTable]:
+    """Relative-pose factors: the Pose3 z[i] measures a^-1 b for the SE(3)
+    keys a = keys_a[i] and b = keys_b[i]."""
+    return _tables(_relpose_family, [keys_a, keys_b],
+                   _rows_of(*manifold.SE3.group.stack(z)), covariance, order)
+
+
 def relative_pose_factor(key_a: VariableKey, key_b: VariableKey, z: Pose3,
                          covariance: np.ndarray) -> Factor:
-    if key_a.kind.tag != "SE3" or key_b.kind.tag != "SE3":
-        raise ManifoldMismatchError("relative-pose factor needs two SE(3) keys")
-    group = manifold.SE3.group
-    return _factor(_relpose, _relpose_steps, group, (key_a, key_b),
-                   covariance, f"relpose[{key_a.id},{key_b.id}]", z,
-                   group.parts(z))
+    return _one(_relpose_family, (key_a, key_b),
+                (z.rotation.matrix, z.translation), covariance, z)
 
 
 def _usbl_steps(params, chaser, target):
@@ -266,17 +407,29 @@ def _usbl(params, chaser, target):
                                         axis=-1))
 
 
+def _usbl_family(kinds):
+    if kinds[0].tag != "SE3":
+        raise ManifoldMismatchError("USBL factor needs an SE(3) chaser key")
+    if kinds[1] not in (manifold.SE3, manifold.R3):
+        raise ManifoldMismatchError(
+            f"USBL target must be SE(3) or R^3, got {kinds[1]}")
+    return _family(_usbl, _usbl_steps, "usbl")
+
+
+def usbl_tables(chaser_keys, target_keys, z, covariance,
+                order=None) -> list[FactorTable]:
+    """Chaser-frame offsets z[i] to the targets; each target may be SE(3)
+    or R^3."""
+    return _tables(_usbl_family, [chaser_keys, target_keys],
+                   _rows_of(np.asarray(z, dtype=float).reshape(-1, 3)),
+                   covariance, order)
+
+
 def usbl_factor(chaser_key: VariableKey, target_key: VariableKey,
                 z: np.ndarray, covariance: np.ndarray) -> Factor:
     """Chaser-frame offset to the target; target may be SE(3) or R^3."""
-    if chaser_key.kind.tag != "SE3":
-        raise ManifoldMismatchError("USBL factor needs an SE(3) chaser key")
-    if target_key.kind not in (manifold.SE3, manifold.R3):
-        raise ManifoldMismatchError(
-            f"USBL target must be SE(3) or R^3, got {target_key.kind}")
-    return _factor(_usbl, _usbl_steps, None, (chaser_key, target_key),
-                   covariance, f"usbl[{chaser_key.id},{target_key.id}]",
-                   (np.asarray(z, dtype=float),))
+    return _one(_usbl_family, (chaser_key, target_key),
+                (np.asarray(z, dtype=float),), covariance)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +468,24 @@ def _tilt(_params, target):
     return r, ((2.0 / c)[..., None] * J,)
 
 
+def _tilt_family(kinds):
+    if kinds[0].tag != "SE3":
+        raise ManifoldMismatchError("roll-pitch factor needs an SE(3) key")
+    return _family(_tilt, _tilt_steps, "rollpitch")
+
+
+def roll_pitch_tables(target_keys, covariance) -> list[FactorTable]:
+    """Penalizes the tilt (roll and pitch) of each SE(3) target, invariant
+    to yaw."""
+    return _tables(_tilt_family, [target_keys], _rows_of(), covariance)
+
+
 def roll_pitch_factor(target_key: VariableKey,
                       spec: RollPitchSpec | None = None) -> Factor:
     """Penalizes the tilt (roll and pitch) of an SE(3) target, invariant to
     yaw."""
-    if target_key.kind.tag != "SE3":
-        raise ManifoldMismatchError("roll-pitch factor needs an SE(3) key")
-    spec = spec or RollPitchSpec()
-    return _factor(_tilt, _tilt_steps, None, (target_key,), spec.covariance,
-                   f"rollpitch[{target_key.id}]")
+    return _one(_tilt_family, (target_key,), (),
+                (spec or RollPitchSpec()).covariance)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +505,38 @@ def _boundary(_params, T, p):
                np.broadcast_to(np.eye(3), R.shape))
 
 
-def boundary_factors(se3_key: VariableKey, r3_key: VariableKey,
-                     direction: str, covariance: np.ndarray) -> list[Factor]:
-    """Translation-equality tie between paired SE(3) and R^3 target states.
-
-    direction is "DOWN" (SE(3) chain hands off to R^3) or "UP" (the reverse);
-    both use the same residual p - t(T).  Orientation of the SE(3) state is
-    left to whatever factor triggered the representation change.
-    """
-    if direction not in ("DOWN", "UP"):
-        raise ValueError(f"direction must be DOWN or UP, got {direction!r}")
-    if se3_key.kind != manifold.SE3 or r3_key.kind != manifold.R3:
+def _boundary_family(kinds):
+    if kinds != (manifold.SE3, manifold.R3):
         raise ManifoldMismatchError(
             f"boundary factor needs (SE3, R^3) keys, got "
-            f"({se3_key.kind}, {r3_key.kind})")
-    return [_factor(_boundary, _boundary_steps, None, (se3_key, r3_key),
-                    covariance,
-                    f"boundary-{direction}[{se3_key.id},{r3_key.id}]")]
+            f"({kinds[0]}, {kinds[1]})")
+    return _family(_boundary, _boundary_steps, "boundary-{0}")
+
+
+def _directions(direction, n: int) -> np.ndarray:
+    direction = np.broadcast_to(np.asarray(direction, dtype=str), n)
+    for d in set(direction.tolist()) - {"DOWN", "UP"}:
+        raise ValueError(f"direction must be DOWN or UP, got {d!r}")
+    return direction
+
+
+def boundary_tables(se3_keys, r3_keys, direction, covariance,
+                    order=None) -> list[FactorTable]:
+    """Translation-equality ties between paired SE(3) and R^3 target states.
+
+    direction, one for every row or one per row, is "DOWN" (SE(3) chain
+    hands off to R^3) or "UP" (the reverse); both use the same residual
+    p - t(T).  Orientation of the SE(3) state is left to whatever factor
+    triggered the representation change.
+    """
+    se3_keys = list(se3_keys)
+    return _tables(_boundary_family, [se3_keys, r3_keys],
+                   _rows_of(_directions(direction, len(se3_keys))),
+                   covariance, order)
+
+
+def boundary_factors(se3_key: VariableKey, r3_key: VariableKey,
+                     direction: str, covariance: np.ndarray) -> list[Factor]:
+    """One boundary factor (see boundary_tables), in a list."""
+    return [_one(_boundary_family, (se3_key, r3_key),
+                 tuple(_directions(direction, 1)), covariance)]

@@ -7,11 +7,12 @@ on each variable's tangent space.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import attrgetter
-from typing import Callable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,9 +133,10 @@ class Factor:
     residual_fn(values) -> r (dim,)
     jacobian_fn(values) -> tuple of per-key matrices (dim x key.kind.dim)
 
-    A factor with a `family` is linearized in a batch with the other factors
-    of its family (see Linearizer); family_params are its own parameters,
-    which the batch stacks row by row.
+    A built-in factor is a view of one row of a FactorTable: its `family`
+    evaluates a table's rows as one batch, and family_params are the row's
+    params. A custom factor has no family and is evaluated through its
+    closures.
     """
 
     keys: tuple[VariableKey, ...]
@@ -144,8 +146,6 @@ class Factor:
     name: str = "factor"
     # optional fused path returning (residual, jacobians) in one evaluation
     combined_fn: Callable[[Values], tuple] | None = None
-    # optional batched path: family(params, states) -> (r (N, dim),
-    # per-key Jacobians (N, dim, key.kind.dim)) for N factors at once
     family: Callable | None = None
     family_params: tuple = ()
 
@@ -154,18 +154,151 @@ class Factor:
         return self.noise.dim
 
 
-class FactorGraph:
-    def __init__(self):
-        self.factors: list[Factor] = []
-        self.variables: set[VariableKey] = set()
+@dataclass(eq=False)
+class FactorTable:
+    """Built-in factors of one family over one tuple of key kinds, one per
+    row: the form in which a FactorGraph holds them and the Linearizer
+    evaluates them, as one batch.
 
-    def add(self, factor: Factor) -> None:
-        self.factors.append(factor)
-        self.variables.update(factor.keys)
+    Row i binds keys[s][i] in key slot s, takes row i of each array of the
+    family's stacked `params`, and has the noise model noise[which[i]].
+    `order` ranks the rows among those added to a graph together; in a
+    graph's own tables it is each row's position in graph order.
+    `family(params, states)` evaluates every row on stacks, and
+    `family.view(table, i)` makes row i's Factor.
+    """
+
+    family: Callable
+    kinds: tuple[ManifoldKind, ...]
+    keys: tuple[list, ...]
+    params: tuple
+    noise: list[NoiseModel]  # each distinct one once
+    which: np.ndarray
+    order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.which)
+
+    @property
+    def dim(self) -> int:
+        return self.noise[0].dim
+
+
+def _concat(chunks) -> FactorTable:
+    """The rows of the (table, first position) pairs `chunks` in one table,
+    each row's order made its position."""
+    tables = [t for t, _ in chunks]
+    rows = [len(t) for t in tables]
+    first = tables[0]
+    return FactorTable(
+        first.family, first.kinds,
+        keys=tuple(list(chain.from_iterable(col))
+                   for col in zip(*(t.keys for t in tables))),
+        params=tuple(map(np.concatenate, zip(*(t.params for t in tables)))),
+        noise=list(chain.from_iterable(t.noise for t in tables)),
+        which=np.concatenate([t.which for t in tables])
+        + np.repeat(_starts([len(t.noise) for t in tables])[:-1], rows),
+        order=np.concatenate([t.order for t in tables])
+        + np.repeat([start for _, start in chunks], rows))
+
+
+class FactorGraph:
+    """Factors in graph order. Built-in factors are held as the rows of one
+    FactorTable per (family, key kinds, dim) and custom factors stay loose;
+    `factors` lists them all, as views made on demand."""
+
+    def __init__(self):
+        self.variables: set[VariableKey] = set()
+        # (family, kinds, dim) -> (table, position of its order 0) pairs, and
+        # -> (position, keys, params, noise) of the views added one by one
+        self._tables: dict[tuple, list] = {}
+        self._rows: dict[tuple, list] = {}
+        self._loose: list[tuple[int, Factor]] = []  # (position, factor)
+        self._size = 0
+        self._where = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def factors(self) -> Sequence[Factor]:
+        return _Views(self)
+
+    def add(self, item) -> None:
+        """Append a Factor, or the rows of a FactorTable or of a list of
+        tables, which take their places among themselves by their `order`.
+        A built-in factor's row joins its table; a custom factor stays
+        loose."""
+        self._where = None
+        if isinstance(item, Factor):
+            if item.family is None:
+                self._loose.append((self._size, item))
+            else:
+                kinds = tuple(key.kind for key in item.keys)
+                self._rows.setdefault((item.family, kinds, item.dim), []).append(
+                    (self._size, item.keys, item.family_params, item.noise))
+            self.variables.update(item.keys)
+            self._size += 1
+            return
+        tables = [item] if isinstance(item, FactorTable) else list(item)
+        placed = np.sort(np.concatenate(
+            [t.order for t in tables] or [np.empty(0, np.intp)]))
+        if not np.array_equal(placed, np.arange(len(placed))):
+            raise ValueError("the rows added together must be ranked 0, 1, "
+                             "... by their tables' order")
+        for t in tables:
+            self._tables.setdefault((t.family, t.kinds, t.dim), []).append(
+                (t, self._size))
+            for keys in t.keys:
+                self.variables.update(keys)
+        self._size += len(placed)
 
     def extend(self, factors) -> None:
         for f in factors:
             self.add(f)
+
+    def tables(self) -> list[FactorTable]:
+        """One table per (family, key kinds, dim), each row's order its
+        position in graph order."""
+        for (family, kinds, _), rows in self._rows.items():
+            at, keys, params, noise = zip(*rows)
+            self._tables.setdefault((family, kinds, _), []).append((
+                FactorTable(family, kinds, tuple(map(list, zip(*keys))),
+                            tuple(np.array(p) for p in zip(*params)),
+                            list(noise), np.arange(len(rows)), np.array(at)),
+                0))
+        self._rows.clear()
+        for signature, chunks in self._tables.items():
+            if len(chunks) > 1 or chunks[0][1]:
+                self._tables[signature] = [(_concat(chunks), 0)]
+        return [chunks[0][0] for chunks in self._tables.values()]
+
+    def _located(self) -> list:
+        """Each position's factor: a loose Factor or a (table, row) pair."""
+        if self._where is None:
+            where = [None] * self._size
+            for t in self.tables():
+                for i, p in enumerate(t.order.tolist()):
+                    where[p] = (t, i)
+            for p, f in self._loose:
+                where[p] = f
+            self._where = where
+        return self._where
+
+
+class _Views(Sequence):
+    """A graph's factors in graph order, each made when it is read: a loose
+    factor as added, a table's row as its view."""
+
+    def __init__(self, graph: FactorGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph)
+
+    def __getitem__(self, i: int) -> Factor:
+        f = self._graph._located()[i]
+        return f if isinstance(f, Factor) else f[0].family.view(*f)
 
 
 # LM damping: a rejected try multiplies lambda by LAMBDA_UP, an accepted one
@@ -257,14 +390,43 @@ class _StateLayout:
 
 @dataclass
 class _Batch:
-    """The factors of one family over one tuple of key kinds."""
+    """A table's rows, placed: their residual rows and J's data cells."""
 
-    family: Callable
-    params: tuple  # family_params stacked over the factors
+    table: FactorTable
     sqrt_info: np.ndarray  # (N, d, d)
     slots: list  # per key: (kind, row of each factor's variable in its stack)
     rows: np.ndarray  # residual rows, (N * d,)
     cells: np.ndarray  # J's data positions of the factors' blocks, flat
+
+    def __call__(self, states: dict, n: int | None = None):
+        """The family's (r, per-key Jacobians) at the `_StateLayout` stacks
+        `states`, on every row or on the first n."""
+        t = self.table
+        return t.family(tuple(p[:n] for p in t.params),
+                        [tuple(s[i[:n]] for s in states[kind])
+                         for kind, i in self.slots])
+
+    def first_failure(self, states: dict) -> int | None:
+        """The first row whose evaluation raises NearSingularError, or None.
+        Rows fail independently, so bisection finds the shortest failing
+        prefix."""
+        def fails(n):
+            try:
+                self(states, n)
+            except manifold.NearSingularError:
+                return True
+            return False
+
+        lo, hi = 0, len(self.table)  # the first lo rows pass, hi rows fail
+        if not fails(hi):
+            return None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fails(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi - 1
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -279,14 +441,14 @@ class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
     The block structure never changes between iterations, so it is built
-    once: each factor's square-root information (its rows), family and
-    keys are read once, and every layout array is computed from those with
+    once: each table's keys and order and each loose factor's keys and
+    rows are read once, and every layout array is computed from those with
     numpy. Each factor's whitened Jacobian is one row-major block, its
     keys' columns side by side in key order, and J's CSR data is the
     blocks back to back: `indices` and `indptr` are fixed, and only the
-    data is refreshed. Factors that carry a family are evaluated in one
-    batch per (family, key kinds, dim) group and scattered into their rows
-    and blocks; the others are evaluated one by one.
+    data is refreshed. Each of the graph's tables is evaluated as one
+    batch and scattered into its rows and blocks; loose factors are
+    evaluated one by one.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
     bandwidth, and `normal_band` builds that band from the whitened blocks.
@@ -300,17 +462,23 @@ class Linearizer:
         self.graph = graph
         self.offsets = offsets
         self.layout = layout = _StateLayout(offsets)
-        factors = graph.factors
-        sqrt_infos = [f.noise.sqrt_info for f in factors]
-        families = [f.family for f in factors]
-        keys = [f.keys for f in factors]
-        col = np.fromiter(map(offsets.__getitem__, chain.from_iterable(keys)),
-                          np.intp)  # each key slot's first column
-        n_keys = np.fromiter(map(len, keys), np.intp, len(keys))
-        d = np.fromiter(map(len, sqrt_infos), np.intp, len(keys))
-
-        fac = np.repeat(np.arange(len(factors)), n_keys)  # each slot's factor
+        tables, loose = graph.tables(), graph._loose
+        # each factor's key count and rows, in graph order, then each key
+        # slot's first column
+        n_keys = np.empty(len(graph), np.intp)
+        d = np.empty(len(graph), np.intp)
+        for t in tables:
+            n_keys[t.order], d[t.order] = len(t.kinds), t.dim
+        for p, f in loose:
+            n_keys[p], d[p] = len(f.keys), f.dim
         key0 = _starts(n_keys)  # first slot of each factor
+        col = np.empty(key0[-1], np.intp)
+        for t in tables:
+            for s, keys in enumerate(t.keys):
+                col[key0[t.order] + s] = np.fromiter(
+                    map(offsets.__getitem__, keys), np.intp, len(keys))
+        for p, f in loose:
+            col[key0[p]:key0[p + 1]] = [offsets[k] for k in f.keys]
         row0 = _starts(d)  # first residual row of each factor
         self.total_rows = int(row0[-1])
         # each slot's variable, numbered in column order, and its dim
@@ -318,45 +486,20 @@ class Linearizer:
         var = np.searchsorted(var_col, col)
         dk = np.diff(var_col, append=self.total_cols)[var]
         block0 = self._block_layout(col, dk, key0, d, row0)
-        self._spans = row0, block0
 
-        # Batches: the factors of one family, dim and tuple of key kinds,
-        # which a factor's signature column lists (-1 past its last key).
-        code = {f: i for i, f in enumerate(dict.fromkeys(families))}
-        family = np.fromiter(map(code.__getitem__, families), np.intp,
-                             len(families))
-        signature = np.full((2 + n_keys.max(initial=0), len(factors)), -1)
-        signature[0] = family
-        signature[1] = d
-        signature[2 + np.arange(len(fac)) - key0[fac], fac] = layout.kind[var]
-        by_signature = np.lexsort(signature[::-1])
-        ordered = signature[:, by_signature]
-        new = np.ones(len(factors), dtype=bool)
-        new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        group = np.empty(len(factors), dtype=np.intp)
-        group[by_signature] = np.cumsum(new) - 1
-        self._loose = self._entries(
-            np.flatnonzero(family == code.get(None, -1)).tolist())
-        # factors share a few read-only sqrt_info arrays: stack each once
-        sqrt_id = np.fromiter(map(id, sqrt_infos), np.intp, len(factors))
+        self._loose = [(f, p, slice(int(row0[p]), int(row0[p + 1])),
+                        slice(int(block0[p]), int(block0[p + 1])))
+                       for p, f in loose]
         self._batches = []
-        # the sort is stable, so a group's first member is its first factor
-        for i0 in np.sort(by_signature[new]).tolist():
-            if families[i0] is None:
-                continue
-            at = np.flatnonzero(group == group[i0])
-            _, one, which = np.unique(sqrt_id[at], return_index=True,
-                                      return_inverse=True)
-            slot0 = key0[at]
-            width = block0[i0 + 1] - block0[i0]
+        for t in tables:
+            at = t.order
+            width = t.dim * sum(kind.dim for kind in t.kinds)
             self._batches.append(_Batch(
-                family=families[i0],
-                params=tuple(np.array(p) for p in zip(
-                    *(factors[i].family_params for i in at.tolist()))),
-                sqrt_info=np.array([sqrt_infos[i] for i in at[one]])[which],
-                slots=[(key.kind, layout.row[var[slot0 + i]])
-                       for i, key in enumerate(factors[i0].keys)],
-                rows=(row0[at][:, None] + np.arange(d[i0])).ravel(),
+                table=t,
+                sqrt_info=np.array([nm.sqrt_info for nm in t.noise])[t.which],
+                slots=[(kind, layout.row[var[key0[at] + s]])
+                       for s, kind in enumerate(t.kinds)],
+                rows=(row0[at][:, None] + np.arange(t.dim)).ravel(),
                 cells=(block0[at][:, None] + np.arange(width)).ravel()))
 
     def _block_layout(self, col, dk, key0, d, row0) -> np.ndarray:
@@ -432,14 +575,6 @@ class Linearizer:
         self._band = np.empty(n * m)
         return block0
 
-    def _entries(self, which) -> list:
-        """(factor, residual row slice, data slice of its block) of the
-        factors numbered `which`."""
-        row0, block0 = self._spans
-        factors = self.graph.factors
-        return [(factors[i], slice(int(row0[i]), int(row0[i + 1])),
-                 slice(int(block0[i]), int(block0[i + 1]))) for i in which]
-
     def __call__(self, values):
         """(J, r) at `values`: a Values, or the stacks of `layout.stack`.
 
@@ -457,14 +592,11 @@ class Linearizer:
         try:
             self._batched(states, data, res)
             if self._loose:
-                self._per_factor(self._loose, values if values is not None
+                self._per_factor(values if values is not None
                                  else self.layout.values(states), data, res)
         except manifold.NearSingularError:
-            # Redo it factor by factor in graph order, so the error names
-            # the first offending factor, as the per-factor path alone would.
-            self._per_factor(self._entries(range(len(self.graph.factors))),
-                             values if values is not None
-                             else self.layout.values(states), data, res)
+            self._name_first_failure(states, values)
+            raise
         # the layout arrays are copied: a caller may edit J's in place
         J = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
                           shape=(self.total_rows, self.total_cols))
@@ -499,29 +631,52 @@ class Linearizer:
     def _batched(self, states: dict, data: np.ndarray,
                  res: np.ndarray) -> None:
         for b in self._batches:
-            r, Js = b.family(b.params, [tuple(s[i] for s in states[kind])
-                                        for kind, i in b.slots])
+            r, Js = b(states)
             W = b.sqrt_info
             res[b.rows] = (W @ r[:, :, None]).ravel()
             data[b.cells] = np.concatenate([W @ J for J in Js],
                                            axis=2).ravel()
 
-    def _per_factor(self, entries, values: Values, data: np.ndarray,
+    def _per_factor(self, values: Values, data: np.ndarray,
                     res: np.ndarray) -> None:
-        for f, rows, block in entries:
-            try:
-                if f.combined_fn is not None:
-                    r, Js = f.combined_fn(values)
-                else:
-                    r = f.residual_fn(values)
-                    Js = f.jacobian_fn(values)
-            except manifold.NearSingularError as err:
-                raise manifold.NearSingularError(
-                    f"linearization failed in {_describe(f)}: {err}"
-                ) from err
+        for f, _, rows, block in self._loose:
+            r, Js = _evaluate(f, values)
             W = f.noise.sqrt_info
             res[rows] = W @ r
             data[block] = np.concatenate([W @ J for J in Js], axis=1).ravel()
+
+    def _name_first_failure(self, states: dict, values) -> None:
+        """Raise the error of the first factor in graph order that fails at
+        `states`, in its closures' words. Each batch reports its first
+        failing row and the loose factors are tried in order; only the
+        first of those is evaluated again, as a view."""
+        values = values if values is not None else self.layout.values(states)
+        failed = []  # (position, table and row, or a loose factor and None)
+        for b in self._batches:
+            i = b.first_failure(states)
+            if i is not None:
+                failed.append((int(b.table.order[i]), b.table, i))
+        for f, p, *_ in self._loose:
+            try:
+                _evaluate(f, values)
+            except manifold.NearSingularError:
+                failed.append((p, f, None))
+                break
+        if failed:
+            _, f, i = min(failed, key=itemgetter(0))
+            _evaluate(f if i is None else f.family.view(f, i), values)
+
+
+def _evaluate(f: Factor, values: Values):
+    """(r, Js) of one factor through its closures; a NearSingularError
+    names the factor."""
+    try:
+        if f.combined_fn is not None:
+            return f.combined_fn(values)
+        return f.residual_fn(values), f.jacobian_fn(values)
+    except manifold.NearSingularError as err:
+        raise manifold.NearSingularError(
+            f"linearization failed in {_describe(f)}: {err}") from err
 
 
 def linearize(graph: FactorGraph, values: Values):

@@ -67,24 +67,36 @@ def _where(path, i: int, mask=None) -> str:
         return f"{path}:{r.line_num}"
 
 
+def _float(text: str) -> float:
+    """float(text), refusing what only Python's parser reads as a number:
+    digit separators (`1_0`) and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _numbers(rows, lo, hi, width, path, mask=None) -> np.ndarray:
     """Fields lo:hi of every row (or of those `mask` selects) as one array,
-    in one conversion; only if that fails, a walk names the first row
-    shorter than `width` or with a field that is no number."""
+    in one conversion and one check of the span's text; only if either
+    fails, a walk names the first row shorter than `width` or with a field
+    that is no number."""
     if mask is not None:
         rows = list(itertools.compress(rows, mask))
     try:
         if rows and min(map(len, rows)) < width:
             raise ValueError("short row")
-        return np.array([row[lo:hi] for row in rows],
-                        dtype=float).reshape(-1, hi - lo)
+        span = list(itertools.chain.from_iterable(row[lo:hi] for row in rows))
+        text = "".join(span)
+        if not text.isascii() or "_" in text:
+            raise ValueError("not a plain decimal number")
+        return np.array(span, dtype=float).reshape(-1, hi - lo)
     except ValueError:
         for i, row in enumerate(rows):
             try:
                 if len(row) < width:
                     raise ValueError(
                         f"expected at least {width} fields, got {len(row)}")
-                list(map(float, row[lo:hi]))
+                list(map(_float, row[lo:hi]))
             except ValueError as err:
                 raise ConfigError(f"{_where(path, i, mask)}: {err}") from None
         raise

@@ -683,6 +683,11 @@ class GroupOps:
     def jr_inv(self, delta):
         return self.jl_inv(-np.asarray(delta, dtype=float))
 
+    def scale(self, alpha, v):
+        """alpha[i] v[i] for each row of the stack v, of vectors or of
+        matrices."""
+        return alpha.reshape(alpha.shape + (1,) * (v.ndim - alpha.ndim)) * v
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Group(GroupOps):
@@ -699,6 +704,9 @@ class Group(GroupOps):
 
     def stack(self, elements):
         return tuple(map(np.array, zip(*map(self.parts, elements))))
+
+    def scale(self, alpha, v):
+        return alpha * v
 
 
 def _ominus_se3(Y: Pose3, X: Pose3) -> np.ndarray:

@@ -23,15 +23,13 @@ from .fgraph import (
     optimize,
 )
 from .factors import (
-    ConstantTwistSpec,
     NoiseSigmas,
-    RollPitchSpec,
-    boundary_factors,
-    ct_factor,
-    prior_factor,
-    relative_pose_factor,
-    roll_pitch_factor,
-    usbl_factor,
+    boundary_tables,
+    ct_tables,
+    prior_tables,
+    relative_pose_tables,
+    roll_pitch_tables,
+    usbl_tables,
 )
 
 
@@ -425,11 +423,13 @@ def extrapolate(prev, curr, dt1: float, horizon: float):
 def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
                 config: TrackingConfig) -> tuple[FactorGraph, Values]:
     """Assembles the joint chaser/target smoothing graph and its initial values
-    from the records and odometry that `schedule_keyframes` attached."""
+    from the records and odometry that `schedule_keyframes` attached, one
+    vectorized constructor call per factor family."""
     if not keyframes:
         raise NeedsPriorError("no keyframes")
     values = initialize_values(keyframes, config)
     graph = FactorGraph()
+    chaser = [kf.chaser_key for kf in keyframes]
 
     # Chaser chain: anchor prior plus composed odometry.
     cp_cov = _pose_cov(config.chaser_prior_sigma_pos,
@@ -440,58 +440,45 @@ def build_graph(keyframes: list[Keyframe], policy: ModePolicy,
     kf0 = keyframes[0]
     if kf0.odometry is not None:
         cp_cov = cp_cov + kf0.odometry[1] * odom_cov_unit
-    graph.add(prior_factor(kf0.chaser_key, values.get(kf0.chaser_key), cp_cov))
-    for prev, kf in zip(keyframes, keyframes[1:]):
-        rel, n_eff = kf.odometry
-        cov = odom_cov_unit * max(n_eff, 0.25)
-        graph.add(relative_pose_factor(prev.chaser_key, kf.chaser_key, rel, cov))
+    graph.add(prior_tables(chaser[:1], [values.get(kf0.chaser_key)], cp_cov))
+    odometry = [kf.odometry for kf in keyframes[1:]]
+    n_eff = np.maximum([n for _, n in odometry], 0.25).reshape(-1, 1, 1)
+    graph.add(relative_pose_tables(chaser[:-1], chaser[1:],
+                                   [rel for rel, _ in odometry],
+                                   odom_cov_unit * n_eff))
 
-    # Measurement factors.
-    usbl_cov = np.eye(3) * config.usbl_sigma ** 2
-    opt_cov = _pose_cov(config.optical_sigma_pos, config.optical_sigma_rot)
-    for kf in keyframes:
-        for rec in kf.records:
-            if rec.kind == "USBL":
-                graph.add(usbl_factor(
-                    kf.chaser_key, kf.target_key, rec.payload, usbl_cov))
-            else:
-                graph.add(relative_pose_factor(
-                    kf.chaser_key, kf.target_key, rec.payload, opt_cov))
+    # Measurement factors, one per record in stream order.
+    measured = [(kf, rec) for kf in keyframes for rec in kf.records]
+    is_usbl = np.array([rec.kind == "USBL" for _, rec in measured], bool)
+    usbl = [measured[i] for i in np.flatnonzero(is_usbl)]
+    optical = [measured[i] for i in np.flatnonzero(~is_usbl)]
+    graph.add(usbl_tables(
+        [kf.chaser_key for kf, _ in usbl], [kf.target_key for kf, _ in usbl],
+        [rec.payload for _, rec in usbl], np.eye(3) * config.usbl_sigma ** 2,
+        order=np.flatnonzero(is_usbl)) + relative_pose_tables(
+        [kf.chaser_key for kf, _ in optical],
+        [kf.target_key for kf, _ in optical],
+        [rec.payload for _, rec in optical],
+        _pose_cov(config.optical_sigma_pos, config.optical_sigma_rot),
+        order=np.flatnonzero(~is_usbl)))
 
     # Target chain: initial prior, constant-twist links, Mode A's roll-pitch.
     # Nothing carries the target's t = 0 pose forward to a later first
     # keyframe, so the prior goes only on a keyframe without odometry.
-    if kf0.odometry is None:
-        _add_target_prior(graph, kf0, config)
+    if kf0.odometry is None and config.target_start is not None:
+        key = kf0.target_key
+        if key.kind.tag == "SE3":
+            graph.add(prior_tables([key], [config.target_start], _pose_cov(
+                config.target_prior_sigma_pos, config.target_prior_sigma_rot)))
+        else:
+            graph.add(prior_tables(
+                [key], [EuclidPoint(config.target_start.translation)],
+                np.eye(3) * config.target_prior_sigma_pos ** 2))
     _add_target_chain(graph, values, keyframes, config)
     if policy.mode == "A":
-        rp_spec = RollPitchSpec(covariance=np.eye(2) * config.rp_sigma ** 2)
-        for kf in keyframes:
-            graph.add(roll_pitch_factor(kf.target_key, rp_spec))
+        graph.add(roll_pitch_tables([kf.target_key for kf in keyframes],
+                                    np.eye(2) * config.rp_sigma ** 2))
     return graph, values
-
-
-def _add_target_prior(graph, kf0: Keyframe, config: TrackingConfig):
-    if config.target_start is None:
-        return
-    key = kf0.target_key
-    if key.kind.tag == "SE3":
-        cov = _pose_cov(config.target_prior_sigma_pos,
-                        config.target_prior_sigma_rot)
-        graph.add(prior_factor(key, config.target_start, cov))
-    else:
-        cov = np.eye(3) * config.target_prior_sigma_pos ** 2
-        graph.add(prior_factor(
-            key, EuclidPoint(config.target_start.translation), cov))
-
-
-def _add_ct_chain(graph, keys: list[VariableKey], config: TrackingConfig):
-    for ka, kb, kc in zip(keys, keys[1:], keys[2:]):
-        spec = ConstantTwistSpec(
-            dt1=kb.timestamp - ka.timestamp,
-            dt2=kc.timestamp - kb.timestamp,
-            base_covariance=config.ct_base_cov(kb.kind))
-        graph.add(ct_factor((ka, kb, kc), spec))
 
 
 def _add_target_chain(graph, values: Values, keyframes: list[Keyframe],
@@ -503,35 +490,40 @@ def _add_target_chain(graph, values: Values, keyframes: list[Keyframe],
     translation-equality boundary factor. Mode A is the single-run case: one
     SE(3) ct chain over every target key and no transitions.
     """
-    runs: list[list[Keyframe]] = []
+    runs: list[list[VariableKey]] = []
     for kf in keyframes:
-        if runs and runs[-1][-1].target_key.kind == kf.target_key.kind:
-            runs[-1].append(kf)
+        if runs and runs[-1][-1].kind == kf.target_key.kind:
+            runs[-1].append(kf.target_key)
         else:
-            runs.append([kf])
+            runs.append([kf.target_key])
+    triples = [abc for run in runs for abc in zip(run, run[1:], run[2:])]
+    graph.add(ct_tables(*zip(*triples) if triples else ([], [], []),
+                        config.ct_base_cov))
 
-    next_id = max(k.id for kf in keyframes for k in (kf.chaser_key, kf.target_key)) + 1
-    bnd_cov = np.eye(3) * config.boundary_sigma ** 2
-    for run in runs:
-        _add_ct_chain(graph, [kf.target_key for kf in run], config)
+    # Each switch after a run of at least two keys: the run's ct link to a
+    # twin at the switch instant, then the twin's boundary factor.
+    next_id = max(k.id for kf in keyframes
+                  for k in (kf.chaser_key, kf.target_key)) + 1
+    links, ties = [], []
     for prev_run, run in zip(runs, runs[1:]):
-        first = run[0]
         if len(prev_run) < 2:
-            continue  # no twist estimate to carry over; chains stay measurement-tied
-        ka, kb = prev_run[-2].target_key, prev_run[-1].target_key
+            continue  # no twist to carry over; chains stay measurement-tied
+        ka, kb, first = prev_run[-2], prev_run[-1], run[0]
         twin = VariableKey(id=next_id, kind=ka.kind, timestamp=first.timestamp)
         next_id += 1
-        spec = ConstantTwistSpec(
-            dt1=kb.timestamp - ka.timestamp,
-            dt2=first.timestamp - kb.timestamp,
-            base_covariance=config.ct_base_cov(ka.kind))
-        graph.add(ct_factor((ka, kb, twin), spec))
         values.set(twin, extrapolate(values.get(ka), values.get(kb),
-                                     spec.dt1, spec.dt2))
-        if ka.kind.tag == "SE3":  # DOWN: SE(3) chain hands off to R^3
-            graph.extend(boundary_factors(twin, first.target_key, "DOWN", bnd_cov))
-        else:  # UP: R^3 chain hands off to SE(3)
-            graph.extend(boundary_factors(first.target_key, twin, "UP", bnd_cov))
+                                     kb.timestamp - ka.timestamp,
+                                     first.timestamp - kb.timestamp))
+        links.append((ka, kb, twin))
+        # DOWN: an SE(3) chain hands off to R^3; UP: the reverse
+        ties.append((twin, first, "DOWN") if ka.kind.tag == "SE3"
+                    else (first, twin, "UP"))
+    steps = 2 * np.arange(len(links))
+    graph.add(ct_tables(*zip(*links) if links else ([], [], []),
+                        config.ct_base_cov, order=steps)
+              + boundary_tables(*zip(*ties) if ties else ([], [], []),
+                                np.eye(3) * config.boundary_sigma ** 2,
+                                order=steps + 1))
 
 
 # ---------------------------------------------------------------------------

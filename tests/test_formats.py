@@ -388,6 +388,44 @@ class TestMalformedRows:
             read_truth(path)
         assert str(err.value).startswith(f"{path}:{line}: ")
 
+    # digit separators and non-ASCII digits read as numbers by Python's
+    # float alone (as 10 and 1); a record file holds neither
+    PYTHON_ONLY = ["1_0", "\uff11"]
+
+    @pytest.mark.parametrize("value", PYTHON_ONLY)
+    def test_stream_field_only_python_reads_is_refused(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "0.0,USBL,1,2,3,,,,\n"
+                        f"0.1,ODOM,0,0,{value},1,0,0,0\n"
+                        "0.2,USBL,1,2,3,,,,\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="could not convert") as err:
+            read_measurements(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+        assert cli.main(["smooth", "--meas", str(path), "--out",
+                         str(tmp_path / "est.csv")]) == 2
+
+    @pytest.mark.parametrize("value", PYTHON_ONLY)
+    def test_truth_field_only_python_reads_is_refused(self, tmp_path, value):
+        path = tmp_path / "truth.csv"
+        path.write_text("timestamp,agent,tx,ty,tz,qw,qx,qy,qz\n" + CHASER_0
+                        + TARGET_0 + f"{value},chaser,0,0,0,1,0,0,0\n"
+                        f"{value},target,1,0,0,1,0,0,0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="could not convert") as err:
+            read_truth(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("value", PYTHON_ONLY)
+    def test_estimate_field_only_python_reads_is_refused(self, tmp_path,
+                                                         value):
+        path = tmp_path / "est.csv"
+        write_estimate(path, smoothed_estimate("A")[0])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = edit_estimate_row(lines[5], 17, value)  # rel_x
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ConfigError, match="could not convert") as err:
+            read_estimate(path)
+        assert str(err.value).startswith(f"{path}:6: ")
+
     def test_short_estimate_row(self, tmp_path):
         path = tmp_path / "est.csv"
         path.write_text("header\n0.0,MEASUREMENT,USBL,0,0,0,1,0,0,0\n")

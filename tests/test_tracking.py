@@ -1,14 +1,23 @@
 """Keyframe scheduling, initialization, graph building, and metrics."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistgraph import cli, formats
+from twistgraph import cli, fgraph, formats
 from twistgraph import manifold as M
 from twistgraph import tracking
-from twistgraph.fgraph import SolverSettings, Values, optimize, total_cost
+from twistgraph.fgraph import (
+    FactorGraph,
+    Linearizer,
+    SolverSettings,
+    Values,
+    optimize,
+    total_cost,
+)
 from twistgraph.simkit import (
     ScenarioConfig,
     TwistSegment,
@@ -652,6 +661,92 @@ class TestBuildGraph:
                 assert np.isnan(est.rel_angles[i])
             else:
                 assert np.isfinite(est.rel_angles[i])
+
+
+def assert_identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFactorTables:
+    """build_graph holds its factors as one table per family and key kinds;
+    its views, added one by one, make the same graph."""
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_views_readded_linearize_bit_identically(self, mode):
+        _, _, _, graph, values, _ = TestBuildGraph()._pipeline(mode)
+        readded = FactorGraph()
+        readded.extend(graph.factors)
+        assert len(readded) == len(graph)
+        assert [f.name for f in readded.factors] == \
+            [f.name for f in graph.factors]
+        out = []
+        for g in (graph, readded):
+            lin = Linearizer(g)
+            J, r = lin(values)
+            out.append((J, r, lin.normal_band(J).copy()))
+        (J, r, band), (J_ref, r_ref, band_ref) = out
+        for name in ("data", "indices", "indptr"):
+            assert_identical(getattr(J, name), getattr(J_ref, name))
+        assert_identical(r, r_ref)
+        assert_identical(band, band_ref)
+
+    def test_mode_b_graph_keeps_few_objects_per_factor(self, tmp_path):
+        """Built on the seed-1 stream, the graph keeps at most 2 objects the
+        cyclic collector tracks per factor, its initial values aside."""
+        meas = tmp_path / "meas.csv"
+        assert cli.main(["simulate", "--seed", "1", "--out-truth",
+                         str(tmp_path / "truth.csv"), "--out-meas",
+                         str(meas)]) == 0
+        cfg = formats.parse_config([], overrides={"mode": "B"})
+        kfs = schedule_keyframes(formats.read_measurements(meas),
+                                 gate=cfg.gate, policy=cfg)
+        build_graph(kfs, cfg, cfg)  # caches fill on the first build
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            graph, values = build_graph(kfs, cfg, cfg)
+            del values
+            kept = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(graph) == 1027
+        assert kept <= 2 * len(graph)
+
+    def test_first_near_pi_row_in_graph_order_is_named(self):
+        """A flipped target start fails the target prior, which shares the
+        first table with the chaser anchor; a flipped second chaser pose
+        fails odometry, earlier in graph order but in a later table."""
+        cfg = small_scenario()
+        recs = synthesize_measurements(generate_ground_truth(cfg), cfg)
+        policy = ModePolicy(mode="A")
+        kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
+        graph, values = build_graph(
+            kfs, policy, TrackingConfig(target_start=cfg.target_start))
+        flip = M.exp_se3(np.array([0, 0, 0, 0, 0, np.pi]))
+        values.set(kfs[0].target_key, M.compose(cfg.target_start, flip))
+        values.set(kfs[1].chaser_key, M.compose(M.compose(
+            values.get(kfs[0].chaser_key), kfs[1].odometry[0]), flip))
+        names = [f.name for f in graph.factors]
+        odometry = names.index(f"relpose[{kfs[0].chaser_key.id},"
+                               f"{kfs[1].chaser_key.id}]")
+        prior = names.index(f"prior[{kfs[0].target_key.id}]")
+        assert odometry < prior
+        tables = graph.tables()
+        assert tables[0].family is graph.factors[prior].family
+        assert tables[0].family is not graph.factors[odometry].family
+        messages = []
+        for p in (odometry, prior):
+            f = graph.factors[p]
+            with pytest.raises(M.NearSingularError) as ref:
+                f.residual_fn(values)
+            messages.append(f"linearization failed in {fgraph._describe(f)}:"
+                            f" {ref.value}")
+        with pytest.raises(M.NearSingularError) as exc:
+            Linearizer(graph)(values)
+        assert str(exc.value) == messages[0]
 
 
 class TestMetrics:
