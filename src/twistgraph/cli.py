@@ -103,30 +103,19 @@ def cmd_metrics(args) -> int:
 
 
 def _estimate_from_rows(rows) -> tracking.TrajectoryEstimate:
-    """Rebuild enough of a TrajectoryEstimate from an estimate file to score it."""
-    from .fgraph import SolveReport, VariableKey
-    from .manifold import SE3, R3, EuclidPoint
+    """Rebuild enough of a TrajectoryEstimate from an estimate file to score
+    it; the rows stand in for its keyframes."""
+    from .fgraph import SolveReport
+    from .manifold import EuclidPoint
 
-    keyframes, chaser, target = [], [], []
-    rel_pos = np.empty((len(rows), 3))
-    rel_ang = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        kind = SE3 if row.target_pose is not None else R3
-        keyframes.append(tracking.Keyframe(
-            timestamp=row.timestamp,
-            chaser_key=VariableKey(id=2 * i, kind=SE3, timestamp=row.timestamp),
-            target_key=VariableKey(id=2 * i + 1, kind=kind,
-                                   timestamp=row.timestamp),
-            trigger=row.trigger,
-            meas_kinds=(row.group,) if row.group != "GATE" else ()))
-        chaser.append(row.chaser)
-        target.append(row.target_pose if row.target_pose is not None
-                      else EuclidPoint(row.target_position))
-        rel_pos[i] = row.rel_position
-        rel_ang[i] = row.rel_angle
     return tracking.TrajectoryEstimate(
-        keyframes=keyframes, chaser_poses=chaser, target_states=target,
-        rel_positions=rel_pos, rel_angles=rel_ang, report=SolveReport())
+        keyframes=rows, chaser_poses=[row.chaser for row in rows],
+        target_states=[row.target_pose if row.target_pose is not None
+                       else EuclidPoint(row.target_position) for row in rows],
+        rel_positions=np.array(
+            [row.rel_position for row in rows]).reshape(-1, 3),
+        rel_angles=np.array([row.rel_angle for row in rows], dtype=float),
+        report=SolveReport())
 
 
 def cmd_unit_circle(args) -> int:

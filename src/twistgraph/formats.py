@@ -129,9 +129,10 @@ def _timestamps(rows, path) -> np.ndarray:
     return times
 
 
-def _labels(rows, allowed, path, what: str) -> list[str]:
-    """Field 1 of every row; a label not in `allowed` is a ConfigError."""
-    labels = [row[1] for row in rows]
+def _labels(rows, allowed, path, what: str, field: int = 1) -> list[str]:
+    """Field `field` of every row; a label not in `allowed` is a
+    ConfigError."""
+    labels = [row[field] for row in rows]
     if not set(labels) <= set(allowed):
         i = next(i for i, x in enumerate(labels) if x not in allowed)
         raise ConfigError(f"{_where(path, i)}: unknown {what} {labels[i]!r}")
@@ -157,7 +158,8 @@ def write_truth(path, truth: GroundTruth) -> int:
 
 def read_truth(path) -> GroundTruth:
     """Chaser and target trajectories; the i-th target row pairs with the
-    i-th chaser row at its time. A bad row is a ConfigError naming its line."""
+    i-th chaser row at its time. A bad row is a ConfigError naming its line,
+    and a file of one sample, which sets no time step, one naming the file."""
     rows = _data_rows(path)
     times = _timestamps(rows, path)
     labels = _labels(rows, ("chaser", "target"), path, "agent label")
@@ -171,6 +173,8 @@ def read_truth(path) -> GroundTruth:
         k = ti[late[0]] if late.size else max(ci, ti, key=len)[n]
         raise ConfigError(f"{_where(path, k)}: unpaired trajectory rows: "
                           f"{rows[k][1]} row at t = {rows[k][0]}")
+    if len(ci) == 1:
+        raise ConfigError(f"{path}: one ground-truth sample sets no time step")
     poses = poses_from_fields(fields_)
     return GroundTruth(times=times[is_chaser],
                        chaser=list(itertools.compress(poses, is_chaser)),
@@ -269,6 +273,7 @@ def read_estimate(path) -> list[EstimateRow]:
     numbers[:, 10:13] = _numbers(rows, 17, 20, 21, path)
     numbers[has_ang, 13:] = _numbers(rows, 20, 21, 21, path, has_ang)
     times = _timestamps(rows, path)
+    _labels(rows, ("USBL", "OPTICAL", "GATE"), path, "keyframe group", 2)
     _check_rows(numbers, path, quaternions=True)
     _check_rows(target_fields, path, has_tgt_rot, quaternions=True)
     targets = iter(poses_from_fields(target_fields))

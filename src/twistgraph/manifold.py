@@ -147,6 +147,37 @@ def _check_finite(v: np.ndarray) -> None:
         raise ValueError(f"non-finite tangent vector: {v!r}")
 
 
+# The assemblies below serve the element kernels and the batch kernels alike:
+# their matrices are one 3x3 block or a stack of them, and their coefficients
+# floats or arrays shaped (N, 1, 1). Only the coefficient code differs per
+# path, so the two agree bit for bit.
+
+
+def _poly(K: np.ndarray, K2: np.ndarray, b, c) -> np.ndarray:
+    """I + b K + c K2, with K = [th]x and K2 = [th]x^2."""
+    return _I3 + b * K + c * K2
+
+
+def _q_terms(P: np.ndarray, K: np.ndarray, c1, c2, c3) -> np.ndarray:
+    """q_block from P = [rho]x, K = [th]x and its coefficients c1, c2, c3."""
+    KP = K @ P
+    PK = P @ K
+    KPK = KP @ K
+    return (0.5 * P
+            + c1 * (KP + PK + KPK)
+            - c2 * (K @ KP + PK @ K - 3.0 * KPK)
+            - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK))
+
+
+def _se3_block(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[[A, B], [0, A]], the form of SE(3)'s Jacobians and adjoints."""
+    out = np.zeros(A.shape[:-2] + (6, 6))
+    out[..., :3, :3] = A
+    out[..., :3, 3:] = B
+    out[..., 3:, 3:] = A
+    return out
+
+
 def _sin_cos_coeffs(angle: float) -> tuple[float, float]:
     """(sin a / a, (1 - cos a) / a^2) with series fallback near zero."""
     if angle < SMALL_ANGLE:
@@ -162,16 +193,12 @@ def _so3_terms(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return a2, skew(theta), theta[:, None] * theta - a2 * _I3
 
 
-def _exp_so3(a2: float, K: np.ndarray, K2: np.ndarray) -> np.ndarray:
-    a, b = _sin_cos_coeffs(math.sqrt(a2))
-    return _I3 + a * K + b * K2
-
-
 def exp_so3(theta: np.ndarray) -> Rotation3:
     """Rodrigues formula; series expansion below the small-angle threshold."""
     theta = np.asarray(theta, dtype=float)
     _check_finite(theta)
-    return Rotation3(_exp_so3(*_so3_terms(theta)))
+    a2, K, K2 = _so3_terms(theta)
+    return Rotation3(_poly(K, K2, *_sin_cos_coeffs(math.sqrt(a2))))
 
 
 def log_so3(R: Rotation3) -> np.ndarray:
@@ -226,24 +253,16 @@ def _jl_inv_coeff(a2: float) -> float:
     return 1.0 / a2 - (1.0 + math.cos(angle)) / (2.0 * angle * math.sin(angle))
 
 
-def _jl_so3(a2: float, K: np.ndarray, K2: np.ndarray) -> np.ndarray:
-    b, c = _jl_coeffs(a2)
-    return _I3 + b * K + c * K2
-
-
 def jl_so3(theta: np.ndarray) -> np.ndarray:
     """SO(3) left Jacobian: I + b [th]x + c [th]x^2."""
-    return _jl_so3(*_so3_terms(np.asarray(theta, dtype=float)))
+    a2, K, K2 = _so3_terms(np.asarray(theta, dtype=float))
+    return _poly(K, K2, *_jl_coeffs(a2))
 
 
 def jl_inv_so3(theta: np.ndarray) -> np.ndarray:
     """SO(3) left Jacobian inverse: I - [th]x/2 + e [th]x^2."""
-    theta = np.asarray(theta, dtype=float)
-    a2 = float(theta @ theta)
-    e = _jl_inv_coeff(a2)
-    K = skew(theta)
-    K2 = theta[:, None] * theta - a2 * _I3
-    return _I3 - 0.5 * K + e * K2
+    a2, K, K2 = _so3_terms(np.asarray(theta, dtype=float))
+    return _poly(K, K2, -0.5, _jl_inv_coeff(a2))
 
 
 def _poly_apply(u: float, c: float, theta, v) -> np.ndarray:
@@ -314,11 +333,7 @@ def adjoint_se3(T: Pose3) -> np.ndarray:
 
 def adjoint_inv_se3(T: Pose3) -> np.ndarray:
     Rt = T.rotation.matrix.T
-    Ad = np.zeros((6, 6))
-    Ad[:3, :3] = Rt
-    Ad[:3, 3:] = -(Rt @ skew(T.translation))
-    Ad[3:, 3:] = Rt
-    return Ad
+    return _se3_block(Rt, -(Rt @ skew(T.translation)))
 
 
 def _q_series(a2):
@@ -337,8 +352,6 @@ def q_block(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Translation-rotation coupling block of the SE(3) left Jacobian."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    P = skew(rho)
-    K = skew(theta)
     angle = math.sqrt(float(theta @ theta))
     if angle < Q_SERIES_ANGLE:
         c1, c2, c3 = _q_series(angle * angle)
@@ -348,38 +361,20 @@ def q_block(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
         c1 = (angle - sin_a) / (angle * a2)
         c2 = (1.0 - a2 / 2.0 - cos_a) / (a2 * a2)
         c3 = (angle - sin_a - angle * a2 / 6.0) / (a2 * a2 * angle)
-    KP = K @ P
-    PK = P @ K
-    KPK = KP @ K
-    Q = (
-        0.5 * P
-        + c1 * (KP + PK + KPK)
-        - c2 * (K @ KP + PK @ K - 3.0 * KPK)
-        - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK)
-    )
-    return Q
+    return _q_terms(skew(rho), skew(theta), c1, c2, c3)
 
 
 def jl_se3(delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     rho, theta = delta[:3], delta[3:]
-    Jl = jl_so3(theta)
-    J = np.zeros((6, 6))
-    J[:3, :3] = Jl
-    J[:3, 3:] = q_block(rho, theta)
-    J[3:, 3:] = Jl
-    return J
+    return _se3_block(jl_so3(theta), q_block(rho, theta))
 
 
 def jl_inv_se3(delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     rho, theta = delta[:3], delta[3:]
     Jli = jl_inv_so3(theta)
-    J = np.zeros((6, 6))
-    J[:3, :3] = Jli
-    J[:3, 3:] = -(Jli @ q_block(rho, theta) @ Jli)
-    J[3:, 3:] = Jli
-    return J
+    return _se3_block(Jli, -(Jli @ q_block(rho, theta) @ Jli))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,8 @@ def kind_of(element) -> ManifoldKind:
 # over stacks of N elements -- rotations (N, 3, 3), translations and rotation
 # vectors (N, 3), SE(3) tangents (N, 6).  A stack of poses is the pair
 # (R, t).  The factor graph linearizes and retracts with these; the scalar
-# kernels remain the reference they are tested against.  Matrix and inner
+# kernels remain the reference they are tested against.  Both assemble their
+# matrices with the same _poly, _q_terms and _se3_block.  Matrix and inner
 # products go through np.matmul and arccos through math.acos, so that they
 # round as in the scalar kernels and both take the same branches on the same
 # input.
@@ -467,12 +463,6 @@ def _skew_sq_batch(theta: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return K2
 
 
-def _poly(K: np.ndarray, K2: np.ndarray, b: np.ndarray,
-          c: np.ndarray) -> np.ndarray:
-    """I + b K + c K2 with per-row coefficients."""
-    return _I3 + b[:, None, None] * K + c[:, None, None] * K2
-
-
 def exp_so3_batch(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     _check_finite_rows(theta)
@@ -484,7 +474,8 @@ def exp_so3_batch(theta: np.ndarray) -> np.ndarray:
                           lambda m: np.sin(angle[m]) / angle[m])
     b = _series_or_closed(small, 0.5 - s2 / 24.0 + s2 * s2 / 720.0,
                           lambda m: (1.0 - np.cos(angle[m])) / s2[m])
-    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2), a, b)
+    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2),
+                 a[:, None, None], b[:, None, None])
 
 
 def log_so3_batch(R: np.ndarray) -> np.ndarray:
@@ -552,21 +543,20 @@ def _poly_apply_batch(u, c: np.ndarray, theta: np.ndarray,
 def jl_so3_batch(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     a2 = _sq_norms(theta)
+    b, c = _jl_coeffs_batch(a2)
     return _poly(skew_batch(theta), _skew_sq_batch(theta, a2),
-                 *_jl_coeffs_batch(a2))
+                 b[:, None, None], c[:, None, None])
 
 
 def jl_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     a2 = _sq_norms(theta)
     e = _jl_inv_coeff_batch(a2)
-    return _I3 - 0.5 * skew_batch(theta) \
-        + e[:, None, None] * _skew_sq_batch(theta, a2)
+    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2),
+                 -0.5, e[:, None, None])
 
 
 def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    P = skew_batch(rho)
-    K = skew_batch(theta)
     angle = np.sqrt(_sq_norms(theta))
     a2 = angle * angle
     small = angle < Q_SERIES_ANGLE
@@ -581,14 +571,8 @@ def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
         small, s3,
         lambda m: (angle[m] - np.sin(angle[m]) - angle[m] * a2[m] / 6.0)
         / (a2[m] * a2[m] * angle[m]))
-    c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]
-    KP = K @ P
-    PK = P @ K
-    KPK = KP @ K
-    return (0.5 * P
-            + c1 * (KP + PK + KPK)
-            - c2 * (K @ KP + PK @ K - 3.0 * KPK)
-            - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK))
+    return _q_terms(skew_batch(rho), skew_batch(theta), c1[:, None, None],
+                    c2[:, None, None], c3[:, None, None])
 
 
 # exp_se3_batch and log_se3_batch apply J_l and J_l^-1 to the translation
@@ -626,31 +610,18 @@ def inverse_batch(R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def adjoint_inv_se3_batch(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     Rt = R.transpose(0, 2, 1)
-    Ad = np.zeros((R.shape[0], 6, 6))
-    Ad[:, :3, :3] = Rt
-    Ad[:, :3, 3:] = -(Rt @ skew_batch(t))
-    Ad[:, 3:, 3:] = Rt
-    return Ad
+    return _se3_block(Rt, -(Rt @ skew_batch(t)))
 
 
 def jl_se3_batch(delta: np.ndarray) -> np.ndarray:
     rho, theta = delta[:, :3], delta[:, 3:]
-    Jl = jl_so3_batch(theta)
-    J = np.zeros((delta.shape[0], 6, 6))
-    J[:, :3, :3] = Jl
-    J[:, :3, 3:] = q_block_batch(rho, theta)
-    J[:, 3:, 3:] = Jl
-    return J
+    return _se3_block(jl_so3_batch(theta), q_block_batch(rho, theta))
 
 
 def jl_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
     rho, theta = delta[:, :3], delta[:, 3:]
     Jli = jl_inv_so3_batch(theta)
-    J = np.zeros((delta.shape[0], 6, 6))
-    J[:, :3, :3] = Jli
-    J[:, :3, 3:] = -(Jli @ q_block_batch(rho, theta) @ Jli)
-    J[:, 3:, 3:] = Jli
-    return J
+    return _se3_block(Jli, -(Jli @ q_block_batch(rho, theta) @ Jli))
 
 
 # ---------------------------------------------------------------------------

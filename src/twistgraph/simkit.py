@@ -64,6 +64,8 @@ class GroundTruth:
     target: list[Pose3]
 
     def index_at(self, t: float) -> int:
+        if len(self.times) < 2:  # no time step, so no support
+            raise ValueError(f"time {t} outside ground-truth support")
         dt = self.times[1] - self.times[0]
         i = int(round((t - self.times[0]) / dt))
         if not (0 <= i < len(self.times)) or abs(self.times[i] - t) > dt / 2 + 1e-9:

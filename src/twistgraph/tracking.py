@@ -282,11 +282,6 @@ class _OdometrySpline:
             n_eff[i] += frac[at]
         return out_R, out_t, n_eff.tolist()
 
-    def relative(self, ta: float, tb: float) -> tuple[Pose3, float]:
-        """Relative pose over (ta, tb] and the effective record count."""
-        R, t, n_eff = self.intervals([ta], [tb])
-        return Pose3(Rotation3(R[0]), t[0]), n_eff[0]
-
 
 # ---------------------------------------------------------------------------
 # Initialization.
@@ -344,11 +339,11 @@ def _refine_rotation_seeds(keyframes: list[Keyframe], values: Values) -> None:
         return manifold.log_so3(Rotation3(Ra.matrix.T @ Rb.matrix)) / (tb - ta)
 
     def pair_near(reverse):
-        # widest anchor pair within _MAX_RATE_BASELINE of the span end
+        # widest anchor pair within _MAX_RATE_BASELINE of the span end, or
+        # the two nearest it when their span is longer
         seq = anchors if not reverse else anchors[::-1]
-        first = seq[0]
-        last = first
-        for a in seq[1:]:
+        first, last = seq[0], seq[1]
+        for a in seq[2:]:
             if abs(a[0] - first[0]) > _MAX_RATE_BASELINE:
                 break
             last = a
@@ -602,7 +597,11 @@ def _true_relative(truth, t: float, tol: float):
 
 def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorReport:
     """Relative position/angle errors against ground truth, grouped by
-    keyframe type (USBL / OPTICAL / GATE / ALL)."""
+    keyframe type (USBL / OPTICAL / GATE / ALL).
+
+    Of each keyframe it reads only `timestamp` and `group`, so the rows of
+    an estimate file serve as keyframes too.
+    """
     n = len(estimate.keyframes)
     pos_err = np.full(n, np.nan)
     ang_err = np.full(n, np.nan)
@@ -620,7 +619,7 @@ def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorRepo
             R_rel_e = C_e.rotation.matrix.T @ S.rotation.matrix
             ang_err[i] = _angle(R_rel_e.T @ R_rel_t)
     if not matched.any():
-        raise ValueError("no keyframe timestamps overlap the ground truth")
+        raise ConfigError("no keyframe timestamps overlap the ground truth")
 
     groups: dict[str, GroupStats] = {}
     labels = np.array([kf.group for kf in estimate.keyframes])

@@ -1,10 +1,11 @@
 """Batched manifold kernels and factor families against the scalar reference.
 
 The solver linearizes built-in factors in batches, one per family, and
-retracts all variables in one pass.  Each batched result must equal what the
-scalar kernels and each factor's residual_fn/jacobian_fn give, to 1e-12
-(absolute, or relative to the block's largest entry), and must raise
-NearSingularError for exactly the inputs where the scalar path raises.
+retracts all variables in one pass.  Each batched kernel must give exactly
+what its scalar kernel gives; each family's batch must give what each
+factor's residual_fn/jacobian_fn give, to 1e-12 (absolute, or relative to the
+block's largest entry).  Both must raise NearSingularError for exactly the
+inputs where the scalar path raises.
 """
 
 import numpy as np
@@ -35,10 +36,12 @@ PI_EDGE = np.pi - M.NEAR_PI_MARGIN
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # Rotation angles on both sides of every branch point: the small-angle
-# series, the symmetric-part log above 2.8 rad, and the near-pi rejection.
+# series, q_block's series, the symmetric-part log above 2.8 rad, and the
+# near-pi rejection.
 angles = st.one_of(
     st.just(0.0),
     st.floats(0.1 * M.SMALL_ANGLE, 10.0 * M.SMALL_ANGLE),
+    st.floats(M.Q_SERIES_ANGLE - 1e-3, M.Q_SERIES_ANGLE + 1e-3),
     st.floats(2.8 - 1e-3, 2.8 + 1e-3),
     st.floats(PI_EDGE - 1e-3, PI_EDGE - 1e-7),
     st.floats(0.0, 3.0),
@@ -55,6 +58,9 @@ def assert_close(batch, scalar, tol=1e-12):
     assert batch.shape == scalar.shape
     scale = max(1.0, float(np.max(np.abs(scalar), initial=0.0)))
     assert np.max(np.abs(batch - scalar), initial=0.0) <= tol * scale
+
+
+assert_equal = np.testing.assert_array_equal
 
 
 def unit_axis(rng):
@@ -113,6 +119,9 @@ def assert_family_matches_scalar(factors, values):
 
 
 class TestKernels:
+    """The scalar and batch kernels assemble their matrices with the same
+    functions from the same coefficients, so they agree exactly."""
+
     @SETTINGS
     @given(st.lists(st.tuples(angles, seeds), min_size=1, max_size=6))
     def test_so3_kernels(self, cases):
@@ -120,16 +129,16 @@ class TestKernels:
                           for a, s in cases])
         R = M.exp_so3_batch(theta)
         for n, th in enumerate(theta):
-            assert_close(R[n], M.exp_so3(th).matrix)
+            assert_equal(R[n], M.exp_so3(th).matrix)
         w = M.log_so3_batch(R)
         for n in range(len(theta)):
-            assert_close(w[n], M.log_so3(Rotation3(R[n])))
+            assert_equal(w[n], M.log_so3(Rotation3(R[n])))
         for batched, scalar in [(M.jl_so3_batch, M.jl_so3),
                                 (M.jl_inv_so3_batch, M.jl_inv_so3),
                                 (M.SO3.group.batch.jr_inv, M.SO3.group.jr_inv)]:
             out = batched(theta)
             for n, th in enumerate(theta):
-                assert_close(out[n], scalar(th))
+                assert_equal(out[n], scalar(th))
 
     @SETTINGS
     @given(st.lists(st.tuples(angles, seeds), min_size=1, max_size=6))
@@ -138,21 +147,24 @@ class TestKernels:
         R, t = M.exp_se3_batch(xi)
         poses = [M.exp_se3(x) for x in xi]
         for n, T in enumerate(poses):
-            assert_close(R[n], T.rotation.matrix)
-            assert_close(t[n], T.translation)
+            assert_equal(R[n], T.rotation.matrix)
+            assert_equal(t[n], T.translation)
         log = M.log_se3_batch(R, t)
         for n in range(len(xi)):
-            assert_close(log[n], M.log_se3(Pose3(Rotation3(R[n]), t[n])))
+            assert_equal(log[n], M.log_se3(Pose3(Rotation3(R[n]), t[n])))
+        Ad = M.adjoint_inv_se3_batch(R, t)
+        for n, T in enumerate(poses):
+            assert_equal(Ad[n], M.adjoint_inv_se3(T))
         Q = M.q_block_batch(xi[:, :3], xi[:, 3:])
         for n, x in enumerate(xi):
-            assert_close(Q[n], M.q_block(x[:3], x[3:]))
+            assert_equal(Q[n], M.q_block(x[:3], x[3:]))
         for batched, scalar in [(M.jl_se3_batch, M.jl_se3),
                                 (M.jl_inv_se3_batch, M.jl_inv_se3),
                                 (M.SE3.group.batch.jr, M.SE3.group.jr),
                                 (M.SE3.group.batch.jr_inv, M.SE3.group.jr_inv)]:
             out = batched(xi)
             for n, x in enumerate(xi):
-                assert_close(out[n], scalar(x))
+                assert_equal(out[n], scalar(x))
 
     @SETTINGS
     @given(st.lists(seeds, min_size=2, max_size=6))

@@ -275,6 +275,45 @@ class TestErrorExits:
                    "--out", str(tmp_path / "est.csv")])
         assert rc == EXIT_UNDERCONSTRAINED
 
+    def test_estimate_outside_truth_exits_2(self, tmp_path, short_cfg, capsys):
+        truth, meas = simulate(tmp_path, short_cfg, seed=1)
+        est = tmp_path / "est.csv"
+        assert main(["smooth", "--config", str(short_cfg), "--mode", "A",
+                     "--meas", str(meas), "--out", str(est)]) == EXIT_OK
+        header, *rows = est.read_text().splitlines(keepends=True)
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text(header + "".join(
+            f"{float(t) + 1000.0!r},{rest}"
+            for t, rest in (row.split(",", 1) for row in rows)))
+        capsys.readouterr()
+        rc = main(["metrics", "--estimate", str(shifted),
+                   "--truth", str(truth), "--meas", str(meas)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            "error: no keyframe timestamps overlap the ground truth"]
+
+    @pytest.mark.parametrize("lines, message", [
+        (3, "{cut}: one ground-truth sample sets no time step"),
+        (1, "no keyframe timestamps overlap the ground truth"),
+    ])
+    def test_truth_without_time_step_exits_2(self, tmp_path, short_cfg,
+                                             capsys, lines, message):
+        truth, meas = simulate(tmp_path, short_cfg, seed=1)
+        est = tmp_path / "est.csv"
+        assert main(["smooth", "--config", str(short_cfg), "--mode", "B",
+                     "--meas", str(meas), "--out", str(est)]) == EXIT_OK
+        # the header and one chaser/target pair, or the header alone
+        cut = tmp_path / "truth_cut.csv"
+        cut.write_text("".join(
+            truth.read_text().splitlines(keepends=True)[:lines]))
+        capsys.readouterr()
+        rc = main(["metrics", "--estimate", str(est), "--truth", str(cut),
+                   "--meas", str(meas)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: " + message.format(cut=cut)]
+
     def test_singular_initial_estimate_exits_3(self, tmp_path, capsys):
         # Optical fixes put the target upside down, where the Mode A
         # roll-pitch factor has no tilt direction.

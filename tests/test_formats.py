@@ -303,6 +303,7 @@ ESTIMATE_EDITS = [
     (13, "0", "zero quaternion"),  # target qw..qz
     (17, "nan", "non-finite value"),  # rel_x
     (20, "inf", "non-finite value"),  # rel_angle
+    (2, "usbl", "unknown keyframe group 'usbl'"),  # group
 ]
 # pose fields of a truth row and the error each raises
 TRUTH_FIELDS = [

@@ -177,13 +177,20 @@ class TestExtrapolate:
             extrapolate(a, a, 0.0, 1.0)
 
 
+def relative(spline, ta, tb):
+    """The spline's relative pose over (ta, tb] and its effective record
+    count, from a batch of one interval."""
+    R, t, n_eff = spline.intervals([ta], [tb])
+    return M.Pose3(M.Rotation3(R[0]), t[0]), n_eff[0]
+
+
 class TestOdometrySpline:
     def test_exact_composition_over_record_boundaries(self):
         # two records spanning (0,1] and (1,2]
         r1 = M.exp_se3(np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.05]))
         r2 = M.exp_se3(np.array([0.2, 0.1, 0.0, 0.0, 0.0, -0.02]))
         spline = _OdometrySpline([odom(1.0, r1), odom(2.0, r2)])
-        rel, n_eff = spline.relative(0.0, 2.0)
+        rel, n_eff = relative(spline, 0.0, 2.0)
         np.testing.assert_allclose(rel.matrix(), M.compose(r1, r2).matrix(),
                                    atol=1e-12)
         assert n_eff == pytest.approx(2.0)
@@ -192,14 +199,14 @@ class TestOdometrySpline:
         xi = np.array([0.3, 0.0, 0.1, 0.0, 0.0, 0.2])
         rec = M.exp_se3(xi)
         spline = _OdometrySpline([odom(1.0, rec)])
-        half, n_eff = spline.relative(0.0, 0.5)
+        half, n_eff = relative(spline, 0.0, 0.5)
         np.testing.assert_allclose(half.matrix(), M.exp_se3(xi / 2).matrix(),
                                    atol=1e-12)
         assert n_eff == pytest.approx(0.5)
 
     def test_empty_interval(self):
         spline = _OdometrySpline([odom(1.0)])
-        rel, n_eff = spline.relative(0.6, 0.6)
+        rel, n_eff = relative(spline, 0.6, 0.6)
         np.testing.assert_allclose(rel.matrix(), np.eye(4), atol=1e-15)
         assert n_eff == 0.0
 
@@ -261,7 +268,7 @@ class TestOdometryBisection:
         recs, queries = case
         spline = _OdometrySpline(recs)
         for ta, tb in queries:
-            rel, n_eff = spline.relative(ta, tb)
+            rel, n_eff = relative(spline, ta, tb)
             ref, ref_n = scan_relative(spline.segments, ta, tb)
             assert np.array_equal(rel.rotation.matrix, ref.rotation.matrix)
             assert np.array_equal(rel.translation, ref.translation)
@@ -274,7 +281,7 @@ class TestOdometryBisection:
         for ta, tb in [(1.2, 1.7), (1.0, 2.0), (2.0 - 1e-13, 3.0 + 1e-13),
                        (2.0 + 5e-13, 3.0), (-1.0, 0.5), (2.5, 9.0),
                        (3.0 - 1e-13, 4.0), (2.0, 2.0)]:
-            rel, n_eff = spline.relative(ta, tb)
+            rel, n_eff = relative(spline, ta, tb)
             ref, ref_n = scan_relative(spline.segments, ta, tb)
             assert np.array_equal(rel.matrix(), ref.matrix())
             assert n_eff == ref_n
@@ -291,7 +298,7 @@ class TestOdometryBisection:
         recs = [odom(t, M.exp_se3(np.full(6, 0.05 * k)))
                 for k, t in enumerate(times, start=1)]
         spline = _OdometrySpline(recs)
-        rel, n_eff = spline.relative(ta, tb)
+        rel, n_eff = relative(spline, ta, tb)
         ref, ref_n = scan_relative(spline.segments, ta, tb)
         assert ref_n > 0.0
         assert np.array_equal(rel.matrix(), ref.matrix())
@@ -399,6 +406,24 @@ class TestInitialization:
                                    [3.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(values.get(gate_kfs[1].target_key).coords,
                                    [4.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("first", [0.0, 11.0])
+    def test_rotation_seed_beyond_far_apart_fixes(self, first):
+        """Before the first optical fix (or after the last), the target
+        rotation follows the rate between the two fixes, also when they lie
+        more than _MAX_RATE_BASELINE apart."""
+        za = M.exp_se3(np.array([1.0, 0.0, 0.0, 0.1, 0.0, 0.2]))
+        zb = M.exp_se3(np.array([1.0, 0.0, 0.0, 0.0, 0.3, -0.1]))
+        recs = sorted([usbl(first), optical(0.3, za), optical(10.4, zb)],
+                      key=lambda r: r.timestamp)
+        kfs = schedule_keyframes(recs, gate=1.0, policy=ModePolicy(mode="A"))
+        values = initialize_values(kfs, TrackingConfig())
+        kf = next(kf for kf in kfs if kf.timestamp == first)
+        ta, Ra = (0.3, za.rotation) if first < 0.3 else (10.4, zb.rotation)
+        w = M.log_so3(M.Rotation3(za.rotation.matrix.T @ zb.rotation.matrix))
+        expected = Ra.matrix @ M.exp_so3(w / (10.4 - 0.3) * (first - ta)).matrix
+        np.testing.assert_allclose(values.get(kf.target_key).rotation.matrix,
+                                   expected, atol=1e-12)
 
     # The gate does not divide the 2 s USBL period in either stream, so
     # gated keyframes fall between measurements at varying offsets. With
