@@ -46,6 +46,7 @@ from .factors import (
 from .tracking import (
     Keyframe,
     MeasurementRecord,
+    MeasurementStream,
     ModePolicy,
     NeedsPriorError,
     TrackingConfig,

@@ -322,6 +322,12 @@ class SolveReport:
     iterations: int = 0
     converged: bool = False
     cost_trace: list = field(default_factory=list)
+    # one dict per damped solve: its `iteration` (from 0), `lam`, `outcome`
+    # (accepted, cost_increase, singular_chart or failed_factorization),
+    # the candidate's `cost` (None when it has none), the step's largest
+    # entry `step_inf` (None when no step was solved) and the gradient's
+    # `grad_inf`
+    tries: list = field(default_factory=list)
 
 
 def total_cost(graph: FactorGraph, values: Values) -> float:
@@ -437,6 +443,31 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _slot_ranks(col, dk, key0) -> np.ndarray:
+    """The rank of each key slot's first column among the distinct columns
+    of its factor, from each slot's first column `col` and dim `dk` and
+    each factor's first slot `key0` (with the total appended).
+
+    A key's columns are contiguous, so the rank is the dims of the
+    factor's distinct keys with lower first columns: the comparisons of
+    each pair of a factor's slots give it, a key bound twice counted once.
+    """
+    k = np.diff(key0)
+    factor = np.repeat(np.arange(len(k)), k)
+    # the slot pairs (s, s + j) of one factor, for every offset j
+    pairs = [(s, s + j) for j in range(1, int(k.max(initial=0)))
+             for s in [np.flatnonzero(factor[:-j] == factor[j:])]]
+    again = np.zeros(len(col), dtype=bool)  # an earlier slot binds its key
+    for s, o in pairs:
+        again[o] |= col[s] == col[o]
+    weight = np.where(again, 0, dk)
+    rank = np.zeros(len(col), np.intp)
+    for s, o in pairs:
+        rank[s] += (col[o] < col[s]) * weight[o]
+        rank[o] += (col[s] < col[o]) * weight[s]
+    return rank
+
+
 class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
@@ -523,6 +554,11 @@ class Linearizer:
         adds into band[i - j, j] for i = col_p and j = col_q, kept at flat
         index j * (bw + 1) + i - j of the (n, bw + 1) array whose transpose
         is the band.
+
+        A key's columns are contiguous and ascending, so a factor's pattern
+        follows from the order of its key slots' first columns (a key bound
+        twice ties with itself): `rank` orders its columns from the slots
+        alone, and only the picked pairs' band targets are formed.
         """
         n = self.total_cols
         # every factor's columns in key order, factor after factor
@@ -540,6 +576,9 @@ class Linearizer:
         self._indices = key_col[entry].astype(index)
         self._indptr = indptr.astype(index)
         block0 = indptr[row0]
+        # each entry of key_col ranked among its factor's distinct columns:
+        # its slot's rank plus its offset in the slot's key
+        rank = key_col - np.repeat(col - _slot_ranks(col, dk, key0), dk)
 
         bound = w > 0
         first = col0[:-1][bound]
@@ -552,15 +591,16 @@ class Linearizer:
         for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
             fs = np.flatnonzero((d == dd) & (w == ww))
             cells = block0[fs, None] + np.arange(dd * ww)
-            cols = key_col[col0[fs, None] + np.arange(ww)]
-            col_p, col_q = cols[:, :, None], cols[:, None, :]
-            lower = (col_p >= col_q).reshape(len(fs), -1)
-            if (lower == lower[0]).all():
-                pick, rows = np.flatnonzero(lower[0]), len(fs)
+            at = col0[fs, None] + np.arange(ww)
+            cols, order = key_col[at], rank[at]
+            if (order == order[0]).all():
+                pick = np.flatnonzero(order[0, :, None] >= order[0])
+                rows, f, (p, q) = len(fs), slice(None), np.divmod(pick, ww)
             else:
-                pick, rows = np.flatnonzero(lower), 1
-            targets.append((col_p + col_q * (m - 1)).reshape(rows, -1)
-                           .take(pick, axis=1).ravel())
+                pick = np.flatnonzero(order[:, :, None] >= order[:, None, :])
+                rows, (f, e) = 1, np.divmod(pick, ww * ww)
+                p, q = np.divmod(e, ww)
+            targets.append((cols[f, p] + cols[f, q] * (m - 1)).ravel())
             self._band_groups.append((cells.ravel(), pick, rows, dd, ww))
         self._band_targets = np.concatenate(targets)
         # Reused buffers: fresh arrays of this size cost more in page faults
@@ -806,39 +846,49 @@ def optimize(graph: FactorGraph, initial: Values,
     report.cost_trace.append(cost)
     for it in range(settings.max_iterations):
         g = J.T @ r
+        grad_inf = float(np.max(np.abs(g), initial=0.0))
         band = lin.normal_band(J)  # refills the band `solve` reads
         if it == 0:
             _check_gauge(band, lin.offsets)
             solve = _damped_solver(band)
         accepted = False
         while lam <= MAX_LAMBDA:
+            tried = {"iteration": it, "lam": lam, "outcome": None,
+                     "cost": None, "step_inf": None, "grad_inf": grad_inf}
+            report.tries.append(tried)
             try:
                 delta = solve(lam, -g)
             except np.linalg.LinAlgError:
+                tried["outcome"] = "failed_factorization"
                 lam *= LAMBDA_UP
                 continue
+            tried["step_inf"] = float(np.max(np.abs(delta), initial=0.0))
             candidate = _retract_all(states, layout.columns, delta)
             try:
                 J_cand, r_cand = lin(candidate)
             except manifold.NearSingularError:
                 # candidate stepped onto a singular chart; damp harder
+                tried["outcome"] = "singular_chart"
                 lam *= LAMBDA_UP
                 continue
-            new_cost = float(r_cand @ r_cand)
+            new_cost = tried["cost"] = float(r_cand @ r_cand)
             if np.isfinite(new_cost) and new_cost <= cost:
+                tried["outcome"] = "accepted"
                 states, J, r = candidate, J_cand, r_cand
                 prev_cost = cost
                 cost = new_cost
                 lam = max(lam / LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
+            tried["outcome"] = "cost_increase"
             lam *= LAMBDA_UP
         report.iterations = it + 1
         if not accepted:
             break
         report.cost_trace.append(cost)
         rel_drop = (prev_cost - cost) / max(prev_cost, 1e-300)
-        if rel_drop < settings.rel_cost_tol or np.max(np.abs(delta)) < settings.dx_tol:
+        if (rel_drop < settings.rel_cost_tol
+                or tried["step_inf"] < settings.dx_tol):
             report.converged = True
             break
 

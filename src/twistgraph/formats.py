@@ -18,21 +18,46 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
 from .tracking import (
-    ConfigError, MeasurementRecord, ModePolicy, TrackingConfig,
-    TrajectoryEstimate)
+    KINDS, USBL, ConfigError, MeasurementRecord, MeasurementStream,
+    ModePolicy, TrackingConfig, TrajectoryEstimate)
 from .factors import NoiseSigmas
 from .fgraph import SolverSettings
+
+
+def _pose_columns(poses: list[Pose3]) -> np.ndarray:
+    """(n, 7) `tx,ty,tz,qw,qx,qy,qz` of each pose, converting all rotations
+    in one call."""
+    out = np.empty((len(poses), 7))
+    if len(poses):
+        out[:, :3] = [T.translation for T in poses]
+        q = ScipyRotation.from_matrix(  # x, y, z, w
+            np.stack([T.rotation.matrix for T in poses])).as_quat()
+        out[:, 3], out[:, 4:] = q[:, 3], q[:, :3]
+    return out
+
+
+def _formatted(a: np.ndarray, spec: str) -> list[list[str]]:
+    """Each column of the 2-D array `a` as text, `spec` per value."""
+    return [list(map(spec.format, col)) for col in a.T.tolist()]
 
 
 def poses_to_fields(poses: list[Pose3]) -> list[list[str]]:
     """`tx,ty,tz,qw,qx,qy,qz` fields of each pose, converting all rotations
     in one call."""
-    if len(poses) == 0:
-        return []
-    quats = ScipyRotation.from_matrix(
-        np.stack([T.rotation.matrix for T in poses])).as_quat()  # x, y, z, w
-    return [[f"{v:.12g}" for v in (*T.translation, q[3], q[0], q[1], q[2])]
-            for T, q in zip(poses, quats)]
+    return [list(row) for row in zip(*_formatted(_pose_columns(poses),
+                                                 "{:.12g}"))]
+
+
+def _rotation_matrices(a: np.ndarray) -> np.ndarray:
+    """The rotations of rows `tx,ty,tz,qw,qx,qy,qz` of `a`, converted in one
+    call; each quaternion is normalized."""
+    if len(a) == 0:
+        return np.empty((0, 3, 3))
+    # x, y, z, w; contiguous, so that each row's dot product runs through the
+    # same BLAS dot as np.linalg.norm and rounds as a per-row norm does
+    q = np.ascontiguousarray(a[:, [4, 5, 6, 3]])
+    q /= np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
+    return ScipyRotation.from_quat(q).as_matrix()
 
 
 def poses_from_fields(rows) -> list[Pose3]:
@@ -41,12 +66,8 @@ def poses_from_fields(rows) -> list[Pose3]:
     if len(rows) == 0:
         return []
     a = np.array(rows, dtype=float)[:, :7]
-    # x, y, z, w; contiguous, so that each row's dot product runs through the
-    # same BLAS dot as np.linalg.norm and rounds as a per-row norm does
-    q = np.ascontiguousarray(a[:, [4, 5, 6, 3]])
-    q /= np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
-    mats = ScipyRotation.from_quat(q).as_matrix()
-    return [Pose3(Rotation3(R), t) for R, t in zip(mats, a[:, :3])]
+    return [Pose3(Rotation3(R), t)
+            for R, t in zip(_rotation_matrices(a), a[:, :3])]
 
 
 POSE_COLS = ["tx", "ty", "tz", "qw", "qx", "qy", "qz"]
@@ -200,22 +221,29 @@ def write_measurements(path, records: list[MeasurementRecord]) -> int:
     return len(records)
 
 
-def read_measurements(path) -> list[MeasurementRecord]:
-    """Measurement records; a malformed row is a ConfigError naming its line."""
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def read_measurements(path) -> MeasurementStream:
+    """The measurement stream, as columns; a malformed row is a ConfigError
+    naming its line."""
     rows = _data_rows(path)
     times = _timestamps(rows, path)
-    kinds = _labels(rows, ("USBL", "ODOM", "OPTICAL"), path,
-                    "measurement kind")
-    usbl_rows = np.array([k == "USBL" for k in kinds], dtype=bool)
+    labels = _labels(rows, KINDS, path, "measurement kind")
+    kinds = np.fromiter(map(_KIND_CODES.__getitem__, labels), np.int8,
+                        len(labels))
+    usbl_rows = kinds == USBL
     usbl = _numbers(rows, 2, 5, 5, path, usbl_rows)
     pose_fields = _numbers(rows, 2, 9, 9, path, ~usbl_rows)
     _check_rows(usbl, path, usbl_rows)
     _check_rows(pose_fields, path, ~usbl_rows, quaternions=True)
-    poses, offsets = iter(poses_from_fields(pose_fields)), iter(usbl)
-    return [MeasurementRecord(
-                timestamp=t, kind=kind,
-                payload=next(offsets) if kind == "USBL" else next(poses))
-            for t, kind in zip(times.tolist(), kinds)]
+    vectors = np.empty((len(rows), 3))
+    vectors[usbl_rows] = usbl
+    vectors[~usbl_rows] = pose_fields[:, :3]
+    rotations = np.zeros((len(rows), 3, 3))
+    rotations[~usbl_rows] = _rotation_matrices(pose_fields)
+    return MeasurementStream(times=times, kinds=kinds, vectors=vectors,
+                             rotations=rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +251,42 @@ def read_measurements(path) -> list[MeasurementRecord]:
 
 
 def write_estimate(path, estimate: TrajectoryEstimate) -> int:
-    chaser = poses_to_fields(estimate.chaser_poses)
-    target = iter(poses_to_fields(
-        [S for S in estimate.target_states if isinstance(S, Pose3)]))
+    """One row per keyframe, formatted column by column."""
+    kfs, states = estimate.keyframes, estimate.target_states
+    se3 = np.array([isinstance(S, Pose3) for S in states], dtype=bool)
+    # the chaser poses, then the SE(3) targets, in one rotation conversion
+    poses = _pose_columns(list(estimate.chaser_poses)
+                          + list(itertools.compress(states, se3)))
+    # target position, then the quaternion of each SE(3) state; an R^3
+    # state's orientation columns stay empty
+    target = np.empty((len(kfs), 7))
+    target[:, :3] = np.reshape([S.translation if pose else S.coords
+                                for S, pose in zip(states, se3)], (-1, 3))
+    target[se3, 3:] = poses[len(kfs):, 3:]
+    target_text = _formatted(target, "{:.12g}")
+    for col in target_text[3:]:
+        col[:] = [v if pose else "" for v, pose in zip(col, se3.tolist())]
+    angles = estimate.rel_angles
+    angle_text, = _formatted(angles.reshape(-1, 1), "{:.12g}")
+    columns = (
+        _formatted(np.array([kf.timestamp for kf in kfs]).reshape(-1, 1),
+                   "{:.9g}")
+        + [[kf.trigger for kf in kfs], [kf.group for kf in kfs]]
+        + _formatted(poses[:len(kfs)], "{:.12g}")
+        + target_text
+        + _formatted(estimate.rel_positions.reshape(-1, 3), "{:.12g}")
+        + [[v if ok else "" for v, ok in zip(
+            angle_text, np.isfinite(angles).tolist())]])
+    header = (["timestamp", "trigger", "group"]
+              + ["chaser_" + c for c in POSE_COLS]
+              + ["target_" + c for c in POSE_COLS]
+              + ["rel_x", "rel_y", "rel_z", "rel_angle"])
+    # no field holds a comma, quote or line break, so none is quoted, and
+    # lines end as csv.writer ends them
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "trigger", "group"]
-                   + ["chaser_" + c for c in POSE_COLS]
-                   + ["target_" + c for c in POSE_COLS]
-                   + ["rel_x", "rel_y", "rel_z", "rel_angle"])
-        for i, kf in enumerate(estimate.keyframes):
-            S = estimate.target_states[i]
-            if isinstance(S, Pose3):
-                tgt = next(target)
-            else:  # R^3 state: orientation columns stay empty
-                tgt = [f"{v:.12g}" for v in S.coords] + [""] * 4
-            ang = estimate.rel_angles[i]
-            w.writerow(
-                [f"{kf.timestamp:.9g}", kf.trigger, kf.group]
-                + chaser[i] + tgt
-                + [f"{v:.12g}" for v in estimate.rel_positions[i]]
-                + [f"{ang:.12g}" if np.isfinite(ang) else ""])
-    return len(estimate.keyframes)
+        fh.write("".join(",".join(row) + "\r\n"
+                         for row in [header, *zip(*columns)]))
+    return len(kfs)
 
 
 @dataclass

@@ -8,6 +8,7 @@ smooths it, and computes error metrics against ground truth.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,72 @@ class MeasurementRecord:
     timestamp: float
     kind: str  # ODOM | USBL | OPTICAL
     payload: object  # Pose3 for ODOM/OPTICAL, 3-vector for USBL
+
+
+# the measurement kinds, indexed by MeasurementStream's kind codes
+KINDS = ("ODOM", "USBL", "OPTICAL")
+ODOM, USBL = KINDS.index("ODOM"), KINDS.index("USBL")
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementStream(Sequence):
+    """A measurement stream as columns, one row per record in stream order.
+
+    `kinds` holds each row's index into KINDS, `vectors` its USBL offset or
+    pose translation, and `rotations` its pose rotation (zero on USBL rows).
+    As a sequence it yields MeasurementRecords: those it was stacked from
+    (`of`), or new ones made on demand from the columns.
+    """
+
+    times: np.ndarray  # (n,)
+    kinds: np.ndarray  # (n,) int8
+    vectors: np.ndarray  # (n, 3)
+    rotations: np.ndarray  # (n, 3, 3)
+    records: tuple[MeasurementRecord, ...] | None = None
+
+    @classmethod
+    def of(cls, measurements) -> "MeasurementStream":
+        """The stream itself, or the columns of a sequence of records."""
+        if isinstance(measurements, cls):
+            return measurements
+        records = tuple(measurements)
+        unknown = {rec.kind for rec in records} - set(KINDS)
+        if unknown:
+            raise ValueError(f"unknown measurement kind {min(unknown)!r}")
+        kinds = np.array([KINDS.index(rec.kind) for rec in records], np.int8)
+        pose = kinds != USBL
+        rotations = np.zeros((len(records), 3, 3))
+        rotations[pose] = np.reshape(
+            [rec.payload.rotation.matrix
+             for rec, p in zip(records, pose) if p], (-1, 3, 3))
+        return cls(
+            times=np.array([rec.timestamp for rec in records], dtype=float),
+            kinds=kinds,
+            vectors=np.array([rec.payload.translation if p else rec.payload
+                              for rec, p in zip(records, pose)],
+                             dtype=float).reshape(-1, 3),
+            rotations=rotations, records=records)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self.records is not None:
+            return self.records[i]
+        i = range(len(self))[i]  # negative indices; IndexError past the end
+        if self.kinds[i] == USBL:
+            return MeasurementRecord(timestamp=float(self.times[i]),
+                                     kind="USBL", payload=self.vectors[i])
+        return MeasurementRecord(
+            timestamp=float(self.times[i]), kind=KINDS[self.kinds[i]],
+            payload=Pose3(Rotation3(self.rotations[i]), self.vectors[i]))
+
+    def __iter__(self):
+        if self.records is not None:
+            return iter(self.records)
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass
@@ -114,37 +181,44 @@ class TrajectoryEstimate:
     report: SolveReport
 
 
-def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
-                       policy: ModePolicy | None = None,
+def schedule_keyframes(measurements: Sequence[MeasurementRecord],
+                       gate: float = 1.0, policy: ModePolicy | None = None,
                        until: float | None = None) -> list[Keyframe]:
     """One keyframe per relative measurement plus time-gated fillers.
 
-    A gated keyframe is inserted every `gate` seconds inside any measurement
-    gap longer than the gate (and out to `until`, when given). Each keyframe
-    carries its relative-measurement records and the odometry composed since
-    the previous keyframe; this is the only pass over the stream. Relative
-    records within 1e-9 s of a keyframe's first record share that keyframe.
+    `measurements` is a MeasurementStream, or records that are stacked into
+    one. A gated keyframe is inserted every `gate` seconds inside any
+    measurement gap longer than the gate (and out to `until`, when given).
+    Each keyframe carries its relative-measurement records and the odometry
+    composed since the previous keyframe; both come from the stream's
+    columns. Relative records within 1e-9 s of a keyframe's first record
+    share that keyframe.
     """
     policy = policy or ModePolicy()
+    stream = MeasurementStream.of(measurements)
 
     # The tolerance is measured from the latest time seen, so that small
     # steps back cannot add up. A relative record within the tolerance of
     # the current event's first record joins that event; each later event
     # starts past it, so the events come out in time order.
-    stamps = np.array([rec.timestamp for rec in measurements])
+    stamps = stream.times
     latest = np.maximum.accumulate(stamps)
     back = np.flatnonzero(stamps[1:] < latest[:-1] - 1e-9)
     if back.size:
         i = int(back[0]) + 1
-        raise StreamOrderError(f"measurement at t={measurements[i].timestamp} "
+        raise StreamOrderError(f"measurement at t={stream[i].timestamp} "
                                f"arrived after t={float(latest[i - 1])}")
-    events: list[tuple[float, list[MeasurementRecord] | None]] = []
-    for rec in measurements:
-        if rec.kind in ("USBL", "OPTICAL"):
-            if events and abs(rec.timestamp - events[-1][0]) <= 1e-9:
-                events[-1][1].append(rec)
-            else:
-                events.append((rec.timestamp, [rec]))
+    relative = np.flatnonzero(stream.kinds != ODOM).tolist()
+    rel_times = stamps[relative].tolist()
+    first, t0 = [], math.nan  # where each event starts in `relative`
+    for j, t in enumerate(rel_times):
+        if not abs(t - t0) <= 1e-9:
+            first.append(j)
+            t0 = t
+    # (time, rows of its records, or None for the terminal gate)
+    events: list[tuple[float, list[int] | None]] = [
+        (rel_times[a], relative[a:b])
+        for a, b in zip(first, first[1:] + [len(relative)])]
 
     if not events:
         raise NeedsPriorError("stream contains no relative measurements")
@@ -160,24 +234,25 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
                           f"more than {_MAX_KEYFRAMES}")
 
     # (time, records, trigger) with gate fillers interleaved
-    slots: list[tuple[float, list[MeasurementRecord], str]] = []
+    slots: list[tuple[float, tuple[MeasurementRecord, ...], str]] = []
     prev = None
-    for t, recs in events:
+    for t, rows in events:
         if prev is not None:
             g = prev + gate
             while t - g > 1e-9:
-                slots.append((g, [], "TIME_GATE"))
+                slots.append((g, (), "TIME_GATE"))
                 g += gate
-        if recs is not None:
-            slots.append((t, recs, "MEASUREMENT"))
+        if rows is not None:
+            slots.append((t, tuple(map(stream.__getitem__, rows)),
+                          "MEASUREMENT"))
         elif abs(slots[-1][0] - t) > 1e-9:
-            slots.append((t, [], "TIME_GATE"))  # terminal gate at `until`
+            slots.append((t, (), "TIME_GATE"))  # terminal gate at `until`
         prev = t
 
     # the odometry of every interval at once: into the first keyframe from
     # t = 0, then between consecutive keyframes
     times = [t for t, _, _ in slots]
-    R, trans, n_eff = _OdometrySpline(measurements).intervals(
+    R, trans, n_eff = _OdometrySpline(stream).intervals(
         [0.0] + times[:-1], times)
     keyframes: list[Keyframe] = []
     next_id = 0
@@ -201,7 +276,7 @@ def schedule_keyframes(measurements: list[MeasurementRecord], gate: float = 1.0,
             odometry = None  # no record covers a gap at the start
         keyframes.append(Keyframe(timestamp=t, chaser_key=ck, target_key=tk,
                                   trigger=trigger, meas_kinds=kinds,
-                                  records=tuple(recs), odometry=odometry))
+                                  records=recs, odometry=odometry))
     return keyframes
 
 
@@ -217,29 +292,33 @@ class _OdometrySpline:
     constant-twist motion.
     """
 
-    def __init__(self, measurements: list[MeasurementRecord]):
-        recs = [r for r in measurements if r.kind == "ODOM"]
-        ends = [r.timestamp for r in recs]
-        poses = [r.payload for r in recs]
+    def __init__(self, measurements: Sequence[MeasurementRecord]):
+        stream = MeasurementStream.of(measurements)
+        odom = stream.kinds == ODOM
+        ends = stream.times[odom]
+        R, t = stream.rotations[odom], stream.vectors[odom]
         starts = ends[:-1]
-        if recs:
+        if len(ends):
             # backfill the first record's span from the observed cadence
             dt = ends[1] - ends[0] if len(ends) > 1 else max(ends[0], 1e-3)
             start = max(0.0, ends[0] - dt)
             if ends[0] - start > 1e-12:
-                starts.insert(0, start)
+                starts = np.concatenate(([start], starts))
             else:
-                ends, poses = ends[1:], poses[1:]
-        # (start, end, relative pose) per record
-        self.segments = list(zip(starts, ends, poses))
-        self._starts, self._ends = np.array(starts), np.array(ends)
-        self._R = np.array([T.rotation.matrix for T in poses]).reshape(-1, 3, 3)
-        self._t = np.array([T.translation for T in poses]).reshape(-1, 3)
+                ends, R, t = ends[1:], R[1:], t[1:]
+        # start, end and relative pose (R, t) per record
+        self._starts, self._ends, self._R, self._t = starts, ends, R, t
         # Running max of segment ends and running min (from the back) of
         # segment starts: both are sorted even if the timestamps are not, so
         # searching them bounds the segments that can overlap an interval.
         self._reach = np.maximum.accumulate(self._ends)
         self._floor = np.minimum.accumulate(self._starts[::-1])[::-1]
+
+    @property
+    def segments(self) -> list[tuple[float, float, Pose3]]:
+        """(start, end, relative pose) per record."""
+        return [(a, b, Pose3(Rotation3(R), t)) for a, b, R, t in zip(
+            self._starts.tolist(), self._ends.tolist(), self._R, self._t)]
 
     def intervals(self, ta, tb) -> tuple[np.ndarray, np.ndarray, list[float]]:
         """Relative poses (R, t) over each interval (ta[i], tb[i]] and their
@@ -630,13 +709,13 @@ def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorRepo
     return ErrorReport(pos_errors=pos_err, ang_errors=ang_err, groups=groups)
 
 
-def measurement_baselines(measurements: list[MeasurementRecord], truth,
+def measurement_baselines(measurements: Sequence[MeasurementRecord], truth,
                           tol: float = 0.05) -> dict[str, GroupStats]:
     """Raw-measurement error baselines (USBL offsets, optical translations)."""
     rows: dict[str, tuple[list, list]] = {"USBL": ([], []), "OPTICAL": ([], [])}
-    for rec in measurements:
-        if rec.kind not in rows:
-            continue
+    stream = MeasurementStream.of(measurements)
+    for rec in map(stream.__getitem__,
+                   np.flatnonzero(stream.kinds != ODOM).tolist()):
         true = _true_relative(truth, rec.timestamp, tol)
         if true is None:
             continue

@@ -26,6 +26,13 @@ def matrix_exp_series(A: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def assert_identical(a, b):
+    """Same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

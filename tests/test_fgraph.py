@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from twistgraph import fgraph
@@ -40,7 +42,7 @@ from twistgraph.factors import (
     usbl_factor,
 )
 
-from conftest import random_pose
+from conftest import assert_identical, random_pose
 
 
 def r3_key(i, t=None):
@@ -694,6 +696,67 @@ class TestDampedSolve:
         x = np.concatenate([solution.get(k).coords for k in keys])
         np.testing.assert_allclose(x, x_ref, atol=1e-8)
 
+    def test_tries_record_every_damped_solve(self, rng):
+        graph, values = criterion_9_graph()
+        _, report = optimize(graph, values)
+        tries = report.tries
+        accepted = [t for t in tries if t["outcome"] == "accepted"]
+        assert len(accepted) == len(report.cost_trace) - 1
+        assert [t["cost"] for t in accepted] == report.cost_trace[1:]
+        assert [t["iteration"] for t in tries] == sorted(
+            t["iteration"] for t in tries)
+        assert {t["iteration"] for t in tries} == set(range(report.iterations))
+        for t in tries:
+            assert set(t) == {"iteration", "lam", "outcome", "cost",
+                              "step_inf", "grad_inf"}
+            assert t["outcome"] in ("accepted", "cost_increase")
+            assert t["step_inf"] > 0.0 and t["grad_inf"] > 0.0
+
+    def test_failed_factorization_try_is_recorded(self, rng, monkeypatch):
+        calls = []
+        solveh_banded = fgraph.solveh_banded
+
+        def first_try_fails(ab, b, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return solveh_banded(ab, b, **kwargs)
+
+        monkeypatch.setattr(fgraph, "solveh_banded", first_try_fails)
+        graph, values, _, _ = linear_chain(rng, static=False)
+        settings = SolverSettings()
+        _, report = optimize(graph, values, settings)
+        first, second = report.tries[:2]
+        assert first == {"iteration": 0, "lam": settings.init_lambda,
+                         "outcome": "failed_factorization", "cost": None,
+                         "step_inf": None, "grad_inf": first["grad_inf"]}
+        assert second["lam"] == settings.init_lambda * fgraph.LAMBDA_UP
+        assert second["grad_inf"] == first["grad_inf"]
+
+    def test_singular_chart_try_is_recorded(self, rng, monkeypatch):
+        """A candidate whose linearization raises NearSingularError is
+        recorded with its step and no cost, and the next try damps
+        harder."""
+        calls = []
+        call = Linearizer.__call__
+
+        def first_candidate_singular(self, values):
+            calls.append(None)
+            if len(calls) == 2:  # the initial linearization is the first
+                raise M.NearSingularError("injected")
+            return call(self, values)
+
+        monkeypatch.setattr(Linearizer, "__call__", first_candidate_singular)
+        graph, values, _, _ = linear_chain(rng, static=False)
+        settings = SolverSettings()
+        _, report = optimize(graph, values, settings)
+        assert report.converged
+        first, second = report.tries[:2]
+        assert first["outcome"] == "singular_chart"
+        assert first["cost"] is None and first["step_inf"] > 0.0
+        assert second["lam"] == first["lam"] * fgraph.LAMBDA_UP
+        assert second["iteration"] == 0 and second["outcome"] == "accepted"
+
     @pytest.mark.parametrize("static", [False, True])
     def test_path_follows_pattern(self, rng, monkeypatch, static):
         """A static variable (timestamp 0) tied to every keyframe makes the
@@ -842,13 +905,6 @@ def scalar_graph(graph):
     return plain
 
 
-def assert_identical(a, b):
-    """Same dtype, shape and bytes."""
-    a, b = np.asarray(a), np.asarray(b)
-    assert (a.dtype, a.shape) == (b.dtype, b.shape)
-    assert a.tobytes() == b.tobytes()
-
-
 def structure_graphs(rng):
     """The mixed graphs (one has a custom factor binding a key twice), the
     wide static chain, criterion 9's graph, a one-factor graph and the
@@ -923,6 +979,88 @@ class TestKeyOrder:
             np.testing.assert_allclose((J.T @ J).toarray(),
                                        (J_ref.T @ J_ref).toarray(),
                                        rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def key_order_cases(draw):
+    """Linear factors over R^1..R^3 variables whose keys come in any order,
+    some bound more than once, with residual dims that put factors of
+    different key orders into one (d, w) group."""
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=6))
+    keys = [VariableKey(i, M.rn(dd), float(draw(st.integers(0, 3))))
+            for i, dd in enumerate(dims)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    graph = FactorGraph()
+    for _ in range(draw(st.integers(1, 12))):
+        ks = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4))
+        d = draw(st.sampled_from([1, 2, 3]))
+        graph.add(linear_factor(
+            ks, [rng.normal(size=(d, k.kind.dim)) for k in ks],
+            rng.normal(size=d), np.eye(d)))
+    values = Values({k: M.EuclidPoint(rng.normal(size=k.kind.dim))
+                     for k in keys})
+    return graph, values
+
+
+def grid_layout(graph, J):
+    """(pick, rows) of each (d, w) group, from the grid of every column
+    pair of each factor, read off J's rows: one pattern when all the
+    group's grids agree, else one list over the group."""
+    groups, row0 = {}, 0
+    for f in graph.factors:
+        cols = J.indices[J.indptr[row0]:J.indptr[row0 + 1]]
+        if len(cols):
+            groups.setdefault((f.dim, len(cols)), []).append(cols)
+        row0 += f.dim
+    out = []
+    for cols in (np.array(c) for _, c in sorted(groups.items())):
+        lower = (cols[:, :, None] >= cols[:, None, :]).reshape(len(cols), -1)
+        out.append((np.flatnonzero(lower[0]), len(cols))
+                   if (lower == lower[0]).all()
+                   else (np.flatnonzero(lower), 1))
+    return out
+
+
+def assert_grid_layout(graph, values):
+    """The Linearizer's band layout equals the grid's, and its band the
+    reference's, bit for bit."""
+    lin = Linearizer(graph)
+    J, _ = lin(values)
+    assert_identical(lin.normal_band(J),
+                     ReferenceLinearizer(graph).normal_band(J))
+    grid = grid_layout(graph, J)
+    assert len(grid) == len(lin._band_groups)
+    for (pick, rows), (_, got, got_rows, *_) in zip(grid, lin._band_groups):
+        assert_identical(got, pick)
+        assert got_rows == rows
+    return lin
+
+
+class TestBandLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(key_order_cases())
+    def test_layout_matches_grid_for_any_key_order(self, case):
+        """The band layout, read off each factor's key slots, picks what
+        the grid of every column pair picks, shared by a group exactly when
+        the grid's patterns agree, and sums J's blocks into the same bins,
+        in the same order, as the reference."""
+        assert_grid_layout(*case)
+
+    def test_key_bound_twice_counts_once(self, rng):
+        """(a, a, b) over R^2, R^2, R^1 and (g, x, g, x, h) over R^1 order
+        their five columns alike, so they share one pattern, as their
+        grids do."""
+        a, b = VariableKey(0, M.rn(2), 0.0), VariableKey(1, M.rn(1), 1.0)
+        g, x, h = (VariableKey(i, M.rn(1), float(i)) for i in (2, 3, 4))
+        graph = FactorGraph()
+        for ks in ([a, a, b], [g, x, g, x, h]):
+            graph.add(linear_factor(
+                ks, [rng.normal(size=(2, k.kind.dim)) for k in ks],
+                rng.normal(size=2), np.eye(2)))
+        values = Values({k: M.EuclidPoint(rng.normal(size=k.kind.dim))
+                         for k in (a, b, g, x, h)})
+        lin = assert_grid_layout(graph, values)
+        assert [rows for _, _, rows, *_ in lin._band_groups] == [2]
 
 
 class TestBandNativeSolve:

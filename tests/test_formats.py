@@ -1,6 +1,7 @@
 """File formats: pose serialization, record files, and run configuration."""
 
 import csv
+import gc
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -37,6 +38,7 @@ from twistgraph.simkit import (
 )
 from twistgraph.tracking import (
     MeasurementRecord,
+    MeasurementStream,
     ModePolicy,
     TrackingConfig,
     TrajectoryEstimate,
@@ -47,7 +49,7 @@ from twistgraph.tracking import (
     smooth,
 )
 
-from conftest import random_pose
+from conftest import assert_identical, random_pose
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -224,7 +226,7 @@ class TestBatchedRecordFiles:
     def test_header_only_files(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n")
-        assert read_measurements(path) == []
+        assert list(read_measurements(path)) == []
         assert read_estimate(path) == []
         truth = read_truth(path)
         assert truth.times.size == 0 and truth.chaser == [] == truth.target
@@ -261,6 +263,16 @@ class TestBatchedRecordFiles:
         for got, row in zip(read_estimate(path), rows):
             assert got.target_pose is None and np.isnan(got.rel_angle)
             assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
+
+    def test_empty_estimate_writes_its_header(self, tmp_path):
+        est = TrajectoryEstimate(
+            keyframes=[], chaser_poses=[], target_states=[],
+            rel_positions=np.empty((0, 3)), rel_angles=np.empty(0),
+            report=SolveReport())
+        path = tmp_path / "est.csv"
+        assert write_estimate(path, est) == 0
+        assert path.read_bytes().count(b"\r\n") == 1
+        assert read_estimate(path) == []
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_estimate_writer_and_reader_match_scalar(self, tmp_path, mode):
@@ -498,6 +510,50 @@ class TestBulkReader:
             else:
                 assert_same_pose(rec.payload, scalar_pose_from_fields(row[2:9]))
 
+    def test_stream_keeps_few_collector_objects(self, tmp_path, full_run):
+        """The stream is columns: reading 3461 rows leaves a fixed handful
+        of objects the cyclic collector tracks, not a few per row."""
+        path = tmp_path / "meas.csv"
+        path.write_text(full_run["meas"])
+        read_measurements(path)  # first-call caches fill here
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            stream = read_measurements(path)
+            kept = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert isinstance(stream, MeasurementStream) and len(stream) == 3461
+        assert kept <= 4
+
+    def test_stream_is_a_record_sequence(self, tmp_path, full_run):
+        path = tmp_path / "meas.csv"
+        path.write_text(full_run["meas"])
+        stream = read_measurements(path)
+        records = list(stream)
+        assert len(records) == len(stream) == 3461
+        assert {r.kind for r in records} == {"ODOM", "USBL", "OPTICAL"}
+        for i in (0, 1, 1000, -1, -len(stream)):
+            a, b = stream[i], records[i]
+            assert (a.timestamp, a.kind) == (b.timestamp, b.kind)
+            if a.kind == "USBL":
+                assert_identical(a.payload, b.payload)
+            else:
+                assert_same_pose(a.payload, b.payload)
+        assert [r.timestamp for r in stream[5:9]] == \
+            [r.timestamp for r in records[5:9]]
+        for i in (len(stream), -len(stream) - 1):
+            with pytest.raises(IndexError):
+                stream[i]
+        # stacked from records, the stream hands back the caller's objects
+        again = MeasurementStream.of(records)
+        assert MeasurementStream.of(again) is again
+        assert all(a is b for a, b in zip(again, records))
+        assert again[-1] is records[-1]
+        for name in ("times", "kinds", "vectors", "rotations"):
+            assert_identical(getattr(again, name), getattr(stream, name))
+
     def test_truth_and_estimate_match_per_row_reader(self, tmp_path,
                                                      full_run):
         path = tmp_path / "truth.csv"
@@ -530,7 +586,7 @@ class TestBulkReader:
         for text in ("", "timestamp,kind,tx,ty,tz,qw,qx,qy,qz\n"):
             path = tmp_path / "empty.csv"
             path.write_text(text)
-            assert read_measurements(path) == []
+            assert list(read_measurements(path)) == []
             assert read_estimate(path) == []
             assert read_truth(path).chaser == []
 

@@ -41,6 +41,8 @@ from twistgraph.tracking import (
     smooth,
 )
 
+from conftest import assert_identical
+
 
 def usbl(t, z=(5.0, 0.0, 0.0)):
     return MeasurementRecord(timestamp=t, kind="USBL", payload=np.asarray(z, float))
@@ -140,6 +142,13 @@ class TestScheduling:
         with pytest.raises(ConfigError, match="^gate = .* asks for"):
             schedule_keyframes([usbl(0.0), odom(2.5), usbl(5.0)], gate=gate)
 
+    def test_unknown_kind_rejected(self):
+        sonar = MeasurementRecord(timestamp=0.5, kind="SONAR",
+                                  payload=np.zeros(3))
+        with pytest.raises(ValueError,
+                           match="unknown measurement kind 'SONAR'"):
+            schedule_keyframes([usbl(0.0), sonar, usbl(1.0)])
+
     def test_no_relative_measurements_rejected(self):
         with pytest.raises(NeedsPriorError):
             schedule_keyframes([odom(0.1), odom(0.2)])
@@ -155,6 +164,87 @@ class TestScheduling:
         for kf in kfs:
             assert kf.chaser_key.timestamp == kf.timestamp
             assert kf.target_key.timestamp == kf.timestamp
+
+
+@pytest.fixture(scope="module")
+def streams(tmp_path_factory):
+    """The CLI's seed-1 stream, and the seed-1 stream with a measurement gap
+    at the start (`gaps = 0:30; 150:170`), as files."""
+    d = tmp_path_factory.mktemp("streams")
+    (d / "gap.cfg").write_text("gaps = 0:30; 150:170\n")
+    out = {}
+    for name, config in (("default", []), ("gap", ["--config",
+                                                    str(d / "gap.cfg")])):
+        out[name] = d / f"meas_{name}.csv"
+        assert cli.main(["simulate", *config, "--seed", "1", "--out-truth",
+                         str(d / f"truth_{name}.csv"),
+                         "--out-meas", str(out[name])]) == 0
+    return out
+
+
+def assert_same_keyframes(kfs, ref):
+    """Times, triggers, kinds, keys, odometry and record payloads, bit for
+    bit."""
+    assert len(kfs) == len(ref)
+    for a, b in zip(kfs, ref):
+        assert (a.timestamp, a.trigger, a.meas_kinds) == \
+            (b.timestamp, b.trigger, b.meas_kinds)
+        assert (a.chaser_key, a.target_key) == (b.chaser_key, b.target_key)
+        assert (a.odometry is None) == (b.odometry is None)
+        if a.odometry is not None:
+            (Ta, na), (Tb, nb) = a.odometry, b.odometry
+            assert_identical(Ta.rotation.matrix, Tb.rotation.matrix)
+            assert_identical(Ta.translation, Tb.translation)
+            assert na == nb
+        assert [r.kind for r in a.records] == [r.kind for r in b.records]
+        assert [r.timestamp for r in a.records] == \
+            [r.timestamp for r in b.records]
+        for ra, rb in zip(a.records, b.records):
+            if ra.kind == "USBL":
+                assert_identical(ra.payload, rb.payload)
+            else:
+                assert_identical(ra.payload.rotation.matrix,
+                                 rb.payload.rotation.matrix)
+                assert_identical(ra.payload.translation,
+                                 rb.payload.translation)
+
+
+class TestStreamScheduling:
+    """schedule_keyframes on the reader's column stream and on the same
+    stream as a list of records."""
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    @pytest.mark.parametrize("name", ["default", "gap"])
+    def test_stream_and_records_schedule_alike(self, streams, name, mode):
+        cfg = formats.parse_config([], overrides={"mode": mode})
+        stream = formats.read_measurements(streams[name])
+        kfs = schedule_keyframes(stream, gate=cfg.gate, policy=cfg)
+        records = list(stream)
+        ref = schedule_keyframes(records, gate=cfg.gate, policy=cfg)
+        assert_same_keyframes(kfs, ref)
+        # from records, a keyframe holds the caller's own objects
+        held = {id(r) for kf in ref for r in kf.records}
+        assert held <= {id(r) for r in records}
+        assert sum(len(kf.records) for kf in kfs) == sum(
+            r.kind != "ODOM" for r in records)
+
+    def test_repeated_usbl_rows_share_its_keyframe(self, streams, tmp_path):
+        """A USBL row repeated at its own time and 1e-10 s later joins the
+        original's keyframe."""
+        lines = streams["default"].read_text().splitlines(keepends=True)
+        # past the first optical window and the gaps around it
+        i = next(i for i, line in enumerate(lines) if ",USBL," in line
+                 and float(line.split(",")[0]) > 140.0)
+        t, rest = lines[i].split(",", 1)
+        lines[i + 1:i + 1] = [lines[i], f"{float(t) + 1e-10!r},{rest}"]
+        path = tmp_path / "meas.csv"
+        path.write_text("".join(lines))
+        kfs = schedule_keyframes(formats.read_measurements(path))
+        ref = schedule_keyframes(formats.read_measurements(streams["default"]))
+        assert [kf.timestamp for kf in kfs] == [kf.timestamp for kf in ref]
+        (kf,) = [kf for kf in kfs if kf.timestamp == float(t)]
+        assert [r.timestamp for r in kf.records] == [float(t)] * 2 + [
+            float(t) + 1e-10]
 
 
 class TestExtrapolate:
@@ -686,12 +776,6 @@ class TestBuildGraph:
                 assert np.isnan(est.rel_angles[i])
             else:
                 assert np.isfinite(est.rel_angles[i])
-
-
-def assert_identical(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert (a.dtype, a.shape) == (b.dtype, b.shape)
-    assert a.tobytes() == b.tobytes()
 
 
 class TestFactorTables:
