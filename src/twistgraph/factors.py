@@ -262,12 +262,15 @@ def _ct(ops, params, prev, curr, nxt):
     to (alpha I, -(1 + alpha) I, I).
     """
     delta1, delta2, E2, eps = _ct_steps(ops, params, prev, curr, nxt)
-    neg_jl_inv_eps = -ops.jl_inv(eps)
-    common = ops.scale(params[0], neg_jl_inv_eps @ ops.jr(delta2))
-    J_prev = common @ (-ops.jl_inv(delta1))
-    J_curr = common @ ops.jr_inv(delta1) \
-        + neg_jl_inv_eps @ ops.adjoint_inv(E2)
-    J_next = ops.jr_inv(eps)
+    # jl_inv is J_l^-1(eps) and then J_l^-1(delta1), so a batch frees each
+    # stack of blocks once it is used: holding J_next from the start costs
+    # about one stack of peak memory
+    jl_inv, J_next = ops.jl_jr_inv(eps)
+    common = ops.scale(params[0], -(jl_inv @ ops.jr(delta2)))
+    via_E2 = jl_inv @ ops.adjoint_inv(E2)
+    jl_inv, jr_inv = ops.jl_jr_inv(delta1)
+    J_prev = -(common @ jl_inv)
+    J_curr = common @ jr_inv - via_E2
     return eps, (J_prev, J_curr, J_next)
 
 

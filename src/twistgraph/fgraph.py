@@ -34,17 +34,20 @@ class UnderconstrainedGraphError(RuntimeError):
         self.suspect_keys = list(suspect_keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VariableKey:
     id: int
     kind: ManifoldKind
     timestamp: float = 0.0
 
-    def __post_init__(self):
-        # Hashed once: the solver indexes dicts and sets by key thousands of
-        # times, and the generated hash would hash the kind dataclass anew.
-        object.__setattr__(self, "_hash",
-                           hash((self.id, self.kind, self.timestamp)))
+    def __init__(self, id: int, kind: ManifoldKind, timestamp: float = 0.0):
+        # One store, where a frozen dataclass's __init__ makes a setattr
+        # call per field. Hashed once: the solver indexes dicts and sets by
+        # key thousands of times. The hash leaves out the kind, whose
+        # dataclass hash is a Python call; equal keys still hash equal.
+        object.__setattr__(self, "__dict__", {
+            "id": id, "kind": kind, "timestamp": timestamp,
+            "_hash": hash((id, timestamp))})
 
     def __hash__(self):
         return self._hash

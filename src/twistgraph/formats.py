@@ -18,10 +18,16 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
 from .tracking import (
-    KINDS, USBL, ConfigError, MeasurementRecord, MeasurementStream,
+    KINDS, USBL, ConfigError, MeasurementStream,
     ModePolicy, TrackingConfig, TrajectoryEstimate)
 from .factors import NoiseSigmas
 from .fgraph import SolverSettings
+
+
+def _quaternions(R: np.ndarray) -> np.ndarray:
+    """(n, 4) `qw,qx,qy,qz` of the (n, 3, 3) rotations R, in one call."""
+    q = ScipyRotation.from_matrix(R).as_quat()  # x, y, z, w
+    return q[:, [3, 0, 1, 2]]
 
 
 def _pose_columns(poses: list[Pose3]) -> np.ndarray:
@@ -30,15 +36,31 @@ def _pose_columns(poses: list[Pose3]) -> np.ndarray:
     out = np.empty((len(poses), 7))
     if len(poses):
         out[:, :3] = [T.translation for T in poses]
-        q = ScipyRotation.from_matrix(  # x, y, z, w
-            np.stack([T.rotation.matrix for T in poses])).as_quat()
-        out[:, 3], out[:, 4:] = q[:, 3], q[:, :3]
+        out[:, 3:] = _quaternions(np.stack([T.rotation.matrix for T in poses]))
     return out
 
 
 def _formatted(a: np.ndarray, spec: str) -> list[list[str]]:
     """Each column of the 2-D array `a` as text, `spec` per value."""
     return [list(map(spec.format, col)) for col in a.T.tolist()]
+
+
+def _pose_text(a: np.ndarray, rotated: np.ndarray) -> list[list[str]]:
+    """The columns of (n, 7) pose fields `a` as text, with the quaternion
+    fields left empty on the rows where `rotated` is false."""
+    text = _formatted(a, "{:.12g}")
+    keep = rotated.tolist()
+    for col in text[3:]:
+        col[:] = [v if k else "" for v, k in zip(col, keep)]
+    return text
+
+
+def _write_columns(path, header: list[str], columns: list[list[str]]) -> None:
+    """A record file of these text columns. No field holds a comma, quote or
+    line break, so none is quoted, and lines end as csv.writer ends them."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(",".join(row) + "\r\n"
+                         for row in [header, *zip(*columns)]))
 
 
 def poses_to_fields(poses: list[Pose3]) -> list[list[str]]:
@@ -206,19 +228,21 @@ def read_truth(path) -> GroundTruth:
 # Measurement files.
 
 
-def write_measurements(path, records: list[MeasurementRecord]) -> int:
-    poses = iter(poses_to_fields(
-        [rec.payload for rec in records if rec.kind != "USBL"]))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "kind"] + POSE_COLS)
-        for rec in records:
-            if rec.kind == "USBL":
-                payload = [f"{v:.12g}" for v in rec.payload] + [""] * 4
-            else:
-                payload = next(poses)
-            w.writerow([f"{rec.timestamp:.9g}", rec.kind] + payload)
-    return len(records)
+def write_measurements(path, records) -> int:
+    """One row per record, formatted column by column from the stream's
+    columns; a list of records is stacked once."""
+    stream = MeasurementStream.of(records)
+    rotated = stream.kinds != USBL
+    fields = np.zeros((len(stream), 7))
+    fields[:, :3] = stream.vectors
+    if rotated.any():
+        fields[rotated, 3:] = _quaternions(stream.rotations[rotated])
+    _write_columns(
+        path, ["timestamp", "kind"] + POSE_COLS,
+        _formatted(stream.times.reshape(-1, 1), "{:.9g}")
+        + [[KINDS[k] for k in stream.kinds.tolist()]]
+        + _pose_text(fields, rotated))
+    return len(stream)
 
 
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
@@ -263,9 +287,6 @@ def write_estimate(path, estimate: TrajectoryEstimate) -> int:
     target[:, :3] = np.reshape([S.translation if pose else S.coords
                                 for S, pose in zip(states, se3)], (-1, 3))
     target[se3, 3:] = poses[len(kfs):, 3:]
-    target_text = _formatted(target, "{:.12g}")
-    for col in target_text[3:]:
-        col[:] = [v if pose else "" for v, pose in zip(col, se3.tolist())]
     angles = estimate.rel_angles
     angle_text, = _formatted(angles.reshape(-1, 1), "{:.12g}")
     columns = (
@@ -273,7 +294,7 @@ def write_estimate(path, estimate: TrajectoryEstimate) -> int:
                    "{:.9g}")
         + [[kf.trigger for kf in kfs], [kf.group for kf in kfs]]
         + _formatted(poses[:len(kfs)], "{:.12g}")
-        + target_text
+        + _pose_text(target, se3)
         + _formatted(estimate.rel_positions.reshape(-1, 3), "{:.12g}")
         + [[v if ok else "" for v, ok in zip(
             angle_text, np.isfinite(angles).tolist())]])
@@ -281,11 +302,7 @@ def write_estimate(path, estimate: TrajectoryEstimate) -> int:
               + ["chaser_" + c for c in POSE_COLS]
               + ["target_" + c for c in POSE_COLS]
               + ["rel_x", "rel_y", "rel_z", "rel_angle"])
-    # no field holds a comma, quote or line break, so none is quoted, and
-    # lines end as csv.writer ends them
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(row) + "\r\n"
-                         for row in [header, *zip(*columns)]))
+    _write_columns(path, header, columns)
     return len(kfs)
 
 

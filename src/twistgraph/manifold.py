@@ -12,7 +12,7 @@ Right-handed perturbations throughout: ``X (+) d = X * Exp(d)`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -158,15 +158,35 @@ def _poly(K: np.ndarray, K2: np.ndarray, b, c) -> np.ndarray:
     return _I3 + b * K + c * K2
 
 
-def _q_terms(P: np.ndarray, K: np.ndarray, c1, c2, c3) -> np.ndarray:
-    """q_block from P = [rho]x, K = [th]x and its coefficients c1, c2, c3."""
-    KP = K @ P
-    PK = P @ K
-    KPK = KP @ K
-    return (0.5 * P
-            + c1 * (KP + PK + KPK)
-            - c2 * (K @ KP + PK @ K - 3.0 * KPK)
-            - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK))
+def _q_parts(rho: np.ndarray, theta: np.ndarray, a2, s, c1, c2, c3):
+    """q_block = [v]x + E from rho, th, a2 = |th|^2, s = th . rho and the
+    coefficients c1, c2, c3; returns v and E. The vectors are 3-vectors or
+    (N, 3) stacks, and the scalars floats or (N, 1) columns.
+
+    The seven products of Q = P/2 + c1 (KP + PK + KPK)
+    - c2 (K^2 P + P K^2 - 3 KPK) - (c2 - 3 c3)/2 (KPK K + K KPK), with
+    P = [rho]x and K = [th]x, reduce by [th]x [rho]x = rho th^T - s I and
+    [th]x [rho]x [th]x = -s [th]x to
+    Q = (1/2 + c2 a2) P - s (c1 + 2 c2) K
+      + c1 (rho th^T + th rho^T) + g th th^T - (2 s c1 + g a2) I,
+    g = s (c2 - 3 c3). The first line is [v]x; the second is E = w th^T +
+    th w^T - (2 s c1 + g a2) I with w = c1 rho + g th / 2. Negating
+    (rho, th) negates v exactly and leaves E as it is, so
+    Q(-rho, -th) = E - [v]x.
+    """
+    g = s * (c2 - 3.0 * c3)
+    v = (0.5 + c2 * a2) * rho - (s * (c1 + 2.0 * c2)) * theta
+    w = c1 * rho + (0.5 * g) * theta
+    wt = w[..., :, None] * theta[..., None, :]
+    E = wt + wt.swapaxes(-1, -2)
+    # the diagonal, as every fourth entry of each row-major 3x3 block
+    E.reshape(E.shape[:-2] + (9,))[..., ::4] -= 2.0 * s * c1 + g * a2
+    return v, E
+
+
+def _jl_inv_block(Jli: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """J_l^-1 of SE(3) from the SO(3) J_l^-1 and Q."""
+    return _se3_block(Jli, -(Jli @ Q @ Jli))
 
 
 def _se3_block(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -189,8 +209,9 @@ def _sin_cos_coeffs(angle: float) -> tuple[float, float]:
 def _so3_terms(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """|th|^2, [th]x and [th]x^2 of a rotation vector."""
     a2 = float(theta @ theta)
-    # [th]x^2 = th th^T - |th|^2 I, cheaper than a matmul
-    return a2, skew(theta), theta[:, None] * theta - a2 * _I3
+    # [th]x^2 = th th^T - |th|^2 I, cheaper than a matmul; skew builds its
+    # array faster from Python floats than from numpy scalars
+    return a2, skew(theta.tolist()), theta[:, None] * theta - a2 * _I3
 
 
 def exp_so3(theta: np.ndarray) -> Rotation3:
@@ -348,33 +369,57 @@ def _q_series(a2):
     return out
 
 
+def _q_coeffs(a2: float) -> list[float]:
+    """q_block's c1, c2, c3 from |th|^2."""
+    angle = math.sqrt(a2)
+    if angle < Q_SERIES_ANGLE:
+        return _q_series(a2)
+    sin_a, cos_a = math.sin(angle), math.cos(angle)
+    return [(angle - sin_a) / (angle * a2),
+            (1.0 - a2 / 2.0 - cos_a) / (a2 * a2),
+            (angle - sin_a - angle * a2 / 6.0) / (a2 * a2 * angle)]
+
+
+def _q_odd_even(rho: np.ndarray, theta: np.ndarray,
+                a2: float) -> tuple[np.ndarray, np.ndarray]:
+    """q_block's parts odd and even in (rho, th): [v]x and E."""
+    v, E = _q_parts(rho, theta, a2, float(theta @ rho), *_q_coeffs(a2))
+    return skew(v.tolist()), E
+
+
 def q_block(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    angle = math.sqrt(float(theta @ theta))
-    if angle < Q_SERIES_ANGLE:
-        c1, c2, c3 = _q_series(angle * angle)
-    else:
-        a2 = angle * angle
-        sin_a, cos_a = math.sin(angle), math.cos(angle)
-        c1 = (angle - sin_a) / (angle * a2)
-        c2 = (1.0 - a2 / 2.0 - cos_a) / (a2 * a2)
-        c3 = (angle - sin_a - angle * a2 / 6.0) / (a2 * a2 * angle)
-    return _q_terms(skew(rho), skew(theta), c1, c2, c3)
+    odd, even = _q_odd_even(np.asarray(rho, dtype=float), theta,
+                            float(theta @ theta))
+    return even + odd
 
 
 def jl_se3(delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
-    rho, theta = delta[:3], delta[3:]
-    return _se3_block(jl_so3(theta), q_block(rho, theta))
+    a2, K, K2 = _so3_terms(delta[3:])
+    Jl = _poly(K, K2, *_jl_coeffs(a2))
+    odd, even = _q_odd_even(delta[:3], delta[3:], a2)
+    return _se3_block(Jl, even + odd)
 
 
 def jl_inv_se3(delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
-    rho, theta = delta[:3], delta[3:]
-    Jli = jl_inv_so3(theta)
-    return _se3_block(Jli, -(Jli @ q_block(rho, theta) @ Jli))
+    a2, K, K2 = _so3_terms(delta[3:])
+    Jli = _poly(K, K2, -0.5, _jl_inv_coeff(a2))
+    odd, even = _q_odd_even(delta[:3], delta[3:], a2)
+    return _jl_inv_block(Jli, even + odd)
+
+
+def jl_jr_inv_se3(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_l^-1(delta), J_r^-1(delta)) = (J_l^-1(delta), J_l^-1(-delta)),
+    sharing the coefficients, [th]x, [th]x^2 and Q's parts."""
+    delta = np.asarray(delta, dtype=float)
+    a2, K, K2 = _so3_terms(delta[3:])
+    e = _jl_inv_coeff(a2)
+    odd, even = _q_odd_even(delta[:3], delta[3:], a2)
+    return (_jl_inv_block(_poly(K, K2, -0.5, e), even + odd),
+            _jl_inv_block(_poly(K, K2, 0.5, e), even - odd))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +455,7 @@ def kind_of(element) -> ManifoldKind:
 # vectors (N, 3), SE(3) tangents (N, 6).  A stack of poses is the pair
 # (R, t).  The factor graph linearizes and retracts with these; the scalar
 # kernels remain the reference they are tested against.  Both assemble their
-# matrices with the same _poly, _q_terms and _se3_block.  Matrix and inner
+# matrices with the same _poly, _q_parts and _se3_block.  Matrix and inner
 # products go through np.matmul and arccos through math.acos, so that they
 # round as in the scalar kernels and both take the same branches on the same
 # input.
@@ -461,6 +506,12 @@ def _skew_sq_batch(theta: np.ndarray, a2: np.ndarray) -> np.ndarray:
     K2 = theta[:, :, None] * theta[:, None, :]
     K2[:, (0, 1, 2), (0, 1, 2)] -= a2[:, None]
     return K2
+
+
+def _so3_terms_batch(theta: np.ndarray):
+    """_so3_terms per row; |th|^2 as an (N,) array."""
+    a2 = _sq_norms(theta)
+    return a2, skew_batch(theta), _skew_sq_batch(theta, a2)
 
 
 def exp_so3_batch(theta: np.ndarray) -> np.ndarray:
@@ -541,38 +592,46 @@ def _poly_apply_batch(u, c: np.ndarray, theta: np.ndarray,
 
 
 def jl_so3_batch(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    a2 = _sq_norms(theta)
+    a2, K, K2 = _so3_terms_batch(np.asarray(theta, dtype=float))
     b, c = _jl_coeffs_batch(a2)
-    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2),
-                 b[:, None, None], c[:, None, None])
+    return _poly(K, K2, b[:, None, None], c[:, None, None])
 
 
 def jl_inv_so3_batch(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    a2 = _sq_norms(theta)
-    e = _jl_inv_coeff_batch(a2)
-    return _poly(skew_batch(theta), _skew_sq_batch(theta, a2),
-                 -0.5, e[:, None, None])
+    a2, K, K2 = _so3_terms_batch(np.asarray(theta, dtype=float))
+    return _poly(K, K2, -0.5, _jl_inv_coeff_batch(a2)[:, None, None])
+
+
+def _q_coeffs_batch(a2: np.ndarray) -> list[np.ndarray]:
+    """_q_coeffs per row."""
+    angle = np.sqrt(a2)
+    small = angle < Q_SERIES_ANGLE
+    s1, s2, s3 = _q_series(a2)
+    return [
+        _series_or_closed(
+            small, s1,
+            lambda m: (angle[m] - np.sin(angle[m])) / (angle[m] * a2[m])),
+        _series_or_closed(
+            small, s2,
+            lambda m: (1.0 - a2[m] / 2.0 - np.cos(angle[m])) / (a2[m] * a2[m])),
+        _series_or_closed(
+            small, s3,
+            lambda m: (angle[m] - np.sin(angle[m]) - angle[m] * a2[m] / 6.0)
+            / (a2[m] * a2[m] * angle[m]))]
+
+
+def _q_odd_even_batch(rho: np.ndarray, theta: np.ndarray,
+                      a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_q_odd_even per row."""
+    v, E = _q_parts(rho, theta, a2[:, None],
+                    (theta[:, None, :] @ rho[:, :, None])[:, :, 0],
+                    *(c[:, None] for c in _q_coeffs_batch(a2)))
+    return skew_batch(v), E
 
 
 def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    angle = np.sqrt(_sq_norms(theta))
-    a2 = angle * angle
-    small = angle < Q_SERIES_ANGLE
-    s1, s2, s3 = _q_series(a2)
-    c1 = _series_or_closed(
-        small, s1,
-        lambda m: (angle[m] - np.sin(angle[m])) / (angle[m] * a2[m]))
-    c2 = _series_or_closed(
-        small, s2,
-        lambda m: (1.0 - a2[m] / 2.0 - np.cos(angle[m])) / (a2[m] * a2[m]))
-    c3 = _series_or_closed(
-        small, s3,
-        lambda m: (angle[m] - np.sin(angle[m]) - angle[m] * a2[m] / 6.0)
-        / (a2[m] * a2[m] * angle[m]))
-    return _q_terms(skew_batch(rho), skew_batch(theta), c1[:, None, None],
-                    c2[:, None, None], c3[:, None, None])
+    odd, even = _q_odd_even_batch(rho, theta, _sq_norms(theta))
+    return even + odd
 
 
 # exp_se3_batch and log_se3_batch apply J_l and J_l^-1 to the translation
@@ -615,13 +674,28 @@ def adjoint_inv_se3_batch(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def jl_se3_batch(delta: np.ndarray) -> np.ndarray:
     rho, theta = delta[:, :3], delta[:, 3:]
-    return _se3_block(jl_so3_batch(theta), q_block_batch(rho, theta))
+    a2, K, K2 = _so3_terms_batch(theta)
+    b, c = _jl_coeffs_batch(a2)
+    Jl = _poly(K, K2, b[:, None, None], c[:, None, None])
+    odd, even = _q_odd_even_batch(rho, theta, a2)
+    return _se3_block(Jl, even + odd)
 
 
 def jl_inv_se3_batch(delta: np.ndarray) -> np.ndarray:
     rho, theta = delta[:, :3], delta[:, 3:]
-    Jli = jl_inv_so3_batch(theta)
-    return _se3_block(Jli, -(Jli @ q_block_batch(rho, theta) @ Jli))
+    a2, K, K2 = _so3_terms_batch(theta)
+    Jli = _poly(K, K2, -0.5, _jl_inv_coeff_batch(a2)[:, None, None])
+    odd, even = _q_odd_even_batch(rho, theta, a2)
+    return _jl_inv_block(Jli, even + odd)
+
+
+def jl_jr_inv_se3_batch(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rho, theta = delta[:, :3], delta[:, 3:]
+    a2, K, K2 = _so3_terms_batch(theta)
+    e = _jl_inv_coeff_batch(a2)[:, None, None]
+    odd, even = _q_odd_even_batch(rho, theta, a2)
+    return (_jl_inv_block(_poly(K, K2, -0.5, e), even + odd),
+            _jl_inv_block(_poly(K, K2, 0.5, e), even - odd))
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +718,14 @@ class GroupOps:
     jl: Callable  # delta -> J_l(delta)
     jl_inv: Callable  # delta -> J_l(delta)^-1
     adjoint_inv: Callable  # X -> Ad(X)^-1
+    # delta -> (J_l(delta)^-1, J_r(delta)^-1), for a group that computes the
+    # pair for less than two J_l^-1; derived from jl_inv when not given
+    jl_jr_inv: Callable | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if self.jl_jr_inv is None:
+            object.__setattr__(self, "jl_jr_inv", lambda delta: (
+                self.jl_inv(delta), self.jr_inv(delta)))
 
     def oplus(self, X, delta):
         return self.compose(X, self.exp(delta))
@@ -700,6 +782,7 @@ _GROUPS = {
         ominus=_ominus_se3,
         jl=lambda delta: jl_se3(delta),
         jl_inv=lambda delta: jl_inv_se3(delta),
+        jl_jr_inv=lambda delta: jl_jr_inv_se3(delta),
         adjoint_inv=lambda X: adjoint_inv_se3(X),
         batch=GroupOps(
             exp=lambda delta: exp_se3_batch(delta),
@@ -709,6 +792,7 @@ _GROUPS = {
                 *compose_batch(*inverse_batch(*X), *Y)),
             jl=lambda delta: jl_se3_batch(delta),
             jl_inv=lambda delta: jl_inv_se3_batch(delta),
+            jl_jr_inv=lambda delta: jl_jr_inv_se3_batch(delta),
             adjoint_inv=lambda X: adjoint_inv_se3_batch(*X)),
         parts=lambda X: (X.rotation.matrix, X.translation),
         unstack=lambda X: map(Pose3, map(Rotation3, X[0]), X[1])),

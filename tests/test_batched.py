@@ -63,9 +63,37 @@ def assert_close(batch, scalar, tol=1e-12):
 assert_equal = np.testing.assert_array_equal
 
 
+def q_seven_products(rho, theta):
+    """q_block as the seven 3x3 products of its series form, from the
+    kernel's own coefficients: the reference for the closed-form assembly."""
+    P, K = M.skew(rho), M.skew(theta)
+    c1, c2, c3 = M._q_coeffs(float(theta @ theta))
+    KP = K @ P
+    PK = P @ K
+    KPK = KP @ K
+    return (0.5 * P
+            + c1 * (KP + PK + KPK)
+            - c2 * (K @ KP + PK @ K - 3.0 * KPK)
+            - 0.5 * (c2 - 3.0 * c3) * (KPK @ K + K @ KPK))
+
+
 def unit_axis(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def assert_pairs_match(group, deltas):
+    """The group's (J_l^-1, J_r^-1) pairs equal its jl_inv at d and -d,
+    exactly, on elements and on the stack."""
+    Jl, Jr = group.batch.jl_jr_inv(deltas)
+    assert_equal(Jl, group.batch.jl_inv(deltas))
+    assert_equal(Jr, group.batch.jl_inv(-deltas))
+    for n, d in enumerate(deltas):
+        jl, jr = group.jl_jr_inv(d)
+        assert_equal(jl, group.jl_inv(d))
+        assert_equal(jr, group.jl_inv(-d))
+        assert_equal(jl, Jl[n])
+        assert_equal(jr, Jr[n])
 
 
 def twist(rng, angle, scale=1.0):
@@ -139,6 +167,7 @@ class TestKernels:
             out = batched(theta)
             for n, th in enumerate(theta):
                 assert_equal(out[n], scalar(th))
+        assert_pairs_match(M.SO3.group, theta)
 
     @SETTINGS
     @given(st.lists(st.tuples(angles, seeds), min_size=1, max_size=6))
@@ -165,6 +194,20 @@ class TestKernels:
             out = batched(xi)
             for n, x in enumerate(xi):
                 assert_equal(out[n], scalar(x))
+        assert_pairs_match(M.SE3.group, xi)
+
+    @SETTINGS
+    @given(st.lists(st.tuples(angles, seeds), min_size=1, max_size=6))
+    def test_q_block_matches_seven_products(self, cases):
+        """The closed-form Q against the seven-product form it replaced,
+        relative to the Frobenius norm of Q, on both paths."""
+        xi = np.array([twist(np.random.default_rng(s), a) for a, s in cases])
+        Q = M.q_block_batch(xi[:, :3], xi[:, 3:])
+        for n, x in enumerate(xi):
+            ref = q_seven_products(x[:3], x[3:])
+            assert_equal(Q[n], M.q_block(x[:3], x[3:]))
+            assert (np.max(np.abs(Q[n] - ref))
+                    <= 1e-15 * max(1.0, float(np.linalg.norm(ref))))
 
     @SETTINGS
     @given(st.lists(seeds, min_size=2, max_size=6))
@@ -214,6 +257,19 @@ class TestKernels:
             M.jl_inv_so3(theta[1])
         with pytest.raises(NearSingularError, match="row 1"):
             M.jl_inv_so3_batch(theta)
+
+    @SETTINGS
+    @given(angles, beyond_edge, seeds)
+    def test_jacobian_pair_near_pi_rows_raise(self, inside, outside, seed):
+        rng = np.random.default_rng(seed)
+        xi = np.array([twist(rng, inside), twist(rng, outside)])
+        M.jl_jr_inv_se3(xi[0])
+        with pytest.raises(NearSingularError):
+            M.jl_jr_inv_se3(xi[1])
+        with pytest.raises(NearSingularError, match="row 1"):
+            M.jl_jr_inv_se3_batch(xi)
+        with pytest.raises(NearSingularError, match="row 1"):
+            M.SO3.group.batch.jl_jr_inv(xi[:, 3:])
 
     def test_exp_rejects_non_finite_rows(self):
         xi = np.zeros((3, 6))

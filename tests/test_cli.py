@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from twistgraph import cli
 from twistgraph.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -66,6 +67,24 @@ class TestPipeline:
         text = capsys.readouterr().out
         assert "ALL" in text and "baseline" in text
         assert out.exists()
+
+    def test_main_builds_one_parser_and_keeps_no_option(self, monkeypatch):
+        """Two calls share one parser, and an option given to the first is
+        not a default of the second."""
+        built, modes = [], []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "cmd_smooth",
+                            lambda args: modes.append(args.mode) or EXIT_OK)
+        cli._parser.cache_clear()
+        try:
+            for extra in (["--mode", "A"], []):
+                assert main(["smooth", "--meas", "m.csv", "--out", "e.csv",
+                             *extra]) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1] and modes == ["A", None]
 
     def test_seed_determinism(self, tmp_path, short_cfg):
         for sub in ("a", "b", "c"):

@@ -102,6 +102,22 @@ class TestVariableKey:
                            check=True, env={**os.environ, "PYTHONPATH": path,
                                             "PYTHONHASHSEED": seed})
 
+    def test_frozen_eq_hash_repr_and_pickle(self):
+        key = VariableKey(7, M.SE3, 2.5)
+        assert repr(key) == ("VariableKey(id=7, kind=ManifoldKind(tag='SE3', "
+                             "dim=6), timestamp=2.5)")
+        assert key == VariableKey(id=7, kind=M.SE3, timestamp=2.5)
+        assert key != VariableKey(7, M.SE3, 3.0) and key != (7, M.SE3, 2.5)
+        assert hash(key) == hash(VariableKey(7, M.SE3, 2.5))
+        assert VariableKey(7, M.R3) == VariableKey(7, M.R3, 0.0)
+        assert [f.name for f in dataclasses.fields(key)] == [
+            "id", "kind", "timestamp"]
+        twin = pickle.loads(pickle.dumps(key))
+        assert twin == key and hash(twin) == hash(key)
+        assert repr(twin) == repr(key)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.timestamp = 3.0
+
     def test_fields_are_frozen(self):
         key = VariableKey(7, M.SE3, 2.5)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -209,6 +209,17 @@ class TestBatchedRecordFiles:
             else:
                 assert_same_pose(rec.payload, scalar_pose_from_fields(row[2:9]))
 
+    def test_stream_and_its_records_write_the_same_bytes(self, tmp_path):
+        cfg = small_scenario()
+        records = synthesize_measurements(generate_ground_truth(cfg), cfg)
+        write_measurements(tmp_path / "meas.csv", records)
+        stream = read_measurements(tmp_path / "meas.csv")
+        assert stream.records is None
+        write_measurements(tmp_path / "stream.csv", stream)
+        write_measurements(tmp_path / "list.csv", list(stream))
+        assert ((tmp_path / "stream.csv").read_bytes()
+                == (tmp_path / "list.csv").read_bytes())
+
     def test_special_rotations_in_a_measurement_file(self, tmp_path):
         path = tmp_path / "meas.csv"
         path.write_text(

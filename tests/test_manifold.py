@@ -119,6 +119,9 @@ class TestJacobians:
             np.testing.assert_allclose(M.SE3.group.jr(xi), M.jl_se3(-xi), atol=1e-15)
             np.testing.assert_allclose(
                 M.SE3.group.jr_inv(xi), M.jl_inv_se3(-xi), atol=1e-15)
+            jl_inv, jr_inv = M.SE3.group.jl_jr_inv(xi)
+            np.testing.assert_array_equal(jl_inv, M.jl_inv_se3(xi))
+            np.testing.assert_array_equal(jr_inv, M.jl_inv_se3(-xi))
 
     def test_right_jacobian_against_finite_differences(self, rng):
         # Exp(xi + d) ~ Exp(xi) * Exp(J_r(xi) d)
@@ -261,5 +264,7 @@ class TestRnKind:
             M.ominus(kind, y, x), [0.5, -1.0, 2.0])
         np.testing.assert_allclose(kind.group.jr(np.zeros(3)), np.eye(3))
         np.testing.assert_allclose(kind.group.jl_inv(np.ones(3)), np.eye(3))
+        for J in kind.group.jl_jr_inv(np.ones(3)):
+            np.testing.assert_allclose(J, np.eye(3))
         np.testing.assert_allclose(
             kind.group.adjoint_inv(kind.group.exp(np.ones(3))), np.eye(3))
