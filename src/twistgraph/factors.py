@@ -97,8 +97,8 @@ class RollPitchSpec:
 # FactorTable's params, stacked row by row on a batch, and one row's on
 # elements; there the prior and relative-pose families take the group
 # element whose parts they are. The vectorized constructors (`*_tables`)
-# build the tables, and each per-factor constructor is one of them on one
-# row, returned as that row's view.
+# build the tables; each per-factor constructor makes, through `_one`, the
+# view that a table of its one row would give, without the table.
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +116,8 @@ class _Family:
     element: bool = False
 
     def __call__(self, params, states):
-        if self.group is None:
-            return self.fn(params, *states)
-        return self.fn(self.group.batch, params, *states)
+        return self.fn(*(() if self.group is None else (self.group.batch,)),
+                       params, *states)
 
     def view(self, table: FactorTable, i: int) -> Factor:
         row = tuple(p[i] for p in table.params)
@@ -130,46 +129,27 @@ class _Family:
                             table.noise[table.which[i]])
 
     def _factor(self, keys, row, bound, noise) -> Factor:
-        """The view of the row over `keys` with params `row`, which its
-        closures take as `bound`."""
-        residual_fn, jacobian_fn = self._closures(keys, bound)
-        return Factor(keys=keys, residual_fn=residual_fn,
-                      jacobian_fn=jacobian_fn, noise=noise,
-                      name=f"{self.label.format(*row)}"
-                      f"[{','.join(str(k.id) for k in keys)}]",
-                      family=self, family_params=row)
-
-    def _closures(self, keys, params):
-        """A row's residual_fn and jacobian_fn: steps and fn on its keys'
-        elements, or without a group on their parts. Each key is read by a
-        call of its own, which costs less than a map and a star call."""
-        lead = () if self.group is None else (self.group,)
-        steps = functools.partial(self.steps, *lead, params)
-        fn = functools.partial(self.fn, *lead, params)
+        """The view of the row over `keys` with params `row`, whose closures
+        run `steps` and `fn` with `bound` on its keys' elements, or without
+        a group on their parts."""
+        fn, steps = self.fn, self.steps
         if self.group is None:
-            a, *b = keys
-            pa = a.kind.group.parts
-            if not b:
-                return (lambda values: steps(pa(values.get(a)))[-1],
-                        lambda values: fn(pa(values.get(a)))[1])
-            (b,) = b
-            pb = b.kind.group.parts
-            return (lambda values: steps(pa(values.get(a)),
-                                         pb(values.get(b)))[-1],
-                    lambda values: fn(pa(values.get(a)), pb(values.get(b)))[1])
-        if len(keys) == 1:
-            (a,) = keys
-            return (lambda values: steps(values.get(a))[-1],
-                    lambda values: fn(values.get(a))[1])
-        if len(keys) == 2:
-            a, b = keys
-            return (lambda values: steps(values.get(a), values.get(b))[-1],
-                    lambda values: fn(values.get(a), values.get(b))[1])
-        a, b, c = keys
-        return (lambda values: steps(values.get(a), values.get(b),
-                                     values.get(c))[-1],
-                lambda values: fn(values.get(a), values.get(b),
-                                  values.get(c))[1])
+            lead, parts = (), [(key, key.kind.group.parts) for key in keys]
+
+            def states(values):
+                return [part(values.get(key)) for key, part in parts]
+        else:
+            lead = (self.group,)
+
+            def states(values):
+                return [values.get(key) for key in keys]
+        return Factor(
+            keys=keys, noise=noise,
+            residual_fn=lambda values: steps(*lead, bound, *states(values))[-1],
+            jacobian_fn=lambda values: fn(*lead, bound, *states(values))[1],
+            name=f"{self.label.format(*row)}"
+            f"[{','.join(str(k.id) for k in keys)}]",
+            family=self, family_params=row)
 
 
 # one object per family: a graph holds one table per family, key kinds and dim

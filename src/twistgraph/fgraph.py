@@ -894,12 +894,6 @@ def optimize(graph: FactorGraph, initial: Values,
                 or tried["step_inf"] < settings.dx_tol):
             report.converged = True
             break
-
-    if not report.converged and len(report.cost_trace) >= 2:
-        # A rejected final step with an already-tiny gradient still counts.
-        rel = (report.cost_trace[-2] - report.cost_trace[-1]) / max(
-            report.cost_trace[-2], 1e-300)
-        report.converged = rel < settings.rel_cost_tol
     report.final_cost = cost
     return layout.values(states, base=initial), report
 

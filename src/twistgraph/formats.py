@@ -187,16 +187,17 @@ def _labels(rows, allowed, path, what: str, field: int = 1) -> list[str]:
 
 
 def write_truth(path, truth: GroundTruth) -> int:
-    n = 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "agent"] + POSE_COLS)
-        for t, C, T in zip(truth.times, poses_to_fields(truth.chaser),
-                           poses_to_fields(truth.target)):
-            w.writerow([f"{t:.9g}", "chaser"] + C)
-            w.writerow([f"{t:.9g}", "target"] + T)
-            n += 2
-    return n
+    """A chaser row and then a target row per sample, formatted column by
+    column."""
+    n = len(truth.times)
+    poses = np.empty((2 * n, 7))
+    poses[0::2] = _pose_columns(truth.chaser)
+    poses[1::2] = _pose_columns(truth.target)
+    _write_columns(
+        path, ["timestamp", "agent"] + POSE_COLS,
+        _formatted(np.repeat(truth.times, 2).reshape(-1, 1), "{:.9g}")
+        + [["chaser", "target"] * n] + _formatted(poses, "{:.12g}"))
+    return 2 * n
 
 
 def read_truth(path) -> GroundTruth:

@@ -345,6 +345,22 @@ class TestErrorExits:
         assert err[0].startswith("error: linearization failed in rollpitch[")
         assert "id=1@t=1" in err[0] and "pitch" in err[0]
 
+    def test_unconverged_solve_exits_3(self, tmp_path, short_cfg, capsys):
+        """A solve stopped by max_iterations still writes its estimate,
+        then exits 3."""
+        _, meas = simulate(tmp_path, short_cfg, seed=1)
+        capsys.readouterr()
+        one = tmp_path / "one_iteration.cfg"
+        one.write_text(short_cfg.read_text() + "max_iterations = 1\n")
+        est = tmp_path / "est.csv"
+        rc = main(["smooth", "--config", str(one), "--mode", "B",
+                   "--meas", str(meas), "--out", str(est)])
+        assert rc == EXIT_NO_CONVERGENCE
+        out, err = capsys.readouterr()
+        assert out.rstrip().endswith("after 1 iterations")
+        assert err.strip().splitlines() == ["smooth: solver did not converge"]
+        assert read_estimate(est)
+
     def test_vertical_pitch_converges_in_mode_a(self, tmp_path, capsys):
         meas = optical_stream(tmp_path,
                               exp_so3(np.array([0.0, np.pi / 2, 0.0])))

@@ -13,6 +13,7 @@ from twistgraph.factors import (
     ct_factor,
     ct_jacobians,
     ct_residual,
+    ct_tables,
     prior_factor,
     relative_pose_factor,
     roll_pitch_factor,
@@ -223,6 +224,18 @@ class TestConstantTwistJacobians:
                       ConstantTwistSpec(1.0, 1.0, np.eye(6)))
         with pytest.raises(ValueError):
             ConstantTwistSpec(-1.0, 1.0, np.eye(6))
+
+    @pytest.mark.parametrize("times", [(0.0, 1.0, 1.0), (0.0, 0.0, 1.0),
+                                       (0.0, 2.0, 1.0)])
+    def test_tables_refuse_non_increasing_times(self, times):
+        """One triple whose times do not increase, after one that does,
+        fails the whole call."""
+        good = [se3_key(i) for i in range(3)]
+        bad = [se3_key(3 + i, t) for i, t in enumerate(times)]
+        with pytest.raises(ValueError,
+                           match="^constant-twist keys must have strictly "
+                                 "increasing timestamps$"):
+            ct_tables(*zip(good, bad), lambda kind: np.eye(6))
 
     def test_effective_covariance_scales_with_horizon(self):
         spec = ConstantTwistSpec(0.5, 2.0, np.eye(6) * 0.04)

@@ -36,6 +36,7 @@ from twistgraph.factors import (
     RollPitchSpec,
     boundary_factors,
     ct_factor,
+    ct_tables,
     prior_factor,
     relative_pose_factor,
     roll_pitch_factor,
@@ -318,6 +319,50 @@ class TestOptimize:
     def test_empty_graph_converges_trivially(self):
         values, report = optimize(FactorGraph(), Values())
         assert report.converged and report.iterations == 0
+
+    def test_gives_up_when_no_damped_try_is_accepted(self):
+        """A residual that is finite only at its initial point rejects every
+        try up to MAX_LAMBDA: the solve stops after one iteration, with the
+        initial value and cost."""
+        key = VariableKey(id=0, kind=M.rn(1), timestamp=0.0)
+
+        def residual(values):
+            x = values.get(key).coords
+            return np.where(x == 1.0, x, np.nan)
+
+        graph = FactorGraph()
+        graph.add(Factor(keys=(key,), residual_fn=residual,
+                         jacobian_fn=lambda values: (np.eye(1),),
+                         noise=NoiseModel(np.eye(1))))
+        settings = SolverSettings()
+        solution, report = optimize(
+            graph, Values({key: M.EuclidPoint([1.0])}), settings)
+        lams, lam = [], settings.init_lambda
+        while lam <= fgraph.MAX_LAMBDA:
+            lams.append(lam)
+            lam *= fgraph.LAMBDA_UP
+        assert not report.converged and report.iterations == 1
+        assert len(report.tries) == len(lams) == 17
+        assert [t["lam"] for t in report.tries] == lams
+        assert {t["outcome"] for t in report.tries} == {"cost_increase"}
+        assert report.cost_trace == [1.0] and report.final_cost == 1.0
+        assert solution.get(key).coords.tolist() == [1.0]
+
+
+class TestAddTables:
+    @pytest.mark.parametrize("orders", [[[1, 2]], [[0, 0]], [[0], [0]],
+                                        [[0], [2]]])
+    def test_rows_not_ranked_from_zero_are_refused(self, orders):
+        """Tables added together must rank their rows 0, 1, ...; a graph
+        refuses any other order and keeps none of their rows."""
+        keys = [r3_key(i) for i in range(4)]
+        tables = [table for order in orders for table in ct_tables(
+            keys[:len(order)], keys[1:len(order) + 1],
+            keys[2:len(order) + 2], lambda kind: np.eye(3), order)]
+        graph = FactorGraph()
+        with pytest.raises(ValueError, match=r"ranked 0, 1, \.\.\. by"):
+            graph.add(tables)
+        assert len(graph) == 0 and not graph.variables and not graph.factors
 
 
 class TestGaugeDetection:
