@@ -138,8 +138,8 @@ class Factor:
 
     A built-in factor is a view of one row of a FactorTable: its `family`
     evaluates a table's rows as one batch, and family_params are the row's
-    params. A custom factor has no family and is evaluated through its
-    closures.
+    params. A custom factor has no family: a graph holds it as a row of a
+    table whose family runs each row's own closures.
     """
 
     keys: tuple[VariableKey, ...]
@@ -159,9 +159,9 @@ class Factor:
 
 @dataclass(eq=False)
 class FactorTable:
-    """Built-in factors of one family over one tuple of key kinds, one per
-    row: the form in which a FactorGraph holds them and the Linearizer
-    evaluates them, as one batch.
+    """Factors of one family over one tuple of key kinds, one per row: the
+    form in which a FactorGraph holds them and the Linearizer evaluates
+    them, as one batch.
 
     Row i binds keys[s][i] in key slot s, takes row i of each array of the
     family's stacked `params`, and has the noise model noise[which[i]].
@@ -206,17 +206,16 @@ def _concat(chunks) -> FactorTable:
 
 
 class FactorGraph:
-    """Factors in graph order. Built-in factors are held as the rows of one
-    FactorTable per (family, key kinds, dim) and custom factors stay loose;
+    """Factors in graph order, held as the rows of one FactorTable per
+    (family, key kinds, dim); custom factors share the family `_CLOSURES`.
     `factors` lists them all, as views made on demand."""
 
     def __init__(self):
         self.variables: set[VariableKey] = set()
         # (family, kinds, dim) -> (table, position of its order 0) pairs, and
-        # -> (position, keys, params, noise) of the views added one by one
+        # -> (position, keys, params, noise) of the factors added one by one
         self._tables: dict[tuple, list] = {}
         self._rows: dict[tuple, list] = {}
-        self._loose: list[tuple[int, Factor]] = []  # (position, factor)
         self._size = 0
         self._where = None
 
@@ -230,16 +229,15 @@ class FactorGraph:
     def add(self, item) -> None:
         """Append a Factor, or the rows of a FactorTable or of a list of
         tables, which take their places among themselves by their `order`.
-        A built-in factor's row joins its table; a custom factor stays
-        loose."""
+        A factor's row joins the table of its family, key kinds and dim; a
+        custom factor is the one param of its `_CLOSURES` row."""
         self._where = None
         if isinstance(item, Factor):
-            if item.family is None:
-                self._loose.append((self._size, item))
-            else:
-                kinds = tuple(key.kind for key in item.keys)
-                self._rows.setdefault((item.family, kinds, item.dim), []).append(
-                    (self._size, item.keys, item.family_params, item.noise))
+            family, params = (_CLOSURES, (item,)) if item.family is None \
+                else (item.family, item.family_params)
+            kinds = tuple(key.kind for key in item.keys)
+            self._rows.setdefault((family, kinds, item.dim), []).append(
+                (self._size, item.keys, params, item.noise))
             self.variables.update(item.keys)
             self._size += 1
             return
@@ -277,21 +275,19 @@ class FactorGraph:
         return [chunks[0][0] for chunks in self._tables.values()]
 
     def _located(self) -> list:
-        """Each position's factor: a loose Factor or a (table, row) pair."""
+        """Each position's (table, row) pair."""
         if self._where is None:
             where = [None] * self._size
             for t in self.tables():
                 for i, p in enumerate(t.order.tolist()):
                     where[p] = (t, i)
-            for p, f in self._loose:
-                where[p] = f
             self._where = where
         return self._where
 
 
 class _Views(Sequence):
-    """A graph's factors in graph order, each made when it is read: a loose
-    factor as added, a table's row as its view."""
+    """A graph's factors in graph order, each made when it is read as its
+    table row's view."""
 
     def __init__(self, graph: FactorGraph):
         self._graph = graph
@@ -300,8 +296,8 @@ class _Views(Sequence):
         return len(self._graph)
 
     def __getitem__(self, i: int) -> Factor:
-        f = self._graph._located()[i]
-        return f if isinstance(f, Factor) else f[0].family.view(*f)
+        table, row = self._graph._located()[i]
+        return table.family.view(table, row)
 
 
 # LM damping: a rejected try multiplies lambda by LAMBDA_UP, an accepted one
@@ -334,11 +330,9 @@ class SolveReport:
 
 
 def total_cost(graph: FactorGraph, values: Values) -> float:
-    cost = 0.0
-    for f in graph.factors:
-        w = f.noise.whiten(f.residual_fn(values))
-        cost += float(w @ w)
-    return cost
+    """The whitened squared residual norm, as the solver's cost reads it."""
+    _, r = Linearizer(graph)(values)
+    return float(r @ r)
 
 
 def variable_offsets(graph: FactorGraph) -> tuple[dict[VariableKey, int], int]:
@@ -475,14 +469,13 @@ class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
     The block structure never changes between iterations, so it is built
-    once: each table's keys and order and each loose factor's keys and
-    rows are read once, and every layout array is computed from those with
-    numpy. Each factor's whitened Jacobian is one row-major block, its
-    keys' columns side by side in key order, and J's CSR data is the
-    blocks back to back: `indices` and `indptr` are fixed, and only the
-    data is refreshed. Each of the graph's tables is evaluated as one
-    batch and scattered into its rows and blocks; loose factors are
-    evaluated one by one.
+    once: each table's keys and order are read once, and every layout array
+    is computed from those with numpy. Each factor's whitened Jacobian is
+    one row-major block, its keys' columns side by side in key order, and
+    J's CSR data is the blocks back to back: `indices` and `indptr` are
+    fixed, and only the data is refreshed. Each of the graph's tables, of
+    built-in or of custom factors, is evaluated as one batch and scattered
+    into its rows and blocks.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
     bandwidth, and `normal_band` builds that band from the whitened blocks.
@@ -496,23 +489,19 @@ class Linearizer:
         self.graph = graph
         self.offsets = offsets
         self.layout = layout = _StateLayout(offsets)
-        tables, loose = graph.tables(), graph._loose
+        tables = graph.tables()
         # each factor's key count and rows, in graph order, then each key
         # slot's first column
         n_keys = np.empty(len(graph), np.intp)
         d = np.empty(len(graph), np.intp)
         for t in tables:
             n_keys[t.order], d[t.order] = len(t.kinds), t.dim
-        for p, f in loose:
-            n_keys[p], d[p] = len(f.keys), f.dim
         key0 = _starts(n_keys)  # first slot of each factor
         col = np.empty(key0[-1], np.intp)
         for t in tables:
             for s, keys in enumerate(t.keys):
                 col[key0[t.order] + s] = np.fromiter(
                     map(offsets.__getitem__, keys), np.intp, len(keys))
-        for p, f in loose:
-            col[key0[p]:key0[p + 1]] = [offsets[k] for k in f.keys]
         row0 = _starts(d)  # first residual row of each factor
         self.total_rows = int(row0[-1])
         # each slot's variable, numbered in column order, and its dim
@@ -521,9 +510,6 @@ class Linearizer:
         dk = np.diff(var_col, append=self.total_cols)[var]
         block0 = self._block_layout(col, dk, key0, d, row0)
 
-        self._loose = [(f, p, slice(int(row0[p]), int(row0[p + 1])),
-                        slice(int(block0[p]), int(block0[p + 1])))
-                       for p, f in loose]
         self._batches = []
         for t in tables:
             at = t.order
@@ -625,20 +611,15 @@ class Linearizer:
         key order: unsorted, and repeated where a factor binds a key twice
         (`J.sum_duplicates()` gives the canonical form).
         """
-        if isinstance(values, Values):
-            states = self.layout.stack(values)
-        else:
-            states, values = values, None
+        states = self.layout.stack(values) if isinstance(values, Values) \
+            else values
         # fresh arrays, which J and r own
         data = np.empty(int(self._indptr[-1]))
         res = np.empty(self.total_rows)
         try:
             self._batched(states, data, res)
-            if self._loose:
-                self._per_factor(values if values is not None
-                                 else self.layout.values(states), data, res)
         except manifold.NearSingularError:
-            self._name_first_failure(states, values)
+            self._name_first_failure(states)
             raise
         # the layout arrays are copied: a caller may edit J's in place
         J = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
@@ -680,34 +661,19 @@ class Linearizer:
             data[b.cells] = np.concatenate([W @ J for J in Js],
                                            axis=2).ravel()
 
-    def _per_factor(self, values: Values, data: np.ndarray,
-                    res: np.ndarray) -> None:
-        for f, _, rows, block in self._loose:
-            r, Js = _evaluate(f, values)
-            W = f.noise.sqrt_info
-            res[rows] = W @ r
-            data[block] = np.concatenate([W @ J for J in Js], axis=1).ravel()
-
-    def _name_first_failure(self, states: dict, values) -> None:
+    def _name_first_failure(self, states: dict) -> None:
         """Raise the error of the first factor in graph order that fails at
         `states`, in its closures' words. Each batch reports its first
-        failing row and the loose factors are tried in order; only the
-        first of those is evaluated again, as a view."""
-        values = values if values is not None else self.layout.values(states)
-        failed = []  # (position, table and row, or a loose factor and None)
+        failing row; only the first of those in graph order is evaluated
+        again, as its view, at the Values read from `states`."""
+        failed = []  # (position, table, row)
         for b in self._batches:
             i = b.first_failure(states)
             if i is not None:
                 failed.append((int(b.table.order[i]), b.table, i))
-        for f, p, *_ in self._loose:
-            try:
-                _evaluate(f, values)
-            except manifold.NearSingularError:
-                failed.append((p, f, None))
-                break
         if failed:
-            _, f, i = min(failed, key=itemgetter(0))
-            _evaluate(f if i is None else f.family.view(f, i), values)
+            _, t, i = min(failed, key=itemgetter(0))
+            _evaluate(t.family.view(t, i), self.layout.values(states))
 
 
 def _evaluate(f: Factor, values: Values):
@@ -720,6 +686,42 @@ def _evaluate(f: Factor, values: Values):
     except manifold.NearSingularError as err:
         raise manifold.NearSingularError(
             f"linearization failed in {_describe(f)}: {err}") from err
+
+
+class _Closures:
+    """The family of custom factors: a table's one param column holds the
+    Factors as added, and each row is evaluated through its own closures."""
+
+    def __call__(self, params, states):
+        """(r, per-key Jacobians) of the factors `params[0]`, stacked, at
+        the slot stacks `states`, each unstacked once into one Values."""
+        (factors,) = params
+        values = Values()
+        for s, stack in enumerate(states):
+            values._data.update(zip(
+                [f.keys[s] for f in factors],
+                factors[0].keys[s].kind.group.unstack(stack)))
+        rs, blocks = [], []
+        for f in factors:
+            r, Js = _evaluate(f, values)
+            got = [np.shape(J) for J in Js]
+            want = [(f.dim, key.kind.dim) for key in f.keys]
+            if np.shape(r) != (f.dim,) or got != want:
+                raise ValueError(
+                    f"{_describe(f)} gave a residual of shape {np.shape(r)} "
+                    f"and blocks of shapes {got}; its noise and keys take "
+                    f"{(f.dim,)} and {want}")
+            rs.append(r)
+            blocks.append(Js)
+        return np.array(rs), tuple(map(np.array, zip(*blocks)))
+
+    def view(self, table: FactorTable, i: int) -> Factor:
+        return table.params[0][i]
+
+
+# one object, so that a graph holds one table of custom factors per key
+# kinds and dim
+_CLOSURES = _Closures()
 
 
 def linearize(graph: FactorGraph, values: Values):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,7 @@ from twistgraph.factors import (
     roll_pitch_factor,
     usbl_factor,
 )
+from twistgraph.simkit import unit_circle_fixtures
 
 from conftest import assert_identical, random_pose
 
@@ -349,6 +351,15 @@ class TestOptimize:
         assert solution.get(key).coords.tolist() == [1.0]
 
 
+class TestTotalCost:
+    def test_equals_the_solvers_initial_cost(self):
+        """total_cost reads the solver's own whitened residual, so it is
+        the first entry of the cost trace to the last bit."""
+        graph, initial, *_ = unit_circle_fixtures("CHAIN", sigma=0.3)
+        _, report = optimize(graph, initial)
+        assert total_cost(graph, initial) == report.cost_trace[0]
+
+
 class TestAddTables:
     @pytest.mark.parametrize("orders", [[[1, 2]], [[0, 0]], [[0], [0]],
                                         [[0], [2]]])
@@ -584,6 +595,78 @@ class TestBatchedLinearizer:
         with pytest.raises(M.NearSingularError,
                            match=r"in custom\[0,1\] \(variables id=0@t=0"):
             Linearizer(graph)(values)
+
+
+def so3_custom(a, b, name):
+    """A custom factor a^-1 b on SO(3), singular where that is near pi."""
+    return Factor(keys=(a, b), residual_fn=lambda values: M.ominus(
+                      M.SO3, values.get(b), values.get(a)),
+                  jacobian_fn=lambda values: (-np.eye(3), np.eye(3)),
+                  noise=NoiseModel(np.eye(3) * 0.01), name=name)
+
+
+class TestCustomFactorRows:
+    def test_custom_factors_of_one_shape_share_a_table(self, rng):
+        """Custom factors with the same key kinds and dim, interleaved with
+        built-ins, are the rows of one table and read back as added."""
+        keys = [r3_key(i) for i in range(5)]
+        graph, custom = FactorGraph(), {}
+        for i, (a, b) in enumerate(zip(keys, keys[1:])):
+            graph.add(prior_factor(a, M.EuclidPoint(rng.normal(size=3)),
+                                   np.eye(3)))
+            custom[len(graph)] = linear_factor(
+                [a, b], [rng.normal(size=(3, 3)), np.eye(3)],
+                rng.normal(size=3), np.eye(3) * (i + 1.0))
+            graph.add(custom[len(graph)])
+        custom[len(graph)] = linear_factor([keys[4]], [np.eye(3)],
+                                           rng.normal(size=3), np.eye(3))
+        graph.add(custom[len(graph)])
+        closures = sorted((t for t in graph.tables()
+                           if t.family is fgraph._CLOSURES), key=len)
+        assert [t.order.tolist() for t in closures] == [[8], [1, 3, 5, 7]]
+        for i, f in custom.items():
+            assert graph.factors[i] is f
+        values = Values({k: M.EuclidPoint(rng.normal(size=3)) for k in keys})
+        lin = Linearizer(graph)
+        J, r = lin(values)
+        J_ref, r_ref = per_factor_linearization(graph, lin.offsets, values)
+        assert_same_linearization(J, r, J_ref, r_ref)
+
+    def test_failing_row_of_a_custom_table_is_named(self):
+        """Of three custom factors in one table only the second fails; the
+        error names it, from Values and from stacks alike."""
+        keys = [VariableKey(i, M.SO3, float(i)) for i in range(4)]
+        graph = FactorGraph()
+        for i, (a, b) in enumerate(zip(keys, keys[1:])):
+            graph.add(so3_custom(a, b, f"custom[{i}]"))
+        assert len(graph.tables()) == 1
+        flip = M.exp_so3(np.array([0.0, 0.0, np.pi]))
+        values = Values({keys[0]: M.Rotation3.identity(),
+                         keys[1]: M.Rotation3.identity(),
+                         keys[2]: flip, keys[3]: flip})
+        lin = Linearizer(graph)
+        for at in (values, lin.layout.stack(values)):
+            with pytest.raises(M.NearSingularError, match=re.escape(
+                    "in custom[1] (variables id=1@t=1, id=2@t=2): ")):
+                lin(at)
+
+    @pytest.mark.parametrize("residual, blocks", [
+        (np.zeros(3), (np.eye(3),)),
+        (np.zeros(3), (np.eye(3),) * 3),
+        (np.zeros(3), (np.eye(3), np.eye(3, 2))),
+        (np.zeros(2), (np.eye(3), np.eye(3))),
+    ], ids=["too-few-blocks", "too-many-blocks", "block-width",
+            "residual-length"])
+    def test_malformed_custom_factor_names_itself(self, residual, blocks):
+        keys = (r3_key(0), r3_key(1))
+        f = Factor(keys=keys, residual_fn=lambda values: residual,
+                   jacobian_fn=lambda values: blocks,
+                   noise=NoiseModel(np.eye(3)), name="bad[0,1]")
+        graph = FactorGraph()
+        graph.add(f)
+        values = Values({k: M.EuclidPoint(np.zeros(3)) for k in keys})
+        with pytest.raises(ValueError, match=re.escape(fgraph._describe(f))):
+            optimize(graph, values)
 
 
 def criterion_9_graph():
