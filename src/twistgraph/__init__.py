@@ -44,6 +44,7 @@ from .factors import (
     usbl_factor,
 )
 from .tracking import (
+    EstimateRow,
     Keyframe,
     MeasurementRecord,
     MeasurementStream,

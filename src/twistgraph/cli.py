@@ -77,7 +77,7 @@ def cmd_smooth(args) -> int:
     keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg)
     graph, initial = tracking.build_graph(keyframes, cfg, cfg)
     estimate = tracking.smooth(graph, initial, cfg, keyframes)
-    formats.write_estimate(args.out, estimate)
+    formats.write_estimate(args.out, estimate.rows)
     rpt = estimate.report
     print(f"smooth: mode {cfg.mode}, {len(keyframes)} keyframes, "
           f"{len(graph.factors)} factors, cost {rpt.final_cost:.6g} "
@@ -90,9 +90,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_metrics(args) -> int:
     truth = formats.read_truth(args.truth)
-    rows = formats.read_estimate(args.estimate)
-    estimate = _estimate_from_rows(rows)
-    report = tracking.metrics(estimate, truth)
+    report = tracking.metrics(formats.read_estimate(args.estimate), truth)
     baselines = {}
     if args.meas:
         records = formats.read_measurements(args.meas)
@@ -101,22 +99,6 @@ def cmd_metrics(args) -> int:
         formats.write_metrics(args.out, report.groups, baselines)
     print(formats.metrics_table(report.groups, baselines))
     return EXIT_OK
-
-
-def _estimate_from_rows(rows) -> tracking.TrajectoryEstimate:
-    """Rebuild enough of a TrajectoryEstimate from an estimate file to score
-    it; the rows stand in for its keyframes."""
-    from .fgraph import SolveReport
-    from .manifold import EuclidPoint
-
-    return tracking.TrajectoryEstimate(
-        keyframes=rows, chaser_poses=[row.chaser for row in rows],
-        target_states=[row.target_pose if row.target_pose is not None
-                       else EuclidPoint(row.target_position) for row in rows],
-        rel_positions=np.array(
-            [row.rel_position for row in rows]).reshape(-1, 3),
-        rel_angles=np.array([row.rel_angle for row in rows], dtype=float),
-        report=SolveReport())
 
 
 def cmd_unit_circle(args) -> int:

@@ -18,8 +18,8 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
 from .tracking import (
-    KINDS, USBL, ConfigError, MeasurementStream,
-    ModePolicy, TrackingConfig, TrajectoryEstimate)
+    KINDS, USBL, ConfigError, EstimateRow, MeasurementStream,
+    ModePolicy, TrackingConfig)
 from .factors import NoiseSigmas
 from .fgraph import SolverSettings
 
@@ -46,8 +46,9 @@ def _formatted(a: np.ndarray, spec: str) -> list[list[str]]:
 
 
 def _pose_text(a: np.ndarray, rotated: np.ndarray) -> list[list[str]]:
-    """The columns of (n, 7) pose fields `a` as text, with the quaternion
-    fields left empty on the rows where `rotated` is false."""
+    """The columns of `a` as text: pose fields, or a position and an angle,
+    with the fields after the position left empty on the rows where
+    `rotated` is false."""
     text = _formatted(a, "{:.12g}")
     keep = rotated.tolist()
     for col in text[3:]:
@@ -275,48 +276,33 @@ def read_measurements(path) -> MeasurementStream:
 # Estimate files.
 
 
-def write_estimate(path, estimate: TrajectoryEstimate) -> int:
-    """One row per keyframe, formatted column by column."""
-    kfs, states = estimate.keyframes, estimate.target_states
-    se3 = np.array([isinstance(S, Pose3) for S in states], dtype=bool)
+def write_estimate(path, rows: list[EstimateRow]) -> int:
+    """One line per estimate row, formatted column by column."""
+    n = len(rows)
+    targets = [row.target_pose for row in rows]
+    se3 = np.array([T is not None for T in targets], dtype=bool)
     # the chaser poses, then the SE(3) targets, in one rotation conversion
-    poses = _pose_columns(list(estimate.chaser_poses)
-                          + list(itertools.compress(states, se3)))
-    # target position, then the quaternion of each SE(3) state; an R^3
-    # state's orientation columns stay empty
-    target = np.empty((len(kfs), 7))
-    target[:, :3] = np.reshape([S.translation if pose else S.coords
-                                for S, pose in zip(states, se3)], (-1, 3))
-    target[se3, 3:] = poses[len(kfs):, 3:]
-    angles = estimate.rel_angles
-    angle_text, = _formatted(angles.reshape(-1, 1), "{:.12g}")
+    poses = _pose_columns([row.chaser for row in rows]
+                          + list(itertools.compress(targets, se3)))
+    # target position and quaternion, then relative position and angle
+    target, rel = np.empty((n, 7)), np.empty((n, 4))
+    target[:, :3] = np.reshape([row.target_position for row in rows], (-1, 3))
+    target[se3, 3:] = poses[n:, 3:]
+    rel[:, :3] = np.reshape([row.rel_position for row in rows], (-1, 3))
+    rel[:, 3] = [row.rel_angle for row in rows]
     columns = (
-        _formatted(np.array([kf.timestamp for kf in kfs]).reshape(-1, 1),
+        _formatted(np.reshape([row.timestamp for row in rows], (-1, 1)),
                    "{:.9g}")
-        + [[kf.trigger for kf in kfs], [kf.group for kf in kfs]]
-        + _formatted(poses[:len(kfs)], "{:.12g}")
+        + [[row.trigger for row in rows], [row.group for row in rows]]
+        + _formatted(poses[:n], "{:.12g}")
         + _pose_text(target, se3)
-        + _formatted(estimate.rel_positions.reshape(-1, 3), "{:.12g}")
-        + [[v if ok else "" for v, ok in zip(
-            angle_text, np.isfinite(angles).tolist())]])
+        + _pose_text(rel, np.isfinite(rel[:, 3])))
     header = (["timestamp", "trigger", "group"]
               + ["chaser_" + c for c in POSE_COLS]
               + ["target_" + c for c in POSE_COLS]
               + ["rel_x", "rel_y", "rel_z", "rel_angle"])
     _write_columns(path, header, columns)
-    return len(kfs)
-
-
-@dataclass
-class EstimateRow:
-    timestamp: float
-    trigger: str
-    group: str
-    chaser: Pose3
-    target_position: np.ndarray
-    target_pose: Pose3 | None
-    rel_position: np.ndarray
-    rel_angle: float  # nan when undefined
+    return n
 
 
 def read_estimate(path) -> list[EstimateRow]:
@@ -333,6 +319,7 @@ def read_estimate(path) -> list[EstimateRow]:
     numbers[:, 10:13] = _numbers(rows, 17, 20, 21, path)
     numbers[has_ang, 13:] = _numbers(rows, 20, 21, 21, path, has_ang)
     times = _timestamps(rows, path)
+    _labels(rows, ("MEASUREMENT", "TIME_GATE"), path, "keyframe trigger")
     _labels(rows, ("USBL", "OPTICAL", "GATE"), path, "keyframe group", 2)
     _check_rows(numbers, path, quaternions=True)
     _check_rows(target_fields, path, has_tgt_rot, quaternions=True)
@@ -436,8 +423,12 @@ def _parse_windows(text: str) -> list[tuple[float, float]]:
         part = part.strip()
         if not part:
             continue
-        a, b = part.split(":")
-        out.append((float(a), float(b)))
+        a, b = map(float, part.split(":"))
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"window bounds must be finite: {part!r}")
+        if b < a:
+            raise ConfigError(f"window ends before it starts: {part!r}")
+        out.append((a, b))
     return out
 
 

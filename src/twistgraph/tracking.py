@@ -171,13 +171,24 @@ class TrackingConfig(NoiseSigmas):
         return np.eye(kind.dim) * self.ct_sigma_pos ** 2
 
 
+@dataclass(slots=True)
+class EstimateRow:
+    """One smoothed keyframe, as `smooth` makes it and an estimate file
+    holds it."""
+
+    timestamp: float
+    trigger: str  # MEASUREMENT | TIME_GATE
+    group: str  # USBL | OPTICAL | GATE
+    chaser: Pose3
+    target_position: np.ndarray
+    target_pose: Pose3 | None  # None on an R^3 target
+    rel_position: np.ndarray  # chaser-frame target offset
+    rel_angle: float  # |Log| of the relative rotation, nan when undefined
+
+
 @dataclass
 class TrajectoryEstimate:
-    keyframes: list[Keyframe]
-    chaser_poses: list[Pose3]
-    target_states: list  # Pose3 or EuclidPoint per keyframe
-    rel_positions: np.ndarray  # chaser-frame target offsets, (n, 3)
-    rel_angles: np.ndarray  # |Log| of relative rotation, nan where undefined
+    rows: list[EstimateRow]
     report: SolveReport
 
 
@@ -615,21 +626,19 @@ def _angle(R: np.ndarray) -> float:
 def smooth(graph: FactorGraph, initial: Values, settings: SolverSettings,
            keyframes: list[Keyframe]) -> TrajectoryEstimate:
     solution, report = optimize(graph, initial, settings)
-    chaser_poses, target_states = [], []
-    rel_pos = np.empty((len(keyframes), 3))
-    rel_ang = np.full(len(keyframes), np.nan)
-    for i, kf in enumerate(keyframes):
+    rows = []
+    for kf in keyframes:
         C: Pose3 = solution.get(kf.chaser_key)
         S = solution.get(kf.target_key)
-        chaser_poses.append(C)
-        target_states.append(S)
-        rel_pos[i] = C.rotation.matrix.T @ (_translation_of(S) - C.translation)
-        if isinstance(S, Pose3):
-            rel_ang[i] = _angle(C.rotation.matrix.T @ S.rotation.matrix)
-    return TrajectoryEstimate(keyframes=keyframes, chaser_poses=chaser_poses,
-                              target_states=target_states,
-                              rel_positions=rel_pos, rel_angles=rel_ang,
-                              report=report)
+        pose = S if isinstance(S, Pose3) else None
+        position = _translation_of(S)
+        rows.append(EstimateRow(
+            timestamp=kf.timestamp, trigger=kf.trigger, group=kf.group,
+            chaser=C, target_position=position, target_pose=pose,
+            rel_position=C.rotation.matrix.T @ (position - C.translation),
+            rel_angle=math.nan if pose is None else _angle(
+                C.rotation.matrix.T @ pose.rotation.matrix)))
+    return TrajectoryEstimate(rows=rows, report=report)
 
 
 @dataclass
@@ -660,48 +669,46 @@ def _group_stats(pos: np.ndarray, ang: np.ndarray) -> GroupStats:
         ang_count=int(ang_ok.size))
 
 
-def _true_relative(truth, t: float, tol: float):
-    """The true chaser-frame target offset and relative rotation at the truth
-    sample nearest `t`, or None when no sample lies within `tol`."""
-    try:
-        j = truth.index_at(t)
-    except ValueError:
-        return None
-    if abs(truth.times[j] - t) > tol:
-        return None
-    C_t, T_t = truth.chaser[j], truth.target[j]
-    R_c = C_t.rotation.matrix.T
-    return R_c @ (T_t.translation - C_t.translation), R_c @ T_t.rotation.matrix
-
-
-def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorReport:
-    """Relative position/angle errors against ground truth, grouped by
-    keyframe type (USBL / OPTICAL / GATE / ALL).
-
-    Of each keyframe it reads only `timestamp` and `group`, so the rows of
-    an estimate file serve as keyframes too.
-    """
-    n = len(estimate.keyframes)
-    pos_err = np.full(n, np.nan)
-    ang_err = np.full(n, np.nan)
+def _errors(fixes, truth, tol: float):
+    """Position and angle errors of each (time, chaser-frame target
+    position, relative rotation or None) against the truth sample nearest
+    its time: (matched, position errors, angle errors), with nan where no
+    sample lies within `tol` or no rotation is given."""
+    fixes = list(fixes)
+    n = len(fixes)
+    pos_err, ang_err = np.full(n, np.nan), np.full(n, np.nan)
     matched = np.zeros(n, dtype=bool)
-    for i, kf in enumerate(estimate.keyframes):
-        true = _true_relative(truth, kf.timestamp, tol)
-        if true is None:
+    for i, (t, p, R) in enumerate(fixes):
+        try:
+            j = truth.index_at(t)
+        except ValueError:
+            continue
+        if abs(truth.times[j] - t) > tol:
             continue
         matched[i] = True
-        rel_t, R_rel_t = true
-        pos_err[i] = np.linalg.norm(estimate.rel_positions[i] - rel_t)
-        S = estimate.target_states[i]
-        if isinstance(S, Pose3):
-            C_e = estimate.chaser_poses[i]
-            R_rel_e = C_e.rotation.matrix.T @ S.rotation.matrix
-            ang_err[i] = _angle(R_rel_e.T @ R_rel_t)
+        C_t, T_t = truth.chaser[j], truth.target[j]
+        R_c = C_t.rotation.matrix.T
+        pos_err[i] = np.linalg.norm(
+            p - R_c @ (T_t.translation - C_t.translation))
+        if R is not None:
+            ang_err[i] = _angle(R.T @ (R_c @ T_t.rotation.matrix))
+    return matched, pos_err, ang_err
+
+
+def metrics(rows: Sequence[EstimateRow], truth,
+            tol: float = 0.05) -> ErrorReport:
+    """Relative position/angle errors against ground truth, grouped by
+    keyframe type (USBL / OPTICAL / GATE / ALL), of the rows that `smooth`
+    makes or an estimate file holds."""
+    matched, pos_err, ang_err = _errors(
+        [(row.timestamp, row.rel_position, None if row.target_pose is None
+          else row.chaser.rotation.matrix.T @ row.target_pose.rotation.matrix)
+         for row in rows], truth, tol)
     if not matched.any():
         raise ConfigError("no keyframe timestamps overlap the ground truth")
 
     groups: dict[str, GroupStats] = {}
-    labels = np.array([kf.group for kf in estimate.keyframes])
+    labels = np.array([row.group for row in rows])
     for g in ("USBL", "OPTICAL", "GATE"):
         sel = matched & (labels == g)
         groups[g] = _group_stats(pos_err[sel], ang_err[sel])
@@ -711,21 +718,16 @@ def metrics(estimate: TrajectoryEstimate, truth, tol: float = 0.05) -> ErrorRepo
 
 def measurement_baselines(measurements: Sequence[MeasurementRecord], truth,
                           tol: float = 0.05) -> dict[str, GroupStats]:
-    """Raw-measurement error baselines (USBL offsets, optical translations)."""
-    rows: dict[str, tuple[list, list]] = {"USBL": ([], []), "OPTICAL": ([], [])}
+    """Raw-measurement error baselines (USBL offsets, optical poses), from
+    the stream's columns."""
     stream = MeasurementStream.of(measurements)
-    for rec in map(stream.__getitem__,
-                   np.flatnonzero(stream.kinds != ODOM).tolist()):
-        true = _true_relative(truth, rec.timestamp, tol)
-        if true is None:
-            continue
-        rel_t, R_rel_t = true
-        if rec.kind == "USBL":
-            rows["USBL"][0].append(np.linalg.norm(rec.payload - rel_t))
-            rows["USBL"][1].append(np.nan)
-        else:
-            z: Pose3 = rec.payload
-            rows["OPTICAL"][0].append(np.linalg.norm(z.translation - rel_t))
-            rows["OPTICAL"][1].append(_angle(z.rotation.matrix.T @ R_rel_t))
-    return {k: _group_stats(np.asarray(p), np.asarray(a))
-            for k, (p, a) in rows.items()}
+    groups = {}
+    for kind in ("USBL", "OPTICAL"):
+        sel = np.flatnonzero(stream.kinds == KINDS.index(kind))
+        rotations = (stream.rotations[sel] if kind == "OPTICAL"
+                     else [None] * len(sel))
+        matched, pos_err, ang_err = _errors(
+            zip(stream.times[sel].tolist(), stream.vectors[sel], rotations),
+            truth, tol)
+        groups[kind] = _group_stats(pos_err[matched], ang_err[matched])
+    return groups

@@ -249,7 +249,7 @@ def test_criterion_5_rendezvous_relationships(capsys):
             _, _, _, est = run_pipeline(cfg, mode, records=records,
                                         truth=truth)
             converged &= est.report.converged
-            rep = metrics(est, truth)
+            rep = metrics(est.rows, truth)
             if mode == "A":
                 a_usbl.append(rep.groups["USBL"].mean_pos)
                 a_all.append(rep.groups["ALL"].mean_pos)
@@ -288,7 +288,7 @@ def test_criterion_6_gap_behavior(capsys):
     idx = [i for i, kf in enumerate(kfs_a) if gap_a <= kf.timestamp <= gap_b]
     ts = [kfs_a[i].timestamp for i in idx]
     twists = np.array([
-        M.ominus(M.SE3, est_a.target_states[j], est_a.target_states[i])
+        M.ominus(M.SE3, est_a.rows[j].target_pose, est_a.rows[i].target_pose)
         / (tb - ta)
         for (i, ta), (j, tb) in zip(zip(idx, ts), zip(idx[1:], ts[1:]))])
     twist_var = float(twists.var(axis=0).max())
@@ -296,7 +296,7 @@ def test_criterion_6_gap_behavior(capsys):
     _, _, kfs_b, est_b = run_pipeline(cfg, "B", records=truncated, truth=truth,
                                       until=gap_b)
     idx = [i for i, kf in enumerate(kfs_b) if gap_a <= kf.timestamp <= gap_b]
-    pts = np.array([est_b.target_states[i].coords for i in idx])
+    pts = np.array([est_b.rows[i].target_position for i in idx])
     inc = np.diff(pts, axis=0)
     unit = inc / np.linalg.norm(inc, axis=1, keepdims=True)
     max_cross = max(float(np.linalg.norm(np.cross(unit[i], unit[i + 1])))
@@ -310,7 +310,7 @@ def test_criterion_6_gap_behavior(capsys):
     reconverged = True
     for mode in ("A", "B"):
         _, _, kfs, est = run_pipeline(cfg, mode, records=records, truth=truth)
-        rep = metrics(est, truth)
+        rep = metrics(est.rows, truth)
         first3 = [i for i, kf in enumerate(kfs)
                   if kf.timestamp >= gap2_end
                   and "OPTICAL" in kf.meas_kinds][:3]
@@ -384,7 +384,7 @@ def test_criterion_8_noiseless_consistency(capsys):
     for mode in ("A", "B"):
         _, _, _, est = run_pipeline(cfg, mode, records=records, truth=truth)
         converged &= est.report.converged
-        rep = metrics(est, truth)
+        rep = metrics(est.rows, truth)
         worst[mode] = max(float(np.nanmax(rep.pos_errors)),
                           float(np.nanmax(rep.ang_errors))
                           if np.isfinite(rep.ang_errors).any() else 0.0)

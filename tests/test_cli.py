@@ -211,6 +211,23 @@ class TestErrorExits:
         assert len(err) == 1
         assert err[0].startswith(f"error: {line.split()[0]} must be ")
 
+    @pytest.mark.parametrize("line", [
+        "gaps = nan:90",
+        "gaps = 10:inf",
+        "optical_windows = 200:100",
+    ])
+    def test_bad_window_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("duration = 320\n" + line + "\n")
+        rc = main(["simulate", "--config", str(cfg),
+                   "--out-truth", str(tmp_path / "t.csv"),
+                   "--out-meas", str(tmp_path / "m.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"error: {cfg}:2: bad value for {line.split()[0]!r}: window ")
+
     def test_non_finite_gate_option_exits_2(self, tmp_path, capsys):
         rc = main(["smooth", "--gate", "nan", "--meas", str(tmp_path / "m.csv"),
                    "--out", str(tmp_path / "est.csv")])

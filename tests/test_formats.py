@@ -2,7 +2,7 @@
 
 import csv
 import gc
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, astuple, fields
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from twistgraph import cli
 from twistgraph import manifold as M
 from twistgraph.factors import MeasurementSigmas, NoiseSigmas, RollPitchSpec
-from twistgraph.fgraph import SolveReport, SolverSettings
+from twistgraph.fgraph import SolverSettings
 from twistgraph.formats import (
     ConfigError,
     RunConfig,
@@ -41,7 +41,6 @@ from twistgraph.tracking import (
     MeasurementStream,
     ModePolicy,
     TrackingConfig,
-    TrajectoryEstimate,
     build_graph,
     measurement_baselines,
     metrics,
@@ -257,18 +256,11 @@ class TestBatchedRecordFiles:
 
     def test_estimate_with_only_r3_targets(self, tmp_path):
         est, _, _ = smoothed_estimate("B")
-        keep = [i for i, S in enumerate(est.target_states)
-                if not isinstance(S, M.Pose3)]
-        r3 = TrajectoryEstimate(
-            keyframes=[est.keyframes[i] for i in keep],
-            chaser_poses=[est.chaser_poses[i] for i in keep],
-            target_states=[est.target_states[i] for i in keep],
-            rel_positions=est.rel_positions[keep],
-            rel_angles=est.rel_angles[keep], report=est.report)
+        r3 = [row for row in est.rows if row.target_pose is None]
         path = tmp_path / "est.csv"
-        assert write_estimate(path, r3) == len(keep) > 0
+        assert write_estimate(path, r3) == len(r3) > 0
         rows = csv_rows(path)
-        for row, C in zip(rows, r3.chaser_poses):
+        for row, C in zip(rows, [r.chaser for r in r3]):
             assert row[3:10] == scalar_pose_to_fields(C)
             assert row[13:17] == [""] * 4
         for got, row in zip(read_estimate(path), rows):
@@ -276,12 +268,8 @@ class TestBatchedRecordFiles:
             assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
 
     def test_empty_estimate_writes_its_header(self, tmp_path):
-        est = TrajectoryEstimate(
-            keyframes=[], chaser_poses=[], target_states=[],
-            rel_positions=np.empty((0, 3)), rel_angles=np.empty(0),
-            report=SolveReport())
         path = tmp_path / "est.csv"
-        assert write_estimate(path, est) == 0
+        assert write_estimate(path, []) == 0
         assert path.read_bytes().count(b"\r\n") == 1
         assert read_estimate(path) == []
 
@@ -289,11 +277,12 @@ class TestBatchedRecordFiles:
     def test_estimate_writer_and_reader_match_scalar(self, tmp_path, mode):
         est, _, _ = smoothed_estimate(mode)
         path = tmp_path / "est.csv"
-        write_estimate(path, est)
+        write_estimate(path, est.rows)
         rows = csv_rows(path)
-        for row, C, S in zip(rows, est.chaser_poses, est.target_states):
+        for row, C, S in zip(rows, [r.chaser for r in est.rows],
+                             [r.target_pose for r in est.rows]):
             assert row[3:10] == scalar_pose_to_fields(C)
-            if isinstance(S, M.Pose3):
+            if S is not None:
                 assert row[10:17] == scalar_pose_to_fields(S)
         for got, row in zip(read_estimate(path), rows):
             assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
@@ -327,6 +316,7 @@ ESTIMATE_EDITS = [
     (17, "nan", "non-finite value"),  # rel_x
     (20, "inf", "non-finite value"),  # rel_angle
     (2, "usbl", "unknown keyframe group 'usbl'"),  # group
+    (1, "MEASURMENT", "unknown keyframe trigger 'MEASURMENT'"),  # trigger
 ]
 # pose fields of a truth row and the error each raises
 TRUTH_FIELDS = [
@@ -373,7 +363,7 @@ class TestMalformedRows:
     def test_estimate_rows_are_finite(self, tmp_path, column, value,
                                       message):
         path = tmp_path / "est.csv"
-        write_estimate(path, smoothed_estimate("A")[0])
+        write_estimate(path, smoothed_estimate("A")[0].rows)
         lines = path.read_text().splitlines(keepends=True)
         lines[5] = edit_estimate_row(lines[5], column, value)
         path.write_text("".join(lines))
@@ -442,7 +432,7 @@ class TestMalformedRows:
     def test_estimate_field_only_python_reads_is_refused(self, tmp_path,
                                                          value):
         path = tmp_path / "est.csv"
-        write_estimate(path, smoothed_estimate("A")[0])
+        write_estimate(path, smoothed_estimate("A")[0].rows)
         lines = path.read_text().splitlines(keepends=True)
         lines[5] = edit_estimate_row(lines[5], 17, value)  # rel_x
         path.write_text("".join(lines), encoding="utf-8")
@@ -643,31 +633,55 @@ class TestRecordFiles:
     def test_estimate_round_trip(self, tmp_path, mode):
         est, _, _ = self._estimate(mode)
         path = tmp_path / "est.csv"
-        assert write_estimate(path, est) == len(est.keyframes)
+        assert write_estimate(path, est.rows) == len(est.rows)
         rows = read_estimate(path)
-        assert len(rows) == len(est.keyframes)
-        for row, kf, C, S, rel, ang in zip(
-                rows, est.keyframes, est.chaser_poses, est.target_states,
-                est.rel_positions, est.rel_angles):
-            assert row.timestamp == pytest.approx(kf.timestamp)
-            assert row.trigger == kf.trigger and row.group == kf.group
-            np.testing.assert_allclose(row.chaser.matrix(), C.matrix(),
+        assert len(rows) == len(est.rows)
+        for row, ref in zip(rows, est.rows):
+            assert row.timestamp == pytest.approx(ref.timestamp)
+            assert row.trigger == ref.trigger and row.group == ref.group
+            np.testing.assert_allclose(row.chaser.matrix(),
+                                       ref.chaser.matrix(), atol=1e-9)
+            np.testing.assert_allclose(row.rel_position, ref.rel_position,
                                        atol=1e-9)
-            np.testing.assert_allclose(row.rel_position, rel, atol=1e-9)
-            if isinstance(S, M.Pose3):
+            if ref.target_pose is not None:
                 assert row.target_pose is not None
                 np.testing.assert_allclose(row.target_pose.matrix(),
-                                           S.matrix(), atol=1e-9)
-                assert row.rel_angle == pytest.approx(ang, abs=1e-9)
+                                           ref.target_pose.matrix(), atol=1e-9)
+                assert row.rel_angle == pytest.approx(ref.rel_angle, abs=1e-9)
             else:
                 assert row.target_pose is None
-                np.testing.assert_allclose(row.target_position, S.coords,
-                                           atol=1e-9)
+                np.testing.assert_allclose(row.target_position,
+                                           ref.target_position, atol=1e-9)
                 assert np.isnan(row.rel_angle)
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_metrics_of_estimate_file_match_its_rows(self, tmp_path, mode):
+        est, truth, _ = self._estimate(mode)
+        path = tmp_path / "est.csv"
+        write_estimate(path, est.rows)
+        got = metrics(read_estimate(path), truth).groups
+        ref = metrics(est.rows, truth).groups
+        assert list(got) == list(ref)
+        for g, s in ref.items():
+            assert (got[g].count, got[g].ang_count) == (s.count, s.ang_count)
+            for name in ("mean_pos", "std_pos", "mean_ang", "std_ang"):
+                assert getattr(got[g], name) == pytest.approx(
+                    getattr(s, name), rel=1e-9, nan_ok=True), (g, name)
+
+    def test_baselines_of_read_stream_match_its_records(self, tmp_path):
+        _, truth, records = self._estimate("A")
+        path = tmp_path / "meas.csv"
+        write_measurements(path, records)
+        stream = read_measurements(path)
+        got = measurement_baselines(stream, truth)
+        ref = measurement_baselines(list(stream), truth)
+        assert list(got) == list(ref) == ["USBL", "OPTICAL"]
+        for g in ref:
+            assert_identical(astuple(got[g]), astuple(ref[g]))
 
     def test_metrics_file_and_table(self, tmp_path):
         est, truth, records = self._estimate("A")
-        rep = metrics(est, truth)
+        rep = metrics(est.rows, truth)
         base = measurement_baselines(records, truth)
         path = tmp_path / "metrics.csv"
         write_metrics(path, rep.groups, base)

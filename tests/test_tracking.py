@@ -753,7 +753,7 @@ class TestBuildGraph:
         truth, recs, kfs, graph, values, tcfg = self._pipeline(mode)
         est = smooth(graph, values, SolverSettings(), kfs)
         assert est.report.converged
-        rep = metrics(est, truth)
+        rep = metrics(est.rows, truth)
         base = measurement_baselines(recs, truth)
         assert rep.groups["USBL"].mean_pos < base["USBL"].mean_pos
         assert rep.groups["ALL"].count == len(kfs)
@@ -762,20 +762,21 @@ class TestBuildGraph:
         truth, recs, kfs, graph, values, _ = self._pipeline("A")
         est = smooth(graph, values, SolverSettings(), kfs)
         for i, kf in enumerate(kfs):
-            C = est.chaser_poses[i]
-            S = est.target_states[i]
+            C = est.rows[i].chaser
+            S = est.rows[i].target_pose
             ref = C.rotation.matrix.T @ (S.translation - C.translation)
-            np.testing.assert_allclose(est.rel_positions[i], ref, atol=1e-12)
-            assert np.isfinite(est.rel_angles[i])
+            np.testing.assert_allclose(est.rows[i].rel_position, ref,
+                                       atol=1e-12)
+            assert np.isfinite(est.rows[i].rel_angle)
 
     def test_mode_b_rel_angles_nan_on_r3(self):
         truth, recs, kfs, graph, values, _ = self._pipeline("B")
         est = smooth(graph, values, SolverSettings(), kfs)
         for i, kf in enumerate(kfs):
             if kf.target_key.kind.tag == "RN":
-                assert np.isnan(est.rel_angles[i])
+                assert np.isnan(est.rows[i].rel_angle)
             else:
-                assert np.isfinite(est.rel_angles[i])
+                assert np.isfinite(est.rows[i].rel_angle)
 
 
 class TestFactorTables:
@@ -868,7 +869,7 @@ class TestMetrics:
         kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
         graph, values = build_graph(kfs, policy, tcfg)
         est = smooth(graph, values, SolverSettings(), kfs)
-        rep = metrics(est, truth)
+        rep = metrics(est.rows, truth)
         total = sum(rep.groups[g].count for g in ("USBL", "OPTICAL", "GATE"))
         assert total == rep.groups["ALL"].count
         assert rep.groups["OPTICAL"].mean_pos < rep.groups["USBL"].mean_pos
@@ -879,17 +880,15 @@ class TestMetrics:
         recs = [usbl(1000.0), usbl(1001.0)]
         kfs = schedule_keyframes(recs, gate=5.0)
         values = initialize_values(kfs, TrackingConfig())
-        from twistgraph.tracking import TrajectoryEstimate
-        from twistgraph.fgraph import SolveReport
-        est = TrajectoryEstimate(
-            keyframes=kfs,
-            chaser_poses=[values.get(kf.chaser_key) for kf in kfs],
-            target_states=[values.get(kf.target_key) for kf in kfs],
-            rel_positions=np.zeros((len(kfs), 3)),
-            rel_angles=np.full(len(kfs), np.nan),
-            report=SolveReport())
+        from twistgraph.tracking import EstimateRow
+        rows = [EstimateRow(
+            timestamp=kf.timestamp, trigger=kf.trigger, group=kf.group,
+            chaser=values.get(kf.chaser_key),
+            target_position=values.get(kf.target_key).translation,
+            target_pose=values.get(kf.target_key),
+            rel_position=np.zeros(3), rel_angle=np.nan) for kf in kfs]
         with pytest.raises(ValueError):
-            metrics(est, truth)
+            metrics(rows, truth)
 
     def test_angle_matches_log_norm(self, rng):
         """The axis-free angle used by smooth, metrics and baselines equals
