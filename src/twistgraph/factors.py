@@ -23,7 +23,8 @@ from .manifold import (
     Pose3,
     skew,  # noqa: F401 -- perfbench's tracer test reads `factors.skew`
 )
-from .fgraph import Factor, FactorTable, NoiseModel, VariableKey
+from .fgraph import (Factor, FactorTable, NoiseModel, Signature,
+                     VariableKey, signature)
 
 
 @dataclass(kw_only=True)
@@ -128,11 +129,19 @@ class _Family:
         return self._factor(tuple(col[i] for col in table.keys), row, bound,
                             table.noise[table.which[i]])
 
-    def _factor(self, keys, row, bound, noise) -> Factor:
+    def _factor(self, keys, row, bound, noise, sig=None) -> Factor:
         """The view of the row over `keys` with params `row`, whose closures
         run `steps` and `fn` with `bound` on its keys' elements, or without
-        a group on their parts."""
-        fn, steps = self.fn, self.steps
+        a group on their parts. It is made without its closures and name:
+        `made` makes them when one is first read."""
+        f = Factor.__new__(Factor)
+        f.keys, f.noise, f.family, f.family_params = keys, noise, self, row
+        f._bound, f._resolved = bound, None if sig is None else (keys, sig)
+        return f
+
+    def made(self, f: Factor) -> dict:
+        """The closures and name of the view `f`."""
+        fn, steps, keys, bound = self.fn, self.steps, f.keys, f._bound
         if self.group is None:
             lead, parts = (), [(key, key.kind.group.parts) for key in keys]
 
@@ -143,38 +152,50 @@ class _Family:
 
             def states(values):
                 return [values.get(key) for key in keys]
-        return Factor(
-            keys=keys, noise=noise,
-            residual_fn=lambda values: steps(*lead, bound, *states(values))[-1],
-            jacobian_fn=lambda values: fn(*lead, bound, *states(values))[1],
-            name=f"{self.label.format(*row)}"
-            f"[{','.join(str(k.id) for k in keys)}]",
-            family=self, family_params=row)
+        return {
+            "residual_fn":
+                lambda values: steps(*lead, bound, *states(values))[-1],
+            "jacobian_fn": lambda values: fn(*lead, bound, *states(values))[1],
+            "name": f"{self.label.format(*f.family_params)}"
+                    f"[{','.join(str(k.id) for k in keys)}]"}
 
 
 # one object per family: a graph holds one table per family, key kinds and dim
 _family = functools.cache(_Family)
 
 
+# (resolve, id of each key kind) -> (those kinds, the Signature of the
+# family `resolve` gives them): a per-factor constructor resolves each tuple
+# of kind objects once, and hashes no kind. An entry holds its own kind
+# objects, so no id in its key is reused while it lasts.
+_SIGNATURES: dict[tuple, tuple[tuple, Signature]] = {}
+
+
 def _one(resolve, keys, row, covariance, bound=None) -> Factor:
     """The factor of the family `resolve(kinds)` over `keys`, with the
     params `row` (`bound` in its closures, by default the same): the view
     that a table of this one row gives, made without the table."""
-    family = resolve(tuple(key.kind for key in keys))
-    return family._factor(tuple(keys), row, row if bound is None else bound,
-                          NoiseModel(covariance))
+    kinds = tuple([key.kind for key in keys])
+    held = _SIGNATURES.get((resolve, *map(id, kinds)))
+    if held is None:
+        held = _SIGNATURES[(resolve, *map(id, kinds))] = (
+            kinds, signature(resolve(kinds), kinds))
+    sig = held[1]
+    return sig.family._factor(tuple(keys), row,
+                              row if bound is None else bound,
+                              NoiseModel.of(covariance), sig)
 
 
 def _noise(covariance: np.ndarray, n: int) -> tuple[list, np.ndarray]:
     """The distinct noise models of n rows' covariances, one (d, d) for
     every row or an (n, d, d) stack, and each row's index into them."""
     if covariance.ndim == 2:
-        return [NoiseModel(covariance)], np.zeros(n, np.intp)
+        return [NoiseModel.of(covariance)], np.zeros(n, np.intp)
     flat = np.ascontiguousarray(covariance).reshape(n, -1)
     _, first, which = np.unique(  # equal bytes, one model
         flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))),
         return_index=True, return_inverse=True)
-    return [NoiseModel(covariance[i]) for i in first], which.reshape(n)
+    return [NoiseModel.of(covariance[i]) for i in first], which.reshape(n)
 
 
 def _tables(family, keys, params, covariance, order=None) -> list[FactorTable]:

@@ -8,8 +8,8 @@ on each variable's tangent space.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import MISSING, dataclass, field
+from functools import cache, lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from typing import Callable
@@ -128,6 +128,54 @@ class NoiseModel:
     def whiten(self, e: np.ndarray) -> np.ndarray:
         return self.sqrt_info @ e
 
+    @staticmethod
+    def of(covariance: np.ndarray) -> "NoiseModel":
+        """The one noise model of every covariance with these shape and
+        bytes, its covariance a read-only copy."""
+        covariance = np.asarray(covariance, dtype=float)
+        return _shared_noise(covariance.shape, covariance.tobytes())
+
+
+@lru_cache(maxsize=256)
+def _shared_noise(shape: tuple, data: bytes) -> NoiseModel:
+    return NoiseModel(np.frombuffer(data).reshape(shape))
+
+
+class _Made:
+    """A Factor field that a view made without its __init__ leaves out:
+    its first read makes it, with the view's other such fields, as
+    `f.family.made(f)` gives them, and the view then holds it, so that an
+    assignment replaces it. A Factor made by its __init__ holds every
+    field from the start."""
+
+    def __init__(self, default=MISSING):
+        self.default = default
+
+    def __set_name__(self, owner, attr):
+        self.attr = attr
+
+    def __get__(self, f, owner=None):
+        if f is None:  # the field's default, as the dataclass reads it
+            if self.default is MISSING:
+                raise AttributeError(self.attr)
+            return self.default
+        for attr, value in f.family.made(f).items():
+            f.__dict__.setdefault(attr, value)
+        return f.__dict__[self.attr]
+
+
+@dataclass(frozen=True, eq=False)
+class Signature:
+    """A family and the key kinds of its rows: with a dim, what picks a
+    graph's table. `signature` makes one object per equal pair, so that a
+    graph finds a row's table by identity, without hashing its kinds."""
+
+    family: Callable
+    kinds: tuple[ManifoldKind, ...]
+
+
+signature = cache(Signature)
+
 
 @dataclass
 class Factor:
@@ -138,19 +186,24 @@ class Factor:
 
     A built-in factor is a view of one row of a FactorTable: its `family`
     evaluates a table's rows as one batch, and family_params are the row's
-    params. A custom factor has no family: a graph holds it as a row of a
-    table whose family runs each row's own closures.
+    params. A view is made without its closures and name, which its
+    family makes when one of them is first read. A custom factor has no
+    family: a graph holds it as a row of a table whose family runs each
+    row's own closures.
     """
 
     keys: tuple[VariableKey, ...]
-    residual_fn: Callable[[Values], np.ndarray]
-    jacobian_fn: Callable[[Values], tuple[np.ndarray, ...]]
+    residual_fn: Callable[[Values], np.ndarray] = _Made()
+    jacobian_fn: Callable[[Values], tuple[np.ndarray, ...]] = _Made()
     noise: NoiseModel
-    name: str = "factor"
+    name: str = _Made("factor")
     # optional fused path returning (residual, jacobians) in one evaluation
     combined_fn: Callable[[Values], tuple] | None = None
     family: Callable | None = None
     family_params: tuple = ()
+    # a per-factor constructor's view holds its keys and their Signature,
+    # made once
+    _resolved = None
 
     @property
     def dim(self) -> int:
@@ -212,8 +265,11 @@ class FactorGraph:
 
     def __init__(self):
         self.variables: set[VariableKey] = set()
-        # (family, kinds, dim) -> (table, position of its order 0) pairs, and
-        # -> (position, keys, params, noise) of the factors added one by one
+        # (Signature, dim) -> (table, position of its order 0) pairs, and
+        # -> the columns of the factors added one by one: their positions,
+        # keys and params (each row's in turn, in one flat list) and noise
+        # models. Flat columns keep no object per row alive, so building a
+        # graph factor by factor leaves the garbage collector less to track.
         self._tables: dict[tuple, list] = {}
         self._rows: dict[tuple, list] = {}
         self._size = 0
@@ -233,12 +289,20 @@ class FactorGraph:
         custom factor is the one param of its `_CLOSURES` row."""
         self._where = None
         if isinstance(item, Factor):
-            family, params = (_CLOSURES, (item,)) if item.family is None \
-                else (item.family, item.family_params)
-            kinds = tuple(key.kind for key in item.keys)
-            self._rows.setdefault((family, kinds, item.dim), []).append(
-                (self._size, item.keys, params, item.noise))
-            self.variables.update(item.keys)
+            family, params, keys = item.family, item.family_params, item.keys
+            if family is None:
+                family, params = _CLOSURES, (item,)
+            made_for, sig = item._resolved or (None, None)
+            if made_for is not keys or sig.family is not family:
+                sig = signature(family, tuple([key.kind for key in keys]))
+            rows = self._rows.get((sig, item.dim))
+            if rows is None:
+                rows = self._rows[sig, item.dim] = ([], [], [], [])
+            rows[0].append(self._size)
+            rows[1].extend(keys)
+            rows[2].extend(params)
+            rows[3].append(item.noise)
+            self.variables.update(keys)
             self._size += 1
             return
         tables = [item] if isinstance(item, FactorTable) else list(item)
@@ -248,8 +312,8 @@ class FactorGraph:
             raise ValueError("the rows added together must be ranked 0, 1, "
                              "... by their tables' order")
         for t in tables:
-            self._tables.setdefault((t.family, t.kinds, t.dim), []).append(
-                (t, self._size))
+            self._tables.setdefault((signature(t.family, t.kinds), t.dim),
+                                    []).append((t, self._size))
             for keys in t.keys:
                 self.variables.update(keys)
         self._size += len(placed)
@@ -261,17 +325,20 @@ class FactorGraph:
     def tables(self) -> list[FactorTable]:
         """One table per (family, key kinds, dim), each row's order its
         position in graph order."""
-        for (family, kinds, _), rows in self._rows.items():
-            at, keys, params, noise = zip(*rows)
-            self._tables.setdefault((family, kinds, _), []).append((
-                FactorTable(family, kinds, tuple(map(list, zip(*keys))),
-                            tuple(np.array(p) for p in zip(*params)),
-                            list(noise), np.arange(len(rows)), np.array(at)),
-                0))
+        for (sig, dim), (at, keys, params, noise) in self._rows.items():
+            n, k = len(at), len(sig.kinds)
+            m = len(params) // n
+            # each distinct noise model once: equal covariances share one
+            index = {nm: i for i, nm in enumerate(dict.fromkeys(noise))}
+            self._tables.setdefault((sig, dim), []).append((FactorTable(
+                sig.family, sig.kinds, tuple(keys[s::k] for s in range(k)),
+                tuple(np.array(params[s::m]) for s in range(m)), list(index),
+                np.fromiter(map(index.__getitem__, noise), np.intp, n),
+                np.array(at)), 0))
         self._rows.clear()
-        for signature, chunks in self._tables.items():
+        for key, chunks in self._tables.items():
             if len(chunks) > 1 or chunks[0][1]:
-                self._tables[signature] = [(_concat(chunks), 0)]
+                self._tables[key] = [(_concat(chunks), 0)]
         return [chunks[0][0] for chunks in self._tables.values()]
 
     def _located(self) -> list:
@@ -398,8 +465,8 @@ class _Batch:
     table: FactorTable
     sqrt_info: np.ndarray  # (N, d, d)
     slots: list  # per key: (kind, row of each factor's variable in its stack)
-    rows: np.ndarray  # residual rows, (N * d,)
-    cells: np.ndarray  # J's data positions of the factors' blocks, flat
+    rows: np.ndarray | slice  # residual rows, (N * d,)
+    cells: np.ndarray | slice  # J's data positions of the factors' blocks
 
     def __call__(self, states: dict, n: int | None = None):
         """The family's (r, per-key Jacobians) at the `_StateLayout` stacks
@@ -438,6 +505,14 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=out[1:])
     return out
+
+
+def _span(index: np.ndarray):
+    """`index`, or the slice it spans when it is one ascending run: a slice
+    assigns without a scatter."""
+    if len(index) and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 def _slot_ranks(col, dk, key0) -> np.ndarray:
@@ -519,8 +594,8 @@ class Linearizer:
                 sqrt_info=np.array([nm.sqrt_info for nm in t.noise])[t.which],
                 slots=[(kind, layout.row[var[key0[at] + s]])
                        for s, kind in enumerate(t.kinds)],
-                rows=(row0[at][:, None] + np.arange(t.dim)).ravel(),
-                cells=(block0[at][:, None] + np.arange(width)).ravel()))
+                rows=_span((row0[at][:, None] + np.arange(t.dim)).ravel()),
+                cells=_span((block0[at][:, None] + np.arange(width)).ravel())))
 
     def _block_layout(self, col, dk, key0, d, row0) -> np.ndarray:
         """The CSR layout of J and the layout of J^T J's band, from each key
@@ -575,13 +650,17 @@ class Linearizer:
                                     - np.minimum.reduceat(key_col, first),
                                     initial=0))
         m = self.bandwidth + 1
-        targets = [np.empty(0, np.intp)]
+        # a band of under 2^31 entries takes int32 targets, which halve the
+        # memory traffic of forming them
+        target = np.int32 if n * m < 2 ** 31 else np.intp
+        key_target = key_col.astype(target)
+        targets = [np.empty(0, target)]
         self._band_groups = []
         for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
             fs = np.flatnonzero((d == dd) & (w == ww))
             cells = block0[fs, None] + np.arange(dd * ww)
             at = col0[fs, None] + np.arange(ww)
-            cols, order = key_col[at], rank[at]
+            cols, order = key_target[at], rank[at]
             if (order == order[0]).all():
                 pick = np.flatnonzero(order[0, :, None] >= order[0])
                 rows, f, (p, q) = len(fs), slice(None), np.divmod(pick, ww)

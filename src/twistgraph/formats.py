@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, fields, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation as ScipyRotation
 
 from .manifold import Pose3, Rotation3
 from .simkit import GroundTruth, ScenarioConfig, TwistSegment
@@ -24,10 +23,58 @@ from .factors import NoiseSigmas
 from .fgraph import SolverSettings
 
 
+# The rotation conversions below do scipy's Rotation arithmetic (from_matrix
+# then as_quat, from_quat then as_matrix) operation for operation, so that
+# they give its results to the last bit without importing scipy.spatial.
+
+
+def _normalized(q: np.ndarray) -> np.ndarray:
+    """Each row of the (n, 4) q over its norm, the squares summed in order."""
+    sq = q * q
+    return q / np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
+
+
+def _orthogonal(R: np.ndarray) -> np.ndarray:
+    """R, refused if a determinant is not positive, with each matrix that is
+    not orthogonal to 1e-12 replaced by its nearest rotation, U V^T of its
+    SVD."""
+    flipped = np.linalg.det(R) <= 0
+    if flipped.any():
+        i = int(np.argmax(flipped))
+        raise ValueError(f"Non-positive determinant (left-handed or null "
+                         f"coordinate frame) in rotation matrix {i}: {R[i]}.")
+    off = ~np.isclose(R @ R.swapaxes(1, 2), np.eye(3),
+                      atol=1e-12).all(axis=(1, 2))
+    if off.any():
+        U, _, Vt = np.linalg.svd(R[off], full_matrices=False)
+        R = R.copy()
+        R[off] = U @ Vt
+    return R
+
+
 def _quaternions(R: np.ndarray) -> np.ndarray:
-    """(n, 4) `qw,qx,qy,qz` of the (n, 3, 3) rotations R, in one call."""
-    q = ScipyRotation.from_matrix(R).as_quat()  # x, y, z, w
-    return q[:, [3, 0, 1, 2]]
+    """(n, 4) `qw,qx,qy,qz` of the (n, 3, 3) rotations R, in one pass.
+
+    Each row takes the branch of the largest of R00, R11, R22 and the
+    trace, which keeps the largest component away from cancellation."""
+    R = _orthogonal(R)
+    trace = R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2]
+    choice = np.argmax(np.stack([R[:, 0, 0], R[:, 1, 1], R[:, 2, 2], trace],
+                                axis=1), axis=1)
+    q = np.empty((len(R), 4))  # x, y, z, w
+    at = choice == 3
+    r = R[at]
+    q[at] = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
+                      r[:, 1, 0] - r[:, 0, 1], 1 + trace[at]], axis=1)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        at = choice == i
+        r = R[at]
+        q[at, i] = 1 - trace[at] + 2 * r[:, i, i]
+        q[at, j] = r[:, j, i] + r[:, i, j]
+        q[at, k] = r[:, k, i] + r[:, i, k]
+        q[at, 3] = r[:, k, j] - r[:, j, k]
+    return _normalized(q)[:, [3, 0, 1, 2]]
 
 
 def _pose_columns(poses: list[Pose3]) -> np.ndarray:
@@ -64,13 +111,6 @@ def _write_columns(path, header: list[str], columns: list[list[str]]) -> None:
                          for row in [header, *zip(*columns)]))
 
 
-def poses_to_fields(poses: list[Pose3]) -> list[list[str]]:
-    """`tx,ty,tz,qw,qx,qy,qz` fields of each pose, converting all rotations
-    in one call."""
-    return [list(row) for row in zip(*_formatted(_pose_columns(poses),
-                                                 "{:.12g}"))]
-
-
 def _rotation_matrices(a: np.ndarray) -> np.ndarray:
     """The rotations of rows `tx,ty,tz,qw,qx,qy,qz` of `a`, converted in one
     call; each quaternion is normalized."""
@@ -80,7 +120,13 @@ def _rotation_matrices(a: np.ndarray) -> np.ndarray:
     # same BLAS dot as np.linalg.norm and rounds as a per-row norm does
     q = np.ascontiguousarray(a[:, [4, 5, 6, 3]])
     q /= np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
-    return ScipyRotation.from_quat(q).as_matrix()
+    x, y, z, w = _normalized(q).T
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.stack([x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
+                     2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw),
+                     2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+                    axis=1).reshape(-1, 3, 3)
 
 
 def poses_from_fields(rows) -> list[Pose3]:
@@ -319,8 +365,17 @@ def read_estimate(path) -> list[EstimateRow]:
     numbers[:, 10:13] = _numbers(rows, 17, 20, 21, path)
     numbers[has_ang, 13:] = _numbers(rows, 20, 21, 21, path, has_ang)
     times = _timestamps(rows, path)
-    _labels(rows, ("MEASUREMENT", "TIME_GATE"), path, "keyframe trigger")
-    _labels(rows, ("USBL", "OPTICAL", "GATE"), path, "keyframe group", 2)
+    triggers = _labels(rows, ("MEASUREMENT", "TIME_GATE"), path,
+                       "keyframe trigger")
+    groups = _labels(rows, ("USBL", "OPTICAL", "GATE"), path,
+                     "keyframe group", 2)
+    # a time gate makes a GATE keyframe, and a measurement a USBL or an
+    # OPTICAL one
+    paired = (np.array(triggers) == "TIME_GATE") == (np.array(groups) == "GATE")
+    if not paired.all():
+        i = int(np.argmin(paired))
+        raise ConfigError(f"{_where(path, i)}: keyframe trigger "
+                          f"{triggers[i]!r} with group {groups[i]!r}")
     _check_rows(numbers, path, quaternions=True)
     _check_rows(target_fields, path, has_tgt_rot, quaternions=True)
     targets = iter(poses_from_fields(target_fields))

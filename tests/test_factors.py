@@ -1,5 +1,7 @@
 """Factor residuals and analytic Jacobians against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,16 +12,27 @@ from twistgraph.factors import (
     ConstantTwistSpec,
     RollPitchSpec,
     boundary_factors,
+    boundary_tables,
     ct_factor,
     ct_jacobians,
     ct_residual,
     ct_tables,
     prior_factor,
+    prior_tables,
     relative_pose_factor,
+    relative_pose_tables,
     roll_pitch_factor,
+    roll_pitch_tables,
     usbl_factor,
+    usbl_tables,
 )
-from twistgraph.fgraph import FactorGraph, Values, VariableKey, optimize
+from twistgraph.fgraph import (
+    FactorGraph,
+    NoiseModel,
+    Values,
+    VariableKey,
+    optimize,
+)
 from twistgraph.manifold import (
     EuclidPoint,
     ManifoldMismatchError,
@@ -29,7 +42,7 @@ from twistgraph.manifold import (
 )
 from twistgraph.simkit import finite_difference_jacobian
 
-from conftest import random_pose, random_rotation
+from conftest import assert_identical, random_pose, random_rotation
 
 
 def se3_key(i, t=None):
@@ -459,3 +472,123 @@ class TestBoundaryFactors:
         with pytest.raises(ManifoldMismatchError):
             boundary_factors(se3_key(0), VariableKey(1, M.rn(2), 0.0), "DOWN",
                              np.eye(3))
+
+
+def spd(rng, d):
+    A = rng.normal(size=(d, d))
+    return A @ A.T + np.eye(d)
+
+
+def per_factor_and_table_rows(rng):
+    """(per-factor view, the one-row table that makes the same factor) for
+    every family, with the Values both are evaluated at."""
+    se3 = [se3_key(i, 0.3 * i + 0.1 * i * i) for i in range(3)]
+    so3 = [VariableKey(10 + i, M.SO3, 0.7 * i) for i in range(3)]
+    rn = [VariableKey(20 + i, M.rn(4), 0.5 * i) for i in range(3)]
+    r3 = r3_key(30, 2.0)
+    values = Values()
+    for key in se3:
+        values.set(key, random_pose(rng, max_angle=1.0))
+    for key in so3:
+        values.set(key, random_rotation(rng, max_angle=1.0))
+    for key in rn:
+        values.set(key, EuclidPoint(rng.normal(size=4)))
+    values.set(r3, EuclidPoint(rng.normal(size=3)))
+    out = []
+    for keys in (se3, so3, rn):
+        base = spd(rng, keys[0].kind.dim)
+        t = [k.timestamp for k in keys]
+        out.append((ct_factor(tuple(keys), ConstantTwistSpec(
+            t[1] - t[0], t[2] - t[1], base)),
+            ct_tables(*[[k] for k in keys], lambda kind: base)))
+    for key, mean in ((se3[0], random_pose(rng)), (so3[0], random_rotation(rng)),
+                      (rn[0], EuclidPoint(rng.normal(size=4)))):
+        cov = spd(rng, key.kind.dim)
+        out.append((prior_factor(key, mean, cov),
+                    prior_tables([key], [mean], cov)))
+    z, cov = random_pose(rng), spd(rng, 6)
+    out.append((relative_pose_factor(se3[0], se3[1], z, cov),
+                relative_pose_tables([se3[0]], [se3[1]], [z], cov)))
+    for target in (se3[2], r3):
+        z, cov = rng.normal(size=3), spd(rng, 3)
+        out.append((usbl_factor(se3[0], target, z, cov),
+                    usbl_tables([se3[0]], [target], [z], cov)))
+    spec = RollPitchSpec(covariance=spd(rng, 2))
+    out.append((roll_pitch_factor(se3[1], spec),
+                roll_pitch_tables([se3[1]], spec.covariance)))
+    for direction in ("DOWN", "UP"):
+        cov = spd(rng, 3)
+        (f,) = boundary_factors(se3[2], r3, direction, cov)
+        out.append((f, boundary_tables([se3[2]], [r3], direction, cov)))
+    return [(f, t.family.view(t, 0)) for f, (t,) in out], values
+
+
+class TestPerFactorViews:
+    """A per-factor constructor makes the view of its factor's table row,
+    with its closures and name made once, when first read."""
+
+    def test_equals_the_view_of_its_table_row(self, rng):
+        views, values = per_factor_and_table_rows(rng)
+        assert len(views) == 12
+        for f, row in views:
+            assert (f.name, f.keys, f.family) == (row.name, row.keys,
+                                                   row.family)
+            assert_identical(f.noise.covariance, row.noise.covariance)
+            assert_identical(f.noise.sqrt_info, row.noise.sqrt_info)
+            for a, b in zip(f.family_params, row.family_params):
+                assert_identical(a, b)
+            assert_identical(f.residual_fn(values), row.residual_fn(values))
+            Js, Js_row = f.jacobian_fn(values), row.jacobian_fn(values)
+            assert len(Js) == len(Js_row) == len(f.keys)
+            for J, J_row in zip(Js, Js_row):
+                assert_identical(J, J_row)
+
+    def test_closures_are_made_once_and_can_be_replaced(self, rng):
+        views, values = per_factor_and_table_rows(rng)
+        for f, _ in views:
+            assert f.residual_fn is f.residual_fn
+            assert f.jacobian_fn is f.jacobian_fn
+            residual, jacobian, name = f.residual_fn, f.jacobian_fn, f.name
+            f.residual_fn = lambda v: ("residual", residual(v))
+            f.jacobian_fn = lambda v: ("jacobian", jacobian(v))
+            assert f.residual_fn(values)[0] == "residual"
+            assert f.jacobian_fn(values)[0] == "jacobian"
+            assert f.name == name
+            copy = dataclasses.replace(f, family=None)
+            assert copy.family is None
+            assert copy.residual_fn is f.residual_fn
+            assert (copy.name, copy.keys, copy.noise) == (name, f.keys,
+                                                          f.noise)
+
+    def test_closures_and_name_wait_for_their_first_read(self, rng):
+        views, _ = per_factor_and_table_rows(rng)
+        for f, row in views:
+            for view in (f, row):
+                made = {"residual_fn", "jacobian_fn", "name"}
+                assert not made & set(vars(view))
+                view.name
+                assert made <= set(vars(view))
+
+    def test_equal_covariances_share_one_noise_model(self, rng):
+        cov = spd(rng, 6)
+        a, b, c = (se3_key(i) for i in range(3))
+        T = random_pose(rng)
+        factors = [prior_factor(a, T, cov), prior_factor(b, T, cov.copy()),
+                   relative_pose_factor(a, b, T, cov),
+                   ct_factor((a, b, c), ConstantTwistSpec(1.0, 1.0, cov))]
+        assert len({id(f.noise) for f in factors}) == 1
+        assert not factors[0].noise.covariance.flags.writeable
+        assert factors[0].noise is NoiseModel.of(cov)
+        assert prior_factor(a, T, 2.0 * cov).noise is not factors[0].noise
+        assert_identical(factors[0].noise.sqrt_info, NoiseModel(cov).sqrt_info)
+
+    def test_a_new_kind_object_resolves_its_own_family(self):
+        """Kind objects made and dropped one after another (so that a new
+        one may take a freed one's id) each get their own family."""
+        for _ in range(50):
+            point = VariableKey(0, M.rn(3), 0.0)
+            prior_factor(point, EuclidPoint(np.zeros(3)), np.eye(3))
+            del point
+            key = VariableKey(1, M.ManifoldKind("SO3", 3), 1.0)
+            f = prior_factor(key, Rotation3.identity(), np.eye(3))
+            assert f.family.group is M.SO3.group

@@ -728,6 +728,63 @@ def test_criterion_9_solve_matches_per_factor_solver():
     np.testing.assert_allclose(report.cost_trace, reference, rtol=1e-9)
 
 
+def test_criterion_9_rows_share_noise_models():
+    """Criterion 9's per-factor graph holds one noise model per distinct
+    covariance in each table, and linearizes to the same bits as the same
+    tables with one noise model per row."""
+    graph, values = criterion_9_graph()
+    tables = graph.tables()
+    assert sorted((t.family.label, len(t.noise)) for t in tables) == [
+        ("ct", 1), ("prior", 2), ("relpose", 2), ("usbl", 1)]
+    for t in tables:
+        covs = [nm.covariance.tobytes() for nm in t.noise]
+        assert len(set(covs)) == len(covs)
+    per_row = FactorGraph()
+    per_row.add([dataclasses.replace(
+        t, noise=[NoiseModel(t.noise[w].covariance.copy())
+                  for w in t.which.tolist()], which=np.arange(len(t)))
+        for t in tables])
+    lin, ref = Linearizer(graph), Linearizer(per_row)
+    (J, r), (J_ref, r_ref) = lin(values), ref(values)
+    for a, b in ((J.data, J_ref.data), (J.indices, J_ref.indices),
+                 (J.indptr, J_ref.indptr), (r, r_ref),
+                 (lin.normal_band(J), ref.normal_band(J_ref))):
+        assert_identical(a, b)
+
+
+def test_rows_of_equal_kinds_share_a_table(rng):
+    """Keys of equal kinds that are distinct objects put their factors'
+    rows in one table."""
+    keys = [VariableKey(i, M.rn(3), float(i)) for i in range(4)]
+    graph = FactorGraph()
+    for k in keys:
+        graph.add(prior_factor(k, M.EuclidPoint(rng.normal(size=3)),
+                               np.eye(3)))
+    graph.add(ct_factor(tuple(keys[:3]), ConstantTwistSpec(1.0, 1.0,
+                                                           np.eye(3))))
+    assert sorted((t.family.label, len(t)) for t in graph.tables()) == [
+        ("ct", 1), ("prior", 4)]
+
+
+def test_a_changed_view_joins_the_table_of_its_family_and_keys(rng):
+    """A per-factor view keeps the table it was made for only while it
+    holds the same keys and family."""
+    keys = [VariableKey(i, M.SE3, float(i)) for i in range(3)]
+    moved, custom = (prior_factor(keys[0], random_pose(rng, 1.0), np.eye(6))
+                     for _ in range(2))
+    moved.keys = (keys[2],)
+    custom.residual_fn
+    custom.family = None
+    graph = FactorGraph()
+    graph.add(prior_factor(keys[1], random_pose(rng, 1.0), np.eye(6)))
+    graph.add(moved)
+    graph.add(custom)
+    assert sorted((len(t), t.keys[0][-1].id) for t in graph.tables()) == [
+        (1, 0), (2, 2)]
+    assert graph.factors[2] is custom
+    assert graph.factors[1].keys == (keys[2],)
+
+
 def random_band_system(rng, n, bandwidth):
     """J^T J of a random J whose rows each span bandwidth + 1
     consecutive columns, so J^T J has exactly that lower bandwidth."""

@@ -20,8 +20,9 @@ from twistgraph.formats import (
     load_config,
     metrics_table,
     parse_config,
+    _formatted,
+    _pose_columns,
     poses_from_fields,
-    poses_to_fields,
     read_estimate,
     read_measurements,
     read_truth,
@@ -64,11 +65,18 @@ def small_scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def pose_fields(poses: list[M.Pose3]) -> list[list[str]]:
+    """`tx,ty,tz,qw,qx,qy,qz` fields of each pose, as the writers format
+    them."""
+    return [list(row) for row in zip(*_formatted(_pose_columns(poses),
+                                                 "{:.12g}"))]
+
+
 class TestPoseSerialization:
     def test_round_trip(self, rng):
         for _ in range(200):
             T = random_pose(rng, max_angle=3.0, scale=100.0)
-            back = poses_from_fields(poses_to_fields([T]))[0]
+            back = poses_from_fields(pose_fields([T]))[0]
             np.testing.assert_allclose(back.matrix(), T.matrix(), atol=1e-9)
 
     def test_reader_normalizes_quaternion(self):
@@ -137,9 +145,9 @@ class TestBatchedConversion:
     def test_to_fields_matches_scalar(self, rng):
         poses = special_poses() + [random_pose(rng, max_angle=np.pi, scale=50.0)
                                    for _ in range(200)]
-        assert poses_to_fields(poses) == [scalar_pose_to_fields(T)
+        assert pose_fields(poses) == [scalar_pose_to_fields(T)
                                           for T in poses]
-        assert poses_to_fields(poses[3:4]) == [scalar_pose_to_fields(poses[3])]
+        assert pose_fields(poses[3:4]) == [scalar_pose_to_fields(poses[3])]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(quat_rows, min_size=1, max_size=30))
@@ -153,13 +161,37 @@ class TestBatchedConversion:
 
     def test_round_trip_of_special_rotations(self):
         poses = special_poses()
-        rows = poses_to_fields(poses)
+        rows = pose_fields(poses)
         for got, fs in zip(poses_from_fields(rows), rows):
             assert_same_pose(got, scalar_pose_from_fields(fs))
 
     def test_empty_batches(self):
-        assert poses_to_fields([]) == []
+        assert pose_fields([]) == []
         assert poses_from_fields([]) == []
+
+    def test_left_handed_rotation_is_refused(self):
+        for R in (np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))):
+            pose = M.Pose3(M.Rotation3(R), np.zeros(3))
+            with pytest.raises(ValueError, match="Non-positive determinant"):
+                ScipyRotation.from_matrix(R)
+            with pytest.raises(ValueError, match="Non-positive determinant"):
+                pose_fields([M.Pose3.identity(), pose])
+
+    def test_non_orthogonal_rotation_is_projected(self, rng):
+        """A matrix further than 1e-12 from orthogonal is written as the
+        nearest rotation, as scipy projects it; an orthogonal one of the
+        same batch is written as it is."""
+        poses = [random_pose(rng, max_angle=np.pi, scale=5.0)
+                 for _ in range(50)]
+        skewed = [M.Pose3(M.Rotation3(T.rotation.matrix
+                                      + rng.normal(0.0, 1e-6, (3, 3))),
+                          T.translation) for T in poses[:25]] + poses[25:]
+        got = np.array(pose_fields(skewed), dtype=float)[:, 3:]
+        want = np.array([scalar_pose_to_fields(T) for T in skewed],
+                        dtype=float)[:, 3:]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+        assert pose_fields(skewed[25:]) == [scalar_pose_to_fields(T)
+                                            for T in poses[25:]]
 
 
 def scalar_measurement_rows(records) -> list[list[str]]:
@@ -464,6 +496,30 @@ class TestBulkReader:
     """The one-pass readers on whole files: the last row is named when it
     is malformed, and every field reads as a per-row reader reads it."""
 
+    @pytest.mark.parametrize("trigger, group", [
+        ("TIME_GATE", "OPTICAL"), ("TIME_GATE", "USBL"),
+        ("MEASUREMENT", "GATE")])
+    def test_trigger_and_group_must_pair(self, tmp_path, full_run, trigger,
+                                         group):
+        """A time gate makes a GATE keyframe and a measurement a USBL or
+        an OPTICAL one: any other pair names its line, and metrics exits
+        2 on it."""
+        lines = full_run["est"].splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines[1:], 1)
+                 if line.split(",")[1] == trigger)
+        fields_ = lines[i].split(",")
+        fields_[2] = group
+        lines[i] = ",".join(fields_)
+        est, truth = tmp_path / "est.csv", tmp_path / "truth.csv"
+        est.write_text("".join(lines))
+        truth.write_text(full_run["truth"])
+        with pytest.raises(ConfigError, match=f"keyframe trigger {trigger!r} "
+                           f"with group {group!r}") as err:
+            read_estimate(est)
+        assert str(err.value).startswith(f"{est}:{i + 1}: ")
+        assert cli.main(["metrics", "--estimate", str(est), "--truth",
+                         str(truth)]) == 2
+
     @pytest.mark.parametrize("line, message", MALFORMED_ROWS + NON_FINITE_ROWS)
     def test_bad_last_stream_row_is_named(self, tmp_path, full_run, line,
                                           message):
@@ -739,7 +795,7 @@ class TestRunConfig:
                                           np.eye(4))
         for name in sorted(keys):
             value = getattr(cfg, name)
-            text = (" ".join(poses_to_fields([value])[0])
+            text = (" ".join(pose_fields([value])[0])
                     if isinstance(value, M.Pose3)
                     else "" if isinstance(value, list) else str(value))
             got = getattr(parse_config([f"{name} = {text}\n"]), name)
