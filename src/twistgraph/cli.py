@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 configuration error (including a malformed,
 non-finite or out-of-order record file, a non-finite setting, a
 negative or, for smooth, zero sigma, and a step, rate or gate that asks
 for unbounded work), 3 solver did not converge
-(including an initial estimate on a singular chart), 4 underconstrained
-problem.
+(including an initial estimate on a singular chart; `smooth` names the
+factor family with the largest whitened cost at the last iterate), 4
+underconstrained problem.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ def cmd_smooth(args) -> int:
           f"{len(graph.factors)} factors, cost {rpt.final_cost:.6g} "
           f"after {rpt.iterations} iterations")
     if not rpt.converged:
-        print("smooth: solver did not converge", file=sys.stderr)
+        costs = rpt.family_costs_end
+        worst = max(costs, key=costs.get)
+        print(f"smooth: solver did not converge; the costliest factor family "
+              f"at the last iterate is {worst}, whitened cost "
+              f"{costs[worst]:.6g} of {rpt.final_cost:.6g}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -116,6 +116,11 @@ class _Family:
     group: manifold.Group | None = None
     element: bool = False
 
+    @property
+    def name(self) -> str:
+        """The family's name in a solve's cost records: its label's head."""
+        return self.label.split("-", 1)[0]
+
     def __call__(self, params, states):
         return self.fn(*(() if self.group is None else (self.group.batch,)),
                        params, *states)

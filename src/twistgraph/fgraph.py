@@ -12,6 +12,7 @@ from dataclasses import MISSING, dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -80,11 +81,6 @@ class Values:
 
     def copy(self) -> "Values":
         return Values(self._data)
-
-    def retracted(self, key: VariableKey, delta: np.ndarray) -> "Values":
-        out = self.copy()
-        out.set(key, manifold.oplus(key.kind, self.get(key), delta))
-        return out
 
     def __len__(self):
         return len(self._data)
@@ -394,6 +390,17 @@ class SolveReport:
     # entry `step_inf` (None when no step was solved) and the gradient's
     # `grad_inf`
     tries: list = field(default_factory=list)
+    # one dict per iteration: its `iteration` and the seconds its tries
+    # spent in `linearize_s` (iteration 0's with the first linearization),
+    # `band_s`, `solve_s` and `retract_s`
+    phases: list = field(default_factory=list)
+    # seconds to build the Linearizer and to run the gauge check
+    linearizer_s: float = 0.0
+    gauge_s: float = 0.0
+    # the whitened cost of each factor family (ct, prior, relpose, usbl,
+    # rollpitch, boundary, custom) at the initial and at the final iterate
+    family_costs_start: dict = field(default_factory=dict)
+    family_costs_end: dict = field(default_factory=dict)
 
 
 def total_cost(graph: FactorGraph, values: Values) -> float:
@@ -731,6 +738,16 @@ class Linearizer:
         np.add.at(band, self._band_targets, self._band_products)
         return band.reshape(n, m).T
 
+    def family_costs(self, r: np.ndarray) -> dict[str, float]:
+        """The whitened cost of each factor family in the residual r that
+        this Linearizer gave, read from its batches' rows."""
+        costs: dict[str, float] = {}
+        for b in self._batches:
+            part = r[b.rows]
+            name = b.table.family.name
+            costs[name] = costs.get(name, 0.0) + float(part @ part)
+        return costs
+
     def _batched(self, states: dict, data: np.ndarray,
                  res: np.ndarray) -> None:
         for b in self._batches:
@@ -771,6 +788,8 @@ class _Closures:
     """The family of custom factors: a table's one param column holds the
     Factors as added, and each row is evaluated through its own closures."""
 
+    name = "custom"
+
     def __call__(self, params, states):
         """(r, per-key Jacobians) of the factors `params[0]`, stacked, at
         the slot stacks `states`, each unstacked once into one Values."""
@@ -801,18 +820,6 @@ class _Closures:
 # one object, so that a graph holds one table of custom factors per key
 # kinds and dim
 _CLOSURES = _Closures()
-
-
-def linearize(graph: FactorGraph, values: Values):
-    """Whitened block-sparse Jacobian and residual at the current estimate.
-
-    Returns (J, r, offsets) with J (total_res_dim x total_tan_dim) in CSR
-    form, its column indices in each factor's key order: unsorted, and
-    repeated where a factor binds a key twice.
-    """
-    lin = Linearizer(graph)
-    J, r = lin(values)
-    return J, r, lin.offsets
 
 
 def _retract_all(states: dict, columns: dict, delta: np.ndarray) -> dict:
@@ -918,22 +925,42 @@ def optimize(graph: FactorGraph, initial: Values,
         raise KeyError(f"initial values missing for variables: {missing}")
 
     lam = settings.init_lambda
+    # the current iteration's phase seconds; before iteration 0, the first
+    # linearization's, which iteration 0 takes over
+    spent = {"linearize_s": 0.0}
+
+    def timed(phase, fn, *args):
+        t0 = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[phase] += perf_counter() - t0
 
     # One linearization per cost evaluation: the whitened residual norm is the
     # cost, and an accepted candidate's Jacobian seeds the next iteration.
     # The iterate stays in the Linearizer's stacks until the solve returns.
+    t0 = perf_counter()
     lin = Linearizer(graph)
+    report.linearizer_s = perf_counter() - t0
     layout = lin.layout
     states = layout.stack(initial)
-    J, r = lin(states)
+    J, r = timed("linearize_s", lin, states)
     cost = float(r @ r)
     report.cost_trace.append(cost)
+    report.family_costs_start = lin.family_costs(r)
     for it in range(settings.max_iterations):
+        spent = {"iteration": it,
+                 "linearize_s": spent["linearize_s"] if it == 0 else 0.0,
+                 "band_s": 0.0, "solve_s": 0.0, "retract_s": 0.0}
+        report.phases.append(spent)
         g = J.T @ r
         grad_inf = float(np.max(np.abs(g), initial=0.0))
-        band = lin.normal_band(J)  # refills the band `solve` reads
+        # refills the band `solve` reads
+        band = timed("band_s", lin.normal_band, J)
         if it == 0:
+            t0 = perf_counter()
             _check_gauge(band, lin.offsets)
+            report.gauge_s = perf_counter() - t0
             solve = _damped_solver(band)
         accepted = False
         while lam <= MAX_LAMBDA:
@@ -941,15 +968,16 @@ def optimize(graph: FactorGraph, initial: Values,
                      "cost": None, "step_inf": None, "grad_inf": grad_inf}
             report.tries.append(tried)
             try:
-                delta = solve(lam, -g)
+                delta = timed("solve_s", solve, lam, -g)
             except np.linalg.LinAlgError:
                 tried["outcome"] = "failed_factorization"
                 lam *= LAMBDA_UP
                 continue
             tried["step_inf"] = float(np.max(np.abs(delta), initial=0.0))
-            candidate = _retract_all(states, layout.columns, delta)
+            candidate = timed("retract_s", _retract_all, states,
+                              layout.columns, delta)
             try:
-                J_cand, r_cand = lin(candidate)
+                J_cand, r_cand = timed("linearize_s", lin, candidate)
             except manifold.NearSingularError:
                 # candidate stepped onto a singular chart; damp harder
                 tried["outcome"] = "singular_chart"
@@ -976,6 +1004,7 @@ def optimize(graph: FactorGraph, initial: Values,
             report.converged = True
             break
     report.final_cost = cost
+    report.family_costs_end = lin.family_costs(r)
     return layout.values(states, base=initial), report
 
 

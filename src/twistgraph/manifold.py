@@ -343,15 +343,6 @@ def inverse(T: Pose3) -> Pose3:
     return Pose3(Rotation3(Rt), -(Rt @ T.translation))
 
 
-def adjoint_se3(T: Pose3) -> np.ndarray:
-    R = T.rotation.matrix
-    Ad = np.zeros((6, 6))
-    Ad[:3, :3] = R
-    Ad[:3, 3:] = skew(T.translation) @ R
-    Ad[3:, 3:] = R
-    return Ad
-
-
 def adjoint_inv_se3(T: Pose3) -> np.ndarray:
     Rt = T.rotation.matrix.T
     return _se3_block(Rt, -(Rt @ skew(T.translation)))
@@ -627,11 +618,6 @@ def _q_odd_even_batch(rho: np.ndarray, theta: np.ndarray,
                     (theta[:, None, :] @ rho[:, :, None])[:, :, 0],
                     *(c[:, None] for c in _q_coeffs_batch(a2)))
     return skew_batch(v), E
-
-
-def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    odd, even = _q_odd_even_batch(rho, theta, _sq_norms(theta))
-    return even + odd
 
 
 # exp_se3_batch and log_se3_batch apply J_l and J_l^-1 to the translation

@@ -7,6 +7,8 @@ Jacobians, and the unit-circle test fixtures.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,23 +187,45 @@ def synthesize_measurements(truth: GroundTruth, cfg: ScenarioConfig):
 # Finite-difference oracle.
 
 
+@functools.lru_cache(maxsize=32)
+def _increments(kind: manifold.ManifoldKind, step: float) -> tuple:
+    """The (Exp(step e_i), Exp(-step e_i)) pair of each tangent basis
+    direction of `kind`, their arrays read-only: the same increments
+    for every differentiation at this step."""
+    group = kind.group
+    out = []
+    for i in range(kind.dim):
+        e = np.zeros(kind.dim)
+        e[i] = step
+        pair = (group.exp(e), group.exp(-e))
+        for element in pair:
+            for part in group.parts(element):
+                part.flags.writeable = False
+        out.append(pair)
+    return tuple(out)
+
+
 def finite_difference_jacobian(residual_fn, values: Values, key: VariableKey,
                                step: float = 1e-6) -> np.ndarray:
     """Central differences of residual_fn along each tangent basis direction.
 
-    Perturbs through the manifold retraction only; never touches any analytic
-    Jacobian code path.
+    Perturbs through the manifold retraction only, X (+) (+-step e_i) =
+    X Exp(+-step e_i), with the increments made once per kind and step;
+    never touches any analytic Jacobian code path. `values` is left as it
+    was.
     """
-    d = key.kind.dim
-    r0 = np.asarray(residual_fn(values))
-    J = np.empty((r0.shape[0], d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        rp = np.asarray(residual_fn(values.retracted(key, e)))
-        rm = np.asarray(residual_fn(values.retracted(key, -e)))
-        J[:, i] = (rp - rm) / (2.0 * step)
-    return J
+    if not (math.isfinite(step) and step != 0.0):
+        raise ValueError(f"step must be finite and non-zero, got {step!r}")
+    compose, X = key.kind.group.compose, values.get(key)
+    moved = values.copy()
+    columns = []
+    for up, down in _increments(key.kind, step):
+        moved.set(key, compose(X, up))
+        rp = np.asarray(residual_fn(moved))
+        moved.set(key, compose(X, down))
+        rm = np.asarray(residual_fn(moved))
+        columns.append((rp - rm) / (2.0 * step))
+    return np.stack(columns, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +243,6 @@ def unit_circle_pose(k: int, step: float = UNIT_CIRCLE_STEP) -> Pose3:
     c, s = np.cos(heading), np.sin(heading)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return Pose3(Rotation3(R), pos)
-
-
-def unit_circle_twist(step: float = UNIT_CIRCLE_STEP) -> np.ndarray:
-    """Body-frame increment advancing one step along the unit circle."""
-    return np.array([step, 0.0, 0.0, 0.0, 0.0, step])
 
 
 def unit_circle_fixtures(variant: str, sigma: float = 0.1, seed: int = 0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistgraph import manifold as M
 from twistgraph.manifold import Pose3, Rotation3
 
 
@@ -24,6 +25,13 @@ def matrix_exp_series(A: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ A / k
         out = out + term
     return out
+
+
+def q_block_batch(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Q per row, from the batch kernels' own parts: the reference the
+    scalar `q_block` is checked against."""
+    odd, even = M._q_odd_even_batch(rho, theta, M._sq_norms(theta))
+    return even + odd
 
 
 def assert_identical(a, b):

@@ -32,6 +32,8 @@ from twistgraph.fgraph import (
 )
 from twistgraph.manifold import EuclidPoint, NearSingularError, Pose3, Rotation3
 
+from conftest import q_block_batch
+
 PI_EDGE = np.pi - M.NEAR_PI_MARGIN
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -184,7 +186,7 @@ class TestKernels:
         Ad = M.adjoint_inv_se3_batch(R, t)
         for n, T in enumerate(poses):
             assert_equal(Ad[n], M.adjoint_inv_se3(T))
-        Q = M.q_block_batch(xi[:, :3], xi[:, 3:])
+        Q = q_block_batch(xi[:, :3], xi[:, 3:])
         for n, x in enumerate(xi):
             assert_equal(Q[n], M.q_block(x[:3], x[3:]))
         for batched, scalar in [(M.jl_se3_batch, M.jl_se3),
@@ -202,7 +204,7 @@ class TestKernels:
         """The closed-form Q against the seven-product form it replaced,
         relative to the Frobenius norm of Q, on both paths."""
         xi = np.array([twist(np.random.default_rng(s), a) for a, s in cases])
-        Q = M.q_block_batch(xi[:, :3], xi[:, 3:])
+        Q = q_block_batch(xi[:, :3], xi[:, 3:])
         for n, x in enumerate(xi):
             ref = q_seven_products(x[:3], x[3:])
             assert_equal(Q[n], M.q_block(x[:3], x[3:]))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from twistgraph import cli
+from twistgraph import cli, tracking
 from twistgraph.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -362,20 +362,37 @@ class TestErrorExits:
         assert err[0].startswith("error: linearization failed in rollpitch[")
         assert "id=1@t=1" in err[0] and "pitch" in err[0]
 
-    def test_unconverged_solve_exits_3(self, tmp_path, short_cfg, capsys):
+    def test_unconverged_solve_exits_3(self, tmp_path, short_cfg, capsys,
+                                       monkeypatch):
         """A solve stopped by max_iterations still writes its estimate,
-        then exits 3."""
+        then exits 3, naming the factor family with the largest whitened
+        cost at the last iterate."""
         _, meas = simulate(tmp_path, short_cfg, seed=1)
         capsys.readouterr()
         one = tmp_path / "one_iteration.cfg"
         one.write_text(short_cfg.read_text() + "max_iterations = 1\n")
         est = tmp_path / "est.csv"
+        estimates = []
+        smooth = tracking.smooth
+        monkeypatch.setattr(tracking, "smooth", lambda *args: estimates.append(
+            smooth(*args)) or estimates[-1])
         rc = main(["smooth", "--config", str(one), "--mode", "B",
                    "--meas", str(meas), "--out", str(est)])
         assert rc == EXIT_NO_CONVERGENCE
         out, err = capsys.readouterr()
         assert out.rstrip().endswith("after 1 iterations")
-        assert err.strip().splitlines() == ["smooth: solver did not converge"]
+        (line,) = err.strip().splitlines()
+        named = re.fullmatch(
+            r"smooth: solver did not converge; the costliest factor family "
+            r"at the last iterate is (\w+), whitened cost (\S+) of (\S+)",
+            line)
+        assert named
+        report = estimates[0].report
+        costs = report.family_costs_end
+        assert len(costs) > 1
+        assert named[1] == max(costs, key=costs.get)
+        assert float(named[2]) == pytest.approx(costs[named[1]], rel=1e-5)
+        assert float(named[3]) == pytest.approx(report.final_cost, rel=1e-5)
         assert read_estimate(est)
 
     def test_vertical_pitch_converges_in_mode_a(self, tmp_path, capsys):

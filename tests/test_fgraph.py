@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from twistgraph.fgraph import (
     UnderconstrainedGraphError,
     Values,
     VariableKey,
-    linearize,
     marginal_covariance,
     optimize,
     total_cost,
@@ -46,6 +46,13 @@ from twistgraph.factors import (
 from twistgraph.simkit import unit_circle_fixtures
 
 from conftest import assert_identical, random_pose
+
+
+def linearize(graph, values):
+    """(J, r, column offsets) of one stand-alone linearization."""
+    lin = Linearizer(graph)
+    J, r = lin(values)
+    return J, r, lin.offsets
 
 
 def r3_key(i, t=None):
@@ -213,7 +220,9 @@ class TestLinearize:
         graph, values, (k0, _) = self._small_problem(rng)
         lin = Linearizer(graph)
         J1, r1 = lin(values)
-        moved = values.retracted(k0, np.array([1.0, -1.0, 0.5]))
+        moved = values.copy()
+        moved.set(k0, M.oplus(k0.kind, values.get(k0),
+                              np.array([1.0, -1.0, 0.5])))
         J2, r2 = lin(moved)
         J_ref, r_ref, _ = linearize(graph, moved)
         np.testing.assert_allclose(J2.toarray(), J_ref.toarray())
@@ -912,6 +921,47 @@ class TestDampedSolve:
                               "step_inf", "grad_inf"}
             assert t["outcome"] in ("accepted", "cost_increase")
             assert t["step_inf"] > 0.0 and t["grad_inf"] > 0.0
+
+    def test_records_time_the_phases_and_split_the_cost(self):
+        """Criterion 9's solve: one phase record per iteration, every time
+        finite, non-negative and within the call's wall time, and family
+        costs that sum to the first and the final cost."""
+        graph, values = criterion_9_graph()
+        t0 = time.perf_counter()
+        _, report = optimize(graph, values)
+        wall = time.perf_counter() - t0
+        assert [p["iteration"] for p in report.phases] == list(
+            range(report.iterations))
+        times = [report.linearizer_s, report.gauge_s]
+        for p in report.phases:
+            assert set(p) == {"iteration", "linearize_s", "band_s",
+                              "solve_s", "retract_s"}
+            times += [p[k] for k in p if k != "iteration"]
+        assert all(np.isfinite(s) and s >= 0.0 for s in times)
+        assert sum(times) <= wall
+        for costs, total in ((report.family_costs_start,
+                              report.cost_trace[0]),
+                             (report.family_costs_end, report.final_cost)):
+            assert set(costs) == {"ct", "prior", "relpose", "usbl"}
+            assert all(c >= 0.0 for c in costs.values())
+            assert sum(costs.values()) == pytest.approx(total, rel=1e-12)
+
+    def test_family_costs_name_every_family(self, rng):
+        """Each built-in family and the custom one by name, each the
+        whitened cost of its factors' own residuals."""
+        graph, values = mixed_graph(rng)
+        lin = Linearizer(graph)
+        _, r = lin(values)
+        want = {}
+        for f in graph.factors:
+            name = "custom" if f.family is None else f.family.name
+            e = f.noise.whiten(f.residual_fn(values))
+            want[name] = want.get(name, 0.0) + float(e @ e)
+        costs = lin.family_costs(r)
+        assert set(costs) == {"ct", "prior", "relpose", "usbl", "rollpitch",
+                              "boundary", "custom"}
+        for name, cost in want.items():
+            assert costs[name] == pytest.approx(cost, rel=1e-12)
 
     def test_failed_factorization_try_is_recorded(self, rng, monkeypatch):
         calls = []

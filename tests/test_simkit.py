@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from twistgraph import manifold as M
-from twistgraph import simkit, tracking
-from twistgraph.fgraph import Values, VariableKey, optimize
+from twistgraph import factors, simkit, tracking
+from twistgraph.fgraph import Factor, NoiseModel, Values, VariableKey, optimize
 from twistgraph.formats import ConfigError, RunConfig
 from twistgraph.simkit import (
     GroundTruth,
     ScenarioConfig,
+    UNIT_CIRCLE_STEP,
     TwistSegment,
     arc_distance,
     finite_difference_jacobian,
@@ -18,8 +19,9 @@ from twistgraph.simkit import (
     synthesize_measurements,
     unit_circle_fixtures,
     unit_circle_pose,
-    unit_circle_twist,
 )
+
+from conftest import assert_identical, random_pose, random_rotation
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -178,6 +180,71 @@ class TestMeasurementSynthesis:
         assert np.abs(errs.mean()) < 0.2
 
 
+def retracted(values: Values, key: VariableKey, delta) -> Values:
+    """A copy of `values` with `key` moved to X (+) delta."""
+    out = values.copy()
+    out.set(key, M.oplus(key.kind, values.get(key), delta))
+    return out
+
+
+def reference_jacobian(residual_fn, values, key, step=1e-6):
+    """Central differences as the oracle once took them: a base residual for
+    the row count, then a fresh Exp(+-step e_i) per column."""
+    d = key.kind.dim
+    r0 = np.asarray(residual_fn(values))
+    J = np.empty((r0.shape[0], d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = step
+        rp = np.asarray(residual_fn(retracted(values, key, e)))
+        rm = np.asarray(residual_fn(retracted(values, key, -e)))
+        J[:, i] = (rp - rm) / (2.0 * step)
+    return J
+
+
+def every_family(rng):
+    """(factors, values): a factor of every built-in family, ct on SE(3),
+    SO(3), R^3 and R^2 keys and USBL on both target kinds, plus a custom
+    closure, at random values."""
+    def keys(kind, first):
+        return tuple(VariableKey(first + i, kind, float(i)) for i in range(3))
+
+    se3, so3, r3, r2 = (keys(kind, 10 * n) for n, kind in
+                        enumerate((M.SE3, M.SO3, M.R3, M.rn(2))))
+    values = Values()
+    for k in se3:
+        values.set(k, random_pose(rng))
+    for k in so3:
+        values.set(k, random_rotation(rng))
+    for k in r3 + r2:
+        values.set(k, M.EuclidPoint(rng.normal(0.0, 3.0, k.kind.dim)))
+    spec = factors.ConstantTwistSpec
+    fs = [factors.ct_factor(ks, spec(0.7, 1.3, np.eye(ks[0].kind.dim)))
+          for ks in (se3, so3, r3, r2)]
+    fs += [factors.prior_factor(se3[0], random_pose(rng), np.eye(6)),
+           factors.prior_factor(so3[0], random_rotation(rng), np.eye(3)),
+           factors.prior_factor(r2[0], M.EuclidPoint(rng.normal(size=2)),
+                                np.eye(2)),
+           factors.relative_pose_factor(se3[0], se3[1], random_pose(rng),
+                                        np.eye(6)),
+           factors.usbl_factor(se3[0], se3[2], rng.normal(size=3), np.eye(3)),
+           factors.usbl_factor(se3[0], r3[0], rng.normal(size=3), np.eye(3)),
+           factors.roll_pitch_factor(se3[1])]
+    fs += factors.boundary_factors(se3[2], r3[1], "DOWN", np.eye(3))
+    fs += factors.boundary_factors(se3[2], r3[1], "UP", np.eye(3))
+    A = rng.normal(size=(2, 2))
+
+    def custom(values):
+        p = values.get(r2[1]).coords
+        return np.concatenate([A @ np.sin(p),
+                               M.log_se3(values.get(se3[1]))[:2] * p])
+
+    fs.append(Factor(keys=(r2[1], se3[1]), residual_fn=custom,
+                     jacobian_fn=lambda values: None,
+                     noise=NoiseModel(np.eye(4)), name="custom"))
+    return fs, values
+
+
 class TestFiniteDifferenceOracle:
     def test_recovers_known_linear_jacobian(self):
         key = VariableKey(0, M.R3, 0.0)
@@ -204,6 +271,63 @@ class TestFiniteDifferenceOracle:
         J = finite_difference_jacobian(residual, values, key)
         np.testing.assert_allclose(J, M.SE3.group.jr_inv(xi), atol=1e-6)
 
+    @pytest.mark.parametrize("step", [1e-6, 1e-4, -2e-5])
+    def test_equals_the_retraction_per_column_reference(self, rng, step):
+        """Every family's columns on every key kind equal the reference's
+        bit for bit, and the caller's values keep their objects."""
+        fs, values = every_family(rng)
+        held = {k: values.get(k) for k in values.keys()}
+        kinds = set()
+        for f in fs:
+            for key in f.keys:
+                J = finite_difference_jacobian(f.residual_fn, values, key,
+                                               step)
+                ref = reference_jacobian(f.residual_fn, values, key, step)
+                assert J.shape == (f.dim, key.kind.dim)
+                assert_identical(J, ref)
+                kinds.add(key.kind)
+        assert kinds == {M.SE3, M.SO3, M.R3, M.rn(2)}
+        assert len(values) == len(held)
+        assert all(values.get(k) is v for k, v in held.items())
+
+    def test_increments_are_made_once_and_read_only(self, monkeypatch, rng):
+        calls = []
+        exp_se3 = M.exp_se3
+        monkeypatch.setattr(M, "exp_se3",
+                            lambda xi: calls.append(xi) or exp_se3(xi))
+        key = VariableKey(0, M.SE3, 0.0)
+        values = Values()
+        values.set(key, random_pose(rng))
+        step = 3.0517578125e-05
+        simkit._increments.cache_clear()
+
+        def residual(values):
+            return M.log_se3(values.get(key))
+
+        first = finite_difference_jacobian(residual, values, key, step)
+        assert len(calls) == 12
+        again = finite_difference_jacobian(residual, values, key, step)
+        assert len(calls) == 12
+        assert_identical(first, again)
+        for pair in simkit._increments(M.SE3, step):
+            for T in pair:
+                for part in (T.rotation.matrix, T.translation):
+                    assert not part.flags.writeable
+        for kind in (M.SO3, M.R3):
+            for pair in simkit._increments(kind, step):
+                for element in pair:
+                    for part in kind.group.parts(element):
+                        assert not part.flags.writeable
+
+    @pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_zero_or_non_finite_step_is_refused(self, step):
+        key = VariableKey(0, M.R3, 0.0)
+        values = Values()
+        values.set(key, M.EuclidPoint(np.zeros(3)))
+        with pytest.raises(ValueError, match="step"):
+            finite_difference_jacobian(lambda v: v.get(key).coords, values,
+                                       key, step)
+
 
 class TestUnitCircleFixtures:
     def test_poses_sit_on_unit_circle(self):
@@ -212,7 +336,8 @@ class TestUnitCircleFixtures:
             assert arc_distance(p) < 1e-12
 
     def test_twist_advances_along_arc(self):
-        xi = unit_circle_twist()
+        # one step along the arc: advance step metres, turn step radians
+        xi = np.array([UNIT_CIRCLE_STEP, 0.0, 0.0, 0.0, 0.0, UNIT_CIRCLE_STEP])
         for k in range(12):
             stepped = M.oplus(M.SE3, unit_circle_pose(k), xi)
             ref = unit_circle_pose(k + 1)
