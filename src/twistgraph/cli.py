@@ -75,7 +75,8 @@ def cmd_smooth(args) -> int:
     cfg = _load(args, mode=args.mode, gate=args.gate)
     cfg.check_smoothable()
     records = formats.read_measurements(args.meas)
-    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg)
+    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg,
+                                            odometry_floor=True)
     graph, initial = tracking.build_graph(keyframes, cfg, cfg)
     estimate = tracking.smooth(graph, initial, cfg, keyframes)
     formats.write_estimate(args.out, estimate.rows)

@@ -85,14 +85,16 @@ class RollPitchSpec:
 
 
 # ---------------------------------------------------------------------------
-# Factor families. Each built-in family is one function
+# Factor families. Each built-in family is a pair of functions
 #
-#     fn(*table, params, *states) -> (r, per-key Jacobians)
+#     steps(*table, params, *states) -> (intermediates..., r)
+#     blocks(*table, params, steps, *states) -> per-key Jacobians
 #
-# with a residual-only companion `steps` of the same arguments, whose last
-# output is r, so that a residual_fn builds no Jacobians. The constant-twist,
-# prior and relative-pose families are written against a group table:
-# `table` is a manifold.Group on elements, or its `batch` on stacks. The
+# so that a residual is computed without its Jacobians, and the Jacobians
+# continue from the intermediates of the pass that gave the residual. The
+# constant-twist, prior and relative-pose families are written against a
+# group table: `table` is a manifold.Group on elements, or its `batch` on
+# stacks. The
 # USBL, roll-pitch and boundary families take each key's parts instead, the
 # arrays of one element or of a stack (`...`-shaped). `params` are a
 # FactorTable's params, stacked row by row on a batch, and one row's on
@@ -104,13 +106,13 @@ class RollPitchSpec:
 
 @dataclass(frozen=True, eq=False)
 class _Family:
-    """A built-in family: `fn` and `steps` on `group`'s elements, or as the
-    batch of a FactorTable on the group's stacks; without a group, on the
-    keys' parts. With `element`, a view's closures take the group element
-    whose parts a row's params are. A view's name is `label`, formatted
-    with the row's params, and its keys' ids."""
+    """A built-in family: `steps` and `blocks` on `group`'s elements, or as
+    the batch of a FactorTable on the group's stacks; without a group, on
+    the keys' parts. With `element`, a view's closures take the group
+    element whose parts a row's params are. A view's name is `label`,
+    formatted with the row's params, and its keys' ids."""
 
-    fn: Callable
+    blocks: Callable
     steps: Callable
     label: str
     group: manifold.Group | None = None
@@ -122,8 +124,24 @@ class _Family:
         return self.label.split("-", 1)[0]
 
     def __call__(self, params, states):
-        return self.fn(*(() if self.group is None else (self.group.batch,)),
-                       params, *states)
+        """(r, per-key Jacobians) of a table's rows at the slot stacks
+        `states`."""
+        steps = self.residual(params, states)
+        return steps[-1], self.jacobian(params, states, steps)
+
+    def residual(self, params, states):
+        """The batch's steps, whose last is the residual stack r."""
+        return self.steps(*self._table, params, *states)
+
+    def jacobian(self, params, states, steps):
+        """The per-key Jacobian stacks, from `residual`'s steps."""
+        return self.blocks(*self._table, params, steps, *states)
+
+    @property
+    def _table(self) -> tuple:
+        """What a batch passes before the params: the group's batch table,
+        when the family has a group."""
+        return () if self.group is None else (self.group.batch,)
 
     def view(self, table: FactorTable, i: int) -> Factor:
         row = tuple(p[i] for p in table.params)
@@ -136,9 +154,9 @@ class _Family:
 
     def _factor(self, keys, row, bound, noise, sig=None) -> Factor:
         """The view of the row over `keys` with params `row`, whose closures
-        run `steps` and `fn` with `bound` on its keys' elements, or without
-        a group on their parts. It is made without its closures and name:
-        `made` makes them when one is first read."""
+        run `steps` and `blocks` with `bound` on its keys' elements, or
+        without a group on their parts. It is made without its closures and
+        name: `made` makes them when one is first read."""
         f = Factor.__new__(Factor)
         f.keys, f.noise, f.family, f.family_params = keys, noise, self, row
         f._bound, f._resolved = bound, None if sig is None else (keys, sig)
@@ -146,7 +164,7 @@ class _Family:
 
     def made(self, f: Factor) -> dict:
         """The closures and name of the view `f`."""
-        fn, steps, keys, bound = self.fn, self.steps, f.keys, f._bound
+        blocks, steps, keys, bound = self.blocks, self.steps, f.keys, f._bound
         if self.group is None:
             lead, parts = (), [(key, key.kind.group.parts) for key in keys]
 
@@ -157,10 +175,14 @@ class _Family:
 
             def states(values):
                 return [values.get(key) for key in keys]
+
+        def jacobian_fn(values):
+            at = states(values)
+            return blocks(*lead, bound, steps(*lead, bound, *at), *at)
         return {
             "residual_fn":
                 lambda values: steps(*lead, bound, *states(values))[-1],
-            "jacobian_fn": lambda values: fn(*lead, bound, *states(values))[1],
+            "jacobian_fn": jacobian_fn,
             "name": f"{self.label.format(*f.family_params)}"
                     f"[{','.join(str(k.id) for k in keys)}]"}
 
@@ -261,13 +283,13 @@ def _ct_steps(ops, params, prev, curr, nxt):
         raise NearSingularError(f"residual step: {err}") from err
 
 
-def _ct(ops, params, prev, curr, nxt):
-    """The residual and its closed-form blocks w.r.t. the three states.
+def _ct(ops, params, steps, prev, curr, nxt):
+    """The closed-form blocks w.r.t. the three states, from `_ct_steps`.
 
     Right-tangent perturbation convention; on R^n the blocks reduce exactly
     to (alpha I, -(1 + alpha) I, I).
     """
-    delta1, delta2, E2, eps = _ct_steps(ops, params, prev, curr, nxt)
+    delta1, delta2, E2, eps = steps
     # jl_inv is J_l^-1(eps) and then J_l^-1(delta1), so a batch frees each
     # stack of blocks once it is used: holding J_next from the start costs
     # about one stack of peak memory
@@ -277,7 +299,7 @@ def _ct(ops, params, prev, curr, nxt):
     jl_inv, jr_inv = ops.jl_jr_inv(delta1)
     J_prev = -(common @ jl_inv)
     J_curr = common @ jr_inv - via_E2
-    return eps, (J_prev, J_curr, J_next)
+    return J_prev, J_curr, J_next
 
 
 def ct_residual(T_prev, T_curr, T_next, dt1: float, dt2: float) -> np.ndarray:
@@ -290,8 +312,9 @@ def ct_residual(T_prev, T_curr, T_next, dt1: float, dt2: float) -> np.ndarray:
 
 def ct_jacobians(T_prev, T_curr, T_next, dt1: float, dt2: float):
     """Closed-form derivative blocks of ct_residual w.r.t. the three states."""
-    return _ct(manifold.kind_of(T_curr).group, (dt2 / dt1,),
-               T_prev, T_curr, T_next)[1]
+    group, params = manifold.kind_of(T_curr).group, (dt2 / dt1,)
+    steps = _ct_steps(group, params, T_prev, T_curr, T_next)
+    return _ct(group, params, steps, T_prev, T_curr, T_next)
 
 
 _INCREASING = "constant-twist keys must have strictly increasing timestamps"
@@ -337,10 +360,10 @@ def _prior_steps(ops, mean, x):
     return (ops.ominus(x, mean),)
 
 
-def _prior(ops, mean, x):
-    """The residual x (-) mean and its block J_r^-1."""
-    (eps,) = _prior_steps(ops, mean, x)
-    return eps, (ops.jr_inv(eps),)
+def _prior(ops, mean, steps, x):
+    """The block J_r^-1 of the residual eps = x (-) mean."""
+    (eps,) = steps
+    return (ops.jr_inv(eps),)
 
 
 def _prior_family(kinds):
@@ -365,12 +388,12 @@ def _relpose_steps(ops, z, a, b):
     return rel, ops.ominus(rel, z)
 
 
-def _relpose(ops, z, a, b):
-    """The residual eps and its blocks (-J_r^-1(eps) Ad(a^-1 b)^-1,
-    J_r^-1(eps))."""
-    rel, eps = _relpose_steps(ops, z, a, b)
+def _relpose(ops, z, steps, a, b):
+    """The blocks (-J_r^-1(eps) Ad(a^-1 b)^-1, J_r^-1(eps)) of the residual
+    eps."""
+    rel, eps = steps
     Jri = ops.jr_inv(eps)
-    return eps, (-Jri @ ops.adjoint_inv(rel), Jri)
+    return -Jri @ ops.adjoint_inv(rel), Jri
 
 
 def _relpose_family(kinds):
@@ -404,16 +427,16 @@ def _usbl_steps(params, chaser, target):
     return RcT, h, h - z
 
 
-def _usbl(params, chaser, target):
-    """The residual and its blocks [-I, [h]x] and, for an SE(3) target
-    (R_t, p), [R_c^T R_t, 0], or for an R^3 target p, R_c^T."""
-    RcT, h, r = _usbl_steps(params, chaser, target)
+def _usbl(params, steps, chaser, target):
+    """The blocks [-I, [h]x] and, for an SE(3) target (R_t, p),
+    [R_c^T R_t, 0], or for an R^3 target p, R_c^T."""
+    RcT, h, _ = steps
     J_chaser = np.concatenate([np.broadcast_to(-np.eye(3), RcT.shape),
                                manifold.skew_batch(h)], axis=-1)
     if len(target) == 1:
-        return r, (J_chaser, RcT)
-    return r, (J_chaser, np.concatenate([RcT @ target[0], np.zeros_like(RcT)],
-                                        axis=-1))
+        return J_chaser, RcT
+    return J_chaser, np.concatenate([RcT @ target[0], np.zeros_like(RcT)],
+                                    axis=-1)
 
 
 def _usbl_family(kinds):
@@ -464,17 +487,17 @@ def _tilt_steps(_params, target):
     return g, c, h, 2.0 * h / c
 
 
-def _tilt(_params, target):
-    """The residual and its block [0, J_theta]. A right perturbation
+def _tilt(_params, steps, target):
+    """The block [0, J_theta]. A right perturbation
     R Exp(d) moves g by [g]x d_theta, so that
     J_theta = 2 / (1 + g_z) (A - h (h, 0)^T / (1 + g_z))
     with A = [[-g_z, 0, g_x], [0, -g_z, g_y]]."""
-    g, c, h, r = _tilt_steps(_params, target)
+    g, c, h, _ = steps
     J = np.zeros(g.shape[:-1] + (2, 6))
     J[..., 0, 3] = J[..., 1, 4] = -g[..., 2]
     J[..., 5] = g[..., :2]
     J[..., 3:5] -= h[..., :, None] * (h / c)[..., None, :]
-    return r, ((2.0 / c)[..., None] * J,)
+    return ((2.0 / c)[..., None] * J,)
 
 
 def _tilt_family(kinds):
@@ -506,12 +529,11 @@ def _boundary_steps(_params, T, p):
     return (p[0] - T[1],)
 
 
-def _boundary(_params, T, p):
-    """The residual and its blocks [-R, 0] and I."""
-    (r,) = _boundary_steps(_params, T, p)
+def _boundary(_params, _steps, T, p):
+    """The blocks [-R, 0] and I."""
     R = T[0]
-    return r, (np.concatenate([-R, np.zeros_like(R)], axis=-1),
-               np.broadcast_to(np.eye(3), R.shape))
+    return (np.concatenate([-R, np.zeros_like(R)], axis=-1),
+            np.broadcast_to(np.eye(3), R.shape))
 
 
 def _boundary_family(kinds):

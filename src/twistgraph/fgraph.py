@@ -8,6 +8,7 @@ on each variable's tangent space.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate, chain
@@ -30,25 +31,33 @@ from .manifold import ManifoldKind
 class UnderconstrainedGraphError(RuntimeError):
     """The normal equations are rank deficient (gauge not fixed)."""
 
-    def __init__(self, message: str, suspect_keys: Sequence["VariableKey"] = ()):
+    def __init__(self, message: str,
+                 suspect_keys: Sequence["VariableKey"] = (),
+                 gauge: dict | None = None):
         super().__init__(message)
         self.suspect_keys = list(suspect_keys)
+        # the gauge check's verdict, as SolveReport.gauge holds one
+        self.gauge = gauge or {}
 
 
 @dataclass(frozen=True, init=False)
 class VariableKey:
+    # Slotted: a graph makes thousands of keys, and without a __dict__ each
+    # one is a single object for the garbage collector to track. A slot
+    # takes no class-level default, so timestamp's is __init__'s.
+    __slots__ = ("id", "kind", "timestamp", "_hash")
     id: int
     kind: ManifoldKind
-    timestamp: float = 0.0
+    timestamp: float
 
     def __init__(self, id: int, kind: ManifoldKind, timestamp: float = 0.0):
-        # One store, where a frozen dataclass's __init__ makes a setattr
-        # call per field. Hashed once: the solver indexes dicts and sets by
-        # key thousands of times. The hash leaves out the kind, whose
-        # dataclass hash is a Python call; equal keys still hash equal.
-        object.__setattr__(self, "__dict__", {
-            "id": id, "kind": kind, "timestamp": timestamp,
-            "_hash": hash((id, timestamp))})
+        # Hashed once: the solver indexes dicts and sets by key thousands
+        # of times. The hash leaves out the kind, whose dataclass hash is a
+        # Python call; equal keys still hash equal.
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_timestamp(self, timestamp)
+        _set_hash(self, hash((id, timestamp)))
 
     def __hash__(self):
         return self._hash
@@ -56,6 +65,11 @@ class VariableKey:
     def __reduce__(self):
         # rebuilt through __init__, so the hash is the unpickling process's
         return VariableKey, (self.id, self.kind, self.timestamp)
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ refuses
+_set_id, _set_kind, _set_timestamp, _set_hash = (
+    getattr(VariableKey, slot).__set__ for slot in VariableKey.__slots__)
 
 
 class Values:
@@ -216,8 +230,10 @@ class FactorTable:
     family's stacked `params`, and has the noise model noise[which[i]].
     `order` ranks the rows among those added to a graph together; in a
     graph's own tables it is each row's position in graph order.
-    `family(params, states)` evaluates every row on stacks, and
-    `family.view(table, i)` makes row i's Factor.
+    `family.residual(params, states)` evaluates every row's steps on
+    stacks, the last of them the residuals, `family.jacobian(params,
+    states, steps)` continues from those steps to the per-key Jacobians,
+    and `family.view(table, i)` makes row i's Factor.
     """
 
     family: Callable
@@ -397,6 +413,9 @@ class SolveReport:
     # seconds to build the Linearizer and to run the gauge check
     linearizer_s: float = 0.0
     gauge_s: float = 0.0
+    # the gauge check's verdict at the first iterate, as `_check_gauge`
+    # returns it: `min_pivot_sq`, `inverse_bound` and `suspects`
+    gauge: dict = field(default_factory=dict)
     # the whitened cost of each factor family (ct, prior, relpose, usbl,
     # rollpitch, boundary, custom) at the initial and at the final iterate
     family_costs_start: dict = field(default_factory=dict)
@@ -405,7 +424,7 @@ class SolveReport:
 
 def total_cost(graph: FactorGraph, values: Values) -> float:
     """The whitened squared residual norm, as the solver's cost reads it."""
-    _, r = Linearizer(graph)(values)
+    r, _ = Linearizer(graph).residual(values)
     return float(r @ r)
 
 
@@ -471,25 +490,59 @@ class _Batch:
 
     table: FactorTable
     sqrt_info: np.ndarray  # (N, d, d)
-    slots: list  # per key: (kind, row of each factor's variable in its stack)
+    # per key: (kind, row of each factor's variable in its stack, and the
+    # slice of those rows when they are evenly spaced, else the rows again)
+    slots: list
     rows: np.ndarray | slice  # residual rows, (N * d,)
     cells: np.ndarray | slice  # J's data positions of the factors' blocks
 
-    def __call__(self, states: dict, n: int | None = None):
-        """The family's (r, per-key Jacobians) at the `_StateLayout` stacks
-        `states`, on every row or on the first n."""
+    def args(self, states: dict, n: int | None = None) -> tuple:
+        """The family's (params, slot stacks) at the `_StateLayout` stacks
+        `states`, on every row or on the first n. A slot of evenly spaced
+        rows reads its stacks as strided views."""
         t = self.table
-        return t.family(tuple(p[:n] for p in t.params),
-                        [tuple(s[i[:n]] for s in states[kind])
-                         for kind, i in self.slots])
+        if n is None:
+            return t.params, [tuple(s[read] for s in states[kind])
+                              for kind, _, read in self.slots]
+        return (tuple(p[:n] for p in t.params),
+                [tuple(s[i[:n]] for s in states[kind])
+                 for kind, i, _ in self.slots])
+
+    def whiten_residual(self, r: np.ndarray, res: np.ndarray) -> None:
+        """Write the whitened residual stack r into its rows of res."""
+        W = self.sqrt_info
+        if isinstance(self.rows, slice):
+            np.matmul(W, r[:, :, None],
+                      out=res[self.rows].reshape(r.shape + (1,)))
+        else:
+            res[self.rows] = (W @ r[:, :, None]).ravel()
+
+    def whiten_blocks(self, Js, data: np.ndarray) -> None:
+        """Write the whitened per-key Jacobian stacks Js into their cells
+        of J's data, each factor's keys side by side."""
+        W = self.sqrt_info
+        if not isinstance(self.cells, slice):
+            data[self.cells] = np.concatenate([W @ J for J in Js],
+                                              axis=2).ravel()
+            return
+        N, d = W.shape[:2]
+        out = data[self.cells].reshape(N, d, -1)
+        c = 0
+        for J in Js:
+            k = J.shape[-1]
+            np.matmul(W, J, out=out[:, :, c:c + k])
+            c += k
 
     def first_failure(self, states: dict) -> int | None:
         """The first row whose evaluation raises NearSingularError, or None.
         Rows fail independently, so bisection finds the shortest failing
         prefix."""
+        family = self.table.family
+
         def fails(n):
+            params, slots = self.args(states, n)
             try:
-                self(states, n)
+                family.jacobian(params, slots, family.residual(params, slots))
             except manifold.NearSingularError:
                 return True
             return False
@@ -514,11 +567,17 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _span(index: np.ndarray):
-    """`index`, or the slice it spans when it is one ascending run: a slice
-    assigns without a scatter."""
-    if len(index) and (np.diff(index) == 1).all():
-        return slice(int(index[0]), int(index[-1]) + 1)
+def _span(index: np.ndarray, step: int | None = 1):
+    """`index`, or the slice it spans when it is one ascending run of this
+    step (of any positive step, with None): a slice assigns without a
+    scatter, and reads a view without a gather."""
+    gaps = np.diff(index)
+    if len(gaps):
+        step = step or int(gaps[0])
+        if step < 1 or (gaps != step).any():
+            return index
+    if len(index):
+        return slice(int(index[0]), int(index[-1]) + 1, step)
     return index
 
 
@@ -556,8 +615,14 @@ class Linearizer:
     one row-major block, its keys' columns side by side in key order, and
     J's CSR data is the blocks back to back: `indices` and `indptr` are
     fixed, and only the data is refreshed. Each of the graph's tables, of
-    built-in or of custom factors, is evaluated as one batch and scattered
-    into its rows and blocks.
+    built-in or of custom factors, is evaluated as one batch, in two
+    passes: `residual` runs each family's steps and whitens their residual
+    into r, and the function it returns continues from those steps to the
+    family's Jacobians and whitens them into J. A scored and dropped
+    candidate stops after the first. A slot whose stack rows are evenly
+    spaced is read as a strided view, and a table whose rows follow each
+    other in graph order writes r and J in place (one slice of each);
+    any other is gathered and scattered.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
     bandwidth, and `normal_band` builds that band from the whitened blocks.
@@ -599,8 +664,9 @@ class Linearizer:
             self._batches.append(_Batch(
                 table=t,
                 sqrt_info=np.array([nm.sqrt_info for nm in t.noise])[t.which],
-                slots=[(kind, layout.row[var[key0[at] + s]])
-                       for s, kind in enumerate(t.kinds)],
+                slots=[(kind, rows, _span(rows, None))
+                       for s, kind in enumerate(t.kinds)
+                       for rows in [layout.row[var[key0[at] + s]]]],
                 rows=_span((row0[at][:, None] + np.arange(t.dim)).ravel()),
                 cells=_span((block0[at][:, None] + np.arange(width)).ravel())))
 
@@ -697,20 +763,36 @@ class Linearizer:
         key order: unsorted, and repeated where a factor binds a key twice
         (`J.sum_duplicates()` gives the canonical form).
         """
+        r, jacobian = self.residual(values)
+        return jacobian(), r
+
+    def residual(self, values):
+        """(r, jacobian) at `values`, as `__call__` takes them: the whitened
+        residual from each family's steps alone, and a function that
+        continues from those steps to J, as `__call__` gives it. A try that
+        is scored and dropped then builds no Jacobian."""
         states = self.layout.stack(values) if isinstance(values, Values) \
             else values
-        # fresh arrays, which J and r own
-        data = np.empty(int(self._indptr[-1]))
-        res = np.empty(self.total_rows)
-        try:
-            self._batched(states, data, res)
-        except manifold.NearSingularError:
-            self._name_first_failure(states)
-            raise
-        # the layout arrays are copied: a caller may edit J's in place
-        J = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
-                          shape=(self.total_rows, self.total_cols))
-        return J, res
+        res = np.empty(self.total_rows)  # fresh, which r owns
+        passes = []  # per batch: its (params, slot stacks) and steps
+        with self._naming(states):
+            for b in self._batches:
+                params, slots = b.args(states)
+                steps = b.table.family.residual(params, slots)
+                b.whiten_residual(steps[-1], res)
+                passes.append((params, slots, steps))
+
+        def jacobian() -> sp.csr_matrix:
+            data = np.empty(int(self._indptr[-1]))  # fresh, which J owns
+            with self._naming(states):
+                for b, (params, slots, steps) in zip(self._batches, passes):
+                    b.whiten_blocks(
+                        b.table.family.jacobian(params, slots, steps), data)
+            # the layout arrays are copied: a caller may edit J's in place
+            return sp.csr_matrix(
+                (data, self._indices.copy(), self._indptr.copy()),
+                shape=(self.total_rows, self.total_cols))
+        return res, jacobian
 
     def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
         """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
@@ -748,14 +830,15 @@ class Linearizer:
             costs[name] = costs.get(name, 0.0) + float(part @ part)
         return costs
 
-    def _batched(self, states: dict, data: np.ndarray,
-                 res: np.ndarray) -> None:
-        for b in self._batches:
-            r, Js = b(states)
-            W = b.sqrt_info
-            res[b.rows] = (W @ r[:, :, None]).ravel()
-            data[b.cells] = np.concatenate([W @ J for J in Js],
-                                           axis=2).ravel()
+    @contextmanager
+    def _naming(self, states: dict):
+        """A NearSingularError raised inside names the first failing factor
+        in graph order."""
+        try:
+            yield
+        except manifold.NearSingularError:
+            self._name_first_failure(states)
+            raise
 
     def _name_first_failure(self, states: dict) -> None:
         """Raise the error of the first factor in graph order that fails at
@@ -772,27 +855,37 @@ class Linearizer:
             _evaluate(t.family.view(t, i), self.layout.values(states))
 
 
-def _evaluate(f: Factor, values: Values):
-    """(r, Js) of one factor through its closures; a NearSingularError
-    names the factor."""
+@contextmanager
+def _in_factor(f: Factor):
+    """A NearSingularError raised inside names the factor f."""
     try:
-        if f.combined_fn is not None:
-            return f.combined_fn(values)
-        return f.residual_fn(values), f.jacobian_fn(values)
+        yield
     except manifold.NearSingularError as err:
         raise manifold.NearSingularError(
             f"linearization failed in {_describe(f)}: {err}") from err
 
 
+def _evaluate(f: Factor, values: Values):
+    """(r, Js) of one factor through its closures; a NearSingularError
+    names the factor."""
+    with _in_factor(f):
+        if f.combined_fn is not None:
+            return f.combined_fn(values)
+        return f.residual_fn(values), f.jacobian_fn(values)
+
+
 class _Closures:
     """The family of custom factors: a table's one param column holds the
-    Factors as added, and each row is evaluated through its own closures."""
+    Factors as added, and each row is evaluated through its own closures:
+    its residual_fn in `residual`, its jacobian_fn in `jacobian`, or its
+    combined_fn, when it has one, once in `residual`."""
 
     name = "custom"
 
-    def __call__(self, params, states):
-        """(r, per-key Jacobians) of the factors `params[0]`, stacked, at
-        the slot stacks `states`, each unstacked once into one Values."""
+    def residual(self, params, states):
+        """The factors `params[0]` unstacked at the slot stacks `states`
+        into one Values, the blocks of those with a combined_fn (else
+        None), and the residuals, stacked."""
         (factors,) = params
         values = Values()
         for s, stack in enumerate(states):
@@ -801,17 +894,36 @@ class _Closures:
                 factors[0].keys[s].kind.group.unstack(stack)))
         rs, blocks = [], []
         for f in factors:
-            r, Js = _evaluate(f, values)
-            got = [np.shape(J) for J in Js]
-            want = [(f.dim, key.kind.dim) for key in f.keys]
-            if np.shape(r) != (f.dim,) or got != want:
+            with _in_factor(f):
+                if f.combined_fn is not None:
+                    r, Js = f.combined_fn(values)
+                else:
+                    r, Js = f.residual_fn(values), None
+            if np.shape(r) != (f.dim,):
                 raise ValueError(
-                    f"{_describe(f)} gave a residual of shape {np.shape(r)} "
-                    f"and blocks of shapes {got}; its noise and keys take "
-                    f"{(f.dim,)} and {want}")
+                    f"{_describe(f)} gave a residual of shape {np.shape(r)}; "
+                    f"its noise takes {(f.dim,)}")
             rs.append(r)
             blocks.append(Js)
-        return np.array(rs), tuple(map(np.array, zip(*blocks)))
+        return values, blocks, np.array(rs)
+
+    def jacobian(self, params, states, steps):
+        """The per-key Jacobians, stacked, of the factors `params[0]`."""
+        (factors,) = params
+        values, held, _ = steps
+        blocks = []
+        for f, Js in zip(factors, held):
+            if Js is None:
+                with _in_factor(f):
+                    Js = f.jacobian_fn(values)
+            got = [np.shape(J) for J in Js]
+            want = [(f.dim, key.kind.dim) for key in f.keys]
+            if got != want:
+                raise ValueError(
+                    f"{_describe(f)} gave blocks of shapes {got}; its noise "
+                    f"and keys take {want}")
+            blocks.append(Js)
+        return tuple(map(np.array, zip(*blocks)))
 
     def view(self, table: FactorTable, i: int) -> Factor:
         return table.params[0][i]
@@ -832,7 +944,16 @@ def _retract_all(states: dict, columns: dict, delta: np.ndarray) -> dict:
             for kind, X in states.items()}
 
 
-def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:
+@lru_cache(maxsize=8)
+def _probe(n: int) -> np.ndarray:
+    """The gauge check's 8 fixed-seed random columns of length n,
+    read-only: made once per size."""
+    x = np.random.default_rng(0).random((n, 8)) - 0.5
+    x.flags.writeable = False
+    return x
+
+
+def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> dict:
     """Raise UnderconstrainedGraphError if the undamped system is singular.
 
     `band` is J^T J's lower band. It is Jacobi-equilibrated first, so wildly
@@ -851,6 +972,11 @@ def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:
     from above by 1 / |y|, which flags the graph only if that eigenvalue
     is at most the pivot threshold. The variables holding the grown
     column's large entries are the suspects.
+
+    Returns the verdict, which the error also holds as `gauge`: the
+    smallest squared pivot `min_pivot_sq` (0.0 when the factorization
+    stops at a column), the bound `inverse_bound` (None when the pivots
+    already flag the graph) and the number of `suspects`.
     """
     diag = band[0]
     s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
@@ -861,31 +987,36 @@ def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> None:
     shift = 1e-12
     scaled[0] += shift
     L, info = dpbtrf(scaled, lower=1, overwrite_ab=1)
-    bad = L[0] * L[0] <= 1e3 * shift
+    pivot_sq = L[0] * L[0]
+    bad = pivot_sq <= 1e3 * shift
+    verdict = {"min_pivot_sq": 0.0 if info > 0 else
+               float(np.min(pivot_sq, initial=np.inf)),
+               "inverse_bound": None, "suspects": 0}
     if info > 0:  # stopped at column info - 1; no pivot past it is computed
         bad[info:] = False
         bad[info - 1] = True
     if not bad.any():
-        x = np.random.default_rng(0).random((n, 8)) - 0.5
+        x = _probe(n)
         for _ in range(2):  # x = A^-1 x, keeping the column that grew most
             y = cho_solve_banded((L, True), x / np.linalg.norm(x, axis=0),
                                  check_finite=False)
             growth = np.linalg.norm(y, axis=0)
             j = int(np.argmax(growth))
             x = y[:, j:j + 1]
-        if 1.0 / growth[j] > 1e3 * shift:
-            return
+        verdict["inverse_bound"] = 1.0 / float(growth[j])
+        if verdict["inverse_bound"] > 1e3 * shift:
+            return verdict
         bad = np.abs(x[:, 0]) >= 1e-3 * growth[j]
     suspects = [key for key, c0 in offsets.items()
                 if bad[c0:c0 + key.kind.dim].any()]
+    verdict["suspects"] = len(suspects)
     by_time = sorted(suspects, key=lambda k: (k.timestamp, k.id))
     names = ", ".join(f"id={k.id}@t={k.timestamp:g}" for k in by_time[:8])
     if len(by_time) > 8:
         names += f", and {len(by_time) - 8} more"
     raise UnderconstrainedGraphError(
         f"underconstrained graph: null space touches variables [{names}]",
-        suspects,
-    )
+        suspects, verdict)
 
 
 def _damped_solver(band: np.ndarray):
@@ -908,7 +1039,12 @@ def _damped_solver(band: np.ndarray):
 
 def optimize(graph: FactorGraph, initial: Values,
              settings: SolverSettings | None = None) -> tuple[Values, SolveReport]:
-    """Levenberg-Marquardt with multiplicative damping on the tangent space."""
+    """Levenberg-Marquardt with multiplicative damping on the tangent space.
+
+    Each try is scored on a residual-only pass (`Linearizer.residual`); the
+    Jacobian is built only for an accepted candidate that the next
+    iteration linearizes, so a solve of k iterations builds k Jacobians,
+    the first at `initial`."""
     settings = settings or SolverSettings()
     if not settings.init_lambda > 0:
         # damping grows by multiplication, so it could never leave 0 or
@@ -936,9 +1072,8 @@ def optimize(graph: FactorGraph, initial: Values,
         finally:
             spent[phase] += perf_counter() - t0
 
-    # One linearization per cost evaluation: the whitened residual norm is the
-    # cost, and an accepted candidate's Jacobian seeds the next iteration.
-    # The iterate stays in the Linearizer's stacks until the solve returns.
+    # The whitened residual norm is the cost. The iterate stays in the
+    # Linearizer's stacks until the solve returns.
     t0 = perf_counter()
     lin = Linearizer(graph)
     report.linearizer_s = perf_counter() - t0
@@ -959,10 +1094,10 @@ def optimize(graph: FactorGraph, initial: Values,
         band = timed("band_s", lin.normal_band, J)
         if it == 0:
             t0 = perf_counter()
-            _check_gauge(band, lin.offsets)
+            report.gauge = _check_gauge(band, lin.offsets)
             report.gauge_s = perf_counter() - t0
             solve = _damped_solver(band)
-        accepted = False
+        accepted = converged = False
         while lam <= MAX_LAMBDA:
             tried = {"iteration": it, "lam": lam, "outcome": None,
                      "cost": None, "step_inf": None, "grad_inf": grad_inf}
@@ -977,20 +1112,27 @@ def optimize(graph: FactorGraph, initial: Values,
             candidate = timed("retract_s", _retract_all, states,
                               layout.columns, delta)
             try:
-                J_cand, r_cand = timed("linearize_s", lin, candidate)
+                r_cand, jacobian = timed("linearize_s", lin.residual,
+                                         candidate)
+                new_cost = float(r_cand @ r_cand)
+                accepted = bool(np.isfinite(new_cost) and new_cost <= cost)
+                if accepted:
+                    rel_drop = (cost - new_cost) / max(cost, 1e-300)
+                    converged = (rel_drop < settings.rel_cost_tol
+                                 or tried["step_inf"] < settings.dx_tol)
+                    if not converged and it + 1 < settings.max_iterations:
+                        J = timed("linearize_s", jacobian)
             except manifold.NearSingularError:
                 # candidate stepped onto a singular chart; damp harder
                 tried["outcome"] = "singular_chart"
+                accepted = converged = False
                 lam *= LAMBDA_UP
                 continue
-            new_cost = tried["cost"] = float(r_cand @ r_cand)
-            if np.isfinite(new_cost) and new_cost <= cost:
+            tried["cost"] = new_cost
+            if accepted:
                 tried["outcome"] = "accepted"
-                states, J, r = candidate, J_cand, r_cand
-                prev_cost = cost
-                cost = new_cost
+                states, r, cost = candidate, r_cand, new_cost
                 lam = max(lam / LAMBDA_DOWN, 1e-15)
-                accepted = True
                 break
             tried["outcome"] = "cost_increase"
             lam *= LAMBDA_UP
@@ -998,9 +1140,7 @@ def optimize(graph: FactorGraph, initial: Values,
         if not accepted:
             break
         report.cost_trace.append(cost)
-        rel_drop = (prev_cost - cost) / max(prev_cost, 1e-300)
-        if (rel_drop < settings.rel_cost_tol
-                or tried["step_inf"] < settings.dx_tol):
+        if converged:
             report.converged = True
             break
     report.final_cost = cost

@@ -194,7 +194,8 @@ class TrajectoryEstimate:
 
 def schedule_keyframes(measurements: Sequence[MeasurementRecord],
                        gate: float = 1.0, policy: ModePolicy | None = None,
-                       until: float | None = None) -> list[Keyframe]:
+                       until: float | None = None,
+                       odometry_floor: bool = False) -> list[Keyframe]:
     """One keyframe per relative measurement plus time-gated fillers.
 
     `measurements` is a MeasurementStream, or records that are stacked into
@@ -204,6 +205,11 @@ def schedule_keyframes(measurements: Sequence[MeasurementRecord],
     composed since the previous keyframe; both come from the stream's
     columns. Relative records within 1e-9 s of a keyframe's first record
     share that keyframe.
+
+    A gate that asks for more than _MAX_KEYFRAMES keyframes is refused;
+    with `odometry_floor`, so is one shorter than the stream's odometry
+    period (its shortest step between distinct odometry times), whose
+    gated keyframes no odometry record separates.
     """
     policy = policy or ModePolicy()
     stream = MeasurementStream.of(measurements)
@@ -243,6 +249,13 @@ def schedule_keyframes(measurements: Sequence[MeasurementRecord],
     if not wanted <= _MAX_KEYFRAMES:
         raise ConfigError(f"gate = {gate!r} asks for {wanted:.3g} keyframes, "
                           f"more than {_MAX_KEYFRAMES}")
+    if odometry_floor:
+        odom = np.diff(latest[stream.kinds == ODOM])
+        odom = odom[odom > 1e-9]
+        if odom.size and gate < odom.min() - 1e-9:
+            raise ConfigError(
+                f"gate = {gate!r} is shorter than the stream's odometry "
+                f"period of {odom.min():.6g} s")
 
     # (time, records, trigger) with gate fillers interleaved
     slots: list[tuple[float, tuple[MeasurementRecord, ...], str]] = []

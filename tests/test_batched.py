@@ -198,6 +198,32 @@ class TestKernels:
                 assert_equal(out[n], scalar(x))
         assert_pairs_match(M.SE3.group, xi)
 
+    @pytest.mark.parametrize("angles", [
+        [0.5, 1.0, 2.0, 3.0], [0.0, 1e-9, 5e-7], [0.0, 0.5, 1e-8, 2.0]],
+        ids=["all-large", "all-small", "mixed"])
+    def test_series_or_closed_per_row(self, angles):
+        """Rows that all take the closed form (read without a mask), all
+        the series, or some each: every row is its own branch, exactly as
+        the masked assignment gives it, and the kernels built on it equal
+        their scalar ones."""
+        angle = np.array(angles)
+        small = angle < M.SMALL_ANGLE
+        series = 1.0 - angle * angle / 6.0
+
+        def closed(m):
+            return np.sin(angle[m]) / angle[m]
+
+        want = series.copy()
+        if not small.all():
+            want[~small] = closed(~small)
+        assert_equal(M._series_or_closed(small, series.copy(), closed), want)
+        theta = angle[:, None] * np.array([0.6, 0.0, 0.8])
+        for n, R in enumerate(M.exp_so3_batch(theta)):
+            assert_equal(R, M.exp_so3(theta[n]).matrix)
+        xi = np.concatenate([theta[:, ::-1], theta], axis=1)
+        for n, J in enumerate(M.jl_jr_inv_se3_batch(xi)[1]):
+            assert_equal(J, M.SE3.group.jr_inv(xi[n]))
+
     @SETTINGS
     @given(st.lists(st.tuples(angles, seeds), min_size=1, max_size=6))
     def test_q_block_matches_seven_products(self, cases):

@@ -280,6 +280,19 @@ class TestErrorExits:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: gate = 1e-09 asks")
 
+    def test_gate_under_the_odometry_period_exits_2(self, tmp_path, capsys):
+        """The stream's odometry runs at 10 Hz: a 0.05 s gate is refused
+        before any keyframe is scheduled or solved."""
+        meas = optical_stream(tmp_path, exp_so3(np.zeros(3)))
+        out = tmp_path / "est.csv"
+        rc = main(["smooth", "--gate", "0.05", "--meas", str(meas),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: gate = 0.05 is shorter than the stream's "
+                       "odometry period of 0.1 s"]
+        assert not out.exists()
+
     def test_simulate_accepts_zero_measurement_noise(self, tmp_path,
                                                      short_cfg):
         cfg = tmp_path / "noiseless.cfg"

@@ -606,6 +606,130 @@ class TestBatchedLinearizer:
             Linearizer(graph)(values)
 
 
+def strided_graph(rng, n=8):
+    """Interleaved SE(3) chaser and target chains with R^3 points: every
+    other row of the SE(3) stack in the chains' slots, irregular rows in
+    the optical fixes', tables whose rows follow each other in graph order
+    (one slice of J's data) and tables whose rows interleave."""
+    c = [VariableKey(2 * k, M.SE3, float(k)) for k in range(n)]
+    t = [VariableKey(2 * k + 1, M.SE3, float(k)) for k in range(n)]
+    p = [r3_key(100 + k, t=float(k)) for k in range(n)]
+    cov6 = np.diag([0.05 ** 2] * 3 + [0.01 ** 2] * 3)
+    graph = FactorGraph()
+    graph.add(prior_factor(c[0], random_pose(rng, 1.0), np.eye(6) * 1e-4))
+    for a, b in zip(c, c[1:]):
+        graph.add(relative_pose_factor(a, b, random_pose(rng, 0.5), cov6))
+    for k in range(n):
+        graph.add(usbl_factor(c[k], t[k], rng.normal(size=3), np.eye(3) * 2.0))
+        graph.add(usbl_factor(c[k], p[k], rng.normal(size=3), np.eye(3) * 2.0))
+        if k in (0, 1, 3, 6):
+            graph.add(relative_pose_factor(c[k], t[k], random_pose(rng, 1.0),
+                                           cov6))
+    for trio in zip(t, t[1:], t[2:]):
+        graph.add(ct_factor(trio, ConstantTwistSpec(1.0, 1.0, cov6)))
+    for trio in zip(p, p[1:], p[2:]):
+        graph.add(ct_factor(trio, ConstantTwistSpec(1.0, 2.0,
+                                                    np.eye(3) * 0.01)))
+    graph.extend(boundary_factors(t[-1], p[-1], "DOWN", np.eye(3) * 1e-4))
+    values = Values({k: random_pose(rng, 2.0) for k in c + t})
+    for k in p:
+        values.set(k, M.EuclidPoint(rng.normal(0.0, 3.0, 3)))
+    return graph, values
+
+
+def per_view_linearization(graph, values):
+    """Reference: J's data and r from each factor's view, through its
+    closures and noise model, laid out factor by factor in graph order."""
+    data, res = [np.empty(0)], [np.empty(0)]
+    for f in graph.factors:
+        W = f.noise.sqrt_info
+        res.append(W @ f.residual_fn(values))
+        data.append(np.concatenate([W @ J for J in f.jacobian_fn(values)],
+                                   axis=1).ravel())
+    return np.concatenate(data), np.concatenate(res)
+
+
+class TestResidualFirst:
+    def test_in_place_linearization_equals_per_view_reference(self, rng):
+        """Slice and scattered cells, strided and gathered slot rows: J and
+        r equal the per-view reference bit for bit, from Values and from
+        stacks, and the residual pass alone gives the same r."""
+        graphs = [strided_graph(rng)] + [mixed_graph(rng) for _ in range(3)]
+        lin = Linearizer(graphs[0][0])
+        cells = {isinstance(b.cells, slice) for b in lin._batches}
+        reads = [read for b in lin._batches for _, _, read in b.slots]
+        assert cells == {True, False}
+        assert any(isinstance(r, slice) and (r.step or 1) > 1 for r in reads)
+        assert any(isinstance(r, np.ndarray) for r in reads)
+        for graph, values in graphs:
+            lin = Linearizer(graph)
+            data, res = per_view_linearization(graph, values)
+            for at in (values, lin.layout.stack(values)):
+                J, r = lin(at)
+                assert_identical(J.data, data)
+                assert_identical(r, res)
+                r_only, jacobian = lin.residual(at)
+                assert_identical(r_only, res)
+                assert_identical(jacobian().data, data)
+
+    def test_closures_run_residual_first(self, rng):
+        """Over one solve, each custom factor's residual_fn runs once per
+        evaluated try and once at the start, and its jacobian_fn once per
+        iteration: neither a rejected try nor the returned iterate builds
+        a Jacobian."""
+        graph, values = anchored_mixed_graph(np.random.default_rng(0))
+        calls = {"residual": 0, "jacobian": 0}
+
+        def counted(fn, name):
+            def call(values):
+                calls[name] += 1
+                return fn(values)
+            return call
+
+        custom = [f for f in graph.factors if f.family is None]
+        for f in custom:
+            f.residual_fn = counted(f.residual_fn, "residual")
+            f.jacobian_fn = counted(f.jacobian_fn, "jacobian")
+        _, report = optimize(graph, values)
+        evaluated = [t for t in report.tries if t["step_inf"] is not None]
+        assert report.converged and len(evaluated) > report.iterations
+        assert calls == {"residual": len(custom) * (len(evaluated) + 1),
+                         "jacobian": len(custom) * report.iterations}
+
+
+    def test_combined_closure_runs_once_per_linearization(self, rng):
+        """A custom factor with a combined_fn is evaluated by it alone, once
+        in the residual pass; the Jacobian reads the blocks it gave."""
+        keys = [r3_key(i) for i in range(3)]
+        plain = linear_factor(keys[:2], [rng.normal(size=(3, 3)), np.eye(3)],
+                              rng.normal(size=3), np.eye(3) * 0.5)
+        calls = []
+
+        def combined(values):
+            calls.append(None)
+            return plain.residual_fn(values), plain.jacobian_fn(values)
+
+        def unused(values):
+            raise AssertionError("combined_fn evaluates this factor")
+
+        fused = Factor(keys=plain.keys, residual_fn=unused,
+                       jacobian_fn=unused, noise=plain.noise,
+                       combined_fn=combined)
+        values = Values({k: M.EuclidPoint(rng.normal(size=3)) for k in keys})
+        prior = prior_factor(keys[2], M.EuclidPoint(np.zeros(3)), np.eye(3))
+
+        def linearize(f):
+            graph = FactorGraph()
+            graph.extend([f, prior])
+            return Linearizer(graph)(values)
+
+        J_ref, r_ref = linearize(plain)
+        J, r = linearize(fused)
+        assert len(calls) == 1
+        assert_identical(J.data, J_ref.data)
+        assert_identical(r, r_ref)
+
+
 def so3_custom(a, b, name):
     """A custom factor a^-1 b on SO(3), singular where that is near pi."""
     return Factor(keys=(a, b), residual_fn=lambda values: M.ominus(
@@ -985,23 +1109,51 @@ class TestDampedSolve:
         assert second["grad_inf"] == first["grad_inf"]
 
     def test_singular_chart_try_is_recorded(self, rng, monkeypatch):
-        """A candidate whose linearization raises NearSingularError is
+        """A candidate whose residual pass raises NearSingularError is
         recorded with its step and no cost, and the next try damps
         harder."""
         calls = []
-        call = Linearizer.__call__
+        residual = Linearizer.residual
 
         def first_candidate_singular(self, values):
             calls.append(None)
             if len(calls) == 2:  # the initial linearization is the first
                 raise M.NearSingularError("injected")
-            return call(self, values)
+            return residual(self, values)
 
-        monkeypatch.setattr(Linearizer, "__call__", first_candidate_singular)
+        monkeypatch.setattr(Linearizer, "residual", first_candidate_singular)
         graph, values, _, _ = linear_chain(rng, static=False)
         settings = SolverSettings()
         _, report = optimize(graph, values, settings)
         assert report.converged
+        first, second = report.tries[:2]
+        assert first["outcome"] == "singular_chart"
+        assert first["cost"] is None and first["step_inf"] > 0.0
+        assert second["lam"] == first["lam"] * fgraph.LAMBDA_UP
+        assert second["iteration"] == 0 and second["outcome"] == "accepted"
+
+    def test_singular_jacobian_of_an_accepted_try_is_recorded(
+            self, rng, monkeypatch):
+        """An accepted candidate whose Jacobian, continued from its residual
+        pass, raises NearSingularError is a singular_chart try too, with no
+        cost, and the next try damps harder."""
+        calls = []
+        residual = Linearizer.residual
+
+        def first_candidate_singular(self, values):
+            r, jacobian = residual(self, values)
+
+            def continued():
+                calls.append(None)
+                if len(calls) == 2:  # the initial linearization is the first
+                    raise M.NearSingularError("injected")
+                return jacobian()
+            return r, continued
+
+        monkeypatch.setattr(Linearizer, "residual", first_candidate_singular)
+        graph, values, _, _ = linear_chain(rng, static=False)
+        _, report = optimize(graph, values)
+        assert report.converged and len(calls) == report.iterations + 1
         first, second = report.tries[:2]
         assert first["outcome"] == "singular_chart"
         assert first["cost"] is None and first["step_inf"] > 0.0
@@ -1415,6 +1567,31 @@ class TestBandNativeSolve:
         with pytest.raises(UnderconstrainedGraphError):
             marginal_covariance(graph, values, sorted(
                 graph.variables, key=lambda k: k.id)[0])
+
+    def test_verdict_names_the_test_that_flagged(self):
+        """The error holds the verdict: a pivot under the threshold gives
+        no inverse-iteration bound, a rigid motion of the whole graph
+        passes the pivots and is flagged by the bound, and each counts its
+        suspects."""
+        a, b = (VariableKey(i, M.rn(1), float(i)) for i in range(2))
+        band = np.asfortranarray([[1.0, 1.0], [np.sqrt(1.0 - 5e-10), 0.0]])
+        with pytest.raises(UnderconstrainedGraphError) as exc:
+            fgraph._check_gauge(band, {a: 0, b: 1})
+        assert exc.value.gauge["inverse_bound"] is None
+        assert 0.0 < exc.value.gauge["min_pivot_sq"] <= 1e-9
+        assert exc.value.gauge["suspects"] == 1
+        graph, values = criterion_9_unanchored()
+        with pytest.raises(UnderconstrainedGraphError) as exc:
+            optimize(graph, values)
+        gauge = exc.value.gauge
+        assert gauge["min_pivot_sq"] > 1e-9 >= gauge["inverse_bound"]
+        assert gauge["suspects"] == len(exc.value.suspect_keys)
+
+    def test_probe_columns_are_made_once_per_size(self):
+        assert fgraph._probe(12) is fgraph._probe(12)
+        assert not fgraph._probe(12).flags.writeable
+        assert_identical(fgraph._probe(12),
+                         np.random.default_rng(0).random((12, 8)) - 0.5)
 
     def test_stiff_unanchored_chains_are_underconstrained(self, rng):
         """Weights of 1e6-1e10 leave an unequilibrated null direction a

@@ -1,6 +1,7 @@
 """Keyframe scheduling, initialization, graph building, and metrics."""
 
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,23 @@ class TestScheduling:
         with pytest.raises(ConfigError, match="^gate = .* asks for"):
             schedule_keyframes([usbl(0.0), odom(2.5), usbl(5.0)], gate=gate)
 
+    def test_gate_under_the_odometry_period_refused(self):
+        """With odometry_floor, a gate shorter than the shortest step
+        between distinct odometry times (repeats and steps back within
+        1e-9 s left out) is refused; a gate of that step is not, an
+        unbounded gate keeps its own message, and without the floor the
+        short gate is scheduled."""
+        recs = ([usbl(0.0), odom(0.1), odom(0.1), odom(0.1 - 5e-10)]
+                + [odom(0.1 * k) for k in range(2, 31)] + [usbl(3.0)])
+        with pytest.raises(ConfigError, match=re.escape(
+                "gate = 0.05 is shorter than the stream's odometry period "
+                "of 0.1 s")):
+            schedule_keyframes(recs, gate=0.05, odometry_floor=True)
+        with pytest.raises(ConfigError, match="^gate = 1e-09 asks for"):
+            schedule_keyframes(recs, gate=1e-9, odometry_floor=True)
+        assert schedule_keyframes(recs, gate=0.1, odometry_floor=True)
+        assert schedule_keyframes(recs, gate=0.05)
+
     def test_unknown_kind_rejected(self):
         sonar = MeasurementRecord(timestamp=0.5, kind="SONAR",
                                   payload=np.zeros(3))
@@ -227,6 +245,22 @@ class TestStreamScheduling:
         assert held <= {id(r) for r in records}
         assert sum(len(kf.records) for kf in kfs) == sum(
             r.kind != "ODOM" for r in records)
+
+    def test_seed_1_mode_a_report_holds_the_gauge_verdict(self, streams):
+        """The CLI's seed-1 Mode A solve passes the gauge check by a wide
+        margin, and its report holds the check's verdict on the first
+        iterate's band."""
+        cfg = formats.parse_config([], overrides={"mode": "A"})
+        records = formats.read_measurements(streams["default"])
+        kfs = schedule_keyframes(records, gate=cfg.gate, policy=cfg)
+        graph, values = build_graph(kfs, cfg, cfg)
+        gauge = smooth(graph, values, cfg, kfs).report.gauge
+        assert set(gauge) == {"min_pivot_sq", "inverse_bound", "suspects"}
+        assert gauge["suspects"] == 0
+        assert gauge["min_pivot_sq"] > 1e-9 and gauge["inverse_bound"] > 1e-9
+        lin = Linearizer(graph)
+        J, _ = lin(values)
+        assert fgraph._check_gauge(lin.normal_band(J), lin.offsets) == gauge
 
     def test_repeated_usbl_rows_share_its_keyframe(self, streams, tmp_path):
         """A USBL row repeated at its own time and 1e-10 s later joins the
