@@ -75,8 +75,8 @@ def cmd_smooth(args) -> int:
     cfg = _load(args, mode=args.mode, gate=args.gate)
     cfg.check_smoothable()
     records = formats.read_measurements(args.meas)
-    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg,
-                                            odometry_floor=True)
+    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg)
+    tracking.check_odometry_gate(records, cfg.gate)
     graph, initial = tracking.build_graph(keyframes, cfg, cfg)
     estimate = tracking.smooth(graph, initial, cfg, keyframes)
     formats.write_estimate(args.out, estimate.rows)

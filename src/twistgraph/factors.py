@@ -123,12 +123,6 @@ class _Family:
         """The family's name in a solve's cost records: its label's head."""
         return self.label.split("-", 1)[0]
 
-    def __call__(self, params, states):
-        """(r, per-key Jacobians) of a table's rows at the slot stacks
-        `states`."""
-        steps = self.residual(params, states)
-        return steps[-1], self.jacobian(params, states, steps)
-
     def residual(self, params, states):
         """The batch's steps, whose last is the residual stack r."""
         return self.steps(*self._table, params, *states)

@@ -180,7 +180,7 @@ class Signature:
     graph's table. `signature` makes one object per equal pair, so that a
     graph finds a row's table by identity, without hashing its kinds."""
 
-    family: Callable
+    family: object
     kinds: tuple[ManifoldKind, ...]
 
 
@@ -209,7 +209,7 @@ class Factor:
     name: str = _Made("factor")
     # optional fused path returning (residual, jacobians) in one evaluation
     combined_fn: Callable[[Values], tuple] | None = None
-    family: Callable | None = None
+    family: object | None = None
     family_params: tuple = ()
     # a per-factor constructor's view holds its keys and their Signature,
     # made once
@@ -236,7 +236,7 @@ class FactorTable:
     and `family.view(table, i)` makes row i's Factor.
     """
 
-    family: Callable
+    family: object
     kinds: tuple[ManifoldKind, ...]
     keys: tuple[list, ...]
     params: tuple
@@ -490,48 +490,16 @@ class _Batch:
 
     table: FactorTable
     sqrt_info: np.ndarray  # (N, d, d)
-    # per key: (kind, row of each factor's variable in its stack, and the
-    # slice of those rows when they are evenly spaced, else the rows again)
-    slots: list
+    slots: list  # per key: (kind, row of each factor's variable in its stack)
     rows: np.ndarray | slice  # residual rows, (N * d,)
     cells: np.ndarray | slice  # J's data positions of the factors' blocks
 
     def args(self, states: dict, n: int | None = None) -> tuple:
         """The family's (params, slot stacks) at the `_StateLayout` stacks
-        `states`, on every row or on the first n. A slot of evenly spaced
-        rows reads its stacks as strided views."""
-        t = self.table
-        if n is None:
-            return t.params, [tuple(s[read] for s in states[kind])
-                              for kind, _, read in self.slots]
-        return (tuple(p[:n] for p in t.params),
+        `states`, on every row or on the first n."""
+        return (tuple(p[:n] for p in self.table.params),
                 [tuple(s[i[:n]] for s in states[kind])
-                 for kind, i, _ in self.slots])
-
-    def whiten_residual(self, r: np.ndarray, res: np.ndarray) -> None:
-        """Write the whitened residual stack r into its rows of res."""
-        W = self.sqrt_info
-        if isinstance(self.rows, slice):
-            np.matmul(W, r[:, :, None],
-                      out=res[self.rows].reshape(r.shape + (1,)))
-        else:
-            res[self.rows] = (W @ r[:, :, None]).ravel()
-
-    def whiten_blocks(self, Js, data: np.ndarray) -> None:
-        """Write the whitened per-key Jacobian stacks Js into their cells
-        of J's data, each factor's keys side by side."""
-        W = self.sqrt_info
-        if not isinstance(self.cells, slice):
-            data[self.cells] = np.concatenate([W @ J for J in Js],
-                                              axis=2).ravel()
-            return
-        N, d = W.shape[:2]
-        out = data[self.cells].reshape(N, d, -1)
-        c = 0
-        for J in Js:
-            k = J.shape[-1]
-            np.matmul(W, J, out=out[:, :, c:c + k])
-            c += k
+                 for kind, i in self.slots])
 
     def first_failure(self, states: dict) -> int | None:
         """The first row whose evaluation raises NearSingularError, or None.
@@ -567,17 +535,11 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _span(index: np.ndarray, step: int | None = 1):
-    """`index`, or the slice it spans when it is one ascending run of this
-    step (of any positive step, with None): a slice assigns without a
-    scatter, and reads a view without a gather."""
-    gaps = np.diff(index)
-    if len(gaps):
-        step = step or int(gaps[0])
-        if step < 1 or (gaps != step).any():
-            return index
-    if len(index):
-        return slice(int(index[0]), int(index[-1]) + 1, step)
+def _span(index: np.ndarray):
+    """`index`, or the slice it spans when it is one ascending run: a slice
+    assigns without a scatter."""
+    if len(index) and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
     return index
 
 
@@ -619,10 +581,7 @@ class Linearizer:
     passes: `residual` runs each family's steps and whitens their residual
     into r, and the function it returns continues from those steps to the
     family's Jacobians and whitens them into J. A scored and dropped
-    candidate stops after the first. A slot whose stack rows are evenly
-    spaced is read as a strided view, and a table whose rows follow each
-    other in graph order writes r and J in place (one slice of each);
-    any other is gathered and scattered.
+    candidate stops after the first.
 
     The same pattern fixes J^T J's structure: `bandwidth` is its lower
     bandwidth, and `normal_band` builds that band from the whitened blocks.
@@ -664,9 +623,8 @@ class Linearizer:
             self._batches.append(_Batch(
                 table=t,
                 sqrt_info=np.array([nm.sqrt_info for nm in t.noise])[t.which],
-                slots=[(kind, rows, _span(rows, None))
-                       for s, kind in enumerate(t.kinds)
-                       for rows in [layout.row[var[key0[at] + s]]]],
+                slots=[(kind, layout.row[var[key0[at] + s]])
+                       for s, kind in enumerate(t.kinds)],
                 rows=_span((row0[at][:, None] + np.arange(t.dim)).ravel()),
                 cells=_span((block0[at][:, None] + np.arange(width)).ravel())))
 
@@ -779,15 +737,16 @@ class Linearizer:
             for b in self._batches:
                 params, slots = b.args(states)
                 steps = b.table.family.residual(params, slots)
-                b.whiten_residual(steps[-1], res)
+                res[b.rows] = (b.sqrt_info @ steps[-1][:, :, None]).ravel()
                 passes.append((params, slots, steps))
 
         def jacobian() -> sp.csr_matrix:
             data = np.empty(int(self._indptr[-1]))  # fresh, which J owns
             with self._naming(states):
                 for b, (params, slots, steps) in zip(self._batches, passes):
-                    b.whiten_blocks(
-                        b.table.family.jacobian(params, slots, steps), data)
+                    Js = b.table.family.jacobian(params, slots, steps)
+                    data[b.cells] = np.concatenate(
+                        [b.sqrt_info @ J for J in Js], axis=2).ravel()
             # the layout arrays are copied: a caller may edit J's in place
             return sp.csr_matrix(
                 (data, self._indices.copy(), self._indptr.copy()),
@@ -1044,7 +1003,10 @@ def optimize(graph: FactorGraph, initial: Values,
     Each try is scored on a residual-only pass (`Linearizer.residual`); the
     Jacobian is built only for an accepted candidate that the next
     iteration linearizes, so a solve of k iterations builds k Jacobians,
-    the first at `initial`."""
+    the first at `initial`. A NearSingularError in either pass makes the
+    try a singular_chart one. The returned iterate's Jacobian is never
+    built, so an error that only it would raise (a custom jacobian_fn's)
+    does not reject that iterate; `marginal_covariance` there raises it."""
     settings = settings or SolverSettings()
     if not settings.init_lambda > 0:
         # damping grows by multiplication, so it could never leave 0 or

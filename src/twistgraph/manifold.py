@@ -472,10 +472,7 @@ def _reject_near_pi(angle: np.ndarray, kernel: str) -> None:
 
 def _series_or_closed(small: np.ndarray, series, closed) -> np.ndarray:
     """Per row, the small-angle series or the closed form; `closed` is only
-    evaluated where the angle is not small, and on every row without a mask
-    when no angle is."""
-    if not small.any():
-        return np.asarray(closed(slice(None)), dtype=float)
+    evaluated where the angle is not small."""
     out = np.asarray(series, dtype=float)
     big = ~small
     if big.any():

@@ -192,10 +192,22 @@ class TrajectoryEstimate:
     report: SolveReport
 
 
+def check_odometry_gate(measurements: Sequence[MeasurementRecord],
+                        gate: float) -> None:
+    """Refuse a gate shorter than the stream's odometry period, its
+    shortest step between distinct odometry times (steps of 1e-9 s or less
+    left out): no odometry record would separate its gated keyframes."""
+    stream = MeasurementStream.of(measurements)
+    steps = np.diff(np.maximum.accumulate(stream.times)[stream.kinds == ODOM])
+    steps = steps[steps > 1e-9]
+    if steps.size and gate < steps.min() - 1e-9:
+        raise ConfigError(f"gate = {gate!r} is shorter than the stream's "
+                          f"odometry period of {steps.min():.6g} s")
+
+
 def schedule_keyframes(measurements: Sequence[MeasurementRecord],
                        gate: float = 1.0, policy: ModePolicy | None = None,
-                       until: float | None = None,
-                       odometry_floor: bool = False) -> list[Keyframe]:
+                       until: float | None = None) -> list[Keyframe]:
     """One keyframe per relative measurement plus time-gated fillers.
 
     `measurements` is a MeasurementStream, or records that are stacked into
@@ -206,10 +218,7 @@ def schedule_keyframes(measurements: Sequence[MeasurementRecord],
     columns. Relative records within 1e-9 s of a keyframe's first record
     share that keyframe.
 
-    A gate that asks for more than _MAX_KEYFRAMES keyframes is refused;
-    with `odometry_floor`, so is one shorter than the stream's odometry
-    period (its shortest step between distinct odometry times), whose
-    gated keyframes no odometry record separates.
+    A gate that asks for more than _MAX_KEYFRAMES keyframes is refused.
     """
     policy = policy or ModePolicy()
     stream = MeasurementStream.of(measurements)
@@ -249,13 +258,6 @@ def schedule_keyframes(measurements: Sequence[MeasurementRecord],
     if not wanted <= _MAX_KEYFRAMES:
         raise ConfigError(f"gate = {gate!r} asks for {wanted:.3g} keyframes, "
                           f"more than {_MAX_KEYFRAMES}")
-    if odometry_floor:
-        odom = np.diff(latest[stream.kinds == ODOM])
-        odom = odom[odom > 1e-9]
-        if odom.size and gate < odom.min() - 1e-9:
-            raise ConfigError(
-                f"gate = {gate!r} is shorter than the stream's odometry "
-                f"period of {odom.min():.6g} s")
 
     # (time, records, trigger) with gate fillers interleaved
     slots: list[tuple[float, tuple[MeasurementRecord, ...], str]] = []

@@ -120,6 +120,13 @@ def stack(kind, elements):
     return kind.group.stack(elements)
 
 
+def evaluate(family, params, states):
+    """(r, per-key Jacobians) of a family's rows at the slot stacks
+    `states`: its steps, then the blocks continued from them."""
+    steps = family.residual(params, states)
+    return steps[-1], family.jacobian(params, states, steps)
+
+
 def assert_family_matches_scalar(factors, values):
     """Evaluate `factors` (one family, one batch) and check every row."""
     family = factors[0].family
@@ -133,9 +140,9 @@ def assert_family_matches_scalar(factors, values):
                   for f in factors]
     except NearSingularError:
         with pytest.raises(NearSingularError):
-            family(params, states)
+            evaluate(family, params, states)
         return
-    r, Js = family(params, states)
+    r, Js = evaluate(family, params, states)
     assert r.shape == (len(factors), factors[0].dim)
     for n, (r_ref, Js_ref) in enumerate(scalar):
         assert_close(r[n], r_ref)
@@ -202,10 +209,10 @@ class TestKernels:
         [0.5, 1.0, 2.0, 3.0], [0.0, 1e-9, 5e-7], [0.0, 0.5, 1e-8, 2.0]],
         ids=["all-large", "all-small", "mixed"])
     def test_series_or_closed_per_row(self, angles):
-        """Rows that all take the closed form (read without a mask), all
-        the series, or some each: every row is its own branch, exactly as
-        the masked assignment gives it, and the kernels built on it equal
-        their scalar ones."""
+        """Rows that all take the closed form, all the series, or some
+        each: every row is its own branch, exactly as the masked
+        assignment gives it, and the kernels built on it equal their
+        scalar ones."""
         angle = np.array(angles)
         small = angle < M.SMALL_ANGLE
         series = 1.0 - angle * angle / 6.0
@@ -502,7 +509,8 @@ class TestFamilies:
                    for dt1, dt2 in rng.uniform(0.1, 5.0, (100, 2))]
         params = (np.array([f.family_params[0] for f in factors]),)
         states = [stack(k.kind, [values.get(k)] * len(factors)) for k in keys]
-        _, (J_prev, J_curr, J_next) = factors[0].family(params, states)
+        _, (J_prev, J_curr, J_next) = evaluate(factors[0].family, params,
+                                               states)
         for n, (alpha,) in enumerate(f.family_params for f in factors):
             np.testing.assert_array_equal(J_prev[n], alpha * np.eye(3))
             np.testing.assert_array_equal(J_curr[n], -(1.0 + alpha) * np.eye(3))

@@ -282,7 +282,7 @@ class TestErrorExits:
 
     def test_gate_under_the_odometry_period_exits_2(self, tmp_path, capsys):
         """The stream's odometry runs at 10 Hz: a 0.05 s gate is refused
-        before any keyframe is scheduled or solved."""
+        before the graph is built or solved."""
         meas = optical_stream(tmp_path, exp_so3(np.zeros(3)))
         out = tmp_path / "est.csv"
         rc = main(["smooth", "--gate", "0.05", "--meas", str(meas),

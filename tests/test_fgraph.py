@@ -651,16 +651,17 @@ def per_view_linearization(graph, values):
 
 class TestResidualFirst:
     def test_in_place_linearization_equals_per_view_reference(self, rng):
-        """Slice and scattered cells, strided and gathered slot rows: J and
-        r equal the per-view reference bit for bit, from Values and from
-        stacks, and the residual pass alone gives the same r."""
+        """Slice and scattered cells, strided and irregular slot rows: J
+        and r equal the per-view reference bit for bit, from Values and
+        from stacks, and the residual pass alone gives the same r."""
         graphs = [strided_graph(rng)] + [mixed_graph(rng) for _ in range(3)]
         lin = Linearizer(graphs[0][0])
         cells = {isinstance(b.cells, slice) for b in lin._batches}
-        reads = [read for b in lin._batches for _, _, read in b.slots]
+        steps = [np.unique(np.diff(rows)) for b in lin._batches
+                 for _, rows in b.slots]
         assert cells == {True, False}
-        assert any(isinstance(r, slice) and (r.step or 1) > 1 for r in reads)
-        assert any(isinstance(r, np.ndarray) for r in reads)
+        assert any(len(d) == 1 and d[0] > 1 for d in steps)
+        assert any(len(d) > 1 for d in steps)
         for graph, values in graphs:
             lin = Linearizer(graph)
             data, res = per_view_linearization(graph, values)
@@ -1159,6 +1160,30 @@ class TestDampedSolve:
         assert first["cost"] is None and first["step_inf"] > 0.0
         assert second["lam"] == first["lam"] * fgraph.LAMBDA_UP
         assert second["iteration"] == 0 and second["outcome"] == "accepted"
+
+    def test_returned_iterate_builds_no_jacobian(self, rng, monkeypatch):
+        """The iterate a solve returns is never linearized, so a Jacobian
+        that would raise NearSingularError there does not reject it: with
+        max_iterations = 1, the one candidate is accepted and returned."""
+        calls = []
+        residual = Linearizer.residual
+
+        def singular_after_first(self, values):
+            r, jacobian = residual(self, values)
+
+            def continued():
+                calls.append(None)
+                if len(calls) > 1:
+                    raise M.NearSingularError("injected")
+                return jacobian()
+            return r, continued
+
+        monkeypatch.setattr(Linearizer, "residual", singular_after_first)
+        graph, values, _, _ = linear_chain(rng, static=False)
+        _, report = optimize(graph, values, SolverSettings(max_iterations=1))
+        assert len(calls) == 1 and report.iterations == 1
+        assert [t["outcome"] for t in report.tries] == ["accepted"]
+        assert report.final_cost < report.cost_trace[0]
 
     @pytest.mark.parametrize("static", [False, True])
     def test_path_follows_pattern(self, rng, monkeypatch, static):

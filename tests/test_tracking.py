@@ -34,6 +34,7 @@ from twistgraph.tracking import (
     TrackingConfig,
     _OdometrySpline,
     build_graph,
+    check_odometry_gate,
     extrapolate,
     initialize_values,
     measurement_baselines,
@@ -144,20 +145,18 @@ class TestScheduling:
             schedule_keyframes([usbl(0.0), odom(2.5), usbl(5.0)], gate=gate)
 
     def test_gate_under_the_odometry_period_refused(self):
-        """With odometry_floor, a gate shorter than the shortest step
-        between distinct odometry times (repeats and steps back within
-        1e-9 s left out) is refused; a gate of that step is not, an
-        unbounded gate keeps its own message, and without the floor the
-        short gate is scheduled."""
+        """A gate shorter than the shortest step between distinct odometry
+        times (repeats and steps back within 1e-9 s left out) is refused;
+        a gate of that step is not, and the scheduler itself takes the
+        short gate."""
         recs = ([usbl(0.0), odom(0.1), odom(0.1), odom(0.1 - 5e-10)]
                 + [odom(0.1 * k) for k in range(2, 31)] + [usbl(3.0)])
         with pytest.raises(ConfigError, match=re.escape(
                 "gate = 0.05 is shorter than the stream's odometry period "
                 "of 0.1 s")):
-            schedule_keyframes(recs, gate=0.05, odometry_floor=True)
-        with pytest.raises(ConfigError, match="^gate = 1e-09 asks for"):
-            schedule_keyframes(recs, gate=1e-9, odometry_floor=True)
-        assert schedule_keyframes(recs, gate=0.1, odometry_floor=True)
+            check_odometry_gate(recs, 0.05)
+        check_odometry_gate(recs, 0.1)
+        check_odometry_gate([usbl(0.0), usbl(3.0)], 0.05)
         assert schedule_keyframes(recs, gate=0.05)
 
     def test_unknown_kind_rejected(self):
