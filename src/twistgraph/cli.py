@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -71,16 +73,64 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _staged(stages: dict | None, name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its seconds kept as stages[name + "_s"] when
+    `stages` is a dict (a traced run); None times nothing."""
+    if stages is None:
+        return fn(*args, **kwargs)
+    t0 = perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        stages[f"{name}_s"] = perf_counter() - t0
+
+
+def _finite(value):
+    """`value` with each non-finite float (a try's nan or inf cost) made
+    None, which strict JSON can hold."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
+def _write_trace(path, report, stages: dict) -> None:
+    """The solve's records as JSON lines: one `try` line per damped try
+    (`SolveReport.tries`), one `iteration` line per iteration (`phases`),
+    one `solve` line and one `stages` line of stage seconds. A non-finite
+    number is written as null."""
+    solve = {"iterations": report.iterations, "converged": report.converged,
+             "final_cost": report.final_cost, "gauge": report.gauge,
+             "family_costs_start": report.family_costs_start,
+             "family_costs_end": report.family_costs_end,
+             "linearizer_s": report.linearizer_s, "gauge_s": report.gauge_s}
+    lines = [*({"record": "try", **t} for t in report.tries),
+             *({"record": "iteration", **p} for p in report.phases),
+             {"record": "solve", **solve}, {"record": "stages", **stages}]
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(_finite(line), allow_nan=False) + "\n"
+                      for line in lines)
+
+
 def cmd_smooth(args) -> int:
     cfg = _load(args, mode=args.mode, gate=args.gate)
     cfg.check_smoothable()
-    records = formats.read_measurements(args.meas)
-    keyframes = tracking.schedule_keyframes(records, gate=cfg.gate, policy=cfg)
+    stages = {} if args.trace else None
+    records = _staged(stages, "read", formats.read_measurements, args.meas)
+    keyframes = _staged(stages, "schedule", tracking.schedule_keyframes,
+                        records, gate=cfg.gate, policy=cfg)
     tracking.check_odometry_gate(records, cfg.gate)
-    graph, initial = tracking.build_graph(keyframes, cfg, cfg)
-    estimate = tracking.smooth(graph, initial, cfg, keyframes)
-    formats.write_estimate(args.out, estimate.rows)
+    graph, initial = _staged(stages, "build", tracking.build_graph,
+                             keyframes, cfg, cfg)
+    estimate = _staged(stages, "solve", tracking.smooth, graph, initial, cfg,
+                       keyframes)
+    _staged(stages, "write", formats.write_estimate, args.out, estimate.rows)
     rpt = estimate.report
+    if args.trace:
+        _write_trace(args.trace, rpt, stages)
     print(f"smooth: mode {cfg.mode}, {len(keyframes)} keyframes, "
           f"{len(graph.factors)} factors, cost {rpt.final_cost:.6g} "
           f"after {rpt.iterations} iterations")
@@ -141,6 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=("A", "B"), default=None)
     s.add_argument("--gate", type=float, default=None)
     s.add_argument("--out", required=True, help="estimate output file")
+    s.add_argument("--trace", metavar="FILE.jsonl",
+                   help="write the solve's records and stage timings as "
+                        "JSON lines, once the solve returns")
     s.set_defaults(fn=cmd_smooth)
 
     s = sub.add_parser("metrics", help="score an estimate against ground truth")

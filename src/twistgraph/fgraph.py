@@ -568,6 +568,11 @@ def _slot_ranks(col, dk, key0) -> np.ndarray:
     return rank
 
 
+# factors per chunk of `Linearizer.normal_band`: what it reads of J and the
+# products it forms at once, in buffers it reuses
+_BAND_CHUNK = 128
+
+
 class Linearizer:
     """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
 
@@ -588,6 +593,15 @@ class Linearizer:
     Timestamp order keeps the band of a smoothing graph narrow; a variable
     bound across all times (a static one linked to every keyframe) widens
     it to the whole graph, (bandwidth + 1) * columns entries.
+
+    What a solve keeps alive grows with J's and the band's nonzeros, not
+    with scratch copies of them: the band; the one buffer of its size that
+    each damped solve factors in; one Jacobian, dropped once its gradient
+    and band are formed; and the layout (J's `indices` and `indptr`, which
+    the Jacobians `optimize` builds share read-only, the band targets and
+    where each factor's block starts). `normal_band` reads J's blocks
+    `_BAND_CHUNK` factors at a time, so its scratch is a few chunk-sized
+    buffers, whatever the graph.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -640,7 +654,7 @@ class Linearizer:
         bound twice lists its columns twice: scipy sums repeated entries
         wherever it reads them (products, `toarray`, `sum_duplicates`).
 
-        Factors are grouped by (d, w): `cells` gathers each factor's X from
+        Factors are grouped by (d, w): `starts` locates each factor's X in
         J's data, and `pick` selects, in row-major order, the entries (p, q)
         of X^T X with col_p >= col_q (a repeated column's cross terms
         included): as one pattern that every factor of the group shares
@@ -668,8 +682,10 @@ class Linearizer:
         entry += np.repeat(np.repeat(col0[:-1], d) - indptr[:-1], row_w)
         index = np.int32 if max(indptr[-1], n) < 2 ** 31 \
             else np.int64  # what scipy would choose, so it copies nothing
+        # read-only: the Jacobians `optimize` builds share them
         self._indices = key_col[entry].astype(index)
         self._indptr = indptr.astype(index)
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
         block0 = indptr[row0]
         # each entry of key_col ranked among its factor's distinct columns:
         # its slot's rank plus its offset in the slot's key
@@ -689,28 +705,31 @@ class Linearizer:
         self._band_groups = []
         for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
             fs = np.flatnonzero((d == dd) & (w == ww))
-            cells = block0[fs, None] + np.arange(dd * ww)
             at = col0[fs, None] + np.arange(ww)
             cols, order = key_target[at], rank[at]
             if (order == order[0]).all():
                 pick = np.flatnonzero(order[0, :, None] >= order[0])
                 rows, f, (p, q) = len(fs), slice(None), np.divmod(pick, ww)
+                bounds = None
             else:
                 pick = np.flatnonzero(order[:, :, None] >= order[:, None, :])
                 rows, (f, e) = 1, np.divmod(pick, ww * ww)
                 p, q = np.divmod(e, ww)
+                # where each chunk's picks start in `pick`
+                bounds = np.searchsorted(f, np.arange(
+                    0, len(fs) + _BAND_CHUNK, _BAND_CHUNK)).tolist()
             targets.append((cols[f, p] + cols[f, q] * (m - 1)).ravel())
-            self._band_groups.append((cells.ravel(), pick, rows, dd, ww))
+            self._band_groups.append((block0[fs], pick, rows, dd, ww, bounds))
         self._band_targets = np.concatenate(targets)
-        # Reused buffers: fresh arrays of this size cost more in page faults
-        # than the products themselves.
-        self._band_products = np.empty(len(self._band_targets))
-        self._band_scratch = np.empty(
-            (2, max((len(cells) for cells, *_ in self._band_groups),
-                    default=0)))
-        self._band_full = np.empty(max(
-            (len(cells) // d * w for cells, *_, d, w in self._band_groups),
-            default=0))
+        # Reused buffers: fresh arrays cost more in page faults than the
+        # products themselves. Each holds one chunk of factors, so only the
+        # band grows with the graph.
+        block = max((dd * ww for *_, dd, ww, _ in self._band_groups),
+                    default=0)
+        grid = max((ww * ww for *_, ww, _ in self._band_groups), default=0)
+        self._band_scratch = np.empty(_BAND_CHUNK * block)
+        self._band_full = np.empty(_BAND_CHUNK * grid)
+        self._band_products = np.empty(_BAND_CHUNK * grid)
         self._band = np.empty(n * m)
         return block0
 
@@ -722,13 +741,18 @@ class Linearizer:
         (`J.sum_duplicates()` gives the canonical form).
         """
         r, jacobian = self.residual(values)
-        return jacobian(), r
+        J = jacobian()
+        # the layout arrays are copied: a caller may edit J's in place
+        J.indices, J.indptr = J.indices.copy(), J.indptr.copy()
+        return J, r
 
     def residual(self, values):
         """(r, jacobian) at `values`, as `__call__` takes them: the whitened
         residual from each family's steps alone, and a function that
         continues from those steps to J, as `__call__` gives it. A try that
-        is scored and dropped then builds no Jacobian."""
+        is scored and dropped then builds no Jacobian. That J owns its
+        data but shares the Linearizer's read-only `indices` and `indptr`,
+        where `__call__`'s owns copies."""
         states = self.layout.stack(values) if isinstance(values, Values) \
             else values
         res = np.empty(self.total_rows)  # fresh, which r owns
@@ -747,36 +771,46 @@ class Linearizer:
                     Js = b.table.family.jacobian(params, slots, steps)
                     data[b.cells] = np.concatenate(
                         [b.sqrt_info @ J for J in Js], axis=2).ravel()
-            # the layout arrays are copied: a caller may edit J's in place
-            return sp.csr_matrix(
-                (data, self._indices.copy(), self._indptr.copy()),
-                shape=(self.total_rows, self.total_cols))
+            return sp.csr_matrix((data, self._indices, self._indptr),
+                                 shape=(self.total_rows, self.total_cols))
         return res, jacobian
 
     def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
         """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
         blocks. It is Fortran-ordered, the layout LAPACK's banded routines
         take without a copy, and it is a view of a buffer the Linearizer
-        owns: valid until the next call, which refills it."""
-        X_t, X = self._band_scratch
-        at = 0
-        for cells, pick, rows, d, w in self._band_groups:
-            size = len(cells)
-            N = size // (d * w)
-            block = np.take(J.data, cells, out=X[:size],
-                            mode="clip").reshape(N, d, w)
-            block_t = X_t[:size].reshape(N, w, d)
-            np.copyto(block_t, block.transpose(0, 2, 1))
-            XtX = self._band_full[:N * w * w].reshape(N, w, w)
-            np.matmul(block_t, block, out=XtX)
-            np.take(XtX.reshape(rows, -1), pick, axis=1, mode="clip",
-                    out=self._band_products[at:at + rows * len(pick)]
-                    .reshape(rows, -1))
-            at += rows * len(pick)
+        owns: valid until the next call, which refills it.
+
+        Each group's blocks are read _BAND_CHUNK factors at a time into
+        reused buffers, and their picked products added into the band
+        chunk by chunk, in the order of `_band_targets`."""
         n, m = self.total_cols, self.bandwidth + 1
         band = self._band
         band.fill(0.0)  # then summed in product order
-        np.add.at(band, self._band_targets, self._band_products)
+        at = 0
+        for starts, pick, rows, d, w, bounds in self._band_groups:
+            # row s is J.data[s:s + d * w], the block of a factor whose
+            # block starts at s
+            blocks = np.lib.stride_tricks.sliding_window_view(J.data, d * w)
+            for c, a in enumerate(range(0, len(starts), _BAND_CHUNK)):
+                k = min(len(starts) - a, _BAND_CHUNK)
+                block = blocks[starts[a:a + k]].reshape(k, d, w)
+                block_t = self._band_scratch[:k * d * w].reshape(k, w, d)
+                np.copyto(block_t, block.transpose(0, 2, 1))
+                XtX = self._band_full[:k * w * w].reshape(k, w, w)
+                np.matmul(block_t, block, out=XtX)
+                if bounds is None:  # one pattern, shared by every factor
+                    products = self._band_products[:k * len(pick)]
+                    np.take(XtX.reshape(k, -1), pick, axis=1, mode="clip",
+                            out=products.reshape(k, -1))
+                else:  # each factor's own picks
+                    lo, hi = bounds[c], bounds[c + 1]
+                    products = self._band_products[:hi - lo]
+                    np.take(XtX.reshape(-1), pick[lo:hi] - a * w * w,
+                            mode="clip", out=products)
+                np.add.at(band, self._band_targets[at:at + len(products)],
+                          products)
+                at += len(products)
         return band.reshape(n, m).T
 
     def family_costs(self, r: np.ndarray) -> dict[str, float]:
@@ -1003,10 +1037,12 @@ def optimize(graph: FactorGraph, initial: Values,
     Each try is scored on a residual-only pass (`Linearizer.residual`); the
     Jacobian is built only for an accepted candidate that the next
     iteration linearizes, so a solve of k iterations builds k Jacobians,
-    the first at `initial`. A NearSingularError in either pass makes the
-    try a singular_chart one. The returned iterate's Jacobian is never
-    built, so an error that only it would raise (a custom jacobian_fn's)
-    does not reject that iterate; `marginal_covariance` there raises it."""
+    the first at `initial`. Each is dropped once its iteration has formed
+    the gradient and the band, so two are never alive together. A
+    NearSingularError in either pass makes the try a singular_chart one.
+    The returned iterate's Jacobian is never built, so an error that only
+    it would raise (a custom jacobian_fn's) does not reject that iterate;
+    `marginal_covariance` there raises it."""
     settings = settings or SolverSettings()
     if not settings.init_lambda > 0:
         # damping grows by multiplication, so it could never leave 0 or
@@ -1054,6 +1090,7 @@ def optimize(graph: FactorGraph, initial: Values,
         grad_inf = float(np.max(np.abs(g), initial=0.0))
         # refills the band `solve` reads
         band = timed("band_s", lin.normal_band, J)
+        J = None  # read: dropped before the next one is built
         if it == 0:
             t0 = perf_counter()
             report.gauge = _check_gauge(band, lin.offsets)
@@ -1090,6 +1127,8 @@ def optimize(graph: FactorGraph, initial: Values,
                 accepted = converged = False
                 lam *= LAMBDA_UP
                 continue
+            finally:
+                jacobian = None  # the try's steps, read at most once
             tried["cost"] = new_cost
             if accepted:
                 tried["outcome"] = "accepted"

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 
+import json
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from twistgraph.cli import (
     EXIT_UNDERCONSTRAINED,
     main,
 )
+from twistgraph.fgraph import SolveReport
 from twistgraph.formats import (
     read_estimate,
     read_measurements,
@@ -21,6 +23,14 @@ from twistgraph.formats import (
 )
 from twistgraph.tracking import MeasurementRecord
 from twistgraph.manifold import Pose3, exp_so3
+
+
+def strict_json(line):
+    """The JSON value on `line`, refusing NaN and Infinity, which strict
+    JSON readers reject."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(line, parse_constant=refuse)
 
 
 @pytest.fixture
@@ -113,6 +123,71 @@ class TestPipeline:
             assert rc == EXIT_OK, capsys.readouterr().err
             times = [r.timestamp for r in read_estimate(est)]
             assert sum(19.9 < t < 20.1 for t in times) == 1
+
+    def test_trace_of_seed_1_mode_a_matches_its_report(
+            self, tmp_path, monkeypatch, capsys):
+        """`smooth --trace` on the CLI's seed-1 stream in Mode A writes one
+        JSON line per try and per iteration, one solve record and one line
+        of stage timings; its iterations, tries and final cost are the
+        SolveReport's and the stdout line's."""
+        meas = tmp_path / "meas.csv"
+        assert main(["simulate", "--seed", "1", "--out-truth",
+                     str(tmp_path / "truth.csv"), "--out-meas",
+                     str(meas)]) == EXIT_OK
+        reports = []
+        library_smooth = tracking.smooth
+
+        def smooth(*args):
+            estimate = library_smooth(*args)
+            reports.append(estimate.report)
+            return estimate
+        monkeypatch.setattr(tracking, "smooth", smooth)
+        capsys.readouterr()
+        trace = tmp_path / "trace.jsonl"
+        assert main(["smooth", "--mode", "A", "--meas", str(meas), "--out",
+                     str(tmp_path / "est.csv"), "--trace",
+                     str(trace)]) == EXIT_OK
+        out = capsys.readouterr().out
+        lines = [strict_json(line) for line in
+                 trace.read_text().splitlines()]
+        by_kind = {}
+        for line in lines:
+            by_kind.setdefault(line.pop("record"), []).append(line)
+        assert set(by_kind) == {"try", "iteration", "solve", "stages"}
+        (solve,), (stages,) = by_kind["solve"], by_kind["stages"]
+        (report,) = reports
+        assert by_kind["try"] == report.tries
+        assert by_kind["iteration"] == report.phases
+        assert solve["iterations"] == report.iterations == len(report.phases)
+        assert solve["final_cost"] == report.final_cost
+        assert solve["gauge"] == report.gauge
+        assert solve["family_costs_end"] == report.family_costs_end
+        assert set(stages) == {"read_s", "schedule_s", "build_s", "solve_s",
+                               "write_s"}
+        match = re.search(r"cost (\S+) after (\d+) iterations", out)
+        assert match.group(1) == f"{solve['final_cost']:.6g}"
+        assert int(match.group(2)) == solve["iterations"]
+
+    def test_trace_writes_a_non_finite_try_cost_as_null(self, tmp_path):
+        """A try whose candidate cost overflowed or is nan keeps strict JSON
+        in the trace: the cost is written as null."""
+        report = SolveReport(final_cost=2.5, iterations=1, tries=[
+            {"iteration": 0, "lam": 1e-3, "outcome": "cost_increase",
+             "cost": float("inf"), "step_inf": 1e300, "grad_inf": 4.0},
+            {"iteration": 0, "lam": 1e-2, "outcome": "cost_increase",
+             "cost": float("nan"), "step_inf": 0.5, "grad_inf": 4.0},
+            {"iteration": 0, "lam": 1e-1, "outcome": "accepted",
+             "cost": 2.5, "step_inf": 0.1, "grad_inf": 4.0}],
+            family_costs_end={"usbl": float("-inf")})
+        trace = tmp_path / "trace.jsonl"
+        cli._write_trace(trace, report, {"solve_s": 0.25})
+        lines = [strict_json(line) for line in
+                 trace.read_text().splitlines()]
+        assert [line["cost"] for line in lines[:3]] == [None, None, 2.5]
+        assert lines[0]["step_inf"] == 1e300
+        assert lines[3]["record"] == "solve"
+        assert lines[3]["family_costs_end"] == {"usbl": None}
+        assert lines[4] == {"record": "stages", "solve_s": 0.25}
 
     def test_gap_at_start_carries_the_chaser_prior(self, tmp_path, capsys):
         """With no relative record before t = 32 s, the first keyframe's
