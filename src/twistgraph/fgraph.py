@@ -597,11 +597,10 @@ class Linearizer:
     What a solve keeps alive grows with J's and the band's nonzeros, not
     with scratch copies of them: the band; the one buffer of its size that
     each damped solve factors in; one Jacobian, dropped once its gradient
-    and band are formed; and the layout (J's `indices` and `indptr`, which
-    the Jacobians `optimize` builds share read-only, the band targets and
-    where each factor's block starts). `normal_band` reads J's blocks
-    `_BAND_CHUNK` factors at a time, so its scratch is a few chunk-sized
-    buffers, whatever the graph.
+    and band are formed; and the layout (J's `indices` and `indptr`, the
+    band targets and where each factor's block starts). `normal_band`
+    reads J's blocks `_BAND_CHUNK` factors at a time, so its scratch is a
+    few chunk-sized buffers, whatever the graph.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -682,10 +681,8 @@ class Linearizer:
         entry += np.repeat(np.repeat(col0[:-1], d) - indptr[:-1], row_w)
         index = np.int32 if max(indptr[-1], n) < 2 ** 31 \
             else np.int64  # what scipy would choose, so it copies nothing
-        # read-only: the Jacobians `optimize` builds share them
         self._indices = key_col[entry].astype(index)
         self._indptr = indptr.astype(index)
-        self._indices.flags.writeable = self._indptr.flags.writeable = False
         block0 = indptr[row0]
         # each entry of key_col ranked among its factor's distinct columns:
         # its slot's rank plus its offset in the slot's key
@@ -741,18 +738,13 @@ class Linearizer:
         (`J.sum_duplicates()` gives the canonical form).
         """
         r, jacobian = self.residual(values)
-        J = jacobian()
-        # the layout arrays are copied: a caller may edit J's in place
-        J.indices, J.indptr = J.indices.copy(), J.indptr.copy()
-        return J, r
+        return jacobian(), r
 
     def residual(self, values):
         """(r, jacobian) at `values`, as `__call__` takes them: the whitened
         residual from each family's steps alone, and a function that
         continues from those steps to J, as `__call__` gives it. A try that
-        is scored and dropped then builds no Jacobian. That J owns its
-        data but shares the Linearizer's read-only `indices` and `indptr`,
-        where `__call__`'s owns copies."""
+        is scored and dropped then builds no Jacobian."""
         states = self.layout.stack(values) if isinstance(values, Values) \
             else values
         res = np.empty(self.total_rows)  # fresh, which r owns
@@ -771,8 +763,10 @@ class Linearizer:
                     Js = b.table.family.jacobian(params, slots, steps)
                     data[b.cells] = np.concatenate(
                         [b.sqrt_info @ J for J in Js], axis=2).ravel()
-            return sp.csr_matrix((data, self._indices, self._indptr),
-                                 shape=(self.total_rows, self.total_cols))
+            # the layout arrays are copied: a caller may edit J's in place
+            return sp.csr_matrix(
+                (data, self._indices.copy(), self._indptr.copy()),
+                shape=(self.total_rows, self.total_cols))
         return res, jacobian
 
     def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
