@@ -100,16 +100,26 @@ def _finite(value):
 def _write_trace(path, report, stages: dict) -> None:
     """The solve's records as JSON lines: one `try` line per damped try
     (`SolveReport.tries`), one `iteration` line per iteration (`phases`),
-    one `solve` line and one `stages` line of stage seconds. A non-finite
-    number is written as null."""
-    solve = {"iterations": report.iterations, "converged": report.converged,
-             "final_cost": report.final_cost, "gauge": report.gauge,
-             "family_costs_start": report.family_costs_start,
-             "family_costs_end": report.family_costs_end,
-             "linearizer_s": report.linearizer_s, "gauge_s": report.gauge_s}
-    lines = [*({"record": "try", **t} for t in report.tries),
-             *({"record": "iteration", **p} for p in report.phases),
-             {"record": "solve", **solve}, {"record": "stages", **stages}]
+    one `solve` line and one `stages` line of the seconds of the stages
+    timed. `report` is the SolveReport, or the UnderconstrainedGraphError
+    the solve raised: then the solve line holds its message as `error` and
+    its verdict as `gauge`, and no try or iteration line is written. A
+    non-finite number is written as null."""
+    if isinstance(report, UnderconstrainedGraphError):
+        lines = [{"record": "solve", "error": str(report),
+                  "gauge": report.gauge}]
+    else:
+        solve = {"iterations": report.iterations,
+                 "converged": report.converged,
+                 "final_cost": report.final_cost, "gauge": report.gauge,
+                 "family_costs_start": report.family_costs_start,
+                 "family_costs_end": report.family_costs_end,
+                 "linearizer_s": report.linearizer_s,
+                 "gauge_s": report.gauge_s}
+        lines = [*({"record": "try", **t} for t in report.tries),
+                 *({"record": "iteration", **p} for p in report.phases),
+                 {"record": "solve", **solve}]
+    lines.append({"record": "stages", **stages})
     with open(path, "w") as fh:
         fh.writelines(json.dumps(_finite(line), allow_nan=False) + "\n"
                       for line in lines)
@@ -125,8 +135,13 @@ def cmd_smooth(args) -> int:
     tracking.check_odometry_gate(records, cfg.gate)
     graph, initial = _staged(stages, "build", tracking.build_graph,
                              keyframes, cfg, cfg)
-    estimate = _staged(stages, "solve", tracking.smooth, graph, initial, cfg,
-                       keyframes)
+    try:
+        estimate = _staged(stages, "solve", tracking.smooth, graph, initial,
+                           cfg, keyframes)
+    except UnderconstrainedGraphError as err:
+        if args.trace:
+            _write_trace(args.trace, err, stages)
+        raise
     _staged(stages, "write", formats.write_estimate, args.out, estimate.rows)
     rpt = estimate.report
     if args.trace:
@@ -193,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="estimate output file")
     s.add_argument("--trace", metavar="FILE.jsonl",
                    help="write the solve's records and stage timings as "
-                        "JSON lines, once the solve returns")
+                        "JSON lines, once the solve returns or finds the "
+                        "graph underconstrained")
     s.set_defaults(fn=cmd_smooth)
 
     s = sub.add_parser("metrics", help="score an estimate against ground truth")

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
 from functools import cache, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Callable
@@ -407,8 +407,9 @@ class SolveReport:
     # `grad_inf`
     tries: list = field(default_factory=list)
     # one dict per iteration: its `iteration` and the seconds its tries
-    # spent in `linearize_s` (iteration 0's with the first linearization),
-    # `band_s`, `solve_s` and `retract_s`
+    # spent in `linearize_s` (residual passes), `band_s` (normal passes:
+    # Jacobian blocks, whitening, gradient and band), `solve_s` and
+    # `retract_s`; iteration 0's include the first iterate's passes
     phases: list = field(default_factory=list)
     # seconds to build the Linearizer and to run the gauge check
     linearizer_s: float = 0.0
@@ -486,13 +487,26 @@ class _StateLayout:
 
 @dataclass
 class _Batch:
-    """A table's rows, placed: their residual rows and J's data cells."""
+    """A table's rows, placed: their residual rows, their noise models and
+    where each key's columns sit in a factor's block."""
 
     table: FactorTable
-    sqrt_info: np.ndarray  # (N, d, d)
+    # per distinct noise model: its sqrt_info and the rows it whitens (None
+    # when it whitens every row)
+    models: list
     slots: list  # per key: (kind, row of each factor's variable in its stack)
     rows: np.ndarray | slice  # residual rows, (N * d,)
-    cells: np.ndarray | slice  # J's data positions of the factors' blocks
+    spans: list  # per key: its (first, stop) columns in a factor's block
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """Each row's (d, k) block of the (N, d, k) stack x premultiplied
+        by its noise model's sqrt_info, as a new array."""
+        if len(self.models) == 1:
+            return self.models[0][0] @ x
+        out = np.empty(x.shape)
+        for W, at in self.models:
+            out[at] = W @ x[at]
+        return out
 
     def args(self, states: dict, n: int | None = None) -> tuple:
         """The family's (params, slot stacks) at the `_StateLayout` stacks
@@ -568,39 +582,50 @@ def _slot_ranks(col, dk, key0) -> np.ndarray:
     return rank
 
 
-# factors per chunk of `Linearizer.normal_band`: what it reads of J and the
-# products it forms at once, in buffers it reuses
+# factors per chunk of a normal pass: the whitened blocks it copies into one
+# buffer and the products it forms at once, in buffers it reuses
 _BAND_CHUNK = 128
 
 
+def _key_columns(col, dk, key0) -> tuple[np.ndarray, np.ndarray]:
+    """Every factor's columns in key order, factor after factor, and where
+    each factor's columns start in them (with the total appended), from
+    each key slot's first column `col` and dim `dk` and each factor's
+    first slot `key0`."""
+    slot0 = _starts(dk)
+    return (np.arange(slot0[-1]) + np.repeat(col - slot0[:-1], dk),
+            slot0[key0])
+
+
 class Linearizer:
-    """Evaluates the whitened Jacobian with a precomputed sparsity pattern.
+    """Evaluates the whitened residual and the normal equations, J^T r and
+    J^T J's band, with a layout built once.
 
     The block structure never changes between iterations, so it is built
     once: each table's keys and order are read once, and every layout array
-    is computed from those with numpy. Each factor's whitened Jacobian is
-    one row-major block, its keys' columns side by side in key order, and
-    J's CSR data is the blocks back to back: `indices` and `indptr` are
-    fixed, and only the data is refreshed. Each of the graph's tables, of
+    is computed from those with numpy. Each of the graph's tables, of
     built-in or of custom factors, is evaluated as one batch, in two
-    passes: `residual` runs each family's steps and whitens their residual
-    into r, and the function it returns continues from those steps to the
-    family's Jacobians and whitens them into J. A scored and dropped
-    candidate stops after the first.
+    passes. `residual` runs each family's steps and whitens their residual
+    into r; the normal pass it returns continues from those steps to the
+    family's per-key Jacobian blocks, whitens each, adds its X^T r into the
+    gradient and its X^T X into the band, and frees the batch's steps and
+    blocks before the next batch's. A scored and dropped candidate stops
+    after the first pass. A factor's whitened Jacobian is one row-major
+    d x w block X, its keys' columns side by side in key order.
 
-    The same pattern fixes J^T J's structure: `bandwidth` is its lower
-    bandwidth, and `normal_band` builds that band from the whitened blocks.
-    Timestamp order keeps the band of a smoothing graph narrow; a variable
-    bound across all times (a static one linked to every keyframe) widens
-    it to the whole graph, (bandwidth + 1) * columns entries.
+    `bandwidth` is J^T J's lower bandwidth. Timestamp order keeps the band
+    of a smoothing graph narrow; a variable bound across all times (a
+    static one linked to every keyframe) widens it to the whole graph,
+    (bandwidth + 1) * columns entries.
 
-    What a solve keeps alive grows with J's and the band's nonzeros, not
-    with scratch copies of them: the band; the one buffer of its size that
-    each damped solve factors in; one Jacobian, dropped once its gradient
-    and band are formed; and the layout (J's `indices` and `indptr`, the
-    band targets and where each factor's block starts). `normal_band`
-    reads J's blocks `_BAND_CHUNK` factors at a time, so its scratch is a
-    few chunk-sized buffers, whatever the graph.
+    What a solve keeps alive is the band; the one buffer of its size that
+    each damped solve factors in; one batch's blocks (the batches of one
+    (d, w) group, when several tables share it), copied `_BAND_CHUNK`
+    factors at a time into a few reused buffers; and a layout sized by the
+    factor count (each factor's stack rows, residual rows and band
+    targets). No Jacobian is held: a CSR J comes only from `__call__`, for
+    tests and diagnostics, built from the same whitened blocks, its
+    `indices`, `indptr` and cells laid out on its first call.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -609,12 +634,15 @@ class Linearizer:
         self.offsets = offsets
         self.layout = layout = _StateLayout(offsets)
         tables = graph.tables()
-        # each factor's key count and rows, in graph order, then each key
-        # slot's first column
+        # each factor's key count, rows, batch and row in it, in graph
+        # order, then each key slot's first column
         n_keys = np.empty(len(graph), np.intp)
         d = np.empty(len(graph), np.intp)
-        for t in tables:
+        batch = np.empty(len(graph), np.intp)
+        row = np.empty(len(graph), np.intp)
+        for i, t in enumerate(tables):
             n_keys[t.order], d[t.order] = len(t.kinds), t.dim
+            batch[t.order], row[t.order] = i, np.arange(len(t))
         key0 = _starts(n_keys)  # first slot of each factor
         col = np.empty(key0[-1], np.intp)
         for t in tables:
@@ -627,38 +655,44 @@ class Linearizer:
         var_col = np.fromiter(offsets.values(), np.intp, len(offsets))
         var = np.searchsorted(var_col, col)
         dk = np.diff(var_col, append=self.total_cols)[var]
-        block0 = self._block_layout(col, dk, key0, d, row0)
+        self._placement = (col, dk, key0, d)
+        self._csr = None
 
         self._batches = []
         for t in tables:
             at = t.order
-            width = t.dim * sum(kind.dim for kind in t.kinds)
+            # rows share a model when their noise models share a sqrt_info
+            # (equal covariances do)
+            infos = {id(nm.sqrt_info): nm.sqrt_info for nm in t.noise}
+            code = {key: c for c, key in enumerate(infos)}
+            which = np.array([code[id(nm.sqrt_info)] for nm in t.noise],
+                             np.intp)[t.which]
+            models = [(W, None if len(infos) == 1 else np.flatnonzero(
+                which == c)) for c, W in enumerate(infos.values())]
             self._batches.append(_Batch(
-                table=t,
-                sqrt_info=np.array([nm.sqrt_info for nm in t.noise])[t.which],
+                table=t, models=models,
                 slots=[(kind, layout.row[var[key0[at] + s]])
                        for s, kind in enumerate(t.kinds)],
                 rows=_span((row0[at][:, None] + np.arange(t.dim)).ravel()),
-                cells=_span((block0[at][:, None] + np.arange(width)).ravel())))
+                spans=list(pairwise(accumulate(
+                    [kind.dim for kind in t.kinds], initial=0)))))
+        self._band_layout(col, dk, key0, d, batch, row)
 
-    def _block_layout(self, col, dk, key0, d, row0) -> np.ndarray:
-        """The CSR layout of J and the layout of J^T J's band, from each key
-        slot's first column and dim and each factor's first slot, rows d
-        and first row. Returns where each factor's block starts in J's
-        data, with the total appended.
+    def _band_layout(self, col, dk, key0, d, batch, row) -> None:
+        """The layout of J^T J's band, from each key slot's first column and
+        dim, each factor's first slot and rows d, and each factor's batch
+        and row in it.
 
-        Every residual row belongs to one factor, so a factor's entries form
-        one row-major d x w block X, each row listing the columns of the
-        factor's keys in key order. The columns need not ascend, and a key
-        bound twice lists its columns twice: scipy sums repeated entries
-        wherever it reads them (products, `toarray`, `sum_duplicates`).
-
-        Factors are grouped by (d, w): `starts` locates each factor's X in
-        J's data, and `pick` selects, in row-major order, the entries (p, q)
-        of X^T X with col_p >= col_q (a repeated column's cross terms
-        included): as one pattern that every factor of the group shares
-        (`rows` = N), which keeps the layout small, or, when their key
-        orders differ, as one list over the whole group (`rows` = 1). Each
+        Factors are grouped by (d, w), in graph order, and taken
+        `_BAND_CHUNK` at a time: each chunk lists, per batch of its
+        factors, where in the chunk they go and which of the batch's rows
+        they are (a group of several tables takes each table's rows in
+        graph order). `pick` selects, in row-major order, the entries
+        (p, q) of a factor's X^T X with col_p >= col_q (a repeated column's
+        cross terms included): as one pattern that every factor of the
+        group shares (`rows` = N), which keeps the layout small, or, when
+        their key orders differ, as one list over the whole group
+        (`rows` = 1), with `bounds` where each chunk's picks start. Each
         adds into band[i - j, j] for i = col_p and j = col_q, kept at flat
         index j * (bw + 1) + i - j of the (n, bw + 1) array whose transpose
         is the band.
@@ -669,21 +703,8 @@ class Linearizer:
         alone, and only the picked pairs' band targets are formed.
         """
         n = self.total_cols
-        # every factor's columns in key order, factor after factor
-        slot0 = _starts(dk)
-        key_col = np.arange(slot0[-1]) + np.repeat(col - slot0[:-1], dk)
-        col0 = slot0[key0]  # each factor's first entry in key_col
+        key_col, col0 = _key_columns(col, dk, key0)
         w = np.diff(col0)
-        row_w = np.repeat(w, d)
-        indptr = _starts(row_w)
-        # entry e of row r holds key_col[col0[f] + e - indptr[r]], f its factor
-        entry = np.arange(indptr[-1])
-        entry += np.repeat(np.repeat(col0[:-1], d) - indptr[:-1], row_w)
-        index = np.int32 if max(indptr[-1], n) < 2 ** 31 \
-            else np.int64  # what scipy would choose, so it copies nothing
-        self._indices = key_col[entry].astype(index)
-        self._indptr = indptr.astype(index)
-        block0 = indptr[row0]
         # each entry of key_col ranked among its factor's distinct columns:
         # its slot's rank plus its offset in the slot's key
         rank = key_col - np.repeat(col - _slot_ranks(col, dk, key0), dk)
@@ -699,7 +720,10 @@ class Linearizer:
         target = np.int32 if n * m < 2 ** 31 else np.intp
         key_target = key_col.astype(target)
         targets = [np.empty(0, target)]
+        # per (d, w) group: its chunks, picks, rows, d, w and bounds, and
+        # the batches it holds
         self._band_groups = []
+        self._group_batches = []
         for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
             fs = np.flatnonzero((d == dd) & (w == ww))
             at = col0[fs, None] + np.arange(ww)
@@ -712,11 +736,18 @@ class Linearizer:
                 pick = np.flatnonzero(order[:, :, None] >= order[:, None, :])
                 rows, (f, e) = 1, np.divmod(pick, ww * ww)
                 p, q = np.divmod(e, ww)
-                # where each chunk's picks start in `pick`
                 bounds = np.searchsorted(f, np.arange(
                     0, len(fs) + _BAND_CHUNK, _BAND_CHUNK)).tolist()
             targets.append((cols[f, p] + cols[f, q] * (m - 1)).ravel())
-            self._band_groups.append((block0[fs], pick, rows, dd, ww, bounds))
+            chunks = []
+            for a in range(0, len(fs), _BAND_CHUNK):
+                of, rs = (x[fs[a:a + _BAND_CHUNK]] for x in (batch, row))
+                chunks.append((a, len(of), [
+                    (i, _span(to), _span(rs[to]))
+                    for i in np.unique(of).tolist()
+                    for to in [np.flatnonzero(of == i)]]))
+            self._band_groups.append((chunks, pick, rows, dd, ww, bounds))
+            self._group_batches.append(np.unique(batch[fs]).tolist())
         self._band_targets = np.concatenate(targets)
         # Reused buffers: fresh arrays cost more in page faults than the
         # products themselves. Each holds one chunk of factors, so only the
@@ -724,88 +755,152 @@ class Linearizer:
         block = max((dd * ww for *_, dd, ww, _ in self._band_groups),
                     default=0)
         grid = max((ww * ww for *_, ww, _ in self._band_groups), default=0)
+        self._band_blocks = np.empty(_BAND_CHUNK * block)
         self._band_scratch = np.empty(_BAND_CHUNK * block)
         self._band_full = np.empty(_BAND_CHUNK * grid)
         self._band_products = np.empty(_BAND_CHUNK * grid)
         self._band = np.empty(n * m)
-        return block0
+
+    def _csr_layout(self) -> tuple:
+        """J's CSR `indices` and `indptr`, and each batch's cells in J's
+        data, laid out on the first call and kept.
+
+        Every residual row belongs to one factor, so a factor's entries form
+        its block X, each row listing the columns of the factor's keys in
+        key order. The columns need not ascend, and a key bound twice lists
+        its columns twice: scipy sums repeated entries wherever it reads
+        them (products, `toarray`, `sum_duplicates`).
+        """
+        if self._csr is None:
+            col, dk, key0, d = self._placement
+            key_col, col0 = _key_columns(col, dk, key0)
+            row_w = np.repeat(np.diff(col0), d)
+            indptr = _starts(row_w)
+            # entry e of row r holds key_col[col0[f] + e - indptr[r]], f
+            # its factor
+            entry = np.arange(indptr[-1])
+            entry += np.repeat(np.repeat(col0[:-1], d) - indptr[:-1], row_w)
+            index = np.int32 if max(indptr[-1], self.total_cols) < 2 ** 31 \
+                else np.int64  # what scipy would choose, so it copies nothing
+            block0 = indptr[_starts(d)]  # where each factor's block starts
+            cells = []
+            for b in self._batches:
+                width = b.table.dim * (b.spans[-1][1] if b.spans else 0)
+                cells.append(_span((block0[b.table.order][:, None]
+                                    + np.arange(width)).ravel()))
+            self._csr = (key_col[entry].astype(index), indptr.astype(index),
+                         cells)
+        return self._csr
 
     def __call__(self, values):
         """(J, r) at `values`: a Values, or the stacks of `layout.stack`.
 
-        J is in CSR form, with each row's column indices in its factor's
-        key order: unsorted, and repeated where a factor binds a key twice
+        J is in CSR form, built from the whitened blocks a normal pass
+        reads, with each row's column indices in its factor's key order:
+        unsorted, and repeated where a factor binds a key twice
         (`J.sum_duplicates()` gives the canonical form).
         """
-        r, jacobian = self.residual(values)
-        return jacobian(), r
+        states = self._stacks(values)
+        res, passes = self._residual_pass(states)
+        indices, indptr, cells = self._csr_layout()
+        data = np.empty(int(indptr[-1]))  # fresh, which J owns
+        with self._naming(states):
+            for batches in self._group_batches:
+                for i, blocks in self._whitened(batches, passes).items():
+                    data[cells[i]] = np.concatenate(blocks, axis=2).ravel()
+        # the layout arrays are copied: a caller may edit J's in place
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                             shape=(self.total_rows, self.total_cols)), res
 
     def residual(self, values):
-        """(r, jacobian) at `values`, as `__call__` takes them: the whitened
-        residual from each family's steps alone, and a function that
-        continues from those steps to J, as `__call__` gives it. A try that
-        is scored and dropped then builds no Jacobian."""
-        states = self.layout.stack(values) if isinstance(values, Values) \
+        """(r, normal) at `values`, as `__call__` takes them: the whitened
+        residual, from each family's steps alone, and the normal pass,
+        which continues from those steps, once.
+
+        normal() returns (g, band): the gradient J^T r and J^T J's lower
+        band, band[i - j, j] = (J^T J)[i, j]. The band is Fortran-ordered,
+        the layout LAPACK's banded routines take without a copy, and a
+        view of a buffer the Linearizer owns: valid until the next normal
+        pass, which refills it. A try that is scored and dropped forms
+        neither."""
+        states = self._stacks(values)
+        res, passes = self._residual_pass(states)
+        return res, lambda: self._normal(states, res, passes)
+
+    def _stacks(self, values) -> dict:
+        return self.layout.stack(values) if isinstance(values, Values) \
             else values
+
+    def _residual_pass(self, states: dict) -> tuple[np.ndarray, list]:
+        """r, and each batch's (params, slot stacks, steps)."""
         res = np.empty(self.total_rows)  # fresh, which r owns
-        passes = []  # per batch: its (params, slot stacks) and steps
+        passes = []
         with self._naming(states):
             for b in self._batches:
                 params, slots = b.args(states)
                 steps = b.table.family.residual(params, slots)
-                res[b.rows] = (b.sqrt_info @ steps[-1][:, :, None]).ravel()
+                res[b.rows] = b.whiten(steps[-1][:, :, None]).ravel()
                 passes.append((params, slots, steps))
+        return res, passes
 
-        def jacobian() -> sp.csr_matrix:
-            data = np.empty(int(self._indptr[-1]))  # fresh, which J owns
-            with self._naming(states):
-                for b, (params, slots, steps) in zip(self._batches, passes):
-                    Js = b.table.family.jacobian(params, slots, steps)
-                    data[b.cells] = np.concatenate(
-                        [b.sqrt_info @ J for J in Js], axis=2).ravel()
-            # the layout arrays are copied: a caller may edit J's in place
-            return sp.csr_matrix(
-                (data, self._indices.copy(), self._indptr.copy()),
-                shape=(self.total_rows, self.total_cols))
-        return res, jacobian
+    def _whitened(self, batches: list, passes: list) -> dict:
+        """Each of these batches' whitened per-key blocks, continued from
+        its residual pass, whose steps are then dropped."""
+        out = {}
+        for i in batches:
+            b = self._batches[i]
+            blocks = list(b.table.family.jacobian(*passes[i]))
+            passes[i] = None  # the batch's steps
+            for s in range(len(blocks)):  # each raw block freed as whitened
+                blocks[s] = b.whiten(blocks[s])
+            out[i] = blocks
+        return out
 
-    def normal_band(self, J: sp.csr_matrix) -> np.ndarray:
-        """J^T J's lower band, band[i - j, j] = (J^T J)[i, j], from J's
-        blocks. It is Fortran-ordered, the layout LAPACK's banded routines
-        take without a copy, and it is a view of a buffer the Linearizer
-        owns: valid until the next call, which refills it.
-
-        Each group's blocks are read _BAND_CHUNK factors at a time into
-        reused buffers, and their picked products added into the band
-        chunk by chunk, in the order of `_band_targets`."""
+    def _normal(self, states: dict, res: np.ndarray, passes: list):
+        """(g, band) from each (d, w) group's blocks in turn, the band
+        summed chunk by chunk in the order of `_band_targets`."""
         n, m = self.total_cols, self.bandwidth + 1
-        band = self._band
-        band.fill(0.0)  # then summed in product order
+        g = np.zeros(n)
+        self._band.fill(0.0)  # then summed in product order
         at = 0
-        for starts, pick, rows, d, w, bounds in self._band_groups:
-            # row s is J.data[s:s + d * w], the block of a factor whose
-            # block starts at s
-            blocks = np.lib.stride_tricks.sliding_window_view(J.data, d * w)
-            for c, a in enumerate(range(0, len(starts), _BAND_CHUNK)):
-                k = min(len(starts) - a, _BAND_CHUNK)
-                block = blocks[starts[a:a + k]].reshape(k, d, w)
-                block_t = self._band_scratch[:k * d * w].reshape(k, w, d)
-                np.copyto(block_t, block.transpose(0, 2, 1))
-                XtX = self._band_full[:k * w * w].reshape(k, w, w)
-                np.matmul(block_t, block, out=XtX)
-                if bounds is None:  # one pattern, shared by every factor
-                    products = self._band_products[:k * len(pick)]
-                    np.take(XtX.reshape(k, -1), pick, axis=1, mode="clip",
-                            out=products.reshape(k, -1))
-                else:  # each factor's own picks
-                    lo, hi = bounds[c], bounds[c + 1]
-                    products = self._band_products[:hi - lo]
-                    np.take(XtX.reshape(-1), pick[lo:hi] - a * w * w,
-                            mode="clip", out=products)
-                np.add.at(band, self._band_targets[at:at + len(products)],
-                          products)
-                at += len(products)
-        return band.reshape(n, m).T
+        with self._naming(states):
+            for group, batches in zip(self._band_groups, self._group_batches):
+                at = self._add_group(group, self._whitened(batches, passes),
+                                     res, g, at)
+        return g, self._band.reshape(n, m).T
+
+    def _add_group(self, group, blocks: dict, res, g, at: int) -> int:
+        """Add one (d, w) group's blocks into the gradient g and the band,
+        its products from `_band_targets[at]` on; returns where the next
+        group's products start."""
+        chunks, pick, _, d, w, bounds = group
+        for i, Xs in blocks.items():
+            b = self._batches[i]
+            e = res[b.rows].reshape(-1, 1, d)
+            for (kind, rows), X in zip(b.slots, Xs):
+                np.add.at(g, self.layout.columns[kind][rows], (e @ X)[:, 0])
+        for c, (a, k, parts) in enumerate(chunks):
+            X = self._band_blocks[:k * d * w].reshape(k, d, w)
+            for i, to, src in parts:
+                for (c0, c1), Xs in zip(self._batches[i].spans, blocks[i]):
+                    X[to, :, c0:c1] = Xs[src]
+            X_t = self._band_scratch[:k * d * w].reshape(k, w, d)
+            np.copyto(X_t, X.transpose(0, 2, 1))
+            XtX = self._band_full[:k * w * w].reshape(k, w, w)
+            np.matmul(X_t, X, out=XtX)
+            if bounds is None:  # one pattern, shared by every factor
+                products = self._band_products[:k * len(pick)]
+                np.take(XtX.reshape(k, -1), pick, axis=1, mode="clip",
+                        out=products.reshape(k, -1))
+            else:  # each factor's own picks
+                lo, hi = bounds[c], bounds[c + 1]
+                products = self._band_products[:hi - lo]
+                np.take(XtX.reshape(-1), pick[lo:hi] - a * w * w,
+                        mode="clip", out=products)
+            np.add.at(self._band, self._band_targets[at:at + len(products)],
+                      products)
+            at += len(products)
+        return at
 
     def family_costs(self, r: np.ndarray) -> dict[str, float]:
         """The whitened cost of each factor family in the residual r that
@@ -1029,13 +1124,15 @@ def optimize(graph: FactorGraph, initial: Values,
     """Levenberg-Marquardt with multiplicative damping on the tangent space.
 
     Each try is scored on a residual-only pass (`Linearizer.residual`); the
-    Jacobian is built only for an accepted candidate that the next
-    iteration linearizes, so a solve of k iterations builds k Jacobians,
-    the first at `initial`. Each is dropped once its iteration has formed
-    the gradient and the band, so two are never alive together. A
-    NearSingularError in either pass makes the try a singular_chart one.
-    The returned iterate's Jacobian is never built, so an error that only
-    it would raise (a custom jacobian_fn's) does not reject that iterate;
+    normal pass that continues it to the gradient and the band runs only
+    for an accepted candidate that the next iteration linearizes, so a
+    solve of k iterations runs k, the first at `initial`. No Jacobian is
+    held: each batch's blocks are dropped once they are in the gradient
+    and the band. A NearSingularError in either pass makes the try a
+    singular_chart one; the normal pass refills the band in place, so one
+    raised there has the current iterate's band formed again. The returned
+    iterate's normal pass never runs, so an error that only it would raise
+    (a custom jacobian_fn's) does not reject that iterate;
     `marginal_covariance` there raises it."""
     settings = settings or SolverSettings()
     if not settings.init_lambda > 0:
@@ -1054,8 +1151,8 @@ def optimize(graph: FactorGraph, initial: Values,
 
     lam = settings.init_lambda
     # the current iteration's phase seconds; before iteration 0, the first
-    # linearization's, which iteration 0 takes over
-    spent = {"linearize_s": 0.0}
+    # iterate's passes, which iteration 0 takes over
+    spent = {"linearize_s": 0.0, "band_s": 0.0}
 
     def timed(phase, fn, *args):
         t0 = perf_counter()
@@ -1071,20 +1168,19 @@ def optimize(graph: FactorGraph, initial: Values,
     report.linearizer_s = perf_counter() - t0
     layout = lin.layout
     states = layout.stack(initial)
-    J, r = timed("linearize_s", lin, states)
+    r, normal = timed("linearize_s", lin.residual, states)
     cost = float(r @ r)
     report.cost_trace.append(cost)
     report.family_costs_start = lin.family_costs(r)
+    # the band `solve` reads, which each normal pass refills
+    g, band = timed("band_s", normal)
     for it in range(settings.max_iterations):
         spent = {"iteration": it,
                  "linearize_s": spent["linearize_s"] if it == 0 else 0.0,
-                 "band_s": 0.0, "solve_s": 0.0, "retract_s": 0.0}
+                 "band_s": spent["band_s"] if it == 0 else 0.0,
+                 "solve_s": 0.0, "retract_s": 0.0}
         report.phases.append(spent)
-        g = J.T @ r
         grad_inf = float(np.max(np.abs(g), initial=0.0))
-        # refills the band `solve` reads
-        band = timed("band_s", lin.normal_band, J)
-        J = None  # read: dropped before the next one is built
         if it == 0:
             t0 = perf_counter()
             report.gauge = _check_gauge(band, lin.offsets)
@@ -1104,9 +1200,10 @@ def optimize(graph: FactorGraph, initial: Values,
             tried["step_inf"] = float(np.max(np.abs(delta), initial=0.0))
             candidate = timed("retract_s", _retract_all, states,
                               layout.columns, delta)
+            refilling = False
             try:
-                r_cand, jacobian = timed("linearize_s", lin.residual,
-                                         candidate)
+                r_cand, normal = timed("linearize_s", lin.residual,
+                                       candidate)
                 new_cost = float(r_cand @ r_cand)
                 accepted = bool(np.isfinite(new_cost) and new_cost <= cost)
                 if accepted:
@@ -1114,15 +1211,18 @@ def optimize(graph: FactorGraph, initial: Values,
                     converged = (rel_drop < settings.rel_cost_tol
                                  or tried["step_inf"] < settings.dx_tol)
                     if not converged and it + 1 < settings.max_iterations:
-                        J = timed("linearize_s", jacobian)
+                        refilling = True
+                        g, _ = timed("band_s", normal)
             except manifold.NearSingularError:
                 # candidate stepped onto a singular chart; damp harder
                 tried["outcome"] = "singular_chart"
                 accepted = converged = False
                 lam *= LAMBDA_UP
+                if refilling:  # the band is part refilled: form it again
+                    timed("band_s", lambda: lin.residual(states)[1]())
                 continue
             finally:
-                jacobian = None  # the try's steps, read at most once
+                normal = None  # the try's steps, read at most once
             tried["cost"] = new_cost
             if accepted:
                 tried["outcome"] = "accepted"
@@ -1130,13 +1230,19 @@ def optimize(graph: FactorGraph, initial: Values,
                 lam = max(lam / LAMBDA_DOWN, 1e-15)
                 break
             tried["outcome"] = "cost_increase"
+            if np.isfinite(new_cost) and tried["step_inf"] < settings.dx_tol:
+                # a step this small moves a finite cost by rounding alone:
+                # the current iterate has converged
+                converged = True
+                break
             lam *= LAMBDA_UP
         report.iterations = it + 1
-        if not accepted:
-            break
-        report.cost_trace.append(cost)
+        if accepted:
+            report.cost_trace.append(cost)
         if converged:
             report.converged = True
+            break
+        if not accepted:
             break
     report.final_cost = cost
     report.family_costs_end = lin.family_costs(r)
@@ -1147,8 +1253,7 @@ def marginal_covariance(graph: FactorGraph, values: Values,
                         key: VariableKey) -> np.ndarray:
     """Block of (J^T J)^-1 for one variable at the current estimate."""
     lin = Linearizer(graph)
-    J, _ = lin(values)
-    band = lin.normal_band(J)
+    _, band = lin.residual(values)[1]()
     _check_gauge(band, lin.offsets)
     c0, d = lin.offsets[key], key.kind.dim
     unit = np.zeros((band.shape[1], d))  # the key's unit columns

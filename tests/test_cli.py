@@ -168,6 +168,45 @@ class TestPipeline:
         assert match.group(1) == f"{solve['final_cost']:.6g}"
         assert int(match.group(2)) == solve["iterations"]
 
+    def test_trace_of_an_underconstrained_solve(self, tmp_path, capsys):
+        """The seed-1 stream with its t = 52 USBL row repeated 1 us later
+        exits 4 in both modes, naming id=107@t=52. With --trace it exits
+        and prints the same, and writes the stages timed up to the solve
+        and a solve record of the error and the gauge check's verdict."""
+        meas = tmp_path / "meas.csv"
+        assert main(["simulate", "--seed", "1", "--out-truth",
+                     str(tmp_path / "truth.csv"), "--out-meas",
+                     str(meas)]) == EXIT_OK
+        lines = meas.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith("52,USBL,"))
+        lines.insert(i + 1, "52.000001" + lines[i][len("52"):])
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(lines))
+        for mode in ("A", "B"):
+            args = ["smooth", "--mode", mode, "--meas", str(repeated),
+                    "--out", str(tmp_path / "est.csv")]
+            capsys.readouterr()
+            assert main(args) == EXIT_UNDERCONSTRAINED
+            untraced = capsys.readouterr()
+            assert "id=107@t=52" in untraced.err
+            trace = tmp_path / f"trace_{mode}.jsonl"
+            assert main(args + ["--trace", str(trace)]) \
+                == EXIT_UNDERCONSTRAINED
+            assert capsys.readouterr() == untraced
+            solve, stages = (strict_json(line) for line in
+                             trace.read_text().splitlines())
+            assert solve.pop("record") == "solve"
+            assert stages.pop("record") == "stages"
+            assert untraced.err == f"error: {solve['error']}\n"
+            assert set(solve) == {"error", "gauge"}
+            assert set(solve["gauge"]) == {"min_pivot_sq", "inverse_bound",
+                                           "suspects"}
+            assert solve["gauge"]["suspects"] >= 1
+            assert set(stages) == {"read_s", "schedule_s", "build_s",
+                                   "solve_s"}
+            assert all(s >= 0.0 for s in stages.values())
+
     def test_trace_writes_a_non_finite_try_cost_as_null(self, tmp_path):
         """A try whose candidate cost overflowed or is nan keeps strict JSON
         in the trace: the cost is written as null."""

@@ -258,8 +258,8 @@ class TestStreamScheduling:
         assert gauge["suspects"] == 0
         assert gauge["min_pivot_sq"] > 1e-9 and gauge["inverse_bound"] > 1e-9
         lin = Linearizer(graph)
-        J, _ = lin(values)
-        assert fgraph._check_gauge(lin.normal_band(J), lin.offsets) == gauge
+        _, band = lin.residual(values)[1]()
+        assert fgraph._check_gauge(band, lin.offsets) == gauge
 
     def test_repeated_usbl_rows_share_its_keyframe(self, streams, tmp_path):
         """A USBL row repeated at its own time and 1e-10 s later joins the
@@ -828,7 +828,7 @@ class TestFactorTables:
         for g in (graph, readded):
             lin = Linearizer(g)
             J, r = lin(values)
-            out.append((J, r, lin.normal_band(J).copy()))
+            out.append((J, r, lin.residual(values)[1]()[1].copy()))
         (J, r, band), (J_ref, r_ref, band_ref) = out
         for name in ("data", "indices", "indptr"):
             assert_identical(getattr(J, name), getattr(J_ref, name))
