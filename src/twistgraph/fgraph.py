@@ -1187,6 +1187,7 @@ def optimize(graph: FactorGraph, initial: Values,
             report.gauge_s = perf_counter() - t0
             solve = _damped_solver(band)
         accepted = converged = False
+        lam_start = lam  # the least-damped try's
         while lam <= MAX_LAMBDA:
             tried = {"iteration": it, "lam": lam, "outcome": None,
                      "cost": None, "step_inf": None, "grad_inf": grad_inf}
@@ -1230,9 +1231,12 @@ def optimize(graph: FactorGraph, initial: Values,
                 lam = max(lam / LAMBDA_DOWN, 1e-15)
                 break
             tried["outcome"] = "cost_increase"
-            if np.isfinite(new_cost) and tried["step_inf"] < settings.dx_tol:
-                # a step this small moves a finite cost by rounding alone:
-                # the current iterate has converged
+            if (lam == lam_start and np.isfinite(new_cost)
+                    and tried["step_inf"] < settings.dx_tol):
+                # the least-damped step is this small, so it moves a finite
+                # cost by rounding alone: the current iterate has converged.
+                # A rise only after more damping shows a step that does not
+                # descend (a wrong Jacobian), which is no convergence.
                 converged = True
                 break
             lam *= LAMBDA_UP

@@ -374,17 +374,23 @@ class TestOptimize:
         assert report.cost_trace == [1.0] and report.final_cost == 1.0
         assert solution.get(key).coords.tolist() == [1.0]
 
-    def test_rising_cost_under_a_step_below_dx_tol_converges(self):
-        """A try whose step is under dx_tol and whose finite cost came out
-        higher ends the solve as converged at the current iterate, with no
-        further damping: a step that small moves the cost by rounding
-        alone. Here a Jacobian of the wrong sign makes the step climb."""
+    @staticmethod
+    def wrong_sign_graph():
+        """r = x - 1 with a Jacobian of the wrong sign: every step climbs."""
         key = VariableKey(id=0, kind=M.rn(1), timestamp=0.0)
         graph = FactorGraph()
         graph.add(Factor(keys=(key,),
                          residual_fn=lambda values: values.get(key).coords - 1,
                          jacobian_fn=lambda values: (-np.eye(1),),
                          noise=NoiseModel(np.eye(1))))
+        return graph, key
+
+    def test_rising_cost_under_a_step_below_dx_tol_converges(self):
+        """A first try whose step is under dx_tol and whose finite cost came
+        out higher ends the solve as converged at the current iterate, with
+        no further damping: the least-damped step is that small, so it
+        moves the cost by rounding alone."""
+        graph, key = self.wrong_sign_graph()
         start = Values({key: M.EuclidPoint([1.0 + 1e-12])})
         solution, report = optimize(graph, start)
         (tried,) = report.tries
@@ -394,6 +400,23 @@ class TestOptimize:
         assert report.converged and report.iterations == 1
         assert len(report.cost_trace) == 1
         assert solution.get(key).coords.tolist() == [1.0 + 1e-12]
+
+    def test_a_climbing_step_damped_under_dx_tol_does_not_converge(self):
+        """Only the least-damped try's small step means convergence: a step
+        that still climbs once damping has shrunk it under dx_tol shows a
+        direction that does not descend, so the tries run to MAX_LAMBDA
+        and the solve ends unconverged at its start."""
+        graph, key = self.wrong_sign_graph()
+        settings = SolverSettings()
+        solution, report = optimize(
+            graph, Values({key: M.EuclidPoint([1.1])}), settings)
+        assert not report.converged and report.iterations == 1
+        assert len(report.tries) == 17
+        assert {t["outcome"] for t in report.tries} == {"cost_increase"}
+        assert report.tries[0]["step_inf"] > settings.dx_tol
+        assert report.tries[-1]["step_inf"] < settings.dx_tol
+        assert report.final_cost == report.cost_trace[0]
+        assert solution.get(key).coords.tolist() == [1.1]
 
 
 class TestTotalCost:
