@@ -87,28 +87,33 @@ def _pose_columns(poses: list[Pose3]) -> np.ndarray:
     return out
 
 
-def _formatted(a: np.ndarray, spec: str) -> list[list[str]]:
-    """Each column of the 2-D array `a` as text, `spec` per value."""
-    return [list(map(spec.format, col)) for col in a.T.tolist()]
-
-
-def _pose_text(a: np.ndarray, rotated: np.ndarray) -> list[list[str]]:
-    """The columns of `a` as text: pose fields, or a position and an angle,
-    with the fields after the position left empty on the rows where
-    `rotated` is false."""
-    text = _formatted(a, "{:.12g}")
-    keep = rotated.tolist()
-    for col in text[3:]:
-        col[:] = [v if k else "" for v, k in zip(col, keep)]
-    return text
-
-
-def _write_columns(path, header: list[str], columns: list[list[str]]) -> None:
-    """A record file of these text columns. No field holds a comma, quote or
+def _write_columns(path, header: list[str], columns) -> None:
+    """A record file: the header line, then a line per row of `columns`,
+    each a (format, values, shown) triple. `values` holds n labels, or an
+    (n,) or (n, k) array, each field of which is written with the %-format
+    on the rows that the (n,) mask `shown` marks (None: on every row) and
+    left empty on the others. Every row is formatted by one % template, the
+    template of its pattern of empty fields; `"%.12g" % x` is
+    `"{:.12g}".format(x)` for a float x. No field holds a comma, quote or
     line break, so none is quoted, and lines end as csv.writer ends them."""
+    specs, cells, shown = [], [], []
+    for spec, values, show in columns:
+        block = np.asarray(values, dtype=object)
+        if block.ndim == 1:
+            block = block[:, None]
+        specs += [spec] * block.shape[1]
+        cells.append(block)
+        shown.append(np.ones(block.shape, bool) if show is None
+                     else np.repeat(show[:, None], block.shape[1], axis=1))
+    cells, shown = np.hstack(cells), np.hstack(shown)
+    patterns, which = np.unique(shown @ (1 << np.arange(len(specs))),
+                                return_inverse=True)
+    templates = np.array(
+        [",".join(spec if p >> j & 1 else "" for j, spec in enumerate(specs))
+         + "\r\n" for p in patterns.tolist()], dtype=object)
+    text = "".join(templates[which].tolist()) % tuple(cells[shown].tolist())
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(row) + "\r\n"
-                         for row in [header, *zip(*columns)]))
+        fh.write(",".join(header) + "\r\n" + text)
 
 
 def _rotation_matrices(a: np.ndarray) -> np.ndarray:
@@ -234,23 +239,24 @@ def _labels(rows, allowed, path, what: str, field: int = 1) -> list[str]:
 
 
 def write_truth(path, truth: GroundTruth) -> int:
-    """A chaser row and then a target row per sample, formatted column by
-    column."""
+    """A chaser row and then a target row per sample, from the truth's
+    columns."""
     n = len(truth.times)
     poses = np.empty((2 * n, 7))
-    poses[0::2] = _pose_columns(truth.chaser)
-    poses[1::2] = _pose_columns(truth.target)
-    _write_columns(
-        path, ["timestamp", "agent"] + POSE_COLS,
-        _formatted(np.repeat(truth.times, 2).reshape(-1, 1), "{:.9g}")
-        + [["chaser", "target"] * n] + _formatted(poses, "{:.12g}"))
+    poses[:, :3] = truth.translations.reshape(-1, 3)
+    poses[:, 3:] = _quaternions(truth.rotations.reshape(-1, 3, 3))
+    _write_columns(path, ["timestamp", "agent"] + POSE_COLS,
+                   [("%.9g", np.repeat(truth.times, 2), None),
+                    ("%s", ["chaser", "target"] * n, None),
+                    ("%.12g", poses, None)])
     return 2 * n
 
 
 def read_truth(path) -> GroundTruth:
-    """Chaser and target trajectories; the i-th target row pairs with the
-    i-th chaser row at its time. A bad row is a ConfigError naming its line,
-    and a file of one sample, which sets no time step, one naming the file."""
+    """Chaser and target trajectories, as columns; the i-th target row
+    pairs with the i-th chaser row at its time. A bad row is a ConfigError
+    naming its line, and a file of one sample, which sets no time step, one
+    naming the file."""
     rows = _data_rows(path)
     times = _timestamps(rows, path)
     labels = _labels(rows, ("chaser", "target"), path, "agent label")
@@ -266,10 +272,10 @@ def read_truth(path) -> GroundTruth:
                           f"{rows[k][1]} row at t = {rows[k][0]}")
     if len(ci) == 1:
         raise ConfigError(f"{path}: one ground-truth sample sets no time step")
-    poses = poses_from_fields(fields_)
-    return GroundTruth(times=times[is_chaser],
-                       chaser=list(itertools.compress(poses, is_chaser)),
-                       target=list(itertools.compress(poses, ~is_chaser)))
+    agents = np.stack([ci, ti], axis=1)
+    return GroundTruth(times=times[ci],
+                       rotations=_rotation_matrices(fields_)[agents],
+                       translations=fields_[agents, :3])
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +283,17 @@ def read_truth(path) -> GroundTruth:
 
 
 def write_measurements(path, records) -> int:
-    """One row per record, formatted column by column from the stream's
-    columns; a list of records is stacked once."""
+    """One row per record, from the stream's columns; a list of records is
+    stacked once."""
     stream = MeasurementStream.of(records)
     rotated = stream.kinds != USBL
-    fields = np.zeros((len(stream), 7))
-    fields[:, :3] = stream.vectors
-    if rotated.any():
-        fields[rotated, 3:] = _quaternions(stream.rotations[rotated])
-    _write_columns(
-        path, ["timestamp", "kind"] + POSE_COLS,
-        _formatted(stream.times.reshape(-1, 1), "{:.9g}")
-        + [[KINDS[k] for k in stream.kinds.tolist()]]
-        + _pose_text(fields, rotated))
+    quaternions = np.zeros((len(stream), 4))
+    quaternions[rotated] = _quaternions(stream.rotations[rotated])
+    _write_columns(path, ["timestamp", "kind"] + POSE_COLS,
+                   [("%.9g", stream.times, None),
+                    ("%s", np.array(KINDS, dtype=object)[stream.kinds], None),
+                    ("%.12g", stream.vectors, None),
+                    ("%.12g", quaternions, rotated)])
     return len(stream)
 
 
@@ -323,31 +327,31 @@ def read_measurements(path) -> MeasurementStream:
 
 
 def write_estimate(path, rows: list[EstimateRow]) -> int:
-    """One line per estimate row, formatted column by column."""
+    """One line per estimate row, formatted from its columns."""
     n = len(rows)
     targets = [row.target_pose for row in rows]
     se3 = np.array([T is not None for T in targets], dtype=bool)
     # the chaser poses, then the SE(3) targets, in one rotation conversion
     poses = _pose_columns([row.chaser for row in rows]
                           + list(itertools.compress(targets, se3)))
-    # target position and quaternion, then relative position and angle
-    target, rel = np.empty((n, 7)), np.empty((n, 4))
-    target[:, :3] = np.reshape([row.target_position for row in rows], (-1, 3))
-    target[se3, 3:] = poses[n:, 3:]
-    rel[:, :3] = np.reshape([row.rel_position for row in rows], (-1, 3))
-    rel[:, 3] = [row.rel_angle for row in rows]
-    columns = (
-        _formatted(np.reshape([row.timestamp for row in rows], (-1, 1)),
-                   "{:.9g}")
-        + [[row.trigger for row in rows], [row.group for row in rows]]
-        + _formatted(poses[:n], "{:.12g}")
-        + _pose_text(target, se3)
-        + _pose_text(rel, np.isfinite(rel[:, 3])))
+    target_quaternions = np.zeros((n, 4))
+    target_quaternions[se3] = poses[n:, 3:]
+    angles = np.array([row.rel_angle for row in rows], dtype=float)
     header = (["timestamp", "trigger", "group"]
               + ["chaser_" + c for c in POSE_COLS]
               + ["target_" + c for c in POSE_COLS]
               + ["rel_x", "rel_y", "rel_z", "rel_angle"])
-    _write_columns(path, header, columns)
+    _write_columns(path, header, [
+        ("%.9g", [row.timestamp for row in rows], None),
+        ("%s", [row.trigger for row in rows], None),
+        ("%s", [row.group for row in rows], None),
+        ("%.12g", poses[:n], None),
+        ("%.12g", np.reshape([row.target_position for row in rows], (-1, 3)),
+         None),
+        ("%.12g", target_quaternions, se3),
+        ("%.12g", np.reshape([row.rel_position for row in rows], (-1, 3)),
+         None),
+        ("%.12g", angles, np.isfinite(angles))])
     return n
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ from .factors import (
     ct_factor,
     prior_factor,
 )
-from .tracking import ConfigError, MeasurementRecord
+from .tracking import (
+    KINDS, ODOM, OPTICAL, USBL, ConfigError, MeasurementStream)
 
 # the most samples per trajectory, and records per measurement kind, that a
 # scenario may ask for; a smaller dt or a higher rate is refused
@@ -57,16 +59,67 @@ class ScenarioConfig(MeasurementSigmas):
     seed: int = 0
 
 
-@dataclass
-class GroundTruth:
-    """Dense, uniformly sampled chaser and target trajectories."""
+class _Poses(Sequence):
+    """One agent's poses in a GroundTruth: its rotation and translation
+    columns, each sample's Pose3 made on demand."""
 
-    times: np.ndarray
-    chaser: list[Pose3]
-    target: list[Pose3]
+    def __init__(self, rotations: np.ndarray, translations: np.ndarray):
+        self.rotations, self.translations = rotations, translations
+
+    def __len__(self) -> int:
+        return len(self.translations)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Pose3(Rotation3(self.rotations[i]), self.translations[i])
+
+
+@dataclass(eq=False)
+class GroundTruth:
+    """Dense, uniformly sampled chaser and target trajectories, as columns:
+    the sample times, and the (n, 2, 3, 3) rotations and (n, 2, 3)
+    translations of the chaser (axis-1 index 0) and the target (1).
+    `chaser[i]` and `target[i]` make sample i's Pose3."""
+
+    times: np.ndarray  # (n,)
+    rotations: np.ndarray  # (n, 2, 3, 3)
+    translations: np.ndarray  # (n, 2, 3)
+    chaser: _Poses = field(init=False, repr=False)
+    target: _Poses = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.chaser = _Poses(self.rotations[:, 0], self.translations[:, 0])
+        self.target = _Poses(self.rotations[:, 1], self.translations[:, 1])
+
+    def indices_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(i, ok) per time in `t`: the index of the sample nearest it, and
+        whether that sample lies within half a time step (plus 1e-9 s) of
+        it. A truth of fewer than two samples sets no time step and supports
+        no time."""
+        t = np.asarray(t, dtype=float)
+        if len(self.times) < 2:
+            return np.zeros(t.shape, np.intp), np.zeros(t.shape, bool)
+        dt = self.times[1] - self.times[0]
+        i = np.rint((t - self.times[0]) / dt)
+        ok = (0 <= i) & (i < len(self.times))
+        i = np.where(ok, i, 0).astype(np.intp)
+        ok &= np.abs(self.times[i] - t) <= dt / 2 + 1e-9
+        return i, ok
+
+    def samples_at(self, t: np.ndarray) -> np.ndarray:
+        """The index of the sample of each time in `t`; the first time
+        outside the support is a ValueError."""
+        i, ok = self.indices_at(t)
+        if not ok.all():
+            bad = float(t[np.argmin(ok)])
+            raise ValueError(f"time {bad} outside ground-truth support")
+        return i
 
     def index_at(self, t: float) -> int:
-        if len(self.times) < 2:  # no time step, so no support
+        """indices_at for one time, whose sample must be in the support."""
+        # fewer than two samples set no time step, so no support
+        if len(self.times) < 2 or not math.isfinite(t):
             raise ValueError(f"time {t} outside ground-truth support")
         dt = self.times[1] - self.times[0]
         i = int(round((t - self.times[0]) / dt))
@@ -75,112 +128,168 @@ class GroundTruth:
         return i
 
 
-def generate_trajectory(start: Pose3, segments: list[TwistSegment],
-                        dt: float) -> tuple[np.ndarray, list[Pose3]]:
-    """Piecewise constant-twist rollout: T(t+dt) = T(t) * Exp(xi dt)."""
-    wanted = sum(seg.duration / dt for seg in segments)
-    if not wanted <= _MAX_SAMPLES:
-        raise ConfigError(f"dt = {dt!r} asks for {wanted:.3g} samples, "
-                          f"more than {_MAX_SAMPLES}")
-    poses = [start]
-    times = [0.0]
-    T = start
-    t = 0.0
-    n_steps = 0
-    for seg in segments:
-        steps = int(round(seg.duration / dt))
-        step = manifold.exp_se3(seg.twist * dt)
-        for _ in range(steps):
-            T = manifold.compose(T, step)
-            n_steps += 1
-            if n_steps % 1000 == 0:
-                T = Pose3(T.rotation.orthonormalized(), T.translation)
-            t += dt
-            times.append(t)
-            poses.append(T)
-    return np.asarray(times), poses
+def _rollout(starts: list[Pose3], segment_lists: list[list[TwistSegment]],
+             dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Piecewise constant-twist rollouts, T(t+dt) = T(t) * Exp(xi dt), of
+    several agents together over their common span: (times, (n, m, 3, 3)
+    rotations, (n, m, 3) translations). Each step is one stacked product,
+    R @ R_step and R @ t_step + t, and every 1000th step orthonormalizes
+    the rotations."""
+    steps = []
+    for segments in segment_lists:
+        wanted = sum(seg.duration / dt for seg in segments)
+        if not wanted <= _MAX_SAMPLES:
+            raise ConfigError(f"dt = {dt!r} asks for {wanted:.3g} samples, "
+                              f"more than {_MAX_SAMPLES}")
+        # each sample's step: its segment's Exp(xi dt)
+        counts = [int(round(seg.duration / dt)) for seg in segments]
+        which = np.repeat(np.arange(len(segments)), counts)
+        R_seg, t_seg = manifold.exp_se3_batch(
+            np.reshape([seg.twist * dt for seg in segments], (-1, 6)))
+        steps.append((R_seg[which], t_seg[which]))
+    n = 1 + min(len(R_step) for R_step, _ in steps)
+    R_steps = np.stack([R_step[:n - 1] for R_step, _ in steps], axis=1)
+    t_steps = np.stack([t_step[:n - 1] for _, t_step in steps], axis=1)
+    R = np.empty((n,) + R_steps.shape[1:])
+    t = np.empty((n, len(starts), 3, 1))  # columns, for the stacked products
+    R[0] = [T.rotation.matrix for T in starts]
+    t[0, :, :, 0] = [T.translation for T in starts]
+    t_steps = t_steps[..., None]
+    Rt = np.empty(t.shape[1:])
+    for k in range(1, n):
+        np.matmul(R[k - 1], R_steps[k - 1], out=R[k])
+        np.matmul(R[k - 1], t_steps[k - 1], out=Rt)
+        np.add(Rt, t[k - 1], out=t[k])
+        if k % 1000 == 0:
+            R[k] = [Rotation3(Rk).orthonormalized().matrix for Rk in R[k]]
+    times = np.full(n, dt)
+    times[0] = 0.0
+    return np.add.accumulate(times), R, t[..., 0]
+
+
+def generate_trajectory(start: Pose3, segments: list[TwistSegment], dt: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Piecewise constant-twist rollout, T(t+dt) = T(t) * Exp(xi dt):
+    (times, (n, 3, 3) rotations, (n, 3) translations)."""
+    times, R, t = _rollout([start], [segments], dt)
+    return times, R[:, 0], t[:, 0]
 
 
 def generate_ground_truth(cfg: ScenarioConfig) -> GroundTruth:
-    tc, chaser = generate_trajectory(cfg.chaser_start, cfg.chaser_segments, cfg.dt)
-    tt, target = generate_trajectory(cfg.target_start, cfg.target_segments, cfg.dt)
-    n = min(len(tc), len(tt))
-    return GroundTruth(times=tc[:n], chaser=chaser[:n], target=target[:n])
+    """The chaser and target rollouts over their common span."""
+    return GroundTruth(*_rollout([cfg.chaser_start, cfg.target_start],
+                                 [cfg.chaser_segments, cfg.target_segments],
+                                 cfg.dt))
 
 
-def _in_any(t: float, windows) -> bool:
-    return any(a <= t <= b for a, b in windows)
+def _inside(t: np.ndarray, windows) -> np.ndarray:
+    """Whether each time lies in any of the closed windows."""
+    out = np.zeros(t.shape, bool)
+    for a, b in windows:
+        out |= (a <= t) & (t <= b)
+    return out
 
 
-def synthesize_measurements(truth: GroundTruth, cfg: ScenarioConfig):
-    """Corrupt the ground truth into a time-ordered measurement stream.
+def _ticks(rate: float, t_end: float) -> np.ndarray:
+    """The times k / rate, k = 0, 1, ..., up to t_end."""
+    period = 1.0 / rate
+    return np.arange(int(np.floor(t_end / period + 1e-9)) + 1) * period
+
+
+def _noisy(rng, R: np.ndarray, t: np.ndarray, sig_pos: float,
+           sig_rot: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each pose right-perturbed by Exp(d), d drawn per pose, position then
+    rotation; a zero sigma's three components are zero and not drawn, and
+    the poses are returned as they are when both sigmas are zero."""
+    sigmas = np.repeat([sig_pos, sig_rot], 3)
+    drawn = sigmas != 0
+    if not drawn.any():
+        return R, t
+    d = np.zeros((len(R), 6))
+    d[:, drawn] = rng.normal(0.0, sigmas[drawn], (len(R), drawn.sum()))
+    return manifold.compose_batch(R, t, *manifold.exp_se3_batch(d))
+
+
+# each kind's rank in the order of its name, which breaks a timestamp tie
+_NAME_RANK = np.argsort(np.argsort(KINDS)).astype(np.int8)
+
+
+def synthesize_measurements(truth: GroundTruth,
+                            cfg: ScenarioConfig) -> MeasurementStream:
+    """Corrupt the ground truth into a time-ordered measurement stream,
+    each kind made and its noise drawn in one batch.
 
     Pose-valued noise is injected in the tangent space via a right
     perturbation, so configured sigmas match the factors' whitening sigmas.
-    Gaps suppress relative (USBL/optical) measurements only.
+    Gaps suppress relative (USBL/optical) measurements only. A record comes
+    from the truth sample nearest its tick, and is stamped with that
+    sample's time where it lies more than 1e-9 s from the tick. A rate whose
+    period is shorter than dt, which would make two records of one sample,
+    is refused.
     """
     rng = np.random.default_rng(cfg.seed)
     t_end = float(truth.times[-1])
-    for name in ("odom_rate_hz", "usbl_rate_hz", "optical_rate_hz"):
+    rates = ("odom_rate_hz", "usbl_rate_hz", "optical_rate_hz")
+    for name in rates:
         rate = getattr(cfg, name)
         if not t_end * rate <= _MAX_SAMPLES:
             raise ConfigError(f"{name} = {rate!r} asks for {t_end * rate:.3g} "
                               f"records over {t_end:g} s, more than "
                               f"{_MAX_SAMPLES}")
-    records: list[MeasurementRecord] = []
+    for name in rates:
+        rate = getattr(cfg, name)
+        if rate > 0 and 1.0 / rate < cfg.dt:
+            raise ConfigError(f"{name} = {rate!r} has a period of "
+                              f"{1.0 / rate:.6g} s, shorter than dt = "
+                              f"{cfg.dt!r}: two of its records would come "
+                              f"from one truth sample")
+    (C_R, T_R), (C_t, T_t) = (truth.rotations.swapaxes(0, 1),
+                              truth.translations.swapaxes(0, 1))
+    # (times, kinds, vectors, rotations) of each kind's records
+    parts = [(np.zeros(0), np.zeros(0, np.int8), np.zeros((0, 3)),
+              np.zeros((0, 3, 3)))]
 
-    def noisy_pose(T: Pose3, sig_pos: float, sig_rot: float) -> Pose3:
-        if sig_pos == 0.0 and sig_rot == 0.0:
-            return T
-        d = np.concatenate([rng.normal(0.0, sig_pos, 3) if sig_pos else np.zeros(3),
-                            rng.normal(0.0, sig_rot, 3) if sig_rot else np.zeros(3)])
-        return manifold.compose(T, manifold.exp_se3(d))
+    def add(kind: int, ticks: np.ndarray, i: np.ndarray, vectors, rotations):
+        sample = truth.times[i]
+        parts.append((np.where(np.abs(sample - ticks) > 1e-9, sample, ticks),
+                      np.full(len(ticks), kind, np.int8), vectors, rotations))
 
     # Odometry: relative chaser pose between consecutive ticks.
-    odom_dt = 1.0 / cfg.odom_rate_hz
-    n_odom = int(np.floor(t_end / odom_dt + 1e-9))
-    for k in range(1, n_odom + 1):
-        ta, tb = (k - 1) * odom_dt, k * odom_dt
-        Ta = truth.chaser[truth.index_at(ta)]
-        Tb = truth.chaser[truth.index_at(tb)]
-        rel = manifold.compose(manifold.inverse(Ta), Tb)
-        records.append(MeasurementRecord(
-            timestamp=tb, kind="ODOM",
-            payload=noisy_pose(rel, cfg.odom_sigma_pos, cfg.odom_sigma_rot)))
+    ticks = _ticks(cfg.odom_rate_hz, t_end)
+    if len(ticks) > 1:
+        i = truth.samples_at(ticks)
+        a, b = i[:-1], i[1:]
+        R, t = manifold.compose_batch(*manifold.inverse_batch(C_R[a], C_t[a]),
+                                      C_R[b], C_t[b])
+        R, t = _noisy(rng, R, t, cfg.odom_sigma_pos, cfg.odom_sigma_rot)
+        add(ODOM, ticks[1:], b, t, R)
 
     # USBL: chaser-frame offset to the target.
     if cfg.usbl_rate_hz > 0:
-        usbl_dt = 1.0 / cfg.usbl_rate_hz
-        n_usbl = int(np.floor(t_end / usbl_dt + 1e-9))
-        for k in range(n_usbl + 1):
-            t = k * usbl_dt
-            if _in_any(t, cfg.gaps):
-                continue
-            i = truth.index_at(t)
-            C, T = truth.chaser[i], truth.target[i]
-            z = C.rotation.matrix.T @ (T.translation - C.translation)
-            if cfg.usbl_sigma:
-                z = z + rng.normal(0.0, cfg.usbl_sigma, 3)
-            records.append(MeasurementRecord(timestamp=t, kind="USBL", payload=z))
+        ticks = _ticks(cfg.usbl_rate_hz, t_end)
+        ticks = ticks[~_inside(ticks, cfg.gaps)]
+        i = truth.samples_at(ticks)
+        z = (C_R[i].swapaxes(1, 2) @ (T_t[i] - C_t[i])[:, :, None])[:, :, 0]
+        if cfg.usbl_sigma:
+            z = z + rng.normal(0.0, cfg.usbl_sigma, z.shape)
+        add(USBL, ticks, i, z, np.zeros((len(i), 3, 3)))
 
     # Optical: full relative pose inside the configured windows.
     if cfg.optical_rate_hz > 0:
-        opt_dt = 1.0 / cfg.optical_rate_hz
-        n_opt = int(np.floor(t_end / opt_dt + 1e-9))
-        for k in range(n_opt + 1):
-            t = k * opt_dt
-            if not _in_any(t, cfg.optical_windows) or _in_any(t, cfg.gaps):
-                continue
-            i = truth.index_at(t)
-            C, T = truth.chaser[i], truth.target[i]
-            rel = manifold.compose(manifold.inverse(C), T)
-            records.append(MeasurementRecord(
-                timestamp=t, kind="OPTICAL",
-                payload=noisy_pose(rel, cfg.optical_sigma_pos,
-                                   cfg.optical_sigma_rot)))
+        ticks = _ticks(cfg.optical_rate_hz, t_end)
+        ticks = ticks[_inside(ticks, cfg.optical_windows)
+                      & ~_inside(ticks, cfg.gaps)]
+        i = truth.samples_at(ticks)
+        R, t = manifold.compose_batch(*manifold.inverse_batch(C_R[i], C_t[i]),
+                                      T_R[i], T_t[i])
+        R, t = _noisy(rng, R, t, cfg.optical_sigma_pos, cfg.optical_sigma_rot)
+        add(OPTICAL, ticks, i, t, R)
 
-    records.sort(key=lambda r: (r.timestamp, r.kind))
-    return records
+    times, kinds, vectors, rotations = map(np.concatenate, zip(*parts))
+    order = np.lexsort((_NAME_RANK[kinds], times))  # stable
+    return MeasurementStream(times=times[order], kinds=kinds[order],
+                             vectors=vectors[order],
+                             rotations=rotations[order])
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class MeasurementRecord:
 
 # the measurement kinds, indexed by MeasurementStream's kind codes
 KINDS = ("ODOM", "USBL", "OPTICAL")
-ODOM, USBL = KINDS.index("ODOM"), KINDS.index("USBL")
+ODOM, USBL, OPTICAL = map(KINDS.index, ("ODOM", "USBL", "OPTICAL"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,29 +684,28 @@ def _group_stats(pos: np.ndarray, ang: np.ndarray) -> GroupStats:
         ang_count=int(ang_ok.size))
 
 
-def _errors(fixes, truth, tol: float):
-    """Position and angle errors of each (time, chaser-frame target
-    position, relative rotation or None) against the truth sample nearest
-    its time: (matched, position errors, angle errors), with nan where no
-    sample lies within `tol` or no rotation is given."""
-    fixes = list(fixes)
-    n = len(fixes)
+def _errors(times: np.ndarray, positions: np.ndarray, rotations, truth,
+            tol: float):
+    """Position and angle errors of fixes, given as (n,) times, (n, 3)
+    chaser-frame target positions and (n, 3, 3) relative rotations (a nan
+    row, or None for all, where a fix has none), against the truth sample
+    nearest each time: (matched, position errors, angle errors), with nan
+    where no sample lies within `tol` or no rotation is given."""
+    n = len(times)
     pos_err, ang_err = np.full(n, np.nan), np.full(n, np.nan)
-    matched = np.zeros(n, dtype=bool)
-    for i, (t, p, R) in enumerate(fixes):
-        try:
-            j = truth.index_at(t)
-        except ValueError:
-            continue
-        if abs(truth.times[j] - t) > tol:
-            continue
-        matched[i] = True
-        C_t, T_t = truth.chaser[j], truth.target[j]
-        R_c = C_t.rotation.matrix.T
-        pos_err[i] = np.linalg.norm(
-            p - R_c @ (T_t.translation - C_t.translation))
-        if R is not None:
-            ang_err[i] = _angle(R.T @ (R_c @ T_t.rotation.matrix))
+    i, matched = truth.indices_at(times)
+    matched[matched] = np.abs(truth.times[i[matched]] - times[matched]) <= tol
+    C, T = truth.chaser, truth.target
+    j = i[matched]
+    R_c = C.rotations[j].swapaxes(1, 2)
+    e = positions[matched] - (
+        R_c @ (T.translations[j] - C.translations[j])[:, :, None])[:, :, 0]
+    pos_err[matched] = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+    if rotations is not None:
+        given = ~np.isnan(rotations[matched, 0, 0])
+        E = rotations[matched][given].swapaxes(1, 2) @ (
+            R_c[given] @ T.rotations[j[given]])
+        ang_err[np.flatnonzero(matched)[given]] = [_angle(R) for R in E]
     return matched, pos_err, ang_err
 
 
@@ -715,10 +714,15 @@ def metrics(rows: Sequence[EstimateRow], truth,
     """Relative position/angle errors against ground truth, grouped by
     keyframe type (USBL / OPTICAL / GATE / ALL), of the rows that `smooth`
     makes or an estimate file holds."""
+    posed = [row for row in rows if row.target_pose is not None]
+    rotations = np.full((len(rows), 3, 3), np.nan)
+    rotations[[row.target_pose is not None for row in rows]] = np.reshape(
+        [row.chaser.rotation.matrix.T @ row.target_pose.rotation.matrix
+         for row in posed], (-1, 3, 3))
     matched, pos_err, ang_err = _errors(
-        [(row.timestamp, row.rel_position, None if row.target_pose is None
-          else row.chaser.rotation.matrix.T @ row.target_pose.rotation.matrix)
-         for row in rows], truth, tol)
+        np.array([row.timestamp for row in rows], dtype=float),
+        np.reshape([row.rel_position for row in rows], (-1, 3)),
+        rotations, truth, tol)
     if not matched.any():
         raise ConfigError("no keyframe timestamps overlap the ground truth")
 
@@ -738,11 +742,9 @@ def measurement_baselines(measurements: Sequence[MeasurementRecord], truth,
     stream = MeasurementStream.of(measurements)
     groups = {}
     for kind in ("USBL", "OPTICAL"):
-        sel = np.flatnonzero(stream.kinds == KINDS.index(kind))
-        rotations = (stream.rotations[sel] if kind == "OPTICAL"
-                     else [None] * len(sel))
+        sel = stream.kinds == KINDS.index(kind)
         matched, pos_err, ang_err = _errors(
-            zip(stream.times[sel].tolist(), stream.vectors[sel], rotations),
-            truth, tol)
+            stream.times[sel], stream.vectors[sel],
+            stream.rotations[sel] if kind == "OPTICAL" else None, truth, tol)
         groups[kind] = _group_stats(pos_err[matched], ang_err[matched])
     return groups

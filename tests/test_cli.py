@@ -247,6 +247,23 @@ class TestPipeline:
                 first.chaser.translation - true.translation) < 0.5
 
 
+    @pytest.mark.parametrize("line", ["dt = 0.03", "usbl_rate_hz = 0.6"])
+    def test_every_record_is_stamped_at_a_truth_sample(self, tmp_path,
+                                                       line, capsys):
+        """Ticks that fall between truth samples are stamped with the
+        sample their record was made from."""
+        cfg = tmp_path / "off_grid.cfg"
+        cfg.write_text("duration = 40\n" + line + "\n")
+        truth_path, meas_path = simulate(tmp_path, cfg)
+        truth = read_truth(truth_path)
+        stream = read_measurements(meas_path)
+        i, ok = truth.indices_at(stream.times)
+        assert ok.all()
+        assert np.abs(truth.times[i] - stream.times).max() <= 1e-9
+        nominal = {"dt = 0.03": 0.2, "usbl_rate_hz = 0.6": 5 / 3}[line]
+        assert not np.isclose(stream.times, nominal, rtol=0, atol=1e-6).any()
+
+
 class TestErrorExits:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -384,6 +401,24 @@ class TestErrorExits:
         err = capsys.readouterr().err.strip().splitlines()
         key = line.split(" = ")[0]
         assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+        assert not truth.exists()
+
+    @pytest.mark.parametrize("line", ["odom_rate_hz = 30",
+                                      "usbl_rate_hz = 25",
+                                      "optical_rate_hz = 21"])
+    def test_rate_period_under_dt_exits_2(self, tmp_path, capsys, line):
+        """Two ticks of a rate faster than the 0.05 s truth step would come
+        from one truth sample."""
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("duration = 10\n" + line + "\n")
+        truth = tmp_path / "truth.csv"
+        rc = main(["simulate", "--config", str(cfg), "--out-truth", str(truth),
+                   "--out-meas", str(tmp_path / "meas.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        key = line.split(" = ")[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+        assert "shorter than dt = 0.05" in err[0]
         assert not truth.exists()
 
     def test_unbounded_gate_exits_2(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import tempfile
 from dataclasses import MISSING, astuple, fields
 
 import numpy as np
@@ -20,8 +21,8 @@ from twistgraph.formats import (
     load_config,
     metrics_table,
     parse_config,
-    _formatted,
     _pose_columns,
+    _write_columns,
     poses_from_fields,
     read_estimate,
     read_measurements,
@@ -68,8 +69,8 @@ def small_scenario(**overrides) -> ScenarioConfig:
 def pose_fields(poses: list[M.Pose3]) -> list[list[str]]:
     """`tx,ty,tz,qw,qx,qy,qz` fields of each pose, as the writers format
     them."""
-    return [list(row) for row in zip(*_formatted(_pose_columns(poses),
-                                                 "{:.12g}"))]
+    return [list(map("{:.12g}".format, row))
+            for row in _pose_columns(poses).tolist()]
 
 
 class TestPoseSerialization:
@@ -223,7 +224,8 @@ class TestBatchedRecordFiles:
         assert rows == expected
         back = read_truth(path)
         poses = [scalar_pose_from_fields(r[2:9]) for r in rows]
-        for got, ref in zip(back.chaser + back.target, poses[0::2] + poses[1::2]):
+        for got, ref in zip([*back.chaser, *back.target],
+                            poses[0::2] + poses[1::2]):
             assert_same_pose(got, ref)
 
     def test_measurement_writer_and_reader_match_scalar(self, tmp_path):
@@ -271,7 +273,8 @@ class TestBatchedRecordFiles:
         assert list(read_measurements(path)) == []
         assert read_estimate(path) == []
         truth = read_truth(path)
-        assert truth.times.size == 0 and truth.chaser == [] == truth.target
+        assert truth.times.size == 0
+        assert list(truth.chaser) == [] == list(truth.target)
 
     def test_usbl_only_stream(self, tmp_path):
         records = [MeasurementRecord(timestamp=0.5 * k, kind="USBL",
@@ -298,6 +301,32 @@ class TestBatchedRecordFiles:
         for got, row in zip(read_estimate(path), rows):
             assert got.target_pose is None and np.isnan(got.rel_angle)
             assert_same_pose(got.chaser, scalar_pose_from_fields(row[3:10]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(), max_size=40),
+           st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_row_templates_format_as_str_format(self, values, shown):
+        """A column's %-format gives str.format's text of every float, nan,
+        inf, -0.0 and subnormal included, and a row outside its mask leaves
+        the column's fields empty."""
+        values = np.array(values + [0.0, -0.0, 5e-324, 1e300, np.nan, -np.inf,
+                                    0.1, 123456789.0125], dtype=float)
+        shown = np.array(shown + [True, False] * 4)[:len(values)]
+        pairs = np.stack([values, -values], axis=1)
+        labels = [f"L{i}" for i in range(len(values))]
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/v.csv"
+            _write_columns(path, ["t", "label", "a", "b"],
+                           [("%.9g", values, None), ("%s", labels, None),
+                            ("%.12g", pairs, shown)])
+            with open(path, "rb") as fh:
+                text = fh.read()
+        expected = "t,label,a,b\r\n" + "".join(
+            f"{'{:.9g}'.format(v)},{label},"
+            + (",".join(map("{:.12g}".format, p)) if k else ",")
+            + "\r\n" for v, label, p, k in zip(values.tolist(), labels,
+                                               pairs.tolist(), shown))
+        assert text == expected.encode()
 
     def test_empty_estimate_writes_its_header(self, tmp_path):
         path = tmp_path / "est.csv"
@@ -618,7 +647,7 @@ class TestBulkReader:
         rows = csv_rows(path)
         truth = read_truth(path)
         assert truth.times.tolist() == [float(r[0]) for r in rows[0::2]]
-        for got, row in zip(truth.chaser + truth.target,
+        for got, row in zip([*truth.chaser, *truth.target],
                             rows[0::2] + rows[1::2]):
             assert_same_pose(got, scalar_pose_from_fields(row[2:9]))
         path = tmp_path / "est.csv"
@@ -645,7 +674,7 @@ class TestBulkReader:
             path.write_text(text)
             assert list(read_measurements(path)) == []
             assert read_estimate(path) == []
-            assert read_truth(path).chaser == []
+            assert list(read_truth(path).chaser) == []
 
 
 class TestRecordFiles:

@@ -44,19 +44,21 @@ class TestTrajectoryGeneration:
         xi = np.array([0.3, 0.0, 0.1, 0.0, 0.0, 0.05])
         start = M.Pose3(M.exp_so3(np.array([0.1, 0.2, -0.1])),
                         np.array([1.0, -2.0, 0.5]))
-        times, poses = generate_trajectory(
+        times, R, p = generate_trajectory(
             start, [TwistSegment(xi, 10.0)], dt=0.05)
         assert times[-1] == pytest.approx(10.0)
-        for t, T in zip(times[::40], poses[::40]):
+        for t, T in zip(times[::40], map(M.Pose3, map(M.Rotation3, R[::40]),
+                                         p[::40])):
             T_ref = M.compose(start, M.exp_se3(xi * t))
             np.testing.assert_allclose(T.matrix(), T_ref.matrix(), atol=1e-9)
 
     def test_segment_count_and_validation(self):
-        times, poses = generate_trajectory(
+        times, R, p = generate_trajectory(
             M.Pose3.identity(),
             [TwistSegment(np.zeros(6), 1.0), TwistSegment(np.zeros(6), 2.0)],
             dt=0.1)
-        assert len(times) == len(poses) == 31
+        assert times.shape == (31,) and R.shape == (31, 3, 3)
+        assert p.shape == (31, 3)
         with pytest.raises(ValueError):
             TwistSegment(np.zeros(6), 0.0)
 
@@ -178,6 +180,299 @@ class TestMeasurementSynthesis:
         sigma_hat = errs.std()
         assert 1.3 < sigma_hat < 1.7
         assert np.abs(errs.mean()) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# The per-record rollout and synthesis that the columnar ones replace, kept
+# as the reference they must equal bit for bit.
+
+
+def reference_trajectory(start, segments, dt):
+    """Piecewise constant-twist rollout, one Pose3 per step."""
+    poses = [start]
+    times = [0.0]
+    T = start
+    t = 0.0
+    n_steps = 0
+    for seg in segments:
+        steps = int(round(seg.duration / dt))
+        step = M.exp_se3(seg.twist * dt)
+        for _ in range(steps):
+            T = M.compose(T, step)
+            n_steps += 1
+            if n_steps % 1000 == 0:
+                T = M.Pose3(T.rotation.orthonormalized(), T.translation)
+            t += dt
+            times.append(t)
+            poses.append(T)
+    return np.asarray(times), poses
+
+
+class ReferenceTruth:
+    """Chaser and target rolled out one after the other, as lists of
+    Pose3s, trimmed to their common span; `index_at` per time."""
+
+    def __init__(self, cfg):
+        tc, chaser = reference_trajectory(cfg.chaser_start,
+                                          cfg.chaser_segments, cfg.dt)
+        tt, target = reference_trajectory(cfg.target_start,
+                                          cfg.target_segments, cfg.dt)
+        n = min(len(tc), len(tt))
+        self.times, self.chaser, self.target = tc[:n], chaser[:n], target[:n]
+
+    def index_at(self, t):
+        dt = self.times[1] - self.times[0]
+        i = int(round((t - self.times[0]) / dt))
+        if not (0 <= i < len(self.times)) or abs(self.times[i] - t) > dt / 2 + 1e-9:
+            raise ValueError(f"time {t} outside ground-truth support")
+        return i
+
+
+def reference_measurements(truth: ReferenceTruth, cfg):
+    """One record at a time, each noise vector drawn on its own."""
+    rng = np.random.default_rng(cfg.seed)
+    t_end = float(truth.times[-1])
+    records = []
+
+    def in_any(t, windows):
+        return any(a <= t <= b for a, b in windows)
+
+    def noisy_pose(T, sig_pos, sig_rot):
+        if sig_pos == 0.0 and sig_rot == 0.0:
+            return T
+        d = np.concatenate([rng.normal(0.0, sig_pos, 3) if sig_pos else np.zeros(3),
+                            rng.normal(0.0, sig_rot, 3) if sig_rot else np.zeros(3)])
+        return M.compose(T, M.exp_se3(d))
+
+    odom_dt = 1.0 / cfg.odom_rate_hz
+    n_odom = int(np.floor(t_end / odom_dt + 1e-9))
+    for k in range(1, n_odom + 1):
+        ta, tb = (k - 1) * odom_dt, k * odom_dt
+        Ta = truth.chaser[truth.index_at(ta)]
+        Tb = truth.chaser[truth.index_at(tb)]
+        rel = M.compose(M.inverse(Ta), Tb)
+        records.append(tracking.MeasurementRecord(
+            timestamp=tb, kind="ODOM",
+            payload=noisy_pose(rel, cfg.odom_sigma_pos, cfg.odom_sigma_rot)))
+    if cfg.usbl_rate_hz > 0:
+        usbl_dt = 1.0 / cfg.usbl_rate_hz
+        n_usbl = int(np.floor(t_end / usbl_dt + 1e-9))
+        for k in range(n_usbl + 1):
+            t = k * usbl_dt
+            if in_any(t, cfg.gaps):
+                continue
+            i = truth.index_at(t)
+            C, T = truth.chaser[i], truth.target[i]
+            z = C.rotation.matrix.T @ (T.translation - C.translation)
+            if cfg.usbl_sigma:
+                z = z + rng.normal(0.0, cfg.usbl_sigma, 3)
+            records.append(tracking.MeasurementRecord(timestamp=t, kind="USBL",
+                                                      payload=z))
+    if cfg.optical_rate_hz > 0:
+        opt_dt = 1.0 / cfg.optical_rate_hz
+        n_opt = int(np.floor(t_end / opt_dt + 1e-9))
+        for k in range(n_opt + 1):
+            t = k * opt_dt
+            if not in_any(t, cfg.optical_windows) or in_any(t, cfg.gaps):
+                continue
+            i = truth.index_at(t)
+            C, T = truth.chaser[i], truth.target[i]
+            rel = M.compose(M.inverse(C), T)
+            records.append(tracking.MeasurementRecord(
+                timestamp=t, kind="OPTICAL",
+                payload=noisy_pose(rel, cfg.optical_sigma_pos,
+                                   cfg.optical_sigma_rot)))
+    records.sort(key=lambda r: (r.timestamp, r.kind))
+    return records
+
+
+SIGMAS = ("odom_sigma_pos", "odom_sigma_rot", "usbl_sigma",
+          "optical_sigma_pos", "optical_sigma_rot")
+
+# twists of several segments, with the chaser's span longer than the
+# target's and their segment ends at different steps
+MULTI_SEGMENT = dict(
+    chaser_segments=[
+        TwistSegment(np.array([0.3, 0.0, 0.05, 0.0, 0.0, 0.02]), 6.0),
+        TwistSegment(np.array([0.2, 0.1, 0.0, 0.03, -0.02, -0.04]), 7.3),
+        TwistSegment(np.array([0.25, 0.0, -0.02, 0.0, 0.01, 0.05]), 9.0)],
+    target_segments=[
+        TwistSegment(np.array([0.2, 0.0, 0.0, 0.0, 0.0, -0.01]), 4.45),
+        TwistSegment(np.array([0.1, -0.05, 0.02, 0.02, 0.0, 0.03]), 13.0)])
+
+REFERENCE_CASES = {
+    "default": {},
+    "gaps at start, middle and end": dict(gaps=[(0.0, 3.0), (8.0, 9.5),
+                                                (18.0, 20.0)]),
+    "no optical window": dict(optical_windows=[]),
+    "optical window inside a gap": dict(optical_windows=[(5.0, 10.0)],
+                                        gaps=[(4.0, 11.0)]),
+    "optical window overlapping gaps": dict(optical_windows=[(2.0, 12.0)],
+                                            gaps=[(0.0, 4.0), (9.0, 15.0)]),
+    **{f"{name} zero": {name: 0.0} for name in SIGMAS},
+    "every sigma zero": {name: 0.0 for name in SIGMAS},
+    "no USBL": dict(usbl_rate_hz=0.0),
+    "no optical": dict(optical_rate_hz=0.0),
+    "odometry only": dict(usbl_rate_hz=0.0, optical_rate_hz=0.0),
+    "multi-segment, unequal spans": MULTI_SEGMENT,
+    "3490 steps, orthonormalized 3 times": dict(MULTI_SEGMENT, dt=0.005),
+}
+
+
+class TestColumnarEqualsPerRecord:
+    """The array rollout and the batched synthesis give the per-record
+    reference's truth and stream bit for bit: the same products in the
+    same order, and the same normal draws in the same order."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_truth_and_stream_are_bit_identical(self, case):
+        cfg = small_config(**REFERENCE_CASES[case])
+        truth, ref = generate_ground_truth(cfg), ReferenceTruth(cfg)
+        assert_identical(truth.times, ref.times)
+        assert len(truth.times) == len(ref.chaser) == len(ref.target)
+        for agent, poses in ((0, ref.chaser), (1, ref.target)):
+            assert_identical(truth.rotations[:, agent],
+                             np.array([T.rotation.matrix for T in poses]))
+            assert_identical(truth.translations[:, agent],
+                             np.array([T.translation for T in poses]))
+        stream = synthesize_measurements(truth, cfg)
+        expected = tracking.MeasurementStream.of(
+            reference_measurements(ref, cfg))
+        assert len(expected) > 0
+        for name in ("times", "kinds", "vectors", "rotations"):
+            assert_identical(getattr(stream, name), getattr(expected, name))
+
+    def test_cases_reach_every_branch(self):
+        """The cases above make every kind, leave some kind empty, roll out
+        past 1000 steps, and keep every tick on its sample."""
+        kinds = set()
+        for case in REFERENCE_CASES.values():
+            cfg = small_config(**case)
+            truth = generate_ground_truth(cfg)
+            stream = synthesize_measurements(truth, cfg)
+            kinds |= set(np.unique(stream.kinds).tolist())
+            i, ok = truth.indices_at(stream.times)
+            assert ok.all()
+            assert np.abs(truth.times[i] - stream.times).max() <= 1e-9
+        assert kinds == {0, 1, 2}
+        cfg = small_config(
+            **REFERENCE_CASES["3490 steps, orthonormalized 3 times"])
+        assert len(generate_ground_truth(cfg).times) == 3491
+
+    def test_generate_trajectory_is_one_agent_of_the_rollout(self):
+        cfg = small_config(**MULTI_SEGMENT)
+        times, R, t = generate_trajectory(cfg.chaser_start,
+                                          cfg.chaser_segments, cfg.dt)
+        ref_times, poses = reference_trajectory(cfg.chaser_start,
+                                                cfg.chaser_segments, cfg.dt)
+        assert_identical(times, ref_times)
+        assert_identical(R, np.array([T.rotation.matrix for T in poses]))
+        assert_identical(t, np.array([T.translation for T in poses]))
+
+
+class TestGroundTruthColumns:
+    def test_agents_are_sequences_of_poses(self):
+        truth = generate_ground_truth(small_config())
+        n = len(truth.times)
+        for agent, poses in ((0, truth.chaser), (1, truth.target)):
+            assert len(poses) == n
+            last = poses[-1]
+            assert_identical(last.rotation.matrix,
+                             truth.rotations[n - 1, agent])
+            assert_identical(last.translation,
+                             truth.translations[n - 1, agent])
+            assert_identical(poses[-n].translation, poses[0].translation)
+            part = poses[3:9:2]
+            assert isinstance(part, list) and len(part) == 3
+            for T, i in zip(part, (3, 5, 7)):
+                assert_identical(T.translation, truth.translations[i, agent])
+            assert poses[n:] == [] and len(poses[::-1]) == n
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    poses[i]
+            assert sum(1 for _ in poses) == n
+
+    def test_indices_at_follows_index_at(self):
+        truth = generate_ground_truth(small_config())
+        t = np.array([0.0, 0.024, 0.026, 7.5, 7.5249, 20.0, 20.026, -0.03,
+                      np.nan, np.inf, -np.inf])
+        i, ok = truth.indices_at(t)
+        assert ok.tolist() == [True] * 6 + [False] * 5
+        assert i[ok].tolist() == [truth.index_at(x) for x in t[ok]]
+        for x in t[~ok]:
+            with pytest.raises(ValueError, match="outside ground-truth"):
+                truth.index_at(x)
+
+    def test_one_sample_supports_no_time(self):
+        truth = generate_ground_truth(small_config(
+            chaser_segments=[TwistSegment(np.zeros(6), 0.01)]))
+        assert len(truth.times) == 1
+        i, ok = truth.indices_at(np.array([0.0]))
+        assert not ok.any()
+        with pytest.raises(ValueError, match="outside ground-truth"):
+            truth.index_at(0.0)
+
+
+class TestRecordsOnTheirSamples:
+    """A record is made from its tick's nearest truth sample, and stamped
+    with that sample's time where the two differ by more than 1e-9 s."""
+
+    def test_odometry_spans_its_stamped_samples(self):
+        cfg = small_config(dt=0.03, **{name: 0.0 for name in SIGMAS})
+        truth = generate_ground_truth(cfg)
+        stream = synthesize_measurements(truth, cfg)
+        odom = stream.kinds == tracking.ODOM
+        stamps = stream.times[odom]
+        # the tick at 0.2 s falls on the 0.21 s sample, 7 steps after 0.0
+        assert stamps[1] == truth.times[7] and abs(stamps[1] - 0.21) < 1e-12
+        i = truth.samples_at(stamps)
+        on_grid = np.abs(truth.times[i] - stamps) <= 1e-9
+        assert on_grid.all()
+        assert np.unique(i).size == i.size
+        a = np.concatenate([[0], i[:-1]])
+        for k, (ia, ib) in enumerate(zip(a, i)):
+            rel = M.compose(M.inverse(truth.chaser[ia]), truth.chaser[ib])
+            assert_identical(stream.rotations[odom][k], rel.rotation.matrix)
+            assert_identical(stream.vectors[odom][k], rel.translation)
+
+    def test_usbl_off_the_grid_is_stamped_with_its_sample(self):
+        cfg = small_config(usbl_rate_hz=0.6, gaps=[])
+        truth = generate_ground_truth(cfg)
+        stream = synthesize_measurements(truth, cfg)
+        stamps = stream.times[stream.kinds == tracking.USBL]
+        np.testing.assert_allclose(stamps[:4], [0.0, 1.65, 3.35, 5.0],
+                                   atol=1e-12)
+        i, ok = truth.indices_at(stamps)
+        assert ok.all() and np.abs(truth.times[i] - stamps).max() <= 1e-9
+        # the two stamps off the grid are their samples' times exactly
+        assert stamps[1] == truth.times[33] and stamps[2] == truth.times[67]
+        assert np.all(np.diff(stream.times) >= 0)
+
+    def test_ticks_on_the_grid_keep_their_nominal_times(self):
+        cfg = small_config()
+        stream = synthesize_measurements(generate_ground_truth(cfg), cfg)
+        odom = stream.times[stream.kinds == tracking.ODOM]
+        assert_identical(odom, np.arange(1, len(odom) + 1) * (1.0 / 10.0))
+        usbl = stream.times[stream.kinds == tracking.USBL]
+        assert_identical(usbl, np.arange(len(usbl)) * 2.0)
+
+    @pytest.mark.parametrize("key,rate", [("odom_rate_hz", 30.0),
+                                          ("usbl_rate_hz", 25.0),
+                                          ("optical_rate_hz", 21.0)])
+    def test_period_under_dt_refused(self, key, rate):
+        cfg = small_config(**{key: rate})
+        truth = generate_ground_truth(cfg)
+        with pytest.raises(ConfigError,
+                           match=rf"^{key} = {rate!r} has a period of .* "
+                                 r"shorter than dt = 0\.05"):
+            synthesize_measurements(truth, cfg)
+
+    def test_period_of_dt_accepted(self):
+        cfg = small_config(dt=0.05, usbl_rate_hz=20.0, optical_rate_hz=20.0)
+        truth = generate_ground_truth(cfg)
+        stream = synthesize_measurements(truth, cfg)
+        usbl = stream.times[stream.kinds == tracking.USBL]
+        assert len(usbl) == len(truth.times)
 
 
 def retracted(values: Values, key: VariableKey, delta) -> Values:

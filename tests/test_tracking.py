@@ -1,5 +1,6 @@
 """Keyframe scheduling, initialization, graph building, and metrics."""
 
+import dataclasses
 import gc
 import re
 
@@ -646,7 +647,7 @@ class TestBuildGraph:
     def _pipeline(self, mode, cfg=None):
         cfg = cfg or small_scenario()
         truth = generate_ground_truth(cfg)
-        recs = synthesize_measurements(truth, cfg)
+        recs = list(synthesize_measurements(truth, cfg))
         tcfg = TrackingConfig(target_start=cfg.target_start)
         policy = ModePolicy(mode=mode)
         kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
@@ -764,7 +765,7 @@ class TestBuildGraph:
         DOWN twin, so none is added. The graph still passes the gauge
         check and converges."""
         cfg = small_scenario()
-        recs = synthesize_measurements(generate_ground_truth(cfg), cfg)
+        recs = list(synthesize_measurements(generate_ground_truth(cfg), cfg))
         lone = next(r for r in recs if r.kind == "OPTICAL")
         recs = [r for r in recs if r.kind != "OPTICAL" or r is lone]
         policy = ModePolicy(mode="B", down_after=1)
@@ -922,6 +923,65 @@ class TestMetrics:
             rel_position=np.zeros(3), rel_angle=np.nan) for kf in kfs]
         with pytest.raises(ValueError):
             metrics(rows, truth)
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    @pytest.mark.parametrize("tol", [0.05, 0.01])
+    def test_errors_pair_as_the_per_fix_loop(self, mode, tol):
+        """Errors paired from the truth's columns equal, bit for bit, those
+        of the per-fix loop over `index_at` they replace, for estimate rows
+        (some moved off the truth's support or its samples) and for raw
+        fixes."""
+        cfg = small_scenario()
+        truth = generate_ground_truth(cfg)
+        recs = synthesize_measurements(truth, cfg)
+        policy = ModePolicy(mode=mode)
+        kfs = schedule_keyframes(recs, gate=1.0, policy=policy)
+        graph, values = build_graph(
+            kfs, policy, TrackingConfig(target_start=cfg.target_start))
+        rows = smooth(graph, values, SolverSettings(), kfs).rows
+        for k, shift in ((0, -0.03), (3, 0.02), (5, 0.012), (-1, 100.0)):
+            rows[k] = dataclasses.replace(rows[k],
+                                          timestamp=rows[k].timestamp + shift)
+
+        def per_fix(fixes):
+            fixes = list(fixes)
+            pos, ang = np.full(len(fixes), np.nan), np.full(len(fixes), np.nan)
+            matched = np.zeros(len(fixes), dtype=bool)
+            for i, (t, p, R) in enumerate(fixes):
+                try:
+                    j = truth.index_at(t)
+                except ValueError:
+                    continue
+                if abs(truth.times[j] - t) > tol:
+                    continue
+                matched[i] = True
+                C_t, T_t = truth.chaser[j], truth.target[j]
+                R_c = C_t.rotation.matrix.T
+                pos[i] = np.linalg.norm(
+                    p - R_c @ (T_t.translation - C_t.translation))
+                if R is not None:
+                    ang[i] = tracking._angle(R.T @ (R_c @ T_t.rotation.matrix))
+            return matched, pos, ang
+
+        rep = metrics(rows, truth, tol)
+        matched, pos, ang = per_fix(
+            (row.timestamp, row.rel_position,
+             None if row.target_pose is None else
+             row.chaser.rotation.matrix.T @ row.target_pose.rotation.matrix)
+            for row in rows)
+        assert 0 < matched.sum() < len(rows) - 1
+        assert_identical(rep.pos_errors, pos)
+        assert_identical(rep.ang_errors, ang)
+        stream = tracking.MeasurementStream.of(recs)
+        for kind, stats in measurement_baselines(recs, truth, tol).items():
+            sel = stream.kinds == tracking.KINDS.index(kind)
+            matched, pos, ang = per_fix(zip(
+                stream.times[sel], stream.vectors[sel],
+                stream.rotations[sel] if kind == "OPTICAL"
+                else [None] * sel.sum()))
+            ref = tracking._group_stats(pos[matched], ang[matched])
+            np.testing.assert_equal(dataclasses.astuple(stats),
+                                    dataclasses.astuple(ref))
 
     def test_angle_matches_log_norm(self, rng):
         """The axis-free angle used by smooth, metrics and baselines equals
