@@ -447,10 +447,9 @@ class _StateLayout:
     """Every variable in one `manifold.Group` stack per manifold kind.
 
     `offsets` lists the variables in column order, as `variable_offsets`
-    returns them, and numbers them in that order; the keys of a kind keep
-    it. Variable v is row `row[v]` of the stack of the kind numbered
-    `kind[v]` (in the order of `keys`), and `columns[kind]` holds each
-    row's tangent columns.
+    returns them; the keys of a kind keep it. `keys[kind]` lists the
+    variables of each stack's rows, and `columns[kind]` holds each row's
+    tangent columns.
     """
 
     def __init__(self, offsets: dict[VariableKey, int]):
@@ -461,16 +460,14 @@ class _StateLayout:
         number: dict[ManifoldKind, int] = {}
         code = {i: number.setdefault(kind, len(number))
                 for i, kind in dict(zip(map(id, kinds), kinds)).items()}
-        self.kind = np.fromiter(map(code.__getitem__, map(id, kinds)),
-                                np.intp, len(keys))
+        of_kind = np.fromiter(map(code.__getitem__, map(id, kinds)),
+                              np.intp, len(keys))
         cols = np.fromiter(offsets.values(), np.intp, len(offsets))
-        self.row = np.empty(len(offsets), dtype=np.intp)
         self.keys: dict[ManifoldKind, list[VariableKey]] = {}
         self.columns = {}
         for c, kind in enumerate(number):
-            at = np.flatnonzero(self.kind == c)
+            at = np.flatnonzero(of_kind == c)
             self.keys[kind] = [keys[v] for v in at.tolist()]
-            self.row[at] = np.arange(len(at))
             self.columns[kind] = cols[at][:, None] + np.arange(kind.dim)
 
     def stack(self, values: Values) -> dict:
@@ -487,8 +484,8 @@ class _StateLayout:
 
 @dataclass
 class _Batch:
-    """A table's rows, placed: their residual rows, their noise models and
-    where each key's columns sit in a factor's block."""
+    """A table's rows, placed: their residual rows, their noise models,
+    their columns and where each key's columns sit in a factor's block."""
 
     table: FactorTable
     # per distinct noise model: its sqrt_info and the rows it whitens (None
@@ -496,6 +493,9 @@ class _Batch:
     models: list
     slots: list  # per key: (kind, row of each factor's variable in its stack)
     rows: np.ndarray | slice  # residual rows, (N * d,)
+    # (N, w): each factor's key columns side by side in key order, the
+    # columns of its block X
+    cols: np.ndarray
     spans: list  # per key: its (first, stop) columns in a factor's block
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
@@ -557,44 +557,9 @@ def _span(index: np.ndarray):
     return index
 
 
-def _slot_ranks(col, dk, key0) -> np.ndarray:
-    """The rank of each key slot's first column among the distinct columns
-    of its factor, from each slot's first column `col` and dim `dk` and
-    each factor's first slot `key0` (with the total appended).
-
-    A key's columns are contiguous, so the rank is the dims of the
-    factor's distinct keys with lower first columns: the comparisons of
-    each pair of a factor's slots give it, a key bound twice counted once.
-    """
-    k = np.diff(key0)
-    factor = np.repeat(np.arange(len(k)), k)
-    # the slot pairs (s, s + j) of one factor, for every offset j
-    pairs = [(s, s + j) for j in range(1, int(k.max(initial=0)))
-             for s in [np.flatnonzero(factor[:-j] == factor[j:])]]
-    again = np.zeros(len(col), dtype=bool)  # an earlier slot binds its key
-    for s, o in pairs:
-        again[o] |= col[s] == col[o]
-    weight = np.where(again, 0, dk)
-    rank = np.zeros(len(col), np.intp)
-    for s, o in pairs:
-        rank[s] += (col[o] < col[s]) * weight[o]
-        rank[o] += (col[s] < col[o]) * weight[s]
-    return rank
-
-
 # factors per chunk of a normal pass: the whitened blocks it copies into one
 # buffer and the products it forms at once, in buffers it reuses
 _BAND_CHUNK = 128
-
-
-def _key_columns(col, dk, key0) -> tuple[np.ndarray, np.ndarray]:
-    """Every factor's columns in key order, factor after factor, and where
-    each factor's columns start in them (with the total appended), from
-    each key slot's first column `col` and dim `dk` and each factor's
-    first slot `key0`."""
-    slot0 = _starts(dk)
-    return (np.arange(slot0[-1]) + np.repeat(col - slot0[:-1], dk),
-            slot0[key0])
 
 
 class Linearizer:
@@ -602,29 +567,33 @@ class Linearizer:
     J^T J's band, with a layout built once.
 
     The block structure never changes between iterations, so it is built
-    once: each table's keys and order are read once, and every layout array
-    is computed from those with numpy. Each of the graph's tables, of
-    built-in or of custom factors, is evaluated as one batch, in two
+    once, from one integer matrix per table: its `cols`, each row a
+    factor's key columns side by side in key order, read once from the
+    table's keys. Each factor's whitened Jacobian is one row-major d x w
+    block X over those columns, and every layout reads them: the band's
+    pattern and targets, the bandwidth, the gradient's scatter, each
+    batch's stack rows and J's CSR `indices`. Each of the graph's tables,
+    of built-in or of custom factors, is evaluated as one batch, in two
     passes. `residual` runs each family's steps and whitens their residual
     into r; the normal pass it returns continues from those steps to the
     family's per-key Jacobian blocks, whitens each, adds its X^T r into the
     gradient and its X^T X into the band, and frees the batch's steps and
     blocks before the next batch's. A scored and dropped candidate stops
-    after the first pass. A factor's whitened Jacobian is one row-major
-    d x w block X, its keys' columns side by side in key order.
+    after the first pass.
 
-    `bandwidth` is J^T J's lower bandwidth. Timestamp order keeps the band
-    of a smoothing graph narrow; a variable bound across all times (a
-    static one linked to every keyframe) widens it to the whole graph,
-    (bandwidth + 1) * columns entries.
+    `bandwidth` is J^T J's lower bandwidth, the widest span of one
+    factor's columns. Timestamp order keeps the band of a smoothing graph
+    narrow; a variable bound across all times (a static one linked to every
+    keyframe) widens it to the whole graph, (bandwidth + 1) * columns
+    entries.
 
     What a solve keeps alive is the band; the one buffer of its size that
     each damped solve factors in; one batch's blocks (the batches of one
     (d, w) group, when several tables share it), copied `_BAND_CHUNK`
     factors at a time into a few reused buffers; and a layout sized by the
-    factor count (each factor's stack rows, residual rows and band
-    targets). No Jacobian is held: a CSR J comes only from `__call__`, for
-    tests and diagnostics, built from the same whitened blocks, its
+    factor count (each table's columns and stack rows, residual rows and
+    band targets). No Jacobian is held: a CSR J comes only from `__call__`,
+    for tests and diagnostics, built from the same whitened blocks, its
     `indices`, `indptr` and cells laid out on its first call.
     """
 
@@ -634,33 +603,26 @@ class Linearizer:
         self.offsets = offsets
         self.layout = layout = _StateLayout(offsets)
         tables = graph.tables()
-        # each factor's key count, rows, batch and row in it, in graph
-        # order, then each key slot's first column
-        n_keys = np.empty(len(graph), np.intp)
-        d = np.empty(len(graph), np.intp)
-        batch = np.empty(len(graph), np.intp)
-        row = np.empty(len(graph), np.intp)
-        for i, t in enumerate(tables):
-            n_keys[t.order], d[t.order] = len(t.kinds), t.dim
-            batch[t.order], row[t.order] = i, np.arange(len(t))
-        key0 = _starts(n_keys)  # first slot of each factor
-        col = np.empty(key0[-1], np.intp)
+        d = np.empty(len(graph), np.intp)  # each factor's rows, graph order
         for t in tables:
-            for s, keys in enumerate(t.keys):
-                col[key0[t.order] + s] = np.fromiter(
-                    map(offsets.__getitem__, keys), np.intp, len(keys))
+            d[t.order] = t.dim
         row0 = _starts(d)  # first residual row of each factor
         self.total_rows = int(row0[-1])
-        # each slot's variable, numbered in column order, and its dim
-        var_col = np.fromiter(offsets.values(), np.intp, len(offsets))
-        var = np.searchsorted(var_col, col)
-        dk = np.diff(var_col, append=self.total_cols)[var]
-        self._placement = (col, dk, key0, d)
+        # each variable's row in its kind's stack, at its first column
+        stack_row = np.empty(self.total_cols, np.intp)
+        for c in layout.columns.values():
+            stack_row[c[:, 0]] = np.arange(len(c))
         self._csr = None
 
         self._batches = []
         for t in tables:
-            at = t.order
+            ends = list(accumulate([kind.dim for kind in t.kinds], initial=0))
+            spans = list(pairwise(ends))
+            cols = np.empty((len(t), ends[-1]), np.intp)
+            for (c0, c1), keys in zip(spans, t.keys):
+                cols[:, c0:c1] = np.fromiter(
+                    map(offsets.__getitem__, keys), np.intp,
+                    len(keys))[:, None] + np.arange(c1 - c0)
             # rows share a model when their noise models share a sqrt_info
             # (equal covariances do)
             infos = {id(nm.sqrt_info): nm.sqrt_info for nm in t.noise}
@@ -671,83 +633,76 @@ class Linearizer:
                 which == c)) for c, W in enumerate(infos.values())]
             self._batches.append(_Batch(
                 table=t, models=models,
-                slots=[(kind, layout.row[var[key0[at] + s]])
-                       for s, kind in enumerate(t.kinds)],
-                rows=_span((row0[at][:, None] + np.arange(t.dim)).ravel()),
-                spans=list(pairwise(accumulate(
-                    [kind.dim for kind in t.kinds], initial=0)))))
-        self._band_layout(col, dk, key0, d, batch, row)
+                slots=[(kind, stack_row[cols[:, c0]])
+                       for kind, (c0, _) in zip(t.kinds, spans)],
+                rows=_span((row0[t.order][:, None]
+                            + np.arange(t.dim)).ravel()),
+                cols=cols, spans=spans))
+        self._band_layout()
 
-    def _band_layout(self, col, dk, key0, d, batch, row) -> None:
-        """The layout of J^T J's band, from each key slot's first column and
-        dim, each factor's first slot and rows d, and each factor's batch
-        and row in it.
+    def _band_layout(self) -> None:
+        """The layout of J^T J's band, from each batch's `cols`.
 
         Factors are grouped by (d, w), in graph order, and taken
         `_BAND_CHUNK` at a time: each chunk lists, per batch of its
         factors, where in the chunk they go and which of the batch's rows
         they are (a group of several tables takes each table's rows in
         graph order). `pick` selects, in row-major order, the entries
-        (p, q) of a factor's X^T X with col_p >= col_q (a repeated column's
-        cross terms included): as one pattern that every factor of the
-        group shares (`rows` = N), which keeps the layout small, or, when
-        their key orders differ, as one list over the whole group
+        (p, q) of a factor's X^T X with cols[p] >= cols[q] (a repeated
+        column's cross terms included): as one pattern that every factor
+        of the group shares (`rows` = N), which keeps the layout small, or,
+        when their key orders differ, as one list over the whole group
         (`rows` = 1), with `bounds` where each chunk's picks start. Each
-        adds into band[i - j, j] for i = col_p and j = col_q, kept at flat
-        index j * (bw + 1) + i - j of the (n, bw + 1) array whose transpose
-        is the band.
-
-        A key's columns are contiguous and ascending, so a factor's pattern
-        follows from the order of its key slots' first columns (a key bound
-        twice ties with itself): `rank` orders its columns from the slots
-        alone, and only the picked pairs' band targets are formed.
+        adds into band[i - j, j] for i = cols[p] and j = cols[q], kept at
+        flat index j * (bw + 1) + i - j of the (n, bw + 1) array whose
+        transpose is the band.
         """
         n = self.total_cols
-        key_col, col0 = _key_columns(col, dk, key0)
-        w = np.diff(col0)
-        # each entry of key_col ranked among its factor's distinct columns:
-        # its slot's rank plus its offset in the slot's key
-        rank = key_col - np.repeat(col - _slot_ranks(col, dk, key0), dk)
-
-        bound = w > 0
-        first = col0[:-1][bound]
-        self.bandwidth = int(np.max(np.maximum.reduceat(key_col, first)
-                                    - np.minimum.reduceat(key_col, first),
-                                    initial=0))
+        self.bandwidth = max((int(np.ptp(b.cols, axis=1).max())
+                              for b in self._batches if b.cols.size),
+                             default=0)
+        groups: dict[tuple, list] = {}
+        for i, b in enumerate(self._batches):
+            if b.cols.size:
+                groups.setdefault((b.table.dim, b.cols.shape[1]), []).append(i)
         m = self.bandwidth + 1
         # a band of under 2^31 entries takes int32 targets, which halve the
         # memory traffic of forming them
         target = np.int32 if n * m < 2 ** 31 else np.intp
-        key_target = key_col.astype(target)
         targets = [np.empty(0, target)]
         # per (d, w) group: its chunks, picks, rows, d, w and bounds, and
         # the batches it holds
         self._band_groups = []
         self._group_batches = []
-        for dd, ww in sorted(set(zip(d[bound].tolist(), w[bound].tolist()))):
-            fs = np.flatnonzero((d == dd) & (w == ww))
-            at = col0[fs, None] + np.arange(ww)
-            cols, order = key_target[at], rank[at]
-            if (order == order[0]).all():
-                pick = np.flatnonzero(order[0, :, None] >= order[0])
-                rows, f, (p, q) = len(fs), slice(None), np.divmod(pick, ww)
+        for (dd, ww), batches in sorted(groups.items()):
+            parts = [self._batches[i] for i in batches]
+            # the group's factors in graph order: each one's batch, row in
+            # it and columns
+            at = np.argsort(np.concatenate([b.table.order for b in parts]))
+            batch = np.repeat(batches, [len(b.cols) for b in parts])[at]
+            row = np.concatenate([np.arange(len(b.cols)) for b in parts])[at]
+            cols = np.concatenate([b.cols for b in parts])[at].astype(target)
+            lower = cols[:, :, None] >= cols[:, None, :]
+            if (lower == lower[0]).all():
+                pick = np.flatnonzero(lower[0])
+                rows, f, (p, q) = len(cols), slice(None), np.divmod(pick, ww)
                 bounds = None
             else:
-                pick = np.flatnonzero(order[:, :, None] >= order[:, None, :])
+                pick = np.flatnonzero(lower)
                 rows, (f, e) = 1, np.divmod(pick, ww * ww)
                 p, q = np.divmod(e, ww)
                 bounds = np.searchsorted(f, np.arange(
-                    0, len(fs) + _BAND_CHUNK, _BAND_CHUNK)).tolist()
+                    0, len(cols) + _BAND_CHUNK, _BAND_CHUNK)).tolist()
             targets.append((cols[f, p] + cols[f, q] * (m - 1)).ravel())
             chunks = []
-            for a in range(0, len(fs), _BAND_CHUNK):
-                of, rs = (x[fs[a:a + _BAND_CHUNK]] for x in (batch, row))
+            for a in range(0, len(cols), _BAND_CHUNK):
+                of, rs = batch[a:a + _BAND_CHUNK], row[a:a + _BAND_CHUNK]
                 chunks.append((a, len(of), [
                     (i, _span(to), _span(rs[to]))
                     for i in np.unique(of).tolist()
                     for to in [np.flatnonzero(of == i)]]))
             self._band_groups.append((chunks, pick, rows, dd, ww, bounds))
-            self._group_batches.append(np.unique(batch[fs]).tolist())
+            self._group_batches.append(batches)
         self._band_targets = np.concatenate(targets)
         # Reused buffers: fresh arrays cost more in page faults than the
         # products themselves. Each holds one chunk of factors, so only the
@@ -766,30 +721,28 @@ class Linearizer:
         data, laid out on the first call and kept.
 
         Every residual row belongs to one factor, so a factor's entries form
-        its block X, each row listing the columns of the factor's keys in
-        key order. The columns need not ascend, and a key bound twice lists
-        its columns twice: scipy sums repeated entries wherever it reads
-        them (products, `toarray`, `sum_duplicates`).
+        its block X, each of its d rows listing the factor's `cols`. The
+        columns need not ascend, and a key bound twice lists its columns
+        twice: scipy sums repeated entries wherever it reads them
+        (products, `toarray`, `sum_duplicates`).
         """
         if self._csr is None:
-            col, dk, key0, d = self._placement
-            key_col, col0 = _key_columns(col, dk, key0)
-            row_w = np.repeat(np.diff(col0), d)
+            row_w = np.empty(self.total_rows, np.intp)
+            for b in self._batches:
+                row_w[b.rows] = b.cols.shape[1]
             indptr = _starts(row_w)
-            # entry e of row r holds key_col[col0[f] + e - indptr[r]], f
-            # its factor
-            entry = np.arange(indptr[-1])
-            entry += np.repeat(np.repeat(col0[:-1], d) - indptr[:-1], row_w)
             index = np.int32 if max(indptr[-1], self.total_cols) < 2 ** 31 \
                 else np.int64  # what scipy would choose, so it copies nothing
-            block0 = indptr[_starts(d)]  # where each factor's block starts
+            indices = np.empty(indptr[-1], index)
             cells = []
             for b in self._batches:
-                width = b.table.dim * (b.spans[-1][1] if b.spans else 0)
-                cells.append(_span((block0[b.table.order][:, None]
-                                    + np.arange(width)).ravel()))
-            self._csr = (key_col[entry].astype(index), indptr.astype(index),
-                         cells)
+                # row r's entries start at indptr[r], and a factor's rows
+                # are consecutive: its cells are its block X, row-major
+                at = _span((indptr[:-1][b.rows][:, None]
+                            + np.arange(b.cols.shape[1])).ravel())
+                indices[at] = np.repeat(b.cols, b.table.dim, axis=0).ravel()
+                cells.append(at)
+            self._csr = (indices, indptr.astype(index), cells)
         return self._csr
 
     def __call__(self, values):
@@ -877,8 +830,8 @@ class Linearizer:
         for i, Xs in blocks.items():
             b = self._batches[i]
             e = res[b.rows].reshape(-1, 1, d)
-            for (kind, rows), X in zip(b.slots, Xs):
-                np.add.at(g, self.layout.columns[kind][rows], (e @ X)[:, 0])
+            for (c0, c1), X in zip(b.spans, Xs):
+                np.add.at(g, b.cols[:, c0:c1], (e @ X)[:, 0])
         for c, (a, k, parts) in enumerate(chunks):
             X = self._band_blocks[:k * d * w].reshape(k, d, w)
             for i, to, src in parts:

@@ -118,14 +118,7 @@ class GroundTruth:
 
     def index_at(self, t: float) -> int:
         """indices_at for one time, whose sample must be in the support."""
-        # fewer than two samples set no time step, so no support
-        if len(self.times) < 2 or not math.isfinite(t):
-            raise ValueError(f"time {t} outside ground-truth support")
-        dt = self.times[1] - self.times[0]
-        i = int(round((t - self.times[0]) / dt))
-        if not (0 <= i < len(self.times)) or abs(self.times[i] - t) > dt / 2 + 1e-9:
-            raise ValueError(f"time {t} outside ground-truth support")
-        return i
+        return int(self.samples_at(np.array([t], dtype=float))[0])
 
 
 def _rollout(starts: list[Pose3], segment_lists: list[list[TwistSegment]],

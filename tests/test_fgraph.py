@@ -1488,6 +1488,35 @@ class TestStructureBuild:
                 assert_identical(getattr(J, name), getattr(J_ref, name))
             assert_identical(r, r_ref)
 
+    def test_keyless_custom_factor(self):
+        """A custom factor that binds no key (w = 0): its residual enters
+        r, the cost trace and the family costs, its rows of J are empty,
+        the gradient and the band are those of the graph without it, and
+        the solve converges."""
+        x = VariableKey(0, M.rn(2), 0.0)
+        values = Values({x: M.EuclidPoint(np.zeros(2))})
+        anchored = FactorGraph()
+        anchored.add(linear_factor([x], [np.eye(2)], np.ones(2), np.eye(2)))
+        graph = FactorGraph()
+        graph.extend([anchored.factors[0], Factor(
+            keys=(), residual_fn=lambda values: np.array([3.0]),
+            jacobian_fn=lambda values: (), noise=NoiseModel(np.eye(1)))])
+        lin, J, r, _ = assert_normal_pass(graph, values)
+        assert J.shape == (3, 2) and J.nnz == 4
+        assert J.indptr.tolist() == [0, 2, 4, 4]
+        assert_identical(r, np.array([-1.0, -1.0, 3.0]))
+        assert lin.family_costs(r) == {"custom": 11.0}
+        for got, want in zip(lin.residual(values)[1](),
+                             Linearizer(anchored).residual(values)[1]()):
+            assert_identical(got, want)
+        solution, report = optimize(graph, values)
+        assert report.converged
+        assert report.cost_trace[0] == 11.0
+        assert report.family_costs_end["custom"] == report.final_cost
+        assert report.final_cost == pytest.approx(9.0, abs=1e-12)
+        np.testing.assert_allclose(solution.get(x).coords, [1.0, 1.0],
+                                   atol=1e-9)
+
 
 def key_order_graphs(rng):
     """A Mode B DOWN boundary factor, whose keys run against column order:
@@ -1567,9 +1596,14 @@ def grid_layout(graph, J):
 
 
 def assert_grid_layout(graph, values):
-    """The Linearizer's band layout equals the grid's, and its normal
-    pass's band the reference's, bit for bit."""
+    """The Linearizer's band layout equals the grid's, its bandwidth that
+    of J^T J's structural pattern, and its normal pass's band the
+    reference's, bit for bit."""
     lin, J, _, _ = assert_normal_pass(graph, values)
+    P = J.copy()
+    P.data[:] = 1.0  # structural pattern; products of ones never cancel
+    pattern = (P.T @ P).tocoo()
+    assert lin.bandwidth == np.max(pattern.row - pattern.col, initial=0)
     grid = grid_layout(graph, J)
     assert len(grid) == len(lin._band_groups)
     for (pick, rows), (_, got, got_rows, *_) in zip(grid, lin._band_groups):
@@ -1582,10 +1616,11 @@ class TestBandLayout:
     @settings(max_examples=150, deadline=None)
     @given(key_order_cases())
     def test_layout_matches_grid_for_any_key_order(self, case):
-        """The band layout, read off each factor's key slots, picks what
-        the grid of every column pair picks, shared by a group exactly when
-        the grid's patterns agree, and sums J's blocks into the same bins,
-        in the same order, as the reference."""
+        """The band layout, read off each table's column matrix, picks what
+        the grid of every column pair of J's rows picks, shared by a group
+        exactly when the grid's patterns agree, has the bandwidth of J^T
+        J's pattern, and sums J's blocks into the same bins, in the same
+        order, as the reference."""
         assert_grid_layout(*case)
 
     def test_key_bound_twice_counts_once(self, rng):
