@@ -130,9 +130,11 @@ def cmd_smooth(args) -> int:
     cfg.check_smoothable()
     stages = {} if args.trace else None
     records = _staged(stages, "read", formats.read_measurements, args.meas)
+    # a gate is refused before scheduling makes the keyframes it asks for
+    tracking.keyframe_events(records, cfg.gate)
+    tracking.check_odometry_gate(records, cfg.gate)
     keyframes = _staged(stages, "schedule", tracking.schedule_keyframes,
                         records, gate=cfg.gate, policy=cfg)
-    tracking.check_odometry_gate(records, cfg.gate)
     graph, initial = _staged(stages, "build", tracking.build_graph,
                              keyframes, cfg, cfg)
     try:

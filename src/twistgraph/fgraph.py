@@ -7,6 +7,10 @@ on each variable's tangent space.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
@@ -17,15 +21,75 @@ from time import perf_counter
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, solveh_banded
-from scipy.linalg.lapack import dpbtrf
-# Nothing here factors with splu; it stays a module attribute because the
-# traced benchmark run (perfbench/instrument.py) patches `fgraph.splu`.
-from scipy.sparse.linalg import splu
+import scipy
 
 from . import manifold
 from .manifold import ManifoldKind
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`, loaded
+    from its file alone.
+
+    The solver needs four of its routines, and `import scipy.linalg` would
+    cost every process about 0.3 s and 22 MB for them (the package's init
+    loads scipy's array-API layer, which loads `numpy.f2py` and
+    `numpy.testing`); the extension alone costs a few ms. It is registered
+    under its own name, so a later `import scipy.linalg` reuses it. Where
+    the file cannot be loaded so, the package loads it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+        if not os.path.isfile(path):
+            continue
+        try:
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+        except ImportError:
+            break
+        sys.modules[name] = module
+        return module
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+_flapack = _load_flapack()
+
+
+def solveh_banded(ab: np.ndarray, b: np.ndarray,
+                  overwrite_ab: bool = False) -> np.ndarray:
+    """x with A x = b for the symmetric positive definite A whose lower
+    band is `ab`, as `scipy.linalg.solveh_banded(ab, b, lower=True,
+    check_finite=False)` computes it for real arrays of at least one
+    column: LAPACK's `dptsv` on a 2-row band, `dpbsv` on any other.
+    Raises np.linalg.LinAlgError when A is not positive definite."""
+    if ab.shape[-1] != b.shape[0]:
+        raise ValueError("shapes of ab and b are not compatible.")
+    if ab.shape[0] == 2:
+        *_, x, info = _flapack.dptsv(ab[0], ab[1, :-1], b, overwrite_ab,
+                                     overwrite_ab)
+    else:
+        _, x, info = _flapack.dpbsv(ab, b, lower=1, overwrite_ab=overwrite_ab)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal "
+                         f"pbsv")
+    return x
+
+
+def splu(A, *args, **kwargs):
+    """`scipy.sparse.linalg.splu`, imported on the first call. The solver
+    factors nothing with it; the traced benchmark run
+    (perfbench/instrument.py) patches `fgraph.splu`."""
+    from scipy.sparse.linalg import splu
+    return splu(A, *args, **kwargs)
 
 
 class UnderconstrainedGraphError(RuntimeError):
@@ -761,6 +825,8 @@ class Linearizer:
             for batches in self._group_batches:
                 for i, blocks in self._whitened(batches, passes).items():
                     data[cells[i]] = np.concatenate(blocks, axis=2).ravel()
+        import scipy.sparse as sp  # only tests and diagnostics build J
+
         # the layout arrays are copied: a caller may edit J's in place
         return sp.csr_matrix((data, indices.copy(), indptr.copy()),
                              shape=(self.total_rows, self.total_cols)), res
@@ -1021,7 +1087,7 @@ def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> dict:
         scaled[k, :n - k] *= s[k:]
     shift = 1e-12
     scaled[0] += shift
-    L, info = dpbtrf(scaled, lower=1, overwrite_ab=1)
+    L, info = _flapack.dpbtrf(scaled, lower=1, overwrite_ab=1)
     pivot_sq = L[0] * L[0]
     bad = pivot_sq <= 1e3 * shift
     verdict = {"min_pivot_sq": 0.0 if info > 0 else
@@ -1033,8 +1099,8 @@ def _check_gauge(band: np.ndarray, offsets: dict[VariableKey, int]) -> dict:
     if not bad.any():
         x = _probe(n)
         for _ in range(2):  # x = A^-1 x, keeping the column that grew most
-            y = cho_solve_banded((L, True), x / np.linalg.norm(x, axis=0),
-                                 check_finite=False)
+            y, _ = _flapack.dpbtrs(L, x / np.linalg.norm(x, axis=0),
+                                   lower=1)
             growth = np.linalg.norm(y, axis=0)
             j = int(np.argmax(growth))
             x = y[:, j:j + 1]
@@ -1067,8 +1133,7 @@ def _damped_solver(band: np.ndarray):
     def solve(lam: float, b: np.ndarray) -> np.ndarray:
         np.copyto(ab, band)
         ab[0] += lam
-        return solveh_banded(ab, b, overwrite_ab=True, lower=True,
-                             check_finite=False)
+        return solveh_banded(ab, b, overwrite_ab=True)
     return solve
 
 
@@ -1086,7 +1151,8 @@ def optimize(graph: FactorGraph, initial: Values,
     raised there has the current iterate's band formed again. The returned
     iterate's normal pass never runs, so an error that only it would raise
     (a custom jacobian_fn's) does not reject that iterate;
-    `marginal_covariance` there raises it."""
+    `marginal_covariance` there raises it. A graph without columns (no
+    factors, or only keyless ones) converges at its cost, unsolved."""
     settings = settings or SolverSettings()
     if not settings.init_lambda > 0:
         # damping grows by multiplication, so it could never leave 0 or
@@ -1125,6 +1191,11 @@ def optimize(graph: FactorGraph, initial: Values,
     cost = float(r @ r)
     report.cost_trace.append(cost)
     report.family_costs_start = lin.family_costs(r)
+    if not lin.total_cols:  # only keyless factors: nothing to solve for
+        report.converged = True
+        report.final_cost = cost
+        report.family_costs_end = dict(report.family_costs_start)
+        return initial.copy(), report
     # the band `solve` reads, which each normal pass refills
     g, band = timed("band_s", normal)
     for it in range(settings.max_iterations):

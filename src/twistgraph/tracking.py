@@ -205,22 +205,16 @@ def check_odometry_gate(measurements: Sequence[MeasurementRecord],
                           f"odometry period of {steps.min():.6g} s")
 
 
-def schedule_keyframes(measurements: Sequence[MeasurementRecord],
-                       gate: float = 1.0, policy: ModePolicy | None = None,
-                       until: float | None = None) -> list[Keyframe]:
-    """One keyframe per relative measurement plus time-gated fillers.
+def keyframe_events(measurements: Sequence[MeasurementRecord], gate: float,
+                    until: float | None = None
+                    ) -> list[tuple[float, list[int] | None]]:
+    """The events `schedule_keyframes` makes keyframes of, refusing a gate
+    that asks for more than _MAX_KEYFRAMES keyframes before any is made.
 
-    `measurements` is a MeasurementStream, or records that are stacked into
-    one. A gated keyframe is inserted every `gate` seconds inside any
-    measurement gap longer than the gate (and out to `until`, when given).
-    Each keyframe carries its relative-measurement records and the odometry
-    composed since the previous keyframe; both come from the stream's
-    columns. Relative records within 1e-9 s of a keyframe's first record
-    share that keyframe.
-
-    A gate that asks for more than _MAX_KEYFRAMES keyframes is refused.
+    Each event is (time, stream rows of its relative records), in time
+    order, plus (until, None) for a terminal gate past the last one.
+    Relative records within 1e-9 s of an event's first record join it.
     """
-    policy = policy or ModePolicy()
     stream = MeasurementStream.of(measurements)
 
     # The tolerance is measured from the latest time seen, so that small
@@ -241,7 +235,6 @@ def schedule_keyframes(measurements: Sequence[MeasurementRecord],
         if not abs(t - t0) <= 1e-9:
             first.append(j)
             t0 = t
-    # (time, rows of its records, or None for the terminal gate)
     events: list[tuple[float, list[int] | None]] = [
         (rel_times[a], relative[a:b])
         for a, b in zip(first, first[1:] + [len(relative)])]
@@ -258,6 +251,27 @@ def schedule_keyframes(measurements: Sequence[MeasurementRecord],
     if not wanted <= _MAX_KEYFRAMES:
         raise ConfigError(f"gate = {gate!r} asks for {wanted:.3g} keyframes, "
                           f"more than {_MAX_KEYFRAMES}")
+    return events
+
+
+def schedule_keyframes(measurements: Sequence[MeasurementRecord],
+                       gate: float = 1.0, policy: ModePolicy | None = None,
+                       until: float | None = None) -> list[Keyframe]:
+    """One keyframe per relative measurement plus time-gated fillers.
+
+    `measurements` is a MeasurementStream, or records that are stacked into
+    one. A gated keyframe is inserted every `gate` seconds inside any
+    measurement gap longer than the gate (and out to `until`, when given).
+    Each keyframe carries its relative-measurement records and the odometry
+    composed since the previous keyframe; both come from the stream's
+    columns. Relative records within 1e-9 s of a keyframe's first record
+    share that keyframe.
+
+    A gate that asks for more than _MAX_KEYFRAMES keyframes is refused.
+    """
+    policy = policy or ModePolicy()
+    stream = MeasurementStream.of(measurements)
+    events = keyframe_events(stream, gate, until)
 
     # (time, records, trigger) with gate fillers interleaved
     slots: list[tuple[float, tuple[MeasurementRecord, ...], str]] = []

@@ -1,7 +1,10 @@
 """End-to-end command-line interface checks."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,36 @@ class TestPipeline:
         text = capsys.readouterr().out
         assert "ALL" in text and "baseline" in text
         assert out.exists()
+
+    def test_commands_import_no_scipy_linalg_sparse_or_spatial(
+            self, tmp_path, short_cfg):
+        """simulate, smooth and metrics, run in one fresh process, load
+        none of scipy.linalg, scipy.sparse, scipy.spatial or scipy's
+        array-API layer: the solver binds its LAPACK routines alone."""
+        code = (
+            "import sys\n"
+            "from twistgraph import cli\n"
+            "cfg, out = sys.argv[1:]\n"
+            "truth, meas, est = (f'{out}/{name}.csv' for name in"
+            " ('truth', 'meas', 'est'))\n"
+            "for argv in (['simulate', '--config', cfg, '--seed', '1',"
+            " '--out-truth', truth, '--out-meas', meas],\n"
+            "             ['smooth', '--config', cfg, '--mode', 'A',"
+            " '--meas', meas, '--out', est],\n"
+            "             ['metrics', '--estimate', est, '--truth', truth,"
+            " '--meas', meas]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "loaded = [name for name in ('scipy.linalg', 'scipy.sparse',"
+            " 'scipy.spatial', 'scipy._lib._array_api')"
+            " if name in sys.modules]\n"
+            "assert not loaded, loaded\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(short_cfg), str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
 
     def test_main_builds_one_parser_and_keeps_no_option(self, monkeypatch):
         """Two calls share one parser, and an option given to the first is
@@ -428,6 +461,26 @@ class TestErrorExits:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: gate = 1e-09 asks")
+
+    @pytest.mark.parametrize("gate, error", [
+        ("0.001", "error: gate = 0.001 is shorter than the stream's "
+                  "odometry period of 0.1 s"),
+        ("1e-9", "error: gate = 1e-09 asks for 2e+09 keyframes, more than "
+                 "1000000")], ids=["0.001", "1e-9"])
+    def test_gate_is_refused_before_scheduling(self, tmp_path, capsys,
+                                               monkeypatch, gate, error):
+        """A gate the keyframe ceiling allows but the odometry period does
+        not, and one the ceiling refuses, are refused before any keyframe
+        is made."""
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("keyframes were scheduled")
+
+        monkeypatch.setattr(tracking, "schedule_keyframes", no_schedule)
+        meas = optical_stream(tmp_path, exp_so3(np.zeros(3)))
+        rc = main(["smooth", "--gate", gate, "--meas", str(meas),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [error]
 
     def test_gate_under_the_odometry_period_exits_2(self, tmp_path, capsys):
         """The stream's odometry runs at 10 Hz: a 0.05 s gate is refused

@@ -346,6 +346,25 @@ class TestOptimize:
         values, report = optimize(FactorGraph(), Values())
         assert report.converged and report.iterations == 0
 
+    def test_keyless_graph_converges_at_its_cost(self, monkeypatch):
+        """A graph whose factors bind no variable has no column to solve
+        for: it converges at its cost, with no gauge check and no solve."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a graph without columns was solved")
+
+        monkeypatch.setattr(fgraph, "solveh_banded", no_solve)
+        monkeypatch.setattr(fgraph, "_check_gauge", no_solve)
+        graph = FactorGraph()
+        graph.add(Factor(keys=(), residual_fn=lambda values: np.array([3.0]),
+                         jacobian_fn=lambda values: (),
+                         noise=NoiseModel(np.eye(1))))
+        values, report = optimize(graph, Values())
+        assert report.converged and report.iterations == 0
+        assert report.cost_trace == [9.0] and report.final_cost == 9.0
+        assert report.family_costs_start == report.family_costs_end \
+            == {"custom": 9.0}
+        assert not report.tries and len(values) == 0
+
     def test_gives_up_when_no_damped_try_is_accepted(self):
         """A residual that is finite only at its initial point rejects every
         try up to MAX_LAMBDA: the solve stops after one iteration, with the
@@ -1069,6 +1088,42 @@ class TestDampedSolve:
         JtJ = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
             fgraph._damped_solver(lower_band(JtJ, 1))(0.5, np.ones(2))
+
+    @pytest.mark.parametrize("bandwidth", [0, 1, 2, 29])
+    def test_lapack_binding_matches_scipy_linalg(self, rng, bandwidth):
+        """fgraph loads scipy's LAPACK module without scipy.linalg; once
+        scipy.linalg is imported, its LAPACK functions are the ones fgraph
+        calls, and `fgraph.solveh_banded` (dptsv on bandwidth 1, dpbsv
+        otherwise) gives scipy's solution bit for bit."""
+        import scipy.linalg
+
+        assert scipy.linalg.lapack.dpbtrf is fgraph._flapack.dpbtrf
+        assert scipy.linalg.lapack.dpbtrs is fgraph._flapack.dpbtrs
+        n = bandwidth + 40
+        band = np.asfortranarray(
+            lower_band(random_band_system(rng, n, bandwidth), bandwidth))
+        for b in (rng.normal(size=n), rng.normal(size=(n, 8))):
+            want = scipy.linalg.solveh_banded(band, b, lower=True,
+                                              check_finite=False)
+            assert_identical(fgraph.solveh_banded(band, b), want)
+            ab = band.copy(order="F")
+            assert_identical(fgraph.solveh_banded(ab, b, overwrite_ab=True),
+                             want)
+
+    @pytest.mark.parametrize("band", [[[1.0, 1.0], [2.0, 0.0]],
+                                      [[1.0, 1.0, 1.0], [0.5, 2.0, 0.0],
+                                       [0.1, 0.0, 0.0]]])
+    def test_not_positive_definite_raises_like_scipy(self, band):
+        import scipy.linalg
+
+        band = np.array(band)
+        b = np.ones(band.shape[1])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="leading minor not positive definite"):
+            scipy.linalg.solveh_banded(band, b, lower=True)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="leading minor not positive definite"):
+            fgraph.solveh_banded(band, b)
 
     def test_pattern_bandwidth(self, rng):
         graphs = [mixed_graph(rng) for _ in range(3)]
