@@ -158,27 +158,50 @@ class _Family:
 
     def made(self, f: Factor) -> dict:
         """The closures and name of the view `f`."""
-        blocks, steps, keys, bound = self.blocks, self.steps, f.keys, f._bound
-        if self.group is None:
-            lead, parts = (), [(key, key.kind.group.parts) for key in keys]
-
-            def states(values):
-                return [part(values.get(key)) for key, part in parts]
-        else:
-            lead = (self.group,)
-
-            def states(values):
-                return [values.get(key) for key in keys]
-
-        def jacobian_fn(values):
-            at = states(values)
-            return blocks(*lead, bound, steps(*lead, bound, *at), *at)
+        row = RowResidual(self, f.keys, f.family_params, f._bound)
         return {
-            "residual_fn":
-                lambda values: steps(*lead, bound, *states(values))[-1],
-            "jacobian_fn": jacobian_fn,
+            "residual_fn": row,
+            "jacobian_fn": row.jacobian,
             "name": f"{self.label.format(*f.family_params)}"
-                    f"[{','.join(str(k.id) for k in keys)}]"}
+                    f"[{','.join(str(k.id) for k in f.keys)}]"}
+
+
+class RowResidual:
+    """A view's residual_fn: the residual of one row of `family`, over
+    `keys` with the params `params`, on a Values' elements; `jacobian` is
+    the view's jacobian_fn. It holds the row and not the view, so that a
+    view makes no reference cycle, and so that a caller wanting the
+    residual at many states of the row (simkit's finite-difference oracle)
+    can run `family.residual` on them as one batch. On elements the
+    family takes `bound` for the params."""
+
+    __slots__ = ("family", "keys", "params", "_bound", "_lead", "_parts")
+
+    def __init__(self, family: _Family, keys, params, bound):
+        self.family, self.keys, self.params, self._bound = (
+            family, keys, params, bound)
+        if family.group is None:  # the family takes each key's parts
+            self._lead, self._parts = (), [key.kind.group.parts
+                                           for key in keys]
+        else:
+            self._lead, self._parts = (family.group,), None
+
+    def _steps(self, values) -> tuple:
+        """The family's steps at the row's states in `values`, and those
+        states."""
+        at = [values.get(key) for key in self.keys]
+        if self._parts is not None:
+            at = [part(x) for part, x in zip(self._parts, at)]
+        return self.family.steps(*self._lead, self._bound, *at), at
+
+    def __call__(self, values) -> np.ndarray:
+        return self._steps(values)[0][-1]
+
+    def jacobian(self, values) -> tuple:
+        """The per-key Jacobians at `values`, continued from the steps
+        that give the residual."""
+        steps, at = self._steps(values)
+        return self.family.blocks(*self._lead, self._bound, steps, *at)
 
 
 # one object per family: a graph holds one table per family, key kinds and dim

@@ -34,8 +34,11 @@ def _load_flapack():
     The solver needs four of its routines, and `import scipy.linalg` would
     cost every process about 0.3 s and 22 MB for them (the package's init
     loads scipy's array-API layer, which loads `numpy.f2py` and
-    `numpy.testing`); the extension alone costs a few ms. It is registered
-    under its own name, so a later `import scipy.linalg` reuses it. Where
+    `numpy.testing`); the extension alone costs a few ms. Loading it
+    registers it in `sys.modules` before its package exists; that entry is
+    removed, so that a later `import scipy.linalg` loads it again and sets
+    it as the package's attribute. Its routines are then this module's
+    objects, because the extension's state is made once per process. Where
     the file cannot be loaded so, the package loads it.
     """
     name = "scipy.linalg._flapack"
@@ -52,7 +55,7 @@ def _load_flapack():
             loader.exec_module(module)
         except ImportError:
             break
-        sys.modules[name] = module
+        sys.modules.pop(name, None)
         return module
     from scipy.linalg import _flapack
     return _flapack

@@ -11,6 +11,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .fgraph import FactorGraph, Values, VariableKey
 from .factors import (
     ConstantTwistSpec,
     MeasurementSigmas,
+    RowResidual,
     ct_factor,
     prior_factor,
 )
@@ -307,6 +309,38 @@ def _increments(kind: manifold.ManifoldKind, step: float) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _increment_stack(kind: manifold.ManifoldKind, step: float) -> tuple:
+    """`_increments` as one read-only stack of 2·dim rows: Exp(step e_i)
+    in row 2i and Exp(-step e_i) in row 2i + 1."""
+    stack = kind.group.stack(chain.from_iterable(_increments(kind, step)))
+    for part in stack:
+        part.flags.writeable = False
+    return stack
+
+
+def _rows(parts, n: int) -> tuple:
+    """Each array of `parts` repeated as n rows."""
+    return tuple(np.repeat(np.asarray(p)[None], n, axis=0) for p in parts)
+
+
+def _row_differences(row: RowResidual, values: Values, key: VariableKey,
+                     step: float) -> np.ndarray:
+    """finite_difference_jacobian of the view residual `row`, as one batch
+    of its family: with X the element of `key` in `values`, each slot that
+    binds `key` holds X Exp(step e_i) in row 2i and X Exp(-step e_i) in row
+    2i + 1, and every other slot its key's element."""
+    group = key.kind.group
+    increments = _increment_stack(key.kind, step)
+    n = len(increments[0])
+    # the batch compose takes X's parts as one row for all n
+    moved = group.batch.compose(group.parts(values.get(key)), increments)
+    states = [moved if k == key else
+              _rows(k.kind.group.parts(values.get(k)), n) for k in row.keys]
+    r = row.family.residual(_rows(row.params, n), states)[-1]
+    return (r[0::2] - r[1::2]).T / (2.0 * step)
+
+
 def finite_difference_jacobian(residual_fn, values: Values, key: VariableKey,
                                step: float = 1e-6) -> np.ndarray:
     """Central differences of residual_fn along each tangent basis direction.
@@ -315,9 +349,21 @@ def finite_difference_jacobian(residual_fn, values: Values, key: VariableKey,
     X Exp(+-step e_i), with the increments made once per kind and step;
     never touches any analytic Jacobian code path. `values` is left as it
     was.
+
+    A built-in factor's own residual_fn (a `RowResidual`) is evaluated at
+    the 2·dim perturbed states in one call of its family, whose batch
+    kernels are bit-equal to the element ones; any other callable, one
+    direction at a time. Where the batch raises a ValueError (a
+    NearSingularError among them), the per-direction loop runs, so that
+    the error raised is the element path's.
     """
     if not (math.isfinite(step) and step != 0.0):
         raise ValueError(f"step must be finite and non-zero, got {step!r}")
+    if type(residual_fn) is RowResidual:
+        try:
+            return _row_differences(residual_fn, values, key, step)
+        except ValueError:
+            pass
     compose, X = key.kind.group.compose, values.get(key)
     moved = values.copy()
     columns = []

@@ -1,6 +1,8 @@
 """Factor residuals and analytic Jacobians against independent oracles."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -559,6 +561,27 @@ class TestPerFactorViews:
             assert copy.residual_fn is f.residual_fn
             assert (copy.name, copy.keys, copy.noise) == (name, f.keys,
                                                           f.noise)
+
+    def test_residual_fn_holds_its_row_and_no_cycle(self, rng):
+        """A view's residual_fn holds its row (family, keys and params)
+        and nothing that refers back to the view, so a view whose closures
+        were read is freed without the garbage collector."""
+        views, values = per_factor_and_table_rows(rng)
+        views = [view for pair in views for view in pair]
+        gc.disable()
+        try:
+            while views:
+                view = views.pop()
+                residual = view.residual_fn
+                assert (residual.family, residual.keys) == (view.family,
+                                                            view.keys)
+                assert residual.params is view.family_params
+                view.jacobian_fn(values)
+                ref = weakref.ref(view)
+                del view
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_closures_and_name_wait_for_their_first_read(self, rng):
         views, _ = per_factor_and_table_rows(rng)

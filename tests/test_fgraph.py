@@ -1110,6 +1110,32 @@ class TestDampedSolve:
             assert_identical(fgraph.solveh_banded(ab, b, overwrite_ab=True),
                              want)
 
+    def test_scipy_linalg_imported_later_holds_its_lapack_module(self):
+        """In a process that imports fgraph first, fgraph's LAPACK module
+        is not left in sys.modules, and a later `import scipy.linalg` sets
+        `scipy.linalg._flapack`, whose routines are fgraph's."""
+        code = (
+            "import sys\n"
+            "from twistgraph import fgraph\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert 'scipy.linalg._flapack' not in sys.modules\n"
+            "import numpy as np, scipy.linalg\n"
+            "assert scipy.linalg._flapack.dpbsv is fgraph._flapack.dpbsv\n"
+            "assert scipy.linalg.lapack.dptsv is fgraph._flapack.dptsv\n"
+            "ab = np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0],"
+            " [0.5, 0.0, 0.0]])\n"
+            "b = np.array([1.0, 2.0, 3.0])\n"
+            "want = scipy.linalg.solveh_banded(ab, b, lower=True)\n"
+            "assert (fgraph.solveh_banded(ab, b) == want).all()\n"
+            "assert (scipy.linalg._flapack.dpbsv(ab, b, lower=1)[1]"
+            " == want).all()\n")
+        src = os.path.dirname(os.path.dirname(fgraph.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
+
     @pytest.mark.parametrize("band", [[[1.0, 1.0], [2.0, 0.0]],
                                       [[1.0, 1.0, 1.0], [0.5, 2.0, 0.0],
                                        [0.1, 0.0, 0.0]]])

@@ -1,5 +1,7 @@
 """Scenario generator, measurement synthesis, and fixture oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -613,6 +615,110 @@ class TestFiniteDifferenceOracle:
                 for element in pair:
                     for part in kind.group.parts(element):
                         assert not part.flags.writeable
+
+    @pytest.mark.parametrize("step", [1e-6, 1e-4, -2e-5])
+    def test_built_in_batch_equals_the_loop(self, monkeypatch, rng, step):
+        """A built-in factor's columns, taken as one batch of its family,
+        equal the per-direction loop's bit for bit: ct on SE(3), SO(3) and
+        R^3, priors, relative pose (also over one key twice), USBL to both
+        target kinds, roll-pitch and boundary factors, and a key the factor
+        does not bind, whose columns are zeros. The batch calls no
+        element residual, and the caller's values keep their objects."""
+        fs, values = every_family(rng)
+        fs = [f for f in fs if f.family is not None]
+        fs.append(factors.relative_pose_factor(fs[0].keys[0], fs[0].keys[0],
+                                               random_pose(rng), np.eye(6)))
+        held = {k: values.get(k) for k in values.keys()}
+        loop_calls, call = [], factors.RowResidual.__call__
+        monkeypatch.setattr(factors.RowResidual, "__call__", lambda row, v:
+                            loop_calls.append(1) or call(row, v))
+        unbound = fs[0].keys[0]  # an SE(3) key
+        seen = set()
+        for f in fs:
+            assert type(f.residual_fn) is factors.RowResidual
+            seen.add((f.family.name, tuple(k.kind.tag for k in f.keys)))
+            for key in f.keys + (unbound,) * (unbound not in f.keys):
+                J = finite_difference_jacobian(f.residual_fn, values, key,
+                                               step)
+                assert not loop_calls, f.name
+                loop = finite_difference_jacobian(
+                    lambda v: f.residual_fn(v), values, key, step)
+                assert len(loop_calls) == 2 * key.kind.dim
+                loop_calls.clear()
+                assert_identical(J, loop)
+                if key not in f.keys:
+                    assert J.shape == (f.dim, key.kind.dim) and not J.any()
+        se3, so3, rn = ("SE3",), ("SO3",), ("RN",)
+        assert seen == {("ct", se3 * 3), ("ct", so3 * 3), ("ct", rn * 3),
+                        ("prior", se3), ("prior", so3), ("prior", rn),
+                        ("relpose", se3 * 2), ("usbl", se3 * 2),
+                        ("usbl", se3 + rn), ("rollpitch", se3),
+                        ("boundary", se3 + rn)}
+        assert len(values) == len(held)
+        assert all(values.get(k) is v for k, v in held.items())
+
+    def test_increment_stacks_are_read_only_rows_of_the_pairs(self):
+        step = 1e-6
+        for kind in (M.SE3, M.SO3, M.R3):
+            stack = simkit._increment_stack(kind, step)
+            assert stack is simkit._increment_stack(kind, step)
+            rows = [kind.group.parts(x)
+                    for pair in simkit._increments(kind, step) for x in pair]
+            assert len(stack[0]) == 2 * kind.dim
+            for part, column in zip(stack, zip(*rows)):
+                assert not part.flags.writeable
+                assert_identical(part, np.array(column))
+
+    def test_other_callables_take_the_loop(self, rng):
+        """A residual_fn assigned on a view or given to
+        dataclasses.replace, and a custom factor binding one key twice,
+        are called once per perturbed state, and give the reference."""
+        fs, values = every_family(rng)
+        ct = fs[0]
+        (key, *_) = ct.keys
+        calls = []
+        row = ct.residual_fn
+
+        def counted(v):
+            calls.append(1)
+            return row(v)
+
+        copy = dataclasses.replace(ct, residual_fn=counted)
+        ct.residual_fn = counted
+        custom = Factor(keys=(key, key), residual_fn=lambda v: counted(v)
+                        + M.log_se3(v.get(key))[0],
+                        jacobian_fn=lambda v: None,
+                        noise=NoiseModel(np.eye(6)), name="twice")
+        for f in (ct, copy, custom):
+            J = finite_difference_jacobian(f.residual_fn, values, key)
+            assert len(calls) == 12
+            assert_identical(J, reference_jacobian(f.residual_fn, values,
+                                                   key))
+            calls.clear()
+
+    def test_near_pi_error_is_the_loops(self):
+        """A perturbation that takes a prior's error past the near-pi
+        margin raises in the batch; the oracle then runs the loop, whose
+        NearSingularError it raises."""
+        for kind in (M.SO3, M.SE3):
+            key = VariableKey(0, kind, 0.0)
+            values = Values()
+            z = np.zeros(kind.dim)
+            z[-1] = np.pi - M.NEAR_PI_MARGIN - 5e-7
+            values.set(key, kind.group.exp(z))
+            f = factors.prior_factor(key, kind.group.exp(np.zeros(kind.dim)),
+                                     np.eye(kind.dim))
+            f.residual_fn(values)  # the state itself is inside the margin
+            with pytest.raises(M.NearSingularError) as batch:
+                finite_difference_jacobian(f.residual_fn, values, key)
+            with pytest.raises(M.NearSingularError) as loop:
+                finite_difference_jacobian(lambda v: f.residual_fn(v),
+                                           values, key)
+            assert str(batch.value) == str(loop.value)
+            row = f.residual_fn
+            with pytest.raises(M.NearSingularError) as direct:
+                simkit._row_differences(row, values, key, 1e-6)
+            assert str(direct.value) != str(loop.value)
 
     @pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf, -np.inf])
     def test_zero_or_non_finite_step_is_refused(self, step):
